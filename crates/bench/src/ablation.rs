@@ -34,13 +34,6 @@ pub fn configurations() -> Vec<(&'static str, XOptConfig)> {
             },
         ),
         (
-            "+operator selection",
-            XOptConfig {
-                operator_selection: true,
-                ..base
-            },
-        ),
-        (
             "+pruning +compression",
             XOptConfig {
                 feature_pruning: true,

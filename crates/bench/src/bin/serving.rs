@@ -8,13 +8,14 @@
 //!    globally-unique window so the unprepared baseline really re-plans
 //!    each time (identical texts would hit the raw-token cache and
 //!    measure nothing).
-//! 2. **Batched vs. scalar kernel** — full-table scoring throughput of
-//!    the level-synchronous struct-of-arrays FlatTree kernel
-//!    (`SET predict_strategy = 'batched'`) against the per-row walker
-//!    (`'vectorized'`), plus a bit-exactness sweep across row /
-//!    vectorized / batched / parallel strategies.
+//! 2. **Compiled kernel vs. interpreter** — full-table scoring
+//!    throughput of the compiled pipeline (the level-synchronous FlatTree
+//!    kernel every strategy but `'row'` scores through,
+//!    `SET predict_strategy = 'vectorized'`) against the per-row
+//!    interpreter (`'row'`), plus a bit-exactness sweep across row /
+//!    vectorized / parallel strategies.
 //!
-//! Gate: prepared+batched must clear `GATE_SPEEDUP`x the unprepared
+//! Gate: prepared must clear `GATE_SPEEDUP`x the unprepared
 //! baseline at 4 sessions and every strategy must agree bit-for-bit, or
 //! the process exits non-zero. Set `FLOCK_SERVING_SHORT=1` for the CI
 //! smoke configuration (fewer statements, 1.5x gate).
@@ -84,13 +85,12 @@ fn gbt(rng: &mut StdRng) -> Model {
     })
 }
 
-/// PREDICT survives as a provider call (no inlining / auto strategy
-/// selection), so `SET predict_strategy` picks the kernel under test.
+/// PREDICT survives as a provider call (no inlining), so
+/// `SET predict_strategy` picks the scorer under test.
 fn serving_db() -> FlockDb {
     let db = FlockDb::with_config(XOptConfig {
         inline_models: false,
         predicate_specialization: false,
-        operator_selection: false,
         ..XOptConfig::default()
     });
     db.database().set_exec_options(ExecOptions {
@@ -149,7 +149,6 @@ fn next_window_start() -> i64 {
 enum Mode {
     Unprepared,
     Prepared,
-    PreparedBatched,
 }
 
 /// Run `stmts` windowed PREDICT statements on each of `sessions`
@@ -166,12 +165,9 @@ fn serve(db: &FlockDb, mode: Mode, sessions: usize, stmts: usize) -> (f64, f64, 
             let latencies = &latencies;
             scope.spawn(move || {
                 let mut s = db.session("admin");
-                if matches!(mode, Mode::PreparedBatched) {
-                    s.execute("SET predict_strategy = 'batched'").unwrap();
-                }
                 let prepared = match mode {
                     Mode::Unprepared => None,
-                    _ => Some(s.prepare(PREPARED_SQL).unwrap()),
+                    Mode::Prepared => Some(s.prepare(PREPARED_SQL).unwrap()),
                 };
                 let mut local = Vec::with_capacity(stmts);
                 for _ in 0..stmts {
@@ -246,7 +242,7 @@ fn bit_exact(db: &FlockDb) -> bool {
             .collect()
     };
     let baseline = scores("vectorized");
-    ["row", "batched", "parallel"]
+    ["row", "parallel"]
         .iter()
         .all(|s| scores(s) == baseline)
 }
@@ -264,13 +260,12 @@ fn main() {
     let exact = bit_exact(&db);
 
     eprintln!("kernel ablation (full-table scoring)...");
-    let scalar_rps = kernel_rows_per_sec(&db, "vectorized", kernel_repeats);
-    let batched_rps = kernel_rows_per_sec(&db, "batched", kernel_repeats);
+    let row_rps = kernel_rows_per_sec(&db, "row", kernel_repeats);
+    let compiled_rps = kernel_rows_per_sec(&db, "vectorized", kernel_repeats);
 
-    let modes: [(&str, Mode); 3] = [
+    let modes: [(&str, Mode); 2] = [
         ("unprepared", Mode::Unprepared),
         ("prepared", Mode::Prepared),
-        ("prepared_batched", Mode::PreparedBatched),
     ];
     let mut results: Vec<(&str, Vec<SessionPoint>)> = Vec::new();
     for (name, mode) in modes {
@@ -293,7 +288,7 @@ fn main() {
             .map(|(_, sps, ..)| *sps)
             .unwrap()
     };
-    let speedup = at4("prepared_batched") / at4("unprepared");
+    let speedup = at4("prepared") / at4("unprepared");
 
     println!("serving path ({ROWS} rows, {WINDOW}-row windows, {stmts} stmts/session):");
     for (name, rows) in &results {
@@ -304,9 +299,9 @@ fn main() {
             );
         }
     }
-    println!("kernel ablation (full table): scalar {scalar_rps:.0} rows/s, batched {batched_rps:.0} rows/s");
-    println!("bit-exact across row/vectorized/batched/parallel: {exact}");
-    println!("prepared+batched vs unprepared at 4 sessions: {speedup:.2}x (gate {gate_speedup}x)");
+    println!("kernel ablation (full table): interpreted {row_rps:.0} rows/s, compiled {compiled_rps:.0} rows/s");
+    println!("bit-exact across row/vectorized/parallel: {exact}");
+    println!("prepared vs unprepared at 4 sessions: {speedup:.2}x (gate {gate_speedup}x)");
 
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"serving\",");
@@ -316,8 +311,8 @@ fn main() {
     let _ = writeln!(out, "  \"stmts_per_session\": {stmts},");
     let _ = writeln!(out, "  \"short_mode\": {short},");
     let _ = writeln!(out, "  \"bit_exact\": {exact},");
-    let _ = writeln!(out, "  \"kernel_scalar_rows_per_sec\": {scalar_rps:.1},");
-    let _ = writeln!(out, "  \"kernel_batched_rows_per_sec\": {batched_rps:.1},");
+    let _ = writeln!(out, "  \"kernel_row_rows_per_sec\": {row_rps:.1},");
+    let _ = writeln!(out, "  \"kernel_compiled_rows_per_sec\": {compiled_rps:.1},");
     let _ = writeln!(out, "  \"speedup_at_4_sessions\": {speedup:.3},");
     let _ = writeln!(out, "  \"gate_speedup\": {gate_speedup},");
     let _ = writeln!(out, "  \"modes\": {{");
@@ -343,7 +338,7 @@ fn main() {
         std::process::exit(1);
     }
     if speedup < gate_speedup {
-        eprintln!("FAIL: prepared+batched speedup {speedup:.2}x < {gate_speedup}x gate");
+        eprintln!("FAIL: prepared speedup {speedup:.2}x < {gate_speedup}x gate");
         std::process::exit(1);
     }
     println!("serving gates passed");

@@ -165,10 +165,14 @@ impl FlockDb {
         // The config's thread pool and fan-out threshold also govern the
         // relational operators, not just PREDICT.
         db.set_exec_options(config.exec_options());
-        // Surface the compiled-pipeline cache counters as flock_metrics
-        // rows alongside the engine's execution counters.
+        // Surface the compiled-pipeline cache counters and the PREDICT
+        // call counters as flock_metrics rows alongside the engine's
+        // execution counters.
         let metrics = db.engine_metrics();
         for (name, counter) in registry.cache_counters() {
+            metrics.register(name, counter);
+        }
+        for (name, counter) in provider.stats.counters() {
             metrics.register(name, counter);
         }
         FlockDb {

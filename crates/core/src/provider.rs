@@ -3,25 +3,38 @@
 
 use crate::registry::ModelRegistry;
 use flock_ml::{
-    interpreted_score_with_metrics, BatchScratch, CompiledPipeline, Frame, FrameCol, Pipeline,
-    ScoringMetrics,
+    interpreted_score_with_metrics, CompiledPipeline, Frame, FrameCol, Pipeline, ScoringMetrics,
 };
 use flock_sql::ast::PredictStrategy;
 use flock_sql::exec::parallel::parallel_map;
 use flock_sql::exec::CancelToken;
 use flock_sql::udf::InferenceProvider;
 use flock_sql::{ColumnVector, DataType, SqlError};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-/// Scoring statistics (how many rows went through each strategy) — used by
-/// tests and ablation reporting.
+/// Scoring statistics — used by tests, ablation reporting and the
+/// `predict_*` rows of `flock_metrics`. One call counter per way a PREDICT
+/// can execute: the interpreted per-row scorer, one call to the compiled
+/// kernel, or the compiled kernel fanned out over chunks of the batch.
 #[derive(Debug, Default)]
 pub struct PredictStats {
-    pub row_calls: std::sync::atomic::AtomicU64,
-    pub vectorized_calls: std::sync::atomic::AtomicU64,
-    pub batched_calls: std::sync::atomic::AtomicU64,
-    pub parallel_calls: std::sync::atomic::AtomicU64,
-    pub rows_scored: std::sync::atomic::AtomicU64,
+    pub row_calls: Arc<AtomicU64>,
+    pub vectorized_calls: Arc<AtomicU64>,
+    pub parallel_calls: Arc<AtomicU64>,
+    pub rows_scored: Arc<AtomicU64>,
+}
+
+impl PredictStats {
+    /// The counters under their `flock_metrics` row names.
+    pub fn counters(&self) -> [(&'static str, Arc<AtomicU64>); 4] {
+        [
+            ("predict_row_calls", self.row_calls.clone()),
+            ("predict_vectorized_calls", self.vectorized_calls.clone()),
+            ("predict_parallel_calls", self.parallel_calls.clone()),
+            ("predict_rows_scored", self.rows_scored.clone()),
+        ]
+    }
 }
 
 /// Implements [`InferenceProvider`] over the model registry.
@@ -84,22 +97,6 @@ impl FlockInferenceProvider {
                 self.compiled(model)?
                     .score_with_metrics(&frame, &self.scoring)
                     .map_err(|e| SqlError::Execution(e.to_string()))?
-            }
-            PredictStrategy::Batched => {
-                self.stats.batched_calls.fetch_add(1, Ordering::Relaxed);
-                // Scratch buffers live per worker thread and persist
-                // across statements: the serving hot loop never
-                // reallocates cursor/sum arrays.
-                thread_local! {
-                    static SCRATCH: std::cell::RefCell<BatchScratch> =
-                        std::cell::RefCell::new(BatchScratch::default());
-                }
-                let compiled = self.compiled(model)?;
-                SCRATCH.with(|s| {
-                    compiled
-                        .score_batched_with_metrics(&frame, &self.scoring, &mut s.borrow_mut())
-                        .map_err(|e| SqlError::Execution(e.to_string()))
-                })?
             }
             PredictStrategy::Parallel(threads) => {
                 self.stats.parallel_calls.fetch_add(1, Ordering::Relaxed);

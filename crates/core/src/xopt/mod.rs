@@ -11,9 +11,12 @@
 //! * **model compression exploiting input data statistics** — decision
 //!   trees are pruned of branches unreachable given column min/max;
 //! * **physical operator selection based on statistics, available runtime
-//!   and hardware** — each PREDICT picks row/vectorized/parallel
-//!   execution, or is *inlined* into pure SQL (the Froid-style UDF
-//!   inlining the paper cites) when the model is small enough.
+//!   and hardware** — a small model is *inlined* into pure SQL (the
+//!   Froid-style UDF inlining the paper cites); every other PREDICT keeps
+//!   its `Auto` strategy for the physical planner, which owns the one
+//!   fan-out decision: it sizes each operator's morsel pool from the same
+//!   statistics and runs the PREDICT under it through the single compiled
+//!   kernel ([`XOptConfig::exec_options`] hands it the thread budget).
 
 pub mod inline;
 pub mod predicates;
@@ -21,7 +24,7 @@ pub mod stats;
 
 use crate::registry::{DerivedPipeline, ModelRegistry};
 use flock_ml::{specialize_mask, InputConstraint};
-use flock_sql::ast::{Expr, PredictStrategy};
+use flock_sql::ast::Expr;
 use flock_sql::plan::{rewrite_expr, LogicalPlan, PlanRewriter};
 use flock_sql::{Catalog, Result, Value};
 use inline::{inline_linear_raw, inline_pipeline, logit_threshold, LogitRewrite};
@@ -39,15 +42,14 @@ pub struct XOptConfig {
     pub model_compression: bool,
     pub predicate_pushup: bool,
     pub inline_models: bool,
-    pub operator_selection: bool,
     /// Specialize models against query predicates (Raven-style): fold
     /// predicate-fixed inputs into the pipeline and prune the model.
     pub predicate_specialization: bool,
     /// Trees at most this large are eligible for CASE-WHEN inlining.
     pub inline_max_tree_nodes: usize,
-    /// Worker threads parallel PREDICT may use.
+    /// Worker threads the operators (and the PREDICTs under them) may use.
     pub threads: usize,
-    /// Estimated row count above which PREDICT goes parallel.
+    /// Estimated row count above which an operator fans out.
     pub parallel_row_threshold: usize,
 }
 
@@ -58,7 +60,6 @@ impl Default for XOptConfig {
             model_compression: true,
             predicate_pushup: true,
             inline_models: true,
-            operator_selection: true,
             predicate_specialization: true,
             inline_max_tree_nodes: 128,
             threads: std::thread::available_parallelism()
@@ -78,7 +79,6 @@ impl XOptConfig {
             model_compression: false,
             predicate_pushup: false,
             inline_models: false,
-            operator_selection: false,
             predicate_specialization: false,
             ..Default::default()
         }
@@ -101,11 +101,6 @@ impl XOptConfig {
         flock_sql::exec::ExecOptions {
             threads: cfg.threads,
             parallel_row_threshold: cfg.parallel_row_threshold,
-            default_predict: if cfg.threads > 1 {
-                PredictStrategy::Parallel(cfg.threads)
-            } else {
-                PredictStrategy::Vectorized
-            },
             ..flock_sql::exec::ExecOptions::default()
         }
         .validated()
@@ -279,11 +274,6 @@ impl CrossOptimizer {
         } else {
             None
         };
-        let est_rows = if cfg.operator_selection {
-            stats::estimate_rows(input, catalog)
-        } else {
-            0
-        };
         rewrite_expr(expr, &mut |e| {
             let Expr::Predict {
                 model,
@@ -422,15 +412,6 @@ impl CrossOptimizer {
                 }
             }
 
-            // 5. physical operator selection from statistics
-            let strategy = if cfg.operator_selection && strategy == PredictStrategy::Auto {
-                match stats::choose_degree(est_rows, cfg.threads, cfg.parallel_row_threshold) {
-                    1 => PredictStrategy::Vectorized,
-                    degree => PredictStrategy::Parallel(degree),
-                }
-            } else {
-                strategy
-            };
             Ok(Expr::Predict {
                 model,
                 args,

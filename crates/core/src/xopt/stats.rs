@@ -1,6 +1,5 @@
 //! Statistics harvesting for the cross-optimizer: per-column value ranges
-//! (for model compression) and cardinality estimates (for physical
-//! operator selection).
+//! (for model compression).
 
 use flock_sql::plan::LogicalPlan;
 use flock_sql::Catalog;
@@ -49,59 +48,6 @@ pub fn column_ranges(plan: &LogicalPlan, catalog: &Catalog) -> HashMap<String, (
         ranges.remove(&key);
     }
     ranges
-}
-
-/// Rough output-cardinality estimate for operator selection. Exact for
-/// bare scans (the common PREDICT-over-table case); heuristic elsewhere.
-pub fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> usize {
-    match plan {
-        LogicalPlan::Scan { table, version, .. } => catalog
-            .table(table)
-            .ok()
-            .map(|t| {
-                match version {
-                    Some(v) => t.at_version(*v).map(|tv| tv.data.num_rows()).unwrap_or(0),
-                    None => t.row_count(),
-                }
-            })
-            .unwrap_or(0),
-        LogicalPlan::Values { rows, .. } => rows.len(),
-        // filters keep an estimated third of their input
-        LogicalPlan::Filter { input, .. } => estimate_rows(input, catalog) / 3 + 1,
-        LogicalPlan::Project { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Distinct { input } => estimate_rows(input, catalog),
-        LogicalPlan::Aggregate { input, group, .. } => {
-            if group.is_empty() {
-                1
-            } else {
-                (estimate_rows(input, catalog) / 10).max(1)
-            }
-        }
-        LogicalPlan::Join { left, right, .. } => {
-            estimate_rows(left, catalog).max(estimate_rows(right, catalog))
-        }
-        LogicalPlan::Limit { input, limit, .. } => {
-            let n = estimate_rows(input, catalog);
-            limit.map_or(n, |l| n.min(l as usize))
-        }
-        LogicalPlan::Union { inputs, .. } => {
-            inputs.iter().map(|i| estimate_rows(i, catalog)).sum()
-        }
-    }
-}
-
-/// Degree of parallelism for an operator whose input is estimated at
-/// `est_rows` rows: the full worker pool once the estimate clears the
-/// fan-out threshold, serial otherwise. Shared by the PREDICT
-/// operator-selection rule and the relational executor knobs so both
-/// make the same call from the same statistics.
-pub fn choose_degree(est_rows: usize, threads: usize, parallel_row_threshold: usize) -> usize {
-    if threads > 1 && est_rows >= parallel_row_threshold.max(1) {
-        threads
-    } else {
-        1
-    }
 }
 
 #[cfg(test)]
@@ -153,19 +99,5 @@ mod tests {
         for (name, (lo, hi)) in &ranges {
             assert!(lo <= hi, "{name}");
         }
-    }
-
-    #[test]
-    fn row_estimates() {
-        let db = setup();
-        let catalog = db.catalog();
-        let scan = plan_of(&db, "SELECT a FROM t");
-        assert_eq!(estimate_rows(&scan, &catalog), 3);
-        let filtered = plan_of(&db, "SELECT a FROM t WHERE a > 3");
-        assert!(estimate_rows(&filtered, &catalog) <= 3);
-        let limited = plan_of(&db, "SELECT a FROM t LIMIT 1");
-        assert_eq!(estimate_rows(&limited, &catalog), 1);
-        let agg = plan_of(&db, "SELECT COUNT(*) FROM t");
-        assert_eq!(estimate_rows(&agg, &catalog), 1);
     }
 }

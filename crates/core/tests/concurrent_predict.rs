@@ -16,14 +16,13 @@ use std::time::Duration;
 const ROWS: usize = 20_000;
 
 /// A FlockDb whose cross-optimizer keeps PREDICT as a provider call
-/// (no linear inlining, no strategy override), so the tests exercise the
+/// (no linear inlining), so the tests exercise the
 /// inference provider's cancellation points rather than inlined
 /// arithmetic.
 fn scoring_db() -> FlockDb {
     let db = FlockDb::with_config(XOptConfig {
         inline_models: false,
         predicate_specialization: false,
-        operator_selection: false,
         ..XOptConfig::default()
     });
     db.execute("CREATE TABLE loans (id INT, amount DOUBLE, rate DOUBLE)").unwrap();

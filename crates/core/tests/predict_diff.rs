@@ -1,0 +1,293 @@
+//! SQL-level differential test of the PREDICT hot path: the flockbench
+//! Q1/Q2/Q3 shapes (filtered AVG, full AVG, thresholded top-k by score)
+//! over a table with NULL `city`, NaN and NULL `age`, and scores that tie
+//! in droves at the LIMIT boundary must produce the same bits whichever
+//! way they run — serial or morsel-parallel, cross-optimizer on or off,
+//! and under every `predict_strategy`. The oracle is the serial engine
+//! with the cross-optimizer off.
+//!
+//! The model's leaves are multiples of 1/4 and its output is not squashed,
+//! so every score is a small multiple of 1/8 and sums of them are exact in
+//! f64: `AVG` cannot differ by association between the serial and the
+//! per-morsel path, and "equal" can mean bit-equal.
+
+use flock_core::{FlockDb, Lineage, XOptConfig};
+use flock_ml::{ColumnPipeline, DecisionTree, GbtModel, Model, Pipeline, TreeNode};
+use flock_rng::rngs::StdRng;
+use flock_rng::{Rng, SeedableRng};
+use flock_sql::exec::ExecOptions;
+use flock_sql::{ColumnVector, DataType, RecordBatch, Schema, Value};
+use std::sync::Arc;
+
+const ROWS: usize = 12_000;
+const ARGS: &str = "age, income, city";
+
+fn stump(feature: usize, threshold: f64, lo: f64, hi: f64) -> DecisionTree {
+    DecisionTree {
+        nodes: vec![
+            TreeNode::Split {
+                feature,
+                threshold,
+                left: 1,
+                right: 2,
+            },
+            TreeNode::Leaf { value: lo },
+            TreeNode::Leaf { value: hi },
+        ],
+    }
+}
+
+/// 60 stumps (180 nodes: too large for the cross-optimizer to inline, so
+/// PREDICT stays a provider call) over age, income and the one-hot city.
+fn pipeline() -> Pipeline {
+    let trees = (0..60)
+        .map(|i| {
+            let quarter = |k: i64| k as f64 * 0.25;
+            match i % 4 {
+                0 => stump(0, 20.0 + i as f64, quarter(-1), quarter(2)),
+                1 => stump(1, 30_000.0 + 1_000.0 * i as f64, quarter(1), quarter(-1)),
+                2 => stump(2, 0.5, quarter(0), quarter(1)), // city = nyc
+                _ => stump(3, 0.5, quarter(1), quarter(-2)), // city = sf
+            }
+        })
+        .collect();
+    Pipeline::new(
+        vec![
+            ColumnPipeline::numeric("age"),
+            ColumnPipeline::numeric("income"),
+            ColumnPipeline::one_hot("city", vec!["nyc".into(), "sf".into()]),
+        ],
+        Model::Gbt(GbtModel {
+            trees,
+            learning_rate: 0.5,
+            base_score: 0.0,
+            sigmoid_output: false,
+        }),
+        "score",
+    )
+}
+
+fn database() -> FlockDb {
+    let db = FlockDb::new();
+    db.execute("CREATE TABLE customers (id INT, age DOUBLE, income DOUBLE, city VARCHAR)")
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut age = Vec::with_capacity(ROWS);
+    let mut income = Vec::with_capacity(ROWS);
+    let mut city = Vec::with_capacity(ROWS);
+    for _ in 0..ROWS {
+        age.push(match rng.gen_range(0..20u32) {
+            0 => Value::Float(f64::NAN),
+            1 => Value::Null,
+            _ => Value::Float(rng.gen_range(18i64..80) as f64),
+        });
+        income.push(Value::Float(rng.gen_range(20i64..120) as f64 * 1_000.0));
+        city.push(match rng.gen_range(0..10u32) {
+            0 => Value::Null,
+            1 => Value::Text(String::new()),
+            2..=4 => Value::Text("nyc".into()),
+            5..=6 => Value::Text("sf".into()),
+            _ => Value::Text("austin".into()),
+        });
+    }
+    let schema = Arc::new(Schema::from_pairs(&[
+        ("id", DataType::Int),
+        ("age", DataType::Float),
+        ("income", DataType::Float),
+        ("city", DataType::Text),
+    ]));
+    let batch = RecordBatch::new(
+        schema,
+        vec![
+            ColumnVector::from_i64(0..ROWS as i64),
+            ColumnVector::from_values(DataType::Float, &age).unwrap(),
+            ColumnVector::from_values(DataType::Float, &income).unwrap(),
+            ColumnVector::from_values(DataType::Text, &city).unwrap(),
+        ],
+    )
+    .unwrap();
+    let mut admin = db.session("admin");
+    admin.append_batch("customers", batch).unwrap();
+    admin
+        .deploy_model("m", &pipeline(), Lineage::default())
+        .unwrap();
+    db
+}
+
+fn queries() -> Vec<String> {
+    let p = format!("PREDICT(m, {ARGS})");
+    vec![
+        // Q1, Q2: aggregates over a filtered and an unfiltered scan
+        format!("SELECT AVG({p}), COUNT(*) FROM customers WHERE city = 'nyc' AND age >= 30.0"),
+        format!("SELECT AVG({p}), MIN({p}), MAX({p}) FROM customers"),
+        // Q3: WHERE and SELECT list share the score; ties at the boundary
+        format!("SELECT id, {p} AS s FROM customers WHERE {p} > 0.5 ORDER BY s DESC LIMIT 100"),
+        format!(
+            "SELECT id, {p} AS s FROM customers WHERE {p} > 0.5 ORDER BY s DESC LIMIT 50 OFFSET 25"
+        ),
+        format!("SELECT id, {p} AS s FROM customers WHERE {p} <= 0.5 AND city <> 'sf' ORDER BY s LIMIT 7"),
+        format!("SELECT id, {p} AS s, city FROM customers WHERE age < 40.0 ORDER BY s DESC, city, id LIMIT 40"),
+        // the score twice in the list, never in WHERE; LIMIT past the end
+        format!("SELECT id, {p} AS s, {p} * 2 AS d FROM customers WHERE age > 77.0 ORDER BY s LIMIT 5000"),
+        "SELECT id FROM customers WHERE city IS NULL ORDER BY age DESC, id LIMIT 0".to_string(),
+    ]
+}
+
+/// Every cell of a result, floats by their bits.
+fn digest(batch: &RecordBatch) -> Vec<String> {
+    (0..batch.num_rows())
+        .map(|r| {
+            batch
+                .row(r)
+                .iter()
+                .map(|v| match v {
+                    Value::Float(f) => format!("{:#x}", f.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect::<Vec<_>>()
+                .join("|")
+        })
+        .collect()
+}
+
+fn configure(db: &FlockDb, parallel: bool, xopt: bool) {
+    let base = if xopt {
+        XOptConfig::default()
+    } else {
+        XOptConfig::disabled()
+    };
+    let config = XOptConfig {
+        threads: if parallel { 4 } else { 1 },
+        parallel_row_threshold: 1,
+        ..base
+    };
+    db.set_xopt_config(config);
+    // 512-row morsels: two dozen of them, and top-k ties straddle many.
+    db.database().set_exec_options(ExecOptions {
+        morsel_rows: 512,
+        ..config.exec_options()
+    });
+}
+
+#[test]
+fn predict_queries_agree_across_every_execution_path() {
+    let db = database();
+    let qs = queries();
+    configure(&db, false, false);
+    let oracle: Vec<Vec<String>> = qs
+        .iter()
+        .map(|q| digest(&db.query(q).unwrap_or_else(|e| panic!("{q}: {e}"))))
+        .collect();
+    assert_eq!(
+        oracle[2].len(),
+        100,
+        "the threshold must leave more than k rows"
+    );
+    // The tie-break only matters if the k-th score also occurs past k.
+    let score_of = |row: &String| row.split('|').nth(1).unwrap().to_string();
+    let boundary = score_of(oracle[2].last().unwrap());
+    let tied_inside = oracle[2].iter().filter(|r| score_of(r) == boundary).count();
+    let all = digest(
+        &db.query(&format!("SELECT id, PREDICT(m, {ARGS}) FROM customers"))
+            .unwrap(),
+    );
+    let tied = all.iter().filter(|r| score_of(r) == boundary).count();
+    assert!(
+        tied > tied_inside,
+        "{tied} rows tie at the boundary, {tied_inside} inside"
+    );
+    assert!(oracle[7].is_empty());
+
+    for parallel in [false, true] {
+        for xopt in [false, true] {
+            configure(&db, parallel, xopt);
+            for strategy in ["auto", "row", "vectorized", "parallel"] {
+                let mut s = db.session("admin");
+                s.execute(&format!("SET predict_strategy = '{strategy}'"))
+                    .unwrap();
+                for (q, want) in qs.iter().zip(&oracle) {
+                    let got = digest(&s.query(q).unwrap_or_else(|e| panic!("{q}: {e}")));
+                    assert_eq!(
+                        &got, want,
+                        "parallel={parallel} xopt={xopt} strategy={strategy}: {q}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn explain_analyze(db: &FlockDb, q: &str) -> String {
+    let b = db.query(&format!("EXPLAIN ANALYZE {q}")).unwrap();
+    (0..b.num_rows())
+        .map(|r| b.column(0).get(r).to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn explain_analyze_shows_the_shared_score_and_the_top_k() {
+    let db = database();
+    let qs = queries();
+    for xopt in [false, true] {
+        configure(&db, true, xopt);
+        let plan = explain_analyze(&db, &qs[2]);
+        assert!(plan.contains("scored once, 2 refs"), "xopt={xopt}:\n{plan}");
+        assert!(plan.contains("Sort [TopK(k=100)"), "xopt={xopt}:\n{plan}");
+        // OFFSET widens the selection; the Limit above drops the prefix.
+        assert!(explain_analyze(&db, &qs[3]).contains("TopK(k=75)"));
+        let plan = explain_analyze(&db, &qs[6]);
+        assert!(plan.contains("scored once, 2 refs"), "xopt={xopt}:\n{plan}");
+    }
+    // One scoring pass: the whole table once, not once per mention.
+    configure(&db, true, false);
+    let scored = &db.provider().stats.rows_scored;
+    let before = scored.load(std::sync::atomic::Ordering::Relaxed);
+    db.query(&qs[2]).unwrap();
+    assert_eq!(
+        scored.load(std::sync::atomic::Ordering::Relaxed) - before,
+        ROWS as u64
+    );
+}
+
+#[test]
+fn flock_metrics_counts_calls_per_scorer() {
+    let db = database();
+    configure(&db, false, false);
+    let metric = |name: &str| -> Option<i64> {
+        let b = db
+            .query(&format!(
+                "SELECT value FROM flock_metrics WHERE metric = '{name}'"
+            ))
+            .unwrap();
+        (b.num_rows() == 1).then(|| match b.column(0).get(0) {
+            Value::Int(v) => v,
+            other => panic!("{name} = {other:?}"),
+        })
+    };
+    let q = format!("SELECT SUM(PREDICT(m, {ARGS})) FROM customers");
+    let mut s = db.session("admin");
+    // One call per statement here (a serial aggregate over one batch),
+    // except the row strategy, which calls the interpreter once per row.
+    for (strategy, counter, calls) in [
+        ("vectorized", "predict_vectorized_calls", 1),
+        ("row", "predict_row_calls", ROWS as i64),
+        ("parallel", "predict_parallel_calls", 1),
+    ] {
+        let before = metric(counter).unwrap_or_else(|| panic!("{counter} is not exported"));
+        let rows_before = metric("predict_rows_scored").unwrap();
+        s.execute(&format!("SET predict_strategy = '{strategy}'"))
+            .unwrap();
+        s.query(&q).unwrap();
+        assert_eq!(metric(counter).unwrap(), before + calls, "{strategy}");
+        assert_eq!(
+            metric("predict_rows_scored").unwrap(),
+            rows_before + ROWS as i64
+        );
+    }
+    assert_eq!(
+        metric("predict_batched_calls"),
+        None,
+        "no counter without a kernel"
+    );
+}

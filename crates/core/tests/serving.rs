@@ -1,7 +1,7 @@
 //! The high-throughput serving path end-to-end: prepared PREDICT through
-//! the plan cache, strategy ablations (row / vectorized / batched) staying
+//! the plan cache, strategy ablations (row / vectorized / parallel) staying
 //! bit-exact, model redeploy & revocation invalidating cached plans, and
-//! cancellation under the batched kernel releasing admission slots.
+//! cancellation inside the compiled kernel releasing admission slots.
 
 use flock_core::{FlockDb, Lineage, XOptConfig};
 use flock_ml::{ColumnPipeline, DecisionTree, GbtModel, Model, Pipeline, TreeNode};
@@ -53,7 +53,6 @@ fn serving_db() -> FlockDb {
     let db = FlockDb::with_config(XOptConfig {
         inline_models: false,
         predicate_specialization: false,
-        operator_selection: false,
         ..XOptConfig::default()
     });
     db.execute("CREATE TABLE loans (id INT, amount DOUBLE, rate DOUBLE)")
@@ -101,7 +100,7 @@ fn strategy_ablation_is_bit_exact() {
     let mut s = db.session("admin");
     let baseline = score_bits(&db, &mut s);
     assert_eq!(baseline.len(), ROWS);
-    for strategy in ["row", "vectorized", "batched", "parallel"] {
+    for strategy in ["row", "vectorized", "parallel"] {
         s.execute(&format!("SET predict_strategy = '{strategy}'"))
             .unwrap();
         assert_eq!(
@@ -110,9 +109,10 @@ fn strategy_ablation_is_bit_exact() {
             "strategy '{strategy}' diverged from the default path"
         );
     }
-    // The batched kernel really ran (not a silent fallback).
+    // Both scorers really ran (no silent fallback): the compiled kernel
+    // for the default and 'vectorized', the interpreter for 'row'.
     let stats = &db.provider().stats;
-    assert!(stats.batched_calls.load(Ordering::Relaxed) >= 1);
+    assert!(stats.vectorized_calls.load(Ordering::Relaxed) >= 2);
     assert!(stats.row_calls.load(Ordering::Relaxed) >= 1);
 }
 
@@ -216,11 +216,11 @@ fn revoked_execute_blocks_hot_cached_plan() {
 }
 
 #[test]
-fn batched_cancellation_releases_admission_slot() {
+fn kernel_cancellation_releases_admission_slot() {
     let db = serving_db();
     let mut s = db.session("admin");
     // A deliberately heavy ensemble — 2000 trees over 20k rows is tens of
-    // milliseconds of batched scoring — so the 1 ms deadline reliably
+    // milliseconds of scoring — so the 1 ms deadline reliably
     // trips *inside* the kernel, not between statements.
     let heavy = Pipeline::new(
         vec![
@@ -236,14 +236,13 @@ fn batched_cancellation_releases_admission_slot() {
         "slow_risk",
     );
     s.deploy_model("slow_risk", &heavy, Lineage::default()).unwrap();
-    s.execute("SET predict_strategy = 'batched'").unwrap();
     s.execute("SET statement_timeout = 1").unwrap();
     let err = s
         .query("SELECT id, PREDICT(slow_risk, amount, rate) FROM loans ORDER BY id")
         .unwrap_err();
     assert!(
         matches!(err, SqlError::Timeout(_)),
-        "batched PREDICT past its deadline must time out, got {err:?}"
+        "PREDICT past its deadline must time out, got {err:?}"
     );
     assert_eq!(
         db.database().admission().active(),

@@ -10,7 +10,7 @@
 use crate::error::Result;
 use crate::frame::Frame;
 use crate::matrix::Matrix;
-use crate::model::flat::{BatchScratch, FlatTrees};
+use crate::model::flat::FlatTrees;
 use crate::model::{sigmoid, Model};
 use crate::pipeline::Pipeline;
 use crate::runtime::{ScoringMetrics, SCORE_BATCH_ROWS};
@@ -69,28 +69,15 @@ impl CompiledModel {
         matches!(self, CompiledModel::Flat { .. })
     }
 
-    /// Score a feature batch.
+    /// Score a feature batch: tree ensembles through the level-synchronous
+    /// kernel ([`FlatTrees::accumulate`]), other models through the stock
+    /// scorer.
     pub fn score_batch(&self, x: &Matrix) -> Vec<f64> {
-        self.score_batch_inner(x, None)
-    }
-
-    /// Score a feature batch through the level-synchronous SoA kernel
-    /// ([`FlatTrees::accumulate_batched`]), reusing `scratch` across
-    /// calls. Bit-exact with [`score_batch`](Self::score_batch); non-tree
-    /// models fall back to the stock scorer (no scratch needed).
-    pub fn score_batch_batched(&self, x: &Matrix, scratch: &mut BatchScratch) -> Vec<f64> {
-        self.score_batch_inner(x, Some(scratch))
-    }
-
-    fn score_batch_inner(&self, x: &Matrix, scratch: Option<&mut BatchScratch>) -> Vec<f64> {
         match self {
             CompiledModel::Plain(m) => m.score_batch(x),
             CompiledModel::Flat { trees, kind } => {
                 let mut acc = vec![0.0; x.rows()];
-                match scratch {
-                    Some(s) => trees.accumulate_batched(x, &mut acc, s),
-                    None => trees.accumulate(x, &mut acc),
-                }
+                trees.accumulate(x, &mut acc);
                 match kind {
                     FlatKind::Single => {}
                     FlatKind::ForestMean { count } => {
@@ -137,7 +124,7 @@ impl CompiledPipeline {
     }
 
     pub fn score(&self, frame: &Frame) -> Result<Vec<f64>> {
-        self.score_inner(frame, None, None)
+        self.score_inner(frame, None)
     }
 
     /// Like [`score`](Self::score), recording featurize/score stage
@@ -147,27 +134,10 @@ impl CompiledPipeline {
         frame: &Frame,
         metrics: &ScoringMetrics,
     ) -> Result<Vec<f64>> {
-        self.score_inner(frame, Some(metrics), None)
+        self.score_inner(frame, Some(metrics))
     }
 
-    /// Like [`score_with_metrics`](Self::score_with_metrics) but scoring
-    /// through the SoA batch kernel with caller-owned scratch buffers —
-    /// the serving path's `PREDICT ... strategy batched` entry point.
-    pub fn score_batched_with_metrics(
-        &self,
-        frame: &Frame,
-        metrics: &ScoringMetrics,
-        scratch: &mut BatchScratch,
-    ) -> Result<Vec<f64>> {
-        self.score_inner(frame, Some(metrics), Some(scratch))
-    }
-
-    fn score_inner(
-        &self,
-        frame: &Frame,
-        metrics: Option<&ScoringMetrics>,
-        mut scratch: Option<&mut BatchScratch>,
-    ) -> Result<Vec<f64>> {
+    fn score_inner(&self, frame: &Frame, metrics: Option<&ScoringMetrics>) -> Result<Vec<f64>> {
         let n = frame.num_rows();
         let mut out = Vec::with_capacity(n);
         for chunk in frame.chunks(SCORE_BATCH_ROWS) {
@@ -177,10 +147,7 @@ impl CompiledPipeline {
                 m.featurize.record(chunk.num_rows(), t.elapsed());
             }
             let t = std::time::Instant::now();
-            let scores = match scratch.as_deref_mut() {
-                Some(s) => self.model.score_batch_batched(&x, s),
-                None => self.model.score_batch(&x),
-            };
+            let scores = self.model.score_batch(&x);
             if let Some(m) = metrics {
                 m.score.record(scores.len(), t.elapsed());
             }
@@ -230,15 +197,11 @@ mod tests {
         let f = frame();
         let stock = StandaloneRuntime::new().score(&p, &f).unwrap();
         let compiled = CompiledPipeline::compile(&p);
-        assert_eq!(compiled.score(&f).unwrap(), stock);
-        // The SoA batch kernel must agree bit-for-bit too.
-        let metrics = ScoringMetrics::default();
-        let mut scratch = BatchScratch::default();
-        let batched = compiled
-            .score_batched_with_metrics(&f, &metrics, &mut scratch)
-            .unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&batched), bits(&stock));
+        assert_eq!(bits(&compiled.score(&f).unwrap()), bits(&stock));
+        let metrics = ScoringMetrics::default();
+        let metered = compiled.score_with_metrics(&f, &metrics).unwrap();
+        assert_eq!(bits(&metered), bits(&stock));
     }
 
     #[test]

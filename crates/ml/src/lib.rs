@@ -40,7 +40,7 @@ pub use featurize::{ColumnPipeline, Encoder, NumericStep, RawValue};
 pub use frame::{Frame, FrameCol};
 pub use matrix::Matrix;
 pub use model::{
-    BatchScratch, DecisionTree, GaussianNb, GbtModel, KnnModel, LinearModel, Model, RandomForest,
+    DecisionTree, GaussianNb, GbtModel, KnnModel, LinearModel, Model, RandomForest,
     TreeNode,
 };
 pub use pipeline::Pipeline;

@@ -11,9 +11,11 @@
 //! batch-at-a-time: the row loop streams the feature matrix while the
 //! compact node array stays cache-resident.
 //!
-//! Scores are bit-identical to the arena walker: the same NaN-goes-left
-//! split rule, and per-row tree contributions accumulated in tree order
-//! (matching the `iter().map(score_row).sum()` left fold).
+//! Scores are bit-identical to the arena walker
+//! ([`DecisionTree::score_row`], the reference the tests compare against):
+//! the same NaN-goes-left split rule, and per-row tree contributions
+//! accumulated in tree order (matching the `iter().map(score_row).sum()`
+//! left fold).
 
 use super::tree::{DecisionTree, TreeNode};
 use crate::matrix::Matrix;
@@ -48,15 +50,18 @@ pub struct FlatTrees {
     depths: Vec<u32>,
 }
 
-/// Reusable per-session buffers for [`FlatTrees::accumulate_batched`].
-/// Holding one of these across calls keeps the hot serving path free of
-/// per-statement allocation.
-#[derive(Debug, Default, Clone)]
-pub struct BatchScratch {
+/// Cursor and sum buffers of [`FlatTrees::accumulate`], one set per
+/// thread and kept across calls so the scoring hot loop never allocates.
+#[derive(Default)]
+struct BatchScratch {
     /// Current node index of each row's walk.
     cursors: Vec<u32>,
     /// Per-row running ensemble sum (tree-order left fold).
     sums: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<BatchScratch> = std::cell::RefCell::default();
 }
 
 fn tree_depth(nodes: &[TreeNode], i: usize) -> u32 {
@@ -114,57 +119,43 @@ impl FlatTrees {
     }
 
     /// Add every tree's prediction for every row into `acc` (length =
-    /// `x.rows()`), tree by tree in order per row — the same left-fold
-    /// summation order as the arena walker.
+    /// `x.rows()`): level-synchronous traversal over row blocks. Within a
+    /// block, one tree at a time, every row's cursor takes the tree's
+    /// full depth in lock-step rounds; the inner loop is
+    /// branch-predictable (a data-dependent select, no walk-termination
+    /// branch) because leaves self-loop, and the rows are independent so
+    /// the node loads pipeline across iterations instead of serializing
+    /// on one row's parent-to-child chain. Blocking keeps the feature
+    /// rows L1-resident across all `trees × depth` rounds that revisit
+    /// them, and the final round folds the landed leaf's value straight
+    /// into the row sum. Bit-exact with the arena walker: the split rule
+    /// compares `v > threshold` (NaN compares false → goes left, same as
+    /// `v.is_nan() || v <= threshold`), and per-row sums fold tree
+    /// contributions in tree order before a single add into `acc`.
     pub fn accumulate(&self, x: &Matrix, acc: &mut [f64]) {
-        debug_assert_eq!(acc.len(), x.rows());
-        for (r, out) in acc.iter_mut().enumerate() {
-            let row = x.row(r);
-            let mut sum = 0.0;
-            for &root in &self.roots {
-                let mut node = &self.nodes[root as usize];
-                while node.feature != LEAF {
-                    let v = row[node.feature as usize];
-                    let next = if v.is_nan() || v <= node.threshold {
-                        node.left
-                    } else {
-                        node.right
-                    };
-                    node = &self.nodes[next as usize];
-                }
-                sum += node.threshold;
-            }
-            *out += sum;
-        }
+        SCRATCH.with(|s| self.accumulate_with(x, acc, &mut s.borrow_mut()));
     }
 
-    /// Batched variant of [`accumulate`](Self::accumulate): level-
-    /// synchronous traversal over row blocks. Within a block, one tree
-    /// at a time, every row's cursor takes the tree's full depth in
-    /// lock-step rounds; the inner loop is branch-predictable (a
-    /// data-dependent select, no walk-termination branch) because leaves
-    /// self-loop, and the rows are independent so the node loads
-    /// pipeline across iterations instead of serializing on one row's
-    /// parent-to-child chain. Blocking keeps the feature rows
-    /// L1-resident across all `trees × depth` rounds that revisit them,
-    /// and the final round folds the landed leaf's value straight into
-    /// the row sum. Bit-exact with the scalar walker: the split rule
-    /// compares `v > threshold` (NaN compares false → goes left, same
-    /// as `v.is_nan() || v <= threshold`), and per-row sums fold tree
-    /// contributions in tree order before a single add into `acc`.
-    ///
-    /// `scratch` buffers are grown on demand and reused across calls.
-    pub fn accumulate_batched(&self, x: &Matrix, acc: &mut [f64], scratch: &mut BatchScratch) {
+    fn accumulate_with(&self, x: &Matrix, acc: &mut [f64], scratch: &mut BatchScratch) {
         debug_assert_eq!(acc.len(), x.rows());
         let rows = x.rows();
         let cols = x.cols();
         if rows == 0 {
             return;
         }
+        let nodes = self.nodes.as_slice();
         if cols == 0 {
-            // No features to clamp leaf sentinels onto; the scalar walker
-            // handles degenerate single-leaf trees without touching rows.
-            return self.accumulate(x, acc);
+            // No feature to split on: only single-leaf trees can be
+            // walked, and every row folds the same leaves in tree order.
+            debug_assert!(self.depths.iter().all(|d| *d == 0));
+            let sum = self
+                .roots
+                .iter()
+                .fold(0.0, |sum, &root| sum + nodes[root as usize].threshold);
+            for out in acc.iter_mut() {
+                *out += sum;
+            }
+            return;
         }
         // Rows per block: 256 rows of a dozen f64 features ≈ 24 KiB,
         // comfortably inside L1d alongside one tree's packed nodes.
@@ -172,7 +163,6 @@ impl FlatTrees {
         let block = BLOCK.min(rows);
         scratch.cursors.resize(block, 0);
         scratch.sums.resize(block, 0.0);
-        let nodes = self.nodes.as_slice();
         for (out_block, x_block) in acc.chunks_mut(BLOCK).zip(x.data().chunks(BLOCK * cols)) {
             let n = out_block.len();
             let cursors = &mut scratch.cursors[..n];
@@ -256,8 +246,23 @@ mod tests {
         }
     }
 
+    /// The reference: the arena walker's per-row left fold over trees,
+    /// added to the accumulator's starting value.
+    fn assert_matches_arena(trees: &[DecisionTree], rows: &[Vec<f64>], start: f64) {
+        let flat = FlatTrees::from_trees(trees);
+        let x = Matrix::from_rows(rows);
+        let mut acc = vec![start; rows.len()];
+        flat.accumulate(&x, &mut acc);
+        for (r, row) in rows.iter().enumerate() {
+            let folded: f64 = trees.iter().map(|t| t.score_row(row)).sum();
+            assert_eq!(acc[r].to_bits(), (start + folded).to_bits(), "row {r} diverged");
+        }
+    }
+
     #[test]
     fn flat_matches_arena_walker() {
+        // Mixed depths (3-deep, single-leaf, 3-deep) plus NaN rows and
+        // boundary values exercise the self-loop and clamp paths.
         let trees = vec![sample(), DecisionTree::leaf(-3.0), sample()];
         let flat = FlatTrees::from_trees(&trees);
         assert_eq!(flat.num_trees(), 3);
@@ -268,67 +273,24 @@ mod tests {
             vec![6.0, 0.0],
             vec![f64::NAN, 1.0],
             vec![5.0, f64::NAN],
-        ];
-        let x = Matrix::from_rows(&rows);
-        let mut acc = vec![0.0; rows.len()];
-        flat.accumulate(&x, &mut acc);
-        for (r, row) in rows.iter().enumerate() {
-            let expected: f64 = trees.iter().map(|t| t.score_row(row)).sum();
-            assert_eq!(acc[r], expected, "row {r}");
-        }
-    }
-
-    #[test]
-    fn empty_ensemble_accumulates_nothing() {
-        let flat = FlatTrees::from_trees(&[]);
-        let x = Matrix::from_rows(&[vec![1.0]]);
-        let mut acc = vec![0.0; 1];
-        flat.accumulate(&x, &mut acc);
-        assert_eq!(acc, vec![0.0]);
-    }
-
-    #[test]
-    fn batched_is_bit_exact_with_scalar() {
-        // Mixed depths (3-deep, single-leaf, 3-deep) plus NaN rows and
-        // boundary values exercise the self-loop and clamp paths.
-        let trees = vec![sample(), DecisionTree::leaf(-3.0), sample()];
-        let flat = FlatTrees::from_trees(&trees);
-        let rows = vec![
-            vec![4.0, 1.0],
-            vec![4.0, 3.0],
-            vec![6.0, 0.0],
-            vec![f64::NAN, 1.0],
-            vec![5.0, f64::NAN],
             vec![5.0, 2.0],
             vec![f64::INFINITY, f64::NEG_INFINITY],
         ];
-        let x = Matrix::from_rows(&rows);
-        let mut scalar = vec![0.5; rows.len()];
-        flat.accumulate(&x, &mut scalar);
-        let mut batched = vec![0.5; rows.len()];
-        let mut scratch = BatchScratch::default();
-        flat.accumulate_batched(&x, &mut batched, &mut scratch);
-        for r in 0..rows.len() {
-            assert_eq!(
-                scalar[r].to_bits(),
-                batched[r].to_bits(),
-                "row {r} diverged"
-            );
-        }
-        // Scratch reuse across a second, smaller batch stays exact.
-        let x2 = Matrix::from_rows(&rows[..3]);
-        let mut s2 = vec![0.0; 3];
-        flat.accumulate(&x2, &mut s2);
-        let mut b2 = vec![0.0; 3];
-        flat.accumulate_batched(&x2, &mut b2, &mut scratch);
-        assert_eq!(s2, b2);
+        assert_matches_arena(&trees, &rows, 0.5);
+        // The thread's scratch, now sized for seven rows, serves a
+        // smaller batch and one spanning several blocks.
+        assert_matches_arena(&trees, &rows[..3], 0.0);
+        let many: Vec<Vec<f64>> = (0..700)
+            .map(|i| vec![(i % 13) as f64 - 1.0, (i % 5) as f64])
+            .collect();
+        assert_matches_arena(&trees, &many, 0.0);
     }
 
     #[test]
-    fn batched_handles_unbalanced_trees() {
+    fn unbalanced_trees_match_the_arena_walker() {
         // A lopsided tree (left arm 3 deep, right arm a bare leaf): rows
         // landing early self-loop through the remaining rounds while
-        // deep rows keep walking — both must match the scalar walk.
+        // deep rows keep walking.
         let lopsided = DecisionTree {
             nodes: vec![
                 TreeNode::Split {
@@ -355,38 +317,30 @@ mod tests {
                 TreeNode::Leaf { value: 2.0 },
             ],
         };
-        let flat = FlatTrees::from_trees(&[lopsided.clone(), sample()]);
         let rows: Vec<Vec<f64>> = (0..40)
             .map(|i| vec![(i as f64) * 0.4, (i % 7) as f64 * 0.5])
             .collect();
-        let x = Matrix::from_rows(&rows);
-        let mut scalar = vec![0.0; rows.len()];
-        flat.accumulate(&x, &mut scalar);
-        let mut batched = vec![0.0; rows.len()];
-        let mut scratch = BatchScratch::default();
-        flat.accumulate_batched(&x, &mut batched, &mut scratch);
-        assert_eq!(scalar, batched);
-        for (r, row) in rows.iter().enumerate() {
-            let expected = lopsided.score_row(row) + sample().score_row(row);
-            assert_eq!(batched[r], expected, "row {r}");
-        }
+        assert_matches_arena(&[lopsided, sample()], &rows, 0.0);
     }
 
     #[test]
-    fn batched_empty_ensemble_and_empty_batch() {
+    fn empty_ensemble_empty_batch_and_featureless_input() {
         let flat = FlatTrees::from_trees(&[]);
         let x = Matrix::from_rows(&[vec![1.0]]);
         let mut acc = vec![0.25];
-        let mut scratch = BatchScratch::default();
-        flat.accumulate_batched(&x, &mut acc, &mut scratch);
+        flat.accumulate(&x, &mut acc);
         assert_eq!(acc, vec![0.25]);
 
-        let trees = vec![sample()];
-        let flat = FlatTrees::from_trees(&trees);
-        let empty = Matrix::zeros(0, 2);
+        let flat = FlatTrees::from_trees(&[sample()]);
         let mut acc: Vec<f64> = Vec::new();
-        flat.accumulate_batched(&empty, &mut acc, &mut scratch);
+        flat.accumulate(&Matrix::zeros(0, 2), &mut acc);
         assert!(acc.is_empty());
+
+        // Zero feature columns: single-leaf trees still fold in order.
+        let flat = FlatTrees::from_trees(&[DecisionTree::leaf(0.1), DecisionTree::leaf(0.2)]);
+        let mut acc = vec![1.0; 2];
+        flat.accumulate(&Matrix::zeros(2, 0), &mut acc);
+        assert_eq!(acc, vec![1.0 + (0.0 + 0.1 + 0.2); 2]);
     }
 
     #[test]

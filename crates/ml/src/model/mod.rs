@@ -9,7 +9,7 @@ pub mod tree;
 
 pub use bayes::GaussianNb;
 pub use ensemble::{GbtModel, RandomForest};
-pub use flat::{BatchScratch, FlatTrees};
+pub use flat::FlatTrees;
 pub use knn::KnnModel;
 pub use linear::{sigmoid, LinearModel};
 pub use tree::{DecisionTree, TreeNode};

@@ -497,12 +497,13 @@ pub enum PredictStrategy {
     Auto,
     /// Interpret the pipeline row-at-a-time (the "inline SQL UDF" anchor).
     Row,
-    /// Score the whole batch through the vectorized runtime.
+    /// Score the whole batch in one call to the compiled kernel (for tree
+    /// ensembles, the level-synchronous walk over flattened nodes).
     Vectorized,
-    /// Level-synchronous struct-of-arrays batch kernel over flattened
-    /// trees (bit-exact with `Vectorized`; non-tree models fall back).
-    Batched,
-    /// Partition the batch across `n` worker threads.
+    /// Partition the batch across `n` worker threads, each running the
+    /// compiled kernel. Only for PREDICTs under an operator that does not
+    /// fan out itself: the physical planner demotes it to `Vectorized`
+    /// wherever the operator's own morsel pool already spreads the rows.
     Parallel(usize),
 }
 

@@ -99,35 +99,59 @@ impl RecordBatch {
         self.columns.iter().map(|c| c.get(idx)).collect()
     }
 
-    /// Keep rows where `mask` is true.
-    pub fn filter(&self, mask: &[bool]) -> Result<RecordBatch> {
-        let columns = self.columns.iter().map(|c| c.filter(mask)).collect();
-        RecordBatch::new(self.schema.clone(), columns)
-    }
-
-    /// Gather rows at `indices`.
-    pub fn take(&self, indices: &[usize]) -> Result<RecordBatch> {
-        let columns = self.columns.iter().map(|c| c.take(indices)).collect();
-        RecordBatch::new(self.schema.clone(), columns)
-    }
-
-    /// Project columns at `indices` with a new schema.
-    pub fn project(&self, indices: &[usize]) -> Result<RecordBatch> {
-        let schema = Arc::new(self.schema.project(indices));
-        let columns = indices.iter().map(|&i| self.columns[i].clone()).collect();
-        RecordBatch::new(schema, columns)
-    }
-
-    /// Slice rows `[start, start+len)`.
-    pub fn slice(&self, start: usize, len: usize) -> RecordBatch {
-        let columns: Vec<ColumnVector> =
-            self.columns.iter().map(|c| c.slice(start, len)).collect();
-        let rows = columns.first().map_or(0, |c| c.len());
+    /// Same schema, new columns of `rows` rows each. The row count is
+    /// carried explicitly so a zero-column batch keeps its cardinality.
+    fn with_columns(&self, columns: Vec<ColumnVector>, rows: usize) -> RecordBatch {
+        debug_assert!(columns.iter().all(|c| c.len() == rows));
         RecordBatch {
             schema: self.schema.clone(),
             columns,
             rows,
         }
+    }
+
+    /// Keep rows where `mask` is true.
+    pub fn filter(&self, mask: &[bool]) -> Result<RecordBatch> {
+        if mask.len() != self.rows {
+            return Err(SqlError::Execution(format!(
+                "filter mask has {} entries for a batch of {} rows",
+                mask.len(),
+                self.rows
+            )));
+        }
+        let columns = self.columns.iter().map(|c| c.filter(mask)).collect();
+        Ok(self.with_columns(columns, mask.iter().filter(|k| **k).count()))
+    }
+
+    /// Gather rows at `indices`.
+    pub fn take(&self, indices: &[usize]) -> Result<RecordBatch> {
+        if let Some(bad) = indices.iter().find(|&&i| i >= self.rows) {
+            return Err(SqlError::Execution(format!(
+                "take index {bad} out of range for a batch of {} rows",
+                self.rows
+            )));
+        }
+        let columns = self.columns.iter().map(|c| c.take(indices)).collect();
+        Ok(self.with_columns(columns, indices.len()))
+    }
+
+    /// Project columns at `indices` with a new schema.
+    pub fn project(&self, indices: &[usize]) -> Result<RecordBatch> {
+        let columns = indices.iter().map(|&i| self.columns[i].clone()).collect();
+        Ok(RecordBatch {
+            schema: Arc::new(self.schema.project(indices)),
+            columns,
+            rows: self.rows,
+        })
+    }
+
+    /// View of rows `[start, start+len)`, clamped to the batch: shares
+    /// every column buffer (see [`ColumnVector::slice`]).
+    pub fn slice(&self, start: usize, len: usize) -> RecordBatch {
+        let start = start.min(self.rows);
+        let rows = len.min(self.rows - start);
+        let columns = self.columns.iter().map(|c| c.slice(start, rows)).collect();
+        self.with_columns(columns, rows)
     }
 
     /// Split into chunks of at most `chunk_rows` rows (for parallel
@@ -266,6 +290,21 @@ mod tests {
         let whole = RecordBatch::concat(b.schema().clone(), &chunks).unwrap();
         assert_eq!(whole.num_rows(), b.num_rows());
         assert_eq!(whole.row(2), b.row(2));
+    }
+
+    #[test]
+    fn zero_column_batches_keep_their_row_count() {
+        let none = sample().project(&[]).unwrap();
+        assert_eq!((none.num_columns(), none.num_rows()), (0, 3));
+        assert_eq!(none.slice(1, 5).num_rows(), 2);
+        assert_eq!(none.filter(&[true, false, true]).unwrap().num_rows(), 2);
+        assert_eq!(none.take(&[2, 2, 0, 1]).unwrap().num_rows(), 4);
+        let chunks = none.chunks(2);
+        assert_eq!(chunks.len(), 2);
+        let whole = RecordBatch::concat(none.schema().clone(), &chunks).unwrap();
+        assert_eq!(whole.num_rows(), 3);
+        assert!(none.filter(&[true]).is_err(), "short mask is an error");
+        assert!(none.take(&[3]).is_err(), "out-of-range index is an error");
     }
 
     #[test]

@@ -893,7 +893,7 @@ impl Database {
         let emitted = emit.len();
 
         // Finalize each window: aggregate batch -> HAVING -> projection
-        // (PREDICT here runs the batched serving kernel per window).
+        // (PREDICT here scores each window in one provider call).
         let mut sink_rows: Vec<Vec<Value>> = Vec::new();
         for w in &emit {
             let rows: Vec<Vec<Value>> = w
@@ -1827,7 +1827,6 @@ impl Session {
                             "auto" | "default" => None,
                             "row" => Some(PredictStrategy::Row),
                             "vectorized" => Some(PredictStrategy::Vectorized),
-                            "batched" => Some(PredictStrategy::Batched),
                             // Degree is resolved once at SET time from the
                             // engine-wide thread budget.
                             "parallel" => Some(PredictStrategy::Parallel(
@@ -1836,7 +1835,7 @@ impl Session {
                             other => {
                                 return Err(SqlError::Plan(format!(
                                     "predict_strategy expects one of 'row' | 'vectorized' \
-                                     | 'batched' | 'parallel' | 'auto', got '{other}'"
+                                     | 'parallel' | 'auto', got '{other}'"
                                 )))
                             }
                         }

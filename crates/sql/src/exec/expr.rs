@@ -3,7 +3,7 @@
 use super::functions::{eval_function, like_match};
 use crate::ast::{BinOp, Expr, PredictStrategy, UnOp};
 use crate::batch::RecordBatch;
-use crate::column::ColumnVector;
+use crate::column::{ColumnVector, RawColumn, RawColumnOwned};
 use crate::error::{Result, SqlError};
 use crate::schema::Schema;
 use crate::types::{DataType, Value};
@@ -283,22 +283,6 @@ impl PhysExpr {
         Ok(PhysExpr { node, data_type })
     }
 
-    /// The highest PREDICT parallelism requested anywhere in this tree
-    /// (0 when no parallel PREDICT present).
-    pub fn predict_parallelism(&self) -> usize {
-        let mut max = 0usize;
-        self.visit(&mut |e| {
-            if let PhysNode::Predict {
-                strategy: PredictStrategy::Parallel(n),
-                ..
-            } = &e.node
-            {
-                max = max.max(*n);
-            }
-        });
-        max
-    }
-
     /// Whether any PREDICT call appears in this tree.
     pub fn contains_predict(&self) -> bool {
         let mut found = false;
@@ -386,19 +370,25 @@ impl PhysExpr {
     }
 
     /// A column of `n` copies of `v`, typed like this expression.
-    fn broadcast(&self, v: Value, n: usize) -> Result<ColumnVector> {
-        match v {
-            Value::Float(x) => Ok(ColumnVector::from_f64(std::iter::repeat_n(x, n))),
-            Value::Int(x) => Ok(ColumnVector::from_i64(std::iter::repeat_n(x, n))),
-            v => {
-                let ty = v.data_type().unwrap_or(self.data_type);
-                let mut col = ColumnVector::with_capacity(ty, n);
-                for _ in 0..n {
-                    col.push(v.clone())?;
-                }
-                Ok(col)
+    fn broadcast(&self, v: &Value, n: usize) -> Result<ColumnVector> {
+        ColumnVector::repeat(v.data_type().unwrap_or(self.data_type), v, n)
+    }
+
+    /// The one value this expression takes on every row of `batch`, when it
+    /// reads no column and no model: what a column-vs-scalar kernel
+    /// compares against instead of a broadcast constant vector. `None` on
+    /// an empty batch, where nothing may be evaluated (a constant that
+    /// errors must not fail a query that has no rows).
+    fn constant(&self, batch: &RecordBatch, ctx: &EvalContext) -> Result<Option<Value>> {
+        Ok(match &self.node {
+            PhysNode::Literal(v) => Some(v.clone()),
+            PhysNode::Parameter(i) => Some(ctx.param(*i)?.clone()),
+            PhysNode::Column(_) => None,
+            _ if batch.num_rows() > 0 && self.is_column_free() => {
+                Some(self.eval_row(batch, 0, ctx)?)
             }
-        }
+            _ => None,
+        })
     }
 
     /// Evaluate as a selection mask: one `bool` per row, `true` only when
@@ -406,12 +396,14 @@ impl PhysExpr {
     /// and morsel-parallel filter paths.
     pub fn eval_mask(&self, batch: &RecordBatch, ctx: &EvalContext) -> Result<Vec<bool>> {
         let col = self.eval(batch, ctx)?;
-        if let Some(bs) = col.as_bool_slice() {
-            return Ok(bs.to_vec());
-        }
-        Ok((0..batch.num_rows())
-            .map(|i| col.get(i).as_bool() == Some(true))
-            .collect())
+        Ok(match (col.raw(), col.validity()) {
+            (RawColumn::Bool(bs), None) => bs.to_vec(),
+            (RawColumn::Bool(bs), Some(valid)) => {
+                bs.iter().zip(valid).map(|(b, ok)| *b && *ok).collect()
+            }
+            // a non-boolean predicate value is never SQL-true
+            _ => vec![false; col.len()],
+        })
     }
 
     /// Vectorized evaluation over a batch.
@@ -434,28 +426,12 @@ impl PhysExpr {
             && self.is_column_free()
         {
             let v = self.eval_row(batch, 0, ctx)?;
-            return self.broadcast(v, batch.num_rows());
+            return self.broadcast(&v, batch.num_rows());
         }
         match &self.node {
             PhysNode::Column(i) => Ok(batch.column(*i).clone()),
-            PhysNode::Literal(Value::Float(x)) => {
-                Ok(ColumnVector::from_f64(std::iter::repeat_n(*x, batch.num_rows())))
-            }
-            PhysNode::Literal(Value::Int(i)) => {
-                Ok(ColumnVector::from_i64(std::iter::repeat_n(*i, batch.num_rows())))
-            }
-            PhysNode::Literal(v) => {
-                let ty = v.data_type().unwrap_or(self.data_type);
-                let mut col = ColumnVector::with_capacity(ty, batch.num_rows());
-                for _ in 0..batch.num_rows() {
-                    col.push(v.clone())?;
-                }
-                Ok(col)
-            }
-            PhysNode::Parameter(i) => {
-                let v = ctx.param(*i)?.clone();
-                self.broadcast(v, batch.num_rows())
-            }
+            PhysNode::Literal(v) => self.broadcast(v, batch.num_rows()),
+            PhysNode::Parameter(i) => self.broadcast(ctx.param(*i)?, batch.num_rows()),
             // Row strategy models a scalar UDF: the engine invokes the
             // scorer once per row, re-paying slicing/dispatch each time —
             // the cost profile the paper's "Inline SQL 1x" anchor measures.
@@ -484,41 +460,29 @@ impl PhysExpr {
                 ctx.provider
                     .predict_cancellable(model, &inputs, *strategy, &ctx.user, &ctx.cancel)
             }
-            // Fast path: numeric comparisons over float columns produce a
-            // bool column without per-row boxing (this is the hot path of
-            // inlined-model predicates).
+            // Comparisons produce a bool column without per-row boxing (the
+            // hot path of scan filters and inlined-model predicates).
             PhysNode::Binary { left, op, right } if op.is_comparison() => {
+                // Column-vs-scalar: a literal, parameter or column-free
+                // operand is compared in place, never broadcast.
+                if let Some(s) = right.constant(batch, ctx)? {
+                    return compare_scalar(&left.eval(batch, ctx)?, *op, &s, false);
+                }
+                if let Some(s) = left.constant(batch, ctx)? {
+                    return compare_scalar(&right.eval(batch, ctx)?, *op, &s, true);
+                }
                 let l = left.eval(batch, ctx)?;
                 let r = right.eval(batch, ctx)?;
                 if let (Some(ls), Some(rs)) = (l.as_f64_slice(), r.as_f64_slice()) {
-                    let out = ls.iter().zip(rs).map(|(a, b)| match op {
-                        BinOp::Eq => a == b,
-                        BinOp::NotEq => a != b,
-                        BinOp::Lt => a < b,
-                        BinOp::LtEq => a <= b,
-                        BinOp::Gt => a > b,
-                        BinOp::GtEq => a >= b,
-                        _ => unreachable!(),
-                    });
-                    return Ok(ColumnVector::from_bool(out));
+                    let pairs = ls.iter().zip(rs).map(|(a, b)| (*a, *b));
+                    return Ok(ColumnVector::from_bool(compare_pairs(pairs, *op)));
                 }
-                // Same fast path for int columns (key lookups and windowed
-                // range scans — `id >= ?n` — are int-vs-int comparisons).
+                // Same for int columns (key joins, `lo <= hi` range checks).
                 if let (Some(ls), Some(rs)) = (l.as_i64_slice(), r.as_i64_slice()) {
-                    let out = ls.iter().zip(rs).map(|(a, b)| match op {
-                        BinOp::Eq => a == b,
-                        BinOp::NotEq => a != b,
-                        BinOp::Lt => a < b,
-                        BinOp::LtEq => a <= b,
-                        BinOp::Gt => a > b,
-                        BinOp::GtEq => a >= b,
-                        _ => unreachable!(),
-                    });
-                    return Ok(ColumnVector::from_bool(out));
+                    let pairs = ls.iter().zip(rs).map(|(a, b)| (*a, *b));
+                    return Ok(ColumnVector::from_bool(compare_pairs(pairs, *op)));
                 }
-                self.eval_rowwise_cols(batch, ctx, &[&l, &r], |vals| {
-                    eval_binary(&vals[0], *op, &vals[1])
-                })
+                binary_rowwise(self.data_type, &l, *op, &r)
             }
             // Vectorized AND/OR: evaluate both sides as columns (each
             // taking its own fast path — a conjunctive range filter like
@@ -533,22 +497,12 @@ impl PhysExpr {
                 let l = left.eval(batch, ctx)?;
                 match right.eval(batch, ctx) {
                     Ok(r) => {
-                        // NULL-free bool columns (what comparison fast
-                        // paths produce): two-valued logic on raw slices.
-                        if let (Some(ls), Some(rs)) = (l.as_bool_slice(), r.as_bool_slice()) {
-                            let out = ls.iter().zip(rs).map(|(a, b)| match op {
-                                BinOp::And => *a && *b,
-                                BinOp::Or => *a || *b,
-                                _ => unreachable!(),
-                            });
-                            return Ok(ColumnVector::from_bool(out));
+                        // Bool columns (what the comparison kernels
+                        // produce): typed two- or three-valued logic.
+                        if let (RawColumn::Bool(ls), RawColumn::Bool(rs)) = (l.raw(), r.raw()) {
+                            return logic_kernel(*op, (ls, l.validity()), (rs, r.validity()));
                         }
-                        let n = batch.num_rows();
-                        let mut out = ColumnVector::with_capacity(DataType::Bool, n);
-                        for i in 0..n {
-                            out.push(eval_binary(&l.get(i), *op, &r.get(i))?)?;
-                        }
-                        Ok(out)
+                        binary_rowwise(DataType::Bool, &l, *op, &r)
                     }
                     Err(_) => {
                         let n = batch.num_rows();
@@ -570,9 +524,11 @@ impl PhysExpr {
                         xs.iter().map(|x| 1.0 / (1.0 + (-x).exp())),
                     ));
                 }
-                self.eval_rowwise_cols(batch, ctx, &[&a], |vals| {
-                    crate::exec::functions::eval_function("SIGMOID", &vals)
-                })
+                let mut out = ColumnVector::with_capacity(self.data_type, a.len());
+                for i in 0..a.len() {
+                    out.push(eval_function("SIGMOID", &[a.get(i)])?)?;
+                }
+                Ok(out)
             }
             // Fast path: COALESCE(col, literal) over floats — the shape
             // model inlining emits for imputation.
@@ -617,9 +573,7 @@ impl PhysExpr {
                     };
                     return Ok(ColumnVector::from_f64(out));
                 }
-                self.eval_rowwise_cols(batch, ctx, &[&l, &r], |vals| {
-                    eval_binary(&vals[0], *op, &vals[1])
-                })
+                binary_rowwise(self.data_type, &l, *op, &r)
             }
             _ => {
                 let n = batch.num_rows();
@@ -631,23 +585,6 @@ impl PhysExpr {
                 Ok(out)
             }
         }
-    }
-
-    /// Helper: row-wise evaluation over pre-evaluated argument columns.
-    fn eval_rowwise_cols(
-        &self,
-        batch: &RecordBatch,
-        _ctx: &EvalContext,
-        cols: &[&ColumnVector],
-        f: impl Fn(Vec<Value>) -> Result<Value>,
-    ) -> Result<ColumnVector> {
-        let n = batch.num_rows();
-        let mut out = ColumnVector::with_capacity(self.data_type, n);
-        for row in 0..n {
-            let vals: Vec<Value> = cols.iter().map(|c| c.get(row)).collect();
-            out.push(f(vals)?)?;
-        }
-        Ok(out)
     }
 
     /// Scalar evaluation of one row. PREDICT here degenerates to a one-row
@@ -803,6 +740,113 @@ impl PhysExpr {
     }
 }
 
+/// The scalar walk over two evaluated operand columns: what every typed
+/// binary kernel falls back to for the pairings it does not cover.
+fn binary_rowwise(
+    data_type: DataType,
+    l: &ColumnVector,
+    op: BinOp,
+    r: &ColumnVector,
+) -> Result<ColumnVector> {
+    let mut out = ColumnVector::with_capacity(data_type, l.len());
+    for i in 0..l.len() {
+        out.push(eval_binary(&l.get(i), op, &r.get(i))?)?;
+    }
+    Ok(out)
+}
+
+/// One comparison per pair, through the type's native operators: exact on
+/// ints and strings, IEEE on floats (every ordered test against NaN is
+/// false and `<>` is true, as in [`eval_binary`]).
+fn compare_pairs<T: PartialOrd>(pairs: impl Iterator<Item = (T, T)>, op: BinOp) -> Vec<bool> {
+    match op {
+        BinOp::Eq => pairs.map(|(a, b)| a == b).collect(),
+        BinOp::NotEq => pairs.map(|(a, b)| a != b).collect(),
+        BinOp::Lt => pairs.map(|(a, b)| a < b).collect(),
+        BinOp::LtEq => pairs.map(|(a, b)| a <= b).collect(),
+        BinOp::Gt => pairs.map(|(a, b)| a > b).collect(),
+        BinOp::GtEq => pairs.map(|(a, b)| a >= b).collect(),
+        _ => unreachable!("caller checked is_comparison"),
+    }
+}
+
+/// `col <op> s` (or `s <op> col` when `scalar_on_left`) for every row,
+/// reading the typed buffer in place: text against text, int against int
+/// exactly, and float or int columns against any numeric scalar as f64
+/// (the coercions of [`Value::sql_cmp`]). NULL rows, or a NULL scalar,
+/// compare to NULL. Other pairings take the scalar walk, which also raises
+/// its "cannot compare" error.
+fn compare_scalar(
+    col: &ColumnVector,
+    written: BinOp,
+    s: &Value,
+    scalar_on_left: bool,
+) -> Result<ColumnVector> {
+    let n = col.len();
+    if s.is_null() {
+        return ColumnVector::repeat(DataType::Bool, &Value::Null, n);
+    }
+    let op = if scalar_on_left { written.flip() } else { written };
+    let mut bits = match (col.raw(), s, s.as_f64()) {
+        (RawColumn::Text(rows), Value::Text(t), _) => {
+            compare_pairs(rows.iter().map(|x| (x.as_str(), t.as_str())), op)
+        }
+        (RawColumn::Int(rows), Value::Int(i), _) => {
+            compare_pairs(rows.iter().map(|x| (*x, *i)), op)
+        }
+        (RawColumn::Float(rows), _, Some(x)) => compare_pairs(rows.iter().map(|a| (*a, x)), op),
+        (RawColumn::Int(rows), _, Some(x)) => {
+            compare_pairs(rows.iter().map(|a| (*a as f64, x)), op)
+        }
+        _ => {
+            let mut out = ColumnVector::with_capacity(DataType::Bool, n);
+            for i in 0..n {
+                out.push(if scalar_on_left {
+                    eval_binary(s, written, &col.get(i))?
+                } else {
+                    eval_binary(&col.get(i), written, s)?
+                })?;
+            }
+            return Ok(out);
+        }
+    };
+    match col.validity() {
+        None => Ok(ColumnVector::from_bool(bits)),
+        Some(valid) => {
+            for (b, ok) in bits.iter_mut().zip(valid) {
+                *b &= *ok;
+            }
+            ColumnVector::from_raw(RawColumnOwned::Bool(bits), valid.to_vec())
+        }
+    }
+}
+
+/// A Bool column's raw values and its validity bitmap, if it has NULLs.
+type BoolParts<'a> = (&'a [bool], Option<&'a [bool]>);
+
+/// `l AND r` / `l OR r` over Bool columns with SQL's three-valued logic:
+/// a row is false (AND) or true (OR) as soon as one known side decides it,
+/// and NULL only when the unknown side could still change the answer.
+fn logic_kernel(op: BinOp, (ls, lok): BoolParts, (rs, rok): BoolParts) -> Result<ColumnVector> {
+    let and = op == BinOp::And;
+    if lok.is_none() && rok.is_none() {
+        let out = ls.iter().zip(rs).map(|(a, b)| if and { *a && *b } else { *a || *b });
+        return Ok(ColumnVector::from_bool(out));
+    }
+    let n = ls.len();
+    let mut vals = Vec::with_capacity(n);
+    let mut known = Vec::with_capacity(n);
+    for i in 0..n {
+        let (lk, rk) = (lok.is_none_or(|v| v[i]), rok.is_none_or(|v| v[i]));
+        let (lt, lf) = (lk && ls[i], lk && !ls[i]);
+        let (rt, rf) = (rk && rs[i], rk && !rs[i]);
+        let (t, f) = if and { (lt && rt, lf || rf) } else { (lt || rt, lf && rf) };
+        vals.push(t);
+        known.push(t || f);
+    }
+    ColumnVector::from_raw(RawColumnOwned::Bool(vals), known)
+}
+
 fn int_overflow(a: i64, op: BinOp, b: i64) -> SqlError {
     SqlError::Execution(format!("integer overflow evaluating {a} {op} {b}"))
 }
@@ -832,17 +876,21 @@ pub fn eval_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value> {
         return Ok(Value::Null);
     }
     if op.is_comparison() {
-        let ord = l.sql_cmp(r).ok_or_else(|| {
-            SqlError::Execution(format!("cannot compare {l} with {r}"))
-        })?;
-        let b = match op {
-            Eq => ord == std::cmp::Ordering::Equal,
-            NotEq => ord != std::cmp::Ordering::Equal,
-            Lt => ord == std::cmp::Ordering::Less,
-            LtEq => ord != std::cmp::Ordering::Greater,
-            Gt => ord == std::cmp::Ordering::Greater,
-            GtEq => ord != std::cmp::Ordering::Less,
-            _ => unreachable!(),
+        let b = match l.sql_cmp(r) {
+            Some(ord) => match op {
+                Eq => ord == std::cmp::Ordering::Equal,
+                NotEq => ord != std::cmp::Ordering::Equal,
+                Lt => ord == std::cmp::Ordering::Less,
+                LtEq => ord != std::cmp::Ordering::Greater,
+                Gt => ord == std::cmp::Ordering::Greater,
+                GtEq => ord != std::cmp::Ordering::Less,
+                _ => unreachable!(),
+            },
+            // Two numbers with no order: one is NaN. IEEE answers, the
+            // same ones the typed column kernels give — a filter must not
+            // succeed on a NULL-free morsel and fail on the next one.
+            None if l.as_f64().is_some() && r.as_f64().is_some() => op == NotEq,
+            None => return Err(SqlError::Execution(format!("cannot compare {l} with {r}"))),
         };
         return Ok(Value::Bool(b));
     }
@@ -1011,6 +1059,31 @@ mod tests {
         assert_eq!(out.get(0), Value::Bool(true));
         assert_eq!(out.get(1), Value::Bool(true));
         assert!(out.get(2).is_null(), "NULL OR false is NULL");
+    }
+
+    #[test]
+    fn nan_compares_the_same_with_and_without_nulls_in_the_column() {
+        // IEEE answers on both the typed kernels and the scalar walk: a
+        // filter over a NaN must not pass on a NULL-free morsel and raise
+        // "cannot compare" on the next one.
+        let nan = Value::Float(f64::NAN);
+        for (op, want) in [(BinOp::Eq, false), (BinOp::NotEq, true), (BinOp::GtEq, false)] {
+            assert_eq!(eval_binary(&nan, op, &Value::Float(1.0)).unwrap(), Value::Bool(want));
+            assert_eq!(eval_binary(&Value::Int(1), op, &nan).unwrap(), Value::Bool(want));
+        }
+        assert!(eval_binary(&nan, BinOp::Lt, &Value::Text("x".into())).is_err());
+        let schema = Arc::new(Schema::from_pairs(&[("b", DataType::Float)]));
+        let e = crate::parser::parse_expr("b >= 1.0").unwrap();
+        let phys = PhysExpr::compile(&e, &schema, &NoInference).unwrap();
+        for rows in [
+            vec![vec![nan.clone()], vec![Value::Float(2.0)]],
+            vec![vec![nan.clone()], vec![Value::Float(2.0)], vec![Value::Null]],
+        ] {
+            let batch = RecordBatch::from_rows(schema.clone(), &rows).unwrap();
+            let out = phys.eval(&batch, &ctx()).unwrap();
+            assert_eq!(out.get(0), Value::Bool(false));
+            assert_eq!(out.get(1), Value::Bool(true));
+        }
     }
 
     #[test]

@@ -53,7 +53,9 @@ pub struct ExecOptions {
     pub parallel_row_threshold: usize,
     /// Fixed morsel size in rows (>= 1).
     pub morsel_rows: usize,
-    /// What `PREDICT(...)` with strategy `Auto` resolves to.
+    /// What `PREDICT(...)` with strategy `Auto` resolves to. The default,
+    /// `Vectorized`, leaves parallelism to the operator evaluating the
+    /// PREDICT (its morsel pool already spreads the rows over `threads`).
     pub default_predict: PredictStrategy,
     /// Database-default statement deadline in milliseconds (0 = none).
     /// Sessions may override it with `SET statement_timeout = <ms>`.
@@ -79,7 +81,7 @@ impl Default for ExecOptions {
             threads,
             parallel_row_threshold: 4096,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            default_predict: PredictStrategy::Parallel(threads),
+            default_predict: PredictStrategy::Vectorized,
             statement_timeout_ms: 0,
             max_concurrent_queries: 0,
             max_rows_budget: 0,
@@ -94,8 +96,6 @@ impl ExecOptions {
         ExecOptions {
             threads: 1,
             parallel_row_threshold: usize::MAX,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            default_predict: PredictStrategy::Vectorized,
             ..ExecOptions::default()
         }
     }
@@ -195,6 +195,9 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         keys: Vec<(PhysExpr, bool)>,
         policy: ParallelPolicy,
+        /// Top-K: a `LIMIT` directly above reads only the first `fetch`
+        /// rows of the order, so only those are selected and gathered.
+        fetch: Option<usize>,
     },
     Limit {
         input: Box<PhysicalPlan>,
@@ -289,8 +292,8 @@ pub fn create_physical_plan(
                 }
             }
             let child = create_physical_plan(input, catalog, provider, options)?;
-            let predicate = compile(predicate, input.schema(), provider, options)?;
             let policy = ParallelPolicy::from_options(options, child.estimated_rows());
+            let predicate = compile(predicate, input.schema(), provider, options, &policy)?;
             PhysicalPlan::Filter {
                 input: Box::new(child),
                 predicate,
@@ -303,19 +306,11 @@ pub fn create_physical_plan(
             schema,
         } => {
             let child = create_physical_plan(input, catalog, provider, options)?;
+            let policy = ParallelPolicy::from_options(options, child.estimated_rows());
             let compiled: Vec<PhysExpr> = exprs
                 .iter()
-                .map(|e| compile(e, input.schema(), provider, options))
+                .map(|e| compile(e, input.schema(), provider, options, &policy))
                 .collect::<Result<_>>()?;
-            // An explicit `PREDICT ... PARALLEL n` raises the degree even
-            // when row-count stats alone would stay serial.
-            let predict_par = compiled
-                .iter()
-                .map(PhysExpr::predict_parallelism)
-                .max()
-                .unwrap_or(0);
-            let policy = ParallelPolicy::from_options(options, child.estimated_rows())
-                .with_min_degree(predict_par.max(1));
             PhysicalPlan::Project {
                 input: Box::new(child),
                 exprs: compiled,
@@ -330,9 +325,17 @@ pub fn create_physical_plan(
             schema,
         } => {
             let child = create_physical_plan(input, catalog, provider, options)?;
+            let policy = ParallelPolicy::from_options(options, child.estimated_rows());
+            // Accumulators that cannot merge keep the aggregate serial
+            // whatever its degree; a PREDICT under it may then fan out.
+            let host = if aggs.iter().all(|a| Accumulator::mergeable(a.func, a.distinct)) {
+                policy
+            } else {
+                ParallelPolicy::serial()
+            };
             let group_c: Vec<PhysExpr> = group
                 .iter()
-                .map(|e| compile(e, input.schema(), provider, options))
+                .map(|e| compile(e, input.schema(), provider, options, &host))
                 .collect::<Result<_>>()?;
             let aggs_c: Vec<(AggCall, Option<PhysExpr>)> = aggs
                 .iter()
@@ -340,12 +343,11 @@ pub fn create_physical_plan(
                     let arg = a
                         .arg
                         .as_ref()
-                        .map(|e| compile(e, input.schema(), provider, options))
+                        .map(|e| compile(e, input.schema(), provider, options, &host))
                         .transpose()?;
                     Ok((a.clone(), arg))
                 })
                 .collect::<Result<_>>()?;
-            let policy = ParallelPolicy::from_options(options, child.estimated_rows());
             PhysicalPlan::HashAggregate {
                 input: Box::new(child),
                 group: group_c,
@@ -365,9 +367,11 @@ pub fn create_physical_plan(
             let l = create_physical_plan(left, catalog, provider, options)?;
             let r = create_physical_plan(right, catalog, provider, options)?;
             let joined_schema = schema.clone();
+            // Join keys and residuals are evaluated outside any morsel pool.
+            let host = ParallelPolicy::serial();
             let filter_c = filter
                 .as_ref()
-                .map(|f| compile(f, &joined_schema, provider, options))
+                .map(|f| compile(f, &joined_schema, provider, options, &host))
                 .transpose()?;
             if on.is_empty() {
                 PhysicalPlan::NestedLoopJoin {
@@ -380,11 +384,11 @@ pub fn create_physical_plan(
             } else {
                 let left_keys: Vec<PhysExpr> = on
                     .iter()
-                    .map(|(le, _)| compile(le, left.schema(), provider, options))
+                    .map(|(le, _)| compile(le, left.schema(), provider, options, &host))
                     .collect::<Result<_>>()?;
                 let right_keys: Vec<PhysExpr> = on
                     .iter()
-                    .map(|(_, re)| compile(re, right.schema(), provider, options))
+                    .map(|(_, re)| compile(re, right.schema(), provider, options, &host))
                     .collect::<Result<_>>()?;
                 let est = l.estimated_rows().max(r.estimated_rows());
                 let policy = ParallelPolicy::from_options(options, est);
@@ -402,26 +406,35 @@ pub fn create_physical_plan(
         }
         LogicalPlan::Sort { input, keys } => {
             let child = create_physical_plan(input, catalog, provider, options)?;
+            let policy = ParallelPolicy::from_options(options, child.estimated_rows());
             let keys_c: Vec<(PhysExpr, bool)> = keys
                 .iter()
-                .map(|(e, asc)| Ok((compile(e, input.schema(), provider, options)?, *asc)))
+                .map(|(e, asc)| {
+                    Ok((compile(e, input.schema(), provider, options, &policy)?, *asc))
+                })
                 .collect::<Result<_>>()?;
-            let policy = ParallelPolicy::from_options(options, child.estimated_rows());
             PhysicalPlan::Sort {
                 input: Box::new(child),
                 keys: keys_c,
                 policy,
+                fetch: None,
             }
         }
         LogicalPlan::Limit {
             input,
             limit,
             offset,
-        } => PhysicalPlan::Limit {
-            input: Box::new(create_physical_plan(input, catalog, provider, options)?),
-            limit: *limit,
-            offset: *offset,
-        },
+        } => {
+            let mut child = create_physical_plan(input, catalog, provider, options)?;
+            if let (PhysicalPlan::Sort { fetch, .. }, Some(limit)) = (&mut child, limit) {
+                *fetch = Some(usize::try_from(limit.saturating_add(*offset)).unwrap_or(usize::MAX));
+            }
+            PhysicalPlan::Limit {
+                input: Box::new(child),
+                limit: *limit,
+                offset: *offset,
+            }
+        }
         LogicalPlan::Distinct { input } => PhysicalPlan::Distinct {
             input: Box::new(create_physical_plan(input, catalog, provider, options)?),
         },
@@ -435,24 +448,40 @@ pub fn create_physical_plan(
     })
 }
 
-/// Compile with `Auto` PREDICT strategies resolved to the engine default.
+/// Compile with PREDICT strategies resolved for the operator that will
+/// evaluate the expression: `Auto` becomes the engine default, and under a
+/// `host` that fans out over its own morsel pool a parallel PREDICT runs
+/// `Vectorized` — the rows are already spread over the workers, and a
+/// morsel worker must not open a second thread scope to split its few
+/// thousand rows again.
 fn compile(
     e: &Expr,
     schema: &Schema,
     provider: &dyn InferenceProvider,
     options: &ExecOptions,
+    host: &ParallelPolicy,
 ) -> Result<PhysExpr> {
     let resolved = rewrite_expr(e.clone(), &mut |x| {
         Ok(match x {
             Expr::Predict {
                 model,
                 args,
-                strategy: PredictStrategy::Auto,
-            } => Expr::Predict {
-                model,
-                args,
-                strategy: options.default_predict,
-            },
+                strategy,
+            } => {
+                let strategy = match strategy {
+                    PredictStrategy::Auto => options.default_predict,
+                    chosen => chosen,
+                };
+                let strategy = match strategy {
+                    PredictStrategy::Parallel(_) if host.degree > 1 => PredictStrategy::Vectorized,
+                    kept => kept,
+                };
+                Expr::Predict {
+                    model,
+                    args,
+                    strategy,
+                }
+            }
             other => other,
         })
     })?;
@@ -589,12 +618,12 @@ fn plan_part_scan(
         .zonemap_parts_scanned
         .fetch_add(parts.len() as u64, AtomicOrdering::Relaxed);
 
-    let predicate = predicate
-        .map(|p| compile(p, schema, provider, options))
-        .transpose()?;
     let est: usize =
         parts.iter().map(|p| p.rows as usize).sum::<usize>() + tail.num_rows();
     let policy = ParallelPolicy::from_options(options, est);
+    let predicate = predicate
+        .map(|p| compile(p, schema, provider, options, &policy))
+        .transpose()?;
     Ok(Some(PhysicalPlan::PartScan {
         schema: schema.clone(),
         store: store.clone(),
@@ -843,12 +872,13 @@ impl PhysicalPlan {
                 input,
                 keys,
                 policy,
+                fetch,
             } => {
                 let batch = input.execute_metered(ctx, &m.children[0])?;
                 m.op
                     .rows_in
                     .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
-                execute_sort(&batch, keys, policy, ctx, &m.op)
+                execute_sort(&batch, keys, policy, *fetch, ctx, &m.op)
             }
             PhysicalPlan::Limit {
                 input,
@@ -1027,7 +1057,12 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { policy, .. } => {
                 ("Filter".to_string(), policy_detail(policy))
             }
-            PhysicalPlan::Project { exprs, policy, .. } => {
+            PhysicalPlan::Project {
+                exprs,
+                schema,
+                policy,
+                ..
+            } => {
                 let mut detail = format!("exprs={}", exprs.len());
                 if exprs.iter().any(PhysExpr::contains_predict) {
                     detail.push_str(", predict");
@@ -1038,6 +1073,15 @@ impl PhysicalPlan {
                     if !labels.is_empty() {
                         detail.push_str(&format!("({})", labels.join("; ")));
                     }
+                }
+                // PREDICTs the optimizer computes here for several readers
+                // above (`optimizer::share_predicts`).
+                for refs in schema
+                    .names()
+                    .into_iter()
+                    .filter_map(crate::optimizer::shared_predict_refs)
+                {
+                    detail.push_str(&format!(", scored once, {refs} refs"));
                 }
                 if let Some(p) = policy_detail_opt(policy) {
                     detail.push_str(&format!(", {p}"));
@@ -1068,8 +1112,16 @@ impl PhysicalPlan {
             PhysicalPlan::NestedLoopJoin { join_type, .. } => {
                 ("NestedLoopJoin".to_string(), format!("{join_type:?}"))
             }
-            PhysicalPlan::Sort { keys, policy, .. } => {
+            PhysicalPlan::Sort {
+                keys,
+                policy,
+                fetch,
+                ..
+            } => {
                 let mut detail = format!("keys={}", keys.len());
+                if let Some(k) = fetch {
+                    detail = format!("TopK(k={k}), {detail}");
+                }
                 if let Some(p) = policy_detail_opt(policy) {
                     detail.push_str(&format!(", {p}"));
                 }
@@ -1524,11 +1576,11 @@ fn finish_join(
             let left_rows = lb.take(&unmatched)?;
             let mut cols = left_rows.columns().to_vec();
             for c in rb.columns() {
-                let mut nulls = ColumnVector::with_capacity(c.data_type(), unmatched.len());
-                for _ in 0..unmatched.len() {
-                    nulls.push_null();
-                }
-                cols.push(nulls);
+                cols.push(ColumnVector::repeat(
+                    c.data_type(),
+                    &Value::Null,
+                    unmatched.len(),
+                )?);
             }
             let null_ext = RecordBatch::new(schema.clone(), cols)?;
             joined = RecordBatch::concat(schema.clone(), &[joined, null_ext])?;
@@ -1543,6 +1595,7 @@ fn execute_sort(
     batch: &RecordBatch,
     keys: &[(PhysExpr, bool)],
     policy: &ParallelPolicy,
+    fetch: Option<usize>,
     ctx: &EvalContext,
     op: &OpMetrics,
 ) -> Result<RecordBatch> {
@@ -1555,7 +1608,7 @@ fn execute_sort(
     // Key columns for the whole batch; evaluated morsel-parallel when the
     // sort itself fans out (expression purity makes this equal to a single
     // whole-batch evaluation).
-    let key_cols: Vec<(ColumnVector, bool)> = if fan_out {
+    let key_cols: Vec<ColumnVector> = if fan_out {
         let parts = parallel::map_morsels(batch, policy, |m| {
             keys.iter()
                 .map(|(e, _)| e.eval(m, ctx))
@@ -1567,18 +1620,21 @@ fn execute_sort(
                 dst.append(src)?;
             }
         }
-        cols.into_iter()
-            .zip(keys.iter().map(|(_, asc)| *asc))
-            .collect()
+        cols
     } else {
         keys.iter()
-            .map(|(e, asc)| Ok((e.eval(batch, ctx)?, *asc)))
+            .map(|(e, _)| e.eval(batch, ctx))
             .collect::<Result<_>>()?
     };
+    let sort_keys: Vec<(SortKey, bool)> = key_cols
+        .iter()
+        .zip(keys)
+        .map(|(col, (_, asc))| (SortKey::of(col), *asc))
+        .collect();
 
     let cmp_rows = |a: usize, b: usize| -> std::cmp::Ordering {
-        for (col, asc) in &key_cols {
-            let ord = col.get(a).total_cmp(&col.get(b));
+        for (key, asc) in &sort_keys {
+            let ord = key.cmp_rows(a, b);
             let ord = if *asc { ord } else { ord.reverse() };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
@@ -1586,6 +1642,22 @@ fn execute_sort(
         }
         std::cmp::Ordering::Equal
     };
+
+    // Top-K: select the first `k` rows of the order without sorting the
+    // rest. Breaking key ties by row position makes the order total and
+    // equal to the stable sort's (earliest row first), so the selection
+    // is exactly the stable sort's prefix — serially, whatever the
+    // degree: one pass over typed keys is cheaper than merging runs.
+    if let Some(k) = fetch.filter(|k| *k < n) {
+        let mut indices: Vec<usize> = (0..n).collect();
+        let total = |a: &usize, b: &usize| cmp_rows(*a, *b).then(a.cmp(b));
+        if k > 0 {
+            indices.select_nth_unstable_by(k - 1, total);
+        }
+        indices.truncate(k);
+        indices.sort_unstable_by(total);
+        return batch.take(&indices);
+    }
 
     if !fan_out {
         let mut indices: Vec<usize> = (0..n).collect();
@@ -1636,4 +1708,36 @@ fn execute_sort(
         }
     }
     batch.take(&indices)
+}
+
+/// A sort key column read in place: the two hot types compare on their
+/// raw buffers, everything else through [`Value::total_cmp`] — whose order
+/// (numbers, then NaN of either sign, then NULL) the typed arms reproduce.
+enum SortKey<'a> {
+    Float(&'a [f64]),
+    Int(&'a [i64]),
+    Other(&'a ColumnVector),
+}
+
+impl<'a> SortKey<'a> {
+    fn of(col: &'a ColumnVector) -> SortKey<'a> {
+        if let Some(v) = col.as_f64_slice() {
+            SortKey::Float(v)
+        } else if let Some(v) = col.as_i64_slice() {
+            SortKey::Int(v)
+        } else {
+            SortKey::Other(col)
+        }
+    }
+
+    fn cmp_rows(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        match self {
+            SortKey::Float(v) => {
+                let norm = |x: f64| if x.is_nan() { f64::NAN } else { x };
+                norm(v[a]).total_cmp(&norm(v[b]))
+            }
+            SortKey::Int(v) => v[a].cmp(&v[b]),
+            SortKey::Other(col) => col.get(a).total_cmp(&col.get(b)),
+        }
+    }
 }

@@ -57,13 +57,6 @@ impl ParallelPolicy {
     pub fn fan_out(&self, rows: usize) -> bool {
         self.degree > 1 && rows >= self.row_threshold && rows > self.morsel_rows
     }
-
-    /// A copy with the degree raised to at least `degree` (used to honor
-    /// explicit `PREDICT ... PARALLEL n` strategies inside projections).
-    pub fn with_min_degree(mut self, degree: usize) -> Self {
-        self.degree = self.degree.max(degree);
-        self
-    }
 }
 
 /// Split `[0, n)` into contiguous ranges of `morsel_rows` rows. Zero rows

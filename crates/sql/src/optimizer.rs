@@ -65,6 +65,9 @@ pub fn optimize(plan: LogicalPlan, config: &OptimizerConfig) -> Result<LogicalPl
         plan = extract_join_keys(plan)?;
     }
     if config.projection_pruning {
+        // Before pruning, so the pre-projection it adds only carries the
+        // columns somebody above it reads.
+        plan = share_predicts(plan)?;
         let required: Vec<String> =
             plan.schema().names().iter().map(|s| s.to_string()).collect();
         plan = prune_columns(plan, &required)?;
@@ -245,21 +248,24 @@ fn map_plan_exprs(
     })
 }
 
-// ------------------------------------------------------------- pushdown
-
-/// Push filters toward the scans.
-pub fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
+/// Rebuild `plan` with `f` applied to each of its inputs (leaves come back
+/// unchanged): the recursion step of every rule that only rewrites some
+/// node kinds.
+fn map_inputs(
+    plan: LogicalPlan,
+    f: &mut impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
+) -> Result<LogicalPlan> {
     Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let input = push_down_filters(*input)?;
-            push_filter_into(input, predicate)?
-        }
+        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+            input: Box::new(f(*input)?),
+            predicate,
+        },
         LogicalPlan::Project {
             input,
             exprs,
             schema,
         } => LogicalPlan::Project {
-            input: Box::new(push_down_filters(*input)?),
+            input: Box::new(f(*input)?),
             exprs,
             schema,
         },
@@ -269,7 +275,7 @@ pub fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
             aggs,
             schema,
         } => LogicalPlan::Aggregate {
-            input: Box::new(push_down_filters(*input)?),
+            input: Box::new(f(*input)?),
             group,
             aggs,
             schema,
@@ -282,15 +288,15 @@ pub fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
             filter,
             schema,
         } => LogicalPlan::Join {
-            left: Box::new(push_down_filters(*left)?),
-            right: Box::new(push_down_filters(*right)?),
+            left: Box::new(f(*left)?),
+            right: Box::new(f(*right)?),
             join_type,
             on,
             filter,
             schema,
         },
         LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_down_filters(*input)?),
+            input: Box::new(f(*input)?),
             keys,
         },
         LogicalPlan::Limit {
@@ -298,22 +304,32 @@ pub fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
             limit,
             offset,
         } => LogicalPlan::Limit {
-            input: Box::new(push_down_filters(*input)?),
+            input: Box::new(f(*input)?),
             limit,
             offset,
         },
         LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(push_down_filters(*input)?),
+            input: Box::new(f(*input)?),
         },
         LogicalPlan::Union { inputs, schema } => LogicalPlan::Union {
-            inputs: inputs
-                .into_iter()
-                .map(push_down_filters)
-                .collect::<Result<_>>()?,
+            inputs: inputs.into_iter().map(&mut *f).collect::<Result<_>>()?,
             schema,
         },
-        leaf => leaf,
+        leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }) => leaf,
     })
+}
+
+// ------------------------------------------------------------- pushdown
+
+/// Push filters toward the scans.
+pub fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
+    match plan {
+        LogicalPlan::Filter { input, predicate } => {
+            let input = push_down_filters(*input)?;
+            push_filter_into(input, predicate)
+        }
+        other => map_inputs(other, &mut push_down_filters),
+    }
 }
 
 /// Push one filter predicate into `input` as deep as possible.
@@ -515,6 +531,122 @@ fn contains_predict(e: &Expr) -> bool {
     found
 }
 
+// ------------------------------------------------------------- score once
+
+/// Name of the pre-projection column holding a PREDICT that `refs`
+/// expressions of one SELECT block read. The count rides in the name
+/// because the name is all a logical plan hands the physical planner,
+/// whose `EXPLAIN ANALYZE` label reports it (see [`shared_predict_refs`]).
+fn shared_predict_name(slot: usize, refs: usize) -> String {
+    format!("#p{slot}x{refs}")
+}
+
+/// How many expressions read the shared PREDICT a column of this name
+/// holds; `None` for every other column.
+pub fn shared_predict_refs(column: &str) -> Option<usize> {
+    column.strip_prefix("#p")?.split_once('x')?.1.parse().ok()
+}
+
+/// Score once: a `PREDICT(model, args…)` that a SELECT list carries and
+/// that the same block reads again — in its WHERE clause (`… AS s … WHERE
+/// PREDICT(…) > 0.5`, or an `ORDER BY` key the planner turned into a
+/// hidden select item) or elsewhere in the list — is computed by a
+/// pre-projection below the filter and read as a column above it, so
+/// every row is scored once instead of once per mention. Conjuncts that
+/// do not read the score stay below the pre-projection and spare the
+/// rows they reject from being scored at all. Only a whole select item
+/// can be shared: the projection's schema is what gives the new column
+/// its type (the optimizer cannot ask the provider).
+pub fn share_predicts(plan: LogicalPlan) -> Result<LogicalPlan> {
+    let LogicalPlan::Project {
+        input,
+        exprs,
+        schema,
+    } = plan
+    else {
+        return map_inputs(plan, &mut share_predicts);
+    };
+    let (predicate, base) = match share_predicts(*input)? {
+        LogicalPlan::Filter { input, predicate } => (Some(predicate), *input),
+        other => (None, other),
+    };
+    // Candidates: PREDICTs that are select items; shared: read twice or more.
+    let mut shared: Vec<(Expr, crate::types::DataType, usize)> = Vec::new();
+    for (e, col) in exprs.iter().zip(schema.columns()) {
+        if matches!(e, Expr::Predict { .. }) && !shared.iter().any(|(s, ..)| s == e) {
+            shared.push((e.clone(), col.data_type, 0));
+        }
+    }
+    for e in exprs.iter().chain(&predicate) {
+        e.walk(&mut |x| {
+            if let Some(hit) = shared.iter_mut().find(|(s, ..)| s == x) {
+                hit.2 += 1;
+            }
+        });
+    }
+    shared.retain(|(_, _, refs)| *refs >= 2);
+    // Pass-through is by name, so the base's names must be unambiguous.
+    let names = base.schema().names();
+    let distinct: HashSet<String> = names.iter().map(|n| n.to_ascii_lowercase()).collect();
+    if shared.is_empty() || distinct.len() != names.len() {
+        return Ok(LogicalPlan::Project {
+            input: Box::new(wrap_filter(base, predicate)),
+            exprs,
+            schema,
+        });
+    }
+
+    let column = |slot: usize| Expr::Column {
+        qualifier: None,
+        name: shared_predict_name(slot, shared[slot].2),
+    };
+    let read_shared = |e: Expr| {
+        rewrite_expr(e, &mut |x| {
+            Ok(match shared.iter().position(|(s, ..)| *s == x) {
+                Some(slot) => column(slot),
+                None => x,
+            })
+        })
+    };
+    let mut below = Vec::new();
+    let mut above = Vec::new();
+    for part in predicate.iter().flat_map(Expr::split_conjunction) {
+        let rewritten = read_shared(part.clone())?;
+        if rewritten == *part {
+            below.push(rewritten);
+        } else {
+            above.push(rewritten);
+        }
+    }
+
+    let base = wrap_filter(base, Expr::conjunction(below));
+    let mut pre_cols = base.schema().columns().to_vec();
+    let mut pre_exprs: Vec<Expr> = pre_cols
+        .iter()
+        .map(|c| Expr::Column {
+            qualifier: None,
+            name: c.name.clone(),
+        })
+        .collect();
+    for (slot, (predict, data_type, refs)) in shared.iter().enumerate() {
+        pre_cols.push(crate::schema::ColumnDef::new(
+            shared_predict_name(slot, *refs),
+            *data_type,
+        ));
+        pre_exprs.push(predict.clone());
+    }
+    let pre = LogicalPlan::Project {
+        input: Box::new(base),
+        exprs: pre_exprs,
+        schema: Arc::new(Schema::new(pre_cols)),
+    };
+    Ok(LogicalPlan::Project {
+        input: Box::new(wrap_filter(pre, Expr::conjunction(above))),
+        exprs: exprs.into_iter().map(read_shared).collect::<Result<_>>()?,
+        schema,
+    })
+}
+
 // -------------------------------------------------------- join extraction
 
 /// Move equi conjuncts from a join's residual filter into its key list.
@@ -573,54 +705,7 @@ pub fn extract_join_keys(plan: LogicalPlan) -> Result<LogicalPlan> {
                 schema,
             }
         }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(extract_join_keys(*input)?),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(extract_join_keys(*input)?),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(extract_join_keys(*input)?),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(extract_join_keys(*input)?),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(extract_join_keys(*input)?),
-            limit,
-            offset,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(extract_join_keys(*input)?),
-        },
-        LogicalPlan::Union { inputs, schema } => LogicalPlan::Union {
-            inputs: inputs
-                .into_iter()
-                .map(extract_join_keys)
-                .collect::<Result<_>>()?,
-            schema,
-        },
-        leaf => leaf,
+        other => map_inputs(other, &mut extract_join_keys)?,
     })
 }
 
@@ -867,56 +952,7 @@ pub fn remove_trivial_projects(plan: LogicalPlan) -> LogicalPlan {
                 }
             }
         }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(remove_trivial_projects(*input)),
-            predicate,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(remove_trivial_projects(*input)),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            on,
-            filter,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(remove_trivial_projects(*left)),
-            right: Box::new(remove_trivial_projects(*right)),
-            join_type,
-            on,
-            filter,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(remove_trivial_projects(*input)),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(remove_trivial_projects(*input)),
-            limit,
-            offset,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(remove_trivial_projects(*input)),
-        },
-        LogicalPlan::Union { inputs, schema } => LogicalPlan::Union {
-            inputs: inputs.into_iter().map(remove_trivial_projects).collect(),
-            schema,
-        },
-        leaf => leaf,
+        other => map_inputs(other, &mut |p| Ok(remove_trivial_projects(p)))
+            .expect("the mapped function is infallible"),
     }
 }

@@ -337,19 +337,19 @@ fn get_zone(d: &mut Dec) -> DecodeResult<ZoneMap> {
 /// pure function of the column's logical contents.
 fn encode_block(col: &ColumnVector) -> Vec<u8> {
     let n = col.len();
-    let validity = col.validity_slice();
-    let has_nulls = validity.iter().any(|v| !*v);
+    let validity = col.validity();
+    let valid = |i: usize| validity.is_none_or(|v| v[i]);
     let mut e = Enc::new();
-    e.buf.extend_from_slice(&pack_bits(validity.iter().copied(), n));
+    e.buf.extend_from_slice(&pack_bits((0..n).map(valid), n));
     match col.raw() {
         RawColumn::Bool(v) => {
             e.u8(ENC_BOOL_BITMAP);
-            let bits = (0..n).map(|i| v[i] && validity[i]);
+            let bits = (0..n).map(|i| v[i] && valid(i));
             e.buf.extend_from_slice(&pack_bits(bits, n));
         }
         RawColumn::Int(v) => {
-            if has_nulls {
-                let norm: Vec<i64> = (0..n).map(|i| if validity[i] { v[i] } else { 0 }).collect();
+            if validity.is_some() {
+                let norm: Vec<i64> = (0..n).map(|i| if valid(i) { v[i] } else { 0 }).collect();
                 encode_int(&mut e, &norm);
             } else {
                 encode_int(&mut e, v);
@@ -357,14 +357,14 @@ fn encode_block(col: &ColumnVector) -> Vec<u8> {
         }
         RawColumn::Float(v) => {
             e.u8(ENC_FLOAT_RAW);
-            for i in 0..n {
-                e.f64(if validity[i] { v[i] } else { 0.0 });
+            for (i, x) in v.iter().enumerate() {
+                e.f64(if valid(i) { *x } else { 0.0 });
             }
         }
         RawColumn::Text(v) => {
-            if has_nulls {
+            if validity.is_some() {
                 let norm: Vec<String> = (0..n)
-                    .map(|i| if validity[i] { v[i].clone() } else { String::new() })
+                    .map(|i| if valid(i) { v[i].clone() } else { String::new() })
                     .collect();
                 encode_text(&mut e, &norm);
             } else {
@@ -373,8 +373,8 @@ fn encode_block(col: &ColumnVector) -> Vec<u8> {
         }
         RawColumn::Date(v) => {
             e.u8(ENC_DATE_RAW);
-            for i in 0..n {
-                e.i32(if validity[i] { v[i] } else { 0 });
+            for (i, x) in v.iter().enumerate() {
+                e.i32(if valid(i) { *x } else { 0 });
             }
         }
     }

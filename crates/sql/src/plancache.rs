@@ -37,8 +37,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Upper bound on cached plans; a full cache evicts an arbitrary entry
-/// (serving workloads have a small, hot statement set).
+/// Upper bound on cached plans; a full cache evicts the least recently
+/// used entry (serving workloads have a small, hot statement set that
+/// one-off ad-hoc texts must not push out).
 const CACHE_CAPACITY: usize = 128;
 
 /// How one `?` slot of a normalized statement is filled at execute time.
@@ -227,7 +228,7 @@ pub enum CacheHit {
 /// owns the epoch counters); this type owns storage and the counters the
 /// `flock_metrics` table exports.
 pub struct PlanCache {
-    entries: Mutex<HashMap<CacheKey, Arc<CachedPlan>>>,
+    entries: Mutex<Entries>,
     pub hits: Arc<AtomicU64>,
     pub misses: Arc<AtomicU64>,
     pub invalidations: Arc<AtomicU64>,
@@ -236,10 +237,26 @@ pub struct PlanCache {
     pub prepared_active: Arc<AtomicU64>,
 }
 
+/// Cached plans, each stamped with the tick of its last use: a counter
+/// that only the cache's lock holder advances, so the eviction victim —
+/// the smallest stamp — is the same on every run of the same requests.
+#[derive(Default)]
+struct Entries {
+    plans: HashMap<CacheKey, (Arc<CachedPlan>, u64)>,
+    tick: u64,
+}
+
+impl Entries {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+}
+
 impl Default for PlanCache {
     fn default() -> Self {
         PlanCache {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries::default()),
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
             invalidations: Arc::new(AtomicU64::new(0)),
@@ -259,7 +276,8 @@ impl PlanCache {
         current_version: impl Fn(&str) -> Option<u64>,
     ) -> std::result::Result<CacheHit, CacheMiss> {
         let mut entries = self.entries.lock();
-        let Some(entry) = entries.get(key) else {
+        let now = entries.next_tick();
+        let Some((entry, used)) = entries.plans.get_mut(key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Err(CacheMiss::Cold);
         };
@@ -268,7 +286,7 @@ impl PlanCache {
             || entry.options_epoch != options
             || entry.model_epoch != model
         {
-            entries.remove(key);
+            entries.plans.remove(key);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Err(CacheMiss::Invalidated);
@@ -281,7 +299,7 @@ impl PlanCache {
                 None => {
                     // Table vanished without a DDL epoch tick (should not
                     // happen, but never serve a plan over a dropped table).
-                    let _ = entries.remove(key);
+                    entries.plans.remove(key);
                     self.invalidations.fetch_add(1, Ordering::Relaxed);
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     return Err(CacheMiss::Invalidated);
@@ -289,7 +307,8 @@ impl PlanCache {
             }
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
-        let entry = entries.get(key).cloned().expect("entry present");
+        *used = now;
+        let entry = entry.clone();
         Ok(if stale {
             CacheHit::Rebind(entry)
         } else {
@@ -297,35 +316,42 @@ impl PlanCache {
         })
     }
 
-    /// Insert (or replace) an entry, evicting an arbitrary one at capacity.
+    /// Insert (or replace) an entry, evicting the least recently used one
+    /// at capacity.
     pub fn insert(&self, key: CacheKey, plan: CachedPlan) -> Arc<CachedPlan> {
         let entry = Arc::new(plan);
         let mut entries = self.entries.lock();
-        if entries.len() >= CACHE_CAPACITY && !entries.contains_key(&key) {
-            if let Some(victim) = entries.keys().next().cloned() {
-                entries.remove(&victim);
+        if entries.plans.len() >= CACHE_CAPACITY && !entries.plans.contains_key(&key) {
+            let victim = entries
+                .plans
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| k.clone());
+            if let Some(victim) = victim {
+                entries.plans.remove(&victim);
             }
         }
-        entries.insert(key, entry.clone());
+        let now = entries.next_tick();
+        entries.plans.insert(key, (entry.clone(), now));
         entry
     }
 
     /// Drop every entry (tests and explicit resets).
     pub fn clear(&self) {
         let mut entries = self.entries.lock();
-        let n = entries.len() as u64;
-        entries.clear();
+        let n = entries.plans.len() as u64;
+        entries.plans.clear();
         self.invalidations.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().plans.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.entries.lock().plans.is_empty()
     }
 
     /// Counters exported through `flock_metrics`, mirroring the
@@ -418,15 +444,16 @@ mod tests {
         assert_eq!(n.slots.len(), 2);
     }
 
-    #[test]
-    fn cache_invalidates_on_epoch_change() {
-        let cache = PlanCache::default();
-        let key = CacheKey {
-            tokens: tokenize("SELECT 1").unwrap(),
+    fn key(sql: &str) -> CacheKey {
+        CacheKey {
+            tokens: tokenize(sql).unwrap(),
             param_types: vec![],
             predict: None,
-        };
-        let plan = CachedPlan {
+        }
+    }
+
+    fn plan() -> CachedPlan {
+        CachedPlan {
             logical: Arc::new(LogicalPlan::Values {
                 schema: Arc::new(crate::schema::Schema::default()),
                 rows: vec![],
@@ -441,8 +468,38 @@ mod tests {
             ddl_epoch: 1,
             options_epoch: 1,
             model_epoch: 1,
+        }
+    }
+
+    #[test]
+    fn eviction_is_least_recently_used() {
+        let cache = PlanCache::default();
+        let hot = key("SELECT 0");
+        cache.insert(hot.clone(), plan());
+        // A hot entry that keeps being used survives any number of cold
+        // one-off inserts; the cold ones push each other out, oldest first.
+        for i in 1..=2 * CACHE_CAPACITY {
+            cache.insert(key(&format!("SELECT {i}")), plan());
+            assert!(
+                cache.lookup(&hot, (1, 1, 1), |_| Some(1)).is_ok(),
+                "hot entry evicted after {i} cold inserts"
+            );
+        }
+        assert_eq!(cache.len(), CACHE_CAPACITY);
+        let live = |i: usize| {
+            cache
+                .lookup(&key(&format!("SELECT {i}")), (1, 1, 1), |_| Some(1))
+                .is_ok()
         };
-        cache.insert(key.clone(), plan);
+        assert!(!live(CACHE_CAPACITY + 1), "the oldest cold entries went first");
+        assert!(live(CACHE_CAPACITY + 2) && live(2 * CACHE_CAPACITY));
+    }
+
+    #[test]
+    fn cache_invalidates_on_epoch_change() {
+        let cache = PlanCache::default();
+        let key = key("SELECT 1");
+        cache.insert(key.clone(), plan());
         // matching epochs + versions: hit
         assert!(matches!(
             cache.lookup(&key, (1, 1, 1), |_| Some(1)),

@@ -290,7 +290,7 @@ pub struct CompiledCq {
     /// HAVING predicate over the aggregate output.
     pub having: Option<PhysExpr>,
     /// Projection expressions over the aggregate output. PREDICT calls
-    /// here route each closed window through the batched serving kernel.
+    /// here score each closed window in one provider call.
     pub proj_exprs: Vec<PhysExpr>,
     /// Schema of the projection (the sink columns after window_start).
     pub proj_schema: Arc<Schema>,
@@ -303,9 +303,8 @@ pub struct CompiledCq {
 }
 
 /// Compile a continuous query's stored SQL against a catalog snapshot.
-/// PREDICT calls still carrying `Auto` are pinned to the `Batched`
-/// strategy — each closed window is re-scored through the batched serving
-/// kernel, the prepared/batched path the serving tier uses.
+/// PREDICT calls keep their `Auto` strategy: each closed window is scored
+/// in one call to the provider's compiled kernel.
 pub fn compile_cq(spec: &CqSpec, catalog: &Catalog, provider: &dyn InferenceProvider) -> Result<CompiledCq> {
     let query = crate::parser::parse_statement(&spec.query_sql).and_then(|s| match s {
         crate::ast::Statement::Query(q) => Ok(q),
@@ -377,34 +376,15 @@ pub fn compile_cq(spec: &CqSpec, catalog: &Catalog, provider: &dyn InferenceProv
             ))
         })?;
 
-    // Pin PREDICT Auto -> Batched and remember the referenced models.
+    // Remember the models the projection scores through.
     let mut predict_models = Vec::new();
-    let pin = |e: &Expr, models: &mut Vec<String>| -> Result<Expr> {
-        let mut out = Vec::new();
-        let rewritten = crate::plan::rewrite_expr(e.clone(), &mut |x| {
-            Ok(match x {
-                Expr::Predict {
-                    model,
-                    args,
-                    strategy: crate::ast::PredictStrategy::Auto,
-                } => {
-                    out.push(model.clone());
-                    Expr::Predict {
-                        model,
-                        args,
-                        strategy: crate::ast::PredictStrategy::Batched,
-                    }
-                }
-                Expr::Predict { model, args, strategy } => {
-                    out.push(model.clone());
-                    Expr::Predict { model, args, strategy }
-                }
-                other => other,
-            })
-        })?;
-        models.extend(out);
-        Ok(rewritten)
-    };
+    for e in &proj_exprs_ast {
+        e.walk(&mut |x| {
+            if let Expr::Predict { model, .. } = x {
+                predict_models.push(model.clone());
+            }
+        });
+    }
 
     let where_pred = where_ast
         .map(|e| PhysExpr::compile(&e, &stream_schema, provider))
@@ -427,10 +407,7 @@ pub fn compile_cq(spec: &CqSpec, catalog: &Catalog, provider: &dyn InferenceProv
         .transpose()?;
     let proj_exprs = proj_exprs_ast
         .iter()
-        .map(|e| {
-            let pinned = pin(e, &mut predict_models)?;
-            PhysExpr::compile(&pinned, &agg_schema, provider)
-        })
+        .map(|e| PhysExpr::compile(e, &agg_schema, provider))
         .collect::<Result<Vec<_>>>()?;
 
     let mut sink_cols = vec![ColumnDef::new("window_start", DataType::Int)];

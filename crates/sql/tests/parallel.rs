@@ -280,3 +280,113 @@ fn degenerate_options_are_clamped_not_panicking() {
     let opts = db.exec_options();
     assert!(opts.threads >= 1 && opts.parallel_row_threshold >= 1 && opts.morsel_rows >= 1);
 }
+
+fn explain_analyze(db: &Database, q: &str) -> String {
+    let b = db.query(&format!("EXPLAIN ANALYZE {q}")).unwrap();
+    (0..b.num_rows())
+        .map(|r| b.column(0).get(r).to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn top_k_is_the_prefix_of_the_stable_sort() {
+    // `region` has four values over 2000 rows and a tenth of `qty` is NULL,
+    // so every LIMIT boundary falls inside a long run of ties: the bounded
+    // selection must break them exactly as the stable sort does (earliest
+    // row first), at every degree.
+    let db = fixture();
+    for (order, limit, offset) in [
+        ("region", 37, 0),
+        ("region DESC", 500, 123),
+        ("qty, region DESC", 64, 64),
+        ("qty DESC", 1, 0),
+        ("amount DESC, o_id", 10, 1995), // runs past the end
+        ("region", 0, 3),
+    ] {
+        let full = format!("SELECT o_id, region, qty, amount FROM orders ORDER BY {order}");
+        let top = format!("{full} LIMIT {limit} OFFSET {offset}");
+        db.set_exec_options(ExecOptions::serial());
+        let sorted = db.query(&full).unwrap();
+        let start = offset.min(sorted.num_rows());
+        let want = sorted.slice(start, limit);
+        assert!(
+            explain_analyze(&db, &top).contains(&format!("Sort [TopK(k={})", limit + offset)),
+            "{top}"
+        );
+        assert_batches_match(&want, &db.query(&top).unwrap(), &format!("serial {top}"));
+        for threads in [2usize, 8] {
+            db.set_exec_options(parallel_options(threads));
+            let got = db.query(&top).unwrap();
+            assert_batches_match(&want, &got, &format!("threads={threads} {top}"));
+        }
+    }
+}
+
+/// [`TestScorer`] that counts the rows it is asked to score.
+#[derive(Default)]
+struct CountingScorer(std::sync::atomic::AtomicUsize);
+
+impl InferenceProvider for CountingScorer {
+    fn output_type(&self, model: &str) -> Result<DataType> {
+        TestScorer.output_type(model)
+    }
+    fn input_arity(&self, model: &str) -> Result<usize> {
+        TestScorer.input_arity(model)
+    }
+    fn predict(
+        &self,
+        model: &str,
+        inputs: &[ColumnVector],
+        strategy: PredictStrategy,
+        user: &str,
+    ) -> Result<ColumnVector> {
+        self.0
+            .fetch_add(inputs[0].len(), std::sync::atomic::Ordering::Relaxed);
+        TestScorer.predict(model, inputs, strategy, user)
+    }
+}
+
+#[test]
+fn a_predict_shared_by_where_and_select_is_scored_once() {
+    use flock_sql::optimizer::OptimizerConfig;
+    let db = fixture();
+    let scorer = Arc::new(CountingScorer::default());
+    db.set_inference_provider(scorer.clone());
+    let scored = |q: &str| {
+        let before = scorer.0.load(std::sync::atomic::Ordering::Relaxed);
+        let batch = db.query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        (batch, scorer.0.load(std::sync::atomic::Ordering::Relaxed) - before)
+    };
+    let not_null = match db
+        .query("SELECT COUNT(*) FROM orders WHERE qty IS NOT NULL")
+        .unwrap()
+        .column(0)
+        .get(0)
+    {
+        Value::Int(n) => n as usize,
+        other => panic!("{other:?}"),
+    };
+    let p = "PREDICT(score, amount, qty)";
+    // The cheap conjunct runs below the shared score, the threshold above.
+    let q = format!(
+        "SELECT o_id, {p} AS s, {p} + 1 AS t FROM orders \
+         WHERE {p} >= 0.5 AND qty IS NOT NULL ORDER BY s DESC, o_id LIMIT 25"
+    );
+    for options in [ExecOptions::serial(), parallel_options(4)] {
+        db.set_exec_options(options);
+        db.set_optimizer_config(OptimizerConfig::disabled());
+        let (plain, plain_rows) = scored(&q);
+        assert!(plain_rows > N_ORDERS, "unshared: scored once per mention");
+        db.set_optimizer_config(OptimizerConfig::default());
+        let (shared, shared_rows) = scored(&q);
+        assert_eq!(shared_rows, not_null, "one score per row that passes the cheap conjunct");
+        assert_batches_match(&plain, &shared, &q);
+        let plan = explain_analyze(&db, &q);
+        assert!(plan.contains("scored once, 3 refs"), "{plan}");
+    }
+    // A score that is no select item has no typed home and is left alone.
+    db.set_exec_options(ExecOptions::serial());
+    let (_, rows) = scored(&format!("SELECT o_id FROM orders WHERE {p} >= 0.5 AND {p} < 0.9"));
+    assert_eq!(rows, 2 * N_ORDERS);
+}

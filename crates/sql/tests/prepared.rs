@@ -182,7 +182,7 @@ fn set_predict_strategy_keys_the_cache_per_session() {
     let p = s.prepare("SELECT id FROM items WHERE price > ?").unwrap();
     s.execute_prepared(&p, &[Value::Float(0.0)]).unwrap();
     let (h0, m0, _) = cache_stats(&db);
-    s.execute("SET predict_strategy = 'batched'").unwrap();
+    s.execute("SET predict_strategy = 'row'").unwrap();
     // New key: the override is part of the cache identity.
     s.execute_prepared(&p, &[Value::Float(0.0)]).unwrap();
     let (h1, m1, _) = cache_stats(&db);
@@ -201,6 +201,7 @@ fn set_predict_strategy_rejects_garbage() {
     let mut s = db.session("admin");
     for sql in [
         "SET predict_strategy = 'warp-speed'",
+        "SET predict_strategy = 'batched'", // folded into 'vectorized'
         "SET predict_strategy = 42",
     ] {
         let err = s.execute(sql).unwrap_err();
@@ -209,7 +210,6 @@ fn set_predict_strategy_rejects_garbage() {
     for sql in [
         "SET predict_strategy = 'row'",
         "SET predict_strategy = 'vectorized'",
-        "SET predict_strategy = 'batched'",
         "SET predict_strategy = 'parallel'",
         "SET predict_strategy = 'auto'",
     ] {

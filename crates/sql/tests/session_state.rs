@@ -220,7 +220,7 @@ fn malformed_set_values_fail_typed_and_preserve_prior_value() {
         // predict_strategy: known string literals or DEFAULT.
         Case { sql: "SET predict_strategy = DEFAULT", ok: true },
         Case { sql: "SET predict_strategy = 'row'", ok: true },
-        Case { sql: "SET predict_strategy = 'batched'", ok: true },
+        Case { sql: "SET predict_strategy = 'batched'", ok: false }, // no such strategy
         Case { sql: "SET predict_strategy = 'PARALLEL'", ok: true }, // case-folded
         Case { sql: "SET predict_strategy = 'warp'", ok: false },
         Case { sql: "SET predict_strategy = 5", ok: false },

@@ -2,7 +2,7 @@
 //! append-only enforcement, tumbling/sliding windowed aggregates that
 //! must be bit-equal to the equivalent batch GROUP BY over the same
 //! captured events (including across crash/recovery), late-event
-//! accounting, continuous PREDICT through the batched serving path, and
+//! accounting, continuous PREDICT over each closed window, and
 //! the policy monitor whose threshold breach places a model on hold.
 
 use flock_sql::ast::PredictStrategy;
