@@ -243,3 +243,68 @@ fn training_reads_are_access_checked() {
         "training must not bypass table ACLs: {err}"
     );
 }
+
+#[test]
+fn model_created_inside_a_script_records_its_own_statement_and_retrains() {
+    let db = FlockDb::new();
+    let rows: Vec<String> = (0..12)
+        .map(|i| format!("({}.0, {})", i, i64::from(i > 5)))
+        .collect();
+    let script = format!(
+        "CREATE TABLE obs (x DOUBLE, y INT);\n\
+         INSERT INTO obs VALUES {};\n\
+         CREATE MODEL m KIND logistic WITH (seed = 2) TARGET y AS SELECT x, y FROM obs;",
+        rows.join(", ")
+    );
+    let mut s = db.database().session("admin");
+    assert_eq!(s.execute_script(&script).unwrap().len(), 3);
+    db.sync_registry();
+
+    // lineage holds the CREATE MODEL statement alone, not the whole script
+    let md = db.model_metadata("m").unwrap();
+    let recorded = md.lineage.training_query.as_deref().unwrap();
+    assert!(recorded.starts_with("CREATE MODEL m"), "{recorded}");
+    assert!(!recorded.contains("CREATE TABLE"), "{recorded}");
+
+    // ... so RETRAIN can re-parse and re-run it
+    db.execute("INSERT INTO obs VALUES (12.0, 1), (13.0, 1)").unwrap();
+    db.execute("RETRAIN MODEL m").unwrap();
+    assert_eq!(db.registry().get("m").unwrap().version, 2);
+    let md2 = db.model_metadata("m").unwrap();
+    assert_eq!(md2.lineage.training_table_version, Some(3));
+}
+
+#[test]
+fn training_scans_are_metered_like_queries() {
+    let db = FlockDb::new();
+    db.execute("CREATE TABLE obs (x DOUBLE, y INT)").unwrap();
+    let rows: Vec<String> = (0..12)
+        .map(|i| format!("({}.0, {})", i, i64::from(i > 5)))
+        .collect();
+    db.execute(&format!("INSERT INTO obs VALUES {}", rows.join(", ")))
+        .unwrap();
+    let scanned = || {
+        let rows = db.database().engine_metrics().rows();
+        rows.iter().find(|(n, _)| *n == "rows_scanned").unwrap().1
+    };
+
+    let mut s = db.session("admin");
+    s.query("SELECT x FROM obs WHERE x < 2.0").unwrap();
+    assert_eq!(s.last_query_metrics().unwrap().rows_out, 2);
+
+    // CREATE MODEL: the session's snapshot and the engine counters now
+    // describe the training scan, not the statement before it
+    let before = scanned();
+    s.execute("CREATE MODEL m KIND logistic WITH (seed = 2) TARGET y AS SELECT x, y FROM obs")
+        .unwrap();
+    let snap = s.last_query_metrics().unwrap();
+    assert_eq!((snap.rows_scanned(), snap.rows_out), (12, 12));
+    assert_eq!(scanned() - before, 12);
+
+    // RETRAIN: same, over the grown table
+    s.execute("INSERT INTO obs VALUES (12.0, 1), (13.0, 1)").unwrap();
+    let before = scanned();
+    s.execute("RETRAIN MODEL m").unwrap();
+    assert_eq!(s.last_query_metrics().unwrap().rows_out, 14);
+    assert_eq!(scanned() - before, 14);
+}

@@ -9,10 +9,11 @@
 //! [payload_len: u32 LE][fnv1a64(payload): u64 LE][payload bytes]
 //! ```
 //!
-//! This is the WAL's record idiom (`crates/sql/src/wal/codec.rs`) applied
-//! to a socket: the length prefix delimits messages on the byte stream and
-//! the checksum rejects corruption *before* the payload is parsed. The
-//! payload is a single JSON object with a `"type"` tag.
+//! This is the WAL's record frame — the one definition in
+//! [`flock_sql::wal`] — applied to a socket: the length prefix delimits
+//! messages on the byte stream and the checksum rejects corruption
+//! *before* the payload is parsed. The payload is a single JSON object
+//! with a `"type"` tag.
 //!
 //! # JSON, by hand
 //!
@@ -26,13 +27,13 @@
 //! degrade to `null`, as JSON has no spelling for them), and `Date` to
 //! `{"date": days}`.
 
-use flock_sql::wal::fnv64;
+use flock_sql::wal::{fnv64, frame_header};
 use flock_sql::{Value as SqlValue, WireError};
 use serde_json::Value as Json;
 use std::io::{self, Read, Write};
 
 /// Bytes before the payload: `u32` length + `u64` checksum.
-pub const FRAME_HEADER: usize = 12;
+pub use flock_sql::wal::FRAME_HEADER;
 
 /// Default cap on a single frame's payload. Oversized length prefixes are
 /// rejected *before* any allocation, so a hostile 4 GiB prefix costs the
@@ -98,9 +99,7 @@ impl FrameError {
 /// Serialize one frame around a payload.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    flock_sql::wal::frame(&mut out, payload);
     out
 }
 
@@ -161,17 +160,16 @@ impl FrameReader {
     }
 
     fn try_extract(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if self.buf.len() < FRAME_HEADER {
+        let Some(header) = self.buf.first_chunk() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().unwrap()) as usize;
+        };
+        let (len, want) = frame_header(header);
         if len > self.max_frame {
             return Err(FrameError::TooLarge { declared: len, max: self.max_frame });
         }
         if self.buf.len() < FRAME_HEADER + len {
             return Ok(None);
         }
-        let want = u64::from_le_bytes(self.buf[4..12].try_into().unwrap());
         let payload = self.buf[FRAME_HEADER..FRAME_HEADER + len].to_vec();
         if fnv64(&payload) != want {
             return Err(FrameError::BadChecksum);

@@ -283,12 +283,14 @@ impl AccessControl {
 
 /// The full catalog. Cloning a catalog is cheap-ish: table versions are
 /// `Arc`-shared, only the maps are copied — this is what transaction
-/// snapshots rely on.
+/// snapshots rely on. Extension objects carry their payloads (whole
+/// serialized models) inline, so that map is shared copy-on-write: every
+/// statement clones the catalog, few write an extension object.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
     views: BTreeMap<String, ViewDef>,
-    extensions: BTreeMap<(String, String), ExtensionObject>,
+    extensions: Arc<BTreeMap<(String, String), ExtensionObject>>,
     pub access: AccessControl,
     /// Handle to the database directory's part files, when the engine is
     /// durable. Rides along with catalog clones (it is just an `Arc`) so
@@ -309,7 +311,7 @@ impl Catalog {
         Catalog {
             tables: BTreeMap::new(),
             views: BTreeMap::new(),
-            extensions: BTreeMap::new(),
+            extensions: Arc::default(),
             access: AccessControl::new(),
             part_store: None,
         }
@@ -419,7 +421,7 @@ impl Catalog {
                 "{kind} '{name}' already exists"
             )));
         }
-        self.extensions.insert(
+        Arc::make_mut(&mut self.extensions).insert(
             key,
             ExtensionObject {
                 kind: kind.to_ascii_lowercase(),
@@ -458,7 +460,7 @@ impl Catalog {
 
     pub fn drop_extension(&mut self, kind: &str, name: &str) -> Result<()> {
         let key = (kind.to_ascii_lowercase(), name.to_ascii_lowercase());
-        self.extensions
+        Arc::make_mut(&mut self.extensions)
             .remove(&key)
             .map(|_| ())
             .ok_or_else(|| SqlError::Catalog(format!("{kind} '{name}' does not exist")))
@@ -473,7 +475,7 @@ impl Catalog {
 
     fn extension_mut(&mut self, kind: &str, name: &str) -> Result<&mut ExtensionObject> {
         let key = (kind.to_ascii_lowercase(), name.to_ascii_lowercase());
-        self.extensions
+        Arc::make_mut(&mut self.extensions)
             .get_mut(&key)
             .ok_or_else(|| SqlError::Catalog(format!("{kind} '{name}' does not exist")))
     }
@@ -504,7 +506,7 @@ impl Catalog {
                 obj.kind, obj.name
             )));
         }
-        self.extensions.insert(key, obj);
+        Arc::make_mut(&mut self.extensions).insert(key, obj);
         Ok(())
     }
 

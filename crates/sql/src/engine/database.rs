@@ -1,0 +1,411 @@
+//! The shared database handle: committed state, engine-wide knobs,
+//! open/recover, checkpoints and digests.
+
+use super::background::{CqRuntime, Ticker};
+use super::session::Session;
+use super::{AuditRecord, QueryLogEntry, QueryResult};
+use crate::batch::RecordBatch;
+use crate::catalog::Catalog;
+use crate::error::{Result, SqlError};
+use crate::exec::{AdmissionController, EngineMetrics, ExecOptions, OpSnapshot};
+use crate::optimizer::OptimizerConfig;
+use crate::plan::PlanRewriter;
+use crate::plancache::PlanCache;
+use crate::trainer::{NoTrainer, TrainerRef};
+use crate::udf::{NoInference, ProviderRef};
+use crate::wal::{DurabilityOptions, DurableFs, StdFs, WalManager};
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+pub(super) struct DbState {
+    pub catalog: Catalog,
+    pub next_txn: u64,
+    pub next_log_id: u64,
+    pub next_audit_seq: u64,
+    pub query_log: Vec<QueryLogEntry>,
+    pub audit_log: Vec<AuditRecord>,
+    /// Write-ahead log; `None` for a purely in-memory database.
+    pub wal: Option<WalManager>,
+}
+
+/// Canonical snapshot of the committed state (checkpoints and digests).
+pub(super) fn snapshot_of(state: &DbState) -> crate::wal::Snapshot {
+    crate::wal::build_snapshot(
+        &state.catalog,
+        state.next_txn,
+        state.next_log_id,
+        state.next_audit_seq,
+        &state.query_log,
+        &state.audit_log,
+    )
+}
+
+/// Reset the part store's inventory counters to the set of parts the live
+/// catalog references (deduplicated: appends share parts across versions).
+pub(super) fn sync_part_inventory(catalog: &Catalog) {
+    let Some(store) = catalog.part_store() else { return };
+    let mut live: std::collections::BTreeMap<u64, &crate::parts::PartMeta> =
+        std::collections::BTreeMap::new();
+    for name in catalog.table_names() {
+        if let Ok(t) = catalog.table(&name) {
+            for v in t.versions() {
+                for p in &v.parts {
+                    live.insert(p.id, p);
+                }
+            }
+        }
+    }
+    store.set_inventory(live.into_values());
+}
+
+/// Rewrite a snapshot into its fully resident logical form: each
+/// part-backed version gets its parts decoded and prepended to the tail,
+/// and its manifest cleared. Best-effort — an unreadable part leaves that
+/// version physical (a state recovery would reject anyway).
+fn logicalize_snapshot(
+    snap: &mut crate::wal::Snapshot,
+    store: Option<&Arc<crate::parts::PartStore>>,
+) {
+    let Some(store) = store else { return };
+    for t in &mut snap.tables {
+        for v in &mut t.versions {
+            if v.parts.is_empty() {
+                continue;
+            }
+            let mut batches = Vec::with_capacity(v.parts.len() + 1);
+            let all_readable = v.parts.iter().all(|p| match store.read_part(p.id) {
+                Ok(b) => {
+                    batches.push(b);
+                    true
+                }
+                Err(_) => false,
+            });
+            if !all_readable {
+                continue;
+            }
+            batches.push(v.data.clone());
+            if let Ok(full) = RecordBatch::concat(v.data.schema().clone(), &batches) {
+                v.data = full;
+                v.parts.clear();
+            }
+        }
+    }
+}
+
+/// Commit observer: receives the committed catalog snapshot and the
+/// conflict keys the transaction wrote (table names and `ext:kind:name`
+/// extension keys). Fired outside the state lock; must not re-enter the
+/// database.
+pub type CommitHook = Arc<dyn Fn(&Catalog, &[String]) + Send + Sync>;
+
+/// Everything the handles of one database share. The ticker thread holds
+/// a `Weak` to this, so a closed database is never kept alive by its own
+/// background work.
+pub(super) struct Shared {
+    pub state: RwLock<DbState>,
+    pub provider: RwLock<ProviderRef>,
+    pub trainer: RwLock<TrainerRef>,
+    /// Observers fired after a transaction commits, outside the state
+    /// lock, with the committed catalog snapshot and the written keys.
+    /// Used by `flock-core` to keep its model registry in sync with
+    /// engine-side model DDL (CREATE/RETRAIN/DROP MODEL).
+    pub commit_hooks: RwLock<Vec<CommitHook>>,
+    pub options: RwLock<ExecOptions>,
+    pub optimizer: RwLock<OptimizerConfig>,
+    pub rewriters: RwLock<Vec<Arc<dyn PlanRewriter>>>,
+    pub metrics: Arc<EngineMetrics>,
+    pub admission: Arc<AdmissionController>,
+    pub last_query: RwLock<Option<OpSnapshot>>,
+    pub plan_cache: Arc<PlanCache>,
+    /// Bumped when a transaction that ran DDL (or changed grants) commits;
+    /// cached plans carry the epoch they were planned under.
+    pub ddl_epoch: AtomicU64,
+    /// Bumped when exec options, optimizer config, plan rewriters, or the
+    /// inference provider change — any of these can change what a plan
+    /// compiles to.
+    pub options_epoch: AtomicU64,
+    /// Engine-wide cap on a table's resident bytes (0 = offloading
+    /// disabled). Commits that leave a written table over this budget
+    /// flush its resident rows into disk parts as part of the commit.
+    pub table_memory_budget: AtomicU64,
+    /// Continuous-query scheduler tick interval in milliseconds
+    /// (engine-wide; also reachable as `SET stream_tick_ms = <ms>`).
+    pub stream_tick_ms: AtomicU64,
+    /// Per-CQ incremental runtime state; the lock also serializes ticks,
+    /// so the background scheduler and [`Database::stream_tick_now`] never
+    /// interleave within one tick.
+    pub stream_runtime: Mutex<HashMap<String, CqRuntime>>,
+    /// The background thread, while either of its jobs is started. Stopped
+    /// and joined when the last handle to this database drops.
+    pub ticker: Mutex<Ticker>,
+}
+
+/// A shared, thread-safe database handle.
+#[derive(Clone)]
+pub struct Database {
+    pub(super) shared: Arc<Shared>,
+}
+
+impl Default for Database {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Database {
+    pub fn new() -> Self {
+        Self::from_state(DbState {
+            catalog: Catalog::new(),
+            next_txn: 1,
+            next_log_id: 1,
+            next_audit_seq: 1,
+            query_log: Vec::new(),
+            audit_log: Vec::new(),
+            wal: None,
+        })
+    }
+
+    fn from_state(state: DbState) -> Self {
+        let metrics = Arc::new(EngineMetrics::default());
+        let plan_cache = Arc::new(PlanCache::default());
+        for (name, counter) in plan_cache.counters() {
+            metrics.register(name, counter);
+        }
+        Database {
+            shared: Arc::new(Shared {
+                state: RwLock::new(state),
+                provider: RwLock::new(Arc::new(NoInference)),
+                trainer: RwLock::new(Arc::new(NoTrainer) as TrainerRef),
+                commit_hooks: RwLock::new(Vec::new()),
+                options: RwLock::new(ExecOptions::default()),
+                optimizer: RwLock::new(OptimizerConfig::default()),
+                rewriters: RwLock::new(Vec::new()),
+                metrics,
+                admission: Arc::new(AdmissionController::new()),
+                last_query: RwLock::new(None),
+                plan_cache,
+                ddl_epoch: AtomicU64::new(0),
+                options_epoch: AtomicU64::new(0),
+                table_memory_budget: AtomicU64::new(0),
+                stream_tick_ms: AtomicU64::new(25),
+                stream_runtime: Mutex::new(HashMap::new()),
+                ticker: Mutex::new(Ticker::default()),
+            }),
+        }
+    }
+
+    /// Open (or create) a durable database in a directory on the real
+    /// filesystem. Recovery runs first: the newest valid checkpoint is
+    /// loaded and the log replayed, so the returned handle sees exactly the
+    /// committed state of the previous process.
+    pub fn open(path: impl AsRef<std::path::Path>, opts: DurabilityOptions) -> Result<Database> {
+        let fs = StdFs::new(path).map_err(|e| SqlError::Io(format!("opening database: {e}")))?;
+        let db = Self::open_with_fs(Arc::new(fs), opts)?;
+        db.start_background_merge();
+        db.start_stream_scheduler();
+        Ok(db)
+    }
+
+    /// Open a durable database on any [`DurableFs`] — the fault-injection
+    /// harness runs the whole engine against in-memory and failpoint
+    /// filesystems through this entry point. The background merger is
+    /// *not* started here (so fault-injection runs stay deterministic);
+    /// call [`Database::start_background_merge`] if you want it.
+    pub fn open_with_fs(fs: Arc<dyn DurableFs>, opts: DurabilityOptions) -> Result<Database> {
+        let rec = crate::wal::recover(fs, opts)?;
+        let store = Arc::new(
+            crate::parts::PartStore::open(rec.manager.fs().clone())
+                .map_err(|e| SqlError::Io(format!("opening part store: {e}")))?,
+        );
+        let mut catalog = rec.catalog;
+        catalog.set_part_store(store.clone());
+        sync_part_inventory(&catalog);
+        let db = Self::from_state(DbState {
+            catalog,
+            next_txn: rec.next_txn,
+            next_log_id: rec.next_log_id,
+            next_audit_seq: rec.next_audit_seq,
+            query_log: rec.query_log,
+            audit_log: rec.audit_log,
+            wal: Some(rec.manager),
+        });
+        for (name, counter) in store.metric_counters() {
+            db.shared.metrics.register(name, counter);
+        }
+        Ok(db)
+    }
+
+    /// Durability options, or `None` for an in-memory database.
+    pub fn durability(&self) -> Option<DurabilityOptions> {
+        self.shared.state.read().wal.as_ref().map(|w| w.options())
+    }
+
+    /// Force a checkpoint now. Returns its sequence number, or `None` for
+    /// an in-memory database.
+    pub fn checkpoint_now(&self) -> Result<Option<u64>> {
+        let mut state = self.shared.state.write();
+        let snap = snapshot_of(&state);
+        let r = match &mut state.wal {
+            Some(wal) => wal
+                .checkpoint(&snap)
+                .map(Some)
+                .map_err(|e| SqlError::Io(format!("checkpoint failed: {e}"))),
+            None => Ok(None),
+        };
+        sync_part_inventory(&state.catalog);
+        r
+    }
+
+    /// Deterministic digest of the committed logical state (catalog, both
+    /// logs, and the log/audit id counters). `next_txn` is excluded: txn
+    /// ids consumed by rolled-back or read-only transactions are not — and
+    /// need not be — persisted by a redo-only log, so the counter may
+    /// legitimately differ across a recovery while the logical state is
+    /// bit-identical.
+    /// The digest is taken over the *logical* form of the snapshot: every
+    /// part-backed version is materialized into resident rows first, so the
+    /// digest is independent of physical layout — offloading history into
+    /// disk parts or merging parts never changes it, and a recovery that
+    /// replays the WAL into a fully resident state digests identically to
+    /// the part-backed state it recovered.
+    pub fn state_digest(&self) -> u64 {
+        let state = self.shared.state.read();
+        let mut snap = snapshot_of(&state);
+        snap.next_txn = 0;
+        logicalize_snapshot(&mut snap, state.catalog.part_store());
+        crate::wal::digest(&snap)
+    }
+
+    /// Set the engine-wide resident-bytes budget per table (0 disables
+    /// offloading). Also reachable as `SET table_memory_budget = <bytes>`.
+    pub fn set_table_memory_budget(&self, bytes: u64) {
+        self.shared.table_memory_budget.store(bytes, Ordering::Relaxed);
+    }
+
+    pub fn table_memory_budget(&self) -> u64 {
+        self.shared.table_memory_budget.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative engine-wide execution counters (the `flock_metrics`
+    /// virtual table reads these).
+    pub fn engine_metrics(&self) -> Arc<EngineMetrics> {
+        self.shared.metrics.clone()
+    }
+
+    /// Per-operator snapshot of the most recently executed query plan,
+    /// across *all* sessions — concurrent sessions overwrite each other
+    /// here. Use [`Session::last_query_metrics`] for the session-local
+    /// snapshot.
+    pub fn last_query_metrics(&self) -> Option<OpSnapshot> {
+        self.shared.last_query.read().clone()
+    }
+
+    /// The per-database admission controller (active-query gauge; the
+    /// limit comes from [`ExecOptions::max_concurrent_queries`]).
+    pub fn admission(&self) -> Arc<AdmissionController> {
+        self.shared.admission.clone()
+    }
+
+    /// Register a plan rewriter (e.g. the Flock cross-optimizer), applied
+    /// after planning and before the relational optimizer.
+    pub fn add_plan_rewriter(&self, rewriter: Arc<dyn PlanRewriter>) {
+        self.shared.rewriters.write().push(rewriter);
+        self.bump_options_epoch();
+    }
+
+    /// Remove all registered plan rewriters.
+    pub fn clear_plan_rewriters(&self) {
+        self.shared.rewriters.write().clear();
+        self.bump_options_epoch();
+    }
+
+    /// The prepared-statement / plain-SQL plan cache.
+    pub fn plan_cache(&self) -> Arc<PlanCache> {
+        self.shared.plan_cache.clone()
+    }
+
+    /// Open a session as `user` (the bootstrap superuser is "admin").
+    pub fn session(&self, user: &str) -> Session {
+        Session::new(self.clone(), user)
+    }
+
+    /// Install the inference provider (done by `flock-core`).
+    pub fn set_inference_provider(&self, provider: ProviderRef) {
+        *self.shared.provider.write() = provider;
+        self.bump_options_epoch();
+    }
+
+    pub fn inference_provider(&self) -> ProviderRef {
+        self.shared.provider.read().clone()
+    }
+
+    /// Install the model trainer backing `CREATE MODEL` / `RETRAIN MODEL`
+    /// (done by `flock-core`).
+    pub fn set_model_trainer(&self, trainer: TrainerRef) {
+        *self.shared.trainer.write() = trainer;
+        self.bump_options_epoch();
+    }
+
+    pub fn model_trainer(&self) -> TrainerRef {
+        self.shared.trainer.read().clone()
+    }
+
+    /// Register an observer fired after every successful commit, outside
+    /// the state lock, with the committed catalog snapshot and the keys
+    /// the transaction wrote. Hooks must not re-enter the database.
+    pub fn add_commit_hook(&self, hook: CommitHook) {
+        self.shared.commit_hooks.write().push(hook);
+    }
+
+    /// Replace execution options (threading, default PREDICT strategy).
+    /// Knobs are clamped into valid ranges — a zero-thread or zero-morsel
+    /// configuration degrades to serial execution instead of panicking.
+    pub fn set_exec_options(&self, options: ExecOptions) {
+        *self.shared.options.write() = options.validated();
+        self.bump_options_epoch();
+    }
+
+    pub fn exec_options(&self) -> ExecOptions {
+        self.shared.options.read().clone()
+    }
+
+    pub fn set_optimizer_config(&self, config: OptimizerConfig) {
+        *self.shared.optimizer.write() = config;
+        self.bump_options_epoch();
+    }
+
+    pub fn optimizer_config(&self) -> OptimizerConfig {
+        *self.shared.optimizer.read()
+    }
+
+    fn bump_options_epoch(&self) {
+        self.shared.options_epoch.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Snapshot of the committed catalog.
+    pub fn catalog(&self) -> Catalog {
+        self.shared.state.read().catalog.clone()
+    }
+
+    /// Full query log (committed statements).
+    pub fn query_log(&self) -> Vec<QueryLogEntry> {
+        self.shared.state.read().query_log.clone()
+    }
+
+    /// Full audit log.
+    pub fn audit_log(&self) -> Vec<AuditRecord> {
+        self.shared.state.read().audit_log.clone()
+    }
+
+    /// Convenience: run a statement as admin with autocommit.
+    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
+        self.session("admin").execute(sql)
+    }
+
+    /// Convenience: run a query as admin and return its batch.
+    pub fn query(&self, sql: &str) -> Result<RecordBatch> {
+        self.session("admin").query(sql)
+    }
+}

@@ -1,0 +1,438 @@
+//! The one SELECT pipeline and the one execution tail.
+//!
+//! Every query the engine runs — top-level SELECTs (cached or not),
+//! `INSERT … SELECT` sources, `EXPLAIN [ANALYZE]`, training scans, and the
+//! scalar / `IN` / `EXISTS` subqueries the planner evaluates at plan time —
+//! is `plan_select` followed (except for plain `EXPLAIN`) by `execute`.
+
+use super::database::Database;
+use super::session::StmtCtx;
+use super::txn::Txn;
+use super::{QueryResult, QueryRuntime, StatementKind};
+use crate::ast::{Expr, PredictStrategy, Query, SelectItem, TableRef};
+use crate::batch::RecordBatch;
+use crate::catalog::Catalog;
+use crate::error::{Result, SqlError};
+use crate::exec::{create_physical_plan, EvalContext, PhysicalPlan, PlanMetrics};
+use crate::optimizer::{map_plan_exprs, optimize};
+use crate::plan::{plan_query, rewrite_expr, LogicalPlan, PlanContext, SubqueryRunner};
+use crate::schema::Schema;
+use crate::table::Table;
+use crate::types::{DataType, Value};
+use std::cell::RefCell;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// The virtual table of engine counters overlaid on every query's catalog.
+const METRICS_TABLE: &str = "flock_metrics";
+
+/// One scan of a catalog table in a planned query.
+pub(super) struct ScanRef {
+    pub table: String,
+    /// The version the scan reads.
+    pub version: u64,
+    /// `true` for a time-travel scan (`VERSION n`), which keeps reading
+    /// that version however the table moves.
+    pub pinned: bool,
+}
+
+/// A SELECT taken through the whole pipeline, ready to execute.
+pub(super) struct Planned {
+    /// The optimized logical plan.
+    pub logical: LogicalPlan,
+    pub physical: PhysicalPlan,
+    /// Every scanned table and scored model of the *pre-rewrite* plan —
+    /// what access control checked (rewriters may inline a model away, but
+    /// inlining must not bypass its ACL), what the query log records, and
+    /// what a cached plan re-checks on every execute.
+    pub tables: Vec<String>,
+    pub models: Vec<String>,
+    /// The scans over catalog tables (the virtual overlay has none).
+    pub scans: Vec<ScanRef>,
+}
+
+impl Planned {
+    /// Queries over the per-query `flock_metrics` overlay never cache.
+    pub fn reads_metrics_overlay(&self) -> bool {
+        self.tables.iter().any(|t| t.eq_ignore_ascii_case(METRICS_TABLE))
+    }
+}
+
+/// Plans one statement's queries and runs its subqueries, against one
+/// catalog (the transaction's, plus the metrics overlay).
+struct Planner<'a> {
+    ctx: &'a StmtCtx<'a>,
+    /// Borrowed per access check only, never across a nested plan.
+    txn: RefCell<&'a mut Txn>,
+    catalog: Catalog,
+    user: String,
+}
+
+/// Plan → access control → session strategy → rewriters → optimize →
+/// compile. `param_types` are the bound types of `?` placeholders left in
+/// the query (the plan-cache miss path); `check_acl: false` is plain
+/// `EXPLAIN`, which shows a plan without the right to run it — its
+/// subqueries *do* run, so they are always checked.
+pub(super) fn plan_select(
+    txn: &mut Txn,
+    ctx: &StmtCtx,
+    q: &Query,
+    param_types: &[Option<DataType>],
+    check_acl: bool,
+) -> Result<Planned> {
+    let planner = Planner {
+        ctx,
+        catalog: overlay_metrics_table(ctx.db, txn.catalog().clone()),
+        user: txn.user.clone(),
+        txn: RefCell::new(txn),
+    };
+    if param_types.is_empty() {
+        planner.plan(q, check_acl)
+    } else {
+        planner.plan(&annotate_param_types(q.clone(), param_types)?, check_acl)
+    }
+}
+
+impl Planner<'_> {
+    fn plan(&self, q: &Query, check_acl: bool) -> Result<Planned> {
+        let (ctx, db) = (self.ctx, self.ctx.db);
+        let pctx = PlanContext::new(&self.catalog, ctx.provider.as_ref()).with_subqueries(self);
+        let plan = plan_query(q, &pctx)?;
+
+        let (mut tables, mut scans, mut models) = (Vec::new(), Vec::new(), Vec::new());
+        plan.visit(&mut |n| {
+            if let LogicalPlan::Scan { table, version, .. } = n {
+                tables.push(table.clone());
+                if let Ok(t) = self.txn.borrow().catalog().table(table) {
+                    scans.push(ScanRef {
+                        table: table.clone(),
+                        version: version.unwrap_or_else(|| t.current_version()),
+                        pinned: version.is_some(),
+                    });
+                }
+            }
+        });
+        plan.visit_exprs(&mut |e| {
+            e.walk(&mut |x| {
+                if let Expr::Predict { model, .. } = x {
+                    models.push(model.clone());
+                }
+            })
+        });
+        if check_acl {
+            self.txn.borrow_mut().check_query_access(&tables, &models)?;
+        }
+
+        // The session's `SET predict_strategy` applies before the
+        // rewriters: the cross-optimizer's operator selection consumes
+        // `Auto`, after which the override would be silently lost.
+        let mut plan = match ctx.predict {
+            Some(s) => override_auto_predict(plan, s)?,
+            None => plan,
+        };
+        for r in db.shared.rewriters.read().iter() {
+            plan = r.rewrite(plan, &self.catalog)?;
+        }
+        let logical = optimize(plan, &db.optimizer_config())?;
+        let physical =
+            create_physical_plan(&logical, &self.catalog, ctx.provider.as_ref(), &ctx.options)?;
+        Ok(Planned {
+            logical,
+            physical,
+            tables,
+            models,
+            scans,
+        })
+    }
+}
+
+impl SubqueryRunner for Planner<'_> {
+    /// A subquery is a query: same pipeline, same access control, same
+    /// execution tail, under the outer statement's user, cancel token and
+    /// budget.
+    fn run(&self, query: &Query) -> Result<RecordBatch> {
+        let planned = self.plan(query, true)?;
+        execute(self.ctx, &self.user, &planned.physical, Arc::default()).map(|(batch, _)| batch)
+    }
+}
+
+/// The execution tail: admission slot, budgeted and cancellable metered
+/// run, snapshot publication (session, database and `flock_metrics`), and
+/// failure accounting. A cancelled / timed-out / over-budget run still
+/// publishes the partial counters it accumulated.
+pub(super) fn execute(
+    ctx: &StmtCtx,
+    user: &str,
+    physical: &PhysicalPlan,
+    params: Arc<Vec<Value>>,
+) -> Result<(RecordBatch, QueryRuntime)> {
+    let shared = &ctx.db.shared;
+    let _slot = shared
+        .admission
+        .try_acquire(ctx.options.max_concurrent_queries)
+        .ok_or_else(|| {
+            shared.metrics.admission_rejected.fetch_add(1, Ordering::Relaxed);
+            SqlError::Admission(format!(
+                "database is at max_concurrent_queries = {}",
+                ctx.options.max_concurrent_queries
+            ))
+        })?;
+    let eval_ctx = EvalContext::new(ctx.provider.clone(), user.to_string(), ctx.options.threads)
+        .with_cancel(ctx.cancel.clone())
+        .with_budget(ctx.budget.clone())
+        .with_params(params);
+    let plan_metrics = PlanMetrics::for_plan(physical);
+    let started = std::time::Instant::now();
+    let result = physical.execute_metered(&eval_ctx, &plan_metrics);
+    let elapsed_us = started.elapsed().as_micros() as u64;
+    let snapshot = plan_metrics.snapshot(physical);
+    shared.metrics.record_query(&snapshot);
+    let mut runtime = QueryRuntime {
+        rows_scanned: snapshot.rows_scanned(),
+        rows_returned: 0,
+        elapsed_us,
+        parallel_ops: snapshot.parallel_ops(),
+    };
+    *ctx.last_query.lock() = Some(snapshot.clone());
+    *shared.last_query.write() = Some(snapshot);
+    match result {
+        Ok(batch) => {
+            runtime.rows_returned = batch.num_rows() as u64;
+            Ok((batch, runtime))
+        }
+        Err(e) => {
+            let m = &shared.metrics;
+            match &e {
+                SqlError::Cancelled(_) => m.queries_cancelled.fetch_add(1, Ordering::Relaxed),
+                SqlError::Timeout(_) => m.queries_timed_out.fetch_add(1, Ordering::Relaxed),
+                SqlError::Budget(_) => m.budget_rejected.fetch_add(1, Ordering::Relaxed),
+                _ => 0,
+            };
+            Err(e)
+        }
+    }
+}
+
+/// Execute a top-level query plan (fresh or cached) and log it.
+pub(super) fn run_and_log(
+    txn: &mut Txn,
+    ctx: &StmtCtx,
+    physical: &PhysicalPlan,
+    params: Arc<Vec<Value>>,
+    tables: Vec<String>,
+) -> Result<QueryResult> {
+    let (batch, runtime) = execute(ctx, &txn.user, physical, params)?;
+    txn.log_runtime(ctx.sql, StatementKind::Query, tables, vec![], vec![], runtime);
+    let message = format!("{} row(s)", batch.num_rows());
+    Ok(QueryResult::rows(batch, message))
+}
+
+/// A top-level SELECT: plan + run.
+pub(super) fn run_query(txn: &mut Txn, ctx: &StmtCtx, q: &Query) -> Result<QueryResult> {
+    let planned = plan_select(txn, ctx, q, &[], true)?;
+    run_and_log(txn, ctx, &planned.physical, Arc::default(), planned.tables)
+}
+
+/// `EXPLAIN [ANALYZE]`: plan + (render | run + render). `ANALYZE` actually
+/// executes, so it is subject to the same access control as a plain query.
+pub(super) fn explain(txn: &mut Txn, ctx: &StmtCtx, q: &Query, analyze: bool) -> Result<QueryResult> {
+    let planned = plan_select(txn, ctx, q, &[], analyze)?;
+    let text = if analyze {
+        execute(ctx, &txn.user, &planned.physical, Arc::default())?;
+        ctx.last_query.lock().as_ref().map(|s| s.render()).unwrap_or_default()
+    } else {
+        planned.logical.explain()
+    };
+    let schema = Arc::new(Schema::from_pairs(&[("plan", DataType::Text)]));
+    let rows: Vec<Vec<Value>> = text
+        .lines()
+        .map(|l| vec![Value::Text(l.to_string())])
+        .collect();
+    Ok(QueryResult {
+        batch: Some(RecordBatch::from_rows(schema, &rows)?),
+        rows_affected: 0,
+        message: if analyze { "EXPLAIN ANALYZE" } else { "EXPLAIN" }.into(),
+    })
+}
+
+/// Overlay the `flock_metrics` virtual table onto a catalog snapshot
+/// used for one query. A real user table of the same name shadows the
+/// virtual one; otherwise every user may SELECT it.
+fn overlay_metrics_table(db: &Database, mut catalog: Catalog) -> Catalog {
+    if catalog.has_table(METRICS_TABLE) {
+        return catalog;
+    }
+    let schema = Schema::from_pairs(&[("metric", DataType::Text), ("value", DataType::Int)]);
+    let rows: Vec<Vec<Value>> = db
+        .shared
+        .metrics
+        .rows()
+        .into_iter()
+        .map(|(name, v)| {
+            vec![
+                Value::Text(name.to_string()),
+                Value::Int(i64::try_from(v).unwrap_or(i64::MAX)),
+            ]
+        })
+        .collect();
+    let built = (|| -> Result<Table> {
+        let mut table = Table::new(METRICS_TABLE, schema.clone(), 0)?;
+        table.push_version(RecordBatch::from_rows(Arc::new(schema), &rows)?, 0)?;
+        Ok(table)
+    })();
+    if let Ok(table) = built {
+        let _ = catalog.create_table(table);
+    }
+    catalog
+}
+
+/// Rewrite every `PREDICT(...)` still carrying `PredictStrategy::Auto`
+/// anywhere in `plan` to use `strategy` instead. Explicit per-statement
+/// strategies (`PREDICT(... USING ...)` variants) are left untouched.
+fn override_auto_predict(plan: LogicalPlan, strategy: PredictStrategy) -> Result<LogicalPlan> {
+    map_plan_exprs(plan, &mut |e| {
+        rewrite_expr(e, &mut |e| {
+            Ok(match e {
+                Expr::Predict {
+                    model,
+                    args,
+                    strategy: PredictStrategy::Auto,
+                } => Expr::Predict {
+                    model,
+                    args,
+                    strategy,
+                },
+                other => other,
+            })
+        })
+    })
+}
+
+/// Whether a query contains scalar / IN / EXISTS subqueries anywhere,
+/// including inside derived tables. Those execute during planning, so such
+/// a query can neither stay parameter-generic nor be cached safely.
+pub(super) fn query_has_subqueries(q: &Query) -> bool {
+    let mut found = false;
+    // `bind_query` is the one traversal that knows where a query keeps
+    // its expressions; run it over a copy with a visitor that maps nothing.
+    let _ = bind_query(q.clone(), &mut |e| {
+        e.walk(&mut |x| {
+            found |= matches!(
+                x,
+                Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. }
+            );
+        });
+        Ok(e)
+    });
+    found
+}
+
+/// Wrap every `?i` whose bound value has a known type in an identity
+/// `CAST`, so expression type derivation sees the parameter's runtime
+/// type instead of a default. Used on the plan-cache miss path.
+fn annotate_param_types(q: Query, types: &[Option<DataType>]) -> Result<Query> {
+    let mut bind = |e: Expr| -> Result<Expr> {
+        rewrite_expr(e, &mut |x| match x {
+            Expr::Parameter(i) => Ok(match types.get(i).copied().flatten() {
+                Some(t) => Expr::Cast {
+                    expr: Box::new(Expr::Parameter(i)),
+                    to: t,
+                },
+                None => Expr::Parameter(i),
+            }),
+            other => Ok(other),
+        })
+    };
+    bind_query(q, &mut bind)
+}
+
+/// Apply `bind` to every expression of a query, descending into derived
+/// tables, join conditions and UNION arms.
+pub(super) fn bind_query(
+    mut q: Query,
+    bind: &mut impl FnMut(Expr) -> Result<Expr>,
+) -> Result<Query> {
+    q.select.from = q
+        .select
+        .from
+        .into_iter()
+        .map(|tr| bind_table_ref(tr, bind))
+        .collect::<Result<_>>()?;
+    q.select.selection = q.select.selection.map(&mut *bind).transpose()?;
+    q.select.having = q.select.having.map(&mut *bind).transpose()?;
+    q.select.projection = q
+        .select
+        .projection
+        .into_iter()
+        .map(|item| {
+            Ok(match item {
+                SelectItem::Expr { expr, alias } => SelectItem::Expr {
+                    expr: bind(expr)?,
+                    alias,
+                },
+                other => other,
+            })
+        })
+        .collect::<Result<_>>()?;
+    q.select.group_by = q
+        .select
+        .group_by
+        .into_iter()
+        .map(&mut *bind)
+        .collect::<Result<_>>()?;
+    q.unions = q
+        .unions
+        .into_iter()
+        .map(|arm| {
+            let mut sub = Query {
+                select: arm.select,
+                unions: vec![],
+                order_by: vec![],
+                limit: None,
+                offset: None,
+            };
+            sub = bind_query(sub, bind)?;
+            Ok(crate::ast::UnionArm {
+                select: sub.select,
+                all: arm.all,
+            })
+        })
+        .collect::<Result<_>>()?;
+    q.order_by = q
+        .order_by
+        .into_iter()
+        .map(|o| {
+            Ok(crate::ast::OrderItem {
+                expr: bind(o.expr)?,
+                asc: o.asc,
+            })
+        })
+        .collect::<Result<_>>()?;
+    Ok(q)
+}
+
+/// Descend into FROM-clause table references (derived tables and join
+/// conditions carry expressions too) applying `bind` to every expression.
+fn bind_table_ref(
+    tr: TableRef,
+    bind: &mut impl FnMut(Expr) -> Result<Expr>,
+) -> Result<TableRef> {
+    Ok(match tr {
+        TableRef::Subquery { query, alias } => TableRef::Subquery {
+            query: Box::new(bind_query(*query, bind)?),
+            alias,
+        },
+        TableRef::Join {
+            left,
+            right,
+            join_type,
+            on,
+        } => TableRef::Join {
+            left: Box::new(bind_table_ref(*left, bind)?),
+            right: Box::new(bind_table_ref(*right, bind)?),
+            join_type,
+            on: on.map(&mut *bind).transpose()?,
+        },
+        t @ TableRef::Table { .. } => t,
+    })
+}

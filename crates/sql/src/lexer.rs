@@ -69,10 +69,53 @@ impl fmt::Display for Token {
 
 /// Tokenize a SQL string. Comments (`-- ...` and `/* ... */`) are skipped.
 pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
+    lex::<false>(sql, &mut Vec::new())
+}
+
+/// Tokenize and also report the byte offset in `sql` at which each token
+/// (the trailing `Eof` excluded) starts.
+pub fn tokenize_spanned(sql: &str) -> Result<(Vec<Token>, Vec<usize>)> {
+    let mut offsets = Vec::new();
+    let tokens = lex::<true>(sql, &mut offsets)?;
+    Ok((tokens, offsets))
+}
+
+/// Split a script into the text of each of its statements: from a
+/// statement's first token up to the top-level `;` that ends it (a `;`
+/// inside a string, a quoted identifier or a comment does not split).
+/// Empty statements are dropped.
+pub fn split_statements(sql: &str) -> Result<Vec<&str>> {
+    let (tokens, offsets) = tokenize_spanned(sql)?;
+    let mut out = Vec::new();
+    let mut first = 0;
+    for (k, &at) in offsets.iter().enumerate() {
+        if tokens[k] == Token::Semicolon {
+            if k > first {
+                out.push(sql[offsets[first]..at].trim_end());
+            }
+            first = k + 1;
+        }
+    }
+    if let Some(&start) = offsets.get(first) {
+        out.push(sql[start..].trim_end());
+    }
+    Ok(out)
+}
+
+/// The tokenizer. `SPANS` is a compile-time switch so that plain
+/// [`tokenize`] — on the serving hot path — pays nothing for offsets.
+fn lex<const SPANS: bool>(sql: &str, offsets: &mut Vec<usize>) -> Result<Vec<Token>> {
     let bytes = sql.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
+        // Each iteration consumes whitespace, a comment, or exactly one
+        // token: `i` is where the next token starts unless this iteration
+        // yields none, in which case the next one overwrites the guess.
+        if SPANS {
+            offsets.truncate(tokens.len());
+            offsets.push(i);
+        }
         // decode the current char properly (inputs may be any UTF-8)
         let c = sql[i..].chars().next().expect("in-bounds char");
         match c {
@@ -262,6 +305,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
             }
         }
     }
+    offsets.truncate(tokens.len());
     tokens.push(Token::Eof);
     Ok(tokens)
 }
@@ -293,6 +337,20 @@ mod tests {
         let toks = tokenize("-- comment\nSELECT 'it''s' /* block */ , \"Weird Col\"").unwrap();
         assert!(toks.contains(&Token::StringLit("it's".into())));
         assert!(toks.contains(&Token::QuotedIdent("Weird Col".into())));
+    }
+
+    #[test]
+    fn spans_and_statement_splitting() {
+        let sql = "  SELECT 'a;b' ; -- c;\n;INSERT /* ; */ INTO \"t;\" VALUES (1);\n";
+        let (tokens, offsets) = tokenize_spanned(sql).unwrap();
+        assert_eq!(tokens.len(), offsets.len() + 1, "one offset per token but Eof");
+        assert_eq!(&sql[offsets[0]..offsets[0] + 6], "SELECT");
+        assert_eq!(
+            split_statements(sql).unwrap(),
+            vec!["SELECT 'a;b'", "INSERT /* ; */ INTO \"t;\" VALUES (1)"]
+        );
+        assert_eq!(split_statements(" -- nothing\n ; ").unwrap(), Vec::<&str>::new());
+        assert_eq!(split_statements("SELECT 1").unwrap(), vec!["SELECT 1"]);
     }
 
     #[test]

@@ -174,13 +174,14 @@ fn fold_constants_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
 }
 
 /// Apply `f` to every expression in the plan, recursively.
-fn map_plan_exprs(
+pub(crate) fn map_plan_exprs(
     plan: LogicalPlan,
     f: &mut impl FnMut(Expr) -> Result<Expr>,
 ) -> Result<LogicalPlan> {
+    let plan = map_inputs(plan, &mut |input| map_plan_exprs(input, f))?;
     Ok(match plan {
         LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_plan_exprs(*input, f)?),
+            input,
             predicate: f(predicate)?,
         },
         LogicalPlan::Project {
@@ -188,21 +189,26 @@ fn map_plan_exprs(
             exprs,
             schema,
         } => LogicalPlan::Project {
-            input: Box::new(map_plan_exprs(*input, f)?),
+            input,
             exprs: exprs.into_iter().map(&mut *f).collect::<Result<_>>()?,
             schema,
         },
         LogicalPlan::Aggregate {
             input,
             group,
-            aggs,
+            mut aggs,
             schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_plan_exprs(*input, f)?),
-            group: group.into_iter().map(&mut *f).collect::<Result<_>>()?,
-            aggs,
-            schema,
-        },
+        } => {
+            for a in &mut aggs {
+                a.arg = a.arg.take().map(&mut *f).transpose()?;
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group: group.into_iter().map(&mut *f).collect::<Result<_>>()?,
+                aggs,
+                schema,
+            }
+        }
         LogicalPlan::Join {
             left,
             right,
@@ -211,40 +217,31 @@ fn map_plan_exprs(
             filter,
             schema,
         } => LogicalPlan::Join {
-            left: Box::new(map_plan_exprs(*left, f)?),
-            right: Box::new(map_plan_exprs(*right, f)?),
+            left,
+            right,
             join_type,
-            on,
+            on: on
+                .into_iter()
+                .map(|(l, r)| Ok((f(l)?, f(r)?)))
+                .collect::<Result<_>>()?,
             filter: filter.map(&mut *f).transpose()?,
             schema,
         },
         LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_plan_exprs(*input, f)?),
+            input,
             keys: keys
                 .into_iter()
                 .map(|(e, asc)| Ok((f(e)?, asc)))
                 .collect::<Result<_>>()?,
         },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(map_plan_exprs(*input, f)?),
-            limit,
-            offset,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(map_plan_exprs(*input, f)?),
-        },
-        LogicalPlan::Union { inputs, schema } => LogicalPlan::Union {
-            inputs: inputs
-                .into_iter()
-                .map(|i| map_plan_exprs(i, f))
-                .collect::<Result<_>>()?,
+        LogicalPlan::Values { schema, rows } => LogicalPlan::Values {
             schema,
+            rows: rows
+                .into_iter()
+                .map(|row| row.into_iter().map(&mut *f).collect::<Result<_>>())
+                .collect::<Result<_>>()?,
         },
-        leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }) => leaf,
+        other => other,
     })
 }
 

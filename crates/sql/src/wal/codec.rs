@@ -48,13 +48,24 @@ pub fn frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// Split a frame header into the payload length and the payload checksum
+/// it declares. Readers that must tell "not all here yet" from "corrupt"
+/// (the wire protocol, over a socket) decode the header themselves and
+/// check the payload with [`fnv64`]; buffer readers use [`read_frame`].
+pub fn frame_header(header: &[u8; FRAME_HEADER]) -> (usize, u64) {
+    let [l0, l1, l2, l3, crc @ ..] = *header;
+    (
+        u32::from_le_bytes([l0, l1, l2, l3]) as usize,
+        u64::from_le_bytes(crc),
+    )
+}
+
 /// Read the frame starting at `pos`. Returns the payload and the offset
 /// just past the frame, or [`Corrupt`] for a torn/invalid frame (short
 /// header, short payload, unbelievable length, or checksum mismatch).
 pub fn read_frame(buf: &[u8], pos: usize) -> DecodeResult<(&[u8], usize)> {
-    let header = buf.get(pos..pos + FRAME_HEADER).ok_or(Corrupt)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let crc = u64::from_le_bytes(header[4..12].try_into().unwrap());
+    let header = buf.get(pos..).and_then(|b| b.first_chunk()).ok_or(Corrupt)?;
+    let (len, crc) = frame_header(header);
     if len > MAX_FRAME {
         return Err(Corrupt);
     }

@@ -34,7 +34,7 @@ mod manager;
 mod record;
 
 pub use checkpoint::Snapshot;
-pub use codec::fnv64;
+pub use codec::{fnv64, frame, frame_header, FRAME_HEADER};
 pub use fs::{DurableFs, FailpointFs, MemFs, StdFs};
 pub(crate) use manager::build_snapshot;
 pub use manager::{recover, RecoveredState, WalManager};

@@ -611,3 +611,30 @@ fn query_budget_rejects_oversized_queries_with_typed_error() {
     db.set_exec_options(ExecOptions::default());
     assert_eq!(db.query("SELECT x FROM t").unwrap().num_rows(), 200);
 }
+
+// ===================================================================
+// Training scans run through the query pipeline: same timeout, same counters
+// ===================================================================
+
+#[test]
+fn timed_out_training_scan_is_counted_and_leaves_the_session_usable() {
+    let db = blocking_db();
+    let mut s = db.session("admin");
+    let timed_out = || {
+        let rows = db.engine_metrics().rows();
+        rows.iter().find(|(n, _)| *n == "queries_timed_out").unwrap().1
+    };
+    let before = timed_out();
+    s.execute("SET statement_timeout = 15").unwrap();
+    // the training query's PREDICT blocks until the deadline fires
+    let err = s
+        .execute("CREATE MODEL m2 KIND linear TARGET x AS SELECT PREDICT(m, x) AS p, x FROM t")
+        .unwrap_err();
+    assert!(matches!(err, SqlError::Timeout(_)), "got {err:?}");
+    assert_eq!(timed_out() - before, 1, "a timed-out training scan is a timed-out query");
+    assert!(s.last_query_metrics().is_some(), "partial metrics must survive");
+    assert_eq!(db.admission().active(), 0);
+    assert!(!s.in_transaction());
+    s.execute("SET statement_timeout = DEFAULT").unwrap();
+    assert_eq!(s.query("SELECT COUNT(*) FROM t").unwrap().column(0).get(0), Value::Int(3));
+}

@@ -700,3 +700,198 @@ fn last_query_metrics_expose_operator_breakdown() {
     assert_eq!(snap.rows_scanned(), 5);
     assert_eq!(snap.rows_out, 3); // eng, mgmt, sales
 }
+
+// ===================================================================
+// Subqueries are queries: same access control, same audit trail
+// ===================================================================
+
+/// `people` readable by `ann`; `payroll` and the `risk` model are not.
+fn db_with_payroll() -> Database {
+    let db = db_with_people();
+    db.execute("CREATE TABLE payroll (id INT, salary DOUBLE)").unwrap();
+    db.execute("INSERT INTO payroll VALUES (1, 95000.0), (3, 120000.0)")
+        .unwrap();
+    db.execute("CREATE USER ann").unwrap();
+    db.execute("GRANT SELECT ON TABLE people TO ann").unwrap();
+    db
+}
+
+fn denied_audits(db: &Database, object: &str) -> usize {
+    db.audit_log()
+        .iter()
+        .filter(|a| a.user == "ann" && a.action == "ACCESS DENIED" && a.object == object)
+        .count()
+}
+
+#[test]
+fn subqueries_cannot_read_tables_the_user_cannot() {
+    let db = db_with_payroll();
+    let mut ann = db.session("ann");
+    let forms = [
+        "SELECT (SELECT MAX(salary) FROM payroll)",
+        "SELECT name FROM people WHERE id IN (SELECT id FROM payroll)",
+        "SELECT name FROM people WHERE EXISTS (SELECT 1 FROM payroll)",
+        // plain EXPLAIN skips the ACL of the plan it shows, but the
+        // subquery actually executes at plan time
+        "EXPLAIN SELECT (SELECT MAX(salary) FROM payroll)",
+        // ... and so does one nested in a derived table or another subquery
+        "SELECT n FROM (SELECT (SELECT COUNT(*) FROM payroll) AS n) AS d",
+        "SELECT name FROM people WHERE id IN \
+         (SELECT id FROM people WHERE salary > (SELECT MIN(salary) FROM payroll))",
+    ];
+    for (i, sql) in forms.iter().enumerate() {
+        let err = ann.execute(sql).unwrap_err();
+        assert!(matches!(err, SqlError::AccessDenied(_)), "{sql}: {err}");
+        assert_eq!(denied_audits(&db, "payroll"), i + 1, "{sql}: denial not audited");
+    }
+    // inside an explicit transaction too (and the denial survives its abort)
+    ann.execute("BEGIN").unwrap();
+    assert!(ann.execute(forms[0]).is_err());
+    assert!(!ann.in_transaction());
+    assert_eq!(denied_audits(&db, "payroll"), forms.len() + 1);
+
+    // the same statements as admin return what they always did
+    let mut admin = db.session("admin");
+    let b = admin.query(forms[0]).unwrap();
+    assert_eq!(b.column(0).get(0), Value::Float(120000.0));
+    assert_eq!(admin.query(forms[1]).unwrap().num_rows(), 2);
+    assert_eq!(admin.query(forms[2]).unwrap().num_rows(), 5);
+    assert!(admin.execute(forms[3]).unwrap().batch.is_some());
+    // and a grant opens them to ann
+    db.execute("GRANT SELECT ON TABLE payroll TO ann").unwrap();
+    assert_eq!(ann.query(forms[1]).unwrap().num_rows(), 2);
+}
+
+#[test]
+fn subqueries_cannot_score_held_or_ungranted_models() {
+    use flock_sql::ast::PredictStrategy;
+    use flock_sql::udf::InferenceProvider;
+    use flock_sql::{ColumnVector, DataType};
+    struct Doubler;
+    impl InferenceProvider for Doubler {
+        fn output_type(&self, _model: &str) -> flock_sql::Result<DataType> {
+            Ok(DataType::Float)
+        }
+        fn input_arity(&self, _model: &str) -> flock_sql::Result<usize> {
+            Ok(1)
+        }
+        fn predict(
+            &self,
+            _model: &str,
+            inputs: &[ColumnVector],
+            _strategy: PredictStrategy,
+            _user: &str,
+        ) -> flock_sql::Result<ColumnVector> {
+            let vals: Vec<Value> = (0..inputs[0].len())
+                .map(|i| Value::Float(inputs[0].get(i).as_f64().unwrap_or(0.0) * 2.0))
+                .collect();
+            ColumnVector::from_values(DataType::Float, &vals)
+        }
+    }
+    let db = db_with_payroll();
+    db.set_inference_provider(std::sync::Arc::new(Doubler));
+    let mut admin = db.session("admin");
+    admin
+        .create_extension_object("model", "risk", vec![1], serde_json::json!({}))
+        .unwrap();
+    let q = "SELECT name FROM people WHERE EXISTS (SELECT PREDICT(risk, age) FROM people)";
+
+    // no EXECUTE grant: the subquery's PREDICT is refused and audited
+    let mut ann = db.session("ann");
+    let err = ann.execute(q).unwrap_err();
+    assert!(matches!(err, SqlError::AccessDenied(_)), "{err}");
+    assert_eq!(denied_audits(&db, "risk"), 1);
+    assert_eq!(admin.query(q).unwrap().num_rows(), 5);
+
+    // granted, then placed on policy hold: refused again, for everyone
+    db.execute("GRANT EXECUTE ON MODEL risk TO ann").unwrap();
+    assert_eq!(ann.query(q).unwrap().num_rows(), 5);
+    admin
+        .update_extension_object("model", "risk", vec![1], serde_json::json!({"hold": true}))
+        .unwrap();
+    for s in [&mut ann, &mut admin] {
+        let err = s.execute(q).unwrap_err();
+        assert!(err.to_string().contains("on hold"), "{err}");
+    }
+    let blocked = db.audit_log().iter().filter(|a| a.action == "HOLD BLOCKED").count();
+    assert_eq!(blocked, 2);
+}
+
+#[test]
+fn subqueries_run_under_the_statement_budget() {
+    use flock_sql::exec::ExecOptions;
+    let db = db_with_people();
+    db.set_exec_options(ExecOptions {
+        max_rows_budget: 3,
+        ..ExecOptions::default()
+    });
+    // the outer query alone fits (1 row); its 5-row subquery scan does not
+    let err = db
+        .query("SELECT (SELECT COUNT(*) FROM people) AS n")
+        .unwrap_err();
+    assert!(matches!(err, SqlError::Budget(_)), "{err}");
+}
+
+// ===================================================================
+// CREATE VIEW stores the parsed query's own text
+// ===================================================================
+
+#[test]
+fn create_view_body_survives_any_spacing_or_case_of_as() {
+    use flock_sql::{DurabilityOptions, MemFs};
+    let mem = MemFs::new();
+    let db = Database::open_with_fs(mem.clone(), DurabilityOptions::default()).unwrap();
+    db.execute("CREATE TABLE t (a INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    db.execute("CREATE VIEW v_newline\nAS\nSELECT a FROM t WHERE a > 1").unwrap();
+    db.execute("CREATE VIEW v_tab\tAS\tSELECT a FROM t WHERE a > 1;").unwrap();
+    db.execute("create view v_mixed As SELECT a FROM t WHERE a > 1 ; ").unwrap();
+    db.execute("CREATE VIEW v_comment /* AS */ AS -- AS \n SELECT a FROM t WHERE a > 1").unwrap();
+    let views = ["v_newline", "v_tab", "v_mixed", "v_comment"];
+    for v in views {
+        let b = db.query(&format!("SELECT a FROM {v} ORDER BY a")).unwrap();
+        assert_eq!(b.num_rows(), 2, "{v}");
+        let stored = db.catalog().view(v).unwrap().sql.clone();
+        assert_eq!(stored, "SELECT a FROM t WHERE a > 1", "{v}");
+    }
+    drop(db);
+    let rec = Database::open_with_fs(mem.crash_image(), DurabilityOptions::default()).unwrap();
+    for v in views {
+        assert_eq!(rec.query(&format!("SELECT a FROM {v}")).unwrap().num_rows(), 2, "{v}");
+    }
+}
+
+// ===================================================================
+// Scripts: each statement runs (and is recorded) under its own text
+// ===================================================================
+
+#[test]
+fn script_statements_are_logged_and_stored_under_their_own_text() {
+    let db = Database::new();
+    let mut s = db.session("admin");
+    let results = s
+        .execute_script(
+            "CREATE TABLE w (a INT); -- a comment; with a semicolon\n\
+             INSERT INTO w VALUES (1), (2);;\n\
+             CREATE VIEW big AS SELECT a FROM w WHERE a > 1;\n\
+             INSERT INTO w VALUES (3 /* ; */);\n\
+             SELECT a FROM big WHERE 'x;y' <> 'z' ORDER BY a",
+        )
+        .unwrap();
+    assert_eq!(results.len(), 5);
+    assert_eq!(results[4].batch.as_ref().unwrap().num_rows(), 2);
+    assert_eq!(db.catalog().view("big").unwrap().sql, "SELECT a FROM w WHERE a > 1");
+    let logged: Vec<String> = db.query_log().iter().map(|e| e.sql.clone()).collect();
+    assert_eq!(
+        logged,
+        vec![
+            "CREATE TABLE w (a INT)",
+            "INSERT INTO w VALUES (1), (2)",
+            "INSERT INTO w VALUES (3 /* ; */)",
+            "SELECT a FROM big WHERE 'x;y' <> 'z' ORDER BY a",
+        ]
+    );
+    // a failing statement stops the script; earlier ones stay committed
+    assert!(s.execute_script("INSERT INTO w VALUES (4); SELECT nope FROM w; INSERT INTO w VALUES (5)").is_err());
+    assert_eq!(db.query("SELECT COUNT(*) FROM w").unwrap().column(0).get(0), Value::Int(4));
+}
