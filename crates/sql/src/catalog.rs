@@ -6,8 +6,10 @@
 //! `flock-core` crate uses to store models) both get version chains, and
 //! both participate in the same grant model.
 
+use crate::batch::RecordBatch;
 use crate::error::{Result, SqlError};
-use crate::table::Table;
+use crate::schema::Schema;
+use crate::table::{Table, TableScan};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -297,6 +299,18 @@ pub struct Catalog {
     /// part-backed versions it references. `None` for in-memory engines —
     /// whose tables never have parts.
     part_store: Option<Arc<crate::parts::PartStore>>,
+    /// Tables whose rows are computed when read, registered once at
+    /// database open and shared by every clone.
+    virtual_tables: Arc<Vec<Arc<dyn VirtualTable>>>,
+}
+
+/// A table whose rows are computed when a statement reads it (the
+/// engine's `flock_metrics`). Resolved by name wherever no real table of
+/// that name exists, so a statement that does not name it pays nothing.
+pub trait VirtualTable: Send + Sync + std::fmt::Debug {
+    fn name(&self) -> &str;
+    fn schema(&self) -> Arc<Schema>;
+    fn rows(&self) -> Result<RecordBatch>;
 }
 
 impl Default for Catalog {
@@ -313,7 +327,41 @@ impl Catalog {
             extensions: Arc::default(),
             access: AccessControl::new(),
             part_store: None,
+            virtual_tables: Arc::default(),
         }
+    }
+
+    /// Register a virtual table (done once at database open).
+    pub fn register_virtual_table(&mut self, table: Arc<dyn VirtualTable>) {
+        Arc::make_mut(&mut self.virtual_tables).push(table);
+    }
+
+    /// The virtual table called `name`, unless a real table shadows it.
+    pub fn virtual_table(&self, name: &str) -> Option<&Arc<dyn VirtualTable>> {
+        if self.has_table(name) {
+            return None;
+        }
+        self.virtual_tables
+            .iter()
+            .find(|v| v.name().eq_ignore_ascii_case(name))
+    }
+
+    /// The rows of table `name` at `version` (the latest when `None`) as a
+    /// chunk source — or, when no real table has that name, the rows of
+    /// the virtual table called `name`.
+    pub fn scan_table(&self, name: &str, version: Option<u64>) -> Result<TableScan> {
+        let table = match (self.table(name), self.virtual_table(name)) {
+            (Ok(t), _) => t,
+            (Err(_), Some(v)) if version.is_none() => {
+                return Ok(TableScan::new(&[], &v.rows()?, None));
+            }
+            (Err(e), _) => return Err(e),
+        };
+        let tv = match version {
+            Some(v) => table.at_version(v)?,
+            None => table.current(),
+        };
+        Ok(tv.scan(self.part_store()))
     }
 
     /// Attach the part store (done once at database open, after recovery).

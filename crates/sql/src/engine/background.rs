@@ -2,7 +2,7 @@
 //! scheduler, driven by one ticker thread per open database.
 
 use super::database::{Database, DbState, Shared};
-use super::dml::{append_rows, materialize_version};
+use super::dml::append_rows;
 use super::models::{hold_model, retrain_model, update_extension};
 use crate::batch::RecordBatch;
 use crate::catalog::Catalog;
@@ -352,15 +352,15 @@ impl Database {
                 .current()
                 .metadata,
         )?;
-        let table = catalog.table(&spec.stream)?;
-        let data = materialize_version(catalog, table.current())?;
+        let stream = catalog.table(&spec.stream)?.current();
+        let n = stream.total_rows();
         let provider = self.inference_provider();
         let opt_epoch = self.shared.options_epoch.load(Ordering::Relaxed);
 
         // (Re)build the runtime: missing, or the stream shrank under it
         // (dropped and recreated), or after a process restart. The durable
         // cursor suppresses re-emission during the replay below.
-        if runtimes.get(name).is_some_and(|rt| rt.rows_seen > data.num_rows()) {
+        if runtimes.get(name).is_some_and(|rt| rt.rows_seen > n) {
             runtimes.remove(name);
         }
         let rt = match runtimes.entry(name.to_string()) {
@@ -393,10 +393,13 @@ impl Database {
 
         // Ingest rows appended since the last tick, in insertion order —
         // the same order the batch aggregate would scan them, which is the
-        // bit-equality contract.
-        let n = data.num_rows();
+        // bit-equality contract. Parts wholly behind the cursor are never
+        // read.
         if n > rt.rows_seen {
-            let fresh = data.slice(rt.rows_seen, n - rt.rows_seen);
+            let fresh = stream
+                .scan(catalog.part_store())
+                .skip_rows(rt.rows_seen)
+                .collect()?;
             rt.rows_seen = n;
             let et_all = event_times(&fresh, rt.compiled.et_index)?;
             if let Some(m) = et_all.iter().copied().max() {
@@ -404,10 +407,7 @@ impl Database {
             }
             let (filtered, et) = match &rt.compiled.where_pred {
                 Some(p) => {
-                    let col = p.eval(&fresh, &eval_ctx)?;
-                    let mask: Vec<bool> = (0..fresh.num_rows())
-                        .map(|i| col.get(i).as_bool() == Some(true))
-                        .collect();
+                    let mask = p.eval_mask(&fresh, &eval_ctx)?;
                     let kept: Vec<i64> = et_all
                         .iter()
                         .zip(&mask)

@@ -2,6 +2,7 @@
 //! open/recover, checkpoints and digests.
 
 use super::background::{CqRuntime, Ticker};
+use super::query::MetricsTable;
 use super::session::Session;
 use super::{AuditRecord, QueryLogEntry, QueryResult};
 use crate::batch::RecordBatch;
@@ -12,6 +13,7 @@ use crate::optimizer::OptimizerConfig;
 use crate::plan::PlanRewriter;
 use crate::plancache::PlanCache;
 use crate::sync;
+use crate::table::TableScan;
 use crate::trainer::{NoTrainer, TrainerRef};
 use crate::udf::{NoInference, ProviderRef};
 use crate::wal::{DurabilityOptions, DurableFs, StdFs, WalManager};
@@ -61,32 +63,16 @@ pub(super) fn sync_part_inventory(catalog: &Catalog) {
 }
 
 /// Rewrite a snapshot into its fully resident logical form: each
-/// part-backed version gets its parts decoded and prepended to the tail,
-/// and its manifest cleared. Best-effort — an unreadable part leaves that
-/// version physical (a state recovery would reject anyway).
+/// part-backed version is read through its chunk source into one resident
+/// batch and its manifest cleared. Best-effort — an unreadable part leaves
+/// that version physical (a state recovery would reject anyway).
 fn logicalize_snapshot(
     snap: &mut crate::wal::Snapshot,
     store: Option<&Arc<crate::parts::PartStore>>,
 ) {
-    let Some(store) = store else { return };
     for t in &mut snap.tables {
-        for v in &mut t.versions {
-            if v.parts.is_empty() {
-                continue;
-            }
-            let mut batches = Vec::with_capacity(v.parts.len() + 1);
-            let all_readable = v.parts.iter().all(|p| match store.read_part(p.id) {
-                Ok(b) => {
-                    batches.push(b);
-                    true
-                }
-                Err(_) => false,
-            });
-            if !all_readable {
-                continue;
-            }
-            batches.push(v.data.clone());
-            if let Ok(full) = RecordBatch::concat(v.data.schema().clone(), &batches) {
+        for v in t.versions.iter_mut().filter(|v| !v.parts.is_empty()) {
+            if let Ok(full) = TableScan::new(&v.parts, &v.data, store).collect() {
                 v.data = full;
                 v.parts.clear();
             }
@@ -167,8 +153,11 @@ impl Database {
         })
     }
 
-    fn from_state(state: DbState) -> Self {
+    fn from_state(mut state: DbState) -> Self {
         let metrics = Arc::new(EngineMetrics::default());
+        state
+            .catalog
+            .register_virtual_table(Arc::new(MetricsTable(metrics.clone())));
         let plan_cache = Arc::new(PlanCache::default());
         for (name, counter) in plan_cache.counters() {
             metrics.register(name, counter);

@@ -1,7 +1,7 @@
 //! DDL handlers: tables, views, streams, continuous queries, users and
 //! grants, and the catalog's discovery statements.
 
-use super::dml::{materialize_version, reject_stream_write};
+use super::dml::reject_stream_write;
 use super::models::{create_extension, drop_extension};
 use super::session::StmtCtx;
 use super::txn::Txn;
@@ -152,7 +152,7 @@ pub(super) fn alter_table(
     txn.check_access(&ObjectRef::table(name), Privilege::Create)?;
     let table = txn.catalog().table(name)?;
     let schema = table.schema().clone();
-    let data = materialize_version(txn.catalog(), table.current())?;
+    let data = table.current().scan(txn.catalog().part_store()).collect()?;
 
     let (new_schema, new_batch, detail) = match action {
         AlterAction::AddColumn(decl) => {

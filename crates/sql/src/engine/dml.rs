@@ -17,28 +17,6 @@ use crate::types::Value;
 use crate::wal::RedoOp;
 use std::sync::Arc;
 
-/// Fully materialize a table version: decode its disk parts (in order)
-/// ahead of the resident tail. Full-rewrite paths (UPDATE/DELETE/ALTER)
-/// go through this, so the new version they install never silently drops
-/// rows that lived on disk.
-pub(super) fn materialize_version(
-    catalog: &Catalog,
-    v: &crate::table::TableVersion,
-) -> Result<RecordBatch> {
-    if v.parts.is_empty() {
-        return Ok(v.data.clone());
-    }
-    let store = catalog.part_store().ok_or_else(|| {
-        SqlError::Io("table has disk parts but no part store is attached".into())
-    })?;
-    let mut batches = Vec::with_capacity(v.parts.len() + 1);
-    for p in &v.parts {
-        batches.push(store.read_part(p.id)?);
-    }
-    batches.push(v.data.clone());
-    RecordBatch::concat(v.data.schema().clone(), &batches)
-}
-
 /// Streams are append-only: INSERT is the only mutation they accept.
 pub(super) fn reject_stream_write(catalog: &Catalog, name: &str, op: &str) -> Result<()> {
     if catalog.has_extension(STREAM_KIND, name) {
@@ -224,7 +202,7 @@ pub(super) fn update(
     txn.check_access(&ObjectRef::table(table_name), Privilege::Update)?;
     let table = txn.catalog().table(table_name)?;
     let schema = table.schema().clone();
-    let data = materialize_version(txn.catalog(), table.current())?;
+    let data = table.current().scan(txn.catalog().part_store()).collect()?;
     let provider = ctx.provider.as_ref();
     let eval_ctx = row_ctx(txn, ctx);
 
@@ -288,15 +266,14 @@ pub(super) fn delete(
     reject_stream_write(txn.catalog(), table_name, "DELETE")?;
     txn.check_access(&ObjectRef::table(table_name), Privilege::Delete)?;
     let table = txn.catalog().table(table_name)?;
-    let data = materialize_version(txn.catalog(), table.current())?;
+    let data = table.current().scan(txn.catalog().part_store()).collect()?;
+    // keep = not selected
     let mask: Vec<bool> = match selection {
-        Some(p) => {
-            let compiled = PhysExpr::compile(p, table.schema(), ctx.provider.as_ref())?;
-            let col = compiled.eval(&data, &row_ctx(txn, ctx))?;
-            (0..data.num_rows())
-                .map(|i| col.get(i).as_bool() != Some(true))
-                .collect()
-        }
+        Some(p) => PhysExpr::compile(p, table.schema(), ctx.provider.as_ref())?
+            .eval_mask(&data, &row_ctx(txn, ctx))?
+            .into_iter()
+            .map(|hit| !hit)
+            .collect(),
         None => vec![false; data.num_rows()],
     };
     let deleted = mask.iter().filter(|k| !**k).count();

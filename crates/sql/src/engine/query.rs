@@ -5,27 +5,57 @@
 //! scalar / `IN` / `EXISTS` subqueries the planner evaluates at plan time —
 //! is `plan_select` followed (except for plain `EXPLAIN`) by `execute`.
 
-use super::database::Database;
 use super::session::StmtCtx;
 use super::txn::Txn;
 use super::{QueryResult, QueryRuntime, StatementKind};
 use crate::ast::{Expr, PredictStrategy, Query, SelectItem, TableRef};
 use crate::batch::RecordBatch;
-use crate::catalog::Catalog;
+use crate::catalog::VirtualTable;
 use crate::error::{Result, SqlError};
-use crate::exec::{create_physical_plan, EvalContext, PhysicalPlan, PlanMetrics};
+use crate::exec::{create_physical_plan, EngineMetrics, EvalContext, PhysicalPlan, PlanMetrics};
 use crate::optimizer::{map_plan_exprs, optimize};
 use crate::plan::{plan_query, rewrite_expr, LogicalPlan, PlanContext, SubqueryRunner};
 use crate::schema::Schema;
 use crate::sync;
-use crate::table::Table;
 use crate::types::{DataType, Value};
-use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// The virtual table of engine counters overlaid on every query's catalog.
+/// The virtual table of engine counters.
 const METRICS_TABLE: &str = "flock_metrics";
+
+/// `flock_metrics`: one row per engine counter, built only when a
+/// statement reads it.
+#[derive(Debug)]
+pub(super) struct MetricsTable(pub Arc<EngineMetrics>);
+
+impl VirtualTable for MetricsTable {
+    fn name(&self) -> &str {
+        METRICS_TABLE
+    }
+
+    fn schema(&self) -> Arc<Schema> {
+        Arc::new(Schema::from_pairs(&[
+            ("metric", DataType::Text),
+            ("value", DataType::Int),
+        ]))
+    }
+
+    fn rows(&self) -> Result<RecordBatch> {
+        let rows: Vec<Vec<Value>> = self
+            .0
+            .rows()
+            .into_iter()
+            .map(|(name, v)| {
+                vec![
+                    Value::Text(name.to_string()),
+                    Value::Int(i64::try_from(v).unwrap_or(i64::MAX)),
+                ]
+            })
+            .collect();
+        RecordBatch::from_rows(self.schema(), &rows)
+    }
+}
 
 /// One scan of a catalog table in a planned query.
 pub(super) struct ScanRef {
@@ -48,25 +78,23 @@ pub(super) struct Planned {
     /// what a cached plan re-checks on every execute.
     pub tables: Vec<String>,
     pub models: Vec<String>,
-    /// The scans over catalog tables (the virtual overlay has none).
+    /// The scans over catalog tables (virtual tables have none).
     pub scans: Vec<ScanRef>,
 }
 
 impl Planned {
-    /// Queries over the per-query `flock_metrics` overlay never cache.
-    pub fn reads_metrics_overlay(&self) -> bool {
+    /// Queries naming `flock_metrics` never cache: its rows change under
+    /// the plan.
+    pub fn reads_metrics_table(&self) -> bool {
         self.tables.iter().any(|t| t.eq_ignore_ascii_case(METRICS_TABLE))
     }
 }
 
-/// Plans one statement's queries and runs its subqueries, against one
-/// catalog (the transaction's, plus the metrics overlay).
+/// Plans one statement's queries and runs its subqueries, against the
+/// transaction's catalog.
 struct Planner<'a> {
     ctx: &'a StmtCtx<'a>,
-    /// Borrowed per access check only, never across a nested plan.
-    txn: RefCell<&'a mut Txn>,
-    catalog: Catalog,
-    user: String,
+    txn: &'a Txn,
 }
 
 /// Plan → access control → session strategy → rewriters → optimize →
@@ -75,18 +103,13 @@ struct Planner<'a> {
 /// `EXPLAIN`, which shows a plan without the right to run it — its
 /// subqueries *do* run, so they are always checked.
 pub(super) fn plan_select(
-    txn: &mut Txn,
+    txn: &Txn,
     ctx: &StmtCtx,
     q: &Query,
     param_types: &[Option<DataType>],
     check_acl: bool,
 ) -> Result<Planned> {
-    let planner = Planner {
-        ctx,
-        catalog: overlay_metrics_table(ctx.db, txn.catalog().clone()),
-        user: txn.user.clone(),
-        txn: RefCell::new(txn),
-    };
+    let planner = Planner { ctx, txn };
     if param_types.is_empty() {
         planner.plan(q, check_acl)
     } else {
@@ -96,15 +119,15 @@ pub(super) fn plan_select(
 
 impl Planner<'_> {
     fn plan(&self, q: &Query, check_acl: bool) -> Result<Planned> {
-        let (ctx, db) = (self.ctx, self.ctx.db);
-        let pctx = PlanContext::new(&self.catalog, ctx.provider.as_ref()).with_subqueries(self);
+        let (ctx, db, catalog) = (self.ctx, self.ctx.db, self.txn.catalog());
+        let pctx = PlanContext::new(catalog, ctx.provider.as_ref()).with_subqueries(self);
         let plan = plan_query(q, &pctx)?;
 
         let (mut tables, mut scans, mut models) = (Vec::new(), Vec::new(), Vec::new());
         plan.visit(&mut |n| {
             if let LogicalPlan::Scan { table, version, .. } = n {
                 tables.push(table.clone());
-                if let Ok(t) = self.txn.borrow().catalog().table(table) {
+                if let Ok(t) = catalog.table(table) {
                     scans.push(ScanRef {
                         table: table.clone(),
                         version: version.unwrap_or_else(|| t.current_version()),
@@ -121,7 +144,7 @@ impl Planner<'_> {
             })
         });
         if check_acl {
-            self.txn.borrow_mut().check_query_access(&tables, &models)?;
+            self.txn.check_query_access(&tables, &models)?;
         }
 
         // The session's `SET predict_strategy` applies before the
@@ -132,11 +155,11 @@ impl Planner<'_> {
             None => plan,
         };
         for r in sync::read(&db.shared.rewriters).iter() {
-            plan = r.rewrite(plan, &self.catalog)?;
+            plan = r.rewrite(plan, catalog)?;
         }
         let logical = optimize(plan, &db.optimizer_config())?;
         let physical =
-            create_physical_plan(&logical, &self.catalog, ctx.provider.as_ref(), &ctx.options)?;
+            create_physical_plan(&logical, catalog, ctx.provider.as_ref(), &ctx.options)?;
         Ok(Planned {
             logical,
             physical,
@@ -153,7 +176,8 @@ impl SubqueryRunner for Planner<'_> {
     /// budget.
     fn run(&self, query: &Query) -> Result<RecordBatch> {
         let planned = self.plan(query, true)?;
-        execute(self.ctx, &self.user, &planned.physical, Arc::default()).map(|(batch, _)| batch)
+        execute(self.ctx, &self.txn.user, &planned.physical, Arc::default())
+            .map(|(batch, _)| batch)
     }
 }
 
@@ -254,37 +278,6 @@ pub(super) fn explain(txn: &mut Txn, ctx: &StmtCtx, q: &Query, analyze: bool) ->
         rows_affected: 0,
         message: if analyze { "EXPLAIN ANALYZE" } else { "EXPLAIN" }.into(),
     })
-}
-
-/// Overlay the `flock_metrics` virtual table onto a catalog snapshot
-/// used for one query. A real user table of the same name shadows the
-/// virtual one; otherwise every user may SELECT it.
-fn overlay_metrics_table(db: &Database, mut catalog: Catalog) -> Catalog {
-    if catalog.has_table(METRICS_TABLE) {
-        return catalog;
-    }
-    let schema = Schema::from_pairs(&[("metric", DataType::Text), ("value", DataType::Int)]);
-    let rows: Vec<Vec<Value>> = db
-        .shared
-        .metrics
-        .rows()
-        .into_iter()
-        .map(|(name, v)| {
-            vec![
-                Value::Text(name.to_string()),
-                Value::Int(i64::try_from(v).unwrap_or(i64::MAX)),
-            ]
-        })
-        .collect();
-    let built = (|| -> Result<Table> {
-        let mut table = Table::new(METRICS_TABLE, schema.clone(), 0)?;
-        table.push_version(RecordBatch::from_rows(Arc::new(schema), &rows)?, 0)?;
-        Ok(table)
-    })();
-    if let Ok(table) = built {
-        let _ = catalog.create_table(table);
-    }
-    catalog
 }
 
 /// Rewrite every `PREDICT(...)` still carrying `PredictStrategy::Auto`

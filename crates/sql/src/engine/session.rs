@@ -341,7 +341,7 @@ impl Session {
             // the plan itself is valid and the next execution should still
             // hit. Subqueries ran at plan time, so their results are baked
             // into the plan: never cached.
-            if !planned.reads_metrics_overlay() && !query_has_subqueries(&q) {
+            if !planned.reads_metrics_table() && !query_has_subqueries(&q) {
                 // Time-travel scans pin an immutable version and never
                 // need rebinding.
                 let table_versions = planned

@@ -12,6 +12,7 @@ use crate::catalog::{AccessControl, Catalog, ObjectRef, Privilege};
 use crate::error::{Result, SqlError};
 use crate::sync;
 use crate::wal::{RedoOp, WalRecord};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
@@ -49,7 +50,10 @@ pub(super) struct Txn {
     /// Replaying them over the base state reproduces the txn's effects.
     redo_buf: Vec<RedoOp>,
     log_buf: Vec<QueryLogEntry>,
-    audit_buf: Vec<AuditRecord>,
+    /// Interior-mutable so access checks need only `&Txn`: a statement's
+    /// planner reads the working catalog by reference while its checks
+    /// audit denials.
+    audit_buf: RefCell<Vec<AuditRecord>>,
 }
 
 impl Txn {
@@ -63,7 +67,7 @@ impl Txn {
             ddl: false,
             redo_buf: Vec::new(),
             log_buf: Vec::new(),
-            audit_buf: Vec::new(),
+            audit_buf: RefCell::default(),
         }
     }
 
@@ -149,7 +153,7 @@ impl Txn {
 
     // ------------------------------------------------- access and audit
 
-    pub fn check_access(&mut self, object: &ObjectRef, privilege: Privilege) -> Result<()> {
+    pub fn check_access(&self, object: &ObjectRef, privilege: Privilege) -> Result<()> {
         let r = self.catalog.access.check(&self.user, object, privilege);
         if r.is_err() {
             self.audit("ACCESS DENIED", &object.name, &format!("{privilege:?}"));
@@ -161,7 +165,7 @@ impl Txn {
     /// policy hold is in force. Checked per-execute (not at plan time) so
     /// a hold placed by a continuous query bites immediately, including
     /// through cached plans.
-    pub fn check_model_executable(&mut self, model: &str) -> Result<()> {
+    pub fn check_model_executable(&self, model: &str) -> Result<()> {
         self.check_access(&ObjectRef::extension(model), Privilege::Execute)?;
         let held = self.catalog.extension("model", model).is_ok_and(|obj| {
             obj.current().metadata.get("hold").and_then(|v| v.as_bool()) == Some(true)
@@ -174,9 +178,9 @@ impl Txn {
     }
 
     /// What a query may touch: SELECT on every scanned table, EXECUTE (and
-    /// no hold) on every scored model. The `flock_metrics` overlay is not
-    /// a catalog table and is readable by everyone.
-    pub fn check_query_access(&mut self, tables: &[String], models: &[String]) -> Result<()> {
+    /// no hold) on every scored model. A virtual table (`flock_metrics`)
+    /// is not a catalog table and is readable by everyone.
+    pub fn check_query_access(&self, tables: &[String], models: &[String]) -> Result<()> {
         for t in tables {
             if self.catalog.has_table(t) {
                 self.check_access(&ObjectRef::table(t), Privilege::Select)?;
@@ -193,8 +197,8 @@ impl Txn {
         }
     }
 
-    pub fn audit(&mut self, action: &str, object: &str, detail: &str) {
-        self.audit_buf.push(AuditRecord {
+    pub fn audit(&self, action: &str, object: &str, detail: &str) {
+        self.audit_buf.borrow_mut().push(AuditRecord {
             seq: 0, // assigned on flush
             user: self.user.clone(),
             action: action.to_string(),
@@ -289,7 +293,7 @@ impl Txn {
                 records.push(WalRecord::Commit { txn_id: self.id });
             }
         }
-        append_logs(state, records, self.log_buf, self.audit_buf)
+        append_logs(state, records, self.log_buf, self.audit_buf.into_inner())
             .map_err(|e| SqlError::Io(format!("wal append failed; commit aborted: {e}")))?;
 
         // Point of no return: install final states.
@@ -347,11 +351,12 @@ impl Txn {
     /// Publish the buffered log and audit rows without committing anything
     /// else (how a [`Txn::snapshot`] ends).
     pub fn flush(self, db: &Database) {
-        if !(self.log_buf.is_empty() && self.audit_buf.is_empty()) {
+        let audit = self.audit_buf.into_inner();
+        if !(self.log_buf.is_empty() && audit.is_empty()) {
             // If the WAL rejects the rows they are dropped from memory
             // too: in-memory state never runs ahead of the log.
             let mut state = sync::write(&db.shared.state);
-            let _ = append_logs(&mut state, Vec::new(), self.log_buf, self.audit_buf);
+            let _ = append_logs(&mut state, Vec::new(), self.log_buf, audit);
         }
     }
 

@@ -10,7 +10,7 @@
 //! *per operator per query* — nanoseconds against operators that
 //! materialize whole batches (see DESIGN.md for the overhead budget).
 
-use super::PhysicalPlan;
+use super::{ParallelPolicy, PhysicalPlan};
 use crate::sync;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -18,7 +18,8 @@ use std::sync::{Arc, Mutex};
 /// Lock-free counters for one physical operator.
 #[derive(Debug, Default)]
 pub struct OpMetrics {
-    /// Rows consumed from children (for leaves: rows materialized).
+    /// Rows consumed from children (for leaves: rows read, before any
+    /// fused filter).
     pub rows_in: AtomicU64,
     /// Rows produced.
     pub rows_out: AtomicU64,
@@ -43,6 +44,16 @@ impl OpMetrics {
         let effective = degree.min(morsels.max(1)) as u64;
         self.par_degree.fetch_max(effective, Ordering::Relaxed);
     }
+
+    /// Whether `policy` fans out over `rows` rows, recording the morsels
+    /// when it does.
+    pub fn fan_out(&self, policy: &ParallelPolicy, rows: usize) -> bool {
+        let fans = policy.fan_out(rows);
+        if fans {
+            self.record_fan_out(rows.div_ceil(policy.morsel_rows.max(1)), policy.degree);
+        }
+        fans
+    }
 }
 
 /// A metrics tree mirroring a [`PhysicalPlan`]: `children` follow the
@@ -58,9 +69,7 @@ impl PlanMetrics {
     /// Build a zeroed metrics tree shaped like `plan`.
     pub fn for_plan(plan: &PhysicalPlan) -> PlanMetrics {
         let children = match plan {
-            PhysicalPlan::Scan { .. }
-            | PhysicalPlan::PartScan { .. }
-            | PhysicalPlan::Values { .. } => Vec::new(),
+            PhysicalPlan::Scan { .. } | PhysicalPlan::Values { .. } => Vec::new(),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
@@ -135,11 +144,12 @@ impl OpSnapshot {
             + self.children.iter().map(OpSnapshot::parallel_ops).sum::<u64>()
     }
 
-    /// Rows materialized by the leaves (scans/values) of this subtree —
-    /// the "rows scanned" number the query log records.
+    /// Rows read by the leaves (scans/values) of this subtree — after
+    /// zone-map pruning, before a fused filter — the "rows scanned" number
+    /// the query log records.
     pub fn rows_scanned(&self) -> u64 {
         if self.children.is_empty() {
-            self.rows_out
+            self.rows_in
         } else {
             self.children.iter().map(OpSnapshot::rows_scanned).sum()
         }
@@ -204,7 +214,7 @@ pub struct EngineMetrics {
     /// Queries executed (SELECT-shaped statements, including EXPLAIN
     /// ANALYZE runs).
     pub queries: AtomicU64,
-    /// Rows materialized by scans across all queries.
+    /// Rows read by scans across all queries.
     pub rows_scanned: AtomicU64,
     /// Rows returned to clients.
     pub rows_returned: AtomicU64,

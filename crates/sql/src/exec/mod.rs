@@ -1,7 +1,8 @@
 //! Physical planning and execution.
 //!
 //! Execution is batch-materialized: every operator consumes and produces a
-//! whole [`RecordBatch`]. Operators over large inputs run *morsel-driven
+//! whole [`RecordBatch`], except that an aggregate folds a table scan's
+//! chunks as they stream in. Operators over large inputs run *morsel-driven
 //! parallel*: the batch splits into fixed-size morsels that a worker pool
 //! drains — filters and projections evaluate per morsel, aggregates run
 //! two-phase (thread-local partials merged at the barrier), hash joins
@@ -27,9 +28,10 @@ use crate::ast::{BinOp, Expr, JoinType, PredictStrategy};
 use crate::batch::RecordBatch;
 use crate::catalog::Catalog;
 use crate::column::ColumnVector;
-use crate::error::Result;
+use crate::error::{Result, SqlError};
 use crate::plan::{rewrite_expr, AggCall, LogicalPlan};
 use crate::schema::Schema;
+use crate::table::{concat_chunks, ColBounds, TableScan};
 use crate::types::Value;
 use crate::udf::InferenceProvider;
 use agg::{Accumulator, GroupKey};
@@ -128,27 +130,13 @@ impl ExecOptions {
 /// A physical operator tree.
 #[derive(Debug, Clone)]
 pub enum PhysicalPlan {
+    /// A table read through its chunk source — disk parts decoded one at
+    /// a time, then the resident tail — with the filter directly above
+    /// fused in and run per chunk, so only survivors materialize. Planning
+    /// drops whole parts the filter cannot match by their zone maps.
     Scan {
-        data: RecordBatch,
-    },
-    /// Streaming scan over a part-backed table version: disk parts decode
-    /// one at a time (projection pushdown skips unwanted column blocks),
-    /// the fused filter runs per chunk, and only survivors materialize —
-    /// peak decode memory is one part, not the table. Planning consumes
-    /// the per-part zone maps to drop whole parts the filter cannot match.
-    PartScan {
-        schema: Arc<Schema>,
-        store: Arc<crate::parts::PartStore>,
-        /// Parts to scan (post-pruning), oldest first.
-        parts: Vec<crate::parts::PartMeta>,
-        /// Parts skipped by zone-map pruning, of `total` before pruning.
-        pruned: usize,
-        total: usize,
-        /// Projected resident tail (scanned after the parts).
-        tail: RecordBatch,
-        /// Base-table column indices to decode; `None` = all columns.
-        projection: Option<Vec<usize>>,
-        /// Filter fused into the scan, compiled against `schema`.
+        source: TableScan,
+        /// Filter fused into the scan, compiled against the scan schema.
         predicate: Option<PhysExpr>,
         policy: ParallelPolicy,
     },
@@ -226,31 +214,7 @@ pub fn create_physical_plan(
 ) -> Result<PhysicalPlan> {
     let options = &options.clone().validated();
     Ok(match logical {
-        LogicalPlan::Scan {
-            table,
-            version,
-            projection,
-            schema,
-        } => {
-            if let Some(ps) =
-                plan_part_scan(catalog, table, version, projection, schema, None, provider, options)?
-            {
-                return Ok(ps);
-            }
-            let t = catalog.table(table)?;
-            let tv = match version {
-                Some(v) => t.at_version(*v)?,
-                None => t.current(),
-            };
-            let src = &tv.data;
-            let columns: Vec<ColumnVector> = match projection {
-                Some(indices) => indices.iter().map(|&i| src.column(i).clone()).collect(),
-                None => src.columns().to_vec(),
-            };
-            PhysicalPlan::Scan {
-                data: RecordBatch::new(schema.clone(), columns)?,
-            }
-        }
+        LogicalPlan::Scan { .. } => plan_scan(logical, None, catalog, provider, options)?,
         LogicalPlan::Values { schema, rows } => {
             let empty = RecordBatch::empty(Arc::new(Schema::default()));
             let compiled: Vec<Vec<PhysExpr>> = rows
@@ -267,29 +231,8 @@ pub fn create_physical_plan(
             }
         }
         LogicalPlan::Filter { input, predicate } => {
-            // Fuse a filter directly over a part-backed scan: the predicate
-            // prunes parts via zone maps at plan time and runs per decoded
-            // chunk at execution time, so non-matching rows never
-            // materialize into a whole-table batch.
-            if let LogicalPlan::Scan {
-                table,
-                version,
-                projection,
-                schema,
-            } = input.as_ref()
-            {
-                if let Some(ps) = plan_part_scan(
-                    catalog,
-                    table,
-                    version,
-                    projection,
-                    schema,
-                    Some(predicate),
-                    provider,
-                    options,
-                )? {
-                    return Ok(ps);
-                }
+            if let LogicalPlan::Scan { .. } = input.as_ref() {
+                return plan_scan(input, Some(predicate), catalog, provider, options);
             }
             let child = create_physical_plan(input, catalog, provider, options)?;
             let policy = ParallelPolicy::from_options(options, child.estimated_rows());
@@ -488,11 +431,9 @@ fn compile(
     PhysExpr::compile(&resolved, schema, provider)
 }
 
-/// Per-column numeric bounds implied by a predicate, keyed by output-schema
-/// column index: `col = 5` → `[5, 5]`, `col > 5` → `[5, ∞)` (inclusive —
-/// pruning stays conservative for both strict and non-strict forms).
-type ColBounds = HashMap<usize, (Option<f64>, Option<f64>)>;
-
+/// Narrow column `idx` to `[lo, hi]`: `col = 5` → `[5, 5]`, `col > 5` →
+/// `[5, ∞)` (inclusive — pruning stays conservative for both strict and
+/// non-strict forms).
 fn tighten(bounds: &mut ColBounds, idx: usize, lo: Option<f64>, hi: Option<f64>) {
     let e = bounds.entry(idx).or_insert((None, None));
     if let Some(l) = lo {
@@ -561,80 +502,38 @@ fn zone_constraints(pred: &Expr, schema: &Schema) -> ColBounds {
     bounds
 }
 
-/// Build a [`PhysicalPlan::PartScan`] for a scan over a part-backed table
-/// version, or `None` when the version is fully resident (the materialized
-/// `Scan` stays the fast path there). Zone-map pruning happens here, at
-/// plan time, and is recorded in the store's counters.
-#[allow(clippy::too_many_arguments)]
-fn plan_part_scan(
-    catalog: &Catalog,
-    table: &str,
-    version: &Option<u64>,
-    projection: &Option<Vec<usize>>,
-    schema: &Arc<Schema>,
+/// Plan a [`LogicalPlan::Scan`] with the filter directly above it (if any)
+/// fused in. The filter's bounds prune parts by their zone maps here, at
+/// plan time; the filter itself runs per chunk at execution time.
+fn plan_scan(
+    scan: &LogicalPlan,
     predicate: Option<&Expr>,
+    catalog: &Catalog,
     provider: &dyn InferenceProvider,
     options: &ExecOptions,
-) -> Result<Option<PhysicalPlan>> {
-    let Some(store) = catalog.part_store() else {
-        return Ok(None);
+) -> Result<PhysicalPlan> {
+    let LogicalPlan::Scan {
+        table,
+        version,
+        projection,
+        schema,
+    } = scan
+    else {
+        return Err(SqlError::Plan("plan_scan on a non-scan node".into()));
     };
-    let t = catalog.table(table)?;
-    let tv = match version {
-        Some(v) => t.at_version(*v)?,
-        None => t.current(),
-    };
-    if tv.parts.is_empty() {
-        return Ok(None);
-    }
-    let src = &tv.data;
-    let tail_cols: Vec<ColumnVector> = match projection {
-        Some(indices) => indices.iter().map(|&i| src.column(i).clone()).collect(),
-        None => src.columns().to_vec(),
-    };
-    let tail = RecordBatch::new(schema.clone(), tail_cols)?;
-
-    let total = tv.parts.len();
-    let bounds = predicate
-        .map(|p| zone_constraints(p, schema))
-        .unwrap_or_default();
-    let parts: Vec<crate::parts::PartMeta> = tv
-        .parts
-        .iter()
-        .filter(|p| {
-            bounds.iter().all(|(&k, &(lo, hi))| {
-                // output column k is base-table column projection[k]
-                let zi = projection.as_ref().map_or(k, |pr| pr[k]);
-                p.zones.get(zi).is_none_or(|z| z.overlaps(lo, hi, p.rows))
-            })
-        })
-        .cloned()
-        .collect();
-    let pruned = total - parts.len();
-    store
-        .zonemap_parts_pruned
-        .fetch_add(pruned as u64, AtomicOrdering::Relaxed);
-    store
-        .zonemap_parts_scanned
-        .fetch_add(parts.len() as u64, AtomicOrdering::Relaxed);
-
-    let est: usize =
-        parts.iter().map(|p| p.rows as usize).sum::<usize>() + tail.num_rows();
-    let policy = ParallelPolicy::from_options(options, est);
+    let mut source = catalog
+        .scan_table(table, *version)?
+        .project(projection.as_deref(), schema.clone())?;
+    source.prune(&predicate.map(|p| zone_constraints(p, schema)).unwrap_or_default());
+    let policy = ParallelPolicy::from_options(options, source.rows());
     let predicate = predicate
         .map(|p| compile(p, schema, provider, options, &policy))
         .transpose()?;
-    Ok(Some(PhysicalPlan::PartScan {
-        schema: schema.clone(),
-        store: store.clone(),
-        parts,
-        pruned,
-        total,
-        tail,
-        projection: projection.clone(),
+    Ok(PhysicalPlan::Scan {
+        source,
         predicate,
         policy,
-    }))
+    })
 }
 
 impl PhysicalPlan {
@@ -644,22 +543,14 @@ impl PhysicalPlan {
     /// degree selection.
     pub fn estimated_rows(&self) -> usize {
         match self {
-            PhysicalPlan::Scan { data } => data.num_rows(),
-            PhysicalPlan::PartScan {
-                parts,
-                tail,
-                predicate,
-                ..
-            } => {
-                let n = parts.iter().map(|p| p.rows as usize).sum::<usize>() + tail.num_rows();
-                if predicate.is_some() {
-                    n / 3 + 1
-                } else {
-                    n
-                }
-            }
-            PhysicalPlan::Values { rows, .. } => rows.len(),
             // filters keep an estimated third of their input
+            PhysicalPlan::Scan {
+                source,
+                predicate: Some(_),
+                ..
+            } => source.rows() / 3 + 1,
+            PhysicalPlan::Scan { source, .. } => source.rows(),
+            PhysicalPlan::Values { rows, .. } => rows.len(),
             PhysicalPlan::Filter { input, .. } => input.estimated_rows() / 3 + 1,
             PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Sort { input, .. }
@@ -723,21 +614,18 @@ impl PhysicalPlan {
 
     fn execute_inner(&self, ctx: &EvalContext, m: &PlanMetrics) -> Result<RecordBatch> {
         match self {
-            PhysicalPlan::Scan { data } => {
-                m.op
-                    .rows_in
-                    .fetch_add(data.num_rows() as u64, AtomicOrdering::Relaxed);
-                Ok(data.clone())
-            }
-            PhysicalPlan::PartScan { schema, .. } => {
+            PhysicalPlan::Scan { source, .. } => {
                 let mut survivors: Vec<RecordBatch> = Vec::new();
-                self.for_each_part_chunk(ctx, m, &mut |chunk| {
+                self.scan_chunks(ctx, &m.op, &mut |chunk| {
                     survivors.push(chunk);
                     Ok(())
                 })?;
-                RecordBatch::concat(schema.clone(), &survivors)
+                concat_chunks(source.schema(), survivors)
             }
             PhysicalPlan::Values { schema, rows } => {
+                m.op
+                    .rows_in
+                    .fetch_add(rows.len() as u64, AtomicOrdering::Relaxed);
                 let empty = RecordBatch::empty(Arc::new(Schema::default()));
                 let mut out_rows: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
                 for row in rows {
@@ -754,21 +642,8 @@ impl PhysicalPlan {
                 predicate,
                 policy,
             } => {
-                let batch = input.execute_metered(ctx, &m.children[0])?;
-                m.op
-                    .rows_in
-                    .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
-                let mask: Vec<bool> = if policy.fan_out(batch.num_rows()) {
-                    m.op.record_fan_out(
-                        batch.num_rows().div_ceil(policy.morsel_rows.max(1)),
-                        policy.degree,
-                    );
-                    parallel::map_morsels(&batch, policy, |m| predicate.eval_mask(m, ctx))?
-                        .concat()
-                } else {
-                    predicate.eval_mask(&batch, ctx)?
-                };
-                batch.filter(&mask)
+                let batch = run_input(input, ctx, m, 0)?;
+                batch.filter(&filter_mask(predicate, &batch, policy, ctx, &m.op)?)
             }
             PhysicalPlan::Project {
                 input,
@@ -776,29 +651,16 @@ impl PhysicalPlan {
                 schema,
                 policy,
             } => {
-                let batch = input.execute_metered(ctx, &m.children[0])?;
-                m.op
-                    .rows_in
-                    .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
-                if policy.fan_out(batch.num_rows()) {
-                    m.op.record_fan_out(
-                        batch.num_rows().div_ceil(policy.morsel_rows.max(1)),
-                        policy.degree,
-                    );
-                    let parts = parallel::map_morsels(&batch, policy, |m| {
-                        let cols: Vec<ColumnVector> = exprs
-                            .iter()
-                            .map(|e| e.eval(m, ctx))
-                            .collect::<Result<_>>()?;
-                        RecordBatch::new(schema.clone(), cols)
-                    })?;
+                let batch = run_input(input, ctx, m, 0)?;
+                let project = |b: &RecordBatch| {
+                    let cols = exprs.iter().map(|e| e.eval(b, ctx));
+                    RecordBatch::new(schema.clone(), cols.collect::<Result<_>>()?)
+                };
+                if m.op.fan_out(policy, batch.num_rows()) {
+                    let parts = parallel::map_morsels(&batch, policy, project)?;
                     return RecordBatch::concat(schema.clone(), &parts);
                 }
-                let columns: Vec<ColumnVector> = exprs
-                    .iter()
-                    .map(|e| e.eval(&batch, ctx))
-                    .collect::<Result<_>>()?;
-                RecordBatch::new(schema.clone(), columns)
+                project(&batch)
             }
             PhysicalPlan::HashAggregate {
                 input,
@@ -807,22 +669,29 @@ impl PhysicalPlan {
                 schema,
                 policy,
             } => {
-                // Aggregates over a part-backed scan stream chunk-by-chunk
-                // into the accumulators (partials merged in chunk order, so
-                // results don't depend on part layout) — the concatenated
-                // input batch never materializes.
-                if matches!(input.as_ref(), PhysicalPlan::PartScan { .. })
-                    && aggs
-                        .iter()
-                        .all(|(call, _)| Accumulator::mergeable(call.func, call.distinct))
-                {
-                    return execute_aggregate_streaming(input, group, aggs, schema, ctx, m);
+                // One partial per input chunk, folded in chunk order. A
+                // resident input is one chunk; a part-backed scan streams
+                // its chunks and its concatenated output never
+                // materializes. Aggregates that cannot merge partials need
+                // the whole input as one chunk.
+                let mut state: Option<Partial> = None;
+                let mut fold = |batch: RecordBatch| -> Result<()> {
+                    m.op
+                        .rows_in
+                        .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
+                    let partial = aggregate_partial(&batch, group, aggs, policy, ctx, &m.op)?;
+                    match &mut state {
+                        Some(s) => s.merge(partial),
+                        None => state = Some(partial),
+                    }
+                    Ok(())
+                };
+                if mergeable(aggs) {
+                    input.for_each_chunk(ctx, &m.children[0], &mut fold)?;
+                } else {
+                    fold(input.execute_metered(ctx, &m.children[0])?)?;
                 }
-                let batch = input.execute_metered(ctx, &m.children[0])?;
-                m.op
-                    .rows_in
-                    .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
-                execute_aggregate(&batch, group, aggs, schema, policy, ctx, &m.op)
+                finish_aggregate(state, group, aggs, schema)
             }
             PhysicalPlan::HashJoin {
                 left,
@@ -834,12 +703,8 @@ impl PhysicalPlan {
                 schema,
                 policy,
             } => {
-                let lb = left.execute_metered(ctx, &m.children[0])?;
-                let rb = right.execute_metered(ctx, &m.children[1])?;
-                m.op.rows_in.fetch_add(
-                    (lb.num_rows() + rb.num_rows()) as u64,
-                    AtomicOrdering::Relaxed,
-                );
+                let lb = run_input(left, ctx, m, 0)?;
+                let rb = run_input(right, ctx, m, 1)?;
                 execute_hash_join(
                     &lb, &rb, left_keys, right_keys, *join_type, filter, schema, policy, ctx,
                     &m.op,
@@ -852,12 +717,8 @@ impl PhysicalPlan {
                 filter,
                 schema,
             } => {
-                let lb = left.execute_metered(ctx, &m.children[0])?;
-                let rb = right.execute_metered(ctx, &m.children[1])?;
-                m.op.rows_in.fetch_add(
-                    (lb.num_rows() + rb.num_rows()) as u64,
-                    AtomicOrdering::Relaxed,
-                );
+                let lb = run_input(left, ctx, m, 0)?;
+                let rb = run_input(right, ctx, m, 1)?;
                 let mut pairs: Vec<(usize, usize)> =
                     Vec::with_capacity(lb.num_rows() * rb.num_rows());
                 for li in 0..lb.num_rows() {
@@ -874,10 +735,7 @@ impl PhysicalPlan {
                 policy,
                 fetch,
             } => {
-                let batch = input.execute_metered(ctx, &m.children[0])?;
-                m.op
-                    .rows_in
-                    .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
+                let batch = run_input(input, ctx, m, 0)?;
                 execute_sort(&batch, keys, policy, *fetch, ctx, &m.op)
             }
             PhysicalPlan::Limit {
@@ -885,10 +743,7 @@ impl PhysicalPlan {
                 limit,
                 offset,
             } => {
-                let batch = input.execute_metered(ctx, &m.children[0])?;
-                m.op
-                    .rows_in
-                    .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
+                let batch = run_input(input, ctx, m, 0)?;
                 let start = (*offset as usize).min(batch.num_rows());
                 let len = limit
                     .map(|l| l as usize)
@@ -898,20 +753,13 @@ impl PhysicalPlan {
             PhysicalPlan::Union { inputs, schema } => {
                 let batches: Vec<RecordBatch> = inputs
                     .iter()
-                    .zip(&m.children)
-                    .map(|(i, cm)| i.execute_metered(ctx, cm))
+                    .enumerate()
+                    .map(|(i, input)| run_input(input, ctx, m, i))
                     .collect::<Result<_>>()?;
-                m.op.rows_in.fetch_add(
-                    batches.iter().map(|b| b.num_rows() as u64).sum::<u64>(),
-                    AtomicOrdering::Relaxed,
-                );
                 RecordBatch::concat(schema.clone(), &batches)
             }
             PhysicalPlan::Distinct { input } => {
-                let batch = input.execute_metered(ctx, &m.children[0])?;
-                m.op
-                    .rows_in
-                    .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
+                let batch = run_input(input, ctx, m, 0)?;
                 let mut seen: std::collections::HashSet<GroupKey> =
                     std::collections::HashSet::new();
                 let mut keep = Vec::new();
@@ -926,94 +774,80 @@ impl PhysicalPlan {
         }
     }
 
-    /// Stream a part-backed scan: decode each part (projected), apply the
-    /// fused filter, and hand the surviving chunk to `f`. Only valid on
-    /// [`PhysicalPlan::PartScan`]. At most one decoded part is alive at a
-    /// time — peak decode bytes go to the store's high-water counter.
-    /// Bumps the scan's `rows_in` and charges the query budget per decoded
-    /// chunk; output-side metrics are the caller's (either
-    /// `execute_metered` on the materialized result, or the streaming
-    /// aggregate recording per-chunk).
-    fn for_each_part_chunk(
+    /// Read a [`PhysicalPlan::Scan`]'s chunks, run the fused filter over
+    /// each, and hand the non-empty survivors to `f`. Records the rows read
+    /// (`rows_in`: after pruning, before the filter) and charges the query
+    /// budget for each chunk materialized beyond the scan's output — a
+    /// decoded part, or the input of the filter.
+    fn scan_chunks(
         &self,
         ctx: &EvalContext,
-        m: &PlanMetrics,
+        op: &OpMetrics,
         f: &mut dyn FnMut(RecordBatch) -> Result<()>,
     ) -> Result<()> {
-        let PhysicalPlan::PartScan {
-            schema,
-            store,
-            parts,
-            tail,
-            projection,
+        let PhysicalPlan::Scan {
+            source,
             predicate,
             policy,
-            ..
         } = self
         else {
-            return Err(crate::error::SqlError::Execution(
-                "for_each_part_chunk on a non-PartScan operator".into(),
-            ));
+            return Err(SqlError::Execution("scan_chunks on a non-scan operator".into()));
         };
-        let mut peak = 0u64;
-        let proj = projection.as_deref();
-        for (i, part) in parts.iter().enumerate() {
+        let decoded = source.parts().len();
+        for (i, chunk) in source.chunks().enumerate() {
             ctx.cancel.check()?;
-            let raw = store.read_part_projected(part.id, proj)?;
-            // decoded under the part's stored schema; present as ours
-            let chunk = RecordBatch::new(schema.clone(), raw.columns().to_vec())?;
-            peak = peak.max((chunk.num_rows() * chunk.num_columns() * 8) as u64);
-            self.emit_chunk(chunk, predicate, policy, ctx, m, f)?;
-            ctx.cancel.check_every(i)?;
+            let chunk = chunk?;
+            let n = chunk.num_rows();
+            op.rows_in.fetch_add(n as u64, AtomicOrdering::Relaxed);
+            if i < decoded || predicate.is_some() {
+                ctx.budget.charge(n as u64, (n * chunk.num_columns() * 8) as u64)?;
+            }
+            let survivors = match predicate {
+                Some(p) => chunk.filter(&filter_mask(p, &chunk, policy, ctx, op)?)?,
+                None => chunk,
+            };
+            if survivors.num_rows() > 0 {
+                f(survivors)?;
+            }
         }
-        ctx.cancel.check()?;
-        self.emit_chunk(tail.clone(), predicate, policy, ctx, m, f)?;
-        store.record_scan_peak(peak);
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit_chunk(
+    /// Execute, handing the output to `f` chunk by chunk: a scan streams
+    /// its chunks, metered per chunk, without materializing their
+    /// concatenation; any other operator hands over its one output batch.
+    fn for_each_chunk(
         &self,
-        chunk: RecordBatch,
-        predicate: &Option<PhysExpr>,
-        policy: &ParallelPolicy,
         ctx: &EvalContext,
         m: &PlanMetrics,
         f: &mut dyn FnMut(RecordBatch) -> Result<()>,
     ) -> Result<()> {
-        m.op
-            .rows_in
-            .fetch_add(chunk.num_rows() as u64, AtomicOrdering::Relaxed);
-        ctx.budget.charge(
-            chunk.num_rows() as u64,
-            (chunk.num_rows() * chunk.num_columns() * 8) as u64,
-        )?;
-        let filtered = match predicate {
-            Some(p) => {
-                let mask = if policy.fan_out(chunk.num_rows()) {
-                    m.op.record_fan_out(
-                        chunk.num_rows().div_ceil(policy.morsel_rows.max(1)),
-                        policy.degree,
-                    );
-                    parallel::map_morsels(&chunk, policy, |mo| p.eval_mask(mo, ctx))?.concat()
-                } else {
-                    p.eval_mask(&chunk, ctx)?
-                };
-                chunk.filter(&mask)?
-            }
-            None => chunk,
-        };
-        f(filtered)
+        if !matches!(self, PhysicalPlan::Scan { .. }) {
+            return f(self.execute_metered(ctx, m)?);
+        }
+        ctx.cancel.check()?;
+        let started = std::time::Instant::now();
+        let mut consumer_ns = 0u64;
+        self.scan_chunks(ctx, &m.op, &mut |chunk| {
+            let n = chunk.num_rows();
+            m.op.batches.fetch_add(1, AtomicOrdering::Relaxed);
+            m.op.rows_out.fetch_add(n as u64, AtomicOrdering::Relaxed);
+            ctx.budget.charge(n as u64, (n * chunk.num_columns() * 8) as u64)?;
+            let consumer = std::time::Instant::now();
+            let r = f(chunk);
+            consumer_ns += consumer.elapsed().as_nanos() as u64;
+            r
+        })?;
+        let own_ns = (started.elapsed().as_nanos() as u64).saturating_sub(consumer_ns);
+        m.op.wall_ns.fetch_add(own_ns, AtomicOrdering::Relaxed);
+        Ok(())
     }
 
     /// Child operators, in the order `execute` runs them (and in which
     /// [`PlanMetrics::for_plan`] mirrors them).
     pub fn children(&self) -> Vec<&PhysicalPlan> {
         match self {
-            PhysicalPlan::Scan { .. }
-            | PhysicalPlan::PartScan { .. }
-            | PhysicalPlan::Values { .. } => Vec::new(),
+            PhysicalPlan::Scan { .. } | PhysicalPlan::Values { .. } => Vec::new(),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
@@ -1029,27 +863,22 @@ impl PhysicalPlan {
     /// Operator name and shape detail for plan rendering.
     pub fn op_label(&self) -> (String, String) {
         match self {
-            PhysicalPlan::Scan { data } => (
-                "Scan".to_string(),
-                format!("rows={}", data.num_rows()),
-            ),
-            PhysicalPlan::PartScan {
-                parts,
-                pruned,
-                total,
-                tail,
+            PhysicalPlan::Scan {
+                source,
                 predicate,
-                ..
+                policy,
             } => {
-                let disk_rows: u64 = parts.iter().map(|p| p.rows).sum();
-                let mut detail = format!(
-                    "parts pruned {pruned}/{total}, rows(disk)={disk_rows}, rows(tail)={}",
-                    tail.num_rows()
-                );
+                let mut detail = format!("rows={}", source.rows());
+                if let (pruned, total @ 1..) = source.pruned() {
+                    detail.push_str(&format!(", parts pruned {pruned}/{total}"));
+                }
                 if predicate.is_some() {
                     detail.push_str(", fused filter");
+                    if let Some(p) = policy_detail_opt(policy) {
+                        detail.push_str(&format!(", {p}"));
+                    }
                 }
-                ("PartScan".to_string(), detail)
+                ("Scan".to_string(), detail)
             }
             PhysicalPlan::Values { rows, .. } => {
                 ("Values".to_string(), format!("rows={}", rows.len()))
@@ -1165,8 +994,7 @@ impl PhysicalPlan {
     /// Output schema of this physical operator.
     pub fn schema(&self) -> Arc<Schema> {
         match self {
-            PhysicalPlan::Scan { data } => data.schema().clone(),
-            PhysicalPlan::PartScan { schema, .. } => schema.clone(),
+            PhysicalPlan::Scan { source, .. } => source.schema().clone(),
             PhysicalPlan::Values { schema, .. }
             | PhysicalPlan::Project { schema, .. }
             | PhysicalPlan::HashAggregate { schema, .. }
@@ -1181,6 +1009,36 @@ impl PhysicalPlan {
     }
 }
 
+/// Execute child `i` of the operator metered by `m`, counting its output
+/// as the operator's input.
+fn run_input(
+    child: &PhysicalPlan,
+    ctx: &EvalContext,
+    m: &PlanMetrics,
+    i: usize,
+) -> Result<RecordBatch> {
+    let batch = child.execute_metered(ctx, &m.children[i])?;
+    m.op
+        .rows_in
+        .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
+    Ok(batch)
+}
+
+/// A predicate's selection mask over `batch`: per morsel when the policy
+/// fans out, else in one pass.
+fn filter_mask(
+    predicate: &PhysExpr,
+    batch: &RecordBatch,
+    policy: &ParallelPolicy,
+    ctx: &EvalContext,
+    op: &OpMetrics,
+) -> Result<Vec<bool>> {
+    if !op.fan_out(policy, batch.num_rows()) {
+        return predicate.eval_mask(batch, ctx);
+    }
+    Ok(parallel::map_morsels(batch, policy, |m| predicate.eval_mask(m, ctx))?.concat())
+}
+
 /// `degree=N` when the operator may fan out, empty when planned serial.
 fn policy_detail_opt(policy: &ParallelPolicy) -> Option<String> {
     (policy.degree > 1).then(|| format!("degree={}", policy.degree))
@@ -1192,10 +1050,48 @@ fn policy_detail(policy: &ParallelPolicy) -> String {
 
 // ------------------------------------------------------------- aggregate
 
-/// Per-morsel partial aggregation state: groups in first-appearance order.
+fn mergeable(aggs: &[(AggCall, Option<PhysExpr>)]) -> bool {
+    aggs.iter()
+        .all(|(call, _)| Accumulator::mergeable(call.func, call.distinct))
+}
+
+/// Partial aggregation state over a slice of the input: one accumulator
+/// set per group, groups in first-appearance order. A global aggregate
+/// (no GROUP BY) is the one group with the empty key.
+#[derive(Default)]
 struct Partial {
     order: Vec<GroupKey>,
     groups: HashMap<GroupKey, Vec<Accumulator>>,
+}
+
+impl Partial {
+    fn global(accs: Vec<Accumulator>) -> Partial {
+        let key = GroupKey(Vec::new());
+        Partial {
+            order: vec![key.clone()],
+            groups: HashMap::from([(key, accs)]),
+        }
+    }
+
+    /// Fold in the partial of a later slice of the input (a later morsel
+    /// or chunk). Merging in input order keeps group order first-appearance
+    /// and partial-sum association independent of how the input was cut.
+    fn merge(&mut self, mut later: Partial) {
+        for key in later.order {
+            let Some(accs) = later.groups.remove(&key) else { continue };
+            match self.groups.entry(key) {
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    for (dst, src) in e.get_mut().iter_mut().zip(&accs) {
+                        dst.merge(src);
+                    }
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    self.order.push(e.key().clone());
+                    e.insert(accs);
+                }
+            }
+        }
+    }
 }
 
 fn fresh_accs(aggs: &[(AggCall, Option<PhysExpr>)]) -> Vec<Accumulator> {
@@ -1244,7 +1140,7 @@ fn accumulate_global(
     batch: &RecordBatch,
     aggs: &[(AggCall, Option<PhysExpr>)],
     ctx: &EvalContext,
-) -> Result<Vec<Accumulator>> {
+) -> Result<Partial> {
     let arg_cols: Vec<Option<ColumnVector>> = aggs
         .iter()
         .map(|(_, arg)| arg.as_ref().map(|e| e.eval(batch, ctx)).transpose())
@@ -1259,165 +1155,63 @@ fn accumulate_global(
             }
         }
     }
-    Ok(accs)
+    Ok(Partial::global(accs))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_aggregate(
+/// One input chunk's partial aggregate: two-phase over morsels when the
+/// policy fans out (thread-local partials merged at the barrier in morsel
+/// order, so the result matches any other thread count), else one serial
+/// pass.
+fn aggregate_partial(
     batch: &RecordBatch,
     group: &[PhysExpr],
     aggs: &[(AggCall, Option<PhysExpr>)],
-    schema: &Arc<Schema>,
     policy: &ParallelPolicy,
     ctx: &EvalContext,
     op: &OpMetrics,
-) -> Result<RecordBatch> {
-    let mergeable = aggs
-        .iter()
-        .all(|(call, _)| Accumulator::mergeable(call.func, call.distinct));
-    let parallel = mergeable && policy.fan_out(batch.num_rows());
-    if parallel {
-        op.record_fan_out(
-            batch.num_rows().div_ceil(policy.morsel_rows.max(1)),
-            policy.degree,
-        );
-    }
-
-    // Global aggregate (no GROUP BY) needs no hash table.
-    if group.is_empty() {
-        let accs = if parallel {
-            let partials =
-                parallel::map_morsels(batch, policy, |m| accumulate_global(m, aggs, ctx))?;
-            let mut merged = fresh_accs(aggs);
-            for part in &partials {
-                for (acc, p) in merged.iter_mut().zip(part) {
-                    acc.merge(p);
-                }
-            }
-            merged
+) -> Result<Partial> {
+    let accumulate = |b: &RecordBatch| {
+        if group.is_empty() {
+            accumulate_global(b, aggs, ctx)
         } else {
-            accumulate_global(batch, aggs, ctx)?
-        };
-        let row: Vec<Value> = accs.iter().map(Accumulator::finish).collect();
-        return RecordBatch::from_rows(schema.clone(), &[row]);
-    }
-
-    let partial = if parallel {
-        // Two-phase: thread-local partials per morsel, merged at the
-        // barrier in morsel order so group order (first appearance) and
-        // partial-sum association match any other thread count.
-        let partials =
-            parallel::map_morsels(batch, policy, |m| accumulate_groups(m, group, aggs, ctx))?;
-        let mut groups: HashMap<GroupKey, Vec<Accumulator>> = HashMap::new();
-        let mut order: Vec<GroupKey> = Vec::new();
-        for part in partials {
-            for key in part.order {
-                let accs = &part.groups[&key];
-                match groups.entry(key.clone()) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        for (dst, src) in e.get_mut().iter_mut().zip(accs) {
-                            dst.merge(src);
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        order.push(key);
-                        e.insert(accs.clone());
-                    }
-                }
-            }
+            accumulate_groups(b, group, aggs, ctx)
         }
-        Partial { order, groups }
-    } else {
-        accumulate_groups(batch, group, aggs, ctx)?
     };
-
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(partial.order.len());
-    for key in partial.order {
-        let accs = &partial.groups[&key];
-        let mut row = key.0.clone();
-        row.extend(accs.iter().map(Accumulator::finish));
-        rows.push(row);
+    if !(mergeable(aggs) && op.fan_out(policy, batch.num_rows())) {
+        return accumulate(batch);
     }
-    RecordBatch::from_rows(schema.clone(), &rows)
+    let mut merged = if group.is_empty() {
+        Partial::global(fresh_accs(aggs))
+    } else {
+        Partial::default()
+    };
+    for partial in parallel::map_morsels(batch, policy, accumulate)? {
+        merged.merge(partial);
+    }
+    Ok(merged)
 }
 
-/// Aggregate over a part-backed scan without materializing its input:
-/// each decoded (and filter-fused) chunk accumulates into a partial that
-/// merges immediately, in chunk order — the same merge discipline the
-/// morsel-parallel path uses, so group order is first-appearance across
-/// the whole stream. Caller guarantees every aggregate is mergeable.
-fn execute_aggregate_streaming(
-    scan: &PhysicalPlan,
+/// One output row per group: the key, then each aggregate's value. With
+/// no input chunks at all, a global aggregate still yields its one row.
+fn finish_aggregate(
+    state: Option<Partial>,
     group: &[PhysExpr],
     aggs: &[(AggCall, Option<PhysExpr>)],
     schema: &Arc<Schema>,
-    ctx: &EvalContext,
-    m: &PlanMetrics,
 ) -> Result<RecordBatch> {
-    let cm = &m.children[0];
-    let scan_started = std::time::Instant::now();
-
-    if group.is_empty() {
-        let mut merged = fresh_accs(aggs);
-        scan.for_each_part_chunk(ctx, cm, &mut |chunk| {
-            cm.op
-                .rows_out
-                .fetch_add(chunk.num_rows() as u64, AtomicOrdering::Relaxed);
-            cm.op.batches.fetch_add(1, AtomicOrdering::Relaxed);
-            m.op
-                .rows_in
-                .fetch_add(chunk.num_rows() as u64, AtomicOrdering::Relaxed);
-            let part = accumulate_global(&chunk, aggs, ctx)?;
-            for (acc, p) in merged.iter_mut().zip(&part) {
-                acc.merge(p);
-            }
-            Ok(())
-        })?;
-        cm.op
-            .wall_ns
-            .fetch_add(scan_started.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
-        let row: Vec<Value> = merged.iter().map(Accumulator::finish).collect();
-        return RecordBatch::from_rows(schema.clone(), &[row]);
-    }
-
-    let mut groups: HashMap<GroupKey, Vec<Accumulator>> = HashMap::new();
-    let mut order: Vec<GroupKey> = Vec::new();
-    scan.for_each_part_chunk(ctx, cm, &mut |chunk| {
-        cm.op
-            .rows_out
-            .fetch_add(chunk.num_rows() as u64, AtomicOrdering::Relaxed);
-        cm.op.batches.fetch_add(1, AtomicOrdering::Relaxed);
-        m.op
-            .rows_in
-            .fetch_add(chunk.num_rows() as u64, AtomicOrdering::Relaxed);
-        let part = accumulate_groups(&chunk, group, aggs, ctx)?;
-        for key in part.order {
-            let accs = &part.groups[&key];
-            match groups.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (dst, src) in e.get_mut().iter_mut().zip(accs) {
-                        dst.merge(src);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(key);
-                    e.insert(accs.clone());
-                }
-            }
-        }
-        Ok(())
-    })?;
-    cm.op
-        .wall_ns
-        .fetch_add(scan_started.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
-
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(order.len());
-    for key in order {
-        let accs = &groups[&key];
-        let mut row = key.0.clone();
-        row.extend(accs.iter().map(Accumulator::finish));
-        rows.push(row);
-    }
+    let state = state.unwrap_or_else(|| match group {
+        [] => Partial::global(fresh_accs(aggs)),
+        _ => Partial::default(),
+    });
+    let rows: Vec<Vec<Value>> = state
+        .order
+        .iter()
+        .map(|key| {
+            let mut row = key.0.clone();
+            row.extend(state.groups[key].iter().map(Accumulator::finish));
+            row
+        })
+        .collect();
     RecordBatch::from_rows(schema.clone(), &rows)
 }
 
@@ -1600,10 +1394,7 @@ fn execute_sort(
     op: &OpMetrics,
 ) -> Result<RecordBatch> {
     let n = batch.num_rows();
-    let fan_out = policy.fan_out(n);
-    if fan_out {
-        op.record_fan_out(n.div_ceil(policy.morsel_rows.max(1)), policy.degree);
-    }
+    let fan_out = op.fan_out(policy, n);
 
     // Key columns for the whole batch; evaluated morsel-parallel when the
     // sort itself fans out (expression purity makes this equal to a single

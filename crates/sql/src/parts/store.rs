@@ -50,8 +50,9 @@ pub struct PartStore {
     pub zonemap_parts_pruned: Arc<AtomicU64>,
     /// Parts actually fed to the scan (post-pruning).
     pub zonemap_parts_scanned: Arc<AtomicU64>,
-    /// High-water mark of bytes decoded at once by a streaming part scan —
-    /// the observable form of the memory-budget guarantee.
+    /// High-water mark of bytes decoded at once by any read of a table
+    /// version (one part at a time) — the observable form of the
+    /// memory-budget guarantee.
     pub part_scan_peak_bytes: Arc<AtomicU64>,
 }
 

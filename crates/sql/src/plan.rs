@@ -977,12 +977,17 @@ impl<'a, 'b> Planner<'a, 'b> {
                     };
                     return Ok((plan, scope));
                 }
-                let table = self.ctx.catalog.table(name)?;
-                // time-travel reads use the schema live at that version
-                // (ALTER TABLE may have changed it since)
-                let schema = match version {
-                    Some(v) => table.at_version(*v)?.data.schema().clone(),
-                    None => table.schema().clone(),
+                let (table_name, schema) = match self.ctx.catalog.table(name) {
+                    // time-travel reads use the schema live at that version
+                    // (ALTER TABLE may have changed it since)
+                    Ok(table) => match version {
+                        Some(v) => (table.name(), table.at_version(*v)?.data.schema().clone()),
+                        None => (table.name(), table.schema().clone()),
+                    },
+                    Err(e) => match (self.ctx.catalog.virtual_table(name), version) {
+                        (Some(v), None) => (v.name(), v.schema()),
+                        _ => return Err(e),
+                    },
                 };
                 let qual = alias.clone().unwrap_or_else(|| name.clone());
                 let scope = Scope {
@@ -998,7 +1003,7 @@ impl<'a, 'b> Planner<'a, 'b> {
                 };
                 Ok((
                     LogicalPlan::Scan {
-                        table: table.name().to_string(),
+                        table: table_name.to_string(),
                         version: *version,
                         projection: None,
                         schema,

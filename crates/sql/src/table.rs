@@ -8,9 +8,11 @@
 
 use crate::batch::RecordBatch;
 use crate::error::{Result, SqlError};
-use crate::parts::PartMeta;
+use crate::parts::{PartMeta, PartStore};
 use crate::schema::Schema;
 use crate::stats::TableStats;
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One immutable snapshot of a table's contents.
@@ -36,6 +38,20 @@ pub struct TableVersion {
 }
 
 impl TableVersion {
+    /// A snapshot with its statistics: exact over the tail, merged with
+    /// the parts' zone maps — a pure function of both, so building one
+    /// never touches part files.
+    pub fn new(version: u64, txn_id: u64, parts: Vec<PartMeta>, data: RecordBatch) -> Arc<Self> {
+        let stats = TableStats::compute_with_parts(&parts, &data);
+        Arc::new(TableVersion {
+            version,
+            txn_id,
+            parts,
+            data,
+            stats,
+        })
+    }
+
     /// Total rows in this snapshot: disk parts plus resident tail.
     pub fn total_rows(&self) -> usize {
         self.part_rows() + self.data.num_rows()
@@ -48,6 +64,162 @@ impl TableVersion {
 
     pub fn has_parts(&self) -> bool {
         !self.parts.is_empty()
+    }
+
+    /// This version's rows as a chunk source; `store` holds its parts.
+    pub fn scan(&self, store: Option<&Arc<PartStore>>) -> TableScan {
+        TableScan::new(&self.parts, &self.data, store)
+    }
+}
+
+/// Per-column `[lo, hi]` bounds (either side open) keyed by scan output
+/// column: what a predicate implies, in the form zone maps prune with.
+pub type ColBounds = HashMap<usize, (Option<f64>, Option<f64>)>;
+
+/// The rows of one table version as a sequence of chunks: its disk parts,
+/// oldest first, each decoded only when reached and only for the wanted
+/// columns, then its resident tail. Every reader of a version's rows —
+/// the executor's `Scan`, UPDATE / DELETE / ALTER, the continuous-query
+/// tick and the state digest — goes through this one source, so none of
+/// them knows where the rows live. At most one decoded part is alive per
+/// step; peak decoded bytes go to the part store's high-water counter.
+#[derive(Debug, Clone)]
+pub struct TableScan {
+    /// Schema of every chunk (the projected columns).
+    schema: Arc<Schema>,
+    store: Option<Arc<PartStore>>,
+    /// Parts still to read, oldest first.
+    parts: Vec<PartMeta>,
+    /// Parts dropped by zone-map pruning, and how many there were before.
+    pruned: usize,
+    total_parts: usize,
+    /// Projected resident tail.
+    tail: RecordBatch,
+    /// Base-table column indices to decode; `None` = every column.
+    projection: Option<Vec<usize>>,
+    /// Leading rows of the first part not to return (a cursor inside it).
+    skip: usize,
+}
+
+impl TableScan {
+    /// Disk `parts` (read from `store`) followed by the resident `tail`.
+    pub fn new(parts: &[PartMeta], tail: &RecordBatch, store: Option<&Arc<PartStore>>) -> Self {
+        TableScan {
+            schema: tail.schema().clone(),
+            store: store.cloned(),
+            parts: parts.to_vec(),
+            pruned: 0,
+            total_parts: parts.len(),
+            tail: tail.clone(),
+            projection: None,
+            skip: 0,
+        }
+    }
+
+    /// Read only the base-table columns `projection` (all when `None`),
+    /// presented under `schema`.
+    pub fn project(mut self, projection: Option<&[usize]>, schema: Arc<Schema>) -> Result<Self> {
+        let columns = match projection {
+            Some(indices) => indices.iter().map(|&i| self.tail.column(i).clone()).collect(),
+            None => self.tail.columns().to_vec(),
+        };
+        self.tail = RecordBatch::new(schema.clone(), columns)?;
+        self.schema = schema;
+        self.projection = projection.map(<[usize]>::to_vec);
+        Ok(self)
+    }
+
+    /// Zone-map pruning: drop every part whose zone maps show no row can
+    /// fall inside `bounds`. Counted on the part store as parts pruned and
+    /// parts scanned.
+    pub fn prune(&mut self, bounds: &ColBounds) {
+        let Some(store) = self.store.as_ref().filter(|_| !self.parts.is_empty()) else {
+            return;
+        };
+        let projection = self.projection.as_deref();
+        self.parts.retain(|p| {
+            bounds.iter().all(|(&c, &(lo, hi))| {
+                let zone = projection.map_or(c, |pr| pr[c]);
+                p.zones.get(zone).is_none_or(|z| z.overlaps(lo, hi, p.rows))
+            })
+        });
+        self.pruned = self.total_parts - self.parts.len();
+        store
+            .zonemap_parts_pruned
+            .fetch_add(self.pruned as u64, Ordering::Relaxed);
+        store
+            .zonemap_parts_scanned
+            .fetch_add(self.parts.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Start at row `n` of the version: parts wholly before it are skipped
+    /// by their row counts and never decoded.
+    pub fn skip_rows(mut self, mut n: usize) -> Self {
+        while self.parts.first().is_some_and(|p| p.rows as usize <= n) {
+            n -= self.parts.remove(0).rows as usize;
+        }
+        if self.parts.is_empty() {
+            self.tail = self.tail.slice(n, usize::MAX);
+        } else {
+            self.skip = n;
+        }
+        self
+    }
+
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// Parts still to read.
+    pub fn parts(&self) -> &[PartMeta] {
+        &self.parts
+    }
+
+    /// Parts pruned, of how many the version had.
+    pub fn pruned(&self) -> (usize, usize) {
+        (self.pruned, self.total_parts)
+    }
+
+    /// Rows the scan reads (after pruning and skipping, before any filter).
+    pub fn rows(&self) -> usize {
+        self.parts.iter().map(|p| p.rows as usize).sum::<usize>() - self.skip
+            + self.tail.num_rows()
+    }
+
+    /// The chunks in order: each remaining part decoded, then the tail.
+    pub fn chunks(&self) -> impl Iterator<Item = Result<RecordBatch>> + '_ {
+        let parts = self.parts.iter().enumerate().map(|(i, p)| {
+            let store = self.store.as_ref().ok_or_else(|| {
+                SqlError::Io("table has disk parts but no part store is attached".into())
+            })?;
+            let raw = store.read_part_projected(p.id, self.projection.as_deref())?;
+            // decoded under the part's stored schema; present as ours
+            let chunk = RecordBatch::new(self.schema.clone(), raw.columns().to_vec())?;
+            store.record_scan_peak((chunk.num_rows() * chunk.num_columns() * 8) as u64);
+            Ok(match i {
+                0 if self.skip > 0 => chunk.slice(self.skip, usize::MAX),
+                _ => chunk,
+            })
+        });
+        parts.chain(std::iter::once(Ok(self.tail.clone())))
+    }
+
+    /// Drain every chunk into one batch.
+    pub fn collect(&self) -> Result<RecordBatch> {
+        let chunks = self.chunks().collect::<Result<Vec<_>>>()?;
+        concat_chunks(&self.schema, chunks)
+    }
+}
+
+/// Concatenate a scan's chunks. A lone non-empty chunk — a resident
+/// table, or everything pruned but one chunk — comes back as-is, never
+/// copied through [`RecordBatch::concat`].
+pub fn concat_chunks(schema: &Arc<Schema>, chunks: Vec<RecordBatch>) -> Result<RecordBatch> {
+    let mut chunks: Vec<RecordBatch> = chunks.into_iter().filter(|c| c.num_rows() > 0).collect();
+    match chunks.len() {
+        0 => Ok(RecordBatch::empty(schema.clone())),
+        1 => Ok(chunks.remove(0)),
+        _ => RecordBatch::concat(schema.clone(), &chunks),
     }
 }
 
@@ -65,17 +237,10 @@ impl Table {
         schema.check_unique_names()?;
         let schema = Arc::new(schema);
         let data = RecordBatch::empty(schema.clone());
-        let stats = TableStats::compute(&data);
         Ok(Table {
             name: name.into(),
             schema,
-            versions: vec![Arc::new(TableVersion {
-                version: 1,
-                txn_id,
-                parts: Vec::new(),
-                data,
-                stats,
-            })],
+            versions: vec![TableVersion::new(1, txn_id, Vec::new(), data)],
         })
     }
 
@@ -120,8 +285,8 @@ impl Table {
     }
 
     /// Install a new snapshot produced by a committed write. The snapshot
-    /// is fully resident: full-rewrite paths (UPDATE/DELETE/ALTER)
-    /// materialize any disk parts first, so part references never leak
+    /// is fully resident: full-rewrite paths (UPDATE/DELETE/ALTER) drain
+    /// the version's [`TableScan`] first, so part references never leak
     /// into a version whose `data` already contains those rows.
     pub fn push_version(&mut self, data: RecordBatch, txn_id: u64) -> Result<u64> {
         self.push_version_with_parts(Vec::new(), data, txn_id)
@@ -142,15 +307,9 @@ impl Table {
                 self.name
             )));
         }
-        let stats = TableStats::compute_with_parts(&parts, &data);
         let version = self.current_version() + 1;
-        self.versions.push(Arc::new(TableVersion {
-            version,
-            txn_id,
-            parts,
-            data,
-            stats,
-        }));
+        self.versions
+            .push(TableVersion::new(version, txn_id, parts, data));
         Ok(version)
     }
 
@@ -159,14 +318,7 @@ impl Table {
     /// history collapsed to one version whose prefix lives on disk).
     pub fn replace_current_with_parts(&mut self, parts: Vec<PartMeta>, tail: RecordBatch) {
         let cur = self.current();
-        let stats = TableStats::compute_with_parts(&parts, &tail);
-        let v = Arc::new(TableVersion {
-            version: cur.version,
-            txn_id: cur.txn_id,
-            parts,
-            data: tail,
-            stats,
-        });
+        let v = TableVersion::new(cur.version, cur.txn_id, parts, tail);
         *self.versions.last_mut().expect("tables always have >=1 version") = v;
     }
 
@@ -240,24 +392,17 @@ impl Table {
                 self.current_version()
             )));
         }
-        let stats = TableStats::compute_with_parts(&parts, &data);
         // The batch carries its schema, so ALTER replays through the same
         // path as plain writes.
         self.schema = data.schema().clone();
-        self.versions.push(Arc::new(TableVersion {
-            version,
-            txn_id,
-            parts,
-            data,
-            stats,
-        }));
+        self.versions
+            .push(TableVersion::new(version, txn_id, parts, data));
         Ok(())
     }
 
     /// Rebuild a table from recovered `(version, txn_id, parts, data)`
-    /// tuples (checkpoint restore). Stats are recomputed — they are a pure
-    /// function of the tail data and part zone maps, so recovery never
-    /// touches part files — and the live schema is the newest snapshot's.
+    /// tuples (checkpoint restore). Stats are recomputed (see
+    /// [`TableVersion::new`]); the live schema is the newest snapshot's.
     pub fn from_history(
         name: impl Into<String>,
         history: Vec<(u64, u64, Vec<PartMeta>, RecordBatch)>,
@@ -276,16 +421,7 @@ impl Table {
         let schema = last.3.schema().clone();
         let versions = history
             .into_iter()
-            .map(|(version, txn_id, parts, data)| {
-                let stats = TableStats::compute_with_parts(&parts, &data);
-                Arc::new(TableVersion {
-                    version,
-                    txn_id,
-                    parts,
-                    data,
-                    stats,
-                })
-            })
+            .map(|(version, txn_id, parts, data)| TableVersion::new(version, txn_id, parts, data))
             .collect();
         Ok(Table {
             name,

@@ -608,11 +608,10 @@ fn explain_analyze_returns_annotated_plan_tree() {
         .collect();
     // annotated operators with measured row counts and timings
     assert!(tree.contains("HashAggregate"), "{tree}");
-    assert!(tree.contains("Filter"), "{tree}");
-    assert!(tree.contains("Scan"), "{tree}");
     assert!(tree.contains("time="), "{tree}");
-    // the scan saw all 5 people
-    assert!(tree.contains("Scan [rows=5] (rows=5"), "{tree}");
+    // one Scan line: it read all 5 people and ran the filter fused in
+    assert!(tree.contains("Scan [rows=5, fused filter]"), "{tree}");
+    assert!(!tree.contains("Filter ["), "{tree}");
     // plain EXPLAIN stays a static tree without measurements
     let b = db
         .query("EXPLAIN SELECT dept FROM people")
