@@ -48,7 +48,8 @@ fn merge_byte_cap(budget: u64) -> u64 {
 /// is still current before swapping, and never deletes the source files —
 /// older versions and older checkpoints may still reference them, so
 /// reclamation belongs to checkpoint pruning. Purely physical: no WAL
-/// record, no version bump, no logical-digest change.
+/// record, no version bump, no logical-digest change — only the table's
+/// layout stamp moves, so cached plans over the old parts get rebound.
 fn merge_step(state: &RwLock<DbState>, byte_cap: u64) -> bool {
     let (name, start, run, store) = {
         let st = sync::read(state);

@@ -285,15 +285,15 @@ impl Session {
                 shared.options_epoch.load(Ordering::Relaxed),
                 ctx.provider.plan_epoch(),
             );
-            let version_of =
-                |t: &str| txn.catalog().table(t).ok().map(|tab| tab.current_version());
-            let hit = match shared.plan_cache.lookup(&key, epochs, version_of) {
+            let stamp_of =
+                |t: &str| txn.catalog().table(t).ok().map(|tab| tab.current_stamp());
+            let hit = match shared.plan_cache.lookup(&key, epochs, stamp_of) {
                 Ok(CacheHit::Ready(e)) => Some(e),
                 Ok(CacheHit::Rebind(e)) => {
-                    // Plain DML moved a table version under the plan:
-                    // re-derive only the physical plan (cheap — column
-                    // data is Arc-shared) from the cached logical plan and
-                    // refresh the entry in place.
+                    // DML, offload or a merge moved a table under the
+                    // plan: re-derive only the physical plan (cheap —
+                    // column data is Arc-shared) from the cached logical
+                    // plan and refresh the entry in place.
                     let catalog = txn.catalog();
                     let physical = create_physical_plan(
                         &e.logical,
@@ -301,17 +301,17 @@ impl Session {
                         ctx.provider.as_ref(),
                         &ctx.options,
                     )?;
-                    let table_versions = e
-                        .table_versions
+                    let table_stamps = e
+                        .table_stamps
                         .iter()
-                        .map(|(t, _)| Ok((t.clone(), catalog.table(t)?.current_version())))
+                        .map(|(t, _)| Ok((t.clone(), catalog.table(t)?.current_stamp())))
                         .collect::<Result<Vec<_>>>()?;
                     let rebound = CachedPlan {
                         logical: e.logical.clone(),
                         physical,
                         tables: e.tables.clone(),
                         models: e.models.clone(),
-                        table_versions,
+                        table_stamps,
                         ddl_epoch: e.ddl_epoch,
                         options_epoch: e.options_epoch,
                         model_epoch: e.model_epoch,
@@ -344,11 +344,13 @@ impl Session {
             if !planned.reads_metrics_table() && !query_has_subqueries(&q) {
                 // Time-travel scans pin an immutable version and never
                 // need rebinding.
-                let table_versions = planned
+                let layout_of =
+                    |t: &str| txn.catalog().table(t).map_or(0, |tab| tab.current_stamp().1);
+                let table_stamps = planned
                     .scans
                     .iter()
                     .filter(|s| !s.pinned)
-                    .map(|s| (s.table.clone(), s.version))
+                    .map(|s| (s.table.clone(), (s.version, layout_of(&s.table))))
                     .collect();
                 shared.plan_cache.insert(
                     key,
@@ -357,7 +359,7 @@ impl Session {
                         physical: planned.physical,
                         tables: planned.tables,
                         models: planned.models,
-                        table_versions,
+                        table_stamps,
                         ddl_epoch: epochs.0,
                         options_epoch: epochs.1,
                         model_epoch: epochs.2,

@@ -1,9 +1,31 @@
-//! Aggregate accumulators and the grouping key.
+//! Aggregation: the accumulators, the grouping key, and the hash
+//! aggregate operator built from them.
+//!
+//! The operator groups a batch a whole column at a time. First the key
+//! columns map to dense `u32` group ids through typed tables that read
+//! the column buffers in place ([`group_ids`]); then each aggregate's
+//! argument column folds into the accumulators of its rows' groups from
+//! its typed buffer. One [`GroupKey`] is built per group, from the row
+//! where the group first appears, and none per row. [`Accumulator::fold`]
+//! is the one definition of each aggregate's per-value update: the typed
+//! kernel calls it per row, and so does [`Accumulator::update`], the
+//! boxed entry point of DISTINCT arguments and continuous-query windows.
 
-use crate::plan::AggFunc;
-use crate::types::Value;
-use std::collections::HashSet;
+use super::{
+    parallel, EvalContext, OpMetrics, ParallelPolicy, PhysExpr, PhysicalPlan, PlanMetrics,
+};
+use crate::batch::RecordBatch;
+use crate::column::{ColumnVector, RawColumn};
+use crate::error::Result;
+use crate::exec::cancel::CancelToken;
+use crate::plan::{AggCall, AggFunc};
+use crate::schema::Schema;
+use crate::types::{Value, ValueRef};
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::Arc;
 
 /// A grouping key: values compared with GROUP BY semantics
 /// (NULL == NULL, numerics unified).
@@ -12,12 +34,7 @@ pub struct GroupKey(pub Vec<Value>);
 
 impl PartialEq for GroupKey {
     fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self
-                .0
-                .iter()
-                .zip(&other.0)
-                .all(|(a, b)| a.group_eq(b))
+        self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a.group_eq(b))
     }
 }
 
@@ -78,17 +95,28 @@ impl Accumulator {
     /// Feed one input value. `None` means COUNT(*) (count every row).
     pub fn update(&mut self, value: Option<&Value>) {
         let Some(v) = value else {
-            self.count += 1; // COUNT(*)
+            self.count_row();
             return;
         };
-        if v.is_null() {
+        let Some(x) = v.as_value_ref() else {
             return; // aggregates skip NULLs
-        }
+        };
         if let Some(seen) = &mut self.seen {
             if !seen.insert(GroupKey(vec![v.clone()])) {
                 return;
             }
         }
+        self.fold(x);
+    }
+
+    /// COUNT(*): count the row whatever it holds.
+    fn count_row(&mut self) {
+        self.count += 1;
+    }
+
+    /// Fold one non-NULL input that passed any DISTINCT filter.
+    #[inline]
+    fn fold(&mut self, v: ValueRef<'_>) {
         self.count += 1;
         match self.func {
             AggFunc::Count => {}
@@ -97,8 +125,8 @@ impl Accumulator {
                     self.sum += x;
                 }
                 match v {
-                    Value::Int(i) => self.int_sum += *i as i128,
-                    Value::Bool(b) => self.int_sum += *b as i128,
+                    ValueRef::Int(i) => self.int_sum += i as i128,
+                    ValueRef::Bool(b) => self.int_sum += b as i128,
                     _ => self.int_only = false,
                 }
             }
@@ -110,24 +138,8 @@ impl Accumulator {
                     self.m2 += delta * (x - self.mean);
                 }
             }
-            AggFunc::Min => {
-                let better = match &self.min {
-                    None => true,
-                    Some(m) => v.sql_cmp(m) == Some(std::cmp::Ordering::Less),
-                };
-                if better {
-                    self.min = Some(v.clone());
-                }
-            }
-            AggFunc::Max => {
-                let better = match &self.max {
-                    None => true,
-                    Some(m) => v.sql_cmp(m) == Some(std::cmp::Ordering::Greater),
-                };
-                if better {
-                    self.max = Some(v.clone());
-                }
-            }
+            AggFunc::Min => keep_if(&mut self.min, v, Ordering::Less),
+            AggFunc::Max => keep_if(&mut self.max, v, Ordering::Greater),
         }
     }
 
@@ -175,23 +187,11 @@ impl Accumulator {
             self.int_sum += other.int_sum;
             self.int_only &= other.int_only;
         }
-        if let Some(m) = &other.min {
-            let better = match &self.min {
-                None => true,
-                Some(cur) => m.sql_cmp(cur) == Some(std::cmp::Ordering::Less),
-            };
-            if better {
-                self.min = Some(m.clone());
-            }
+        if let Some(m) = other.min.as_ref().and_then(Value::as_value_ref) {
+            keep_if(&mut self.min, m, Ordering::Less);
         }
-        if let Some(m) = &other.max {
-            let better = match &self.max {
-                None => true,
-                Some(cur) => m.sql_cmp(cur) == Some(std::cmp::Ordering::Greater),
-            };
-            if better {
-                self.max = Some(m.clone());
-            }
+        if let Some(m) = other.max.as_ref().and_then(Value::as_value_ref) {
+            keep_if(&mut self.max, m, Ordering::Greater);
         }
     }
 
@@ -240,6 +240,386 @@ impl Accumulator {
             }
         }
     }
+}
+
+/// MIN/MAX step: replace `slot` with `v` when empty or when `v` compares
+/// `wanted` against it (an incomparable pair keeps the current value).
+#[inline]
+fn keep_if(slot: &mut Option<Value>, v: ValueRef<'_>, wanted: Ordering) {
+    let better = match slot.as_ref().and_then(Value::as_value_ref) {
+        None => true,
+        Some(cur) => v.sql_cmp(cur) == Some(wanted),
+    };
+    if better {
+        *slot = Some(v.to_value());
+    }
+}
+
+// ------------------------------------------------------------- group ids
+
+/// Dense group ids for the rows of a batch: `ids[row]` numbers groups in
+/// order of first appearance, and `firsts[g]` is the row where group `g`
+/// first appears (so `firsts` is ascending).
+#[derive(Debug)]
+pub(crate) struct GroupIds {
+    pub ids: Vec<u32>,
+    pub firsts: Vec<usize>,
+}
+
+/// Group the `rows` rows of `cols` with GROUP BY semantics: NULL is a
+/// value of its own, floats compare by bit pattern with -0.0 read as 0.0
+/// (so NaNs with different payloads stay apart), everything else by
+/// value. Each column is numbered through a table typed by its buffer;
+/// several columns combine their per-column ids pairwise. No columns put
+/// every row in one group.
+pub(crate) fn group_ids(
+    cols: &[ColumnVector],
+    rows: usize,
+    cancel: &CancelToken,
+) -> Result<GroupIds> {
+    let Some((first, rest)) = cols.split_first() else {
+        return Ok(GroupIds {
+            ids: vec![0; rows],
+            firsts: if rows > 0 { vec![0] } else { Vec::new() },
+        });
+    };
+    let mut out = column_ids(first, cancel)?;
+    for col in rest {
+        let next = column_ids(col, cancel)?;
+        out = dense(
+            rows,
+            |r| (out.ids[r] as u64) << 32 | next.ids[r] as u64,
+            cancel,
+        )?;
+    }
+    Ok(out)
+}
+
+/// Group ids of one column, read from its typed buffer.
+fn column_ids(col: &ColumnVector, cancel: &CancelToken) -> Result<GroupIds> {
+    let valid = col.validity();
+    match col.raw() {
+        RawColumn::Bool(v) => typed_ids(v, valid, |&b| b, cancel),
+        RawColumn::Int(v) => typed_ids(v, valid, |&i| i, cancel),
+        RawColumn::Float(v) => typed_ids(v, valid, |&x| float_key(x), cancel),
+        RawColumn::Text(v) => typed_ids(v, valid, |s| s.as_str(), cancel),
+        RawColumn::Date(v) => typed_ids(v, valid, |&d| d, cancel),
+    }
+}
+
+/// A float's grouping identity: its bits, with -0.0 folded onto 0.0.
+#[inline]
+fn float_key(x: f64) -> u64 {
+    if x == 0.0 {
+        0
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Number a typed buffer's rows by `key`, NULL rows (`valid[row]` false)
+/// as one more key of their own.
+fn typed_ids<'a, T, K: Hash + Eq>(
+    data: &'a [T],
+    valid: Option<&[bool]>,
+    key: impl Fn(&'a T) -> K,
+    cancel: &CancelToken,
+) -> Result<GroupIds> {
+    match valid {
+        None => dense(data.len(), |r| key(&data[r]), cancel),
+        Some(valid) => dense(data.len(), |r| valid[r].then(|| key(&data[r])), cancel),
+    }
+}
+
+/// Number rows `0..rows` densely by `key`, in order of first appearance.
+fn dense<K: Hash + Eq>(
+    rows: usize,
+    key: impl Fn(usize) -> K,
+    cancel: &CancelToken,
+) -> Result<GroupIds> {
+    let mut table: HashMap<K, u32> = HashMap::new();
+    let mut ids = Vec::with_capacity(rows);
+    let mut firsts = Vec::new();
+    for row in 0..rows {
+        cancel.check_every(row)?;
+        let next = firsts.len() as u32;
+        let id = *table.entry(key(row)).or_insert_with(|| {
+            firsts.push(row);
+            next
+        });
+        ids.push(id);
+    }
+    Ok(GroupIds { ids, firsts })
+}
+
+// ------------------------------------------------------------- operator
+
+/// Partial aggregation state over a slice of the input: groups in
+/// first-appearance order, `stride` accumulators each (group-major). A
+/// global aggregate (no GROUP BY) is the one group with the empty key.
+struct Partial {
+    keys: Vec<GroupKey>,
+    accs: Vec<Accumulator>,
+    stride: usize,
+    /// Group of each key; built when the first later partial merges in.
+    index: HashMap<GroupKey, u32>,
+}
+
+impl Partial {
+    /// The state before any input: no groups, or for a global aggregate
+    /// its one group, which exists even over no rows.
+    fn new(group: &[PhysExpr], aggs: &[(AggCall, Option<PhysExpr>)]) -> Partial {
+        let global = group.is_empty();
+        Partial {
+            keys: if global {
+                vec![GroupKey(Vec::new())]
+            } else {
+                Vec::new()
+            },
+            accs: if global { fresh_accs(aggs) } else { Vec::new() },
+            stride: aggs.len(),
+            index: HashMap::new(),
+        }
+    }
+
+    /// Fold in the partial of a later slice of the input (a later morsel
+    /// or chunk). Merging in input order keeps group order first-appearance
+    /// and partial-sum association independent of how the input was cut.
+    fn merge(&mut self, later: Partial) {
+        if self.index.len() != self.keys.len() {
+            self.index = self.keys.iter().cloned().zip(0..).collect();
+        }
+        let stride = self.stride;
+        let mut src = later.accs.into_iter();
+        for key in later.keys {
+            match self.index.get(&key) {
+                Some(&g) => {
+                    let dst = &mut self.accs[g as usize * stride..][..stride];
+                    for (d, s) in dst.iter_mut().zip(src.by_ref().take(stride)) {
+                        d.merge(&s);
+                    }
+                }
+                None => {
+                    self.index.insert(key.clone(), self.keys.len() as u32);
+                    self.keys.push(key);
+                    self.accs.extend(src.by_ref().take(stride));
+                }
+            }
+        }
+    }
+}
+
+fn mergeable(aggs: &[(AggCall, Option<PhysExpr>)]) -> bool {
+    aggs.iter()
+        .all(|(call, _)| Accumulator::mergeable(call.func, call.distinct))
+}
+
+fn fresh_accs(aggs: &[(AggCall, Option<PhysExpr>)]) -> Vec<Accumulator> {
+    aggs.iter()
+        .map(|(call, _)| Accumulator::new(call.func, call.distinct))
+        .collect()
+}
+
+/// Run a [`PhysicalPlan::HashAggregate`]: one partial per input chunk,
+/// folded in chunk order. A resident input is one chunk; a part-backed
+/// scan streams its chunks and its concatenated output never
+/// materializes. Aggregates that cannot merge partials need the whole
+/// input as one chunk.
+pub(super) fn execute_hash_aggregate(
+    input: &PhysicalPlan,
+    group: &[PhysExpr],
+    aggs: &[(AggCall, Option<PhysExpr>)],
+    schema: &Arc<Schema>,
+    policy: &ParallelPolicy,
+    ctx: &EvalContext,
+    m: &PlanMetrics,
+) -> Result<RecordBatch> {
+    let mut state: Option<Partial> = None;
+    let mut fold = |batch: RecordBatch| -> Result<()> {
+        m.op.rows_in
+            .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
+        let partial = aggregate_partial(&batch, group, aggs, policy, ctx, &m.op)?;
+        match &mut state {
+            Some(s) => s.merge(partial),
+            None => state = Some(partial),
+        }
+        Ok(())
+    };
+    if mergeable(aggs) {
+        input.for_each_chunk(ctx, &m.children[0], &mut fold)?;
+    } else {
+        fold(input.execute_metered(ctx, &m.children[0])?)?;
+    }
+    finish_aggregate(state, group, aggs, schema)
+}
+
+/// One input chunk's partial aggregate: two-phase over morsels when the
+/// policy fans out (thread-local partials merged at the barrier in morsel
+/// order, so the result matches any other thread count), else one serial
+/// pass.
+fn aggregate_partial(
+    batch: &RecordBatch,
+    group: &[PhysExpr],
+    aggs: &[(AggCall, Option<PhysExpr>)],
+    policy: &ParallelPolicy,
+    ctx: &EvalContext,
+    op: &OpMetrics,
+) -> Result<Partial> {
+    let accumulate = |b: &RecordBatch| accumulate(b, group, aggs, ctx);
+    if !(mergeable(aggs) && op.fan_out(policy, batch.num_rows())) {
+        return accumulate(batch);
+    }
+    let mut merged = Partial::new(group, aggs);
+    for partial in parallel::map_morsels(batch, policy, accumulate)? {
+        merged.merge(partial);
+    }
+    Ok(merged)
+}
+
+/// Phase 1 over one batch (a morsel or a whole chunk): evaluate the key
+/// columns and number their groups, then fold each argument column into
+/// the accumulators of its rows' groups.
+fn accumulate(
+    batch: &RecordBatch,
+    group: &[PhysExpr],
+    aggs: &[(AggCall, Option<PhysExpr>)],
+    ctx: &EvalContext,
+) -> Result<Partial> {
+    let rows = batch.num_rows();
+    let group_cols: Vec<ColumnVector> = group
+        .iter()
+        .map(|e| e.eval(batch, ctx))
+        .collect::<Result<_>>()?;
+    let GroupIds { ids, firsts } = if group.is_empty() {
+        // The global group exists even over no rows.
+        ctx.cancel.check()?;
+        GroupIds {
+            ids: vec![0; rows],
+            firsts: vec![0],
+        }
+    } else {
+        group_ids(&group_cols, rows, &ctx.cancel)?
+    };
+    let stride = aggs.len();
+    let mut accs = Vec::with_capacity(firsts.len() * stride);
+    for _ in &firsts {
+        accs.extend(fresh_accs(aggs));
+    }
+    for (j, (call, arg)) in aggs.iter().enumerate() {
+        let col = arg.as_ref().map(|e| e.eval(batch, ctx)).transpose()?;
+        let slot = Slot {
+            accs: &mut accs,
+            stride,
+            j,
+        };
+        match col {
+            None => slot.count_rows(&ids),
+            Some(col) if call.distinct => slot.update_boxed(&ids, &col),
+            Some(col) => slot.fold_column(&ids, &col),
+        }
+    }
+    let keys = firsts
+        .iter()
+        .map(|&r| GroupKey(group_cols.iter().map(|c| c.get(r)).collect()))
+        .collect();
+    Ok(Partial {
+        keys,
+        accs,
+        stride,
+        index: HashMap::new(),
+    })
+}
+
+/// Accumulator `j` of every group in a group-major accumulator array.
+struct Slot<'a> {
+    accs: &'a mut [Accumulator],
+    stride: usize,
+    j: usize,
+}
+
+impl Slot<'_> {
+    #[inline]
+    fn of(&mut self, group: u32) -> &mut Accumulator {
+        &mut self.accs[group as usize * self.stride + self.j]
+    }
+
+    /// COUNT(*): every row counts in its group.
+    fn count_rows(mut self, ids: &[u32]) {
+        for &g in ids {
+            self.of(g).count_row();
+        }
+    }
+
+    /// DISTINCT arguments go through the boxed entry point, whose filter
+    /// keys values with GROUP BY semantics.
+    fn update_boxed(mut self, ids: &[u32], col: &ColumnVector) {
+        for (row, &g) in ids.iter().enumerate() {
+            self.of(g).update(Some(&col.get(row)));
+        }
+    }
+
+    /// Fold an argument column from its typed buffer, skipping NULLs.
+    fn fold_column(self, ids: &[u32], col: &ColumnVector) {
+        let valid = col.validity();
+        match col.raw() {
+            RawColumn::Bool(v) => self.fold_typed(ids, v, valid, |&b| ValueRef::Bool(b)),
+            RawColumn::Int(v) => self.fold_typed(ids, v, valid, |&i| ValueRef::Int(i)),
+            RawColumn::Float(v) => self.fold_typed(ids, v, valid, |&x| ValueRef::Float(x)),
+            RawColumn::Text(v) => self.fold_typed(ids, v, valid, |s| ValueRef::Text(s)),
+            RawColumn::Date(v) => self.fold_typed(ids, v, valid, |&d| ValueRef::Date(d)),
+        }
+    }
+
+    #[inline]
+    fn fold_typed<'v, T>(
+        mut self,
+        ids: &[u32],
+        data: &'v [T],
+        valid: Option<&[bool]>,
+        read: impl Fn(&'v T) -> ValueRef<'v>,
+    ) {
+        match valid {
+            None => {
+                for (x, &g) in data.iter().zip(ids) {
+                    self.of(g).fold(read(x));
+                }
+            }
+            Some(valid) => {
+                for ((x, &g), &ok) in data.iter().zip(ids).zip(valid) {
+                    if ok {
+                        self.of(g).fold(read(x));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One output row per group: the key, then each aggregate's value. With
+/// no input chunks at all, a global aggregate still yields its one row.
+fn finish_aggregate(
+    state: Option<Partial>,
+    group: &[PhysExpr],
+    aggs: &[(AggCall, Option<PhysExpr>)],
+    schema: &Arc<Schema>,
+) -> Result<RecordBatch> {
+    let state = state.unwrap_or_else(|| Partial::new(group, aggs));
+    let stride = state.stride;
+    let rows: Vec<Vec<Value>> = state
+        .keys
+        .into_iter()
+        .enumerate()
+        .map(|(g, key)| {
+            let mut row = key.0;
+            row.extend(
+                state.accs[g * stride..][..stride]
+                    .iter()
+                    .map(Accumulator::finish),
+            );
+            row
+        })
+        .collect();
+    RecordBatch::from_rows(schema.clone(), &rows)
 }
 
 #[cfg(test)]
@@ -438,5 +818,53 @@ mod tests {
         m.insert(GroupKey(vec![Value::Int(1)]), 2);
         *m.entry(GroupKey(vec![Value::Float(1.0)])).or_insert(0) += 1;
         assert_eq!(m.len(), 2, "Int(1) and Float(1.0) share a group");
+    }
+
+    fn ids_of(cols: &[ColumnVector]) -> GroupIds {
+        let rows = cols.first().map_or(0, ColumnVector::len);
+        group_ids(cols, rows, &CancelToken::default()).unwrap()
+    }
+
+    #[test]
+    fn group_ids_follow_group_by_semantics() {
+        use crate::types::DataType;
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let floats = [0.0, -0.0, nan_a, f64::NAN, nan_a, 1.5];
+        let g = ids_of(&[ColumnVector::from_f64(floats)]);
+        assert_eq!(
+            g.ids,
+            [0, 0, 1, 2, 1, 3],
+            "-0.0 is 0.0; NaN payloads stay apart"
+        );
+        assert_eq!(g.firsts, [0, 2, 3, 5]);
+
+        let text = ColumnVector::from_values(
+            DataType::Text,
+            &[
+                Value::Null,
+                Value::Text(String::new()),
+                Value::Null,
+                Value::Text("a".into()),
+            ],
+        )
+        .unwrap();
+        let g = ids_of(&[text]);
+        assert_eq!(g.ids, [0, 1, 0, 2], "NULL is its own group, apart from ''");
+
+        let ints =
+            ColumnVector::from_values(DataType::Int, &[Value::Int(0), Value::Null, Value::Int(0)])
+                .unwrap();
+        assert_eq!(ids_of(&[ints]).ids, [0, 1, 0], "NULL is apart from 0");
+    }
+
+    #[test]
+    fn multi_column_ids_are_first_appearance_tuples() {
+        let a = ColumnVector::from_i64([1, 2, 1, 2, 1]);
+        let b = ColumnVector::from_bool([true, true, false, true, true]);
+        let g = ids_of(&[a, b]);
+        assert_eq!(g.ids, [0, 1, 2, 1, 0]);
+        assert_eq!(g.firsts, [0, 1, 2]);
+        let none = group_ids(&[], 3, &CancelToken::default()).unwrap();
+        assert_eq!((none.ids, none.firsts), (vec![0, 0, 0], vec![0]));
     }
 }

@@ -668,31 +668,7 @@ impl PhysicalPlan {
                 aggs,
                 schema,
                 policy,
-            } => {
-                // One partial per input chunk, folded in chunk order. A
-                // resident input is one chunk; a part-backed scan streams
-                // its chunks and its concatenated output never
-                // materializes. Aggregates that cannot merge partials need
-                // the whole input as one chunk.
-                let mut state: Option<Partial> = None;
-                let mut fold = |batch: RecordBatch| -> Result<()> {
-                    m.op
-                        .rows_in
-                        .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
-                    let partial = aggregate_partial(&batch, group, aggs, policy, ctx, &m.op)?;
-                    match &mut state {
-                        Some(s) => s.merge(partial),
-                        None => state = Some(partial),
-                    }
-                    Ok(())
-                };
-                if mergeable(aggs) {
-                    input.for_each_chunk(ctx, &m.children[0], &mut fold)?;
-                } else {
-                    fold(input.execute_metered(ctx, &m.children[0])?)?;
-                }
-                finish_aggregate(state, group, aggs, schema)
-            }
+            } => agg::execute_hash_aggregate(input, group, aggs, schema, policy, ctx, m),
             PhysicalPlan::HashJoin {
                 left,
                 right,
@@ -759,17 +735,10 @@ impl PhysicalPlan {
                 RecordBatch::concat(schema.clone(), &batches)
             }
             PhysicalPlan::Distinct { input } => {
+                // The first row of each group of whole rows, in row order.
                 let batch = run_input(input, ctx, m, 0)?;
-                let mut seen: std::collections::HashSet<GroupKey> =
-                    std::collections::HashSet::new();
-                let mut keep = Vec::new();
-                for i in 0..batch.num_rows() {
-                    ctx.cancel.check_every(i)?;
-                    if seen.insert(GroupKey(batch.row(i))) {
-                        keep.push(i);
-                    }
-                }
-                batch.take(&keep)
+                let groups = agg::group_ids(batch.columns(), batch.num_rows(), &ctx.cancel)?;
+                batch.take(&groups.firsts)
             }
         }
     }
@@ -1046,173 +1015,6 @@ fn policy_detail_opt(policy: &ParallelPolicy) -> Option<String> {
 
 fn policy_detail(policy: &ParallelPolicy) -> String {
     policy_detail_opt(policy).unwrap_or_default()
-}
-
-// ------------------------------------------------------------- aggregate
-
-fn mergeable(aggs: &[(AggCall, Option<PhysExpr>)]) -> bool {
-    aggs.iter()
-        .all(|(call, _)| Accumulator::mergeable(call.func, call.distinct))
-}
-
-/// Partial aggregation state over a slice of the input: one accumulator
-/// set per group, groups in first-appearance order. A global aggregate
-/// (no GROUP BY) is the one group with the empty key.
-#[derive(Default)]
-struct Partial {
-    order: Vec<GroupKey>,
-    groups: HashMap<GroupKey, Vec<Accumulator>>,
-}
-
-impl Partial {
-    fn global(accs: Vec<Accumulator>) -> Partial {
-        let key = GroupKey(Vec::new());
-        Partial {
-            order: vec![key.clone()],
-            groups: HashMap::from([(key, accs)]),
-        }
-    }
-
-    /// Fold in the partial of a later slice of the input (a later morsel
-    /// or chunk). Merging in input order keeps group order first-appearance
-    /// and partial-sum association independent of how the input was cut.
-    fn merge(&mut self, mut later: Partial) {
-        for key in later.order {
-            let Some(accs) = later.groups.remove(&key) else { continue };
-            match self.groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (dst, src) in e.get_mut().iter_mut().zip(&accs) {
-                        dst.merge(src);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    self.order.push(e.key().clone());
-                    e.insert(accs);
-                }
-            }
-        }
-    }
-}
-
-fn fresh_accs(aggs: &[(AggCall, Option<PhysExpr>)]) -> Vec<Accumulator> {
-    aggs.iter()
-        .map(|(call, _)| Accumulator::new(call.func, call.distinct))
-        .collect()
-}
-
-/// Phase 1 of grouped aggregation over one batch (a morsel or the whole
-/// input): evaluate group/arg expressions vectorized, then accumulate.
-fn accumulate_groups(
-    batch: &RecordBatch,
-    group: &[PhysExpr],
-    aggs: &[(AggCall, Option<PhysExpr>)],
-    ctx: &EvalContext,
-) -> Result<Partial> {
-    let group_cols: Vec<ColumnVector> = group
-        .iter()
-        .map(|e| e.eval(batch, ctx))
-        .collect::<Result<_>>()?;
-    let arg_cols: Vec<Option<ColumnVector>> = aggs
-        .iter()
-        .map(|(_, arg)| arg.as_ref().map(|e| e.eval(batch, ctx)).transpose())
-        .collect::<Result<_>>()?;
-    let mut groups: HashMap<GroupKey, Vec<Accumulator>> = HashMap::new();
-    let mut order: Vec<GroupKey> = Vec::new();
-    for row in 0..batch.num_rows() {
-        ctx.cancel.check_every(row)?;
-        let key = GroupKey(group_cols.iter().map(|c| c.get(row)).collect());
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            fresh_accs(aggs)
-        });
-        for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
-            match arg {
-                Some(col) => acc.update(Some(&col.get(row))),
-                None => acc.update(None),
-            }
-        }
-    }
-    Ok(Partial { order, groups })
-}
-
-/// Phase 1 of a global (no GROUP BY) aggregate over one batch.
-fn accumulate_global(
-    batch: &RecordBatch,
-    aggs: &[(AggCall, Option<PhysExpr>)],
-    ctx: &EvalContext,
-) -> Result<Partial> {
-    let arg_cols: Vec<Option<ColumnVector>> = aggs
-        .iter()
-        .map(|(_, arg)| arg.as_ref().map(|e| e.eval(batch, ctx)).transpose())
-        .collect::<Result<_>>()?;
-    let mut accs = fresh_accs(aggs);
-    for row in 0..batch.num_rows() {
-        ctx.cancel.check_every(row)?;
-        for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
-            match arg {
-                Some(col) => acc.update(Some(&col.get(row))),
-                None => acc.update(None),
-            }
-        }
-    }
-    Ok(Partial::global(accs))
-}
-
-/// One input chunk's partial aggregate: two-phase over morsels when the
-/// policy fans out (thread-local partials merged at the barrier in morsel
-/// order, so the result matches any other thread count), else one serial
-/// pass.
-fn aggregate_partial(
-    batch: &RecordBatch,
-    group: &[PhysExpr],
-    aggs: &[(AggCall, Option<PhysExpr>)],
-    policy: &ParallelPolicy,
-    ctx: &EvalContext,
-    op: &OpMetrics,
-) -> Result<Partial> {
-    let accumulate = |b: &RecordBatch| {
-        if group.is_empty() {
-            accumulate_global(b, aggs, ctx)
-        } else {
-            accumulate_groups(b, group, aggs, ctx)
-        }
-    };
-    if !(mergeable(aggs) && op.fan_out(policy, batch.num_rows())) {
-        return accumulate(batch);
-    }
-    let mut merged = if group.is_empty() {
-        Partial::global(fresh_accs(aggs))
-    } else {
-        Partial::default()
-    };
-    for partial in parallel::map_morsels(batch, policy, accumulate)? {
-        merged.merge(partial);
-    }
-    Ok(merged)
-}
-
-/// One output row per group: the key, then each aggregate's value. With
-/// no input chunks at all, a global aggregate still yields its one row.
-fn finish_aggregate(
-    state: Option<Partial>,
-    group: &[PhysExpr],
-    aggs: &[(AggCall, Option<PhysExpr>)],
-    schema: &Arc<Schema>,
-) -> Result<RecordBatch> {
-    let state = state.unwrap_or_else(|| match group {
-        [] => Partial::global(fresh_accs(aggs)),
-        _ => Partial::default(),
-    });
-    let rows: Vec<Vec<Value>> = state
-        .order
-        .iter()
-        .map(|key| {
-            let mut row = key.0.clone();
-            row.extend(state.groups[key].iter().map(Accumulator::finish));
-            row
-        })
-        .collect();
-    RecordBatch::from_rows(schema.clone(), &rows)
 }
 
 // ------------------------------------------------------------- hash join

@@ -5,7 +5,9 @@
 //! window that contains their event time; a watermark (max observed event
 //! time minus the stream's lag allowance) drives window close. The
 //! per-window accumulation mirrors the batch HashAggregate exactly — same
-//! [`Accumulator`] updates in the same row order — which is what makes a
+//! [`Accumulator`] updates in the same row order: this module feeds
+//! [`Accumulator::update`] a row at a time, the batch operator feeds the
+//! same per-value fold from typed column buffers — which is what makes a
 //! closed window's output bit-equal to the equivalent batch `GROUP BY`
 //! over the same captured events.
 

@@ -23,9 +23,11 @@
 //!
 //! Invalidation is lazy: each entry records the DDL / options / model
 //! epochs it was planned under, and a lookup whose epochs moved discards
-//! the entry. Table-version drift (plain DML) is cheaper: the optimized
-//! logical plan is kept alongside the physical one, so the entry is
-//! **rebound** (physical re-derivation only) instead of replanned.
+//! the entry. Table drift is cheaper: the optimized logical plan is kept
+//! alongside the physical one, so the entry is **rebound** (physical
+//! re-derivation only) instead of replanned. Drift is a new version (plain
+//! DML) or a new part layout under the same version (offload, merge): the
+//! old part files may since have been pruned.
 
 use crate::error::Result;
 use crate::exec::PhysicalPlan;
@@ -195,9 +197,10 @@ pub struct CachedPlan {
     pub tables: Vec<String>,
     /// Models referenced (pre-rewrite), ACL-checked on every execute.
     pub models: Vec<String>,
-    /// Current version of each non-pinned scanned table at bind time.
-    /// Drift means the physical plan snapshots stale data: rebind.
-    pub table_versions: Vec<(String, u64)>,
+    /// [`Table::current_stamp`](crate::table::Table::current_stamp) of
+    /// each non-pinned scanned table at bind time. Drift means the physical
+    /// plan reads stale rows or retired part files: rebind.
+    pub table_stamps: Vec<(String, (u64, u64))>,
     /// Committed-DDL epoch the plan was built under.
     pub ddl_epoch: u64,
     /// Exec/optimizer/provider configuration epoch.
@@ -219,7 +222,7 @@ pub enum CacheMiss {
 pub enum CacheHit {
     /// Entry valid as-is: execute its physical plan directly.
     Ready(Arc<CachedPlan>),
-    /// Epochs match but table versions moved: re-derive the physical plan
+    /// Epochs match but table stamps moved: re-derive the physical plan
     /// from `logical` and re-insert.
     Rebind(Arc<CachedPlan>),
 }
@@ -267,13 +270,13 @@ impl Default for PlanCache {
 
 impl PlanCache {
     /// Validated lookup. `epochs` are the engine's current
-    /// (ddl, options, model) epochs; `current_version` maps a table name
-    /// to its committed version (`None` = table gone, forces invalidation).
+    /// (ddl, options, model) epochs; `current_stamp` maps a table name
+    /// to its committed stamp (`None` = table gone, forces invalidation).
     pub fn lookup(
         &self,
         key: &CacheKey,
         epochs: (u64, u64, u64),
-        current_version: impl Fn(&str) -> Option<u64>,
+        current_stamp: impl Fn(&str) -> Option<(u64, u64)>,
     ) -> std::result::Result<CacheHit, CacheMiss> {
         let mut entries = sync::lock(&self.entries);
         let now = entries.next_tick();
@@ -292,9 +295,9 @@ impl PlanCache {
             return Err(CacheMiss::Invalidated);
         }
         let mut stale = false;
-        for (table, version) in &entry.table_versions {
-            match current_version(table) {
-                Some(v) if v == *version => {}
+        for (table, stamp) in &entry.table_stamps {
+            match current_stamp(table) {
+                Some(s) if s == *stamp => {}
                 Some(_) => stale = true,
                 None => {
                     // Table vanished without a DDL epoch tick (should not
@@ -464,7 +467,7 @@ mod tests {
             },
             tables: vec![],
             models: vec![],
-            table_versions: vec![("t".into(), 1)],
+            table_stamps: vec![("t".into(), (1, 0))],
             ddl_epoch: 1,
             options_epoch: 1,
             model_epoch: 1,
@@ -481,14 +484,14 @@ mod tests {
         for i in 1..=2 * CACHE_CAPACITY {
             cache.insert(key(&format!("SELECT {i}")), plan());
             assert!(
-                cache.lookup(&hot, (1, 1, 1), |_| Some(1)).is_ok(),
+                cache.lookup(&hot, (1, 1, 1), |_| Some((1, 0))).is_ok(),
                 "hot entry evicted after {i} cold inserts"
             );
         }
         assert_eq!(cache.len(), CACHE_CAPACITY);
         let live = |i: usize| {
             cache
-                .lookup(&key(&format!("SELECT {i}")), (1, 1, 1), |_| Some(1))
+                .lookup(&key(&format!("SELECT {i}")), (1, 1, 1), |_| Some((1, 0)))
                 .is_ok()
         };
         assert!(!live(CACHE_CAPACITY + 1), "the oldest cold entries went first");
@@ -502,25 +505,27 @@ mod tests {
         cache.insert(key.clone(), plan());
         // matching epochs + versions: hit
         assert!(matches!(
-            cache.lookup(&key, (1, 1, 1), |_| Some(1)),
+            cache.lookup(&key, (1, 1, 1), |_| Some((1, 0))),
             Ok(CacheHit::Ready(_))
         ));
-        // version drift: rebind
-        assert!(matches!(
-            cache.lookup(&key, (1, 1, 1), |_| Some(2)),
-            Ok(CacheHit::Rebind(_))
-        ));
+        // version or layout drift: rebind
+        for drifted in [(2, 0), (1, 7)] {
+            assert!(matches!(
+                cache.lookup(&key, (1, 1, 1), |_| Some(drifted)),
+                Ok(CacheHit::Rebind(_))
+            ));
+        }
         // epoch drift: invalidated and removed
         assert!(matches!(
-            cache.lookup(&key, (2, 1, 1), |_| Some(1)),
+            cache.lookup(&key, (2, 1, 1), |_| Some((1, 0))),
             Err(CacheMiss::Invalidated)
         ));
         assert!(matches!(
-            cache.lookup(&key, (1, 1, 1), |_| Some(1)),
+            cache.lookup(&key, (1, 1, 1), |_| Some((1, 0))),
             Err(CacheMiss::Cold)
         ));
         assert_eq!(cache.invalidations.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.hits.load(Ordering::Relaxed), 2);
+        assert_eq!(cache.hits.load(Ordering::Relaxed), 3);
         assert_eq!(cache.misses.load(Ordering::Relaxed), 2);
     }
 }

@@ -12,7 +12,7 @@ use crate::parts::{PartMeta, PartStore};
 use crate::schema::Schema;
 use crate::stats::TableStats;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One immutable snapshot of a table's contents.
@@ -229,7 +229,15 @@ pub struct Table {
     name: String,
     schema: Arc<Schema>,
     versions: Vec<Arc<TableVersion>>,
+    /// Which part list the current version holds: replaced by a fresh,
+    /// process-unique stamp whenever parts are spliced in place (offload,
+    /// merge), which keeps the version number. 0 until the first splice.
+    layout: u64,
 }
+
+/// Source of [`Table::layout`] stamps; unique across tables and catalog
+/// copies, so two different splices never share one.
+static NEXT_LAYOUT: AtomicU64 = AtomicU64::new(1);
 
 impl Table {
     /// Create an empty table; version 1 is the empty snapshot.
@@ -241,6 +249,7 @@ impl Table {
             name: name.into(),
             schema,
             versions: vec![TableVersion::new(1, txn_id, Vec::new(), data)],
+            layout: 0,
         })
     }
 
@@ -260,6 +269,13 @@ impl Table {
     /// Latest version number.
     pub fn current_version(&self) -> u64 {
         self.current().version
+    }
+
+    /// The latest version number and its part layout: equal stamps mean
+    /// the same rows in the same part files, which is what a bound
+    /// physical plan reads.
+    pub fn current_stamp(&self) -> (u64, u64) {
+        (self.current_version(), self.layout)
     }
 
     pub fn versions(&self) -> &[Arc<TableVersion>] {
@@ -315,11 +331,14 @@ impl Table {
 
     /// Replace the current version in place with a part-backed equivalent
     /// (offload: same version number and txn, same logical rows, but
-    /// history collapsed to one version whose prefix lives on disk).
+    /// history collapsed to one version whose prefix lives on disk; merge:
+    /// a run of parts folded into one). The layout stamp moves, so plans
+    /// bound to the old part list are rebound before they read it.
     pub fn replace_current_with_parts(&mut self, parts: Vec<PartMeta>, tail: RecordBatch) {
         let cur = self.current();
         let v = TableVersion::new(cur.version, cur.txn_id, parts, tail);
         *self.versions.last_mut().expect("tables always have >=1 version") = v;
+        self.layout = NEXT_LAYOUT.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Install a new snapshot *with a new schema* (ALTER TABLE). Older
@@ -427,6 +446,7 @@ impl Table {
             name,
             schema,
             versions,
+            layout: 0,
         })
     }
 }

@@ -87,13 +87,19 @@ impl Value {
 
     /// Numeric view of the value, coercing Int/Date to f64.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            Value::Date(d) => Some(*d as f64),
-            Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => None,
-        }
+        self.as_value_ref()?.as_f64()
+    }
+
+    /// Borrow a non-NULL value (`None` for NULL).
+    pub fn as_value_ref(&self) -> Option<ValueRef<'_>> {
+        Some(match self {
+            Value::Null => return None,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Date(d) => ValueRef::Date(*d),
+        })
     }
 
     pub fn as_i64(&self) -> Option<i64> {
@@ -163,19 +169,7 @@ impl Value {
 
     /// Three-valued SQL comparison. Returns `None` when either side is NULL.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        use Value::*;
-        match (self, other) {
-            (Null, _) | (_, Null) => None,
-            (Bool(a), Bool(b)) => Some(a.cmp(b)),
-            (Int(a), Int(b)) => Some(a.cmp(b)),
-            (Text(a), Text(b)) => Some(a.cmp(b)),
-            (Date(a), Date(b)) => Some(a.cmp(b)),
-            // Mixed numeric comparisons coerce to f64.
-            (a, b) => {
-                let (x, y) = (a.as_f64()?, b.as_f64()?);
-                x.partial_cmp(&y)
-            }
-        }
+        self.as_value_ref()?.sql_cmp(other.as_value_ref()?)
     }
 
     /// Total order used by ORDER BY and sort operators. NULLs sort as if
@@ -252,6 +246,54 @@ impl Value {
                 2u8.hash(state);
                 (*d as f64).to_bits().hash(state);
             }
+        }
+    }
+}
+
+/// A borrowed non-NULL [`Value`]: what a typed column kernel reads out of
+/// a column buffer without allocating. Numeric coercion and comparison
+/// are defined here once, and [`Value`] delegates to them.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    Date(i32),
+}
+
+impl ValueRef<'_> {
+    /// Numeric view, coercing Bool/Int/Date to f64; text has none.
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(i) => Some(i as f64),
+            ValueRef::Float(f) => Some(f),
+            ValueRef::Date(d) => Some(d as f64),
+            ValueRef::Bool(b) => Some(if b { 1.0 } else { 0.0 }),
+            ValueRef::Text(_) => None,
+        }
+    }
+
+    /// SQL comparison: same-type values compare exactly, mixed numerics
+    /// through f64 (`None` when either is NaN or the types do not mix).
+    pub fn sql_cmp(self, other: ValueRef<'_>) -> Option<Ordering> {
+        use ValueRef::*;
+        match (self, other) {
+            (Bool(a), Bool(b)) => Some(a.cmp(&b)),
+            (Int(a), Int(b)) => Some(a.cmp(&b)),
+            (Text(a), Text(b)) => Some(a.cmp(b)),
+            (Date(a), Date(b)) => Some(a.cmp(&b)),
+            (a, b) => a.as_f64()?.partial_cmp(&b.as_f64()?),
+        }
+    }
+
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Text(s) => Value::Text(s.to_string()),
+            ValueRef::Date(d) => Value::Date(d),
         }
     }
 }

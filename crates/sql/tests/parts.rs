@@ -550,6 +550,42 @@ fn prune_then_recover_from_older_generation() {
     assert_eq!(rec.state_digest(), digest, "fallback generation lost part data");
 }
 
+/// Regression: a merge splices parts into the current version without
+/// bumping its version number, and checkpoint pruning later deletes the
+/// merged-away part files. A cached or prepared SELECT bound before the
+/// merge must be rebound to the merged layout, not read the deleted parts.
+#[test]
+fn cached_plans_rebind_across_merge_and_part_pruning() {
+    let (db, reference, _mem) = budgeted_pair(384);
+    let total = "SELECT COUNT(*), SUM(v) FROM t";
+    for _ in 0..2 {
+        db.query(total).unwrap();
+    }
+    let mut session = db.session("admin");
+    let prepared = session.prepare("SELECT COUNT(*), SUM(v) FROM t WHERE k >= ?").unwrap();
+    session.execute_prepared(&prepared, &[Value::Int(10)]).unwrap();
+
+    db.set_table_memory_budget(0);
+    assert!(db.merge_now() > 0, "consecutive level-0 parts must merge");
+    db.set_table_memory_budget(BUDGET);
+    for step in 0..3 {
+        db.checkpoint_now().unwrap();
+        db.execute(&format!("INSERT INTO u VALUES ({}, 0)", 1000 + step)).unwrap();
+    }
+
+    let want = rows_of(&reference.query(total).unwrap());
+    assert_eq!(rows_of(&db.query(total).unwrap()), want, "cached SELECT after merge");
+    let got = session
+        .execute_prepared(&prepared, &[Value::Int(10)])
+        .unwrap()
+        .batch
+        .unwrap();
+    let want = reference
+        .query("SELECT COUNT(*), SUM(v) FROM t WHERE k >= 10")
+        .unwrap();
+    assert_eq!(rows_of(&got), rows_of(&want), "prepared SELECT after merge");
+}
+
 /// Wide frame-of-reference columns (deltas needing ~61-63 bits) must
 /// round-trip through the part codec bit-exactly. Regression for the FOR
 /// bit-packer's u64 accumulator dropping high bits once width + residual
