@@ -46,7 +46,14 @@ pub struct ModelRegistry {
     /// they happen *during* planning (epochs were already sampled), and a
     /// bump would make every fresh cache entry instantly stale.
     epoch: AtomicU64,
+    /// Runs once, right after the next derived variant is registered, so a
+    /// test can interleave a concurrent redeploy at that exact point.
+    #[cfg(test)]
+    after_derived: std::sync::Mutex<Option<DerivedHook>>,
 }
+
+#[cfg(test)]
+type DerivedHook = Box<dyn FnOnce(&ModelRegistry) + Send>;
 
 impl ModelRegistry {
     pub fn new() -> Self {
@@ -197,7 +204,19 @@ impl ModelRegistry {
                 version: 0,
             },
         );
+        #[cfg(test)]
+        {
+            let hook = sync::lock(&self.after_derived).take();
+            if let Some(hook) = hook {
+                hook(self);
+            }
+        }
         Some(derived_name)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn after_next_derived(&self, hook: impl FnOnce(&ModelRegistry) + Send + 'static) {
+        *sync::lock(&self.after_derived) = Some(Box::new(hook));
     }
 
     /// Number of registered entries (including derived variants).

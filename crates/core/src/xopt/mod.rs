@@ -307,6 +307,18 @@ impl CrossOptimizer {
                     strategy,
                 });
             }
+            // A concurrent redeploy can purge a derived model between its
+            // registration and the next rule's lookup. Then the PREDICT is
+            // left as the user wrote it; the redeploy's plan-epoch bump
+            // re-plans it anyway. Only pruning replaces the arguments before
+            // a lookup, so they are kept aside only when it does.
+            let written_model = model.clone();
+            let mut written_args = None;
+            let as_written = |args: Vec<Expr>, written_args: Option<Vec<Expr>>| Expr::Predict {
+                model: written_model,
+                args: written_args.unwrap_or(args),
+                strategy,
+            };
 
             // 1. feature pruning via model sparsity
             if cfg.feature_pruning {
@@ -320,11 +332,13 @@ impl CrossOptimizer {
                             })
                         })
                     {
-                        args = args
-                            .into_iter()
+                        let kept = args
+                            .iter()
                             .zip(&usage)
-                            .filter_map(|(a, keep)| keep.then_some(a))
+                            .filter(|(_, keep)| **keep)
+                            .map(|(a, _)| a.clone())
                             .collect();
+                        written_args = Some(std::mem::replace(&mut args, kept));
                         model = derived;
                     }
                 }
@@ -332,7 +346,9 @@ impl CrossOptimizer {
 
             // 2. model compression via column statistics
             if let Some(ranges) = &ranges {
-                let current = self.registry.get(&model).expect("model present");
+                let Some(current) = self.registry.get(&model) else {
+                    return Ok(as_written(args, written_args));
+                };
                 let input_ranges: Vec<Option<(f64, f64)>> = column_args(&current.pipeline, &args)
                     .into_iter()
                     .map(|a| match a {
@@ -362,7 +378,9 @@ impl CrossOptimizer {
 
             // 3. inline small models into pure SQL
             if cfg.inline_models {
-                let current = self.registry.get(&model).expect("model present");
+                let Some(current) = self.registry.get(&model) else {
+                    return Ok(as_written(args, written_args));
+                };
                 if let Some(inlined) =
                     inline_pipeline(&current.pipeline, &args, cfg.inline_max_tree_nodes)
                 {
@@ -378,7 +396,9 @@ impl CrossOptimizer {
             // cache hit re-derives which arguments to drop without
             // consulting the specialized artifact.
             if cfg.predicate_specialization {
-                let current = self.registry.get(&model).expect("model present");
+                let Some(current) = self.registry.get(&model) else {
+                    return Ok(as_written(args, written_args));
+                };
                 let column_args = column_args(&current.pipeline, &args);
                 let cs: Vec<Option<InputConstraint>> = column_args
                     .iter()
@@ -517,5 +537,64 @@ fn hash_ranges(ranges: &[Option<(f64, f64)>]) -> u64 {
 impl PlanRewriter for CrossOptimizer {
     fn rewrite(&self, plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
         self.rewrite_node(plan, catalog)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::meta::{Lineage, ModelMetadata};
+    use crate::registry::RegisteredModel;
+    use flock_ml::{ColumnPipeline, LinearModel, Model};
+    use flock_sql::ast::PredictStrategy;
+    use flock_sql::{DataType, Schema};
+
+    /// `y = a`: input `b` carries no weight, so feature pruning fires.
+    fn sparse_linear(version: u64) -> RegisteredModel {
+        let pipeline = Pipeline::new(
+            vec![ColumnPipeline::numeric("a"), ColumnPipeline::numeric("b")],
+            Model::Linear(LinearModel::new(vec![1.0, 0.0], 0.0)),
+            "y",
+        );
+        RegisteredModel {
+            metadata: Arc::new(ModelMetadata {
+                name: "m".into(),
+                inputs: vec![("a".into(), false), ("b".into(), false)],
+                output: "y".into(),
+                kind: "linear".into(),
+                complexity: 2,
+                lineage: Lineage::default(),
+            }),
+            pipeline: Arc::new(pipeline),
+            version,
+        }
+    }
+
+    #[test]
+    fn predict_is_left_as_written_when_a_redeploy_purges_its_derived_model() {
+        let registry = Arc::new(ModelRegistry::new());
+        registry.insert("m", sparse_linear(1));
+        // The redeploy lands right after pruning registers `m`'s variant,
+        // before the next rule looks that variant up.
+        registry.after_next_derived(|r| r.insert("m", sparse_linear(2)));
+        let xopt = CrossOptimizer::new(Arc::clone(&registry), XOptConfig::default());
+        let written = Expr::Predict {
+            model: "m".into(),
+            args: vec![Expr::col("a"), Expr::col("b")],
+            strategy: PredictStrategy::Auto,
+        };
+        let input = LogicalPlan::Values {
+            schema: Arc::new(Schema::from_pairs(&[
+                ("a", DataType::Float),
+                ("b", DataType::Float),
+            ])),
+            rows: vec![],
+        };
+        let cfg = xopt.config();
+        let rewritten = xopt
+            .rewrite_exprs(written.clone(), &input, &Catalog::new(), &cfg, &HashMap::new())
+            .unwrap();
+        assert_eq!(registry.get("m").unwrap().version, 2, "the redeploy ran");
+        assert_eq!(format!("{rewritten:?}"), format!("{written:?}"));
     }
 }

@@ -6,14 +6,16 @@
 //! Every message — in both directions — is one frame:
 //!
 //! ```text
-//! [payload_len: u32 LE][fnv1a64(payload): u64 LE][payload bytes]
+//! [payload_len: u32 LE][checksum64(payload): u64 LE][payload bytes]
 //! ```
 //!
 //! This is the WAL's record frame — the one definition in
 //! [`flock_sql::wal`] — applied to a socket: the length prefix delimits
 //! messages on the byte stream and the checksum rejects corruption
 //! *before* the payload is parsed. The payload is a single JSON object
-//! with a `"type"` tag.
+//! with a `"type"` tag. Protocol 1 checksummed frames with FNV-1a;
+//! protocol 2 uses the word-at-a-time [`checksum64`], so a frame from a
+//! protocol-1 peer fails the checksum and is rejected as corrupt.
 //!
 //! # JSON, by hand
 //!
@@ -27,7 +29,7 @@
 //! degrade to `null`, as JSON has no spelling for them), and `Date` to
 //! `{"date": days}`.
 
-use flock_sql::wal::{fnv64, frame_header};
+use flock_sql::wal::{checksum64, frame_header};
 use flock_sql::{Value as SqlValue, WireError};
 use flock_json::Value as Json;
 use std::io::{self, Read, Write};
@@ -40,8 +42,9 @@ pub use flock_sql::wal::FRAME_HEADER;
 /// server nothing.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
-/// Protocol version spoken by this build; sent in `Welcome`.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Protocol version spoken by this build; sent in `Hello` and `Welcome`.
+/// Version 2 changed the frame checksum (see the module docs).
+pub const PROTOCOL_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Frame errors
@@ -171,7 +174,7 @@ impl FrameReader {
             return Ok(None);
         }
         let payload = self.buf[FRAME_HEADER..FRAME_HEADER + len].to_vec();
-        if fnv64(&payload) != want {
+        if checksum64(&payload) != want {
             return Err(FrameError::BadChecksum);
         }
         self.buf.drain(..FRAME_HEADER + len);

@@ -421,10 +421,10 @@ impl ColumnVector {
         }
     }
 
-    /// Rebuild a column from a raw buffer and validity bitmap. NULL slots
-    /// must already hold the type's default value (the part codec
-    /// normalizes them on encode).
-    pub(crate) fn from_raw(raw: RawColumnOwned, validity: Vec<bool>) -> Result<Self> {
+    /// Rebuild a column from a raw buffer and validity bitmap (`None`: no
+    /// NULLs). NULL slots must already hold the type's default value (the
+    /// part codec normalizes them on encode).
+    pub(crate) fn from_raw(raw: RawColumnOwned, validity: Option<Vec<bool>>) -> Result<Self> {
         let data = match raw {
             RawColumnOwned::Bool(v) => ColumnData::Bool(Arc::new(v)),
             RawColumnOwned::Int(v) => ColumnData::Int(Arc::new(v)),
@@ -439,13 +439,13 @@ impl ColumnVector {
             ColumnData::Text(v) => v.len(),
             ColumnData::Date(v) => v.len(),
         };
-        if len != validity.len() {
+        if let Some(v) = validity.as_ref().filter(|v| v.len() != len) {
             return Err(SqlError::Execution(format!(
                 "column buffer has {len} rows but validity has {}",
-                validity.len()
+                v.len()
             )));
         }
-        Ok(Self::owned(data, validity_of(validity), len))
+        Ok(Self::owned(data, validity.and_then(validity_of), len))
     }
 }
 

@@ -816,7 +816,7 @@ fn compare_scalar(
             for (b, ok) in bits.iter_mut().zip(valid) {
                 *b &= *ok;
             }
-            ColumnVector::from_raw(RawColumnOwned::Bool(bits), valid.to_vec())
+            ColumnVector::from_raw(RawColumnOwned::Bool(bits), Some(valid.to_vec()))
         }
     }
 }
@@ -844,7 +844,7 @@ fn logic_kernel(op: BinOp, (ls, lok): BoolParts, (rs, rok): BoolParts) -> Result
         vals.push(t);
         known.push(t || f);
     }
-    ColumnVector::from_raw(RawColumnOwned::Bool(vals), known)
+    ColumnVector::from_raw(RawColumnOwned::Bool(vals), Some(known))
 }
 
 fn int_overflow(a: i64, op: BinOp, b: i64) -> SqlError {

@@ -1,8 +1,8 @@
 //! On-disk part format and per-column lightweight compression.
 //!
-//! A part is one framed, checksummed record (the same `[len][fnv64][payload]`
-//! frame as WAL records, so torn or bit-flipped part files are detected by
-//! the frame checksum alone):
+//! A part is one framed, checksummed record (the same
+//! `[len][checksum64][payload]` frame as WAL records, so torn or
+//! bit-flipped part files are detected by the frame checksum alone):
 //!
 //! ```text
 //! payload := format(u8) id(u64) level(u8) rows(u32) schema
@@ -23,6 +23,12 @@
 //!
 //! NULL slots are normalized to the type's default before encoding so the
 //! raw buffers round-trip bit-exactly regardless of how the batch was built.
+//!
+//! Every scan decodes the parts it reads, so fixed-width data moves in
+//! bulk: raw blocks are written with one `extend` and read with one
+//! `chunks_exact` pass, FOR values are read with one unaligned 16-byte
+//! load each, and an all-valid bitmap yields no validity vector at all.
+//! RLE runs, bool bitmaps and text are still decoded value by value.
 
 use crate::batch::RecordBatch;
 use crate::column::{ColumnVector, RawColumn, RawColumnOwned};
@@ -142,15 +148,13 @@ fn encode_int(e: &mut Enc, vals: &[i64]) {
         }
     } else {
         e.u8(ENC_INT_RAW);
-        for &v in vals {
-            e.i64(v);
-        }
+        put_raw(e, vals, None, i64::to_le_bytes);
     }
 }
 
 fn decode_int(d: &mut Dec, n: usize, tag: u8) -> DecodeResult<Vec<i64>> {
     match tag {
-        ENC_INT_RAW => (0..n).map(|_| d.i64()).collect(),
+        ENC_INT_RAW => get_raw(d, n, i64::from_le_bytes),
         ENC_INT_RLE => {
             let runs = d.seq_len()?;
             let mut out = Vec::with_capacity(n);
@@ -169,38 +173,73 @@ fn decode_int(d: &mut Dec, n: usize, tag: u8) -> DecodeResult<Vec<i64>> {
         }
         ENC_INT_FOR => {
             let base = d.i64()?;
-            let width = d.u8()? as u32;
+            let width = d.u8()? as usize;
             // Encode never picks width >= 64 (it falls back to RAW), so a
             // wider tag can only come from corruption — and a 64-bit shift
             // below would be UB-adjacent anyway.
             if width >= 64 {
                 return Err(Corrupt);
             }
-            let mut out = Vec::with_capacity(n);
-            // u128 accumulator mirrors the encoder: with up to 7 leftover
-            // bits plus a fresh byte shifted in at offset nbits (< width),
-            // live bits can exceed 64 for widths > 57.
-            let mut acc: u128 = 0;
-            let mut nbits: u32 = 0;
-            let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
-            for _ in 0..n {
-                while nbits < width {
-                    acc |= (d.u8()? as u128) << nbits;
-                    nbits += 8;
-                }
-                let diff = (acc as u64) & mask;
-                acc >>= width;
-                nbits -= width;
-                // base + diff stays within i64 for any delta the encoder can
-                // produce; corrupt inputs may wrap, which `as i64` makes a
-                // defined (if meaningless) value caught by nothing worse
-                // than a wrong row.
-                out.push((base as i128 + diff as i128) as i64);
-            }
-            Ok(out)
+            let packed = d.raw(n.checked_mul(width).ok_or(Corrupt)?.div_ceil(8))?;
+            // Value i sits at bit i * width. Read it from the 16 bytes that
+            // start at its first byte: a bit offset of up to 7 plus a width
+            // of up to 63 spans at most 70 bits. Values whose 16 bytes run
+            // past the block load from a zero-padded stack copy of its last
+            // 16 bytes instead.
+            let split = packed.len().saturating_sub(16);
+            let mut tail = [0u8; 32];
+            tail[..packed.len() - split].copy_from_slice(&packed[split..]);
+            let mask = (1u64 << width) - 1;
+            Ok((0..n)
+                .map(|i| {
+                    let bit = i * width;
+                    let at = bit / 8;
+                    let bytes = packed
+                        .get(at..at + 16)
+                        .unwrap_or_else(|| &tail[at - split..at - split + 16]);
+                    let word = u128::from_le_bytes(bytes.try_into().expect("16 bytes"));
+                    let diff = (word >> (bit % 8)) as u64 & mask;
+                    // base + diff stays within i64 for any delta the
+                    // encoder can produce; corrupt inputs wrap to a
+                    // defined (if meaningless) value.
+                    base.wrapping_add(diff as i64)
+                })
+                .collect())
         }
         _ => Err(Corrupt),
     }
+}
+
+/// Append fixed-width values in one pass; NULL slots (`validity` false)
+/// are written as the type's default.
+fn put_raw<T: Copy + Default, const W: usize>(
+    e: &mut Enc,
+    vals: &[T],
+    validity: Option<&[bool]>,
+    to_le: fn(T) -> [u8; W],
+) {
+    e.buf.reserve(W * vals.len());
+    match validity {
+        None => e.buf.extend(vals.iter().flat_map(|&v| to_le(v))),
+        Some(valid) => e.buf.extend(
+            vals.iter()
+                .zip(valid)
+                .flat_map(|(&v, &ok)| to_le(if ok { v } else { T::default() })),
+        ),
+    }
+}
+
+/// Read `n` fixed-width values in one pass over a borrowed slice.
+fn get_raw<T, const W: usize>(
+    d: &mut Dec,
+    n: usize,
+    from_le: fn([u8; W]) -> T,
+) -> DecodeResult<Vec<T>> {
+    let bytes = d.raw(n.checked_mul(W).ok_or(Corrupt)?)?;
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|c| from_le(c.try_into().expect("W-byte chunk")))
+        .collect())
 }
 
 // -------------------------------------------------------- text encodings
@@ -279,36 +318,37 @@ fn uncompressed_size(col: &ColumnVector) -> usize {
 /// Text columns carry only a null count (not prunable). A NaN anywhere
 /// poisons min/max to `None` — pruning must stay conservative.
 fn zone_of(col: &ColumnVector) -> ZoneMap {
-    let mut min: Option<f64> = None;
-    let mut max: Option<f64> = None;
-    let mut nulls: u64 = 0;
-    let mut poisoned = matches!(col.data_type(), DataType::Text);
-    for i in 0..col.len() {
-        if col.is_null(i) {
-            nulls += 1;
-            continue;
-        }
-        if poisoned {
-            continue;
-        }
-        match col.get_f64(i) {
-            Some(v) if v.is_nan() => poisoned = true,
-            Some(v) => {
-                min = Some(min.map_or(v, |m: f64| m.min(v)));
-                max = Some(max.map_or(v, |m: f64| m.max(v)));
-            }
-            None => poisoned = true,
-        }
-    }
-    if poisoned {
-        min = None;
-        max = None;
-    }
+    let validity = col.validity();
+    let range = match col.raw() {
+        RawColumn::Bool(v) => bounds(v, validity, |x| x as i64 as f64),
+        RawColumn::Int(v) => bounds(v, validity, |x| x as f64),
+        RawColumn::Float(v) => bounds(v, validity, |x| x),
+        RawColumn::Date(v) => bounds(v, validity, |x| x as f64),
+        RawColumn::Text(_) => None,
+    };
     ZoneMap {
-        min,
-        max,
-        null_count: nulls,
+        min: range.map(|r| r.0),
+        max: range.map(|r| r.1),
+        null_count: validity.map_or(0, |v| v.iter().filter(|&&ok| !ok).count()) as u64,
     }
+}
+
+/// `(min, max)` of the valid values as `f64`, folded in row order; `None`
+/// when there are none or any is NaN.
+fn bounds<T: Copy>(
+    vals: &[T],
+    validity: Option<&[bool]>,
+    as_f64: fn(T) -> f64,
+) -> Option<(f64, f64)> {
+    let mut valid = vals
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| validity.is_none_or(|v| v[i]))
+        .map(|(_, &x)| as_f64(x));
+    let first = valid.next().filter(|x| !x.is_nan())?;
+    valid.try_fold((first, first), |(lo, hi), x| {
+        (!x.is_nan()).then(|| (lo.min(x), hi.max(x)))
+    })
 }
 
 fn put_zone(e: &mut Enc, z: &ZoneMap) {
@@ -357,9 +397,7 @@ fn encode_block(col: &ColumnVector) -> Vec<u8> {
         }
         RawColumn::Float(v) => {
             e.u8(ENC_FLOAT_RAW);
-            for (i, x) in v.iter().enumerate() {
-                e.f64(if valid(i) { *x } else { 0.0 });
-            }
+            put_raw(&mut e, v, validity, |x: f64| x.to_bits().to_le_bytes());
         }
         RawColumn::Text(v) => {
             if validity.is_some() {
@@ -373,50 +411,43 @@ fn encode_block(col: &ColumnVector) -> Vec<u8> {
         }
         RawColumn::Date(v) => {
             e.u8(ENC_DATE_RAW);
-            for (i, x) in v.iter().enumerate() {
-                e.i32(if valid(i) { *x } else { 0 });
-            }
+            put_raw(&mut e, v, validity, i32::to_le_bytes);
         }
     }
     e.buf
 }
 
+/// Unpack a validity bitmap; `None` when all `n` rows are valid, which is
+/// checked a byte at a time (the bits past `n` in the last byte are
+/// ignored, as the per-row unpack ignores them).
+fn unpack_validity(bits: &[u8], n: usize) -> Option<Vec<bool>> {
+    let (full, rest) = bits.split_at(n / 8);
+    let tail = (1u8 << (n % 8)) - 1;
+    let all_valid = full.iter().all(|&b| b == 0xff) && rest.first().is_none_or(|&b| b & tail == tail);
+    (!all_valid).then(|| (0..n).map(|i| unpack_bit(bits, i)).collect())
+}
+
 fn decode_block(block: &[u8], n: usize, data_type: DataType) -> DecodeResult<ColumnVector> {
     let mut d = Dec::new(block);
     let vbytes = n.div_ceil(8);
-    let validity_bits = {
-        let mut tmp = Vec::with_capacity(vbytes);
-        for _ in 0..vbytes {
-            tmp.push(d.u8()?);
-        }
-        tmp
-    };
-    let validity: Vec<bool> = (0..n).map(|i| unpack_bit(&validity_bits, i)).collect();
+    let validity = unpack_validity(d.raw(vbytes)?, n);
     let tag = d.u8()?;
+    let expect = |want: u8| if tag == want { Ok(()) } else { Err(Corrupt) };
     let raw = match data_type {
         DataType::Bool => {
-            if tag != ENC_BOOL_BITMAP {
-                return Err(Corrupt);
-            }
-            let mut bytes = Vec::with_capacity(vbytes);
-            for _ in 0..vbytes {
-                bytes.push(d.u8()?);
-            }
-            RawColumnOwned::Bool((0..n).map(|i| unpack_bit(&bytes, i)).collect())
+            expect(ENC_BOOL_BITMAP)?;
+            let bytes = d.raw(vbytes)?;
+            RawColumnOwned::Bool((0..n).map(|i| unpack_bit(bytes, i)).collect())
         }
         DataType::Int => RawColumnOwned::Int(decode_int(&mut d, n, tag)?),
         DataType::Float => {
-            if tag != ENC_FLOAT_RAW {
-                return Err(Corrupt);
-            }
-            RawColumnOwned::Float((0..n).map(|_| d.f64()).collect::<DecodeResult<_>>()?)
+            expect(ENC_FLOAT_RAW)?;
+            RawColumnOwned::Float(get_raw(&mut d, n, |b| f64::from_bits(u64::from_le_bytes(b)))?)
         }
         DataType::Text => RawColumnOwned::Text(decode_text(&mut d, n, tag)?),
         DataType::Date => {
-            if tag != ENC_DATE_RAW {
-                return Err(Corrupt);
-            }
-            RawColumnOwned::Date((0..n).map(|_| d.i32()).collect::<DecodeResult<_>>()?)
+            expect(ENC_DATE_RAW)?;
+            RawColumnOwned::Date(get_raw(&mut d, n, i32::from_le_bytes)?)
         }
     };
     d.finish()?;

@@ -15,13 +15,15 @@
 //! is exactly the committed prefix — and trims the damaged tail so new
 //! appends land on a record boundary. A transaction's redo ops are
 //! buffered until its COMMIT record and applied atomically; ops without a
-//! COMMIT (the crash hit mid-transaction) are discarded.
+//! COMMIT (the crash hit mid-transaction) are discarded. A directory
+//! written in on-disk format 1 (FNV-1a frame checksums) is refused with an
+//! error before anything is written, rather than read as one torn tail.
 
 use super::checkpoint::{
     encode_snapshot, ExtensionSnapshot, ExtensionVersionSnapshot, Snapshot, TableSnapshot,
     VersionSnapshot,
 };
-use super::codec::{frame, read_frame};
+use super::codec::{frame, frame_header, read_frame, FRAME_HEADER};
 use super::fs::DurableFs;
 use super::record::{RedoOp, WalRecord};
 use super::DurabilityOptions;
@@ -194,6 +196,34 @@ fn snapshot_parts_valid(fs: &Arc<dyn DurableFs>, snap: &Snapshot) -> bool {
     })
 }
 
+/// FNV-1a 64-bit, the frame checksum of on-disk format 1. No code path
+/// reads data framed with it: recovery only uses it to recognise a format-1
+/// directory in [`refuse_format_1`].
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Called only for a frame that failed its checksum. If the frame is whole
+/// and its checksum is the FNV-1a of its payload, the directory was written
+/// in format 1: every frame in it fails [`checksum64`](super::checksum64),
+/// and treating this one as a torn tail would recover an empty catalog and
+/// trim the log. Refuse to open it instead, before anything is written.
+fn refuse_format_1(file: &str, bytes: &[u8], pos: usize) -> Result<()> {
+    let Some((len, crc)) = bytes.get(pos..).and_then(|b| b.first_chunk()).map(frame_header) else {
+        return Ok(());
+    };
+    let payload = bytes.get(pos + FRAME_HEADER..).and_then(|b| b.get(..len));
+    if payload.is_some_and(|p| fnv1a64(p) == crc) {
+        return Err(SqlError::Io(format!(
+            "{file} is in on-disk format 1 (FNV-1a frame checksums), which this \
+             build does not read; the directory was left untouched"
+        )));
+    }
+    Ok(())
+}
+
 /// Everything recovery hands back to the engine.
 pub struct RecoveredState {
     pub catalog: Catalog,
@@ -228,6 +258,7 @@ pub fn recover(fs: Arc<dyn DurableFs>, opts: DurabilityOptions) -> Result<Recove
             continue;
         };
         let Ok((payload, _)) = read_frame(&bytes, 0) else {
+            refuse_format_1(&checkpoint_name(seq), &bytes, 0)?;
             continue;
         };
         let Ok(snap) = super::checkpoint::decode_snapshot(payload) else {
@@ -268,6 +299,7 @@ pub fn recover(fs: Arc<dyn DurableFs>, opts: DurabilityOptions) -> Result<Recove
         let mut pos = 0;
         while pos < bytes.len() {
             let Ok((payload, next)) = read_frame(&bytes, pos) else {
+                refuse_format_1(&segment_name(seq), &bytes, pos)?;
                 damage = Some((seq, pos));
                 break 'segments;
             };

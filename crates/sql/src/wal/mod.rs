@@ -34,7 +34,7 @@ mod manager;
 mod record;
 
 pub use checkpoint::Snapshot;
-pub use codec::{fnv64, frame, frame_header, FRAME_HEADER};
+pub use codec::{checksum64, frame, frame_header, FRAME_HEADER};
 pub use fs::{DurableFs, FailpointFs, MemFs, StdFs};
 pub(crate) use manager::build_snapshot;
 pub use manager::{recover, RecoveredState, WalManager};
@@ -85,5 +85,5 @@ impl DurabilityOptions {
 /// iff their canonical encodings match, so comparing digests is how the
 /// fault-injection harness asserts exact recovery.
 pub fn digest(snapshot: &Snapshot) -> u64 {
-    codec::fnv64(&checkpoint::encode_snapshot(snapshot))
+    codec::checksum64(&checkpoint::encode_snapshot(snapshot))
 }

@@ -2,8 +2,9 @@
 //! kills the "process" at every write/fsync boundary of a mixed workload
 //! and asserts the recovered state is bit-identical to a committed prefix
 //! of the reference run. Also covers torn tails (mid-record truncation),
-//! byte-flip corruption, missing/corrupt checkpoints, and the lineage pin
-//! guard on `truncate_table_history`.
+//! byte-flip corruption, missing/corrupt checkpoints, refusal of a
+//! directory in an older frame format, and the lineage pin guard on
+//! `truncate_table_history`.
 
 use flock_sql::{Database, DurabilityOptions, FailpointFs, MemFs, SqlError, Value};
 use std::collections::HashSet;
@@ -370,6 +371,79 @@ fn corrupt_newest_checkpoint_falls_back_to_the_previous_one() {
     // Remove it entirely: same story.
     image.remove_file(&newest);
     assert_eq!(recover_digest(&image, opts), expect, "fallback after deletion");
+}
+
+/// FNV-1a 64-bit: the frame checksum of on-disk format 1.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The same frames as format 1 wrote them: each checksum replaced by the
+/// FNV-1a of its payload.
+fn to_format_1(file: &[u8]) -> Vec<u8> {
+    let boundaries = frame_boundaries(file);
+    assert_eq!(*boundaries.last().unwrap(), file.len(), "file is whole frames");
+    let mut out = Vec::with_capacity(file.len());
+    for w in boundaries.windows(2) {
+        let (len, payload) = (&file[w[0]..w[0] + 4], &file[w[0] + 12..w[1]]);
+        out.extend_from_slice(len);
+        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// A directory written with format-1 frames fails every current checksum.
+/// Recovery must refuse it with a typed error naming the format, and write
+/// nothing: treating its first frame as a torn tail would recover an empty
+/// catalog and trim the log.
+#[test]
+fn format_1_directory_is_refused_and_left_untouched() {
+    let with_checkpoints = opts_fsync();
+    let wal_only = DurabilityOptions {
+        checkpoint_every_commits: 0,
+        ..with_checkpoints
+    };
+    for opts in [with_checkpoints, wal_only] {
+        let mem = MemFs::new();
+        let db = Database::open_with_fs(mem.clone(), opts).unwrap();
+        for i in 0..STEPS {
+            apply_step(&db, i).unwrap();
+        }
+        drop(db);
+        let image = mem.clean_image();
+        let names = image.file_names();
+        assert_eq!(
+            names.iter().any(|n| n.starts_with("checkpoint.")),
+            opts.checkpoint_every_commits > 0
+        );
+        for name in &names {
+            image.put_file(name, to_format_1(&image.file(name).unwrap()));
+        }
+        let before: Vec<(String, Vec<u8>)> =
+            names.iter().map(|n| (n.clone(), image.file(n).unwrap())).collect();
+
+        let fp = FailpointFs::new(image.clone(), u64::MAX);
+        let err = Database::open_with_fs(fp.clone(), opts)
+            .err()
+            .expect("a format-1 directory must not open");
+        assert!(
+            matches!(&err, SqlError::Io(m) if m.contains("format 1")),
+            "unexpected error: {err}"
+        );
+        assert_eq!(fp.ops_attempted(), 0, "refusing must not write");
+        let after: Vec<(String, Vec<u8>)> = image
+            .file_names()
+            .into_iter()
+            .map(|n| (n.clone(), image.file(&n).unwrap()))
+            .collect();
+        assert_eq!(before, after, "every file must be byte-identical");
+    }
 }
 
 #[test]
