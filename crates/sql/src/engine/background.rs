@@ -10,6 +10,7 @@ use crate::column::ColumnVector;
 use crate::error::{Result, SqlError};
 use crate::exec::window::WindowAggState;
 use crate::exec::EvalContext;
+use crate::parts::PartsInFlight;
 use crate::stream::{compile_cq, CompiledCq, CqSpec, StreamSpec, CQ_KIND, STREAM_KIND};
 use crate::sync;
 use crate::types::Value;
@@ -44,9 +45,10 @@ fn merge_byte_cap(budget: u64) -> u64 {
 /// consecutive same-level parts in some table's current version whose
 /// combined decoded size fits under `byte_cap`, fold them into a single
 /// next-level part, and splice it in place. Decode and encode run outside
-/// the catalog lock (parts are immutable); the splice re-verifies the run
-/// is still current before swapping, and never deletes the source files —
-/// older versions and older checkpoints may still reference them, so
+/// the catalog lock (parts are immutable), with the merged part in flight
+/// so that a checkpoint in between cannot prune it; the splice re-verifies
+/// the run is still current before swapping, and never deletes the source
+/// files — older versions and older checkpoints may still reference them, so
 /// reclamation belongs to checkpoint pruning. Purely physical: no WAL
 /// record, no version bump, no logical-digest change — only the table's
 /// layout stamp moves, so cached plans over the old parts get rebound.
@@ -98,9 +100,14 @@ fn merge_step(state: &RwLock<DbState>, byte_cap: u64) -> bool {
     let Ok(folded) = RecordBatch::concat(schema, &batches) else {
         return false;
     };
-    let Ok(merged) = store.write_part(&folded, run[0].level.saturating_add(1)) else {
+    // In flight until this step returns: a checkpoint taken before the
+    // splice must not prune the merged part as unreferenced.
+    let mut in_flight = PartsInFlight::default();
+    let Ok(merged) = in_flight.write(&store, &folded, run[0].level.saturating_add(1)) else {
         return false;
     };
+    #[cfg(test)]
+    tests::before_splice();
 
     let mut st = sync::write(state);
     let Ok(table) = st.catalog.table_mut(&name) else {
@@ -570,4 +577,76 @@ fn event_times(batch: &RecordBatch, et_index: usize) -> Result<Vec<i64>> {
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wal::{DurabilityOptions, MemFs};
+    use std::cell::RefCell;
+
+    thread_local! {
+        static BEFORE_SPLICE: RefCell<Option<Box<dyn FnOnce()>>> = RefCell::new(None);
+    }
+
+    /// Runs (once) the hook a test set, between the merger's part write
+    /// and its splice.
+    pub(super) fn before_splice() {
+        if let Some(hook) = BEFORE_SPLICE.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
+    }
+
+    fn count_and_sum(db: &Database) -> String {
+        let b = db.query("SELECT COUNT(*), SUM(k) FROM t").unwrap();
+        format!("{:?}", b.row(0))
+    }
+
+    /// A checkpoint that lands between the merger's write and its splice
+    /// prunes every part file no retained checkpoint references; the
+    /// merged part is not referenced yet, and must survive it.
+    #[test]
+    fn checkpoint_between_merge_write_and_splice_keeps_the_merged_part() {
+        let opts = DurabilityOptions {
+            checkpoint_every_commits: 0,
+            ..DurabilityOptions::default()
+        };
+        let mem = MemFs::new();
+        let db = Database::open_with_fs(mem.clone(), opts).unwrap();
+        db.set_table_memory_budget(2048);
+        db.execute("CREATE TABLE t (k INT, v DOUBLE)").unwrap();
+        for lo in (0..640).step_by(64) {
+            let rows: Vec<String> = (lo..lo + 64).map(|k| format!("({k}, {k}.5)")).collect();
+            db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+                .unwrap();
+        }
+        db.checkpoint_now().unwrap();
+        let parts_before = db.catalog().table("t").unwrap().current().parts.len();
+        assert!(parts_before >= 4, "{parts_before} parts");
+        let want = count_and_sum(&db);
+
+        let ran = std::rc::Rc::new(std::cell::Cell::new(false));
+        let (hook_db, hook_ran) = (db.clone(), ran.clone());
+        BEFORE_SPLICE.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move || {
+                hook_db.checkpoint_now().unwrap();
+                hook_ran.set(true);
+            }))
+        });
+        db.set_table_memory_budget(0);
+        assert!(db.merge_now() > 0, "level-0 parts must merge");
+        assert!(ran.get(), "the hook ran between write and splice");
+        let parts_after = db.catalog().table("t").unwrap().current().parts.len();
+        assert!(parts_after < parts_before);
+
+        assert_eq!(count_and_sum(&db), want, "merged table must stay readable");
+        db.checkpoint_now().unwrap();
+        let digest = db.state_digest();
+        drop(db);
+        for image in [mem.clean_image(), mem.crash_image()] {
+            let rec = Database::open_with_fs(image, opts).unwrap();
+            assert_eq!(rec.state_digest(), digest);
+            assert_eq!(count_and_sum(&rec), want);
+        }
+    }
 }

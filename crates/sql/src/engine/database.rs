@@ -203,16 +203,16 @@ impl Database {
     /// *not* started here (so fault-injection runs stay deterministic);
     /// call [`Database::start_background_merge`] if you want it.
     pub fn open_with_fs(fs: Arc<dyn DurableFs>, opts: DurabilityOptions) -> Result<Database> {
-        let rec = crate::wal::recover(fs, opts)?;
-        let store = Arc::new(
-            crate::parts::PartStore::open(rec.manager.fs().clone())
-                .map_err(|e| SqlError::Io(format!("opening part store: {e}")))?,
-        );
-        let mut catalog = rec.catalog;
-        catalog.set_part_store(store.clone());
-        sync_part_inventory(&catalog);
+        // The part store opens first (it writes nothing) so that replay can
+        // read the parts of checkpointed versions; orphaned tmps are swept
+        // only once recovery has accepted the directory.
+        let part_err = |e: std::io::Error| SqlError::Io(format!("opening part store: {e}"));
+        let store = Arc::new(crate::parts::PartStore::open(fs.clone()).map_err(part_err)?);
+        let rec = crate::wal::recover(fs, store.clone(), opts)?;
+        store.sweep_tmps().map_err(part_err)?;
+        sync_part_inventory(&rec.catalog);
         let db = Self::from_state(DbState {
-            catalog,
+            catalog: rec.catalog,
             next_txn: rec.next_txn,
             next_log_id: rec.next_log_id,
             next_audit_seq: rec.next_audit_seq,
@@ -257,8 +257,9 @@ impl Database {
     /// part-backed version is materialized into resident rows first, so the
     /// digest is independent of physical layout — offloading history into
     /// disk parts or merging parts never changes it, and a recovery that
-    /// replays the WAL into a fully resident state digests identically to
-    /// the part-backed state it recovered.
+    /// replays the WAL into a state laid out otherwise (appends resident,
+    /// rebuilt parts held in memory) digests identically to the state it
+    /// recovered.
     pub fn state_digest(&self) -> u64 {
         let state = sync::read(&self.shared.state);
         let mut snap = snapshot_of(&state);

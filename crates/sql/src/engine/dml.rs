@@ -1,5 +1,6 @@
 //! DML handlers: INSERT / UPDATE / DELETE, the single append primitive,
-//! and version-history maintenance.
+//! and version-history maintenance. UPDATE and DELETE rewrite only the
+//! parts holding a row they change and log a row delta.
 
 use super::models::lineage_pinned_versions;
 use super::session::StmtCtx;
@@ -10,11 +11,14 @@ use crate::batch::RecordBatch;
 use crate::catalog::{Catalog, ObjectRef, Privilege};
 use crate::column::ColumnVector;
 use crate::error::{Result, SqlError};
-use crate::exec::{EvalContext, PhysExpr};
+use crate::exec::{zone_constraints, EvalContext, PhysExpr};
+use crate::parts::PartMeta;
 use crate::schema::Schema;
 use crate::stream::STREAM_KIND;
+use crate::table::{concat_chunks, edit_chunk, ColBounds};
 use crate::types::Value;
-use crate::wal::RedoOp;
+use crate::udf::InferenceProvider;
+use crate::wal::{RedoOp, RowRuns};
 use std::sync::Arc;
 
 /// Streams are append-only: INSERT is the only mutation they accept.
@@ -167,7 +171,17 @@ pub(super) fn append_rows(
     let rows = delta.num_rows();
     let delta = RecordBatch::new(schema.clone(), delta.columns().to_vec())?;
     let grown = RecordBatch::new(schema, cols)?;
-    let version = install_table_version(txn, table_name, grown, Some(delta))?;
+    // The disk-part prefix carries forward; only the resident tail grows,
+    // and the WAL logs just the appended rows.
+    let parts = table.current().parts.clone();
+    let version = install_version(txn, table_name, parts, grown, |table, version, txn_id| {
+        RedoOp::AppendRows {
+            table,
+            version,
+            txn_id,
+            rows: delta,
+        }
+    })?;
     let (sql, action) = match statement {
         Some(sql) => (sql.to_string(), "INSERT"),
         None => (
@@ -200,49 +214,56 @@ pub(super) fn update(
 ) -> Result<QueryResult> {
     reject_stream_write(txn.catalog(), table_name, "UPDATE")?;
     txn.check_access(&ObjectRef::table(table_name), Privilege::Update)?;
-    let table = txn.catalog().table(table_name)?;
-    let schema = table.schema().clone();
-    let data = table.current().scan(txn.catalog().part_store()).collect()?;
-    let provider = ctx.provider.as_ref();
-    let eval_ctx = row_ctx(txn, ctx);
-
-    let pred = selection
-        .map(|p| PhysExpr::compile(p, &schema, provider))
-        .transpose()?;
+    let schema = txn.catalog().table(table_name)?.schema().clone();
     let compiled: Vec<(usize, PhysExpr)> = assignments
         .iter()
         .map(|(col, e)| {
             let idx = schema
                 .index_of(col)
                 .ok_or_else(|| SqlError::Plan(format!("unknown column '{col}'")))?;
-            Ok((idx, PhysExpr::compile(e, &schema, provider)?))
+            Ok((idx, PhysExpr::compile(e, &schema, ctx.provider.as_ref())?))
         })
         .collect::<Result<_>>()?;
 
-    let mut rows: Vec<Vec<Value>> = (0..data.num_rows()).map(|i| data.row(i)).collect();
-    let mut updated = 0usize;
-    for (i, row) in rows.iter_mut().enumerate() {
-        let hit = match &pred {
-            Some(p) => p.eval_row(&data, i, &eval_ctx)?.as_bool() == Some(true),
-            None => true,
-        };
-        if !hit {
-            continue;
-        }
-        updated += 1;
+    // Every assignment reads the old row; a later one to the same column
+    // wins. Values are cast to the column type as INSERT casts them.
+    let eval_ctx = row_ctx(txn, ctx);
+    let mut assign = |old: &RecordBatch| -> Result<RecordBatch> {
+        let mut columns = old.columns().to_vec();
         for (idx, e) in &compiled {
-            let v = e.eval_row(&data, i, &eval_ctx)?;
-            if v.is_null() && !schema.column(*idx).nullable {
+            let target = schema.column(*idx);
+            let new = e.eval(old, &eval_ctx)?;
+            if !target.nullable && new.null_count() > 0 {
                 return Err(SqlError::Constraint(format!(
                     "column '{}' is NOT NULL",
-                    schema.column(*idx).name
+                    target.name
                 )));
             }
-            row[*idx] = v;
+            columns[*idx] = if new.data_type() == target.data_type {
+                new
+            } else {
+                ColumnVector::from_values(target.data_type, &new.iter().collect::<Vec<_>>())?
+            };
         }
-    }
-    let new_batch = RecordBatch::from_rows(schema, &rows)?;
-    let version = install_table_version(txn, table_name, new_batch, None)?;
+        RecordBatch::new(old.schema().clone(), columns)
+    };
+    let rw = rewrite(txn, ctx, table_name, selection, Some(&mut assign))?;
+    let updated = rw.at.len();
+    let rows = concat_chunks(&schema, rw.rows)?;
+    let positions = RowRuns::from_positions(&rw.at);
+    let version = install_version(
+        txn,
+        table_name,
+        rw.parts,
+        rw.tail,
+        |table, version, txn_id| RedoOp::UpdateRows {
+            table,
+            version,
+            txn_id,
+            positions,
+            rows,
+        },
+    )?;
     txn.log(
         ctx.sql,
         StatementKind::Update,
@@ -265,20 +286,21 @@ pub(super) fn delete(
 ) -> Result<QueryResult> {
     reject_stream_write(txn.catalog(), table_name, "DELETE")?;
     txn.check_access(&ObjectRef::table(table_name), Privilege::Delete)?;
-    let table = txn.catalog().table(table_name)?;
-    let data = table.current().scan(txn.catalog().part_store()).collect()?;
-    // keep = not selected
-    let mask: Vec<bool> = match selection {
-        Some(p) => PhysExpr::compile(p, table.schema(), ctx.provider.as_ref())?
-            .eval_mask(&data, &row_ctx(txn, ctx))?
-            .into_iter()
-            .map(|hit| !hit)
-            .collect(),
-        None => vec![false; data.num_rows()],
-    };
-    let deleted = mask.iter().filter(|k| !**k).count();
-    let new_batch = data.filter(&mask)?;
-    let version = install_table_version(txn, table_name, new_batch, None)?;
+    let rw = rewrite(txn, ctx, table_name, selection, None)?;
+    let deleted = rw.at.len();
+    let positions = RowRuns::from_positions(&rw.at);
+    let version = install_version(
+        txn,
+        table_name,
+        rw.parts,
+        rw.tail,
+        |table, version, txn_id| RedoOp::DeleteRows {
+            table,
+            version,
+            txn_id,
+            positions,
+        },
+    )?;
     txn.log(
         ctx.sql,
         StatementKind::Delete,
@@ -293,44 +315,158 @@ pub(super) fn delete(
     ))
 }
 
-/// Install a new table version. When the new version is the old one plus
-/// appended rows, callers pass the appended rows as `delta` so the WAL
-/// logs O(rows added) instead of a full snapshot; other writes log the
-/// whole new snapshot.
-fn install_table_version(
+/// The rows of a table an UPDATE or DELETE selects, found a chunk at a
+/// time. The WHERE clause is compiled over just the columns it reads, so a
+/// part is matched on a projected decode, and its zone-map bounds skip
+/// parts that cannot hold a match without reading them.
+struct Matcher {
+    pred: PhysExpr,
+    /// Base-table columns the predicate reads — at least one, so that a
+    /// projected chunk keeps its row count.
+    columns: Vec<usize>,
+    bounds: ColBounds,
+}
+
+impl Matcher {
+    fn compile(pred: &Expr, schema: &Schema, provider: &dyn InferenceProvider) -> Result<Matcher> {
+        let mut refs = Vec::new();
+        pred.referenced_columns(&mut refs);
+        let mut columns: Vec<usize> = refs
+            .iter()
+            .filter_map(|(_, n)| schema.index_of(n))
+            .collect();
+        columns.sort_unstable();
+        columns.dedup();
+        if columns.is_empty() {
+            columns.push(0);
+        }
+        Ok(Matcher {
+            pred: PhysExpr::compile(pred, &schema.project(&columns), provider)?,
+            columns,
+            bounds: zone_constraints(pred, schema),
+        })
+    }
+
+    fn may_match(&self, part: &PartMeta) -> bool {
+        part.may_match(self.bounds.iter().map(|(&c, &b)| (c, b)))
+    }
+
+    /// Positions in `chunk` (projected to `columns`) the predicate selects.
+    fn hits(&self, chunk: &RecordBatch, ctx: &EvalContext) -> Result<Vec<usize>> {
+        let mask = self.pred.eval_mask(chunk, ctx)?;
+        Ok((0..mask.len()).filter(|&i| mask[i]).collect())
+    }
+}
+
+/// An UPDATE's assignments: the selected old rows to their new rows.
+type Assign<'a> = &'a mut dyn FnMut(&RecordBatch) -> Result<RecordBatch>;
+
+/// What an UPDATE or DELETE makes of the version it read.
+struct Rewrite {
+    parts: Vec<PartMeta>,
+    tail: RecordBatch,
+    /// Logical positions of the selected rows in the version read.
+    at: Vec<u64>,
+    /// The new rows at those positions, chunk by chunk (UPDATE only).
+    rows: Vec<RecordBatch>,
+}
+
+/// Read the current version of `table_name` a chunk at a time and edit
+/// the rows `selection` picks: `assign` maps them to their new rows
+/// (UPDATE), or, when `None`, they go (DELETE). A part without a selected
+/// row is carried into the new version by reference; a part with one is
+/// written as one new part in its place, or dropped unread when a DELETE
+/// takes all of it; the resident tail is edited in memory. The part files
+/// stay in flight with the transaction until it ends.
+fn rewrite(
+    txn: &mut Txn,
+    ctx: &StmtCtx,
+    table_name: &str,
+    selection: Option<&Expr>,
+    mut assign: Option<Assign>,
+) -> Result<Rewrite> {
+    let table = txn.catalog().table(table_name)?;
+    let (schema, cur) = (table.schema().clone(), table.current().clone());
+    let store = txn.catalog().part_store().cloned();
+    let matcher = selection
+        .map(|p| Matcher::compile(p, &schema, ctx.provider.as_ref()))
+        .transpose()?;
+    let eval_ctx = row_ctx(txn, ctx);
+    let deleting = assign.is_none();
+    // The positions the WHERE clause picks among a chunk's `n` rows;
+    // `read` yields the chunk's predicate columns.
+    let select = |n: usize, read: &dyn Fn(&[usize]) -> Result<RecordBatch>| match &matcher {
+        Some(m) => m.hits(&read(&m.columns)?, &eval_ctx),
+        None => Ok((0..n).collect()),
+    };
+    let mut edit = |chunk: &RecordBatch, at: &[usize], rows: &mut Vec<RecordBatch>| {
+        let new_rows = match assign.as_mut() {
+            Some(f) => Some(f(&chunk.take(at)?)?),
+            None => None,
+        };
+        let edited = edit_chunk(chunk, at, new_rows.as_ref());
+        rows.extend(new_rows);
+        edited
+    };
+
+    let (mut parts, mut at, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+    let mut start = 0u64;
+    for p in &cur.parts {
+        let part_start = start;
+        start += p.rows;
+        if matcher.as_ref().is_some_and(|m| !m.may_match(p)) {
+            parts.push(p.clone());
+            continue;
+        }
+        let store = store.as_ref().ok_or_else(|| {
+            SqlError::Io("table has disk parts but no part store is attached".into())
+        })?;
+        let read = |projection: Option<&[usize]>| -> Result<RecordBatch> {
+            let raw = store.read_part_projected(p.id, projection)?;
+            let schema = match projection {
+                Some(columns) => Arc::new(schema.project(columns)),
+                None => schema.clone(),
+            };
+            RecordBatch::new(schema, raw.columns().to_vec())
+        };
+        let part_hits = select(p.rows as usize, &|columns| read(Some(columns)))?;
+        if part_hits.is_empty() {
+            parts.push(p.clone());
+            continue;
+        }
+        at.extend(part_hits.iter().map(|&i| part_start + i as u64));
+        if deleting && part_hits.len() as u64 == p.rows {
+            continue;
+        }
+        let edited = edit(&read(None)?, &part_hits, &mut rows)?;
+        parts.push(txn.write_part(store, &edited, p.level)?);
+        store.note_rewritten(1);
+    }
+    let tail_hits = select(cur.data.num_rows(), &|columns| cur.data.project(columns))?;
+    at.extend(tail_hits.iter().map(|&i| start + i as u64));
+    let tail = edit(&cur.data, &tail_hits, &mut rows)?;
+    Ok(Rewrite {
+        parts,
+        tail,
+        at,
+        rows,
+    })
+}
+
+/// Install the next version of `name` — `parts`, then the resident
+/// `tail` — logged as the redo op `op` builds from the table name, the
+/// new version number and the transaction id.
+fn install_version(
     txn: &mut Txn,
     name: &str,
-    batch: RecordBatch,
-    delta: Option<RecordBatch>,
+    parts: Vec<PartMeta>,
+    tail: RecordBatch,
+    op: impl FnOnce(String, u64, u64) -> RedoOp,
 ) -> Result<u64> {
     txn.write_table(name, false, |catalog, txn_id| {
         let table = catalog.table_mut(name)?;
-        let (table_name, next) = (table.name().to_string(), table.current_version() + 1);
-        let (version, op) = match delta {
-            // Appends carry the disk-part prefix forward (the batch is the
-            // grown resident tail); full rewrites install fully resident.
-            Some(rows) => {
-                let carried = table.current().parts.clone();
-                let version = table.push_version_with_parts(carried, batch, txn_id)?;
-                let op = RedoOp::AppendRows {
-                    table: table_name,
-                    version: next,
-                    txn_id,
-                    rows,
-                };
-                (version, op)
-            }
-            None => {
-                let op = RedoOp::PushVersion {
-                    table: table_name,
-                    version: next,
-                    txn_id,
-                    data: batch.clone(),
-                };
-                (table.push_version(batch, txn_id)?, op)
-            }
-        };
-        Ok((version, Some(op)))
+        let version = table.push_version_with_parts(parts, tail, txn_id)?;
+        Ok((version, Some(op(table.name().to_string(), version, txn_id))))
     })
 }
 

@@ -462,7 +462,7 @@ fn literal_f64(e: &Expr) -> Option<f64> {
 /// into conjuncts, then keep `col <op> literal` (either orientation) and
 /// `col BETWEEN lo AND hi`. Everything else (OR, NOT, expressions over the
 /// column) contributes no bounds — parts it might match are never pruned.
-fn zone_constraints(pred: &Expr, schema: &Schema) -> ColBounds {
+pub(crate) fn zone_constraints(pred: &Expr, schema: &Schema) -> ColBounds {
     let mut bounds = ColBounds::new();
     for conj in pred.split_conjunction() {
         match conj {

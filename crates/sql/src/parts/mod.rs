@@ -20,6 +20,7 @@ mod store;
 
 pub use codec::{decode_part, encode_part, validate_part_image};
 pub(crate) use codec::{get_part_meta, put_part_meta};
+pub(crate) use store::PartsInFlight;
 pub use store::{parse_part_name, part_file_name, PartStore};
 
 /// Per-column min/max + null-count summary, the unit of scan pruning.
@@ -81,6 +82,20 @@ impl PartMeta {
     /// budget charges batches (8 bytes per cell).
     pub fn decoded_bytes(&self) -> u64 {
         self.rows * self.zones.len() as u64 * 8
+    }
+
+    /// Whether any row can fall inside every `(column, [lo, hi])` bound,
+    /// as far as the zone maps tell (a column without a zone never rules
+    /// a part out).
+    pub(crate) fn may_match(
+        &self,
+        mut bounds: impl Iterator<Item = (usize, (Option<f64>, Option<f64>))>,
+    ) -> bool {
+        bounds.all(|(c, (lo, hi))| {
+            self.zones
+                .get(c)
+                .is_none_or(|z| z.overlaps(lo, hi, self.rows))
+        })
     }
 }
 

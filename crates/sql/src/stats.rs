@@ -6,7 +6,7 @@
 //! never be reached given the observed min/max of the input columns.
 
 use crate::batch::RecordBatch;
-use crate::types::Value;
+use crate::column::{ColumnVector, RawColumn};
 use std::collections::HashSet;
 
 /// Statistics for a single column.
@@ -37,47 +37,9 @@ pub struct TableStats {
 impl TableStats {
     /// Compute exact statistics over a batch.
     pub fn compute(batch: &RecordBatch) -> TableStats {
-        let mut columns = Vec::with_capacity(batch.num_columns());
-        for c in batch.columns() {
-            let mut stats = ColumnStats::default();
-            let mut distinct: HashSet<String> = HashSet::new();
-            let mut text_cats: HashSet<String> = HashSet::new();
-            let mut track_cats = c.data_type() == crate::types::DataType::Text;
-            for i in 0..c.len() {
-                let v = c.get(i);
-                if v.is_null() {
-                    stats.null_count += 1;
-                    continue;
-                }
-                if let Some(x) = v.as_f64() {
-                    stats.min = Some(stats.min.map_or(x, |m| m.min(x)));
-                    stats.max = Some(stats.max.map_or(x, |m| m.max(x)));
-                }
-                let key = match &v {
-                    Value::Float(f) => format!("f{}", f.to_bits()),
-                    other => other.to_string(),
-                };
-                if track_cats {
-                    if text_cats.len() < MAX_TRACKED_CATEGORIES {
-                        text_cats.insert(key.clone());
-                    } else {
-                        track_cats = false;
-                        text_cats.clear();
-                    }
-                }
-                distinct.insert(key);
-            }
-            stats.distinct_count = distinct.len();
-            if track_cats && !text_cats.is_empty() {
-                let mut cats: Vec<String> = text_cats.into_iter().collect();
-                cats.sort();
-                stats.categories = Some(cats);
-            }
-            columns.push(stats);
-        }
         TableStats {
             row_count: batch.num_rows(),
-            columns,
+            columns: batch.columns().iter().map(column_stats).collect(),
         }
     }
 
@@ -123,11 +85,75 @@ impl TableStats {
     }
 }
 
+/// Exact statistics of one column, read from its typed buffer: min/max
+/// under the numeric view (`get_f64`), and distinct values by typed
+/// identity — float bit patterns, so `-0.0` and each NaN payload count
+/// apart. Every non-NULL row is seen in order, so the min/max fold and
+/// the category cap behave exactly as a per-value scan would.
+fn column_stats(c: &ColumnVector) -> ColumnStats {
+    let mut stats = ColumnStats {
+        null_count: c.null_count(),
+        ..ColumnStats::default()
+    };
+    let validity = c.validity();
+    let valid = |i: usize| validity.is_none_or(|v| v[i]);
+    let mut fold = |x: f64| {
+        stats.min = Some(stats.min.map_or(x, |m| m.min(x)));
+        stats.max = Some(stats.max.map_or(x, |m| m.max(x)));
+    };
+    fn distinct<T: Eq + std::hash::Hash>(keys: impl Iterator<Item = T>) -> usize {
+        keys.collect::<HashSet<T>>().len()
+    }
+    let rows = (0..c.len()).filter(|&i| valid(i));
+    let distinct_count = match c.raw() {
+        RawColumn::Bool(v) => distinct(rows.map(|i| {
+            fold(if v[i] { 1.0 } else { 0.0 });
+            v[i]
+        })),
+        RawColumn::Int(v) => distinct(rows.map(|i| {
+            fold(v[i] as f64);
+            v[i]
+        })),
+        RawColumn::Float(v) => distinct(rows.map(|i| {
+            fold(v[i]);
+            v[i].to_bits()
+        })),
+        RawColumn::Date(v) => distinct(rows.map(|i| {
+            fold(v[i] as f64);
+            v[i]
+        })),
+        RawColumn::Text(v) => {
+            // Categories: the distinct strings, unless a row arrives once
+            // MAX_TRACKED_CATEGORIES of them are already tracked.
+            let (mut cats, mut track) = (HashSet::new(), true);
+            let n = distinct(rows.map(|i| {
+                if track {
+                    if cats.len() < MAX_TRACKED_CATEGORIES {
+                        cats.insert(v[i].as_str());
+                    } else {
+                        track = false;
+                        cats.clear();
+                    }
+                }
+                v[i].as_str()
+            }));
+            if track && !cats.is_empty() {
+                let mut cats: Vec<String> = cats.into_iter().map(str::to_string).collect();
+                cats.sort();
+                stats.categories = Some(cats);
+            }
+            n
+        }
+    };
+    stats.distinct_count = distinct_count;
+    stats
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::types::DataType;
+    use crate::types::{DataType, Value};
     use std::sync::Arc;
 
     #[test]
@@ -156,6 +182,111 @@ mod tests {
             st.columns[1].categories.as_deref(),
             Some(&["a".to_string(), "b".to_string()][..])
         );
+    }
+
+    /// The per-value scan `compute` replaced: every cell as a `Value`,
+    /// distinct keys as strings.
+    fn reference(batch: &RecordBatch) -> Vec<String> {
+        let mut out = Vec::new();
+        for c in batch.columns() {
+            let mut stats = ColumnStats::default();
+            let mut distinct: HashSet<String> = HashSet::new();
+            let mut text_cats: HashSet<String> = HashSet::new();
+            let mut track_cats = c.data_type() == DataType::Text;
+            for i in 0..c.len() {
+                let v = c.get(i);
+                if v.is_null() {
+                    stats.null_count += 1;
+                    continue;
+                }
+                if let Some(x) = v.as_f64() {
+                    stats.min = Some(stats.min.map_or(x, |m| m.min(x)));
+                    stats.max = Some(stats.max.map_or(x, |m| m.max(x)));
+                }
+                let key = match &v {
+                    Value::Float(f) => format!("f{}", f.to_bits()),
+                    other => other.to_string(),
+                };
+                if track_cats {
+                    if text_cats.len() < MAX_TRACKED_CATEGORIES {
+                        text_cats.insert(key.clone());
+                    } else {
+                        track_cats = false;
+                        text_cats.clear();
+                    }
+                }
+                distinct.insert(key);
+            }
+            stats.distinct_count = distinct.len();
+            if track_cats && !text_cats.is_empty() {
+                let mut cats: Vec<String> = text_cats.into_iter().collect();
+                cats.sort();
+                stats.categories = Some(cats);
+            }
+            out.push(format!("{stats:?}"));
+        }
+        out
+    }
+
+    #[test]
+    fn typed_stats_equal_the_per_value_scan() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let (mut tracked, mut capped) = (0, 0);
+        for case in 0..200u64 {
+            let rows = next(300) as usize;
+            let (spread, nulls) = (1 + next(200), next(4));
+            let cell = |ty: DataType, r: u64, null: bool| {
+                if null {
+                    return Value::Null;
+                }
+                match ty {
+                    DataType::Bool => Value::Bool(r.is_multiple_of(2)),
+                    DataType::Int => Value::Int(r as i64 - 50),
+                    DataType::Float => Value::Float(match r % 7 {
+                        0 => f64::NAN,
+                        1 => f64::from_bits(0x7ff8_0000_0000_0001),
+                        2 => -0.0,
+                        3 => 0.0,
+                        _ => r as f64 * 0.5 - 10.0,
+                    }),
+                    DataType::Text => Value::Text(format!("c{r}")),
+                    DataType::Date => Value::Date(r as i32 * 37 - 2000),
+                }
+            };
+            let types = [
+                DataType::Bool,
+                DataType::Int,
+                DataType::Float,
+                DataType::Text,
+                DataType::Date,
+            ];
+            let data: Vec<Vec<Value>> = (0..rows)
+                .map(|_| {
+                    let r = next(spread);
+                    let null = nulls > 0 && next(4) < nulls;
+                    types.iter().map(|&ty| cell(ty, r, null)).collect()
+                })
+                .collect();
+            let pairs: Vec<(&str, DataType)> =
+                ["b", "i", "f", "t", "d"].into_iter().zip(types).collect();
+            let schema = Arc::new(Schema::from_pairs(&pairs));
+            let batch = RecordBatch::from_rows(schema, &data).unwrap();
+            let got: Vec<String> = TableStats::compute(&batch)
+                .columns
+                .iter()
+                .map(|c| format!("{c:?}"))
+                .collect();
+            assert_eq!(got, reference(&batch), "case {case}");
+            tracked += got[3].contains("categories: Some") as usize;
+            capped += (rows > 0 && got[3].contains("categories: None")) as usize;
+        }
+        assert!(tracked > 20 && capped > 20, "{tracked} tracked, {capped} capped");
     }
 
     #[test]

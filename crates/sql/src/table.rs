@@ -70,6 +70,93 @@ impl TableVersion {
     pub fn scan(&self, store: Option<&Arc<PartStore>>) -> TableScan {
         TableScan::new(&self.parts, &self.data, store)
     }
+
+    /// The parts and tail of this version with a row delta applied — how
+    /// WAL replay redoes an UPDATE or DELETE. `at` lists logical row
+    /// positions, strictly ascending; `rows` holds the new rows at those
+    /// positions in order (an UPDATE), or is `None` (a DELETE). Positions
+    /// are logical, so the delta applies to any physical layout of the
+    /// same rows. As the statement did, it carries untouched parts by
+    /// reference, drops a part the DELETE empties without reading it,
+    /// puts one rebuilt part in the place of each edited one and edits the
+    /// resident tail — but writes no file: rebuilt parts are held in
+    /// memory until the next checkpoint writes them out
+    /// ([`PartStore::hold_part`]).
+    pub(crate) fn apply_delta(
+        &self,
+        store: Option<&Arc<PartStore>>,
+        at: &[u64],
+        rows: Option<&RecordBatch>,
+    ) -> Result<(Vec<PartMeta>, RecordBatch)> {
+        let total = self.total_rows() as u64;
+        if at.windows(2).any(|w| w[0] >= w[1])
+            || at.last().is_some_and(|&p| p >= total)
+            || rows.is_some_and(|r| r.num_rows() != at.len())
+        {
+            return Err(SqlError::Io(format!(
+                "row delta does not fit version {} ({total} rows)",
+                self.version
+            )));
+        }
+        let schema = self.data.schema();
+        let mut parts = Vec::with_capacity(self.parts.len());
+        let (mut start, mut done) = (0u64, 0usize);
+        for p in &self.parts {
+            let end = start + p.rows;
+            let n = at[done..].partition_point(|&x| x < end);
+            if n == 0 {
+                parts.push(p.clone());
+            } else if rows.is_some() || n as u64 != p.rows {
+                let store = store.ok_or_else(|| {
+                    SqlError::Io("table has disk parts but no part store is attached".into())
+                })?;
+                let raw = store.read_part(p.id)?;
+                let chunk = RecordBatch::new(schema.clone(), raw.columns().to_vec())?;
+                let local: Vec<usize> = at[done..done + n]
+                    .iter()
+                    .map(|&x| (x - start) as usize)
+                    .collect();
+                let new_rows = rows.map(|r| r.slice(done, n));
+                let edited = edit_chunk(&chunk, &local, new_rows.as_ref())?;
+                parts.push(store.hold_part(&edited, p.level));
+            }
+            (start, done) = (end, done + n);
+        }
+        let local: Vec<usize> = at[done..].iter().map(|&x| (x - start) as usize).collect();
+        let tail_rows = rows.map(|r| r.slice(done, usize::MAX));
+        Ok((parts, edit_chunk(&self.data, &local, tail_rows.as_ref())?))
+    }
+}
+
+/// `chunk` with the rows at `at` (ascending positions within it) replaced,
+/// in order, by `rows` (an UPDATE) or removed (`None`: a DELETE).
+pub(crate) fn edit_chunk(
+    chunk: &RecordBatch,
+    at: &[usize],
+    rows: Option<&RecordBatch>,
+) -> Result<RecordBatch> {
+    if at.is_empty() {
+        return Ok(chunk.clone());
+    }
+    let n = chunk.num_rows();
+    match rows {
+        None => {
+            let mut keep = vec![true; n];
+            for &i in at {
+                keep[i] = false;
+            }
+            chunk.filter(&keep)
+        }
+        Some(rows) => {
+            // Row `n + j` of the concatenation is the `j`-th new row.
+            let both = RecordBatch::concat(chunk.schema().clone(), &[chunk.clone(), rows.clone()])?;
+            let mut pick: Vec<usize> = (0..n).collect();
+            for (j, &i) in at.iter().enumerate() {
+                pick[i] = n + j;
+            }
+            both.take(&pick)
+        }
+    }
 }
 
 /// Per-column `[lo, hi]` bounds (either side open) keyed by scan output
@@ -79,9 +166,10 @@ pub type ColBounds = HashMap<usize, (Option<f64>, Option<f64>)>;
 /// The rows of one table version as a sequence of chunks: its disk parts,
 /// oldest first, each decoded only when reached and only for the wanted
 /// columns, then its resident tail. Every reader of a version's rows —
-/// the executor's `Scan`, UPDATE / DELETE / ALTER, the continuous-query
-/// tick and the state digest — goes through this one source, so none of
-/// them knows where the rows live. At most one decoded part is alive per
+/// the executor's `Scan`, ALTER, the continuous-query tick and the state
+/// digest — goes through this one source, so none of them knows where the
+/// rows live; only UPDATE and DELETE, which rewrite parts in place, walk
+/// a version's parts themselves. At most one decoded part is alive per
 /// step; peak decoded bytes go to the part store's high-water counter.
 #[derive(Debug, Clone)]
 pub struct TableScan {
@@ -138,10 +226,11 @@ impl TableScan {
         };
         let projection = self.projection.as_deref();
         self.parts.retain(|p| {
-            bounds.iter().all(|(&c, &(lo, hi))| {
-                let zone = projection.map_or(c, |pr| pr[c]);
-                p.zones.get(zone).is_none_or(|z| z.overlaps(lo, hi, p.rows))
-            })
+            p.may_match(
+                bounds
+                    .iter()
+                    .map(|(&c, &b)| (projection.map_or(c, |pr| pr[c]), b)),
+            )
         });
         self.pruned = self.total_parts - self.parts.len();
         store
@@ -300,17 +389,19 @@ impl Table {
         self.current().total_rows()
     }
 
-    /// Install a new snapshot produced by a committed write. The snapshot
-    /// is fully resident: full-rewrite paths (UPDATE/DELETE/ALTER) drain
-    /// the version's [`TableScan`] first, so part references never leak
-    /// into a version whose `data` already contains those rows.
+    /// Install a fully resident snapshot. Only ALTER TABLE (through
+    /// [`evolve`](Self::evolve)) writes one: it drains the version's
+    /// [`TableScan`] into one batch under the new schema, so no part of
+    /// the old layout is referenced by the new version. Row writes keep
+    /// their parts through [`push_version_with_parts`](Self::push_version_with_parts).
     pub fn push_version(&mut self, data: RecordBatch, txn_id: u64) -> Result<u64> {
         self.push_version_with_parts(Vec::new(), data, txn_id)
     }
 
-    /// Install a new snapshot as disk parts plus a resident tail
-    /// (append paths carry the current parts forward; offload replaces
-    /// resident history with freshly flushed parts).
+    /// Install a new snapshot as disk parts plus a resident tail (appends
+    /// carry the current parts forward; UPDATE and DELETE carry the parts
+    /// they did not touch and put a rewritten part in the place of each
+    /// one they did).
     pub fn push_version_with_parts(
         &mut self,
         parts: Vec<PartMeta>,
@@ -394,9 +485,10 @@ impl Table {
         self.restore_version_with_parts(version, txn_id, Vec::new(), data)
     }
 
-    /// WAL-replay append that carries disk parts forward (AppendRows over
-    /// a part-backed base: the parts prefix is unchanged, only the
-    /// resident tail grows).
+    /// WAL-replay install that carries disk parts forward (AppendRows over
+    /// a part-backed base keeps every part and grows the tail; a row delta
+    /// keeps the parts before the first one it edits, see
+    /// [`TableVersion::apply_delta`]).
     pub fn restore_version_with_parts(
         &mut self,
         version: u64,

@@ -25,13 +25,13 @@ use super::checkpoint::{
 };
 use super::codec::{frame, frame_header, read_frame, FRAME_HEADER};
 use super::fs::DurableFs;
-use super::record::{RedoOp, WalRecord};
+use super::record::{RedoOp, RowRuns, WalRecord};
 use super::DurabilityOptions;
 use crate::batch::RecordBatch;
 use crate::catalog::{AccessControl, Catalog, ExtensionObject, ExtensionVersion, ViewDef};
 use crate::engine::{AuditRecord, QueryLogEntry};
 use crate::error::{Result, SqlError};
-use crate::parts::{parse_part_name, part_file_name, validate_part_image, PartMeta};
+use crate::parts::{parse_part_name, part_file_name, validate_part_image, PartMeta, PartStore};
 use crate::table::Table;
 use std::collections::{BTreeSet, HashMap};
 use std::io;
@@ -58,6 +58,8 @@ fn parse_seq(name: &str, prefix: &str) -> Option<u64> {
 /// exactly like commits.
 pub struct WalManager {
     fs: Arc<dyn DurableFs>,
+    /// The part files beside the log, for their in-flight registry.
+    store: Arc<PartStore>,
     opts: DurabilityOptions,
     /// Active segment sequence (== the newest checkpoint's sequence).
     seq: u64,
@@ -97,10 +99,14 @@ impl WalManager {
     }
 
     /// Write a checkpoint of `snapshot` and switch to a fresh segment.
-    /// Protocol: write `checkpoint.N.tmp`, fsync it, atomically rename to
-    /// `checkpoint.N` — a crash at any point leaves either the old or the
-    /// new checkpoint fully intact, never a half-written one.
+    /// Protocol: write out the parts replay held in memory, then write
+    /// `checkpoint.N.tmp`, fsync it, atomically rename to `checkpoint.N` —
+    /// a crash at any point leaves either the old or the new checkpoint
+    /// fully intact, never a half-written one or one missing a part.
     pub fn checkpoint(&mut self, snapshot: &Snapshot) -> io::Result<u64> {
+        self.store
+            .flush_held()
+            .map_err(|e| io::Error::other(e.to_string()))?;
         let seq = self.seq + 1;
         let mut framed = Vec::new();
         frame(&mut framed, &encode_snapshot(snapshot));
@@ -145,11 +151,12 @@ impl WalManager {
     /// Part retirement, tied to checkpoint retention: a part file is live
     /// iff at least one *retained* checkpoint references it, so recovery
     /// can fall back a generation and still find every part that
-    /// generation needs. If any retained checkpoint fails to read or
-    /// decode, nothing is deleted — losing disk space is recoverable,
-    /// deleting a part a fallback checkpoint references is not. Part tmp
-    /// files are never touched here (the background merger may own one);
-    /// they are swept at open.
+    /// generation needs — or its writer still has it in flight (an open
+    /// transaction's rewritten part, a merge not yet spliced in). If any
+    /// retained checkpoint fails to read or decode, nothing is deleted —
+    /// losing disk space is recoverable, deleting a part a fallback
+    /// checkpoint references is not. Part tmp files are never touched here
+    /// (a writer may own one); they are swept at open.
     fn prune_parts(&self, names: &[String], checkpoints_desc: &[u64], keep: usize) {
         let retained = &checkpoints_desc[..keep.min(checkpoints_desc.len())];
         let mut live: BTreeSet<u64> = BTreeSet::new();
@@ -171,7 +178,7 @@ impl WalManager {
         }
         for name in names {
             if let Some(id) = parse_part_name(name) {
-                if !live.contains(&id) {
+                if !live.contains(&id) && !self.store.is_in_flight(id) {
                     let _ = self.fs.remove(name);
                 }
             }
@@ -237,9 +244,15 @@ pub struct RecoveredState {
 
 /// Open a database directory: load the newest valid checkpoint, replay
 /// the log, repair any torn tail, and return the recovered state plus a
-/// manager positioned to append. A clean shutdown recovers with zero
-/// writes — byte-for-byte, the directory is untouched.
-pub fn recover(fs: Arc<dyn DurableFs>, opts: DurabilityOptions) -> Result<RecoveredState> {
+/// manager positioned to append. `store` is the directory's part store:
+/// the recovered catalog reads its parts, and row deltas replay against
+/// them. A clean shutdown recovers with zero writes — byte-for-byte, the
+/// directory is untouched; replay itself never writes a part.
+pub fn recover(
+    fs: Arc<dyn DurableFs>,
+    store: Arc<PartStore>,
+    opts: DurabilityOptions,
+) -> Result<RecoveredState> {
     let names = fs
         .list()
         .map_err(|e| SqlError::Io(format!("listing wal directory: {e}")))?;
@@ -287,6 +300,7 @@ pub fn recover(fs: Arc<dyn DurableFs>, opts: DurabilityOptions) -> Result<Recove
             }
             None => (0, Catalog::new(), 1, 1, 1, Vec::new(), Vec::new()),
         };
+    catalog.set_part_store(store.clone());
 
     // Replay segments at or after the checkpoint, stopping at the first
     // record that is torn, corrupt, or cannot apply.
@@ -384,6 +398,7 @@ pub fn recover(fs: Arc<dyn DurableFs>, opts: DurabilityOptions) -> Result<Recove
         audit_log,
         manager: WalManager {
             fs,
+            store,
             opts,
             seq: active,
             commits_since_checkpoint: 0,
@@ -432,6 +447,19 @@ fn apply_op(catalog: &mut Catalog, op: &RedoOp) -> Result<()> {
             let batch = RecordBatch::new(t.schema().clone(), cols)?;
             t.restore_version_with_parts(*version, *txn_id, parts, batch)
         }
+        RedoOp::UpdateRows {
+            table,
+            version,
+            txn_id,
+            positions,
+            rows,
+        } => apply_delta(catalog, table, *version, *txn_id, positions, Some(rows)),
+        RedoOp::DeleteRows {
+            table,
+            version,
+            txn_id,
+            positions,
+        } => apply_delta(catalog, table, *version, *txn_id, positions, None),
         RedoOp::DropTable { name } => catalog.drop_table(name),
         RedoOp::TruncateHistory { table, keep } => {
             catalog.table_mut(table)?.truncate_history(*keep as usize);
@@ -480,6 +508,33 @@ fn apply_op(catalog: &mut Catalog, op: &RedoOp) -> Result<()> {
             Ok(())
         }
     }
+}
+
+/// Redo an UPDATE (`rows`) or DELETE (`None`) logged as a row delta
+/// against the previous version (see [`TableVersion::apply_delta`]).
+///
+/// [`TableVersion::apply_delta`]: crate::table::TableVersion::apply_delta
+fn apply_delta(
+    catalog: &mut Catalog,
+    table: &str,
+    version: u64,
+    txn_id: u64,
+    positions: &RowRuns,
+    rows: Option<&RecordBatch>,
+) -> Result<()> {
+    let store = catalog.part_store().cloned();
+    let t = catalog.table_mut(table)?;
+    let cur = t.current().clone();
+    if rows.is_some_and(|r| r.num_columns() != cur.data.num_columns()) {
+        return Err(SqlError::Io(format!(
+            "update-rows arity mismatch replaying '{table}'"
+        )));
+    }
+    let at = positions
+        .positions(cur.total_rows() as u64)
+        .ok_or_else(|| SqlError::Io(format!("row runs out of range replaying '{table}'")))?;
+    let (parts, tail) = cur.apply_delta(store.as_ref(), &at, rows)?;
+    t.restore_version_with_parts(version, txn_id, parts, tail)
 }
 
 /// Canonical snapshot of committed state (checkpoints and digests).

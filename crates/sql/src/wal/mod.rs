@@ -38,7 +38,7 @@ pub use codec::{checksum64, frame, frame_header, FRAME_HEADER};
 pub use fs::{DurableFs, FailpointFs, MemFs, StdFs};
 pub(crate) use manager::build_snapshot;
 pub use manager::{recover, RecoveredState, WalManager};
-pub use record::{RedoOp, WalRecord};
+pub use record::{RedoOp, RowRuns, WalRecord};
 
 /// Knobs for the durability subsystem.
 ///

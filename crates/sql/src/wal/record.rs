@@ -26,8 +26,8 @@ pub enum RedoOp {
         schema: Schema,
         txn_id: u64,
     },
-    /// Install a full snapshot as `version` (UPDATE/DELETE/ALTER; the
-    /// batch carries its schema, so schema evolution needs no special op).
+    /// Install a full snapshot as `version` (ALTER TABLE: the batch
+    /// carries the evolved schema, so schema evolution needs no other op).
     PushVersion {
         table: String,
         version: u64,
@@ -41,6 +41,24 @@ pub enum RedoOp {
         version: u64,
         txn_id: u64,
         rows: RecordBatch,
+    },
+    /// Install `version` as the previous one with the rows at `positions`
+    /// replaced, in order, by `rows` (UPDATE: full new rows; logging
+    /// O(rows changed) instead of O(table)).
+    UpdateRows {
+        table: String,
+        version: u64,
+        txn_id: u64,
+        positions: RowRuns,
+        rows: RecordBatch,
+    },
+    /// Install `version` as the previous one without the rows at
+    /// `positions` (DELETE; a whole-table DELETE is one run).
+    DeleteRows {
+        table: String,
+        version: u64,
+        txn_id: u64,
+        positions: RowRuns,
     },
     DropTable {
         name: String,
@@ -82,6 +100,58 @@ pub enum RedoOp {
     /// whole-state last-writer-wins in the engine, and the log mirrors
     /// that semantics exactly rather than inventing a finer-grained one.
     AccessSet(AccessDump),
+}
+
+/// Logical row positions in a table version — row numbers counted across
+/// its parts and then its tail — as ascending, disjoint `(start, len)`
+/// runs. Independent of the physical layout: the same rows in other parts
+/// (offload, merge, a replay that left more rows resident) have the same
+/// positions.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowRuns(pub Vec<(u64, u64)>);
+
+impl RowRuns {
+    /// Runs of strictly ascending positions.
+    pub fn from_positions(positions: &[u64]) -> RowRuns {
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for &p in positions {
+            match runs.last_mut() {
+                Some((start, len)) if *start + *len == p => *len += 1,
+                _ => runs.push((p, 1)),
+            }
+        }
+        RowRuns(runs)
+    }
+
+    /// Every position, ascending; `None` unless the runs are non-empty,
+    /// ascending, disjoint and end at or before `rows`.
+    pub fn positions(&self, rows: u64) -> Option<Vec<u64>> {
+        let mut end = 0u64;
+        for &(start, len) in &self.0 {
+            if len == 0 || start < end {
+                return None;
+            }
+            end = start.checked_add(len).filter(|&e| e <= rows)?;
+        }
+        Some(self.0.iter().flat_map(|&(s, n)| s..s + n).collect())
+    }
+}
+
+fn put_runs(e: &mut Enc, runs: &RowRuns) {
+    e.u32(runs.0.len() as u32);
+    for &(start, len) in &runs.0 {
+        e.u64(start);
+        e.u64(len);
+    }
+}
+
+fn get_runs(d: &mut Dec) -> DecodeResult<RowRuns> {
+    let n = d.seq_len()?;
+    let mut runs = Vec::with_capacity(n);
+    for _ in 0..n {
+        runs.push((d.u64()?, d.u64()?));
+    }
+    Ok(RowRuns(runs))
 }
 
 /// One framed record in a WAL segment.
@@ -217,6 +287,32 @@ fn put_op(e: &mut Enc, op: &RedoOp) {
             e.u64(*txn_id);
             codec::put_batch(e, rows);
         }
+        RedoOp::UpdateRows {
+            table,
+            version,
+            txn_id,
+            positions,
+            rows,
+        } => {
+            e.u8(11);
+            e.str(table);
+            e.u64(*version);
+            e.u64(*txn_id);
+            put_runs(e, positions);
+            codec::put_batch(e, rows);
+        }
+        RedoOp::DeleteRows {
+            table,
+            version,
+            txn_id,
+            positions,
+        } => {
+            e.u8(12);
+            e.str(table);
+            e.u64(*version);
+            e.u64(*txn_id);
+            put_runs(e, positions);
+        }
         RedoOp::DropTable { name } => {
             e.u8(3);
             e.str(name);
@@ -329,6 +425,19 @@ fn get_op(d: &mut Dec) -> DecodeResult<RedoOp> {
             name: d.str()?,
         },
         10 => RedoOp::AccessSet(get_access_dump(d)?),
+        11 => RedoOp::UpdateRows {
+            table: d.str()?,
+            version: d.u64()?,
+            txn_id: d.u64()?,
+            positions: get_runs(d)?,
+            rows: codec::get_batch(d)?,
+        },
+        12 => RedoOp::DeleteRows {
+            table: d.str()?,
+            version: d.u64()?,
+            txn_id: d.u64()?,
+            positions: get_runs(d)?,
+        },
         _ => return Err(Corrupt),
     })
 }
@@ -380,5 +489,54 @@ impl WalRecord {
         };
         d.finish()?;
         Ok(rec)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::column::ColumnVector;
+    use crate::types::DataType;
+    use std::sync::Arc;
+
+    #[test]
+    fn row_runs_round_trip_and_reject_what_does_not_fit() {
+        let at = [0, 1, 2, 5, 7, 8];
+        let runs = RowRuns::from_positions(&at);
+        assert_eq!(runs.0, vec![(0, 3), (5, 1), (7, 2)]);
+        assert_eq!(runs.positions(9).unwrap(), at);
+        assert!(runs.positions(8).is_none(), "a run past the version's end");
+        assert!(RowRuns(vec![(2, 2), (3, 1)]).positions(9).is_none(), "overlap");
+        assert!(RowRuns(vec![(4, 1), (2, 1)]).positions(9).is_none(), "descending");
+        assert!(RowRuns(vec![(1, 0)]).positions(9).is_none(), "empty run");
+        assert!(RowRuns(vec![(u64::MAX, 2)]).positions(9).is_none(), "overflow");
+        // a whole-table delete is one run
+        assert_eq!(RowRuns::from_positions(&(0..1000).collect::<Vec<_>>()).0, vec![(0, 1000)]);
+    }
+
+    #[test]
+    fn row_delta_records_round_trip() {
+        let schema = Arc::new(crate::schema::Schema::from_pairs(&[("k", DataType::Int)]));
+        let rows = RecordBatch::new(schema, vec![ColumnVector::from_i64([4, 9])]).unwrap();
+        let positions = RowRuns(vec![(3, 1), (10, 1)]);
+        for op in [
+            RedoOp::UpdateRows {
+                table: "t".into(),
+                version: 7,
+                txn_id: 3,
+                positions: positions.clone(),
+                rows,
+            },
+            RedoOp::DeleteRows {
+                table: "t".into(),
+                version: 8,
+                txn_id: 3,
+                positions,
+            },
+        ] {
+            let record = WalRecord::Op { txn_id: 3, op };
+            let back = WalRecord::decode(&record.encode()).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{record:?}"));
+        }
     }
 }

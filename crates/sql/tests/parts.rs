@@ -284,9 +284,24 @@ fn selective_scans_prune_and_stay_within_the_budget() {
 
 /// Deterministic workload covering the part lifecycle: offload inside an
 /// INSERT commit, a synchronous merge pass, checkpoints that make parts
-/// reachable, and rewrite DML that materializes parts back through the
-/// budget. Every step leaves the engine in a digestable committed state.
-const STEPS: usize = 15;
+/// reachable, and UPDATE / DELETE that rewrite the parts they touch and
+/// log row deltas — one touching a middle part and the resident tail, one
+/// emptying a whole part, one rolled back. Every step leaves the engine in
+/// a digestable committed state.
+const STEPS: usize = 21;
+
+/// `DELETE` exactly the rows of the current version's second part (keys
+/// are unique and ascending across parts), or nothing if it has none.
+fn delete_second_part(db: &Database) -> flock_sql::Result<()> {
+    let catalog = db.catalog();
+    let cur = catalog.table("t")?.current().clone();
+    let Some(zone) = cur.parts.get(1).map(|p| p.zones[0].clone()) else {
+        return Ok(());
+    };
+    let (lo, hi) = (zone.min.unwrap(), zone.max.unwrap());
+    db.execute(&format!("DELETE FROM t WHERE k BETWEEN {lo} AND {hi}"))
+        .map(|_| ())
+}
 
 fn apply_step(db: &Database, i: usize) -> flock_sql::Result<()> {
     match i {
@@ -312,11 +327,28 @@ fn apply_step(db: &Database, i: usize) -> flock_sql::Result<()> {
             Ok(())
         }
         10 => db.checkpoint_now().map(|_| ()),
-        // rewrite paths materialize parts, then re-offload on commit
+        // UPDATE / DELETE rewrite the parts holding a changed row
         11 => db.execute("UPDATE t SET v = 0.0 WHERE k < 10").map(|_| ()),
         12 => db.execute("DELETE FROM t WHERE k >= 360").map(|_| ()),
         13 => db.checkpoint_now().map(|_| ()),
         14 => db.query("SELECT cat, COUNT(*) FROM t GROUP BY cat").map(|_| ()),
+        // three more parts behind the merged one, then a resident tail
+        15 => insert_chunk(db, 400, 200),
+        16 => insert_chunk(db, 600, 20),
+        // one UPDATE that edits a middle part (no zone bounds under OR)
+        // and the tail together
+        17 => db
+            .execute("UPDATE t SET v = v + 1.0, cat = 'upd' WHERE k = 500 OR k >= 610")
+            .map(|_| ()),
+        18 => delete_second_part(db),
+        19 => {
+            // the rolled-back UPDATE writes a part no state references
+            let mut s = db.session("admin");
+            s.execute("BEGIN")?;
+            s.execute("UPDATE t SET v = -1.0 WHERE k = 200")?;
+            s.execute("ROLLBACK").map(|_| ())
+        }
+        20 => db.checkpoint_now().map(|_| ()),
         _ => unreachable!("workload has {STEPS} steps"),
     }
 }
@@ -400,6 +432,61 @@ fn kill_point_matrix_over_part_lifecycle_buffered_recovers_a_prefix() {
         keep_checkpoints: 2,
     };
     kill_matrix(opts, false);
+}
+
+// ------------------------------------------- part-granular UPDATE/DELETE
+
+fn part_files(mem: &MemFs) -> HashSet<String> {
+    mem.file_names()
+        .into_iter()
+        .filter(|n| n.starts_with("part.") && !n.ends_with(".tmp"))
+        .collect()
+}
+
+#[test]
+fn one_row_update_rewrites_exactly_one_part() {
+    let (db, reference, _mem) = budgeted_pair(384);
+    assert!(db.catalog().table("t").unwrap().current().parts.len() >= 4);
+    let (rewritten, total) = (metric(&db, "parts_rewritten"), metric(&db, "parts_total"));
+    for d in [&db, &reference] {
+        d.execute("UPDATE t SET v = 99.5 WHERE k = 200").unwrap();
+    }
+    assert_eq!(metric(&db, "parts_rewritten"), rewritten + 1);
+    assert!(metric(&db, "parts_total") <= total + 1);
+    // a match-free UPDATE and a whole-table DELETE write no part
+    for d in [&db, &reference] {
+        d.execute("UPDATE t SET v = 0.5 WHERE k = 100000").unwrap();
+    }
+    assert_eq!(metric(&db, "parts_rewritten"), rewritten + 1);
+    assert_same_results(&db, &reference, "after a one-row UPDATE");
+    for d in [&db, &reference] {
+        d.execute("DELETE FROM u").unwrap();
+    }
+    assert_eq!(metric(&db, "parts_rewritten"), rewritten + 1);
+    let left = db.query("SELECT COUNT(*) FROM u").unwrap();
+    assert_eq!(left.column(0).get(0), Value::Int(0));
+}
+
+#[test]
+fn rolled_back_update_part_is_reclaimed_by_checkpoints() {
+    let (db, _reference, mem) = budgeted_pair(384);
+    db.checkpoint_now().unwrap();
+    let before = part_files(&mem);
+    let mut s = db.session("admin");
+    s.execute("BEGIN").unwrap();
+    s.execute("UPDATE t SET v = -1.0 WHERE k = 200").unwrap();
+    let written: Vec<String> = part_files(&mem).difference(&before).cloned().collect();
+    assert_eq!(written.len(), 1, "the UPDATE rewrote one part: {written:?}");
+    // While the transaction is open a checkpoint must not prune its part.
+    db.checkpoint_now().unwrap();
+    assert!(part_files(&mem).contains(&written[0]));
+    s.execute("ROLLBACK").unwrap();
+    db.checkpoint_now().unwrap();
+    db.checkpoint_now().unwrap();
+    assert!(
+        !part_files(&mem).contains(&written[0]),
+        "the rolled-back part must be reclaimed"
+    );
 }
 
 // --------------------------------------------- torn files and fallback
