@@ -10,7 +10,6 @@ use crate::column::ColumnVector;
 use crate::error::{Result, SqlError};
 use crate::exec::window::WindowAggState;
 use crate::exec::EvalContext;
-use crate::parts::PartsInFlight;
 use crate::stream::{compile_cq, CompiledCq, CqSpec, StreamSpec, CQ_KIND, STREAM_KIND};
 use crate::sync;
 use crate::types::Value;
@@ -45,13 +44,13 @@ fn merge_byte_cap(budget: u64) -> u64 {
 /// consecutive same-level parts in some table's current version whose
 /// combined decoded size fits under `byte_cap`, fold them into a single
 /// next-level part, and splice it in place. Decode and encode run outside
-/// the catalog lock (parts are immutable), with the merged part in flight
-/// so that a checkpoint in between cannot prune it; the splice re-verifies
-/// the run is still current before swapping, and never deletes the source
-/// files — older versions and older checkpoints may still reference them, so
-/// reclamation belongs to checkpoint pruning. Purely physical: no WAL
-/// record, no version bump, no logical-digest change — only the table's
-/// layout stamp moves, so cached plans over the old parts get rebound.
+/// the catalog lock (parts are immutable); the step holds handles on the
+/// run and on the merged part throughout, so no checkpoint in between can
+/// delete either. The splice re-verifies the run is still current before
+/// swapping; a merged part that loses that race is simply dropped, and the
+/// next checkpoint deletes it. Purely physical: no WAL record, no version
+/// bump, no logical-digest change — the current version becomes a new
+/// `Arc`, so cached plans over the old parts get rebound.
 fn merge_step(state: &RwLock<DbState>, byte_cap: u64) -> bool {
     let (name, start, run, store) = {
         let st = sync::read(state);
@@ -100,10 +99,7 @@ fn merge_step(state: &RwLock<DbState>, byte_cap: u64) -> bool {
     let Ok(folded) = RecordBatch::concat(schema, &batches) else {
         return false;
     };
-    // In flight until this step returns: a checkpoint taken before the
-    // splice must not prune the merged part as unreferenced.
-    let mut in_flight = PartsInFlight::default();
-    let Ok(merged) = in_flight.write(&store, &folded, run[0].level.saturating_add(1)) else {
+    let Ok(merged) = store.write_part(&folded, run[0].level.saturating_add(1)) else {
         return false;
     };
     #[cfg(test)]
@@ -111,7 +107,6 @@ fn merge_step(state: &RwLock<DbState>, byte_cap: u64) -> bool {
 
     let mut st = sync::write(state);
     let Ok(table) = st.catalog.table_mut(&name) else {
-        store.remove_part(&merged);
         return false;
     };
     let cur = table.current();
@@ -121,7 +116,6 @@ fn merge_step(state: &RwLock<DbState>, byte_cap: u64) -> bool {
             .zip(&run)
             .all(|(a, b)| a.id == b.id);
     if !still_current {
-        store.remove_part(&merged);
         return false;
     }
     let mut parts = cur.parts.clone();

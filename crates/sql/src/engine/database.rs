@@ -13,7 +13,6 @@ use crate::optimizer::OptimizerConfig;
 use crate::plan::PlanRewriter;
 use crate::plancache::PlanCache;
 use crate::sync;
-use crate::table::TableScan;
 use crate::trainer::{NoTrainer, TrainerRef};
 use crate::udf::{NoInference, ProviderRef};
 use crate::wal::{DurabilityOptions, DurableFs, StdFs, WalManager};
@@ -44,35 +43,20 @@ pub(super) fn snapshot_of(state: &DbState) -> crate::wal::Snapshot {
     )
 }
 
-/// Reset the part store's inventory counters to the set of parts the live
-/// catalog references (deduplicated: appends share parts across versions).
-pub(super) fn sync_part_inventory(catalog: &Catalog) {
-    let Some(store) = catalog.part_store() else { return };
-    let mut live: std::collections::BTreeMap<u64, &crate::parts::PartMeta> =
-        std::collections::BTreeMap::new();
-    for name in catalog.table_names() {
-        if let Ok(t) = catalog.table(&name) {
-            for v in t.versions() {
-                for p in &v.parts {
-                    live.insert(p.id, p);
-                }
-            }
-        }
-    }
-    store.set_inventory(live.into_values());
-}
-
-/// Rewrite a snapshot into its fully resident logical form: each
-/// part-backed version is read through its chunk source into one resident
-/// batch and its manifest cleared. Best-effort — an unreadable part leaves
-/// that version physical (a state recovery would reject anyway).
-fn logicalize_snapshot(
-    snap: &mut crate::wal::Snapshot,
-    store: Option<&Arc<crate::parts::PartStore>>,
-) {
+/// Rewrite a snapshot of `catalog` into its fully resident logical form:
+/// each part-backed version is read through its chunk source into one
+/// resident batch and its manifest cleared. Best-effort — an unreadable
+/// part leaves that version physical (a state recovery would reject
+/// anyway).
+fn logicalize_snapshot(snap: &mut crate::wal::Snapshot, catalog: &Catalog) {
     for t in &mut snap.tables {
-        for v in t.versions.iter_mut().filter(|v| !v.parts.is_empty()) {
-            if let Ok(full) = TableScan::new(&v.parts, &v.data, store).collect() {
+        let Ok(table) = catalog.table(&t.name) else { continue };
+        // the snapshot lists a table's versions in the table's own order
+        for (v, tv) in t.versions.iter_mut().zip(table.versions()) {
+            if v.parts.is_empty() {
+                continue;
+            }
+            if let Ok(full) = tv.scan(catalog.part_store()).collect() {
                 v.data = full;
                 v.parts.clear();
             }
@@ -210,7 +194,6 @@ impl Database {
         let store = Arc::new(crate::parts::PartStore::open(fs.clone()).map_err(part_err)?);
         let rec = crate::wal::recover(fs, store.clone(), opts)?;
         store.sweep_tmps().map_err(part_err)?;
-        sync_part_inventory(&rec.catalog);
         let db = Self::from_state(DbState {
             catalog: rec.catalog,
             next_txn: rec.next_txn,
@@ -236,15 +219,13 @@ impl Database {
     pub fn checkpoint_now(&self) -> Result<Option<u64>> {
         let mut state = sync::write(&self.shared.state);
         let snap = snapshot_of(&state);
-        let r = match &mut state.wal {
+        match &mut state.wal {
             Some(wal) => wal
                 .checkpoint(&snap)
                 .map(Some)
                 .map_err(|e| SqlError::Io(format!("checkpoint failed: {e}"))),
             None => Ok(None),
-        };
-        sync_part_inventory(&state.catalog);
-        r
+        }
     }
 
     /// Deterministic digest of the committed logical state (catalog, both
@@ -264,7 +245,7 @@ impl Database {
         let state = sync::read(&self.shared.state);
         let mut snap = snapshot_of(&state);
         snap.next_txn = 0;
-        logicalize_snapshot(&mut snap, state.catalog.part_store());
+        logicalize_snapshot(&mut snap, &state.catalog);
         crate::wal::digest(&snap)
     }
 

@@ -12,7 +12,7 @@ use crate::catalog::{Catalog, ObjectRef, Privilege};
 use crate::column::ColumnVector;
 use crate::error::{Result, SqlError};
 use crate::exec::{zone_constraints, EvalContext, PhysExpr};
-use crate::parts::PartMeta;
+use crate::parts::{Part, PartMeta};
 use crate::schema::Schema;
 use crate::stream::STREAM_KIND;
 use crate::table::{concat_chunks, edit_chunk, ColBounds};
@@ -363,7 +363,7 @@ type Assign<'a> = &'a mut dyn FnMut(&RecordBatch) -> Result<RecordBatch>;
 
 /// What an UPDATE or DELETE makes of the version it read.
 struct Rewrite {
-    parts: Vec<PartMeta>,
+    parts: Vec<Part>,
     tail: RecordBatch,
     /// Logical positions of the selected rows in the version read.
     at: Vec<u64>,
@@ -376,8 +376,9 @@ struct Rewrite {
 /// (UPDATE), or, when `None`, they go (DELETE). A part without a selected
 /// row is carried into the new version by reference; a part with one is
 /// written as one new part in its place, or dropped unread when a DELETE
-/// takes all of it; the resident tail is edited in memory. The part files
-/// stay in flight with the transaction until it ends.
+/// takes all of it; the resident tail is edited in memory. The new parts
+/// live in the transaction's working catalog: its commit installs them,
+/// its end otherwise drops them for the next checkpoint to delete.
 fn rewrite(
     txn: &mut Txn,
     ctx: &StmtCtx,
@@ -439,7 +440,7 @@ fn rewrite(
             continue;
         }
         let edited = edit(&read(None)?, &part_hits, &mut rows)?;
-        parts.push(txn.write_part(store, &edited, p.level)?);
+        parts.push(store.write_part(&edited, p.level)?);
         store.note_rewritten(1);
     }
     let tail_hits = select(cur.data.num_rows(), &|columns| cur.data.project(columns))?;
@@ -459,7 +460,7 @@ fn rewrite(
 fn install_version(
     txn: &mut Txn,
     name: &str,
-    parts: Vec<PartMeta>,
+    parts: Vec<Part>,
     tail: RecordBatch,
     op: impl FnOnce(String, u64, u64) -> RedoOp,
 ) -> Result<u64> {

@@ -285,9 +285,8 @@ impl Session {
                 shared.options_epoch.load(Ordering::Relaxed),
                 ctx.provider.plan_epoch(),
             );
-            let stamp_of =
-                |t: &str| txn.catalog().table(t).ok().map(|tab| tab.current_stamp());
-            let hit = match shared.plan_cache.lookup(&key, epochs, stamp_of) {
+            let current = |t: &str| txn.catalog().table(t).ok().map(|tab| tab.current());
+            let hit = match shared.plan_cache.lookup(&key, epochs, current) {
                 Ok(CacheHit::Ready(e)) => Some(e),
                 Ok(CacheHit::Rebind(e)) => {
                     // DML, offload or a merge moved a table under the
@@ -301,17 +300,17 @@ impl Session {
                         ctx.provider.as_ref(),
                         &ctx.options,
                     )?;
-                    let table_stamps = e
-                        .table_stamps
+                    let bound = e
+                        .bound
                         .iter()
-                        .map(|(t, _)| Ok((t.clone(), catalog.table(t)?.current_stamp())))
+                        .map(|(t, _)| Ok((t.clone(), catalog.table(t)?.current().clone())))
                         .collect::<Result<Vec<_>>>()?;
                     let rebound = CachedPlan {
                         logical: e.logical.clone(),
                         physical,
                         tables: e.tables.clone(),
                         models: e.models.clone(),
-                        table_stamps,
+                        bound,
                         ddl_epoch: e.ddl_epoch,
                         options_epoch: e.options_epoch,
                         model_epoch: e.model_epoch,
@@ -344,13 +343,14 @@ impl Session {
             if !planned.reads_metrics_table() && !query_has_subqueries(&q) {
                 // Time-travel scans pin an immutable version and never
                 // need rebinding.
-                let layout_of =
-                    |t: &str| txn.catalog().table(t).map_or(0, |tab| tab.current_stamp().1);
-                let table_stamps = planned
+                let bound = planned
                     .scans
                     .iter()
                     .filter(|s| !s.pinned)
-                    .map(|s| (s.table.clone(), (s.version, layout_of(&s.table))))
+                    .filter_map(|s| {
+                        let table = txn.catalog().table(&s.table).ok()?;
+                        Some((s.table.clone(), table.current().clone()))
+                    })
                     .collect();
                 shared.plan_cache.insert(
                     key,
@@ -359,7 +359,7 @@ impl Session {
                         physical: planned.physical,
                         tables: planned.tables,
                         models: planned.models,
-                        table_stamps,
+                        bound,
                         ddl_epoch: epochs.0,
                         options_epoch: epochs.1,
                         model_epoch: epochs.2,

@@ -4,19 +4,17 @@
 //! state alongside the mutation), and buffers its audit and query-log rows
 //! here until commit.
 
-use super::database::{snapshot_of, sync_part_inventory, Database, DbState};
+use super::database::{snapshot_of, Database, DbState};
 use super::models::lineage_pinned_versions;
 use super::{now_ms, AuditRecord, QueryLogEntry, QueryRuntime, StatementKind};
 use crate::batch::RecordBatch;
 use crate::catalog::{AccessControl, Catalog, ObjectRef, Privilege};
 use crate::error::{Result, SqlError};
-use crate::parts::{PartMeta, PartStore, PartsInFlight};
 use crate::sync;
 use crate::wal::{RedoOp, WalRecord};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Upper bound on rows per part flushed by offload.
 const MAX_PART_ROWS: usize = 65_536;
@@ -56,10 +54,6 @@ pub(super) struct Txn {
     /// planner reads the working catalog by reference while its checks
     /// audit denials.
     audit_buf: RefCell<Vec<AuditRecord>>,
-    /// Part files this transaction wrote (rewrites, offload). Pruning
-    /// spares them until the transaction ends — installed by its commit,
-    /// or orphaned by an abort for the next checkpoint to reclaim.
-    parts: PartsInFlight,
 }
 
 impl Txn {
@@ -74,7 +68,6 @@ impl Txn {
             redo_buf: Vec::new(),
             log_buf: Vec::new(),
             audit_buf: RefCell::default(),
-            parts: PartsInFlight::default(),
         }
     }
 
@@ -150,16 +143,6 @@ impl Txn {
         f: impl FnOnce(&mut Catalog, u64) -> Result<(T, Option<RedoOp>)>,
     ) -> Result<T> {
         self.write(format!("ext:{kind}:{}", name.to_ascii_lowercase()), ddl, f)
-    }
-
-    /// Write a part file that this transaction's writes will reference.
-    pub fn write_part(
-        &mut self,
-        store: &Arc<PartStore>,
-        batch: &RecordBatch,
-        level: u8,
-    ) -> Result<PartMeta> {
-        self.parts.write(store, batch, level)
     }
 
     /// Users and grants, for modification (logged as one `AccessSet`).
@@ -336,7 +319,6 @@ impl Txn {
             if let Some(wal) = &mut state.wal {
                 let _ = wal.checkpoint(&snap);
             }
-            sync_part_inventory(&state.catalog);
         }
 
         // Commit hooks observe the committed snapshot outside the state
@@ -384,7 +366,7 @@ impl Txn {
     /// WAL record batch, so a kill during the flush recovers to either the
     /// old state or the committed one, never a mix. Freshly flushed parts
     /// become reachable at the next checkpoint; until then a crash simply
-    /// orphans them for checkpoint pruning to sweep.
+    /// orphans them, and the next open queues them for deletion.
     fn offload_over_budget(&mut self, budget: u64) -> Result<()> {
         if budget == 0 {
             return Ok(());
@@ -413,7 +395,7 @@ impl Txn {
             let chunk_rows = ((budget as usize / (8 * ncols)) / 2).clamp(1, MAX_PART_ROWS);
             let mut parts = cur.parts.clone();
             for chunk in cur.data.chunks(chunk_rows) {
-                parts.push(self.parts.write(&store, &chunk, 0)?);
+                parts.push(store.write_part(&chunk, 0)?);
             }
             let tail = RecordBatch::empty(cur.data.schema().clone());
             let pinned = lineage_pinned_versions(&self.catalog, &name);

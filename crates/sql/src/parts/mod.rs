@@ -20,8 +20,7 @@ mod store;
 
 pub use codec::{decode_part, encode_part, validate_part_image};
 pub(crate) use codec::{get_part_meta, put_part_meta};
-pub(crate) use store::PartsInFlight;
-pub use store::{parse_part_name, part_file_name, PartStore};
+pub use store::{parse_part_name, part_file_name, Part, PartHandle, PartStore};
 
 /// Per-column min/max + null-count summary, the unit of scan pruning.
 ///
@@ -62,7 +61,7 @@ impl ZoneMap {
 /// Manifest entry for one immutable part file: identity, shape, and the
 /// zone maps the planner prunes with. Checkpoints embed these, so recovery
 /// and plan-time pruning never touch part data.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartMeta {
     /// Globally unique, never reused (allocation resumes above every part
     /// file on disk at open).

@@ -1,22 +1,25 @@
-//! Disk-resident part storage: id allocation, atomic writes, counters.
+//! Disk-resident part storage: id allocation, atomic writes, part
+//! lifetime, counters.
 //!
 //! Parts live beside the WAL segments in the same flat database directory
 //! as `part.{id}` files. Writes go through the write-tmp → fsync → rename
 //! protocol, so a crash mid-write leaves only a `part.{id}.tmp` orphan that
 //! the next open removes; a `part.{id}` file is complete by construction
-//! (and its frame checksum proves it). A part becomes *reachable* only when
-//! a checkpoint (the manifest) references it — the rename is physical
-//! durability, the checkpoint is the atomic commit point. Between the two,
-//! the part is *in flight*: its writer (an open transaction, the merger)
-//! still owns it, and checkpoint pruning must not delete it.
+//! (and its frame checksum proves it).
+//!
+//! Every reference to a part is a [`Part`] handle — table versions (so
+//! every catalog clone), scans, cached plans, the merger's run. A part file
+//! lives while a handle or a retained checkpoint names it: dropping the
+//! last handle queues the id as *dead*, and a checkpoint deletes each dead
+//! part no retained generation names ([`delete_dead`](PartStore::delete_dead)).
 
 use crate::batch::RecordBatch;
 use crate::error::{Result, SqlError};
 use crate::sync;
 use crate::wal::DurableFs;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use super::codec::{decode_part, encode_part, validate_part_image};
 use super::PartMeta;
@@ -39,19 +42,49 @@ fn is_part_tmp(name: &str) -> bool {
     name.starts_with("part.") && name.ends_with(".tmp")
 }
 
+/// A shared reference to one part: what everything that reads a part
+/// holds.
+pub type Part = Arc<PartHandle>;
+
+/// One part's manifest entry, and — while it is alive — a pin on its
+/// file. Dropping it queues the part for deletion and does no I/O.
+#[derive(Debug)]
+pub struct PartHandle {
+    meta: PartMeta,
+    store: Weak<PartStore>,
+}
+
+impl std::ops::Deref for PartHandle {
+    type Target = PartMeta;
+
+    fn deref(&self) -> &PartMeta {
+        &self.meta
+    }
+}
+
+impl Drop for PartHandle {
+    fn drop(&mut self) {
+        if let Some(store) = self.store.upgrade() {
+            store.retire(&self.meta);
+        }
+    }
+}
+
+/// An encoded part WAL replay holds in memory instead of on disk.
+type HeldImage = (Arc<Vec<u8>>, PartMeta);
+
 /// Shared handle to the database directory's part files, plus the
 /// engine-wide part counters surfaced through `flock_metrics`.
 pub struct PartStore {
     fs: Arc<dyn DurableFs>,
     next_id: AtomicU64,
-    /// Ids handed out by [`write_part`](Self::write_part) whose writer has
-    /// not yet released them (see [`release`](Self::release)).
-    in_flight: Mutex<BTreeSet<u64>>,
     /// Parts WAL replay rebuilt, held as encoded images in memory —
     /// replay writes no file — until [`flush_held`](Self::flush_held)
-    /// writes them out ahead of the next checkpoint.
-    held: Mutex<BTreeMap<u64, Arc<Vec<u8>>>>,
-    /// Live part files (referenced or awaiting their first checkpoint).
+    /// writes out the ones still alive ahead of the next checkpoint.
+    held: Mutex<BTreeMap<u64, HeldImage>>,
+    /// Part files no handle names any more, awaiting a checkpoint.
+    dead: Mutex<Vec<PartMeta>>,
+    /// Part files on disk.
     pub parts_total: Arc<AtomicU64>,
     /// Monotone count of parts retired by background merges.
     pub parts_merged: Arc<AtomicU64>,
@@ -74,8 +107,9 @@ impl PartStore {
     /// Open the store over an existing database directory, writing
     /// nothing: id allocation resumes above every part file on disk
     /// (referenced or orphaned, so ids are never reused even for parts a
-    /// prune will later delete). Orphaned tmps are left for
-    /// [`sweep_tmps`](Self::sweep_tmps).
+    /// checkpoint will later delete). Orphaned tmps are left for
+    /// [`sweep_tmps`](Self::sweep_tmps); recovery accounts for the files
+    /// on disk ([`adopt`](Self::adopt)).
     pub fn open(fs: Arc<dyn DurableFs>) -> std::io::Result<PartStore> {
         let max_id = fs
             .list()?
@@ -87,8 +121,8 @@ impl PartStore {
         Ok(PartStore {
             fs,
             next_id: AtomicU64::new(max_id),
-            in_flight: Mutex::new(BTreeSet::new()),
             held: Mutex::new(BTreeMap::new()),
+            dead: Mutex::new(Vec::new()),
             parts_total: Arc::new(AtomicU64::new(0)),
             parts_merged: Arc::new(AtomicU64::new(0)),
             parts_rewritten: Arc::new(AtomicU64::new(0)),
@@ -126,91 +160,105 @@ impl PartStore {
         ]
     }
 
-    /// Reset the inventory counters to an authoritative live-part set
-    /// (called after recovery, when the catalog knows which parts exist).
-    pub fn set_inventory<'a>(&self, parts: impl Iterator<Item = &'a PartMeta>) {
-        let (mut n, mut disk, mut raw) = (0u64, 0u64, 0u64);
-        for m in parts {
-            n += 1;
-            disk += m.bytes_on_disk;
-            raw += m.bytes_uncompressed;
-        }
-        self.parts_total.store(n, Ordering::Relaxed);
-        self.part_bytes_on_disk.store(disk, Ordering::Relaxed);
-        self.part_bytes_uncompressed.store(raw, Ordering::Relaxed);
+    fn handle(self: &Arc<Self>, meta: PartMeta) -> Part {
+        Arc::new(PartHandle {
+            meta,
+            store: Arc::downgrade(self),
+        })
+    }
+
+    /// A handle on part file `meta`, which recovery found on disk, counted
+    /// in the inventory. One per file, however many versions share it;
+    /// dropped unused, it queues the file dead.
+    pub(crate) fn adopt(self: &Arc<Self>, meta: PartMeta) -> Part {
+        self.count(&meta, AtomicU64::fetch_add);
+        self.handle(meta)
     }
 
     /// Write a batch as a new immutable part: encode, write `part.N.tmp`,
     /// fsync, rename to `part.N`. On any error the final file does not
     /// exist and the orphaned tmp (if any) is swept at the next open.
-    ///
-    /// The new id is in flight until the caller hands it to
-    /// [`release`](Self::release) — once the state that references it is
-    /// installed, or the write is abandoned. Checkpoint pruning never
-    /// deletes an in-flight part.
-    pub fn write_part(&self, batch: &RecordBatch, level: u8) -> Result<PartMeta> {
+    pub fn write_part(self: &Arc<Self>, batch: &RecordBatch, level: u8) -> Result<Part> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        sync::lock(&self.in_flight).insert(id);
         let (file, meta) = encode_part(id, level, batch);
-        if let Err(e) = self.write_image(id, &file) {
-            self.release([id]);
-            return Err(e);
-        }
-        self.parts_total.fetch_add(1, Ordering::Relaxed);
-        self.part_bytes_on_disk
-            .fetch_add(meta.bytes_on_disk, Ordering::Relaxed);
-        self.part_bytes_uncompressed
-            .fetch_add(meta.bytes_uncompressed, Ordering::Relaxed);
-        Ok(meta)
+        self.write_image(&file, &meta)?;
+        Ok(self.handle(meta))
     }
 
-    /// Write `part.{id}` through the tmp → fsync → rename protocol.
-    fn write_image(&self, id: u64, file: &[u8]) -> Result<()> {
-        let tmp = format!("{}.tmp", part_file_name(id));
+    /// Write `part.{id}` through the tmp → fsync → rename protocol and
+    /// count it in the inventory.
+    fn write_image(&self, file: &[u8], meta: &PartMeta) -> Result<()> {
+        let name = part_file_name(meta.id);
+        let tmp = format!("{name}.tmp");
         let io = |e: std::io::Error| SqlError::Io(format!("part write: {e}"));
         self.fs.write_all(&tmp, file).map_err(io)?;
         self.fs.sync(&tmp).map_err(io)?;
-        self.fs.rename(&tmp, &part_file_name(id)).map_err(io)
+        self.fs.rename(&tmp, &name).map_err(io)?;
+        self.count(meta, AtomicU64::fetch_add);
+        Ok(())
+    }
+
+    /// Add a file to the inventory (`op` = `fetch_add`) or take one out
+    /// (`fetch_sub`): every file counted once is uncounted at most once.
+    fn count(&self, meta: &PartMeta, op: fn(&AtomicU64, u64, Ordering) -> u64) {
+        let sizes = [1, meta.bytes_on_disk, meta.bytes_uncompressed];
+        let counters = [
+            &self.parts_total,
+            &self.part_bytes_on_disk,
+            &self.part_bytes_uncompressed,
+        ];
+        for (counter, n) in counters.into_iter().zip(sizes) {
+            op(counter, n, Ordering::Relaxed);
+        }
     }
 
     /// Encode a batch as a new part without writing it: WAL replay's form
     /// of [`write_part`](Self::write_part). Reads serve it from memory
     /// until [`flush_held`](Self::flush_held) writes it.
-    pub(crate) fn hold_part(&self, batch: &RecordBatch, level: u8) -> PartMeta {
+    pub(crate) fn hold_part(self: &Arc<Self>, batch: &RecordBatch, level: u8) -> Part {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (file, meta) = encode_part(id, level, batch);
-        sync::lock(&self.held).insert(id, Arc::new(file));
-        meta
+        sync::lock(&self.held).insert(id, (Arc::new(file), meta.clone()));
+        self.handle(meta)
     }
 
-    /// Write every held part to disk. A checkpoint calls this before it
-    /// writes a manifest that may reference them; a part is dropped from
-    /// memory only once its file is complete.
+    /// The last handle on `meta` dropped: a held part is simply forgotten
+    /// (it has no file); a written one joins the dead queue.
+    fn retire(&self, meta: &PartMeta) {
+        if sync::lock(&self.held).remove(&meta.id).is_none() {
+            sync::lock(&self.dead).push(meta.clone());
+        }
+    }
+
+    /// Write every held part that still has a handle to disk. A checkpoint
+    /// calls this before it writes a manifest that may reference them; a
+    /// part leaves memory only once its file is complete, and one whose
+    /// last handle dropped meanwhile is queued dead.
     pub(crate) fn flush_held(&self) -> Result<()> {
-        let held: Vec<(u64, Arc<Vec<u8>>)> = sync::lock(&self.held)
-            .iter()
-            .map(|(&id, file)| (id, file.clone()))
-            .collect();
-        for (id, file) in held {
-            self.write_image(id, &file)?;
-            sync::lock(&self.held).remove(&id);
+        let held: Vec<HeldImage> = sync::lock(&self.held).values().cloned().collect();
+        for (file, meta) in held {
+            self.write_image(&file, &meta)?;
+            if sync::lock(&self.held).remove(&meta.id).is_none() {
+                sync::lock(&self.dead).push(meta);
+            }
         }
         Ok(())
     }
 
-    /// End the in-flight window of parts [`write_part`](Self::write_part)
-    /// handed out: from here on a part is live only if a retained
-    /// checkpoint references it.
-    pub fn release(&self, ids: impl IntoIterator<Item = u64>) {
-        let mut in_flight = sync::lock(&self.in_flight);
-        for id in ids {
-            in_flight.remove(&id);
+    /// Delete every dead part file `named` does not claim (the parts a
+    /// retained checkpoint names); those stay queued for a later
+    /// checkpoint. Best-effort: a file that will not go is forgotten, and
+    /// the next open queues it again.
+    pub(crate) fn delete_dead(&self, named: impl Fn(u64) -> bool) {
+        let dead = std::mem::take(&mut *sync::lock(&self.dead));
+        let (kept, gone): (Vec<PartMeta>, Vec<PartMeta>) =
+            dead.into_iter().partition(|m| named(m.id));
+        for m in gone {
+            if self.fs.remove(&part_file_name(m.id)).is_ok() {
+                self.count(&m, AtomicU64::fetch_sub);
+            }
         }
-    }
-
-    /// Whether a writer still owns part `id` (pruning skips it).
-    pub(crate) fn is_in_flight(&self, id: u64) -> bool {
-        sync::lock(&self.in_flight).contains(&id)
+        sync::lock(&self.dead).extend(kept);
     }
 
     /// Read and fully decode a part.
@@ -225,7 +273,9 @@ impl PartStore {
         projection: Option<&[usize]>,
     ) -> Result<RecordBatch> {
         let name = part_file_name(id);
-        let held = sync::lock(&self.held).get(&id).cloned();
+        let held = sync::lock(&self.held)
+            .get(&id)
+            .map(|(file, _)| file.clone());
         let bytes = match held {
             Some(file) => file,
             None => Arc::new(
@@ -246,21 +296,12 @@ impl PartStore {
     }
 
     /// True iff the part file exists and passes its frame checksum.
-    /// Recovery uses this to reject checkpoint generations that reference
-    /// torn or missing parts.
+    /// Recovery rejects a checkpoint generation that names a torn or
+    /// missing part.
     pub fn validate_part(&self, id: u64) -> bool {
         match self.fs.read(&part_file_name(id)) {
             Ok(bytes) => validate_part_image(&bytes),
             Err(_) => false,
-        }
-    }
-
-    /// Delete a retired part file and release its inventory bytes.
-    pub fn remove_part(&self, meta: &PartMeta) {
-        if self.fs.remove(&part_file_name(meta.id)).is_ok() {
-            sub_saturating(&self.parts_total, 1);
-            sub_saturating(&self.part_bytes_on_disk, meta.bytes_on_disk);
-            sub_saturating(&self.part_bytes_uncompressed, meta.bytes_uncompressed);
         }
     }
 
@@ -280,55 +321,12 @@ impl PartStore {
     }
 }
 
-/// The parts one writer — a transaction, a merge step — has in flight.
-/// Dropping it releases them, however the writer ends: commit, abort,
-/// error or abandonment.
-#[derive(Debug, Default)]
-pub(crate) struct PartsInFlight {
-    store: Option<Arc<PartStore>>,
-    ids: Vec<u64>,
-}
-
-impl PartsInFlight {
-    /// [`PartStore::write_part`], held until this is dropped.
-    pub(crate) fn write(
-        &mut self,
-        store: &Arc<PartStore>,
-        batch: &RecordBatch,
-        level: u8,
-    ) -> Result<PartMeta> {
-        let meta = store.write_part(batch, level)?;
-        self.store.get_or_insert_with(|| store.clone());
-        self.ids.push(meta.id);
-        Ok(meta)
-    }
-}
-
-impl Drop for PartsInFlight {
-    fn drop(&mut self) {
-        if let Some(store) = &self.store {
-            store.release(self.ids.drain(..));
-        }
-    }
-}
-
 impl std::fmt::Debug for PartStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PartStore")
             .field("next_id", &self.next_id.load(Ordering::Relaxed))
             .field("parts_total", &self.parts_total.load(Ordering::Relaxed))
             .finish()
-    }
-}
-
-fn sub_saturating(counter: &AtomicU64, by: u64) {
-    let mut cur = counter.load(Ordering::Relaxed);
-    loop {
-        let next = cur.saturating_sub(by);
-        match counter.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(now) => cur = now,
-        }
     }
 }
 
@@ -345,51 +343,60 @@ mod tests {
         RecordBatch::new(schema, vec![ColumnVector::from_i64(0..n)]).unwrap()
     }
 
+    fn open(fs: &Arc<dyn DurableFs>) -> Arc<PartStore> {
+        Arc::new(PartStore::open(fs.clone()).unwrap())
+    }
+
     #[test]
-    fn write_read_remove_lifecycle() {
+    fn a_part_file_lives_while_a_handle_or_a_checkpoint_names_it() {
         let fs: Arc<dyn DurableFs> = MemFs::new();
-        let store = PartStore::open(fs.clone()).unwrap();
-        let meta = store.write_part(&sample_batch(100), 0).unwrap();
-        assert_eq!(meta.rows, 100);
+        let store = open(&fs);
+        let part = store.write_part(&sample_batch(100), 0).unwrap();
+        assert_eq!(store.read_part(part.id).unwrap().num_rows(), 100);
         assert_eq!(store.parts_total.load(Ordering::Relaxed), 1);
-        let back = store.read_part(meta.id).unwrap();
-        assert_eq!(back.num_rows(), 100);
-        assert!(store.validate_part(meta.id));
-        store.remove_part(&meta);
-        assert_eq!(store.parts_total.load(Ordering::Relaxed), 0);
-        assert!(!store.validate_part(meta.id));
+        let (id, copy) = (part.id, part.clone());
+        drop(part);
+        store.delete_dead(|_| false);
+        assert!(store.validate_part(id), "a clone still holds the part");
+        drop(copy);
+        store.delete_dead(|named| named == id);
+        assert!(store.validate_part(id), "a retained checkpoint names it");
+        store.delete_dead(|_| false);
+        assert!(!store.validate_part(id));
+        assert_eq!(store.part_bytes_on_disk.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn held_parts_are_written_only_while_a_handle_names_them() {
+        let fs: Arc<dyn DurableFs> = MemFs::new();
+        let store = open(&fs);
+        let kept = store.hold_part(&sample_batch(10), 0);
+        let superseded = store.hold_part(&sample_batch(20), 0);
+        let gone = superseded.id;
+        drop(superseded);
+        store.flush_held().unwrap();
+        assert!(store.validate_part(kept.id) && !store.validate_part(gone));
+        assert_eq!(store.parts_total.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn open_sweeps_tmps_and_resumes_ids() {
         let fs: Arc<dyn DurableFs> = MemFs::new();
         {
-            let store = PartStore::open(fs.clone()).unwrap();
+            let store = open(&fs);
             store.write_part(&sample_batch(10), 0).unwrap();
             store.write_part(&sample_batch(10), 0).unwrap();
         }
         fs.write_all("part.00000009.tmp", b"torn").unwrap();
-        let store = PartStore::open(fs.clone()).unwrap();
+        let store = open(&fs);
         store.sweep_tmps().unwrap();
         assert!(
             !fs.list().unwrap().iter().any(|n| n.ends_with(".tmp")),
             "orphaned tmp must be swept at open"
         );
-        let meta = store.write_part(&sample_batch(10), 0).unwrap();
-        assert!(meta.id >= 2, "ids must not be reused after reopen");
-    }
-
-    #[test]
-    fn written_parts_stay_in_flight_until_released() {
-        let fs: Arc<dyn DurableFs> = MemFs::new();
-        let store = PartStore::open(fs).unwrap();
-        let a = store.write_part(&sample_batch(10), 0).unwrap();
-        let b = store.write_part(&sample_batch(10), 0).unwrap();
-        assert!(store.is_in_flight(a.id) && store.is_in_flight(b.id));
-        store.release([a.id]);
-        assert!(!store.is_in_flight(a.id) && store.is_in_flight(b.id));
-        store.release([b.id]);
-        assert!(!store.is_in_flight(b.id));
+        assert!(store.validate_part(1), "dropping a handle does no I/O");
+        let part = store.write_part(&sample_batch(10), 0).unwrap();
+        assert!(part.id >= 2, "ids must not be reused after reopen");
     }
 
     #[test]

@@ -25,15 +25,17 @@
 //! epochs it was planned under, and a lookup whose epochs moved discards
 //! the entry. Table drift is cheaper: the optimized logical plan is kept
 //! alongside the physical one, so the entry is **rebound** (physical
-//! re-derivation only) instead of replanned. Drift is a new version (plain
-//! DML) or a new part layout under the same version (offload, merge): the
-//! old part files may since have been pruned.
+//! re-derivation only) instead of replanned. Drift is a table whose current
+//! version is another `Arc` than the one the plan was bound to — DML,
+//! offload and merge each install a new one. The bound versions hold their
+//! part handles, so a plan not yet rebound still reads existing files.
 
 use crate::error::Result;
 use crate::exec::PhysicalPlan;
 use crate::lexer::Token;
 use crate::plan::LogicalPlan;
 use crate::sync;
+use crate::table::TableVersion;
 use crate::types::{DataType, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -197,10 +199,10 @@ pub struct CachedPlan {
     pub tables: Vec<String>,
     /// Models referenced (pre-rewrite), ACL-checked on every execute.
     pub models: Vec<String>,
-    /// [`Table::current_stamp`](crate::table::Table::current_stamp) of
-    /// each non-pinned scanned table at bind time. Drift means the physical
-    /// plan reads stale rows or retired part files: rebind.
-    pub table_stamps: Vec<(String, (u64, u64))>,
+    /// The current version of each non-pinned scanned table at bind time.
+    /// Another current version means the physical plan reads stale rows
+    /// or a retired part layout: rebind.
+    pub bound: Vec<(String, Arc<TableVersion>)>,
     /// Committed-DDL epoch the plan was built under.
     pub ddl_epoch: u64,
     /// Exec/optimizer/provider configuration epoch.
@@ -222,8 +224,8 @@ pub enum CacheMiss {
 pub enum CacheHit {
     /// Entry valid as-is: execute its physical plan directly.
     Ready(Arc<CachedPlan>),
-    /// Epochs match but table stamps moved: re-derive the physical plan
-    /// from `logical` and re-insert.
+    /// Epochs match but a bound table version is no longer current:
+    /// re-derive the physical plan from `logical` and re-insert.
     Rebind(Arc<CachedPlan>),
 }
 
@@ -270,13 +272,13 @@ impl Default for PlanCache {
 
 impl PlanCache {
     /// Validated lookup. `epochs` are the engine's current
-    /// (ddl, options, model) epochs; `current_stamp` maps a table name
-    /// to its committed stamp (`None` = table gone, forces invalidation).
-    pub fn lookup(
+    /// (ddl, options, model) epochs; `current` maps a table name to its
+    /// current version (`None` = table gone, forces invalidation).
+    pub fn lookup<'a>(
         &self,
         key: &CacheKey,
         epochs: (u64, u64, u64),
-        current_stamp: impl Fn(&str) -> Option<(u64, u64)>,
+        current: impl Fn(&str) -> Option<&'a Arc<TableVersion>>,
     ) -> std::result::Result<CacheHit, CacheMiss> {
         let mut entries = sync::lock(&self.entries);
         let now = entries.next_tick();
@@ -295,9 +297,9 @@ impl PlanCache {
             return Err(CacheMiss::Invalidated);
         }
         let mut stale = false;
-        for (table, stamp) in &entry.table_stamps {
-            match current_stamp(table) {
-                Some(s) if s == *stamp => {}
+        for (table, bound) in &entry.bound {
+            match current(table) {
+                Some(v) if Arc::ptr_eq(v, bound) => {}
                 Some(_) => stale = true,
                 None => {
                     // Table vanished without a DDL epoch tick (should not
@@ -455,6 +457,11 @@ mod tests {
         }
     }
 
+    fn version(v: u64) -> Arc<TableVersion> {
+        let schema = Arc::new(crate::schema::Schema::default());
+        TableVersion::new(v, 1, Vec::new(), crate::batch::RecordBatch::empty(schema))
+    }
+
     fn plan() -> CachedPlan {
         CachedPlan {
             logical: Arc::new(LogicalPlan::Values {
@@ -467,7 +474,7 @@ mod tests {
             },
             tables: vec![],
             models: vec![],
-            table_stamps: vec![("t".into(), (1, 0))],
+            bound: vec![],
             ddl_epoch: 1,
             options_epoch: 1,
             model_epoch: 1,
@@ -484,14 +491,14 @@ mod tests {
         for i in 1..=2 * CACHE_CAPACITY {
             cache.insert(key(&format!("SELECT {i}")), plan());
             assert!(
-                cache.lookup(&hot, (1, 1, 1), |_| Some((1, 0))).is_ok(),
+                cache.lookup(&hot, (1, 1, 1), |_| None).is_ok(),
                 "hot entry evicted after {i} cold inserts"
             );
         }
         assert_eq!(cache.len(), CACHE_CAPACITY);
         let live = |i: usize| {
             cache
-                .lookup(&key(&format!("SELECT {i}")), (1, 1, 1), |_| Some((1, 0)))
+                .lookup(&key(&format!("SELECT {i}")), (1, 1, 1), |_| None)
                 .is_ok()
         };
         assert!(!live(CACHE_CAPACITY + 1), "the oldest cold entries went first");
@@ -502,26 +509,28 @@ mod tests {
     fn cache_invalidates_on_epoch_change() {
         let cache = PlanCache::default();
         let key = key("SELECT 1");
-        cache.insert(key.clone(), plan());
-        // matching epochs + versions: hit
+        let v = version(1);
+        let bound = vec![("t".into(), v.clone())];
+        cache.insert(key.clone(), CachedPlan { bound, ..plan() });
+        // the bound version is current: hit
         assert!(matches!(
-            cache.lookup(&key, (1, 1, 1), |_| Some((1, 0))),
+            cache.lookup(&key, (1, 1, 1), |_| Some(&v)),
             Ok(CacheHit::Ready(_))
         ));
-        // version or layout drift: rebind
-        for drifted in [(2, 0), (1, 7)] {
+        // another version — a new one, or the same number re-laid out: rebind
+        for drifted in [version(2), version(1)] {
             assert!(matches!(
-                cache.lookup(&key, (1, 1, 1), |_| Some(drifted)),
+                cache.lookup(&key, (1, 1, 1), |_| Some(&drifted)),
                 Ok(CacheHit::Rebind(_))
             ));
         }
         // epoch drift: invalidated and removed
         assert!(matches!(
-            cache.lookup(&key, (2, 1, 1), |_| Some((1, 0))),
+            cache.lookup(&key, (2, 1, 1), |_| Some(&v)),
             Err(CacheMiss::Invalidated)
         ));
         assert!(matches!(
-            cache.lookup(&key, (1, 1, 1), |_| Some((1, 0))),
+            cache.lookup(&key, (1, 1, 1), |_| Some(&v)),
             Err(CacheMiss::Cold)
         ));
         assert_eq!(cache.invalidations.load(Ordering::Relaxed), 1);

@@ -52,7 +52,7 @@ impl TableStats {
     /// its non-null row count) and text category tracking is dropped once
     /// any rows live on disk; both degrade planning estimates, never
     /// correctness.
-    pub fn compute_with_parts(parts: &[crate::parts::PartMeta], tail: &RecordBatch) -> TableStats {
+    pub fn compute_with_parts(parts: &[crate::parts::Part], tail: &RecordBatch) -> TableStats {
         let mut stats = TableStats::compute(tail);
         if parts.is_empty() {
             return stats;

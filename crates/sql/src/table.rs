@@ -8,11 +8,11 @@
 
 use crate::batch::RecordBatch;
 use crate::error::{Result, SqlError};
-use crate::parts::{PartMeta, PartStore};
+use crate::parts::{Part, PartStore};
 use crate::schema::Schema;
 use crate::stats::TableStats;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One immutable snapshot of a table's contents.
@@ -28,8 +28,9 @@ pub struct TableVersion {
     pub version: u64,
     /// The transaction id that committed this version.
     pub txn_id: u64,
-    /// Disk-resident prefix of this snapshot, oldest part first.
-    pub parts: Vec<PartMeta>,
+    /// Disk-resident prefix of this snapshot, oldest part first. The
+    /// handles keep the part files alive as long as the version is.
+    pub parts: Vec<Part>,
     /// Resident tail (the whole snapshot when `parts` is empty).
     pub data: RecordBatch,
     /// Exact statistics for the tail, merged with zone-map-derived
@@ -41,7 +42,7 @@ impl TableVersion {
     /// A snapshot with its statistics: exact over the tail, merged with
     /// the parts' zone maps — a pure function of both, so building one
     /// never touches part files.
-    pub fn new(version: u64, txn_id: u64, parts: Vec<PartMeta>, data: RecordBatch) -> Arc<Self> {
+    pub fn new(version: u64, txn_id: u64, parts: Vec<Part>, data: RecordBatch) -> Arc<Self> {
         let stats = TableStats::compute_with_parts(&parts, &data);
         Arc::new(TableVersion {
             version,
@@ -87,7 +88,7 @@ impl TableVersion {
         store: Option<&Arc<PartStore>>,
         at: &[u64],
         rows: Option<&RecordBatch>,
-    ) -> Result<(Vec<PartMeta>, RecordBatch)> {
+    ) -> Result<(Vec<Part>, RecordBatch)> {
         let total = self.total_rows() as u64;
         if at.windows(2).any(|w| w[0] >= w[1])
             || at.last().is_some_and(|&p| p >= total)
@@ -177,7 +178,7 @@ pub struct TableScan {
     schema: Arc<Schema>,
     store: Option<Arc<PartStore>>,
     /// Parts still to read, oldest first.
-    parts: Vec<PartMeta>,
+    parts: Vec<Part>,
     /// Parts dropped by zone-map pruning, and how many there were before.
     pruned: usize,
     total_parts: usize,
@@ -191,7 +192,7 @@ pub struct TableScan {
 
 impl TableScan {
     /// Disk `parts` (read from `store`) followed by the resident `tail`.
-    pub fn new(parts: &[PartMeta], tail: &RecordBatch, store: Option<&Arc<PartStore>>) -> Self {
+    pub fn new(parts: &[Part], tail: &RecordBatch, store: Option<&Arc<PartStore>>) -> Self {
         TableScan {
             schema: tail.schema().clone(),
             store: store.cloned(),
@@ -260,7 +261,7 @@ impl TableScan {
     }
 
     /// Parts still to read.
-    pub fn parts(&self) -> &[PartMeta] {
+    pub fn parts(&self) -> &[Part] {
         &self.parts
     }
 
@@ -318,15 +319,7 @@ pub struct Table {
     name: String,
     schema: Arc<Schema>,
     versions: Vec<Arc<TableVersion>>,
-    /// Which part list the current version holds: replaced by a fresh,
-    /// process-unique stamp whenever parts are spliced in place (offload,
-    /// merge), which keeps the version number. 0 until the first splice.
-    layout: u64,
 }
-
-/// Source of [`Table::layout`] stamps; unique across tables and catalog
-/// copies, so two different splices never share one.
-static NEXT_LAYOUT: AtomicU64 = AtomicU64::new(1);
 
 impl Table {
     /// Create an empty table; version 1 is the empty snapshot.
@@ -338,7 +331,6 @@ impl Table {
             name: name.into(),
             schema,
             versions: vec![TableVersion::new(1, txn_id, Vec::new(), data)],
-            layout: 0,
         })
     }
 
@@ -358,13 +350,6 @@ impl Table {
     /// Latest version number.
     pub fn current_version(&self) -> u64 {
         self.current().version
-    }
-
-    /// The latest version number and its part layout: equal stamps mean
-    /// the same rows in the same part files, which is what a bound
-    /// physical plan reads.
-    pub fn current_stamp(&self) -> (u64, u64) {
-        (self.current_version(), self.layout)
     }
 
     pub fn versions(&self) -> &[Arc<TableVersion>] {
@@ -404,7 +389,7 @@ impl Table {
     /// one they did).
     pub fn push_version_with_parts(
         &mut self,
-        parts: Vec<PartMeta>,
+        parts: Vec<Part>,
         data: RecordBatch,
         txn_id: u64,
     ) -> Result<u64> {
@@ -423,13 +408,12 @@ impl Table {
     /// Replace the current version in place with a part-backed equivalent
     /// (offload: same version number and txn, same logical rows, but
     /// history collapsed to one version whose prefix lives on disk; merge:
-    /// a run of parts folded into one). The layout stamp moves, so plans
-    /// bound to the old part list are rebound before they read it.
-    pub fn replace_current_with_parts(&mut self, parts: Vec<PartMeta>, tail: RecordBatch) {
+    /// a run of parts folded into one). The current version becomes a new
+    /// `Arc`, so cached plans bound to the old one are rebound.
+    pub fn replace_current_with_parts(&mut self, parts: Vec<Part>, tail: RecordBatch) {
         let cur = self.current();
         let v = TableVersion::new(cur.version, cur.txn_id, parts, tail);
         *self.versions.last_mut().expect("tables always have >=1 version") = v;
-        self.layout = NEXT_LAYOUT.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Install a new snapshot *with a new schema* (ALTER TABLE). Older
@@ -493,7 +477,7 @@ impl Table {
         &mut self,
         version: u64,
         txn_id: u64,
-        parts: Vec<PartMeta>,
+        parts: Vec<Part>,
         data: RecordBatch,
     ) -> Result<()> {
         if version != self.current_version() + 1 {
@@ -516,7 +500,7 @@ impl Table {
     /// [`TableVersion::new`]); the live schema is the newest snapshot's.
     pub fn from_history(
         name: impl Into<String>,
-        history: Vec<(u64, u64, Vec<PartMeta>, RecordBatch)>,
+        history: Vec<(u64, u64, Vec<Part>, RecordBatch)>,
     ) -> Result<Self> {
         let name = name.into();
         let Some(last) = history.last() else {
@@ -538,7 +522,6 @@ impl Table {
             name,
             schema,
             versions,
-            layout: 0,
         })
     }
 }

@@ -18,6 +18,13 @@
 //! COMMIT (the crash hit mid-transaction) are discarded. A directory
 //! written in on-disk format 1 (FNV-1a frame checksums) is refused with an
 //! error before anything is written, rather than read as one torn tail.
+//!
+//! Part files (`part.NNNNNNNN`, see [`crate::parts`]) live while a handle
+//! or a retained checkpoint names them. The manager keeps the part ids of
+//! each retained checkpoint in memory — computed from the snapshot it
+//! serialises, or once at open from the files — and each checkpoint
+//! deletes the dead parts none of them names. No checkpoint reads a
+//! checkpoint file.
 
 use super::checkpoint::{
     encode_snapshot, ExtensionSnapshot, ExtensionVersionSnapshot, Snapshot, TableSnapshot,
@@ -31,7 +38,7 @@ use crate::batch::RecordBatch;
 use crate::catalog::{AccessControl, Catalog, ExtensionObject, ExtensionVersion, ViewDef};
 use crate::engine::{AuditRecord, QueryLogEntry};
 use crate::error::{Result, SqlError};
-use crate::parts::{parse_part_name, part_file_name, validate_part_image, PartMeta, PartStore};
+use crate::parts::{parse_part_name, part_file_name, Part, PartMeta, PartStore};
 use crate::table::Table;
 use std::collections::{BTreeSet, HashMap};
 use std::io;
@@ -53,17 +60,23 @@ fn parse_seq(name: &str, prefix: &str) -> Option<u64> {
     rest.parse().ok()
 }
 
+/// The part ids one checkpoint names; `None` for a checkpoint that did not
+/// decode at open, whose parts are unknown.
+type Generation = (u64, Option<BTreeSet<u64>>);
+
 /// Writer side of the log: owns the active segment and the checkpoint
 /// cadence. Lives inside the engine's state lock, so appends are ordered
 /// exactly like commits.
 pub struct WalManager {
     fs: Arc<dyn DurableFs>,
-    /// The part files beside the log, for their in-flight registry.
+    /// The part files beside the log, whose dead ones checkpoints delete.
     store: Arc<PartStore>,
     opts: DurabilityOptions,
     /// Active segment sequence (== the newest checkpoint's sequence).
     seq: u64,
     commits_since_checkpoint: u64,
+    /// Every retained checkpoint with the part ids it names, oldest first.
+    generations: Vec<Generation>,
 }
 
 impl WalManager {
@@ -116,91 +129,60 @@ impl WalManager {
         self.fs.rename(&tmp, &checkpoint_name(seq))?;
         self.seq = seq;
         self.commits_since_checkpoint = 0;
+        self.generations.retain(|(s, _)| *s != seq);
+        let ids = snapshot_parts(snapshot).map(|p| p.id).collect();
+        self.generations.push((seq, Some(ids)));
         self.prune();
         Ok(seq)
     }
 
     /// Best-effort retention: keep the newest `keep_checkpoints`
     /// checkpoints and every segment needed to replay from the oldest one
-    /// retained. Failures are ignored — stale files never affect
-    /// correctness, only disk usage.
-    fn prune(&self) {
+    /// retained (all of them while fewer exist), then delete every dead
+    /// part no retained checkpoint names — none while a retained one has
+    /// unknown parts: losing disk space is recoverable, deleting a part a
+    /// fallback checkpoint references is not. Failures are ignored —
+    /// stale files never affect correctness, only disk usage. Part tmp
+    /// files are never touched here (a writer may own one); they are
+    /// swept at open.
+    fn prune(&mut self) {
         let keep = self.opts.keep_checkpoints.max(1);
-        let Ok(names) = self.fs.list() else { return };
-        let mut checkpoints: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_seq(n, "checkpoint."))
-            .collect();
-        checkpoints.sort_unstable_by(|a, b| b.cmp(a));
-        let Some(&floor) = checkpoints.get(..keep).and_then(|kept| kept.last()) else {
-            return;
-        };
+        let cut = self.generations.len().saturating_sub(keep);
+        self.generations.drain(..cut);
+        let floor = (self.generations.len() == keep).then(|| self.generations[0].0);
+        let names = self.fs.list().unwrap_or_default();
         for name in &names {
-            let stale_ckpt = parse_seq(name, "checkpoint.").is_some_and(|s| s < floor);
-            let stale_seg = parse_seq(name, "wal.").is_some_and(|s| s < floor);
+            let stale = |prefix| {
+                parse_seq(name, prefix)
+                    .zip(floor)
+                    .is_some_and(|(s, f)| s < f)
+            };
             let stale_tmp = name.ends_with(".tmp")
                 && parse_seq(name.trim_end_matches(".tmp"), "checkpoint.")
                     .is_some_and(|s| s <= self.seq);
-            if stale_ckpt || stale_seg || stale_tmp {
+            if stale("checkpoint.") || stale("wal.") || stale_tmp {
                 let _ = self.fs.remove(name);
             }
         }
-        self.prune_parts(&names, &checkpoints, keep);
-    }
-
-    /// Part retirement, tied to checkpoint retention: a part file is live
-    /// iff at least one *retained* checkpoint references it, so recovery
-    /// can fall back a generation and still find every part that
-    /// generation needs — or its writer still has it in flight (an open
-    /// transaction's rewritten part, a merge not yet spliced in). If any
-    /// retained checkpoint fails to read or decode, nothing is deleted —
-    /// losing disk space is recoverable, deleting a part a fallback
-    /// checkpoint references is not. Part tmp files are never touched here
-    /// (a writer may own one); they are swept at open.
-    fn prune_parts(&self, names: &[String], checkpoints_desc: &[u64], keep: usize) {
-        let retained = &checkpoints_desc[..keep.min(checkpoints_desc.len())];
-        let mut live: BTreeSet<u64> = BTreeSet::new();
-        for &seq in retained {
-            let Ok(bytes) = self.fs.read(&checkpoint_name(seq)) else {
-                return;
+        let generations = &self.generations;
+        if generations.iter().all(|(_, ids)| ids.is_some()) {
+            let named = |id| {
+                generations
+                    .iter()
+                    .flat_map(|(_, ids)| ids)
+                    .any(|s| s.contains(&id))
             };
-            let Ok((payload, _)) = read_frame(&bytes, 0) else {
-                return;
-            };
-            let Ok(snap) = super::checkpoint::decode_snapshot(payload) else {
-                return;
-            };
-            for t in &snap.tables {
-                for v in &t.versions {
-                    live.extend(v.parts.iter().map(|p| p.id));
-                }
-            }
-        }
-        for name in names {
-            if let Some(id) = parse_part_name(name) {
-                if !live.contains(&id) && !self.store.is_in_flight(id) {
-                    let _ = self.fs.remove(name);
-                }
-            }
+            self.store.delete_dead(named);
         }
     }
 }
 
-/// True iff every part file a snapshot references exists and passes its
-/// frame checksum. Recovery refuses a checkpoint generation whose parts
-/// are torn or missing and falls back to an older one.
-fn snapshot_parts_valid(fs: &Arc<dyn DurableFs>, snap: &Snapshot) -> bool {
-    let ids: BTreeSet<u64> = snap
-        .tables
+/// The parts a snapshot names, once per version naming each.
+fn snapshot_parts(snap: &Snapshot) -> impl Iterator<Item = &PartMeta> {
+    snap.tables
         .iter()
         .flat_map(|t| &t.versions)
         .flat_map(|v| &v.parts)
-        .map(|p| p.id)
-        .collect();
-    ids.iter().all(|&id| {
-        fs.read(&part_file_name(id))
-            .is_ok_and(|bytes| validate_part_image(&bytes))
-    })
 }
 
 /// FNV-1a 64-bit, the frame checksum of on-disk format 1. No code path
@@ -245,8 +227,9 @@ pub struct RecoveredState {
 /// Open a database directory: load the newest valid checkpoint, replay
 /// the log, repair any torn tail, and return the recovered state plus a
 /// manager positioned to append. `store` is the directory's part store:
-/// the recovered catalog reads its parts, and row deltas replay against
-/// them. A clean shutdown recovers with zero writes — byte-for-byte, the
+/// the recovered catalog holds handles on its parts, row deltas replay
+/// against them, and every other part file on disk is queued dead. A
+/// clean shutdown recovers with zero writes — byte-for-byte, the
 /// directory is untouched; replay itself never writes a part.
 pub fn recover(
     fs: Arc<dyn DurableFs>,
@@ -264,30 +247,60 @@ pub fn recover(
     let mut segments: Vec<u64> = names.iter().filter_map(|n| parse_seq(n, "wal.")).collect();
     segments.sort_unstable();
 
-    // Newest checkpoint that reads and decodes cleanly wins.
+    // Every checkpoint is decoded once. The newest that decodes and whose
+    // parts are all intact is the base; each one's part ids are kept while
+    // it is retained. Each part file on disk gets one handle, with the
+    // manifest a checkpoint gives it; an orphan no checkpoint describes
+    // counts its file length. The restored catalog takes the base's
+    // handles; the rest drop as recovery returns, queueing their files
+    // dead — crash orphans, and parts only an older checkpoint names.
     let mut base: Option<(u64, Snapshot)> = None;
+    let mut generations: Vec<Generation> = Vec::new();
+    let mut handles: HashMap<u64, Part> = HashMap::new();
+    let on_disk: BTreeSet<u64> = names.iter().filter_map(|n| parse_part_name(n)).collect();
     for &seq in &checkpoints {
-        let Ok(bytes) = fs.read(&checkpoint_name(seq)) else {
+        let snap = match fs.read(&checkpoint_name(seq)) {
+            Ok(bytes) => match read_frame(&bytes, 0) {
+                Ok((payload, _)) => super::checkpoint::decode_snapshot(payload).ok(),
+                Err(_) => {
+                    refuse_format_1(&checkpoint_name(seq), &bytes, 0)?;
+                    None
+                }
+            },
+            Err(_) => None,
+        };
+        let ids: Option<BTreeSet<u64>> = snap
+            .as_ref()
+            .map(|s| snapshot_parts(s).map(|p| p.id).collect());
+        generations.insert(0, (seq, ids.clone()));
+        let (Some(snap), Some(ids)) = (snap, ids) else {
             continue;
         };
-        let Ok((payload, _)) = read_frame(&bytes, 0) else {
-            refuse_format_1(&checkpoint_name(seq), &bytes, 0)?;
-            continue;
-        };
-        let Ok(snap) = super::checkpoint::decode_snapshot(payload) else {
-            continue;
-        };
-        if !snapshot_parts_valid(&fs, &snap) {
-            continue;
+        for p in snapshot_parts(&snap).filter(|p| on_disk.contains(&p.id)) {
+            handles
+                .entry(p.id)
+                .or_insert_with(|| store.adopt(p.clone()));
         }
-        base = Some((seq, snap));
-        break;
+        // A generation naming a torn or missing part is no base.
+        if base.is_none() && ids.iter().all(|&id| store.validate_part(id)) {
+            base = Some((seq, snap));
+        }
+    }
+    for &id in &on_disk {
+        handles.entry(id).or_insert_with(|| {
+            let len = fs.read(&part_file_name(id)).map_or(0, |f| f.len() as u64);
+            store.adopt(PartMeta {
+                id,
+                bytes_on_disk: len,
+                ..PartMeta::default()
+            })
+        });
     }
 
     let (base_seq, mut catalog, mut next_txn, mut next_log_id, mut next_audit_seq, mut query_log, mut audit_log) =
         match base {
             Some((seq, snap)) => {
-                let catalog = restore_catalog(&snap)?;
+                let catalog = restore_catalog(&snap, &handles)?;
                 (
                     seq,
                     catalog,
@@ -402,6 +415,7 @@ pub fn recover(
             opts,
             seq: active,
             commits_since_checkpoint: 0,
+            generations,
         },
     })
 }
@@ -439,7 +453,7 @@ fn apply_op(catalog: &mut Catalog, op: &RedoOp) -> Result<()> {
             }
             // An append only grows the resident tail; a part-backed
             // base keeps its disk prefix.
-            let parts: Vec<PartMeta> = t.current().parts.clone();
+            let parts: Vec<Part> = t.current().parts.clone();
             let mut cols = current.columns().to_vec();
             for (dst, src) in cols.iter_mut().zip(rows.columns()) {
                 dst.append(src)?;
@@ -559,7 +573,7 @@ pub(crate) fn build_snapshot(
                     .map(|v| VersionSnapshot {
                         version: v.version,
                         txn_id: v.txn_id,
-                        parts: v.parts.clone(),
+                        parts: v.parts.iter().map(|p| PartMeta::clone(p)).collect(),
                         data: v.data.clone(),
                     })
                     .collect(),
@@ -598,14 +612,18 @@ pub(crate) fn build_snapshot(
     }
 }
 
-/// Rebuild a catalog from a decoded checkpoint.
-fn restore_catalog(snap: &Snapshot) -> Result<Catalog> {
+/// Rebuild a catalog from a decoded checkpoint whose every part has a
+/// handle in `handles`.
+fn restore_catalog(snap: &Snapshot, handles: &HashMap<u64, Part>) -> Result<Catalog> {
     let mut catalog = Catalog::new();
     for t in &snap.tables {
-        let history: Vec<(u64, u64, Vec<PartMeta>, RecordBatch)> = t
+        let history: Vec<(u64, u64, Vec<Part>, RecordBatch)> = t
             .versions
             .iter()
-            .map(|v| (v.version, v.txn_id, v.parts.clone(), v.data.clone()))
+            .map(|v| {
+                let parts = v.parts.iter().map(|m| handles[&m.id].clone()).collect();
+                (v.version, v.txn_id, parts, v.data.clone())
+            })
             .collect();
         catalog.create_table(Table::from_history(t.name.clone(), history)?)?;
     }

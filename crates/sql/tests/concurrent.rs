@@ -4,8 +4,10 @@
 //! concurrent log-id assignment.
 //!
 //! The harness runs N threads of a seeded mixed read/write workload
-//! against one `Database` under both WAL modes and under random mid-run
-//! cancellations, then proves the final state is equivalent to *some*
+//! against one `Database` under both WAL modes, under random mid-run
+//! cancellations, and with the ledger in disk parts that merges and
+//! checkpoints retire under open transactions and snapshot reads, then
+//! proves the final state is equivalent to *some*
 //! serial order of the committed transactions. Every committed effect is
 //! commutative (balance deposits, append-only ledger inserts with unique
 //! `(thread, seq)` keys), so "some serial order" has a closed form: the
@@ -30,6 +32,9 @@ const N_THREADS: usize = 4;
 const N_ACCOUNTS: i64 = 8;
 const STEPS: usize = 40;
 const INITIAL_BALANCE: i64 = 1_000;
+/// Memory budget of the parts runs: the ledger (3 INT columns) goes to
+/// disk past 10 resident rows, in 5-row parts.
+const PARTS_BUDGET: u64 = 256;
 
 /// Seeds to sweep. CI raises the sweep via `FLOCK_STRESS_SEEDS`; the
 /// default keeps a plain `cargo test` fast.
@@ -61,7 +66,11 @@ fn f64_of(v: &Value) -> f64 {
     v.as_f64().unwrap_or_else(|| panic!("expected number, got {v:?}"))
 }
 
-fn stress(seed: u64, fsync: bool, chaos: bool) {
+/// One stress run. With `parts`, the ledger lives in disk parts: a
+/// maintenance thread merges them (lifting the budget, which caps merges,
+/// for the pass) and checkpoints in a loop beside the background merger,
+/// and every deposit transaction reads the ledger before it writes.
+fn stress(seed: u64, fsync: bool, chaos: bool, parts: bool) {
     let mem = MemFs::new();
     let opts = DurabilityOptions {
         fsync_on_commit: fsync,
@@ -75,6 +84,10 @@ fn stress(seed: u64, fsync: bool, chaos: bool) {
             .unwrap();
     }
     db.execute("CREATE TABLE ledger (thread INT, seq INT, delta INT)").unwrap();
+    if parts {
+        db.set_table_memory_budget(PARTS_BUDGET);
+        db.start_background_merge();
+    }
 
     let handles: Arc<Mutex<Vec<CancelHandle>>> = Arc::new(Mutex::new(Vec::new()));
     let done = Arc::new(AtomicBool::new(false));
@@ -84,7 +97,7 @@ fn stress(seed: u64, fsync: bool, chaos: bool) {
             .map(|t| {
                 let db = db.clone();
                 let handles = handles.clone();
-                scope.spawn(move || worker(&db, t, seed, &handles))
+                scope.spawn(move || worker(&db, t, seed, parts, &handles))
             })
             .collect();
         let chaos_thread = chaos.then(|| {
@@ -102,13 +115,27 @@ fn stress(seed: u64, fsync: bool, chaos: bool) {
                 }
             })
         });
+        let maintenance = parts.then(|| {
+            let (db, done) = (db.clone(), done.clone());
+            scope.spawn(move || {
+                while !done.load(Ordering::Relaxed) {
+                    db.set_table_memory_budget(0);
+                    db.merge_now();
+                    db.set_table_memory_budget(PARTS_BUDGET);
+                    db.checkpoint_now().unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+        });
         let results: Vec<Committed> = workers.into_iter().map(|w| w.join().unwrap()).collect();
         done.store(true, Ordering::Relaxed);
-        if let Some(c) = chaos_thread {
-            c.join().unwrap();
+        for t in chaos_thread.into_iter().chain(maintenance) {
+            t.join().unwrap();
         }
         results
     });
+
+    db.stop_background_merge();
 
     // --- serial-order equivalence of the committed transactions --------
     let committed_deposits: i64 = per_worker.iter().map(|c| c.deposits).sum();
@@ -169,6 +196,10 @@ fn stress(seed: u64, fsync: bool, chaos: bool) {
         metrics["queries_cancelled"]
     );
     assert_eq!(db.admission().active(), 0, "seed {seed}: leaked admission slot");
+    if parts {
+        assert!(metrics["parts_total"] > 0, "seed {seed}: the ledger never reached disk");
+        assert!(metrics["parts_merged"] > 0, "seed {seed}: no merge ran");
+    }
 
     // --- durability: recovery reproduces the live state bit-for-bit ----
     // The images are copies, so recovering never perturbs the live WAL.
@@ -190,7 +221,13 @@ fn stress(seed: u64, fsync: bool, chaos: bool) {
     }
 }
 
-fn worker(db: &Database, t: usize, seed: u64, handles: &Mutex<Vec<CancelHandle>>) -> Committed {
+fn worker(
+    db: &Database,
+    t: usize,
+    seed: u64,
+    parts: bool,
+    handles: &Mutex<Vec<CancelHandle>>,
+) -> Committed {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1009).wrapping_add(t as u64));
     let mut s = db.session("admin");
     handles.lock().unwrap().push(s.cancel_handle());
@@ -207,6 +244,9 @@ fn worker(db: &Database, t: usize, seed: u64, handles: &Mutex<Vec<CancelHandle>>
                     s.execute(&format!(
                         "UPDATE accounts SET balance = balance + {delta} WHERE id = {acct}"
                     ))?;
+                    if parts {
+                        s.query("SELECT COUNT(*), SUM(delta) FROM ledger")?;
+                    }
                     s.execute(&format!("INSERT INTO ledger VALUES ({t}, {seq}, {delta})"))?;
                     s.execute("COMMIT")?;
                     Ok(())
@@ -265,22 +305,30 @@ fn worker(db: &Database, t: usize, seed: u64, handles: &Mutex<Vec<CancelHandle>>
 #[test]
 fn stress_buffered_wal() {
     for seed in seeds() {
-        stress(seed, false, false);
+        stress(seed, false, false, false);
     }
 }
 
 #[test]
 fn stress_fsync_wal() {
     for seed in seeds() {
-        stress(seed, true, false);
+        stress(seed, true, false, false);
     }
 }
 
 #[test]
 fn stress_with_chaos_cancellation() {
     for seed in seeds() {
-        stress(seed, false, true);
-        stress(seed, true, true);
+        stress(seed, false, true, false);
+        stress(seed, true, true, false);
+    }
+}
+
+#[test]
+fn stress_with_parts_and_merger() {
+    for seed in seeds() {
+        stress(seed, false, false, true);
+        stress(seed, true, false, true);
     }
 }
 

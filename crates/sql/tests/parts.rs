@@ -695,3 +695,335 @@ fn wide_for_roundtrip() {
         assert_eq!(p.batch.column(0).get(i), Value::Int(*v), "row {i}");
     }
 }
+
+// ------------------------------------------------------- part lifetime
+
+fn opts_manual() -> DurabilityOptions {
+    DurabilityOptions {
+        fsync_on_commit: true,
+        checkpoint_every_commits: 0,
+        keep_checkpoints: 2,
+    }
+}
+
+/// 16 × 48-row INSERTs into `t` under the budget: 768 rows, most of them
+/// in level-0 parts that a merge can fold.
+fn sixteen_inserts(fs: Arc<dyn flock_sql::DurableFs>) -> Database {
+    let db = open_budgeted(fs, opts_manual());
+    db.execute("CREATE TABLE t (k INT, v DOUBLE, cat VARCHAR)").unwrap();
+    db.execute("CREATE TABLE u (k INT, w INT)").unwrap();
+    for i in 0..16 {
+        insert_chunk(&db, i * 48, 48).unwrap();
+    }
+    db
+}
+
+fn part_ids(db: &Database) -> HashSet<u64> {
+    let catalog = db.catalog();
+    let t = catalog.table("t").unwrap();
+    t.current().parts.iter().map(|p| p.id).collect()
+}
+
+/// Merge `t`, truncate its history and take three checkpoints: no
+/// retained checkpoint names the merged-away parts any more. Returns their
+/// file names.
+fn merge_and_checkpoint_thrice(db: &Database) -> Vec<String> {
+    let before = part_ids(db);
+    db.set_table_memory_budget(0);
+    assert!(db.merge_now() > 0, "level-0 parts must merge");
+    db.set_table_memory_budget(BUDGET);
+    db.session("admin").truncate_table_history("t", 1).unwrap();
+    for _ in 0..3 {
+        db.checkpoint_now().unwrap();
+    }
+    let after = part_ids(db);
+    let retired: Vec<String> = before
+        .difference(&after)
+        .map(|&id| flock_sql::parts::part_file_name(id))
+        .collect();
+    assert!(!retired.is_empty());
+    retired
+}
+
+/// An open transaction reads the parts its snapshot names for as long as
+/// it is open, whatever merges and checkpoints run beside it; once it
+/// ends, the next checkpoint deletes the merged-away files.
+#[test]
+fn open_transaction_reads_across_merge_and_checkpoints() {
+    let mem = MemFs::new();
+    let db = sixteen_inserts(mem.clone());
+    let total = "SELECT COUNT(*), SUM(v) FROM t";
+    let mut s = db.session("admin");
+    s.execute("BEGIN").unwrap();
+    let want = rows_of(&s.query(total).unwrap());
+    assert_eq!(want[0][0], Value::Int(768));
+
+    let retired = merge_and_checkpoint_thrice(&db);
+    let got = s.query(total).unwrap_or_else(|e| panic!("read inside the transaction: {e}"));
+    assert_eq!(rows_of(&got), want, "the transaction reads its own snapshot");
+    assert!(retired.iter().all(|f| part_files(&mem).contains(f)));
+    s.execute("INSERT INTO u VALUES (1, 1)").unwrap();
+    s.execute("COMMIT").unwrap();
+    assert_eq!(db.query("SELECT COUNT(*) FROM u").unwrap().column(0).get(0), Value::Int(1));
+
+    db.checkpoint_now().unwrap();
+    let left: Vec<&String> = retired.iter().filter(|f| part_files(&mem).contains(*f)).collect();
+    assert!(left.is_empty(), "merged-away parts outlived the transaction: {left:?}");
+    assert_eq!(rows_of(&db.query(total).unwrap()), want);
+}
+
+/// A catalog snapshot is a reader too: it scans every row after a merge
+/// and three checkpoints, and its parts go with it. A cached plan bound
+/// before the merge moves onto the merged parts at its next use.
+#[test]
+fn catalog_snapshot_scans_across_merge_and_checkpoints() {
+    let mem = MemFs::new();
+    let db = sixteen_inserts(mem.clone());
+    let total = "SELECT COUNT(*), SUM(v) FROM t";
+    let want = rows_of(&db.query(total).unwrap());
+    let snapshot = db.catalog();
+    let retired = merge_and_checkpoint_thrice(&db);
+    assert_eq!(rows_of(&db.query(total).unwrap()), want);
+    let rows = snapshot
+        .scan_table("t", None)
+        .and_then(|scan| scan.collect())
+        .unwrap_or_else(|e| panic!("scan of a snapshot taken before the merge: {e}"));
+    assert_eq!(rows.num_rows(), 768);
+    let keys: HashSet<String> = (0..768).map(|i| format!("{:?}", rows.column(0).get(i))).collect();
+    assert_eq!(keys.len(), 768, "every row once");
+
+    drop(snapshot);
+    db.checkpoint_now().unwrap();
+    let left: Vec<&String> = retired.iter().filter(|f| part_files(&mem).contains(*f)).collect();
+    assert!(left.is_empty(), "merged-away parts outlived the snapshot: {left:?}");
+}
+
+fn part_bytes(mem: &MemFs) -> i64 {
+    part_files(mem)
+        .iter()
+        .map(|f| mem.file(f).map_or(0, |b| b.len() as i64))
+        .sum()
+}
+
+/// `parts_total` and `part_bytes_on_disk` count the part files on disk,
+/// whichever state (or none) still names them.
+#[test]
+fn part_inventory_counts_the_files_on_disk() {
+    let mem = MemFs::new();
+    let db = open_budgeted(mem.clone(), opts_manual());
+    let check = |db: &Database, mem: &MemFs, step: &str| {
+        assert_eq!(metric(db, "parts_total"), part_files(mem).len() as i64, "{step}");
+        assert_eq!(metric(db, "part_bytes_on_disk"), part_bytes(mem), "{step}");
+    };
+    db.execute("CREATE TABLE t (k INT, v DOUBLE, cat VARCHAR)").unwrap();
+    for i in 0..8 {
+        insert_chunk(&db, i * 48, 48).unwrap();
+        check(&db, &mem, &format!("offload {i}"));
+    }
+    db.execute("UPDATE t SET v = 0.5 WHERE k = 200").unwrap();
+    check(&db, &mem, "update");
+    db.set_table_memory_budget(0);
+    assert!(db.merge_now() > 0);
+    db.set_table_memory_budget(BUDGET);
+    check(&db, &mem, "merge");
+    for i in 0..3 {
+        db.checkpoint_now().unwrap();
+        check(&db, &mem, &format!("checkpoint {i}"));
+    }
+    drop(db);
+    let image = mem.clean_image();
+    let rec = open_budgeted(image.clone(), opts_manual());
+    check(&rec, &image, "reopen");
+    rec.checkpoint_now().unwrap();
+    check(&rec, &image, "checkpoint after reopen");
+}
+
+/// A transaction's rewritten part that no state took goes at the very
+/// first checkpoint of a fresh directory.
+#[test]
+fn first_checkpoint_reclaims_a_rolled_back_part() {
+    let mem = MemFs::new();
+    let db = open_budgeted(mem.clone(), opts_manual());
+    db.execute("CREATE TABLE t (k INT, v DOUBLE, cat VARCHAR)").unwrap();
+    for i in 0..8 {
+        insert_chunk(&db, i * 48, 48).unwrap();
+    }
+    assert!(db.catalog().table("t").unwrap().current().has_parts());
+    let before = part_files(&mem);
+    let mut s = db.session("admin");
+    s.execute("BEGIN").unwrap();
+    s.execute("UPDATE t SET v = -1.0 WHERE k = 200").unwrap();
+    s.execute("ROLLBACK").unwrap();
+    let written: Vec<String> = part_files(&mem).difference(&before).cloned().collect();
+    assert_eq!(written.len(), 1, "the UPDATE rewrote one part: {written:?}");
+    db.checkpoint_now().unwrap();
+    assert!(
+        !part_files(&mem).contains(&written[0]),
+        "the first checkpoint must reclaim the rolled-back part"
+    );
+}
+
+/// Replay holds the parts it rebuilds in memory; the first checkpoint
+/// writes only those a recovered version still names.
+#[test]
+fn replay_writes_only_the_held_parts_still_named() {
+    let mem = MemFs::new();
+    let db = open_budgeted(mem.clone(), opts_manual());
+    db.execute("CREATE TABLE t (k INT, v DOUBLE, cat VARCHAR)").unwrap();
+    for i in 0..8 {
+        insert_chunk(&db, i * 48, 48).unwrap();
+    }
+    db.checkpoint_now().unwrap();
+    // two rewrites of the same part, then only the newest version kept
+    db.execute("UPDATE t SET v = 1.5 WHERE k = 100").unwrap();
+    db.execute("UPDATE t SET v = 2.5 WHERE k = 100").unwrap();
+    db.session("admin").truncate_table_history("t", 1).unwrap();
+    let digest = db.state_digest();
+    drop(db);
+
+    let fs = FsLog::new(mem.crash_image());
+    let rec = open_budgeted(fs.clone(), opts_manual());
+    assert_eq!(rec.state_digest(), digest);
+    fs.ops.lock().unwrap().clear();
+    rec.checkpoint_now().unwrap();
+    let written: Vec<String> = fs
+        .ops
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|op| op.starts_with("rename part."))
+        .cloned()
+        .collect();
+    assert_eq!(written.len(), 1, "one live rebuilt part: {written:?}");
+    assert_eq!(rec.state_digest(), digest);
+    drop(rec);
+    let again = Database::open_with_fs(fs.inner.clean_image(), opts_manual()).unwrap();
+    assert_eq!(again.state_digest(), digest);
+}
+
+/// A filesystem that records every read (`read <name>`) and every rename
+/// into place (`rename <to>`).
+struct FsLog {
+    inner: Arc<MemFs>,
+    ops: std::sync::Mutex<Vec<String>>,
+}
+
+impl FsLog {
+    fn new(inner: Arc<MemFs>) -> Arc<FsLog> {
+        Arc::new(FsLog {
+            inner,
+            ops: Default::default(),
+        })
+    }
+}
+
+impl flock_sql::DurableFs for FsLog {
+    fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+        self.ops.lock().unwrap().push(format!("read {name}"));
+        self.inner.read(name)
+    }
+    fn write_all(&self, name: &str, data: &[u8]) -> std::io::Result<()> {
+        self.inner.write_all(name, data)
+    }
+    fn append(&self, name: &str, data: &[u8]) -> std::io::Result<()> {
+        self.inner.append(name, data)
+    }
+    fn sync(&self, name: &str) -> std::io::Result<()> {
+        self.inner.sync(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> std::io::Result<()> {
+        self.ops.lock().unwrap().push(format!("rename {to}"));
+        self.inner.rename(from, to)
+    }
+    fn remove(&self, name: &str) -> std::io::Result<()> {
+        self.inner.remove(name)
+    }
+    fn list(&self) -> std::io::Result<Vec<String>> {
+        self.inner.list()
+    }
+}
+
+/// Checkpoints know the part ids of the generations they retain: none of
+/// them reads a checkpoint file back.
+#[test]
+fn a_checkpoint_reads_no_checkpoint_file() {
+    let fs = FsLog::new(MemFs::new());
+    let db = sixteen_inserts(fs.clone());
+    db.set_table_memory_budget(0);
+    db.merge_now();
+    fs.ops.lock().unwrap().clear();
+    for _ in 0..4 {
+        insert_chunk(&db, 10_000, 1).unwrap();
+        db.checkpoint_now().unwrap();
+    }
+    let ops = fs.ops.lock().unwrap().clone();
+    assert!(
+        !ops.iter().any(|op| op.starts_with("read checkpoint.")),
+        "checkpoints read {ops:?}"
+    );
+}
+
+/// While a retained checkpoint that did not decode at open is kept, no
+/// part is deleted — it may name any of them. Once it is pruned, the
+/// parts nothing names go.
+#[test]
+fn an_undecodable_retained_checkpoint_blocks_part_deletion() {
+    let opts = DurabilityOptions {
+        keep_checkpoints: 3,
+        ..opts_manual()
+    };
+    let mem = MemFs::new();
+    let db = open_budgeted(mem.clone(), opts);
+    db.execute("CREATE TABLE t (k INT, v DOUBLE, cat VARCHAR)").unwrap();
+    for i in 0..8 {
+        insert_chunk(&db, i * 48, 48).unwrap();
+    }
+    db.checkpoint_now().unwrap();
+    db.checkpoint_now().unwrap();
+    drop(db);
+    let orphan = "part.00099999";
+    for corrupt in [false, true] {
+        let image = mem.clean_image();
+        image.put_file(orphan, vec![0; 16]);
+        if corrupt {
+            let mut bytes = image.file("checkpoint.00000001").unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+            image.put_file("checkpoint.00000001", bytes);
+        }
+        let rec = open_budgeted(image.clone(), opts);
+        rec.checkpoint_now().unwrap();
+        assert_eq!(
+            image.file(orphan).is_some(),
+            corrupt,
+            "an orphan survives the first checkpoint iff a retained one is unreadable"
+        );
+        rec.checkpoint_now().unwrap();
+        assert!(image.file(orphan).is_none(), "pruning the unreadable generation frees it");
+    }
+}
+
+/// A dead part stays while a retained checkpoint names it, so recovery
+/// can fall back to the generation taken before a merge.
+#[test]
+fn a_retained_checkpoint_keeps_the_dead_parts_it_names() {
+    let mem = MemFs::new();
+    let db = sixteen_inserts(mem.clone());
+    db.checkpoint_now().unwrap();
+    db.set_table_memory_budget(0);
+    assert!(db.merge_now() > 0);
+    // the merged-away parts are dead now, but the first checkpoint names them
+    db.checkpoint_now().unwrap();
+    let digest = db.state_digest();
+    drop(db);
+    let image = mem.clean_image();
+    let mut checkpoints: Vec<String> = image
+        .file_names()
+        .into_iter()
+        .filter(|n| n.starts_with("checkpoint."))
+        .collect();
+    checkpoints.sort();
+    image.remove_file(checkpoints.last().unwrap());
+    let rec = Database::open_with_fs(image, opts_manual()).unwrap();
+    assert_eq!(rec.state_digest(), digest, "the older generation lost parts");
+}
