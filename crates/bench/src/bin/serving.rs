@@ -12,8 +12,9 @@
 //!    throughput of the compiled pipeline (the level-synchronous FlatTree
 //!    kernel every strategy but `'row'` scores through,
 //!    `SET predict_strategy = 'vectorized'`) against the per-row
-//!    interpreter (`'row'`), plus a bit-exactness sweep across row /
-//!    vectorized / parallel strategies.
+//!    interpreter (`'row'`), plus a bit-exactness sweep across the row
+//!    and vectorized strategies, serial and with the operator fanned out
+//!    over its morsel pool.
 //!
 //! Gate: prepared must clear `GATE_SPEEDUP`x the unprepared
 //! baseline at 4 sessions and every strategy must agree bit-for-bit, or
@@ -223,7 +224,8 @@ fn kernel_rows_per_sec(db: &FlockDb, strategy: &str, repeats: usize) -> f64 {
     (repeats * ROWS) as f64 / t.elapsed().as_secs_f64()
 }
 
-/// Every strategy must produce bit-identical scores on the full table.
+/// Every strategy must produce bit-identical scores on the full table,
+/// serial and with the scan's operator fanned out over four workers.
 fn bit_exact(db: &FlockDb) -> bool {
     let scores = |strategy: &str| -> Vec<u64> {
         let mut s = db.session("admin");
@@ -242,9 +244,14 @@ fn bit_exact(db: &FlockDb) -> bool {
             .collect()
     };
     let baseline = scores("vectorized");
-    ["row", "parallel"]
-        .iter()
-        .all(|s| scores(s) == baseline)
+    let serial = db.database().exec_options();
+    db.database().set_exec_options(ExecOptions {
+        morsel_rows: 512,
+        ..ExecOptions::with_threads(4, 1)
+    });
+    let fanned_out = scores("vectorized");
+    db.database().set_exec_options(serial);
+    fanned_out == baseline && scores("row") == baseline
 }
 
 fn main() {
@@ -300,7 +307,7 @@ fn main() {
         }
     }
     println!("kernel ablation (full table): interpreted {row_rps:.0} rows/s, compiled {compiled_rps:.0} rows/s");
-    println!("bit-exact across row/vectorized/parallel: {exact}");
+    println!("bit-exact across row/vectorized, serial and morsel-parallel: {exact}");
     println!("prepared vs unprepared at 4 sessions: {speedup:.2}x (gate {gate_speedup}x)");
 
     let mut out = String::from("{\n");

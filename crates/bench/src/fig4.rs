@@ -14,7 +14,6 @@
 use flock_core::{FlockDb, Lineage, XOptConfig};
 use flock_corpus::tabular::TabularDataset;
 use flock_ml::{interpreted_score, StandaloneRuntime};
-use flock_sql::ast::PredictStrategy;
 use flock_sql::exec::ExecOptions;
 use std::time::Instant;
 
@@ -202,11 +201,13 @@ pub fn run_anchor(size: usize, trees: usize, depth: usize, repeats: usize) -> Sp
     // Inline SQL: in-DB scoring through the row-at-a-time UDF path
     let db = build_db(&data, trees, depth);
     db.set_xopt_config(XOptConfig::disabled());
-    let mut row_options = ExecOptions::serial();
-    row_options.default_predict = PredictStrategy::Row;
-    db.database().set_exec_options(row_options);
+    db.database().set_exec_options(ExecOptions::serial());
+    let mut row_session = db.session("admin");
+    row_session
+        .execute("SET predict_strategy = 'row'")
+        .expect("row strategy");
     let inline_sql_ms = time_best_ms(repeats, || {
-        let _ = db.query(SCORING_QUERY).expect("inline sql");
+        let _ = row_session.query(SCORING_QUERY).expect("inline sql");
     });
 
     // ORT: standalone vectorized

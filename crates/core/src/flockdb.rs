@@ -9,7 +9,7 @@ use crate::xopt::{CrossOptimizer, XOptConfig};
 use flock_ml::{
     fonnx, train, ColumnPipeline, Frame, FrameCol, Matrix, NumericStep, Pipeline,
 };
-use flock_sql::engine::QueryResult;
+use flock_sql::engine::{ObjectKey, QueryResult};
 use flock_sql::lexer::{tokenize, Token};
 use flock_sql::trainer::{ModelTrainer, TrainSpec, TrainedArtifact};
 use flock_sql::{Database, DataType, RecordBatch, Result, Schema, Session, SqlError, Value};
@@ -119,10 +119,7 @@ impl FlockDb {
         path: impl AsRef<std::path::Path>,
         opts: flock_sql::DurabilityOptions,
     ) -> Result<FlockDb> {
-        let db = Database::open(path, opts)?;
-        let flock = Self::with_database(db, XOptConfig::default());
-        flock.sync_registry();
-        Ok(flock)
+        Ok(Self::with_database(Database::open(path, opts)?, XOptConfig::default()))
     }
 
     /// Open a durable Flock database on any [`flock_sql::DurableFs`] (the
@@ -132,26 +129,28 @@ impl FlockDb {
         opts: flock_sql::DurabilityOptions,
     ) -> Result<FlockDb> {
         let db = Database::open_with_fs(fs, opts)?;
-        let flock = Self::with_database(db, XOptConfig::default());
-        flock.sync_registry();
-        Ok(flock)
+        Ok(Self::with_database(db, XOptConfig::default()))
     }
 
     /// Assemble the Flock layers around an existing engine (fresh or
-    /// recovered).
+    /// recovered): the registry loads the catalog's models once, then
+    /// follows every commit through the engine's commit hook.
     pub fn with_database(db: Database, config: XOptConfig) -> Self {
         let registry = Arc::new(ModelRegistry::new());
         let provider = Arc::new(FlockInferenceProvider::new(registry.clone()));
         db.set_inference_provider(provider.clone());
         // `CREATE MODEL ... AS SELECT` / `RETRAIN MODEL` fit through here.
         db.set_model_trainer(Arc::new(FlockTrainer));
-        // Keep the scoring registry in step with every committed model
-        // write, including commits made off-session (policy-triggered
-        // RETRAIN runs on the engine's scheduler thread). Weak: the hook
-        // must not keep a dropped FlockDb's registry alive.
+        // The one path by which the scoring registry follows committed
+        // model writes, from any session or from the engine's scheduler
+        // thread (policy-triggered RETRAIN). Weak: the hook must not keep
+        // a dropped FlockDb's registry alive.
         let weak_registry = Arc::downgrade(&registry);
         db.add_commit_hook(Arc::new(move |catalog, keys| {
-            if keys.iter().any(|k| k.starts_with("ext:model:")) {
+            let model_written = keys
+                .iter()
+                .any(|k| matches!(k, ObjectKey::Extension { kind, .. } if kind == MODEL_KIND));
+            if model_written {
                 if let Some(registry) = weak_registry.upgrade() {
                     sync_registry_from(catalog, &registry);
                 }
@@ -159,9 +158,6 @@ impl FlockDb {
         }));
         let xopt = Arc::new(CrossOptimizer::new(registry.clone(), config));
         db.add_plan_rewriter(xopt.clone());
-        // The config's thread pool and fan-out threshold also govern the
-        // relational operators, not just PREDICT.
-        db.set_exec_options(config.exec_options());
         // Surface the compiled-pipeline cache counters and the PREDICT
         // call counters as flock_metrics rows alongside the engine's
         // execution counters.
@@ -172,12 +168,14 @@ impl FlockDb {
         for (name, counter) in provider.stats.counters() {
             metrics.register(name, counter);
         }
-        FlockDb {
+        let flock = FlockDb {
             db,
             registry,
             xopt,
             provider,
-        }
+        };
+        flock.sync_registry();
+        flock
     }
 
     /// The underlying SQL engine.
@@ -197,9 +195,12 @@ impl FlockDb {
         self.xopt.config()
     }
 
+    /// Switch cross-optimizer rules; cached plans are re-planned under
+    /// them. Execution options (threads, timeout, admission, budgets)
+    /// belong to [`Database::set_exec_options`] and are left as they are.
     pub fn set_xopt_config(&self, config: XOptConfig) {
         self.xopt.set_config(config);
-        self.db.set_exec_options(config.exec_options());
+        self.db.invalidate_plans();
     }
 
     /// Open a session as `user`.
@@ -215,7 +216,7 @@ impl FlockDb {
     /// against this before opening a session; sessions themselves accept
     /// any name, with per-statement access control doing the real work.
     pub fn user_exists(&self, user: &str) -> bool {
-        self.db.catalog().access.user_exists(user)
+        self.db.with_catalog(|c| c.access.user_exists(user))
     }
 
     /// Convenience: execute as admin.
@@ -228,10 +229,13 @@ impl FlockDb {
         self.session("admin").query(sql)
     }
 
-    /// Reconcile the scoring registry with the committed catalog. Called
-    /// after every statement; cheap when nothing changed.
+    /// Reconcile the scoring registry with the committed catalog from
+    /// scratch, under the catalog's read lock. Done once when the layers
+    /// are assembled; commits keep it in step after that, so callers need
+    /// this only for a registry they edited directly.
     pub fn sync_registry(&self) {
-        sync_registry_from(&self.db.catalog(), &self.registry);
+        self.db
+            .with_catalog(|catalog| sync_registry_from(catalog, &self.registry));
     }
 
     /// Fetch the metadata of a deployed model.
@@ -283,16 +287,18 @@ impl FlockSession {
     /// catalog report).
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
         let trimmed = sql.trim().trim_end_matches(';');
-        let upper = trimmed.to_ascii_uppercase();
-        let result = if upper.starts_with("SHOW MODELS") {
+        let starts = |prefix: &str| {
+            trimmed
+                .get(..prefix.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
+        };
+        if starts("SHOW MODELS") {
             self.show_models()
-        } else if upper.starts_with("DESCRIBE MODEL") || upper.starts_with("DESC MODEL") {
+        } else if starts("DESCRIBE MODEL") || starts("DESC MODEL") {
             self.describe_model(trimmed)
         } else {
             self.inner.execute(sql)
-        };
-        self.flock.sync_registry();
-        result
+        }
     }
 
     pub fn query(&mut self, sql: &str) -> Result<RecordBatch> {
@@ -302,9 +308,7 @@ impl FlockSession {
     }
 
     pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> Result<QueryResult> {
-        let r = self.inner.execute_with_params(sql, params);
-        self.flock.sync_registry();
-        r
+        self.inner.execute_with_params(sql, params)
     }
 
     /// Prepare a SQL statement with `?` placeholders for repeated
@@ -321,9 +325,7 @@ impl FlockSession {
         prepared: &flock_sql::PreparedStatement,
         params: &[Value],
     ) -> Result<QueryResult> {
-        let r = self.inner.execute_prepared(prepared, params);
-        self.flock.sync_registry();
-        r
+        self.inner.execute_prepared(prepared, params)
     }
 
     /// Deploy a pipeline as a new model (version 1).
@@ -341,9 +343,7 @@ impl FlockSession {
             name,
             payload,
             metadata.to_json(),
-        )?;
-        self.flock.sync_registry();
-        Ok(())
+        )
     }
 
     /// Deploy a new version of an existing model. Multiple updates inside
@@ -358,14 +358,12 @@ impl FlockSession {
         let payload =
             fonnx::to_bytes(pipeline).map_err(|e| SqlError::Execution(e.to_string()))?;
         let metadata = metadata_for(name, pipeline, lineage);
-        let v = self.inner.update_extension_object(
+        self.inner.update_extension_object(
             MODEL_KIND,
             name,
             payload,
             metadata.to_json(),
-        )?;
-        self.flock.sync_registry();
-        Ok(v)
+        )
     }
 
     /// Bulk-append a prepared batch (fast load path).
@@ -386,12 +384,13 @@ impl FlockSession {
     /// logic runs, governed by the same catalog ACLs.
     pub fn predict_one(&mut self, model: &str, inputs: &[Value]) -> Result<f64> {
         use flock_sql::udf::InferenceProvider;
-        let catalog = self.flock.db.catalog();
-        catalog.access.check(
-            self.user(),
-            &flock_sql::ObjectRef::extension(model),
-            flock_sql::Privilege::Execute,
-        )?;
+        self.flock.db.with_catalog(|catalog| {
+            catalog.access.check(
+                self.user(),
+                &flock_sql::ObjectRef::extension(model),
+                flock_sql::Privilege::Execute,
+            )
+        })?;
         let entry = self
             .flock
             .registry
@@ -462,9 +461,7 @@ impl FlockSession {
             &package.name,
             package.payload.clone(),
             package.metadata.clone(),
-        )?;
-        self.flock.sync_registry();
-        Ok(())
+        )
     }
 
     /// Validate a candidate pipeline against labelled data *before*
@@ -572,15 +569,11 @@ impl FlockSession {
     }
 
     pub fn commit(&mut self) -> Result<QueryResult> {
-        let r = self.inner.commit();
-        self.flock.sync_registry();
-        r
+        self.inner.commit()
     }
 
     pub fn rollback(&mut self) -> Result<QueryResult> {
-        let r = self.inner.rollback();
-        self.flock.sync_registry();
-        r
+        self.inner.rollback()
     }
 
     // ------------------------------------------------ catalog reports
@@ -715,12 +708,11 @@ impl FlockSession {
     }
 }
 
-/// Reconcile a scoring registry with a committed catalog snapshot: load
-/// new/updated model versions, drop models that no longer exist. Shared
-/// by the per-statement [`FlockDb::sync_registry`] path and the engine
-/// commit hook (which fires for commits made off-session, e.g.
-/// policy-triggered retrains on the scheduler thread).
-pub(crate) fn sync_registry_from(catalog: &flock_sql::Catalog, registry: &ModelRegistry) {
+/// Reconcile a scoring registry with the committed catalog: load
+/// new/updated model versions, drop models that no longer exist. Run once
+/// when the layers are assembled, then by the commit hook after every
+/// commit that wrote a model.
+fn sync_registry_from(catalog: &flock_sql::Catalog, registry: &ModelRegistry) {
     let mut live: Vec<String> = Vec::new();
     for obj in catalog.extensions_of_kind(MODEL_KIND) {
         live.push(obj.name.clone());

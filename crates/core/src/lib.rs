@@ -11,8 +11,9 @@
 //! * A **cross-optimizer** rewrites hybrid SQL×ML plans: predicate
 //!   push-up across logistic models, input-column pruning from model
 //!   sparsity, statistics-driven model compression, Froid-style model
-//!   inlining, and statistics-driven physical operator selection
-//!   (row / vectorized / parallel).
+//!   inlining, and statistics-driven physical operator selection (the
+//!   morsel-parallel operator decides the fan-out; each morsel is scored
+//!   row-at-a-time or by the compiled kernel).
 //!
 //! The entry point is [`FlockDb`]; open sessions with
 //! [`FlockDb::session`], deploy models with

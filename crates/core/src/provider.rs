@@ -6,7 +6,6 @@ use flock_ml::{
     interpreted_score_with_metrics, CompiledPipeline, Frame, FrameCol, Pipeline, ScoringMetrics,
 };
 use flock_sql::ast::PredictStrategy;
-use flock_sql::exec::parallel::parallel_map;
 use flock_sql::exec::CancelToken;
 use flock_sql::udf::InferenceProvider;
 use flock_sql::{ColumnVector, DataType, SqlError};
@@ -15,23 +14,21 @@ use std::sync::Arc;
 
 /// Scoring statistics — used by tests, ablation reporting and the
 /// `predict_*` rows of `flock_metrics`. One call counter per way a PREDICT
-/// can execute: the interpreted per-row scorer, one call to the compiled
-/// kernel, or the compiled kernel fanned out over chunks of the batch.
+/// can score: the interpreted per-row scorer or one call to the compiled
+/// kernel. A parallel operator makes one call per morsel.
 #[derive(Debug, Default)]
 pub struct PredictStats {
     pub row_calls: Arc<AtomicU64>,
     pub vectorized_calls: Arc<AtomicU64>,
-    pub parallel_calls: Arc<AtomicU64>,
     pub rows_scored: Arc<AtomicU64>,
 }
 
 impl PredictStats {
     /// The counters under their `flock_metrics` row names.
-    pub fn counters(&self) -> [(&'static str, Arc<AtomicU64>); 4] {
+    pub fn counters(&self) -> [(&'static str, Arc<AtomicU64>); 3] {
         [
             ("predict_row_calls", self.row_calls.clone()),
             ("predict_vectorized_calls", self.vectorized_calls.clone()),
-            ("predict_parallel_calls", self.parallel_calls.clone()),
             ("predict_rows_scored", self.rows_scored.clone()),
         ]
     }
@@ -69,9 +66,8 @@ impl FlockInferenceProvider {
             .ok_or_else(|| SqlError::Catalog(format!("model '{model}' is not deployed")))
     }
 
-    /// Shared scoring path; `cancel` is polled before scoring and between
-    /// parallel chunks so a `statement_timeout` interrupts large batches
-    /// instead of waiting for the whole PREDICT to finish.
+    /// Shared scoring path; `cancel` is polled before scoring, so a
+    /// `statement_timeout` stops the next morsel's PREDICT.
     fn predict_inner(
         &self,
         model: &str,
@@ -83,8 +79,9 @@ impl FlockInferenceProvider {
         cancel.check()?;
         let pipeline = self.pipeline(model)?;
         let frame = columns_to_frame(&pipeline, inputs)?;
-        let n = frame.num_rows();
-        self.stats.rows_scored.fetch_add(n as u64, Ordering::Relaxed);
+        self.stats
+            .rows_scored
+            .fetch_add(frame.num_rows() as u64, Ordering::Relaxed);
 
         let scores: Vec<f64> = match strategy {
             PredictStrategy::Row => {
@@ -97,30 +94,6 @@ impl FlockInferenceProvider {
                 self.compiled(model)?
                     .score_with_metrics(&frame, &self.scoring)
                     .map_err(|e| SqlError::Execution(e.to_string()))?
-            }
-            PredictStrategy::Parallel(threads) => {
-                self.stats.parallel_calls.fetch_add(1, Ordering::Relaxed);
-                let compiled = self.compiled(model)?;
-                let threads = threads.max(1);
-                if threads == 1 || n < 2 * 1024 {
-                    compiled
-                        .score_with_metrics(&frame, &self.scoring)
-                        .map_err(|e| SqlError::Execution(e.to_string()))?
-                } else {
-                    let chunk_rows = n.div_ceil(threads).max(1);
-                    let chunks: Vec<Frame> = frame.chunks(chunk_rows).collect();
-                    let results = parallel_map(&chunks, threads, |chunk| {
-                        cancel.check()?;
-                        compiled
-                            .score_with_metrics(chunk, &self.scoring)
-                            .map_err(|e| SqlError::Execution(e.to_string()))
-                    })?;
-                    let mut out = Vec::with_capacity(n);
-                    for r in results {
-                        out.extend(r);
-                    }
-                    out
-                }
             }
         };
         Ok(ColumnVector::from_f64(scores))
@@ -278,7 +251,7 @@ mod tests {
         for strategy in [
             PredictStrategy::Row,
             PredictStrategy::Vectorized,
-            PredictStrategy::Parallel(4),
+            PredictStrategy::Auto,
         ] {
             let out = provider.predict("m", &inputs, strategy, "admin").unwrap();
             for (i, e) in expected.iter().enumerate() {
@@ -288,8 +261,8 @@ mod tests {
         use std::sync::atomic::Ordering;
         assert_eq!(provider.stats.rows_scored.load(Ordering::Relaxed), 9);
         assert_eq!(provider.stats.row_calls.load(Ordering::Relaxed), 1);
-        // stage metrics: Vectorized + small Parallel both take the
-        // vectorized path (featurize + score); Row lands in interpret
+        // stage metrics: Vectorized and Auto both take the compiled path
+        // (featurize + score); Row lands in interpret
         assert_eq!(provider.scoring.featurize.rows.load(Ordering::Relaxed), 6);
         assert_eq!(provider.scoring.score.rows.load(Ordering::Relaxed), 6);
         assert_eq!(provider.scoring.interpret.rows.load(Ordering::Relaxed), 3);

@@ -13,10 +13,10 @@
 //! * **physical operator selection based on statistics, available runtime
 //!   and hardware** — a small model is *inlined* into pure SQL (the
 //!   Froid-style UDF inlining the paper cites); every other PREDICT keeps
-//!   its `Auto` strategy for the physical planner, which owns the one
-//!   fan-out decision: it sizes each operator's morsel pool from the same
-//!   statistics and runs the PREDICT under it through the single compiled
-//!   kernel ([`XOptConfig::exec_options`] hands it the thread budget).
+//!   its strategy for the physical planner, which owns the one fan-out
+//!   decision: it sizes each operator's morsel pool from row estimates and
+//!   the engine's `ExecOptions` thread budget, and each morsel is scored
+//!   by the single compiled kernel.
 
 pub mod inline;
 pub mod predicates;
@@ -46,10 +46,6 @@ pub struct XOptConfig {
     pub predicate_specialization: bool,
     /// Trees at most this large are eligible for CASE-WHEN inlining.
     pub inline_max_tree_nodes: usize,
-    /// Worker threads the operators (and the PREDICTs under them) may use.
-    pub threads: usize,
-    /// Estimated row count above which an operator fans out.
-    pub parallel_row_threshold: usize,
 }
 
 impl Default for XOptConfig {
@@ -61,10 +57,6 @@ impl Default for XOptConfig {
             inline_models: true,
             predicate_specialization: true,
             inline_max_tree_nodes: 128,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            parallel_row_threshold: 8192,
         }
     }
 }
@@ -82,28 +74,6 @@ impl XOptConfig {
             ..Default::default()
         }
     }
-
-    /// Clamp every knob into its valid range (threads and the fan-out
-    /// threshold must be >= 1) so a zero-thread config degrades to serial
-    /// execution instead of panicking the worker scope.
-    pub fn clamped(mut self) -> Self {
-        self.threads = self.threads.max(1);
-        self.parallel_row_threshold = self.parallel_row_threshold.max(1);
-        self
-    }
-
-    /// The engine-level execution options this configuration implies: the
-    /// same thread pool and fan-out threshold govern relational operators
-    /// (morsel-parallel filter/project/aggregate/join/sort) and PREDICT.
-    pub fn exec_options(&self) -> flock_sql::exec::ExecOptions {
-        let cfg = self.clamped();
-        flock_sql::exec::ExecOptions {
-            threads: cfg.threads,
-            parallel_row_threshold: cfg.parallel_row_threshold,
-            ..flock_sql::exec::ExecOptions::default()
-        }
-        .validated()
-    }
 }
 
 /// The rewriter registered with the SQL engine.
@@ -116,7 +86,7 @@ impl CrossOptimizer {
     pub fn new(registry: Arc<ModelRegistry>, config: XOptConfig) -> Self {
         CrossOptimizer {
             registry,
-            config: RwLock::new(config.clamped()),
+            config: RwLock::new(config),
         }
     }
 
@@ -125,7 +95,7 @@ impl CrossOptimizer {
     }
 
     pub fn set_config(&self, config: XOptConfig) {
-        *sync::write(&self.config) = config.clamped();
+        *sync::write(&self.config) = config;
     }
 
     fn rewrite_node(&self, plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {

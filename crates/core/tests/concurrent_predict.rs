@@ -3,11 +3,10 @@
 //! `FlockInferenceProvider`, admission control under a concurrent PREDICT
 //! workload, and cross-thread determinism of scores.
 
-use flock_core::{FlockDb, Lineage, XOptConfig};
+use flock_core::{FlockDb, FlockSession, Lineage, XOptConfig};
 use flock_ml::{ColumnPipeline, LinearModel, Model, Pipeline};
 use flock_rng::rngs::StdRng;
 use flock_rng::{Rng, SeedableRng};
-use flock_sql::ast::PredictStrategy;
 use flock_sql::exec::ExecOptions;
 use flock_sql::{SqlError, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,13 +51,16 @@ fn scoring_db() -> FlockDb {
     let mut s = db.session("admin");
     s.deploy_model("default_risk", &pipeline, Lineage::default())
         .unwrap();
-    // Row strategy: one provider call per row, the slowest path — which is
-    // exactly what the deadline/cancellation tests need for headroom.
-    db.database().set_exec_options(ExecOptions {
-        default_predict: PredictStrategy::Row,
-        ..ExecOptions::default()
-    });
     db
+}
+
+/// A session on the row strategy: one provider call per row, the slowest
+/// path — which is exactly what the deadline/cancellation tests need for
+/// headroom.
+fn row_session(db: &FlockDb) -> FlockSession {
+    let mut s = db.session("admin");
+    s.execute("SET predict_strategy = 'row'").unwrap();
+    s
 }
 
 const PREDICT_QUERY: &str =
@@ -67,7 +69,7 @@ const PREDICT_QUERY: &str =
 #[test]
 fn predict_exceeding_deadline_times_out_and_releases_resources() {
     let db = scoring_db();
-    let mut s = db.session("admin");
+    let mut s = row_session(&db);
     s.execute("SET statement_timeout = 1").unwrap();
     let err = s.query(PREDICT_QUERY).unwrap_err();
     assert!(
@@ -100,7 +102,7 @@ fn predict_cancel_unwinds_through_the_real_provider() {
     let worker = {
         let db = db.clone();
         std::thread::spawn(move || {
-            let mut s = db.session("admin");
+            let mut s = row_session(&db);
             tx.send(s.cancel_handle()).unwrap();
             let err = s.query(PREDICT_QUERY).unwrap_err();
             assert!(matches!(err, SqlError::Cancelled(_)), "got {err:?}");
@@ -134,10 +136,9 @@ fn concurrent_predict_workload_is_deterministic_and_typed() {
     const STEPS: usize = 8;
 
     let db = scoring_db();
-    // Vectorized strategy keeps the smoke fast; determinism must hold
-    // regardless of scheduling.
+    // The default (compiled) strategy keeps the smoke fast; determinism
+    // must hold regardless of scheduling.
     db.database().set_exec_options(ExecOptions {
-        default_predict: PredictStrategy::Vectorized,
         max_concurrent_queries: 2,
         ..ExecOptions::default()
     });

@@ -3,6 +3,7 @@
 
 use flock_core::{FlockDb, Lineage, XOptConfig};
 use flock_ml::{ColumnPipeline, LinearModel, Model, NumericStep, Pipeline};
+use flock_sql::exec::ExecOptions;
 use flock_sql::{SqlError, Value};
 
 fn customer_db() -> FlockDb {
@@ -847,8 +848,6 @@ fn pruned_linear_model_specializes_and_stays_bit_exact() {
 
 #[test]
 fn specialized_queries_agree_across_predict_strategies() {
-    use flock_sql::ast::PredictStrategy;
-    use flock_sql::exec::ExecOptions;
     // Predicate-constrained and literal-argument queries: specialization
     // must never change a score, whichever runtime executes it.
     let queries = [
@@ -860,36 +859,40 @@ fn specialized_queries_agree_across_predict_strategies() {
     for q in queries {
         let off = customer_db();
         off.set_xopt_config(XOptConfig::disabled());
-        off.database().set_exec_options(ExecOptions {
-            default_predict: PredictStrategy::Row,
-            ..ExecOptions::serial()
-        });
-        off.session("admin")
-            .deploy_model("ct", &city_tree_pipeline(), Lineage::default())
+        off.database().set_exec_options(ExecOptions::serial());
+        let mut s = off.session("admin");
+        s.deploy_model("ct", &city_tree_pipeline(), Lineage::default())
             .unwrap();
-        let baseline = off.query(q).unwrap();
+        s.execute("SET predict_strategy = 'row'").unwrap();
+        let baseline = s.query(q).unwrap();
 
-        for strategy in [
-            PredictStrategy::Row,
-            PredictStrategy::Vectorized,
-            PredictStrategy::Parallel(3),
+        // The last configuration fans every operator out over 3 workers
+        // and 2-row morsels: one PREDICT call per morsel.
+        let fanned_out = ExecOptions {
+            morsel_rows: 2,
+            ..ExecOptions::with_threads(3, 1)
+        };
+        for (strategy, options) in [
+            ("row", ExecOptions::default()),
+            ("vectorized", ExecOptions::default()),
+            ("vectorized", fanned_out),
         ] {
             let on = customer_db();
-            on.database().set_exec_options(ExecOptions {
-                default_predict: strategy,
-                ..ExecOptions::default()
-            });
-            on.session("admin")
-                .deploy_model("ct", &city_tree_pipeline(), Lineage::default())
+            on.database().set_exec_options(options.clone());
+            let mut s = on.session("admin");
+            s.deploy_model("ct", &city_tree_pipeline(), Lineage::default())
                 .unwrap();
-            let got = on.query(q).unwrap();
-            assert_eq!(got.num_rows(), baseline.num_rows(), "{q} {strategy:?}");
+            s.execute(&format!("SET predict_strategy = '{strategy}'"))
+                .unwrap();
+            let got = s.query(q).unwrap();
+            let label = format!("{q} {strategy} threads={}", options.threads);
+            assert_eq!(got.num_rows(), baseline.num_rows(), "{label}");
             for r in 0..got.num_rows() {
                 for c in 0..got.num_columns() {
                     assert_eq!(
                         got.column(c).get(r),
                         baseline.column(c).get(r),
-                        "{q} {strategy:?} row {r} col {c}"
+                        "{label} row {r} col {c}"
                     );
                 }
             }
@@ -900,7 +903,7 @@ fn specialized_queries_agree_across_predict_strategies() {
 #[test]
 fn predict_pipeline_deterministic_across_thread_configs() {
     // A PREDICT query over enough rows to trigger morsel fan-out must
-    // return the same rows whatever thread count xopt hands the executor.
+    // return the same rows whatever thread count the executor runs with.
     let db = FlockDb::new();
     db.execute("CREATE TABLE txns (id INT, income DOUBLE, debt DOUBLE, age DOUBLE)")
         .unwrap();
@@ -924,20 +927,13 @@ fn predict_pipeline_deterministic_across_thread_configs() {
     let q = "SELECT id, PREDICT(risk, income, debt, age) AS r FROM txns \
              WHERE PREDICT(risk, income, debt, age) > 1.5 ORDER BY id";
 
-    let serial_cfg = XOptConfig {
-        threads: 1,
-        ..XOptConfig::default()
-    };
-    db.set_xopt_config(serial_cfg);
+    db.database().set_exec_options(ExecOptions::serial());
     let serial = db.session("admin").query(q).unwrap();
     assert!(serial.num_rows() > 0, "query should select some rows");
 
     for threads in [2usize, 8] {
-        db.set_xopt_config(XOptConfig {
-            threads,
-            parallel_row_threshold: 1,
-            ..XOptConfig::default()
-        });
+        db.database()
+            .set_exec_options(ExecOptions::with_threads(threads, 1));
         let parallel = db.session("admin").query(q).unwrap();
         assert_eq!(serial.num_rows(), parallel.num_rows(), "threads={threads}");
         for r in 0..serial.num_rows() {
@@ -952,4 +948,32 @@ fn predict_pipeline_deterministic_across_thread_configs() {
             }
         }
     }
+}
+
+#[test]
+fn exec_options_have_one_home() {
+    // A FlockDb runs with the engine's own defaults ...
+    let db = FlockDb::new();
+    let engine = flock_sql::Database::new().exec_options();
+    let flock = db.database().exec_options();
+    assert_eq!(flock.threads, engine.threads);
+    assert_eq!(flock.parallel_row_threshold, engine.parallel_row_threshold);
+
+    // ... and switching cross-optimizer rules leaves every execution
+    // setting as it was.
+    db.database().set_exec_options(ExecOptions {
+        max_concurrent_queries: 1,
+        statement_timeout_ms: 5,
+        max_rows_budget: 1_000,
+        max_mem_bytes: 1 << 20,
+        ..ExecOptions::with_threads(3, 77)
+    });
+    db.set_xopt_config(XOptConfig::disabled());
+    db.set_xopt_config(XOptConfig::default());
+    let kept = db.database().exec_options();
+    assert_eq!(kept.max_concurrent_queries, 1);
+    assert_eq!(kept.statement_timeout_ms, 5);
+    assert_eq!(kept.max_rows_budget, 1_000);
+    assert_eq!(kept.max_mem_bytes, 1 << 20);
+    assert_eq!((kept.threads, kept.parallel_row_threshold), (3, 77));
 }

@@ -151,21 +151,15 @@ fn digest(batch: &RecordBatch) -> Vec<String> {
 }
 
 fn configure(db: &FlockDb, parallel: bool, xopt: bool) {
-    let base = if xopt {
+    db.set_xopt_config(if xopt {
         XOptConfig::default()
     } else {
         XOptConfig::disabled()
-    };
-    let config = XOptConfig {
-        threads: if parallel { 4 } else { 1 },
-        parallel_row_threshold: 1,
-        ..base
-    };
-    db.set_xopt_config(config);
+    });
     // 512-row morsels: two dozen of them, and top-k ties straddle many.
     db.database().set_exec_options(ExecOptions {
         morsel_rows: 512,
-        ..config.exec_options()
+        ..ExecOptions::with_threads(if parallel { 4 } else { 1 }, 1)
     });
 }
 
@@ -201,7 +195,7 @@ fn predict_queries_agree_across_every_execution_path() {
     for parallel in [false, true] {
         for xopt in [false, true] {
             configure(&db, parallel, xopt);
-            for strategy in ["auto", "row", "vectorized", "parallel"] {
+            for strategy in ["auto", "row", "vectorized"] {
                 let mut s = db.session("admin");
                 s.execute(&format!("SET predict_strategy = '{strategy}'"))
                     .unwrap();
@@ -272,7 +266,6 @@ fn flock_metrics_counts_calls_per_scorer() {
     for (strategy, counter, calls) in [
         ("vectorized", "predict_vectorized_calls", 1),
         ("row", "predict_row_calls", ROWS as i64),
-        ("parallel", "predict_parallel_calls", 1),
     ] {
         let before = metric(counter).unwrap_or_else(|| panic!("{counter} is not exported"));
         let rows_before = metric("predict_rows_scored").unwrap();
@@ -285,9 +278,15 @@ fn flock_metrics_counts_calls_per_scorer() {
             rows_before + ROWS as i64
         );
     }
-    assert_eq!(
-        metric("predict_batched_calls"),
-        None,
-        "no counter without a kernel"
-    );
+    // One call counter per scorer, and no other.
+    let calls = db
+        .query(
+            "SELECT metric FROM flock_metrics WHERE metric LIKE 'predict_%_calls' \
+             ORDER BY metric",
+        )
+        .unwrap();
+    let calls: Vec<String> = (0..calls.num_rows())
+        .map(|r| calls.column(0).get(r).to_string())
+        .collect();
+    assert_eq!(calls, ["predict_row_calls", "predict_vectorized_calls"]);
 }

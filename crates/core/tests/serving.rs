@@ -1,12 +1,13 @@
 //! The high-throughput serving path end-to-end: prepared PREDICT through
-//! the plan cache, strategy ablations (row / vectorized / parallel) staying
-//! bit-exact, model redeploy & revocation invalidating cached plans, and
+//! the plan cache, strategy ablations (row / vectorized, serial or
+//! morsel-parallel) staying bit-exact, model redeploy & revocation invalidating cached plans, and
 //! cancellation inside the compiled kernel releasing admission slots.
 
 use flock_core::{FlockDb, Lineage, XOptConfig};
 use flock_ml::{ColumnPipeline, DecisionTree, GbtModel, Model, Pipeline, TreeNode};
 use flock_rng::rngs::StdRng;
 use flock_rng::{Rng, SeedableRng};
+use flock_sql::exec::ExecOptions;
 use flock_sql::{SqlError, Value};
 use std::sync::atomic::Ordering;
 
@@ -100,7 +101,7 @@ fn strategy_ablation_is_bit_exact() {
     let mut s = db.session("admin");
     let baseline = score_bits(&db, &mut s);
     assert_eq!(baseline.len(), ROWS);
-    for strategy in ["row", "vectorized", "parallel"] {
+    for strategy in ["row", "vectorized"] {
         s.execute(&format!("SET predict_strategy = '{strategy}'"))
             .unwrap();
         assert_eq!(
@@ -109,6 +110,13 @@ fn strategy_ablation_is_bit_exact() {
             "strategy '{strategy}' diverged from the default path"
         );
     }
+    // Fan-out is the operator's: four workers, one PREDICT per morsel.
+    db.database().set_exec_options(ExecOptions::with_threads(4, 1));
+    assert_eq!(
+        score_bits(&db, &mut s),
+        baseline,
+        "morsel-parallel scoring diverged from the default path"
+    );
     // Both scorers really ran (no silent fallback): the compiled kernel
     // for the default and 'vectorized', the interpreter for 'row'.
     let stats = &db.provider().stats;

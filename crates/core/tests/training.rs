@@ -258,7 +258,6 @@ fn model_created_inside_a_script_records_its_own_statement_and_retrains() {
     );
     let mut s = db.database().session("admin");
     assert_eq!(s.execute_script(&script).unwrap().len(), 3);
-    db.sync_registry();
 
     // lineage holds the CREATE MODEL statement alone, not the whole script
     let md = db.model_metadata("m").unwrap();

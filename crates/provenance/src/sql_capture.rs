@@ -13,9 +13,8 @@ use crate::catalog::ProvCatalog;
 use crate::graph::{EdgeKind, NodeId};
 use flock_sql::ast::{Expr, InsertSource, Query, Statement, TableRef};
 use flock_sql::engine::QueryLogEntry;
-use flock_sql::lexer::{tokenize, Token};
 use flock_sql::parser::parse_statement;
-use flock_sql::{Result, SqlError};
+use flock_sql::Result;
 use std::collections::HashMap;
 
 /// What one capture produced.
@@ -41,27 +40,20 @@ struct Extraction {
 
 /// Eagerly capture one SQL statement into the provenance catalog.
 pub fn capture_sql(catalog: &mut ProvCatalog, sql: &str, user: &str) -> Result<CaptureReport> {
-    // Flock model DDL is not part of the core SQL grammar; special-case it.
-    if sql.trim().to_ascii_uppercase().starts_with("CREATE MODEL") {
-        return capture_create_model(catalog, sql, user);
-    }
     let stmt = parse_statement(sql)?;
     let mut ex = Extraction::default();
     extract_statement(&stmt, &mut ex);
-    Ok(record(catalog, sql, user, &ex, &[]))
+    let report = record(catalog, sql, user, &ex, &[]);
+    link_model(catalog, &stmt, &report);
+    Ok(report)
 }
 
 /// Lazily replay one query-log entry (exact versions included).
 pub fn capture_log_entry(catalog: &mut ProvCatalog, entry: &QueryLogEntry) -> CaptureReport {
-    let parsed = if entry.sql.trim().to_ascii_uppercase().starts_with("CREATE MODEL") {
-        return capture_create_model(catalog, &entry.sql, &entry.user)
-            .unwrap_or_default();
-    } else {
-        parse_statement(&entry.sql).ok()
-    };
+    let parsed = parse_statement(&entry.sql).ok();
     let mut ex = Extraction::default();
-    match parsed {
-        Some(stmt) => extract_statement(&stmt, &mut ex),
+    match &parsed {
+        Some(stmt) => extract_statement(stmt, &mut ex),
         None => {
             // fall back to the engine-recorded table sets
             for t in &entry.tables_read {
@@ -72,7 +64,11 @@ pub fn capture_log_entry(catalog: &mut ProvCatalog, entry: &QueryLogEntry) -> Ca
             }
         }
     }
-    record(catalog, &entry.sql, &entry.user, &ex, &entry.versions_written)
+    let report = record(catalog, &entry.sql, &entry.user, &ex, &entry.versions_written);
+    if let Some(stmt) = &parsed {
+        link_model(catalog, stmt, &report);
+    }
+    report
 }
 
 /// Lazily replay a whole query log. Returns one report per entry.
@@ -152,58 +148,19 @@ fn record(
     report
 }
 
-/// Capture `CREATE MODEL name KIND k FROM table TARGET col ...`.
-fn capture_create_model(
-    catalog: &mut ProvCatalog,
-    sql: &str,
-    user: &str,
-) -> Result<CaptureReport> {
-    let tokens = tokenize(sql)?;
-    let word = |i: usize| -> Option<&str> {
-        match tokens.get(i) {
-            Some(Token::Ident(s)) | Some(Token::QuotedIdent(s)) => Some(s.as_str()),
-            _ => None,
-        }
+/// For `CREATE MODEL`: the model the statement produces, its kind, and
+/// a `TrainedOn` edge to every table its training query read.
+fn link_model(catalog: &mut ProvCatalog, stmt: &Statement, report: &CaptureReport) {
+    let (Statement::CreateModel { name, kind, .. }, Some(q)) = (stmt, report.query) else {
+        return;
     };
-    let name = word(2)
-        .ok_or_else(|| SqlError::Parse("CREATE MODEL missing name".into()))?
-        .to_string();
-    let mut table = None;
-    let mut target = None;
-    let mut kind = None;
-    for i in 0..tokens.len() {
-        if let Some(w) = word(i) {
-            match w.to_ascii_uppercase().as_str() {
-                "FROM" => table = word(i + 1).map(|s| s.to_string()),
-                "TARGET" => target = word(i + 1).map(|s| s.to_string()),
-                "KIND" => kind = word(i + 1).map(|s| s.to_string()),
-                _ => {}
-            }
-        }
-    }
-    let q = catalog.query(sql, user);
-    let m = catalog.model(&name, None);
+    let m = catalog.model(name, None);
     catalog.link(q, m, EdgeKind::Produces);
-    if let Some(k) = kind {
-        let h = catalog.hyperparameter(&name, "kind", &k);
-        catalog.link(m, h, EdgeKind::HasParam);
+    let h = catalog.hyperparameter(name, "kind", kind);
+    catalog.link(m, h, EdgeKind::HasParam);
+    for &t in &report.tables_read {
+        catalog.link(m, t, EdgeKind::TrainedOn);
     }
-    let mut report = CaptureReport {
-        query: Some(q),
-        ..Default::default()
-    };
-    if let Some(t) = table {
-        let tn = catalog.table(&t);
-        catalog.link(q, tn, EdgeKind::ReadFrom);
-        catalog.link(m, tn, EdgeKind::TrainedOn);
-        report.tables_read.push(tn);
-        if let Some(col) = target {
-            let c = catalog.column(&t, &col);
-            catalog.link(q, c, EdgeKind::ReadFrom);
-            report.columns_read.push(c);
-        }
-    }
-    Ok(report)
 }
 
 // ------------------------------------------------------------ extraction
@@ -252,6 +209,10 @@ fn extract_statement(stmt: &Statement, out: &mut Extraction) {
         Statement::CreateTable { name, .. } => out.written.push(name.clone()),
         Statement::DropTable { name, .. } => out.written.push(name.clone()),
         Statement::CreateView { query, .. } => extract_query(query, out),
+        Statement::CreateModel { query, target, .. } => {
+            extract_query(query, out);
+            out.columns.push((None, target.clone()));
+        }
         Statement::Explain { statement, .. } => extract_statement(statement, out),
         _ => {}
     }
@@ -476,6 +437,31 @@ mod tests {
         assert!(g
             .outgoing(m)
             .any(|e| e.to == t && e.kind == EdgeKind::TrainedOn));
+    }
+
+    #[test]
+    fn create_model_over_a_join_links_every_training_table() {
+        let mut cat = ProvCatalog::new();
+        let r = capture_sql(
+            &mut cat,
+            "CREATE MODEL m KIND logistic TARGET y AS \
+             SELECT a.x, b.z, a.y FROM a JOIN b ON a.id = b.id",
+            "alice",
+        )
+        .unwrap();
+        assert_eq!(r.tables_read.len(), 2);
+        let g = cat.graph();
+        let m = g.find(NodeKind::Model, "m", None).unwrap();
+        for table in ["a", "b"] {
+            let t = g.find(NodeKind::Table, table, None).unwrap();
+            assert!(
+                g.outgoing(m).any(|e| e.to == t && e.kind == EdgeKind::TrainedOn),
+                "{table}"
+            );
+        }
+        for column in ["a.x", "b.z", "a.y", "a.id", "b.id"] {
+            assert!(g.find(NodeKind::Column, column, None).is_some(), "{column}");
+        }
     }
 
     #[test]

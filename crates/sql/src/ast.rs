@@ -489,22 +489,19 @@ pub enum UnOp {
     Neg,
 }
 
-/// How a PREDICT call should be executed. `Auto` lets the optimizer pick;
-/// the cross-optimizer's physical-selection rule rewrites it.
+/// How a PREDICT call scores the rows it is handed. Fan-out is not a
+/// strategy: the operator evaluating the PREDICT spreads its morsels over
+/// the worker pool, and each morsel is scored by the strategy here.
 /// (`Hash` lets the plan cache key on a session's strategy override.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictStrategy {
+    /// The provider's choice: the compiled kernel.
     Auto,
     /// Interpret the pipeline row-at-a-time (the "inline SQL UDF" anchor).
     Row,
     /// Score the whole batch in one call to the compiled kernel (for tree
     /// ensembles, the level-synchronous walk over flattened nodes).
     Vectorized,
-    /// Partition the batch across `n` worker threads, each running the
-    /// compiled kernel. Only for PREDICTs under an operator that does not
-    /// fan out itself: the physical planner demotes it to `Vectorized`
-    /// wherever the operator's own morsel pool already spreads the rows.
-    Parallel(usize),
 }
 
 /// Scalar expression.

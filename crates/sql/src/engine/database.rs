@@ -4,6 +4,7 @@
 use super::background::{CqRuntime, Ticker};
 use super::query::MetricsTable;
 use super::session::Session;
+use super::txn::ObjectKey;
 use super::{AuditRecord, QueryLogEntry, QueryResult};
 use crate::batch::RecordBatch;
 use crate::catalog::Catalog;
@@ -64,11 +65,15 @@ fn logicalize_snapshot(snap: &mut crate::wal::Snapshot, catalog: &Catalog) {
     }
 }
 
-/// Commit observer: receives the committed catalog snapshot and the
-/// conflict keys the transaction wrote (table names and `ext:kind:name`
-/// extension keys). Fired outside the state lock; must not re-enter the
-/// database.
-pub type CommitHook = Arc<dyn Fn(&Catalog, &[String]) + Send + Sync>;
+/// Commit observer: receives the committed catalog by reference and the
+/// objects the transaction wrote. It runs on the committing thread, after
+/// the commit is installed and before `commit` returns, under the state
+/// read lock: the catalog it sees holds this commit and possibly later
+/// ones, and no commit lands until it returns. So hooks that apply what
+/// the catalog says converge on commit order even when they fire out of
+/// it. A hook must not re-enter the database (it would wait on itself
+/// behind a queued writer).
+pub type CommitHook = Arc<dyn Fn(&Catalog, &[ObjectKey]) + Send + Sync>;
 
 /// Everything the handles of one database share. The ticker thread holds
 /// a `Weak` to this, so a closed database is never kept alive by its own
@@ -77,10 +82,9 @@ pub(super) struct Shared {
     pub state: RwLock<DbState>,
     pub provider: RwLock<ProviderRef>,
     pub trainer: RwLock<TrainerRef>,
-    /// Observers fired after a transaction commits, outside the state
-    /// lock, with the committed catalog snapshot and the written keys.
-    /// Used by `flock-core` to keep its model registry in sync with
-    /// engine-side model DDL (CREATE/RETRAIN/DROP MODEL).
+    /// Observers fired after a transaction commits (see [`CommitHook`]).
+    /// `flock-core` keeps its model registry in step with every model
+    /// write through one.
     pub commit_hooks: RwLock<Vec<CommitHook>>,
     pub options: RwLock<ExecOptions>,
     pub optimizer: RwLock<OptimizerConfig>,
@@ -92,9 +96,9 @@ pub(super) struct Shared {
     /// Bumped when a transaction that ran DDL (or changed grants) commits;
     /// cached plans carry the epoch they were planned under.
     pub ddl_epoch: AtomicU64,
-    /// Bumped when exec options, optimizer config, plan rewriters, or the
-    /// inference provider change — any of these can change what a plan
-    /// compiles to.
+    /// Bumped when exec options, optimizer config, plan rewriters (or a
+    /// rewriter's own configuration), or the inference provider change —
+    /// any of these can change what a plan compiles to.
     pub options_epoch: AtomicU64,
     /// Engine-wide cap on a table's resident bytes (0 = offloading
     /// disabled). Commits that leave a written table over this budget
@@ -283,13 +287,13 @@ impl Database {
     /// after planning and before the relational optimizer.
     pub fn add_plan_rewriter(&self, rewriter: Arc<dyn PlanRewriter>) {
         sync::write(&self.shared.rewriters).push(rewriter);
-        self.bump_options_epoch();
+        self.invalidate_plans();
     }
 
     /// Remove all registered plan rewriters.
     pub fn clear_plan_rewriters(&self) {
         sync::write(&self.shared.rewriters).clear();
-        self.bump_options_epoch();
+        self.invalidate_plans();
     }
 
     /// The prepared-statement / plain-SQL plan cache.
@@ -305,7 +309,7 @@ impl Database {
     /// Install the inference provider (done by `flock-core`).
     pub fn set_inference_provider(&self, provider: ProviderRef) {
         *sync::write(&self.shared.provider) = provider;
-        self.bump_options_epoch();
+        self.invalidate_plans();
     }
 
     pub fn inference_provider(&self) -> ProviderRef {
@@ -316,26 +320,28 @@ impl Database {
     /// (done by `flock-core`).
     pub fn set_model_trainer(&self, trainer: TrainerRef) {
         *sync::write(&self.shared.trainer) = trainer;
-        self.bump_options_epoch();
+        self.invalidate_plans();
     }
 
     pub fn model_trainer(&self) -> TrainerRef {
         sync::read(&self.shared.trainer).clone()
     }
 
-    /// Register an observer fired after every successful commit, outside
-    /// the state lock, with the committed catalog snapshot and the keys
-    /// the transaction wrote. Hooks must not re-enter the database.
+    /// Register an observer fired after every successful commit with the
+    /// committed catalog and the objects the transaction wrote, under the
+    /// state read lock (see [`CommitHook`]). Hooks must not re-enter the
+    /// database.
     pub fn add_commit_hook(&self, hook: CommitHook) {
         sync::write(&self.shared.commit_hooks).push(hook);
     }
 
-    /// Replace execution options (threading, default PREDICT strategy).
+    /// Replace execution options (threads, fan-out threshold, morsel size,
+    /// timeout, admission and budgets).
     /// Knobs are clamped into valid ranges — a zero-thread or zero-morsel
     /// configuration degrades to serial execution instead of panicking.
     pub fn set_exec_options(&self, options: ExecOptions) {
         *sync::write(&self.shared.options) = options.validated();
-        self.bump_options_epoch();
+        self.invalidate_plans();
     }
 
     pub fn exec_options(&self) -> ExecOptions {
@@ -344,20 +350,30 @@ impl Database {
 
     pub fn set_optimizer_config(&self, config: OptimizerConfig) {
         *sync::write(&self.shared.optimizer) = config;
-        self.bump_options_epoch();
+        self.invalidate_plans();
     }
 
     pub fn optimizer_config(&self) -> OptimizerConfig {
         *sync::read(&self.shared.optimizer)
     }
 
-    fn bump_options_epoch(&self) {
+    /// Retire every cached plan: each is re-planned on its next lookup.
+    /// The setters above do this themselves; call it after changing the
+    /// configuration of a registered plan rewriter.
+    pub fn invalidate_plans(&self) {
         self.shared.options_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the committed catalog.
     pub fn catalog(&self) -> Catalog {
         sync::read(&self.shared.state).catalog.clone()
+    }
+
+    /// Run `f` on the committed catalog by reference, under the state read
+    /// lock: no clone, and no commit lands until `f` returns. `f` must not
+    /// re-enter the database.
+    pub fn with_catalog<R>(&self, f: impl FnOnce(&Catalog) -> R) -> R {
+        f(&sync::read(&self.shared.state).catalog)
     }
 
     /// Full query log (committed statements).

@@ -9,8 +9,8 @@
 //! * [`txn`] — the transaction seam: the working catalog, the three write
 //!   primitives that record redo + conflict state, access checks, audit and
 //!   query-log buffers, commit.
-//! * [`query`] — the one SELECT pipeline (plan → ACL → strategy → rewriters
-//!   → optimize → compile) and the one metered execution tail; top-level
+//! * [`query`] — the one SELECT pipeline (plan → ACL → session PREDICT
+//!   strategy → rewriters → optimize → compile) and the one metered execution tail; top-level
 //!   queries, `EXPLAIN`, training scans and subqueries all go through it.
 //! * [`ddl`], [`dml`], [`models`] — statement handlers, `fn(&mut Txn,
 //!   &StmtCtx, ..)`.
@@ -28,6 +28,7 @@ mod txn;
 
 pub use database::{CommitHook, Database};
 pub use session::{bind_parameters, PreparedStatement, Session};
+pub use txn::ObjectKey;
 
 use crate::batch::RecordBatch;
 

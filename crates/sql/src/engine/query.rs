@@ -147,9 +147,8 @@ impl Planner<'_> {
             self.txn.check_query_access(&tables, &models)?;
         }
 
-        // The session's `SET predict_strategy` applies before the
-        // rewriters: the cross-optimizer's operator selection consumes
-        // `Auto`, after which the override would be silently lost.
+        // The session's `SET predict_strategy` applies here and only here,
+        // before the rewriters, so the PREDICTs they derive carry it.
         let mut plan = match ctx.predict {
             Some(s) => override_auto_predict(plan, s)?,
             None => plan,

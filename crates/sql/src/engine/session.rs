@@ -29,11 +29,11 @@ struct SessionVars {
     /// Session-local `SET statement_timeout` override, in milliseconds
     /// (`None` = fall back to [`ExecOptions::statement_timeout_ms`]).
     statement_timeout_ms: Option<u64>,
-    /// Session-local `SET predict_strategy` override. Applied to every
-    /// `PREDICT(...)` whose statement did not pin a strategy explicitly,
-    /// *before* plan rewriters run (xopt consumes `Auto`), and keyed into
-    /// the plan cache so sessions with different overrides never share
-    /// a cached plan.
+    /// Session-local `SET predict_strategy` override. Applied in one
+    /// place, `override_auto_predict` in the query pipeline, to every
+    /// `PREDICT(...)` still `Auto` before the plan rewriters run, and keyed
+    /// into the plan cache so sessions with different overrides never
+    /// share a cached plan.
     predict_strategy: Option<PredictStrategy>,
     /// This session's most recent query snapshot — unlike the engine-wide
     /// [`Database::last_query_metrics`], concurrent sessions cannot
@@ -49,10 +49,7 @@ pub(super) struct StmtCtx<'a> {
     pub db: &'a Database,
     pub sql: &'a str,
     pub provider: ProviderRef,
-    /// The engine-wide options with any `SET predict_strategy` override
-    /// folded into `default_predict`, so `Auto` strategies that reach
-    /// physical compilation untouched still resolve to the session's
-    /// choice.
+    /// The engine-wide options, read once per statement.
     pub options: ExecOptions,
     /// The session's cancel flag plus the effective deadline (session
     /// `SET statement_timeout` overrides the engine-wide
@@ -68,10 +65,7 @@ impl<'a> StmtCtx<'a> {
         // Every statement starts fresh: a cancel aimed at the previous
         // statement must not kill this one.
         vars.cancel_flag.store(false, Ordering::Relaxed);
-        let mut options = db.exec_options();
-        if let Some(s) = vars.predict_strategy {
-            options.default_predict = s;
-        }
+        let options = db.exec_options();
         let mut cancel = CancelToken::from_flag(vars.cancel_flag.clone());
         let timeout_ms = vars
             .statement_timeout_ms
@@ -449,15 +443,10 @@ impl Session {
                             "auto" | "default" => None,
                             "row" => Some(PredictStrategy::Row),
                             "vectorized" => Some(PredictStrategy::Vectorized),
-                            // Degree is resolved once at SET time from the
-                            // engine-wide thread budget.
-                            "parallel" => Some(PredictStrategy::Parallel(
-                                self.db.exec_options().threads.max(1),
-                            )),
                             other => {
                                 return Err(SqlError::Plan(format!(
                                     "predict_strategy expects one of 'row' | 'vectorized' \
-                                     | 'parallel' | 'auto', got '{other}'"
+                                     | 'auto', got '{other}'"
                                 )))
                             }
                         }
@@ -465,9 +454,6 @@ impl Session {
                 };
                 self.vars.predict_strategy = strategy;
                 match strategy {
-                    Some(PredictStrategy::Parallel(n)) => {
-                        format!("predict_strategy = parallel({n})")
-                    }
                     Some(s) => format!("predict_strategy = {s:?}").to_ascii_lowercase(),
                     None => "predict_strategy = default".to_string(),
                 }

@@ -25,6 +25,26 @@ fn resident_bytes(b: &RecordBatch) -> u64 {
     (b.num_rows() as u64) * (b.num_columns() as u64) * 8
 }
 
+/// One catalog object a transaction writes: the unit of conflict
+/// detection, of install at commit, and of what commit hooks are told.
+/// Names are lowercased.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum ObjectKey {
+    Table(String),
+    View(String),
+    Extension { kind: String, name: String },
+}
+
+impl std::fmt::Display for ObjectKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ObjectKey::Table(name) => write!(f, "table:{name}"),
+            ObjectKey::View(name) => write!(f, "view:{name}"),
+            ObjectKey::Extension { kind, name } => write!(f, "ext:{kind}:{name}"),
+        }
+    }
+}
+
 /// Base state of one object at transaction start, for conflict detection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum BaseState {
@@ -40,7 +60,7 @@ pub(super) struct Txn {
     pub user: String,
     catalog: Catalog,
     /// Objects this txn wrote, with the committed state they were based on.
-    written: HashMap<String, BaseState>,
+    written: HashMap<ObjectKey, BaseState>,
     access_dirty: bool,
     /// True once any DDL ran (create/drop/alter of tables, views, or
     /// extension objects). A committing DDL txn bumps the database's DDL
@@ -100,7 +120,7 @@ impl Txn {
     /// on is remembered for commit-time conflict detection.
     fn write<T>(
         &mut self,
-        key: String,
+        key: ObjectKey,
         ddl: bool,
         f: impl FnOnce(&mut Catalog, u64) -> Result<(T, Option<RedoOp>)>,
     ) -> Result<T> {
@@ -122,7 +142,7 @@ impl Txn {
         ddl: bool,
         f: impl FnOnce(&mut Catalog, u64) -> Result<(T, Option<RedoOp>)>,
     ) -> Result<T> {
-        self.write(format!("table:{}", name.to_ascii_lowercase()), ddl, f)
+        self.write(ObjectKey::Table(name.to_ascii_lowercase()), ddl, f)
     }
 
     pub fn write_view<T>(
@@ -130,7 +150,7 @@ impl Txn {
         name: &str,
         f: impl FnOnce(&mut Catalog, u64) -> Result<(T, Option<RedoOp>)>,
     ) -> Result<T> {
-        self.write(format!("view:{}", name.to_ascii_lowercase()), true, f)
+        self.write(ObjectKey::View(name.to_ascii_lowercase()), true, f)
     }
 
     /// Write an extension object. `ddl: false` is for bookkeeping updates
@@ -142,7 +162,11 @@ impl Txn {
         ddl: bool,
         f: impl FnOnce(&mut Catalog, u64) -> Result<(T, Option<RedoOp>)>,
     ) -> Result<T> {
-        self.write(format!("ext:{kind}:{}", name.to_ascii_lowercase()), ddl, f)
+        let key = ObjectKey::Extension {
+            kind: kind.to_string(),
+            name: name.to_ascii_lowercase(),
+        };
+        self.write(key, ddl, f)
     }
 
     /// Users and grants, for modification (logged as one `AccessSet`).
@@ -321,19 +345,17 @@ impl Txn {
             }
         }
 
-        // Commit hooks observe the committed snapshot outside the state
-        // lock (they may take their own locks — e.g. the model registry).
-        let hooks = sync::read(&shared.commit_hooks).clone();
-        let hook_ctx = if hooks.is_empty() {
-            None
-        } else {
-            let keys: Vec<String> = self.written.keys().cloned().collect();
-            Some((state.catalog.clone(), keys))
-        };
+        // Commit hooks read the committed catalog under the read lock,
+        // taken as the write lock drops: no commit lands while a hook
+        // runs, so a hook that runs late sees the newest committed state
+        // and cannot undo a later commit's effect.
         drop(guard);
-        if let Some((catalog, keys)) = hook_ctx {
+        let hooks = sync::read(&shared.commit_hooks).clone();
+        if !hooks.is_empty() {
+            let keys: Vec<ObjectKey> = self.written.into_keys().collect();
+            let state = sync::read(&shared.state);
             for hook in &hooks {
-                hook(&catalog, &keys);
+                hook(&state.catalog, &keys);
             }
         }
         Ok(self.id)
@@ -374,14 +396,15 @@ impl Txn {
         let Some(store) = self.catalog.part_store().cloned() else {
             return Ok(());
         };
-        let keys: Vec<String> = self
+        let names: Vec<String> = self
             .written
             .keys()
-            .filter(|k| k.starts_with("table:"))
-            .cloned()
+            .filter_map(|k| match k {
+                ObjectKey::Table(name) => Some(name.clone()),
+                _ => None,
+            })
             .collect();
-        for key in keys {
-            let name = key["table:".len()..].to_string();
+        for name in names {
             let Ok(table) = self.catalog.table(&name) else {
                 continue; // dropped in this transaction
             };
@@ -453,74 +476,43 @@ fn append_logs(
     Ok(())
 }
 
-/// Current committed state of a namespaced object key
-/// (`table:x`, `view:x`, `ext:kind:x`).
-fn object_state(catalog: &Catalog, key: &str) -> BaseState {
-    if let Some(name) = key.strip_prefix("table:") {
-        return match catalog.table(name) {
+/// Current committed state of the object behind `key`.
+fn object_state(catalog: &Catalog, key: &ObjectKey) -> BaseState {
+    match key {
+        ObjectKey::Table(name) => match catalog.table(name) {
             Ok(t) => BaseState::TableAt(t.current_version()),
             Err(_) => BaseState::Absent,
-        };
-    }
-    if let Some(name) = key.strip_prefix("view:") {
-        return if catalog.view(name).is_some() {
-            BaseState::ViewPresent
-        } else {
-            BaseState::Absent
-        };
-    }
-    if let Some(rest) = key.strip_prefix("ext:") {
-        let mut parts = rest.splitn(2, ':');
-        let kind = parts.next().unwrap_or("");
-        let name = parts.next().unwrap_or("");
-        return match catalog.extension(kind, name) {
+        },
+        ObjectKey::View(name) => match catalog.view(name) {
+            Some(_) => BaseState::ViewPresent,
+            None => BaseState::Absent,
+        },
+        ObjectKey::Extension { kind, name } => match catalog.extension(kind, name) {
             Ok(e) => BaseState::ExtensionAt(e.current().version),
             Err(_) => BaseState::Absent,
-        };
+        },
     }
-    BaseState::Absent
 }
 
 /// Copy the final state of `key` from `src` into `dst` (or remove it).
-fn apply_object(dst: &mut Catalog, src: &Catalog, key: &str) {
-    if let Some(name) = key.strip_prefix("table:") {
-        match src.table(name) {
-            Ok(t) => {
-                let t = t.clone();
-                let _ = dst.drop_table(name);
-                let _ = dst.create_table(t);
-            }
-            Err(_) => {
-                let _ = dst.drop_table(name);
+fn apply_object(dst: &mut Catalog, src: &Catalog, key: &ObjectKey) {
+    match key {
+        ObjectKey::Table(name) => {
+            let _ = dst.drop_table(name);
+            if let Ok(t) = src.table(name) {
+                let _ = dst.create_table(t.clone());
             }
         }
-        return;
-    }
-    if let Some(name) = key.strip_prefix("view:") {
-        match src.view(name) {
-            Some(v) => {
-                let v = v.clone();
-                let _ = dst.drop_view(name);
-                let _ = dst.create_view(v);
-            }
-            None => {
-                let _ = dst.drop_view(name);
+        ObjectKey::View(name) => {
+            let _ = dst.drop_view(name);
+            if let Some(v) = src.view(name) {
+                let _ = dst.create_view(v.clone());
             }
         }
-        return;
-    }
-    if let Some(rest) = key.strip_prefix("ext:") {
-        let mut parts = rest.splitn(2, ':');
-        let kind = parts.next().unwrap_or("").to_string();
-        let name = parts.next().unwrap_or("").to_string();
-        match src.extension(&kind, &name) {
-            Ok(obj) => {
-                let obj = obj.clone();
-                let _ = dst.drop_extension(&kind, &name);
-                let _ = dst.install_extension(obj);
-            }
-            Err(_) => {
-                let _ = dst.drop_extension(&kind, &name);
+        ObjectKey::Extension { kind, name } => {
+            let _ = dst.drop_extension(kind, name);
+            if let Ok(obj) = src.extension(kind, name) {
+                let _ = dst.install_extension(obj.clone());
             }
         }
     }

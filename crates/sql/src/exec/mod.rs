@@ -24,17 +24,17 @@ pub use expr::{EvalContext, PhysExpr, PhysNode};
 pub use metrics::{EngineMetrics, OpMetrics, OpSnapshot, PlanMetrics};
 pub use parallel::ParallelPolicy;
 
-use crate::ast::{BinOp, Expr, JoinType, PredictStrategy};
+use crate::ast::{BinOp, Expr, JoinType};
 use crate::batch::RecordBatch;
 use crate::catalog::Catalog;
 use crate::column::ColumnVector;
 use crate::error::{Result, SqlError};
-use crate::plan::{rewrite_expr, AggCall, LogicalPlan};
+use crate::plan::{AggCall, LogicalPlan};
 use crate::schema::Schema;
 use crate::table::{concat_chunks, ColBounds, TableScan};
 use crate::types::Value;
 use crate::udf::InferenceProvider;
-use agg::{Accumulator, GroupKey};
+use agg::GroupKey;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -55,10 +55,6 @@ pub struct ExecOptions {
     pub parallel_row_threshold: usize,
     /// Fixed morsel size in rows (>= 1).
     pub morsel_rows: usize,
-    /// What `PREDICT(...)` with strategy `Auto` resolves to. The default,
-    /// `Vectorized`, leaves parallelism to the operator evaluating the
-    /// PREDICT (its morsel pool already spreads the rows over `threads`).
-    pub default_predict: PredictStrategy,
     /// Database-default statement deadline in milliseconds (0 = none).
     /// Sessions may override it with `SET statement_timeout = <ms>`.
     pub statement_timeout_ms: u64,
@@ -81,9 +77,8 @@ impl Default for ExecOptions {
             .unwrap_or(4);
         ExecOptions {
             threads,
-            parallel_row_threshold: 4096,
+            parallel_row_threshold: 8192,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            default_predict: PredictStrategy::Vectorized,
             statement_timeout_ms: 0,
             max_concurrent_queries: 0,
             max_rows_budget: 0,
@@ -120,9 +115,6 @@ impl ExecOptions {
         self.threads = self.threads.max(1);
         self.parallel_row_threshold = self.parallel_row_threshold.max(1);
         self.morsel_rows = self.morsel_rows.max(1);
-        if let PredictStrategy::Parallel(n) = self.default_predict {
-            self.default_predict = PredictStrategy::Parallel(n.max(1));
-        }
         self
     }
 }
@@ -236,7 +228,7 @@ pub fn create_physical_plan(
             }
             let child = create_physical_plan(input, catalog, provider, options)?;
             let policy = ParallelPolicy::from_options(options, child.estimated_rows());
-            let predicate = compile(predicate, input.schema(), provider, options, &policy)?;
+            let predicate = PhysExpr::compile(predicate, input.schema(), provider)?;
             PhysicalPlan::Filter {
                 input: Box::new(child),
                 predicate,
@@ -252,7 +244,7 @@ pub fn create_physical_plan(
             let policy = ParallelPolicy::from_options(options, child.estimated_rows());
             let compiled: Vec<PhysExpr> = exprs
                 .iter()
-                .map(|e| compile(e, input.schema(), provider, options, &policy))
+                .map(|e| PhysExpr::compile(e, input.schema(), provider))
                 .collect::<Result<_>>()?;
             PhysicalPlan::Project {
                 input: Box::new(child),
@@ -269,16 +261,9 @@ pub fn create_physical_plan(
         } => {
             let child = create_physical_plan(input, catalog, provider, options)?;
             let policy = ParallelPolicy::from_options(options, child.estimated_rows());
-            // Accumulators that cannot merge keep the aggregate serial
-            // whatever its degree; a PREDICT under it may then fan out.
-            let host = if aggs.iter().all(|a| Accumulator::mergeable(a.func, a.distinct)) {
-                policy
-            } else {
-                ParallelPolicy::serial()
-            };
             let group_c: Vec<PhysExpr> = group
                 .iter()
-                .map(|e| compile(e, input.schema(), provider, options, &host))
+                .map(|e| PhysExpr::compile(e, input.schema(), provider))
                 .collect::<Result<_>>()?;
             let aggs_c: Vec<(AggCall, Option<PhysExpr>)> = aggs
                 .iter()
@@ -286,7 +271,7 @@ pub fn create_physical_plan(
                     let arg = a
                         .arg
                         .as_ref()
-                        .map(|e| compile(e, input.schema(), provider, options, &host))
+                        .map(|e| PhysExpr::compile(e, input.schema(), provider))
                         .transpose()?;
                     Ok((a.clone(), arg))
                 })
@@ -310,11 +295,9 @@ pub fn create_physical_plan(
             let l = create_physical_plan(left, catalog, provider, options)?;
             let r = create_physical_plan(right, catalog, provider, options)?;
             let joined_schema = schema.clone();
-            // Join keys and residuals are evaluated outside any morsel pool.
-            let host = ParallelPolicy::serial();
             let filter_c = filter
                 .as_ref()
-                .map(|f| compile(f, &joined_schema, provider, options, &host))
+                .map(|f| PhysExpr::compile(f, &joined_schema, provider))
                 .transpose()?;
             if on.is_empty() {
                 PhysicalPlan::NestedLoopJoin {
@@ -327,11 +310,11 @@ pub fn create_physical_plan(
             } else {
                 let left_keys: Vec<PhysExpr> = on
                     .iter()
-                    .map(|(le, _)| compile(le, left.schema(), provider, options, &host))
+                    .map(|(le, _)| PhysExpr::compile(le, left.schema(), provider))
                     .collect::<Result<_>>()?;
                 let right_keys: Vec<PhysExpr> = on
                     .iter()
-                    .map(|(_, re)| compile(re, right.schema(), provider, options, &host))
+                    .map(|(_, re)| PhysExpr::compile(re, right.schema(), provider))
                     .collect::<Result<_>>()?;
                 let est = l.estimated_rows().max(r.estimated_rows());
                 let policy = ParallelPolicy::from_options(options, est);
@@ -353,7 +336,7 @@ pub fn create_physical_plan(
             let keys_c: Vec<(PhysExpr, bool)> = keys
                 .iter()
                 .map(|(e, asc)| {
-                    Ok((compile(e, input.schema(), provider, options, &policy)?, *asc))
+                    Ok((PhysExpr::compile(e, input.schema(), provider)?, *asc))
                 })
                 .collect::<Result<_>>()?;
             PhysicalPlan::Sort {
@@ -389,46 +372,6 @@ pub fn create_physical_plan(
             schema: schema.clone(),
         },
     })
-}
-
-/// Compile with PREDICT strategies resolved for the operator that will
-/// evaluate the expression: `Auto` becomes the engine default, and under a
-/// `host` that fans out over its own morsel pool a parallel PREDICT runs
-/// `Vectorized` — the rows are already spread over the workers, and a
-/// morsel worker must not open a second thread scope to split its few
-/// thousand rows again.
-fn compile(
-    e: &Expr,
-    schema: &Schema,
-    provider: &dyn InferenceProvider,
-    options: &ExecOptions,
-    host: &ParallelPolicy,
-) -> Result<PhysExpr> {
-    let resolved = rewrite_expr(e.clone(), &mut |x| {
-        Ok(match x {
-            Expr::Predict {
-                model,
-                args,
-                strategy,
-            } => {
-                let strategy = match strategy {
-                    PredictStrategy::Auto => options.default_predict,
-                    chosen => chosen,
-                };
-                let strategy = match strategy {
-                    PredictStrategy::Parallel(_) if host.degree > 1 => PredictStrategy::Vectorized,
-                    kept => kept,
-                };
-                Expr::Predict {
-                    model,
-                    args,
-                    strategy,
-                }
-            }
-            other => other,
-        })
-    })?;
-    PhysExpr::compile(&resolved, schema, provider)
 }
 
 /// Narrow column `idx` to `[lo, hi]`: `col = 5` → `[5, 5]`, `col > 5` →
@@ -527,7 +470,7 @@ fn plan_scan(
     source.prune(&predicate.map(|p| zone_constraints(p, schema)).unwrap_or_default());
     let policy = ParallelPolicy::from_options(options, source.rows());
     let predicate = predicate
-        .map(|p| compile(p, schema, provider, options, &policy))
+        .map(|p| PhysExpr::compile(p, schema, provider))
         .transpose()?;
     Ok(PhysicalPlan::Scan {
         source,

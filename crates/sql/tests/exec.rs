@@ -1,6 +1,5 @@
 //! Edge-case tests of the physical execution layer.
 
-use flock_sql::ast::PredictStrategy;
 use flock_sql::exec::ExecOptions;
 use flock_sql::{Database, Value};
 
@@ -164,7 +163,6 @@ fn serial_and_parallel_exec_options_agree() {
         threads: 4,
         parallel_row_threshold: 1,
         morsel_rows: 2,
-        default_predict: PredictStrategy::Parallel(4),
         ..ExecOptions::default()
     });
     let parallel = db.query(q).unwrap();

@@ -120,7 +120,6 @@ fn parallel_options(threads: usize) -> ExecOptions {
         threads,
         parallel_row_threshold: 1,
         morsel_rows: 64,
-        default_predict: PredictStrategy::Vectorized,
         ..ExecOptions::default()
     }
 }
@@ -218,9 +217,7 @@ fn predict_pipeline_identical_across_thread_counts() {
     let serial = db.query(q).unwrap();
     assert!(serial.num_rows() > 0, "pipeline query selects some rows");
     for threads in [2usize, 8] {
-        let mut options = parallel_options(threads);
-        options.default_predict = PredictStrategy::Parallel(threads);
-        db.set_exec_options(options);
+        db.set_exec_options(parallel_options(threads));
         let parallel = db.query(q).unwrap();
         assert_batches_match(&serial, &parallel, &format!("predict threads={threads}"));
     }
@@ -270,7 +267,6 @@ fn degenerate_options_are_clamped_not_panicking() {
         threads: 0,
         parallel_row_threshold: 0,
         morsel_rows: 0,
-        default_predict: PredictStrategy::Parallel(0),
         ..ExecOptions::default()
     });
     let b = db

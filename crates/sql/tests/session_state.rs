@@ -221,7 +221,9 @@ fn malformed_set_values_fail_typed_and_preserve_prior_value() {
         Case { sql: "SET predict_strategy = DEFAULT", ok: true },
         Case { sql: "SET predict_strategy = 'row'", ok: true },
         Case { sql: "SET predict_strategy = 'batched'", ok: false }, // no such strategy
-        Case { sql: "SET predict_strategy = 'PARALLEL'", ok: true }, // case-folded
+        Case { sql: "SET predict_strategy = 'ROW'", ok: true }, // case-folded
+        // Fan-out belongs to the operator, not to a strategy.
+        Case { sql: "SET predict_strategy = 'PARALLEL'", ok: false },
         Case { sql: "SET predict_strategy = 'warp'", ok: false },
         Case { sql: "SET predict_strategy = 5", ok: false },
         Case { sql: "SET predict_strategy = 1.5", ok: false },
