@@ -123,16 +123,15 @@ pub fn columns_to_frame<'a>(
         let cp = &pipeline.columns[i];
         let fc = if pipeline.input_is_text(i) {
             match col.as_text_slice() {
-                Some(slice) if col.null_count() == 0 => FrameCol::StrBorrowed(slice),
+                Some(slice) if !col.has_nulls() => FrameCol::StrBorrowed(slice),
+                // A dictionary column or text with NULLs reads one `&str`
+                // per row; only a non-text column builds a `Value`.
                 _ => FrameCol::Str(
                     (0..col.len())
-                        .map(|r| {
-                            let v = col.get(r);
-                            if v.is_null() {
-                                String::new()
-                            } else {
-                                v.to_string()
-                            }
+                        .map(|r| match col.str_at(r) {
+                            Some(s) => s.to_string(),
+                            None if col.is_null(r) => String::new(),
+                            None => col.get(r).to_string(),
                         })
                         .collect(),
                 ),

@@ -167,15 +167,14 @@ impl RecordBatch {
     /// Vertically concatenate batches sharing a schema.
     pub fn concat(schema: Arc<Schema>, batches: &[RecordBatch]) -> Result<RecordBatch> {
         let mut out = RecordBatch::empty(schema);
-        for b in batches {
-            if b.num_columns() != out.num_columns() {
-                return Err(SqlError::Execution("concat: column count mismatch".into()));
-            }
-            for (dst, src) in out.columns.iter_mut().zip(&b.columns) {
-                dst.append(src)?;
-            }
-            out.rows += b.rows;
+        if batches.iter().any(|b| b.num_columns() != out.num_columns()) {
+            return Err(SqlError::Execution("concat: column count mismatch".into()));
         }
+        for (i, dst) in out.columns.iter_mut().enumerate() {
+            let srcs: Vec<&ColumnVector> = batches.iter().map(|b| &b.columns[i]).collect();
+            dst.append_all(&srcs)?;
+        }
+        out.rows = batches.iter().map(|b| b.rows).sum();
         Ok(out)
     }
 

@@ -1,7 +1,22 @@
 //! Columnar storage: typed column vectors with validity bitmaps.
+//!
+//! Text has two physical forms behind one logical type. A plain `Text`
+//! buffer holds one `String` per row. A dictionary column (Arrow's
+//! dictionary array) holds one `u32` code per row into an `Arc`-shared
+//! list of strings; part scans decode `TEXT_DICT` blocks straight into it,
+//! so reading a categorical column allocates no string per row. The two
+//! forms are one representation: every operation gives the same `Value`s
+//! on a dictionary column as on its materialised `Text`
+//! ([`ColumnVector::materialize`], the one place a dictionary becomes
+//! per-row strings). Gathers, filters and windows keep the codes and
+//! share the dictionary; concatenating dictionary columns concatenates
+//! their dictionaries; pushing a single value materialises first. Every
+//! kernel that works per code goes through [`per_code`], whose cost is
+//! bounded by the rows it reads, never by the size of the dictionary.
 
 use crate::error::{Result, SqlError};
 use crate::types::{DataType, Value};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Physical storage for one column: a window `[offset, offset + len)` onto
@@ -28,6 +43,9 @@ enum ColumnData {
     Int(Arc<Vec<i64>>),
     Float(Arc<Vec<f64>>),
     Text(Arc<Vec<String>>),
+    /// Dictionary-coded text: row `i` holds `values[codes[i]]`. Every code
+    /// indexes `values`, NULL slots' included; `values` may repeat a string.
+    Dict(Arc<Vec<u32>>, Arc<Vec<String>>),
     Date(Arc<Vec<i32>>),
 }
 
@@ -40,9 +58,24 @@ macro_rules! map_buffer {
             ColumnData::Int($v) => ColumnData::Int(Arc::new($body)),
             ColumnData::Float($v) => ColumnData::Float(Arc::new($body)),
             ColumnData::Text($v) => ColumnData::Text(Arc::new($body)),
+            ColumnData::Dict($v, values) => ColumnData::Dict(Arc::new($body), values.clone()),
             ColumnData::Date($v) => ColumnData::Date(Arc::new($body)),
         }
     };
+}
+
+impl ColumnData {
+    /// Rows in the whole buffer (not the window).
+    fn len(&self) -> usize {
+        match self {
+            ColumnData::Bool(v) => v.len(),
+            ColumnData::Int(v) => v.len(),
+            ColumnData::Float(v) => v.len(),
+            ColumnData::Text(v) => v.len(),
+            ColumnData::Dict(codes, _) => codes.len(),
+            ColumnData::Date(v) => v.len(),
+        }
+    }
 }
 
 /// A validity bitmap, or `None` when every slot is valid.
@@ -127,12 +160,28 @@ impl ColumnVector {
         Ok(Self::owned(data, None, n))
     }
 
+    /// A dictionary-coded text column: row `i` holds `values[codes[i]]`,
+    /// NULL where `validity` is false. Every code, NULL rows' included,
+    /// must index `values`.
+    pub fn from_dictionary(
+        codes: Vec<u32>,
+        values: Arc<Vec<String>>,
+        validity: Option<Vec<bool>>,
+    ) -> Result<Self> {
+        Self::from_raw(RawColumnOwned::Dict(codes, values), validity)
+    }
+
+    /// Whether the column is dictionary-coded text.
+    pub fn is_dictionary(&self) -> bool {
+        matches!(self.data, ColumnData::Dict(..))
+    }
+
     pub fn data_type(&self) -> DataType {
         match &self.data {
             ColumnData::Bool(_) => DataType::Bool,
             ColumnData::Int(_) => DataType::Int,
             ColumnData::Float(_) => DataType::Float,
-            ColumnData::Text(_) => DataType::Text,
+            ColumnData::Text(_) | ColumnData::Dict(..) => DataType::Text,
             ColumnData::Date(_) => DataType::Date,
         }
     }
@@ -186,7 +235,22 @@ impl ColumnVector {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Text(v) => Value::Text(v[i].clone()),
+            ColumnData::Dict(codes, values) => Value::Text(values[codes[i] as usize].clone()),
             ColumnData::Date(v) => Value::Date(v[i]),
+        }
+    }
+
+    /// Row `idx`'s text borrowed from the buffer: `None` when the row is
+    /// NULL or the column is not text.
+    pub fn str_at(&self, idx: usize) -> Option<&str> {
+        if self.is_null(idx) {
+            return None;
+        }
+        let i = self.offset + idx;
+        match &self.data {
+            ColumnData::Text(v) => Some(&v[i]),
+            ColumnData::Dict(codes, values) => Some(&values[codes[i] as usize]),
+            _ => None,
         }
     }
 
@@ -201,7 +265,7 @@ impl ColumnVector {
             ColumnData::Int(v) => Some(v[i] as f64),
             ColumnData::Float(v) => Some(v[i]),
             ColumnData::Date(v) => Some(v[i] as f64),
-            ColumnData::Text(_) => None,
+            ColumnData::Text(_) | ColumnData::Dict(..) => None,
         }
     }
 
@@ -230,8 +294,9 @@ impl ColumnVector {
         }
     }
 
-    /// Borrow the raw string buffer when this is a Text column (NULL slots
-    /// hold the empty string; check [`has_nulls`](Self::has_nulls)).
+    /// Borrow the raw string buffer when this is a plain Text column, not
+    /// a dictionary (NULL slots hold the empty string; check
+    /// [`has_nulls`](Self::has_nulls)).
     pub fn as_text_slice(&self) -> Option<&[String]> {
         match &self.data {
             ColumnData::Text(v) => Some(&v[self.window()]),
@@ -241,16 +306,10 @@ impl ColumnVector {
 
     /// Make the window the whole of a uniquely owned buffer pair, so the
     /// mutators can `Arc::make_mut` without touching rows outside it.
+    /// A dictionary column keeps its dictionary and owns its codes.
     fn make_owned(&mut self) {
         let w = self.window();
-        let whole = match &self.data {
-            ColumnData::Bool(v) => v.len(),
-            ColumnData::Int(v) => v.len(),
-            ColumnData::Float(v) => v.len(),
-            ColumnData::Text(v) => v.len(),
-            ColumnData::Date(v) => v.len(),
-        } == self.len;
-        if !whole {
+        if self.data.len() != self.len {
             self.data = map_buffer!(&self.data, |v| v[w.clone()].to_vec());
             self.validity = self.validity.take().map(|v| Arc::new(v[w].to_vec()));
             self.offset = 0;
@@ -274,6 +333,7 @@ impl ColumnVector {
             return Ok(());
         }
         let value = cast_for_column(&value, self.data_type())?;
+        self.undictionary();
         self.make_owned();
         if self.validity.is_some() {
             self.validity_mut().push(true);
@@ -284,13 +344,14 @@ impl ColumnVector {
             (ColumnData::Float(v), Value::Float(x)) => Arc::make_mut(v).push(x),
             (ColumnData::Text(v), Value::Text(x)) => Arc::make_mut(v).push(x),
             (ColumnData::Date(v), Value::Date(x)) => Arc::make_mut(v).push(x),
-            _ => unreachable!("cast guarantees matching variant"),
+            _ => unreachable!("cast guarantees matching variant, and no dictionary"),
         }
         self.len += 1;
         Ok(())
     }
 
     pub fn push_null(&mut self) {
+        self.undictionary();
         self.make_owned();
         self.validity_mut().push(false);
         match &mut self.data {
@@ -299,17 +360,28 @@ impl ColumnVector {
             ColumnData::Float(v) => Arc::make_mut(v).push(0.0),
             ColumnData::Text(v) => Arc::make_mut(v).push(String::new()),
             ColumnData::Date(v) => Arc::make_mut(v).push(0),
+            ColumnData::Dict(..) => unreachable!("materialised above"),
         }
         self.len += 1;
     }
 
     /// Gather rows at `indices` into a new column (join/sort materialize).
+    /// A dictionary column gathers its codes. So does a text column when
+    /// the gather is at least as long as its buffer (a join's build side,
+    /// a sort): the result is a dictionary column over the shared buffer,
+    /// and no string is cloned.
     pub fn take(&self, indices: &[usize]) -> ColumnVector {
         fn gather<T: Clone>(rows: &[T], indices: &[usize]) -> Vec<T> {
             indices.iter().map(|&i| rows[i].clone()).collect()
         }
         let w = self.window();
-        let data = map_buffer!(&self.data, |v| gather(&v[w.clone()], indices));
+        let data = match &self.data {
+            ColumnData::Text(v) if indices.len() >= v.len() && u32::try_from(v.len()).is_ok() => {
+                let codes = indices.iter().map(|&i| self.at(i) as u32).collect();
+                ColumnData::Dict(Arc::new(codes), v.clone())
+            }
+            data => map_buffer!(data, |v| gather(&v[w.clone()], indices)),
+        };
         let validity = self
             .validity()
             .and_then(|bits| validity_of(gather(bits, indices)));
@@ -365,13 +437,40 @@ impl ColumnVector {
 
     /// Append all rows of `other` (must have the same type).
     pub fn append(&mut self, other: &ColumnVector) -> Result<()> {
-        if other.data_type() != self.data_type() {
+        self.append_all(&[other])
+    }
+
+    /// Append all rows of each of `others` (each must have this column's
+    /// type) in one pass. When every non-empty column is dictionary-coded
+    /// the result is too ([`Self::concat_dictionaries`]); otherwise
+    /// dictionaries are materialised and the buffers appended.
+    pub fn append_all(&mut self, others: &[&ColumnVector]) -> Result<()> {
+        if let Some(other) = others.iter().find(|o| o.data_type() != self.data_type()) {
             return Err(SqlError::Execution(format!(
                 "cannot append {} column to {} column",
                 other.data_type(),
                 self.data_type()
             )));
         }
+        let parts: Vec<&ColumnVector> = std::iter::once(&*self)
+            .chain(others.iter().copied())
+            .filter(|c| c.len > 0)
+            .collect();
+        if !parts.is_empty() && parts.iter().all(|c| c.is_dictionary()) {
+            let merged = Self::concat_dictionaries(&parts);
+            *self = merged;
+            return Ok(());
+        }
+        self.undictionary();
+        for &other in others {
+            let other = other.materialize();
+            self.append_buffer(&other);
+        }
+        Ok(())
+    }
+
+    /// Append `other`'s buffer to this one's; neither is a dictionary.
+    fn append_buffer(&mut self, other: &ColumnVector) {
         self.make_owned();
         if self.validity.is_some() || other.validity.is_some() {
             let bits = self.validity_mut();
@@ -389,10 +488,85 @@ impl ColumnVector {
             }
             (ColumnData::Text(a), ColumnData::Text(b)) => Arc::make_mut(a).extend_from_slice(&b[w]),
             (ColumnData::Date(a), ColumnData::Date(b)) => Arc::make_mut(a).extend_from_slice(&b[w]),
-            _ => unreachable!("type equality checked above"),
+            _ => unreachable!("types checked and dictionaries materialised"),
         }
         self.len += other.len;
-        Ok(())
+    }
+
+    /// Dictionary columns end to end, no string built per row. Columns over
+    /// one shared dictionary keep it and append their codes. Otherwise a
+    /// new dictionary holds, column by column, the strings each column's
+    /// rows name ([`per_code`]), so the work is bounded by the rows, not by
+    /// the dictionaries, and no string is hashed; the new dictionary may
+    /// repeat a string.
+    fn concat_dictionaries(parts: &[&ColumnVector]) -> ColumnVector {
+        fn dict(c: &ColumnVector) -> (&[u32], &Arc<Vec<String>>) {
+            match &c.data {
+                ColumnData::Dict(codes, values) => (&codes[c.window()], values),
+                _ => unreachable!("every part is a dictionary"),
+            }
+        }
+        let len = parts.iter().map(|c| c.len).sum();
+        let mut codes = Vec::with_capacity(len);
+        let first = dict(parts[0]).1;
+        let values = if parts.iter().all(|c| Arc::ptr_eq(dict(c).1, first)) {
+            for c in parts {
+                codes.extend_from_slice(dict(c).0);
+            }
+            first.clone()
+        } else {
+            let mut merged = Vec::new();
+            for c in parts {
+                let (part, values) = dict(c);
+                // No validity is passed, so every `code` is `Some`.
+                codes.extend(per_code(part, None, values.len(), |code, _| {
+                    merged.extend(code.map(|c| values[c as usize].clone()));
+                    merged.len() as u32 - 1
+                }));
+            }
+            Arc::new(merged)
+        };
+        let validity = parts.iter().any(|c| c.validity.is_some()).then(|| {
+            let mut bits = Vec::with_capacity(len);
+            for c in parts {
+                match c.validity() {
+                    Some(v) => bits.extend_from_slice(v),
+                    None => bits.resize(bits.len() + c.len, true),
+                }
+            }
+            bits
+        });
+        let validity = validity.and_then(validity_of);
+        Self::owned(ColumnData::Dict(Arc::new(codes), values), validity, len)
+    }
+
+    /// This column with a dictionary expanded into a plain `Text` buffer
+    /// (NULL slots hold the empty string, as every `Text` buffer's do);
+    /// any other column as it is. The one place a dictionary column turns
+    /// into a string per row.
+    pub fn materialize(&self) -> ColumnVector {
+        let ColumnData::Dict(codes, values) = &self.data else {
+            return self.clone();
+        };
+        let valid = self.validity();
+        let text = codes[self.window()]
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| match valid.is_none_or(|v| v[i]) {
+                true => values[c as usize].clone(),
+                false => String::new(),
+            })
+            .collect();
+        let validity = valid.map(|v| Arc::new(v.to_vec()));
+        Self::owned(ColumnData::Text(Arc::new(text)), validity, self.len)
+    }
+
+    /// Materialise a dictionary column in place, before a mutation that
+    /// writes strings.
+    fn undictionary(&mut self) {
+        if matches!(self.data, ColumnData::Dict(..)) {
+            *self = self.materialize();
+        }
     }
 
     /// Iterate scalar values (allocates for Text rows only).
@@ -417,28 +591,36 @@ impl ColumnVector {
             ColumnData::Int(v) => RawColumn::Int(&v[w]),
             ColumnData::Float(v) => RawColumn::Float(&v[w]),
             ColumnData::Text(v) => RawColumn::Text(&v[w]),
+            ColumnData::Dict(codes, values) => RawColumn::Dict {
+                codes: &codes[w],
+                values,
+            },
             ColumnData::Date(v) => RawColumn::Date(&v[w]),
         }
     }
 
     /// Rebuild a column from a raw buffer and validity bitmap (`None`: no
     /// NULLs). NULL slots must already hold the type's default value (the
-    /// part codec normalizes them on encode).
+    /// part codec normalizes them on encode). A dictionary's codes must all
+    /// index its values; a NULL slot's code may name any of them.
     pub(crate) fn from_raw(raw: RawColumnOwned, validity: Option<Vec<bool>>) -> Result<Self> {
         let data = match raw {
             RawColumnOwned::Bool(v) => ColumnData::Bool(Arc::new(v)),
             RawColumnOwned::Int(v) => ColumnData::Int(Arc::new(v)),
             RawColumnOwned::Float(v) => ColumnData::Float(Arc::new(v)),
             RawColumnOwned::Text(v) => ColumnData::Text(Arc::new(v)),
+            RawColumnOwned::Dict(codes, values) => {
+                if codes.iter().any(|&c| c as usize >= values.len()) {
+                    return Err(SqlError::Execution(format!(
+                        "dictionary code out of range for {} values",
+                        values.len()
+                    )));
+                }
+                ColumnData::Dict(Arc::new(codes), values)
+            }
             RawColumnOwned::Date(v) => ColumnData::Date(Arc::new(v)),
         };
-        let len = match &data {
-            ColumnData::Bool(v) => v.len(),
-            ColumnData::Int(v) => v.len(),
-            ColumnData::Float(v) => v.len(),
-            ColumnData::Text(v) => v.len(),
-            ColumnData::Date(v) => v.len(),
-        };
+        let len = data.len();
         if let Some(v) = validity.as_ref().filter(|v| v.len() != len) {
             return Err(SqlError::Execution(format!(
                 "column buffer has {len} rows but validity has {}",
@@ -458,12 +640,52 @@ fn cast_for_column(value: &Value, data_type: DataType) -> Result<Value> {
     })
 }
 
+/// `f(code, row)` for each row of a dictionary window, called once per
+/// distinct code among `codes` (at the row where it first appears) and
+/// remembered for the rows after; `code` is `None` for the NULL rows of
+/// `valid`, which share one call. The memo is one slot per dictionary
+/// entry when the dictionary (`dict_len` entries) is no larger than the
+/// window, and a map of the codes seen otherwise, so the cost is bounded
+/// by the rows read, never by the dictionary: a morsel over a dictionary
+/// as large as a table reads only the codes it names.
+pub(crate) fn per_code<T: Copy>(
+    codes: &[u32],
+    valid: Option<&[bool]>,
+    dict_len: usize,
+    mut f: impl FnMut(Option<u32>, usize) -> T,
+) -> Vec<T> {
+    enum Memo<T> {
+        /// Indexed by code; the last slot is the NULL rows'.
+        Slots(Vec<Option<T>>),
+        Seen(HashMap<Option<u32>, T>),
+    }
+    let mut memo = match dict_len <= codes.len() {
+        true => Memo::Slots(vec![None; dict_len + 1]),
+        false => Memo::Seen(HashMap::new()),
+    };
+    (codes.iter().enumerate())
+        .map(|(row, &c)| {
+            let code = valid.is_none_or(|v| v[row]).then_some(c);
+            match &mut memo {
+                Memo::Slots(slots) => *slots[code.map_or(dict_len, |c| c as usize)]
+                    .get_or_insert_with(|| f(code, row)),
+                Memo::Seen(seen) => *seen.entry(code).or_insert_with(|| f(code, row)),
+            }
+        })
+        .collect()
+}
+
 /// Borrowed view of a column's raw typed buffer (NULL slots included).
 pub(crate) enum RawColumn<'a> {
     Bool(&'a [bool]),
     Int(&'a [i64]),
     Float(&'a [f64]),
     Text(&'a [String]),
+    /// Dictionary-coded text: the window's codes and the whole dictionary.
+    Dict {
+        codes: &'a [u32],
+        values: &'a [String],
+    },
     Date(&'a [i32]),
 }
 
@@ -473,6 +695,7 @@ pub(crate) enum RawColumnOwned {
     Int(Vec<i64>),
     Float(Vec<f64>),
     Text(Vec<String>),
+    Dict(Vec<u32>, Arc<Vec<String>>),
     Date(Vec<i32>),
 }
 
@@ -595,5 +818,51 @@ mod tests {
         c.push_null();
         assert!(c.as_f64_slice().is_none());
         assert_eq!(c.get_f64(2), None);
+    }
+
+    #[test]
+    fn per_code_calls_once_per_code_and_never_sizes_by_the_dictionary() {
+        let codes = [3, 1, 3, 3, 1, 0];
+        let valid = [true, true, false, true, true, true];
+        let mut calls = Vec::new();
+        let out = per_code(&codes, Some(&valid), 4, |code, row| {
+            calls.push((code, row));
+            code.map_or(-1, |c| c as i64)
+        });
+        assert_eq!(out, [3, 1, -1, 3, 1, 0]);
+        assert_eq!(calls, [(Some(3), 0), (Some(1), 1), (None, 2), (Some(0), 5)]);
+        // A memo sized by this dictionary could not be allocated at all.
+        let out = per_code(&codes, None, usize::MAX, |code, _| code.unwrap());
+        assert_eq!(out, codes);
+    }
+
+    #[test]
+    fn concatenated_dictionaries_keep_a_shared_one_and_merge_the_rest() {
+        let dict = |codes: Vec<u32>, words: &[&str], valid: Option<Vec<bool>>| {
+            let words = Arc::new(words.iter().map(|w| w.to_string()).collect());
+            ColumnVector::from_dictionary(codes, words, valid).unwrap()
+        };
+        let a = dict(vec![0, 1, 0], &["x", "y"], Some(vec![true, false, true]));
+        let text = |c: &ColumnVector| c.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+        let mut shared = a.slice(1, 2);
+        shared.append(&a).unwrap();
+        assert!(shared.is_dictionary());
+        assert_eq!(text(&shared), ["NULL", "x", "x", "NULL", "x"]);
+        // Two parts naming few of many strings: only the named ones join.
+        let b = dict(vec![2, 2], &["p", "q", "x", "r"], None);
+        let mut merged = ColumnVector::new(DataType::Text);
+        merged.append_all(&[&a, &b, &a.slice(2, 1)]).unwrap();
+        assert!(merged.is_dictionary());
+        assert_eq!(text(&merged), ["x", "NULL", "x", "x", "x", "x"]);
+        let ColumnData::Dict(_, values) = &merged.data else {
+            unreachable!()
+        };
+        assert_eq!(**values, ["x", "y", "x", "x"]);
+        // Dictionary text meeting plain text is plain text.
+        let mut mixed = merged.clone();
+        let z = ColumnVector::repeat(DataType::Text, &Value::Text("z".into()), 1).unwrap();
+        mixed.append(&z).unwrap();
+        assert!(!mixed.is_dictionary());
+        assert_eq!(text(&mixed).last().unwrap(), "z");
     }
 }

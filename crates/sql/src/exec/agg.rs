@@ -1,29 +1,40 @@
 //! Aggregation: the accumulators, the grouping key, and the hash
-//! aggregate operator built from them.
+//! aggregate operator built from them; and the typed key tables that both
+//! GROUP BY and the hash join number their keys through.
 //!
 //! The operator groups a batch a whole column at a time. First the key
 //! columns map to dense `u32` group ids through typed tables that read
 //! the column buffers in place ([`group_ids`]); then each aggregate's
 //! argument column folds into the accumulators of its rows' groups from
 //! its typed buffer. One [`GroupKey`] is built per group, from the row
-//! where the group first appears, and none per row. [`Accumulator::fold`]
-//! is the one definition of each aggregate's per-value update: the typed
-//! kernel calls it per row, and so does [`Accumulator::update`], the
-//! boxed entry point of DISTINCT arguments and continuous-query windows.
+//! where the group first appears, and none per row. A dictionary-coded
+//! text column is numbered through [`per_code`]: each code's string is
+//! hashed once, the first time the code appears in the morsel, and later
+//! rows read the code's id. [`Accumulator::fold`] is the one definition
+//! of each aggregate's per-value update: the typed kernel calls it per
+//! row, and so does [`Accumulator::update`], the boxed entry point of
+//! DISTINCT arguments and continuous-query windows.
+//!
+//! A hash join's keys go through the same kind of tables ([`JoinTable`]):
+//! the build side numbers its keys, the probe side looks them up. Keys
+//! compare with SQL `=`: ints, dates and bools exactly, floats by
+//! [`float_key`] (`-0.0` is `0.0`), text by `&str` (a dictionary column
+//! once per code), and a NULL or NaN key part never matches.
 
 use super::{
     parallel, EvalContext, OpMetrics, ParallelPolicy, PhysExpr, PhysicalPlan, PlanMetrics,
 };
 use crate::batch::RecordBatch;
-use crate::column::{ColumnVector, RawColumn};
+use crate::column::{per_code, ColumnVector, RawColumn};
 use crate::error::Result;
 use crate::exec::cancel::CancelToken;
 use crate::plan::{AggCall, AggFunc};
 use crate::schema::Schema;
-use crate::types::{Value, ValueRef};
+use crate::types::{DataType, Value, ValueRef};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 
@@ -303,8 +314,35 @@ fn column_ids(col: &ColumnVector, cancel: &CancelToken) -> Result<GroupIds> {
         RawColumn::Int(v) => typed_ids(v, valid, |&i| i, cancel),
         RawColumn::Float(v) => typed_ids(v, valid, |&x| float_key(x), cancel),
         RawColumn::Text(v) => typed_ids(v, valid, |s| s.as_str(), cancel),
+        RawColumn::Dict { codes, values } => dict_ids(codes, values, valid, cancel),
         RawColumn::Date(v) => typed_ids(v, valid, |&d| d, cancel),
     }
+}
+
+/// Group ids of a dictionary column: a code's string is hashed the first
+/// time the code appears ([`per_code`]), and later rows read the code's
+/// id. Equal strings under different codes are one group, NULL rows
+/// another, in order of first appearance as [`typed_ids`] would number
+/// the strings.
+fn dict_ids(
+    codes: &[u32],
+    values: &[String],
+    valid: Option<&[bool]>,
+    cancel: &CancelToken,
+) -> Result<GroupIds> {
+    cancel.check()?;
+    let mut table: HashMap<Option<&str>, u32> = HashMap::new();
+    let mut firsts = Vec::new();
+    let ids = per_code(codes, valid, values.len(), |code, row| {
+        let next = table.len() as u32;
+        *table
+            .entry(code.map(|c| values[c as usize].as_str()))
+            .or_insert_with(|| {
+                firsts.push(row);
+                next
+            })
+    });
+    Ok(GroupIds { ids, firsts })
 }
 
 /// A float's grouping identity: its bits, with -0.0 folded onto 0.0.
@@ -337,19 +375,267 @@ fn dense<K: Hash + Eq>(
     key: impl Fn(usize) -> K,
     cancel: &CancelToken,
 ) -> Result<GroupIds> {
-    let mut table: HashMap<K, u32> = HashMap::new();
-    let mut ids = Vec::with_capacity(rows);
     let mut firsts = Vec::new();
-    for row in 0..rows {
-        cancel.check_every(row)?;
-        let next = firsts.len() as u32;
-        let id = *table.entry(key(row)).or_insert_with(|| {
-            firsts.push(row);
-            next
+    let ids = insert_ids(
+        &mut HashMap::new(),
+        0..rows,
+        |r| Some(key(r)),
+        |r| firsts.push(r),
+        cancel,
+    )?;
+    Ok(GroupIds { ids, firsts })
+}
+
+// ------------------------------------------------------------- join keys
+
+/// A join row whose key matches nothing: a NULL or NaN key part, or on
+/// the probe side, no equal build key.
+const NO_KEY: u32 = u32::MAX;
+
+/// One key column's typed table: build keys numbered densely in order of
+/// first appearance.
+enum KeyTable<'a> {
+    Bool(HashMap<bool, u32>),
+    Int(HashMap<i64, u32>),
+    Date(HashMap<i32, u32>),
+    /// By [`float_key`]; NaN is no key.
+    Float(HashMap<u64, u32>),
+    /// By `&str`; a dictionary column looks each code its rows name up once.
+    Text(HashMap<&'a str, u32>),
+}
+
+/// `$body` with `$t` the typed table of `$table` and `$key` the reader of
+/// row `r`'s key of that type from `$raw` (`None` when NULL or NaN).
+macro_rules! with_key {
+    ($table:expr, $raw:expr, $valid:expr, |$t:ident, $key:ident| $body:expr) => {{
+        let valid: Option<&[bool]> = $valid;
+        let ok = move |r: usize| valid.is_none_or(|v| v[r]);
+        match ($table, $raw) {
+            (KeyTable::Bool($t), RawColumn::Bool(v)) => {
+                let $key = move |r: usize| ok(r).then(|| v[r]);
+                $body
+            }
+            (KeyTable::Int($t), RawColumn::Int(v)) => {
+                let $key = move |r: usize| ok(r).then(|| v[r]);
+                $body
+            }
+            (KeyTable::Date($t), RawColumn::Date(v)) => {
+                let $key = move |r: usize| ok(r).then(|| v[r]);
+                $body
+            }
+            (KeyTable::Float($t), RawColumn::Float(v)) => {
+                let $key = move |r: usize| (ok(r) && !v[r].is_nan()).then(|| float_key(v[r]));
+                $body
+            }
+            (KeyTable::Text($t), RawColumn::Text(v)) => {
+                let $key = move |r: usize| ok(r).then(|| v[r].as_str());
+                $body
+            }
+            _ => unreachable!("a key table's type is its columns' type"),
+        }
+    }};
+}
+
+/// A hash join's build side: its rows grouped by key. Each key column has
+/// a typed table; several columns number their (key so far, column id)
+/// pairs through one more table each, as [`group_ids`] combines columns.
+/// Probing reads the tables only, so morsels probe in parallel, and each
+/// key's build rows are listed in row order whatever probes them.
+pub(crate) struct JoinTable<'a> {
+    columns: Vec<KeyTable<'a>>,
+    tuples: Vec<HashMap<u64, u32>>,
+    /// Key `k`'s build rows, ascending: `rows[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl<'a> JoinTable<'a> {
+    /// Number the build side's keys. `build[i]` must have the type of the
+    /// probe side's key column `i` (see [`comparable_keys`]).
+    pub(crate) fn build(build: &'a [ColumnVector], cancel: &CancelToken) -> Result<Self> {
+        let n = build.first().map_or(0, ColumnVector::len);
+        let mut columns = Vec::with_capacity(build.len());
+        let mut tuples = Vec::new();
+        let mut ids: Option<Vec<u32>> = None;
+        for col in build {
+            let mut table = match col.data_type() {
+                DataType::Bool => KeyTable::Bool(HashMap::new()),
+                DataType::Int => KeyTable::Int(HashMap::new()),
+                DataType::Date => KeyTable::Date(HashMap::new()),
+                DataType::Float => KeyTable::Float(HashMap::new()),
+                DataType::Text => KeyTable::Text(HashMap::new()),
+            };
+            let next = build_ids(&mut table, col, cancel)?;
+            columns.push(table);
+            ids = Some(match ids {
+                None => next,
+                Some(prev) => {
+                    let mut pairs = HashMap::new();
+                    let key = |r| pair(prev[r], next[r]);
+                    let ids = insert_ids(&mut pairs, 0..n, key, |_| {}, cancel)?;
+                    tuples.push(pairs);
+                    ids
+                }
+            });
+        }
+        let ids = ids.unwrap_or_default();
+        let keys = ids
+            .iter()
+            .filter(|&&k| k != NO_KEY)
+            .max()
+            .map_or(0, |&k| k as usize + 1);
+        let mut starts = vec![0usize; keys + 1];
+        for &k in ids.iter().filter(|&&k| k != NO_KEY) {
+            starts[k as usize + 1] += 1;
+        }
+        for k in 0..keys {
+            starts[k + 1] += starts[k];
+        }
+        let mut fill = starts.clone();
+        let mut rows = vec![0; starts[keys]];
+        for (r, &k) in ids.iter().enumerate().filter(|(_, &k)| k != NO_KEY) {
+            rows[fill[k as usize]] = r;
+            fill[k as usize] += 1;
+        }
+        Ok(JoinTable {
+            columns,
+            tuples,
+            starts,
+            rows,
+        })
+    }
+
+    /// The build key of each probe row in `range`, for [`Self::matches`].
+    pub(crate) fn probe(&self, probe: &[ColumnVector], range: Range<usize>) -> Vec<u32> {
+        let mut ids: Option<Vec<u32>> = None;
+        for (i, (table, col)) in self.columns.iter().zip(probe).enumerate() {
+            let next = probe_ids(table, col, range.clone());
+            ids = Some(match ids {
+                None => next,
+                Some(prev) => lookup_ids(&self.tuples[i - 1], 0..next.len(), |r| {
+                    pair(prev[r], next[r])
+                }),
+            });
+        }
+        ids.unwrap_or_default()
+    }
+
+    /// The build rows of key `k`, ascending; none for [`NO_KEY`] or for a
+    /// key no build row holds (a dictionary value only NULL rows name).
+    pub(crate) fn matches(&self, k: u32) -> &[usize] {
+        match self.starts.get(k as usize..k as usize + 2) {
+            Some(&[lo, hi]) => &self.rows[lo..hi],
+            _ => &[],
+        }
+    }
+}
+
+/// Make each pair of join key columns one type, so that their keys
+/// compare as SQL `=` does: a pair of different types compares through
+/// the numeric view of [`Value::sql_cmp`] (an `f64`; text has none and
+/// matches nothing). The planner has already cast INT/DOUBLE pairs.
+pub(crate) fn comparable_keys(
+    left: Vec<ColumnVector>,
+    right: Vec<ColumnVector>,
+) -> (Vec<ColumnVector>, Vec<ColumnVector>) {
+    let numeric = |c: &ColumnVector| {
+        ColumnVector::from_f64((0..c.len()).map(|r| c.get_f64(r).unwrap_or(f64::NAN)))
+    };
+    left.into_iter()
+        .zip(right)
+        .map(|(l, r)| match l.data_type() == r.data_type() {
+            true => (l, r),
+            false => (numeric(&l), numeric(&r)),
+        })
+        .unzip()
+}
+
+/// The pair of a key so far and one more column's id; `None` if either
+/// matches nothing.
+fn pair(prev: u32, next: u32) -> Option<u64> {
+    (prev != NO_KEY && next != NO_KEY).then_some((prev as u64) << 32 | next as u64)
+}
+
+/// Number one build key column into `table`. A dictionary column
+/// numbers each code it names once.
+fn build_ids<'a>(
+    table: &mut KeyTable<'a>,
+    col: &'a ColumnVector,
+    cancel: &CancelToken,
+) -> Result<Vec<u32>> {
+    let valid = col.validity();
+    if let (KeyTable::Text(t), RawColumn::Dict { codes, values }) = (&mut *table, col.raw()) {
+        cancel.check()?;
+        return Ok(per_code(codes, valid, values.len(), |code, _| {
+            code.map_or(NO_KEY, |c| {
+                let next = t.len() as u32;
+                *t.entry(values[c as usize].as_str()).or_insert(next)
+            })
+        }));
+    }
+    with_key!(table, col.raw(), valid, |t, key| insert_ids(
+        t,
+        0..col.len(),
+        key,
+        |_| {},
+        cancel
+    ))
+}
+
+/// Look up the keys of probe rows `range` of one key column in `table`. A
+/// dictionary column looks each code the range names up once.
+fn probe_ids(table: &KeyTable, col: &ColumnVector, range: Range<usize>) -> Vec<u32> {
+    let valid = col.validity();
+    if let (KeyTable::Text(t), RawColumn::Dict { codes, values }) = (table, col.raw()) {
+        let valid = valid.map(|v| &v[range.clone()]);
+        return per_code(&codes[range], valid, values.len(), |code, _| {
+            code.and_then(|c| t.get(values[c as usize].as_str()).copied())
+                .unwrap_or(NO_KEY)
         });
+    }
+    with_key!(table, col.raw(), valid, |t, key| lookup_ids(t, range, key))
+}
+
+/// Number the keys of `rows` into `table`, densely in order of first
+/// appearance, calling `first(row)` for each row whose key is new; a row
+/// without a key gets [`NO_KEY`].
+fn insert_ids<K: Hash + Eq>(
+    table: &mut HashMap<K, u32>,
+    rows: Range<usize>,
+    key: impl Fn(usize) -> Option<K>,
+    mut first: impl FnMut(usize),
+    cancel: &CancelToken,
+) -> Result<Vec<u32>> {
+    let mut ids = Vec::with_capacity(rows.len());
+    for row in rows {
+        cancel.check_every(row)?;
+        let id = match key(row) {
+            None => NO_KEY,
+            Some(k) => {
+                let next = table.len() as u32;
+                *table.entry(k).or_insert_with(|| {
+                    first(row);
+                    next
+                })
+            }
+        };
         ids.push(id);
     }
-    Ok(GroupIds { ids, firsts })
+    Ok(ids)
+}
+
+/// The ids in `table` of the keys of `rows` ([`NO_KEY`]: none).
+fn lookup_ids<K: Hash + Eq>(
+    table: &HashMap<K, u32>,
+    rows: Range<usize>,
+    key: impl Fn(usize) -> Option<K>,
+) -> Vec<u32> {
+    rows.map(|r| {
+        key(r)
+            .and_then(|k| table.get(&k).copied())
+            .unwrap_or(NO_KEY)
+    })
+    .collect()
 }
 
 // ------------------------------------------------------------- operator
@@ -566,6 +852,9 @@ impl Slot<'_> {
             RawColumn::Int(v) => self.fold_typed(ids, v, valid, |&i| ValueRef::Int(i)),
             RawColumn::Float(v) => self.fold_typed(ids, v, valid, |&x| ValueRef::Float(x)),
             RawColumn::Text(v) => self.fold_typed(ids, v, valid, |s| ValueRef::Text(s)),
+            RawColumn::Dict { codes, values } => {
+                self.fold_typed(ids, codes, valid, |&c| ValueRef::Text(&values[c as usize]))
+            }
             RawColumn::Date(v) => self.fold_typed(ids, v, valid, |&d| ValueRef::Date(d)),
         }
     }
@@ -818,6 +1107,56 @@ mod tests {
         m.insert(GroupKey(vec![Value::Int(1)]), 2);
         *m.entry(GroupKey(vec![Value::Float(1.0)])).or_insert(0) += 1;
         assert_eq!(m.len(), 2, "Int(1) and Float(1.0) share a group");
+    }
+
+    #[test]
+    fn join_keys_match_as_sql_equality() {
+        let cancel = CancelToken::default();
+        let matches = |build: &ColumnVector, probe: &ColumnVector| {
+            let (probe, build) = comparable_keys(vec![probe.clone()], vec![build.clone()]);
+            let table = JoinTable::build(&build, &cancel).unwrap();
+            let keys = table.probe(&probe, 0..probe[0].len());
+            keys.iter()
+                .map(|&k| table.matches(k).to_vec())
+                .collect::<Vec<_>>()
+        };
+        let floats = |xs: &[f64]| ColumnVector::from_f64(xs.iter().copied());
+        assert_eq!(
+            matches(
+                &floats(&[f64::NAN, 1.0, 0.0, 1.0]),
+                &floats(&[f64::NAN, -0.0, 1.0])
+            ),
+            [vec![], vec![2], vec![1, 3]],
+            "NaN matches nothing; -0.0 is 0.0; build rows in row order"
+        );
+        // "b" is in the build dictionary but no valid build row holds it.
+        let dict = ColumnVector::from_dictionary(
+            vec![0, 1, 0],
+            Arc::new(vec!["a".into(), "b".into()]),
+            Some(vec![true, false, true]),
+        )
+        .unwrap();
+        let text = ColumnVector::from_values(
+            crate::types::DataType::Text,
+            &[
+                Value::Text("b".into()),
+                Value::Text("a".into()),
+                Value::Null,
+            ],
+        )
+        .unwrap();
+        assert_eq!(matches(&dict, &text), [vec![], vec![0, 2], vec![]]);
+        assert_eq!(matches(&text, &dict), [vec![1], vec![], vec![1]]);
+        // Text against a number matches nothing; INT against DOUBLE as f64.
+        let ints = ColumnVector::from_i64([1, (1 << 53) + 1]);
+        assert_eq!(
+            matches(&floats(&[(1u64 << 53) as f64, 1.0]), &ints),
+            [vec![1], vec![0]]
+        );
+        let words =
+            ColumnVector::from_values(crate::types::DataType::Text, &[Value::Text("1".into())])
+                .unwrap();
+        assert_eq!(matches(&words, &ints), [vec![], vec![]]);
     }
 
     fn ids_of(cols: &[ColumnVector]) -> GroupIds {

@@ -3,7 +3,7 @@
 use super::functions::{eval_function, like_match};
 use crate::ast::{BinOp, Expr, PredictStrategy, UnOp};
 use crate::batch::RecordBatch;
-use crate::column::{ColumnVector, RawColumn, RawColumnOwned};
+use crate::column::{per_code, ColumnVector, RawColumn, RawColumnOwned};
 use crate::error::{Result, SqlError};
 use crate::schema::Schema;
 use crate::types::{DataType, Value};
@@ -771,9 +771,10 @@ fn compare_pairs<T: PartialOrd>(pairs: impl Iterator<Item = (T, T)>, op: BinOp) 
 }
 
 /// `col <op> s` (or `s <op> col` when `scalar_on_left`) for every row,
-/// reading the typed buffer in place: text against text, int against int
-/// exactly, and float or int columns against any numeric scalar as f64
-/// (the coercions of [`Value::sql_cmp`]). NULL rows, or a NULL scalar,
+/// reading the typed buffer in place: text against text (a dictionary
+/// column compares once per code its rows name), int against int exactly,
+/// and float or int columns against any numeric scalar as f64 (the
+/// coercions of [`Value::sql_cmp`]). NULL rows, or a NULL scalar,
 /// compare to NULL. Other pairings take the scalar walk, which also raises
 /// its "cannot compare" error.
 fn compare_scalar(
@@ -790,6 +791,13 @@ fn compare_scalar(
     let mut bits = match (col.raw(), s, s.as_f64()) {
         (RawColumn::Text(rows), Value::Text(t), _) => {
             compare_pairs(rows.iter().map(|x| (x.as_str(), t.as_str())), op)
+        }
+        (RawColumn::Dict { codes, values }, Value::Text(t), _) => {
+            // Once per code the rows name; NULL rows are masked below.
+            per_code(codes, None, values.len(), |code, _| {
+                let x = code.map_or("", |c| values[c as usize].as_str());
+                compare_pairs(std::iter::once((x, t.as_str())), op)[0]
+            })
         }
         (RawColumn::Int(rows), Value::Int(i), _) => {
             compare_pairs(rows.iter().map(|x| (*x, *i)), op)

@@ -32,12 +32,9 @@ use crate::error::{Result, SqlError};
 use crate::plan::{AggCall, LogicalPlan};
 use crate::schema::Schema;
 use crate::table::{concat_chunks, ColBounds, TableScan};
-use crate::types::Value;
+use crate::types::{DataType, Value};
 use crate::udf::InferenceProvider;
-use agg::GroupKey;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 
@@ -308,14 +305,14 @@ pub fn create_physical_plan(
                     schema: joined_schema,
                 }
             } else {
-                let left_keys: Vec<PhysExpr> = on
-                    .iter()
-                    .map(|(le, _)| PhysExpr::compile(le, left.schema(), provider))
-                    .collect::<Result<_>>()?;
-                let right_keys: Vec<PhysExpr> = on
-                    .iter()
-                    .map(|(_, re)| PhysExpr::compile(re, right.schema(), provider))
-                    .collect::<Result<_>>()?;
+                let mut left_keys = Vec::with_capacity(on.len());
+                let mut right_keys = Vec::with_capacity(on.len());
+                for (le, re) in on {
+                    let (le, re) =
+                        join_key_pair(le, re, left.schema(), right.schema(), provider)?;
+                    left_keys.push(PhysExpr::compile(&le, left.schema(), provider)?);
+                    right_keys.push(PhysExpr::compile(&re, right.schema(), provider)?);
+                }
                 let est = l.estimated_rows().max(r.estimated_rows());
                 let policy = ParallelPolicy::from_options(options, est);
                 PhysicalPlan::HashJoin {
@@ -842,9 +839,14 @@ impl PhysicalPlan {
                 ("HashAggregate".to_string(), detail)
             }
             PhysicalPlan::HashJoin {
-                join_type, policy, ..
+                join_type,
+                left_keys,
+                policy,
+                ..
             } => {
-                let mut detail = format!("{join_type:?}");
+                let types: Vec<String> =
+                    left_keys.iter().map(|k| k.data_type.to_string()).collect();
+                let mut detail = format!("{join_type:?}, keys=[{}]", types.join(", "));
                 if let Some(p) = policy_detail_opt(policy) {
                     detail.push_str(&format!(", {p}"));
                 }
@@ -962,22 +964,36 @@ fn policy_detail(policy: &ParallelPolicy) -> String {
 
 // ------------------------------------------------------------- hash join
 
-fn group_key_hash(key: &GroupKey) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
+/// An equi-join key pair as the hash join compares it: an INT key against
+/// a DOUBLE key is cast to DOUBLE, so both sides read typed float keys and
+/// `1 = 1.0` holds, as under [`Value::sql_cmp`].
+fn join_key_pair(
+    le: &Expr,
+    re: &Expr,
+    left: &Schema,
+    right: &Schema,
+    provider: &dyn InferenceProvider,
+) -> Result<(Expr, Expr)> {
+    let to_double = |e: &Expr| Expr::Cast {
+        expr: Box::new(e.clone()),
+        to: DataType::Float,
+    };
+    let types = (
+        crate::plan::expr_type(le, left, provider)?,
+        crate::plan::expr_type(re, right, provider)?,
+    );
+    Ok(match types {
+        (Some(DataType::Int), Some(DataType::Float)) => (to_double(le), re.clone()),
+        (Some(DataType::Float), Some(DataType::Int)) => (le.clone(), to_double(re)),
+        _ => (le.clone(), re.clone()),
+    })
 }
 
-/// Join key of one row; `None` when any key part is NULL (never matches).
-fn join_key(cols: &[ColumnVector], row: usize) -> Option<GroupKey> {
-    let vals: Vec<Value> = cols.iter().map(|c| c.get(row)).collect();
-    if vals.iter().any(Value::is_null) {
-        None
-    } else {
-        Some(GroupKey(vals))
-    }
-}
-
+/// Join `lb` (probe side) to `rb` (build side) on equal keys. The build
+/// side's keys are numbered through typed tables ([`agg::JoinTable`]);
+/// the probe side looks its keys up a morsel at a time, in parallel when
+/// the policy fans out. Pairs come out in probe-row order and, within a
+/// probe row, in build-row order, whatever the degree.
 #[allow(clippy::too_many_arguments)]
 fn execute_hash_join(
     lb: &RecordBatch,
@@ -991,86 +1007,28 @@ fn execute_hash_join(
     ctx: &EvalContext,
     op: &OpMetrics,
 ) -> Result<RecordBatch> {
-    let lk: Vec<ColumnVector> = left_keys
-        .iter()
-        .map(|e| e.eval(lb, ctx))
-        .collect::<Result<_>>()?;
-    let rk: Vec<ColumnVector> = right_keys
-        .iter()
-        .map(|e| e.eval(rb, ctx))
-        .collect::<Result<_>>()?;
-
-    let pairs = if policy.fan_out(lb.num_rows().max(rb.num_rows())) {
-        // Partitioned build: key+hash extraction per morsel range, then one
-        // build table per partition, each built by its own worker from the
-        // rows that hash into it (in row order, so per-key match order is
-        // identical to the serial build).
-        let nparts = policy.degree;
-        let build_ranges = parallel::morsel_ranges(rb.num_rows(), policy.morsel_rows);
-        op.record_fan_out(build_ranges.len(), policy.degree);
-        let rkeys: Vec<Option<(GroupKey, u64)>> =
-            parallel::parallel_map(&build_ranges, policy.degree, |range| {
-                ctx.cancel.check()?;
-                Ok(range
-                    .clone()
-                    .map(|ri| join_key(&rk, ri).map(|k| {
-                        let h = group_key_hash(&k);
-                        (k, h)
-                    }))
-                    .collect::<Vec<_>>())
-            })?
-            .concat();
-        let parts: Vec<usize> = (0..nparts).collect();
-        let tables: Vec<HashMap<GroupKey, Vec<usize>>> =
-            parallel::parallel_map(&parts, policy.degree, |&p| {
-                ctx.cancel.check()?;
-                let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-                for (ri, entry) in rkeys.iter().enumerate() {
-                    if let Some((key, h)) = entry {
-                        if (*h as usize) % nparts == p {
-                            table.entry(key.clone()).or_default().push(ri);
-                        }
-                    }
-                }
-                Ok(table)
-            })?;
-        // Morsel-parallel probe; morsel order keeps left-row order intact.
-        let probe_ranges = parallel::morsel_ranges(lb.num_rows(), policy.morsel_rows);
-        op.record_fan_out(probe_ranges.len(), policy.degree);
-        parallel::parallel_map(&probe_ranges, policy.degree, |range| {
-            ctx.cancel.check()?;
-            let mut out: Vec<(usize, usize)> = Vec::new();
-            for li in range.clone() {
-                if let Some(key) = join_key(&lk, li) {
-                    let p = (group_key_hash(&key) as usize) % nparts;
-                    if let Some(matches) = tables[p].get(&key) {
-                        out.extend(matches.iter().map(|&ri| (li, ri)));
-                    }
-                }
-            }
-            Ok(out)
-        })?
-        .concat()
-    } else {
-        let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-        for ri in 0..rb.num_rows() {
-            ctx.cancel.check_every(ri)?;
-            if let Some(key) = join_key(&rk, ri) {
-                table.entry(key).or_default().push(ri);
-            }
-        }
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for li in 0..lb.num_rows() {
-            ctx.cancel.check_every(li)?;
-            if let Some(key) = join_key(&lk, li) {
-                if let Some(matches) = table.get(&key) {
-                    pairs.extend(matches.iter().map(|&ri| (li, ri)));
-                }
-            }
-        }
-        pairs
+    let eval = |keys: &[PhysExpr], b: &RecordBatch| -> Result<Vec<ColumnVector>> {
+        keys.iter().map(|e| e.eval(b, ctx)).collect()
     };
-    finish_join(lb, rb, pairs, join_type, filter, schema, ctx)
+    let (lk, rk) = agg::comparable_keys(eval(left_keys, lb)?, eval(right_keys, rb)?);
+    let table = agg::JoinTable::build(&rk, &ctx.cancel)?;
+    let probe = |range: &Range<usize>| -> Result<Vec<(usize, usize)>> {
+        ctx.cancel.check()?;
+        let keys = table.probe(&lk, range.clone());
+        Ok(range
+            .clone()
+            .zip(keys)
+            .flat_map(|(li, k)| table.matches(k).iter().map(move |&ri| (li, ri)))
+            .collect())
+    };
+    let ranges = parallel::morsel_ranges(lb.num_rows(), policy.morsel_rows);
+    let pairs = if policy.fan_out(lb.num_rows().max(rb.num_rows())) {
+        op.record_fan_out(ranges.len(), policy.degree);
+        parallel::parallel_map(&ranges, policy.degree, probe)?
+    } else {
+        ranges.iter().map(probe).collect::<Result<_>>()?
+    };
+    finish_join(lb, rb, pairs.concat(), join_type, filter, schema, ctx)
 }
 
 /// Materialize candidate pairs, apply the residual filter, and null-extend
@@ -1151,10 +1109,9 @@ fn execute_sort(
                 .collect::<Result<Vec<_>>>()
         })?;
         let mut cols: Vec<ColumnVector> = parts[0].clone();
-        for part in &parts[1..] {
-            for (dst, src) in cols.iter_mut().zip(part) {
-                dst.append(src)?;
-            }
+        for (i, dst) in cols.iter_mut().enumerate() {
+            let srcs: Vec<&ColumnVector> = parts[1..].iter().map(|p| &p[i]).collect();
+            dst.append_all(&srcs)?;
         }
         cols
     } else {

@@ -18,7 +18,7 @@
 //!
 //! * Int: raw i64 | RLE `(value,count)` runs | frame-of-reference bit-pack
 //! * Bool: bitmap
-//! * Text: raw | dictionary (<= 255 distinct, u8 indices)
+//! * Text: raw | dictionary (<= 256 distinct, u8 indices)
 //! * Float/Date: raw (IEEE-754 bits / i32), checksummed by the frame
 //!
 //! NULL slots are normalized to the type's default before encoding so the
@@ -28,10 +28,16 @@
 //! bulk: raw blocks are written with one `extend` and read with one
 //! `chunks_exact` pass, FOR values are read with one unaligned 16-byte
 //! load each, and an all-valid bitmap yields no validity vector at all.
-//! RLE runs, bool bitmaps and text are still decoded value by value.
+//! A `TEXT_DICT` block decodes into a dictionary column: its strings once,
+//! then one code per row, each checked against the dictionary's size —
+//! no string per row. Encoding a dictionary column remaps its codes into
+//! the block's dictionary once per code ([`per_code`]), which keeps the
+//! first-appearance order of the strings, so a part
+//! re-encoded from decoded codes is byte-identical to the original.
+//! RLE runs, bool bitmaps and raw text are still decoded value by value.
 
 use crate::batch::RecordBatch;
-use crate::column::{ColumnVector, RawColumn, RawColumnOwned};
+use crate::column::{per_code, ColumnVector, RawColumn, RawColumnOwned};
 use crate::types::DataType;
 use crate::wal::codec::{frame, read_frame, Corrupt, Dec, DecodeResult, Enc};
 use std::collections::HashMap;
@@ -244,55 +250,105 @@ fn get_raw<T, const W: usize>(
 
 // -------------------------------------------------------- text encodings
 
-fn encode_text(e: &mut Enc, vals: &[String]) {
-    let n = vals.len();
-    let raw_size: usize = vals.iter().map(|s| 4 + s.len()).sum();
-    let mut dict: Vec<&str> = Vec::new();
-    let mut index: HashMap<&str, u8> = HashMap::new();
-    let mut too_many = false;
-    for s in vals {
-        if !index.contains_key(s.as_str()) {
-            if dict.len() == 256 {
-                too_many = true;
-                break;
-            }
-            index.insert(s.as_str(), dict.len() as u8);
-            dict.push(s.as_str());
+/// A text column's rows as the encoder reads them.
+#[derive(Clone, Copy)]
+enum TextRows<'a> {
+    Plain(&'a [String]),
+    Dict {
+        codes: &'a [u32],
+        values: &'a [String],
+    },
+}
+
+impl<'a> TextRows<'a> {
+    fn len(self) -> usize {
+        match self {
+            TextRows::Plain(v) => v.len(),
+            TextRows::Dict { codes, .. } => codes.len(),
         }
     }
-    let dict_size = 2 + dict.iter().map(|s| 4 + s.len()).sum::<usize>() + n;
-    if !too_many && dict.len() <= 256 && dict_size < raw_size {
+
+    /// Row `i`'s string; a NULL row (`valid[i]` false) reads as the empty
+    /// string, the normalised NULL slot.
+    fn at(self, i: usize, valid: Option<&[bool]>) -> &'a str {
+        match (self, valid.is_none_or(|v| v[i])) {
+            (_, false) => "",
+            (TextRows::Plain(v), true) => &v[i],
+            (TextRows::Dict { codes, values }, true) => &values[codes[i] as usize],
+        }
+    }
+}
+
+/// The dictionary a `TEXT_DICT` block would carry — distinct strings in
+/// order of first appearance — and each row's index into it; `None` past
+/// 256 distinct strings. A dictionary column looks each distinct code up
+/// once and remaps its codes, so it yields the same dictionary, byte for
+/// byte, as its materialised strings would.
+fn block_dict<'a>(rows: TextRows<'a>, valid: Option<&[bool]>) -> Option<(Vec<&'a str>, Vec<u8>)> {
+    let mut dict: Vec<&'a str> = Vec::new();
+    let mut index: HashMap<&'a str, u8> = HashMap::new();
+    let mut index_of = |s: &'a str| -> Option<u8> {
+        if let Some(&i) = index.get(s) {
+            return Some(i);
+        }
+        let i = u8::try_from(dict.len()).ok()?;
+        index.insert(s, i);
+        dict.push(s);
+        Some(i)
+    };
+    let indices = match rows {
+        TextRows::Plain(_) => (0..rows.len())
+            .map(|i| index_of(rows.at(i, valid)))
+            .collect::<Option<Vec<u8>>>()?,
+        TextRows::Dict { codes, values } => {
+            // A NULL row reads as the empty string.
+            per_code(codes, valid, values.len(), |code, _| {
+                index_of(code.map_or("", |c| values[c as usize].as_str()))
+            })
+            .into_iter()
+            .collect::<Option<Vec<u8>>>()?
+        }
+    };
+    Some((dict, indices))
+}
+
+fn encode_text(e: &mut Enc, rows: TextRows, valid: Option<&[bool]>) {
+    let n = rows.len();
+    let raw_size: usize = (0..n).map(|i| 4 + rows.at(i, valid).len()).sum();
+    let dict = block_dict(rows, valid)
+        .filter(|(dict, _)| 2 + dict.iter().map(|s| 4 + s.len()).sum::<usize>() + n < raw_size);
+    if let Some((dict, indices)) = dict {
         e.u8(ENC_TEXT_DICT);
         e.u32(dict.len() as u32);
         for s in &dict {
             e.str(s);
         }
-        for s in vals {
-            e.u8(index[s.as_str()]);
-        }
+        e.buf.extend_from_slice(&indices);
     } else {
         e.u8(ENC_TEXT_RAW);
-        for s in vals {
-            e.str(s);
+        for i in 0..n {
+            e.str(rows.at(i, valid));
         }
     }
 }
 
-fn decode_text(d: &mut Dec, n: usize, tag: u8) -> DecodeResult<Vec<String>> {
+/// A `TEXT_RAW` block decodes to one string per row, a `TEXT_DICT` block
+/// to a dictionary column: one code per row and no string (a code past
+/// the dictionary's end is `Corrupt`).
+fn decode_text(d: &mut Dec, n: usize, tag: u8) -> DecodeResult<RawColumnOwned> {
     match tag {
-        ENC_TEXT_RAW => (0..n).map(|_| d.str()).collect(),
+        ENC_TEXT_RAW => Ok(RawColumnOwned::Text(
+            (0..n).map(|_| d.str()).collect::<DecodeResult<_>>()?,
+        )),
         ENC_TEXT_DICT => {
             let ndict = d.seq_len()?;
             if ndict > 256 {
                 return Err(Corrupt);
             }
             let dict: Vec<String> = (0..ndict).map(|_| d.str()).collect::<DecodeResult<_>>()?;
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                let idx = d.u8()? as usize;
-                out.push(dict.get(idx).ok_or(Corrupt)?.clone());
-            }
-            Ok(out)
+            let codes = d.raw(n)?.iter().map(|&b| b as u32).collect();
+            // from_raw rejects a code past the dictionary's end.
+            Ok(RawColumnOwned::Dict(codes, Arc::new(dict)))
         }
         _ => Err(Corrupt),
     }
@@ -303,11 +359,22 @@ fn decode_text(d: &mut Dec, n: usize, tag: u8) -> DecodeResult<Vec<String>> {
 /// Logical (uncompressed) size of a column's values, used for the
 /// compression-ratio counters: what a raw encoding would occupy.
 fn uncompressed_size(col: &ColumnVector) -> usize {
+    let valid = col.validity();
     match col.raw() {
         RawColumn::Bool(v) => v.len(),
         RawColumn::Int(v) => 8 * v.len(),
         RawColumn::Float(v) => 8 * v.len(),
         RawColumn::Text(v) => v.iter().map(|s| 4 + s.len()).sum(),
+        // A NULL row's code may name any string; it counts as the empty one.
+        RawColumn::Dict { codes, values } => (codes.iter().enumerate())
+            .map(|(i, &c)| {
+                4 + if valid.is_none_or(|v| v[i]) {
+                    values[c as usize].len()
+                } else {
+                    0
+                }
+            })
+            .sum(),
         RawColumn::Date(v) => 4 * v.len(),
     }
 }
@@ -324,7 +391,7 @@ fn zone_of(col: &ColumnVector) -> ZoneMap {
         RawColumn::Int(v) => bounds(v, validity, |x| x as f64),
         RawColumn::Float(v) => bounds(v, validity, |x| x),
         RawColumn::Date(v) => bounds(v, validity, |x| x as f64),
-        RawColumn::Text(_) => None,
+        RawColumn::Text(_) | RawColumn::Dict { .. } => None,
     };
     ZoneMap {
         min: range.map(|r| r.0),
@@ -399,15 +466,9 @@ fn encode_block(col: &ColumnVector) -> Vec<u8> {
             e.u8(ENC_FLOAT_RAW);
             put_raw(&mut e, v, validity, |x: f64| x.to_bits().to_le_bytes());
         }
-        RawColumn::Text(v) => {
-            if validity.is_some() {
-                let norm: Vec<String> = (0..n)
-                    .map(|i| if valid(i) { v[i].clone() } else { String::new() })
-                    .collect();
-                encode_text(&mut e, &norm);
-            } else {
-                encode_text(&mut e, v);
-            }
+        RawColumn::Text(v) => encode_text(&mut e, TextRows::Plain(v), validity),
+        RawColumn::Dict { codes, values } => {
+            encode_text(&mut e, TextRows::Dict { codes, values }, validity)
         }
         RawColumn::Date(v) => {
             e.u8(ENC_DATE_RAW);
@@ -444,7 +505,7 @@ fn decode_block(block: &[u8], n: usize, data_type: DataType) -> DecodeResult<Col
             expect(ENC_FLOAT_RAW)?;
             RawColumnOwned::Float(get_raw(&mut d, n, |b| f64::from_bits(u64::from_le_bytes(b)))?)
         }
-        DataType::Text => RawColumnOwned::Text(decode_text(&mut d, n, tag)?),
+        DataType::Text => decode_text(&mut d, n, tag)?,
         DataType::Date => {
             expect(ENC_DATE_RAW)?;
             RawColumnOwned::Date(get_raw(&mut d, n, i32::from_le_bytes)?)

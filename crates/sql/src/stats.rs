@@ -122,31 +122,43 @@ fn column_stats(c: &ColumnVector) -> ColumnStats {
             fold(v[i] as f64);
             v[i]
         })),
-        RawColumn::Text(v) => {
-            // Categories: the distinct strings, unless a row arrives once
-            // MAX_TRACKED_CATEGORIES of them are already tracked.
-            let (mut cats, mut track) = (HashSet::new(), true);
-            let n = distinct(rows.map(|i| {
-                if track {
-                    if cats.len() < MAX_TRACKED_CATEGORIES {
-                        cats.insert(v[i].as_str());
-                    } else {
-                        track = false;
-                        cats.clear();
-                    }
-                }
-                v[i].as_str()
-            }));
-            if track && !cats.is_empty() {
-                let mut cats: Vec<String> = cats.into_iter().map(str::to_string).collect();
-                cats.sort();
-                stats.categories = Some(cats);
-            }
-            n
-        }
+        RawColumn::Text(v) => text_distinct(rows.map(|i| v[i].as_str()), &mut stats.categories),
+        RawColumn::Dict { codes, values } => text_distinct(
+            rows.map(|i| values[codes[i] as usize].as_str()),
+            &mut stats.categories,
+        ),
     };
     stats.distinct_count = distinct_count;
     stats
+}
+
+/// Distinct strings among a text column's non-NULL rows, and its
+/// categories: the distinct strings, unless a row arrives once
+/// MAX_TRACKED_CATEGORIES of them are already tracked.
+fn text_distinct<'a>(
+    texts: impl Iterator<Item = &'a str>,
+    categories: &mut Option<Vec<String>>,
+) -> usize {
+    let (mut cats, mut track) = (HashSet::new(), true);
+    let n = texts
+        .inspect(|&s| {
+            if track {
+                if cats.len() < MAX_TRACKED_CATEGORIES {
+                    cats.insert(s);
+                } else {
+                    track = false;
+                    cats.clear();
+                }
+            }
+        })
+        .collect::<HashSet<&str>>()
+        .len();
+    if track && !cats.is_empty() {
+        let mut cats: Vec<String> = cats.into_iter().map(str::to_string).collect();
+        cats.sort();
+        *categories = Some(cats);
+    }
+    n
 }
 
 #[cfg(test)]

@@ -434,3 +434,59 @@ fn truncated_blocks_are_errors_not_panics() {
         }
     }
 }
+
+/// A TEXT_DICT block decodes to a dictionary column — one code per row,
+/// no string — whose values equal the per-value reference and which
+/// re-encodes to the same bytes, as it is or materialised. So does the
+/// concatenation of two parts' text columns, whose dictionaries merge. A
+/// code past the dictionary's end is an error, not a panic.
+#[test]
+fn text_dict_blocks_decode_to_dictionary_columns() {
+    let mut dict_blocks = 0;
+    for seed in 0..seeds() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let batch = random_batch(&mut rng, seed);
+        let one = batch.project(&[batch.schema().index_of("t").unwrap()]).unwrap();
+        let (file, _) = encode_part(seed, 0, &one);
+        let payload = &file[FRAME_HEADER..];
+        let (rows, blocks) = part_blocks(payload);
+        let (_, at, len) = blocks[0];
+        let block = &payload[at..at + len];
+        let vbytes = rows.div_ceil(8);
+        if block[vbytes] != ENC_TEXT_DICT {
+            continue;
+        }
+        dict_blocks += 1;
+        let col = decode_part(&file, None).unwrap().batch.column(0).clone();
+        assert!(col.is_dictionary(), "seed {seed}");
+        let want = ref_decode_block(block, rows, DataType::Text).unwrap();
+        for (r, w) in want.iter().enumerate() {
+            assert_eq!(format!("{:?}", col.get(r)), format!("{w:?}"), "seed {seed} row {r}");
+        }
+        let encode = |col: ColumnVector| {
+            encode_part(seed, 0, &RecordBatch::new(one.schema().clone(), vec![col]).unwrap()).0
+        };
+        assert_eq!(encode(col.clone()), file, "seed {seed}: re-encoded codes");
+        assert_eq!(encode(col.materialize()), file, "seed {seed}: re-encoded strings");
+        let cut = rng.gen_range(0..=rows);
+        let halves = [one.slice(0, cut), one.slice(cut, rows)]
+            .map(|h| decode_part(&encode_part(seed, 0, &h).0, None).unwrap().batch);
+        let joined = RecordBatch::concat(one.schema().clone(), &halves).unwrap();
+        assert_eq!(encode(joined.column(0).clone()), file, "seed {seed}: halves cut at {cut}");
+
+        let ndict = u32::from_le_bytes(block[vbytes + 1..vbytes + 5].try_into().unwrap());
+        if ndict < 256 && rows > 0 {
+            let mut bad = payload.to_vec();
+            let row = rng.gen_range(0..rows);
+            bad[at + len - rows + row] = rng.gen_range(ndict..256) as u8;
+            let mut bad_file = Vec::new();
+            frame(&mut bad_file, &bad);
+            assert!(
+                decode_part(&bad_file, None).is_err(),
+                "seed {seed}: code {} of {ndict} at row {row} decoded",
+                bad[at + len - rows + row]
+            );
+        }
+    }
+    assert!(dict_blocks > 0, "no seed wrote a TEXT_DICT block");
+}
