@@ -2,8 +2,8 @@
 //!
 //! Harnesses that regenerate every figure and table of the paper. Each
 //! module computes one artifact and returns structured rows; the binaries
-//! under `src/bin/` print them in the paper's layout, and the Criterion
-//! benches under `benches/` measure the same code paths.
+//! under `src/bin/` print them in the paper's layout. Wall-clock costs of
+//! the engine itself are measured end to end by `flockbench/`, not here.
 
 pub mod ablation;
 pub mod fig2;

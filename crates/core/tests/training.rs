@@ -3,6 +3,7 @@
 //! the statement, and `RETRAIN MODEL` re-running the recorded statement.
 
 use flock_core::{FlockDb, Lineage};
+use flock_corpus::tabular::TabularDataset;
 use flock_ml::{ColumnPipeline, LinearModel, Model, Pipeline};
 
 #[test]
@@ -90,6 +91,27 @@ fn recorded_metrics_come_from_held_out_rows() {
     let acc = m["accuracy"];
     assert!(acc < 1.0, "accuracy {acc} looks like a training-set metric");
     assert_eq!(m["eval_accuracy"], acc, "plain name aliases the eval metric");
+}
+
+#[test]
+fn holdout_auc_clears_the_floor_on_separable_data() {
+    // The generated label is a noisy threshold on income, debt, tenure
+    // and city, so a working learner ranks held-out rows well.
+    let db = FlockDb::new();
+    TabularDataset::generate(2_000, 11)
+        .load_into(db.database())
+        .unwrap();
+    for (kind, extra) in [("logistic", ""), ("gbt", ", trees = 10, max_depth = 4")] {
+        db.execute(&format!(
+            "CREATE MODEL churn_{kind} KIND {kind} WITH (seed = 7{extra}) TARGET label \
+             AS SELECT age, income, debt, tenure, city, label FROM customers"
+        ))
+        .unwrap();
+        // `eval_auc` is recorded only when rows were held out.
+        let md = db.model_metadata(&format!("churn_{kind}")).unwrap();
+        let auc = md.lineage.metrics["eval_auc"];
+        assert!(auc >= 0.80, "{kind}: eval_auc {auc} below the 0.80 floor");
+    }
 }
 
 #[test]

@@ -24,9 +24,10 @@
 //! * **Hardened edges.** Read timeouts make every worker responsive to
 //!   shutdown; frames are length-capped and checksummed before parsing;
 //!   protocol violations get a typed `Error` reply and a closed
-//!   connection; SQL errors leave the connection usable. Counters
-//!   (`connections_accepted`, `connections_open`, `auth_failures`,
-//!   `frames_rejected`) surface as `flock_metrics` rows.
+//!   connection; SQL errors leave the connection usable. A connection
+//!   holds at most [`MAX_PREPARED_PER_CONNECTION`] prepared statements.
+//!   Counters (`connections_accepted`, `connections_open`,
+//!   `auth_failures`, `frames_rejected`) surface as `flock_metrics` rows.
 //! * **Graceful shutdown.** [`ServerHandle::shutdown`] stops the accept
 //!   loop, lets each worker finish (and answer) its in-flight statement,
 //!   sends `Goodbye`, and joins every thread before returning.
@@ -53,6 +54,12 @@ use std::time::{Duration, Instant};
 
 /// Identification string sent in `Welcome`.
 pub const SERVER_NAME: &str = "flock-serve/0.1";
+
+/// Prepared statements one connection may hold open at once. The next
+/// `Prepare` is refused with a non-retryable `budget` error until
+/// `CloseStmt` frees a slot, so client input cannot grow the map
+/// without bound.
+pub const MAX_PREPARED_PER_CONNECTION: usize = 1024;
 
 /// Tunables for a [`Server`].
 #[derive(Debug, Clone)]
@@ -349,7 +356,15 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                     send(&mut stream, &reply);
                 }
                 ClientMsg::Prepare { sql } => {
-                    let reply = match session.prepare(&sql) {
+                    let prepared_stmt = if prepared.len() >= MAX_PREPARED_PER_CONNECTION {
+                        Err(SqlError::Budget(format!(
+                            "connection holds {MAX_PREPARED_PER_CONNECTION} prepared \
+                             statements, the limit; close one first"
+                        )))
+                    } else {
+                        session.prepare(&sql)
+                    };
+                    let reply = match prepared_stmt {
                         Ok(p) => {
                             let id = next_stmt;
                             next_stmt += 1;

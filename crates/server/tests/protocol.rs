@@ -12,7 +12,7 @@ use flock_rng::rngs::StdRng;
 use flock_rng::{Rng, SeedableRng};
 use flock_server::client::{Client, ClientError};
 use flock_server::protocol::{frame, ClientMsg, FrameReader, ServerMsg, DEFAULT_MAX_FRAME};
-use flock_server::{Server, ServerConfig, ServerHandle};
+use flock_server::{Server, ServerConfig, ServerHandle, MAX_PREPARED_PER_CONNECTION};
 use flock_sql::ast::PredictStrategy;
 use flock_sql::column::ColumnVector;
 use flock_sql::exec::CancelToken;
@@ -137,6 +137,138 @@ fn prepared_statements_hit_the_plan_cache() {
     c.query("SELECT 1 + 1").unwrap();
     c.goodbye().unwrap();
     handle.shutdown();
+}
+
+#[test]
+fn prepared_statements_per_connection_are_capped() {
+    let (_db, handle) = start_server();
+    let addr = handle.local_addr();
+    let mut c = Client::connect(addr, "admin").unwrap();
+    let sql = "SELECT label FROM t WHERE x = ?";
+    let held: Vec<_> = (0..MAX_PREPARED_PER_CONNECTION)
+        .map(|_| c.prepare(sql).unwrap())
+        .collect();
+
+    let err = c.prepare(sql).unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Sql(e) if e.code == "budget" && !e.retryable),
+        "prepare past the cap must be a non-retryable budget error, got {err}"
+    );
+    // The refusal leaves the connection and every held statement usable.
+    let r = c.execute(held[MAX_PREPARED_PER_CONNECTION - 1], &[Value::Int(2)]).unwrap();
+    assert!(matches!(&r.rows[0][0], Value::Text(s) if s == "b"));
+
+    // Closing one frees exactly one slot.
+    c.close_stmt(held[0]).unwrap();
+    let again = c.prepare(sql).unwrap();
+    let r = c.execute(again, &[Value::Int(3)]).unwrap();
+    assert!(matches!(&r.rows[0][0], Value::Text(s) if s == "c"));
+    assert!(matches!(c.prepare(sql), Err(ClientError::Sql(e)) if e.code == "budget"));
+
+    // The cap is per connection.
+    let mut other = Client::connect(addr, "admin").unwrap();
+    other.prepare(sql).unwrap();
+    other.goodbye().unwrap();
+    c.goodbye().unwrap();
+    handle.shutdown();
+}
+
+/// Zero-drop gate: 16 clients mix prepared executes and ad-hoc queries
+/// under an admission limit of 2. Every request gets exactly one reply,
+/// carrying its own row (a lost reply stalls the client, an extra one
+/// answers the next request with the wrong row); retried `admission`
+/// rejects are the only failures allowed.
+#[test]
+fn concurrent_clients_get_exactly_one_reply_per_request() {
+    const CLIENTS: usize = 16;
+    const REQUESTS: usize = 40;
+    let db = Arc::new(FlockDb::new());
+    db.database().execute("CREATE TABLE kv (k INT, v TEXT)").unwrap();
+    let rows: Vec<String> = (0..256).map(|k| format!("({k}, 'value-{k}')")).collect();
+    db.database()
+        .execute(&format!("INSERT INTO kv VALUES {}", rows.join(", ")))
+        .unwrap();
+    let mut opts = db.database().exec_options();
+    opts.max_concurrent_queries = 2;
+    db.database().set_exec_options(opts);
+    let handle = Server::start(db.clone(), ServerConfig::default()).unwrap();
+    let addr = handle.local_addr();
+
+    // Every client connects and prepares before any sends a request, so
+    // all 16 sessions are open while the requests run.
+    let ready = Arc::new(std::sync::Barrier::new(CLIENTS));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut clients = Vec::new();
+    for id in 0..CLIENTS {
+        let (tx, ready) = (tx.clone(), ready.clone());
+        clients.push(std::thread::spawn(move || {
+            let run = || -> Result<usize, String> {
+                let opened = Client::connect(addr, "admin").and_then(|mut c| {
+                    let stmt = c.prepare("SELECT v FROM kv WHERE k = ?")?;
+                    Ok((c, stmt))
+                });
+                ready.wait();
+                let (mut c, stmt) = opened.map_err(|e| e.to_string())?;
+                let mut replies = 0;
+                for req in 0..REQUESTS {
+                    let k = ((id * 31 + req * 7) % 256) as i64;
+                    let mut attempts = 0;
+                    let rows = loop {
+                        let reply = if req % 2 == 0 {
+                            c.execute(stmt, &[Value::Int(k)])
+                        } else {
+                            c.query(&format!("SELECT v FROM kv WHERE k = {k}"))
+                        };
+                        match reply {
+                            Err(ClientError::Sql(e))
+                                if e.code == "admission" && e.retryable && attempts < 10_000 =>
+                            {
+                                attempts += 1;
+                                std::thread::sleep(Duration::from_micros(500));
+                            }
+                            other => break other.map_err(|e| format!("request {req}: {e}"))?,
+                        }
+                    };
+                    let want = format!("value-{k}");
+                    match rows.rows.as_slice() {
+                        [row] if matches!(&row[0], Value::Text(s) if *s == want) => replies += 1,
+                        other => return Err(format!("request {req} for {want} got {other:?}")),
+                    }
+                }
+                c.goodbye().map_err(|e| e.to_string())?;
+                Ok(replies)
+            };
+            let _ = tx.send((id, run()));
+        }));
+    }
+    drop(tx);
+
+    // A lost reply leaves its client blocked in a read, so the outcomes
+    // are collected against a deadline before the threads are joined.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut replies = 0;
+    for _ in 0..CLIENTS {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let (id, outcome) = rx
+            .recv_timeout(wait)
+            .expect("a client is still waiting for a reply");
+        replies += outcome.unwrap_or_else(|e| panic!("client {id}: {e}"));
+    }
+    for client in clients {
+        client.join().expect("client thread panicked");
+    }
+    assert_eq!(replies, CLIENTS * REQUESTS);
+
+    // Shutdown joins every worker, so the gauge has settled.
+    handle.shutdown();
+    let open = db
+        .database()
+        .engine_metrics()
+        .rows()
+        .into_iter()
+        .find(|(n, _)| *n == "server_connections_open")
+        .map(|(_, v)| v);
+    assert_eq!(open, Some(0), "no connection may stay open");
 }
 
 #[test]

@@ -97,6 +97,16 @@ pub struct Session {
     vars: SessionVars,
 }
 
+/// A session dropped inside `BEGIN` (a closed connection, a dropped
+/// handle) rolls back like `ROLLBACK`, keeping the audit rows.
+impl Drop for Session {
+    fn drop(&mut self) {
+        if let Some(txn) = self.txn.take() {
+            txn.abort(&self.db);
+        }
+    }
+}
+
 impl Session {
     pub(super) fn new(db: Database, user: &str) -> Session {
         Session {
@@ -484,9 +494,13 @@ impl Session {
         Ok(QueryResult::none(format!("COMMIT (txn {id})")))
     }
 
+    /// Abort the open transaction: its writes and query-log rows go, its
+    /// audit rows stay (see [`Txn::abort`]).
     pub fn rollback(&mut self) -> Result<QueryResult> {
         let txn = self.take_open()?;
-        Ok(QueryResult::none(format!("ROLLBACK (txn {})", txn.id)))
+        let id = txn.id;
+        txn.abort(&self.db);
+        Ok(QueryResult::none(format!("ROLLBACK (txn {id})")))
     }
 
     fn take_open(&mut self) -> Result<Txn> {

@@ -543,6 +543,49 @@ fn audit_of_denied_access_survives_rollback_and_crash() {
     );
 }
 
+/// `BEGIN; EXPLAIN ANALYZE SELECT * FROM secrets` as a user without
+/// `SELECT`, then `end` ends the transaction; returns the number of
+/// `ACCESS DENIED` rows the database holds afterwards.
+fn denials_after_explain_in_txn(db: &Database, end: impl FnOnce(flock_sql::Session)) -> usize {
+    db.execute("CREATE TABLE secrets (a INT)").unwrap();
+    db.execute("CREATE USER intruder").unwrap();
+    let mut s = db.session("intruder");
+    s.execute("BEGIN").unwrap();
+    assert!(matches!(
+        s.execute("EXPLAIN ANALYZE SELECT * FROM secrets"),
+        Err(SqlError::AccessDenied(_))
+    ));
+    end(s);
+    db.audit_log()
+        .iter()
+        .filter(|a| a.user == "intruder" && a.action == "ACCESS DENIED")
+        .count()
+}
+
+#[test]
+fn audit_of_denial_inside_a_transaction_survives_rollback() {
+    let opts = opts_fsync();
+    let mem = MemFs::new();
+    let db = Database::open_with_fs(mem.clone(), opts).unwrap();
+    let denied = denials_after_explain_in_txn(&db, |mut s| {
+        s.execute("ROLLBACK").unwrap();
+    });
+    assert_eq!(denied, 1, "ROLLBACK must keep the denial's audit row");
+    let rec = Database::open_with_fs(mem.crash_image(), opts).unwrap();
+    assert_eq!(
+        rec.audit_log().iter().filter(|a| a.action == "ACCESS DENIED").count(),
+        1,
+        "the kept audit row must be durable"
+    );
+}
+
+#[test]
+fn audit_of_denial_inside_a_transaction_survives_session_drop() {
+    let db = Database::new();
+    let denied = denials_after_explain_in_txn(&db, drop);
+    assert_eq!(denied, 1, "dropping a session inside BEGIN must keep the denial's audit row");
+}
+
 #[test]
 fn truncate_history_refuses_to_drop_lineage_pinned_versions() {
     let db = Database::new();
