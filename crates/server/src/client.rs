@@ -120,12 +120,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> Result<ServerMsg, ClientError> {
-        loop {
-            match self.reader.poll(&mut self.stream)? {
-                Some(payload) => return Ok(ServerMsg::decode(&payload)?),
-                None => continue,
-            }
-        }
+        recv_frame(&mut self.reader, &mut self.stream)
     }
 
     fn roundtrip(&mut self, msg: &ClientMsg) -> Result<ServerMsg, ClientError> {
@@ -189,19 +184,54 @@ impl Client {
         let payload = ClientMsg::Cancel { session, key }.encode().to_string().into_bytes();
         stream.write_all(&frame(&payload))?;
         stream.flush()?;
-        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
-        loop {
-            match reader.poll(&mut stream)? {
-                Some(payload) => match ServerMsg::decode(&payload)? {
-                    ServerMsg::CancelAck { ok } => return Ok(ok),
-                    other => {
-                        return Err(ClientError::Protocol(format!(
-                            "unexpected reply to cancel: {other:?}"
-                        )))
-                    }
-                },
-                None => continue,
-            }
+        match recv_frame(&mut FrameReader::new(DEFAULT_MAX_FRAME), &mut stream)? {
+            ServerMsg::CancelAck { ok } => Ok(ok),
+            other => Err(ClientError::Protocol(format!("unexpected reply to cancel: {other:?}"))),
+        }
+    }
+}
+
+/// Read one server message. The stream's read timeout ends the wait with
+/// [`ClientError::Io`] of kind `TimedOut`: a server that never replies
+/// cannot hang the client.
+fn recv_frame(reader: &mut FrameReader, stream: &mut TcpStream) -> Result<ServerMsg, ClientError> {
+    match reader.poll(stream)? {
+        Some(payload) => Ok(ServerMsg::decode(&payload)?),
+        None => Err(ClientError::Io(std::io::Error::new(
+            std::io::ErrorKind::TimedOut,
+            "no reply from the server within the read timeout",
+        ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    #[test]
+    fn a_server_that_never_replies_ends_the_call_with_a_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // accepted and held open, never answered
+        let _silent = listener.accept().unwrap();
+        stream.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        let mut client = Client {
+            stream,
+            reader: FrameReader::new(DEFAULT_MAX_FRAME),
+            session: 0,
+            cancel_key: 0,
+            server: String::new(),
+        };
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(client.query("SELECT 1"));
+        });
+        match outcome.recv_timeout(Duration::from_secs(2)) {
+            Ok(Err(ClientError::Io(e))) => assert_eq!(e.kind(), std::io::ErrorKind::TimedOut),
+            Ok(other) => panic!("expected a timeout, got {other:?}"),
+            Err(_) => panic!("the call was still waiting after 2 s"),
         }
     }
 }

@@ -255,8 +255,12 @@ impl Database {
 
     /// Set the engine-wide resident-bytes budget per table (0 disables
     /// offloading). Also reachable as `SET table_memory_budget = <bytes>`.
+    /// The budget also caps the decoded parts one scan holds at once.
     pub fn set_table_memory_budget(&self, bytes: u64) {
         self.shared.table_memory_budget.store(bytes, Ordering::Relaxed);
+        if let Some(store) = sync::read(&self.shared.state).catalog.part_store() {
+            store.set_scan_budget(bytes);
+        }
     }
 
     pub fn table_memory_budget(&self) -> u64 {

@@ -707,10 +707,11 @@ fn fresh_accs(aggs: &[(AggCall, Option<PhysExpr>)]) -> Vec<Accumulator> {
 }
 
 /// Run a [`PhysicalPlan::HashAggregate`]: one partial per input chunk,
-/// folded in chunk order. A resident input is one chunk; a part-backed
-/// scan streams its chunks and its concatenated output never
-/// materializes. Aggregates that cannot merge partials need the whole
-/// input as one chunk.
+/// folded in chunk order. A resident input is one chunk; over a
+/// part-backed scan each chunk's partial is built inside the chunk's own
+/// task ([`PhysicalPlan::map_chunks`]), and the scan's concatenated output
+/// never materializes. Aggregates that cannot merge partials need the
+/// whole input as one chunk.
 pub(super) fn execute_hash_aggregate(
     input: &PhysicalPlan,
     group: &[PhysExpr],
@@ -720,29 +721,30 @@ pub(super) fn execute_hash_aggregate(
     ctx: &EvalContext,
     m: &PlanMetrics,
 ) -> Result<RecordBatch> {
-    let mut state: Option<Partial> = None;
-    let mut fold = |batch: RecordBatch| -> Result<()> {
+    let partial = |batch: RecordBatch, nested: bool| {
         m.op.rows_in
             .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
-        let partial = aggregate_partial(&batch, group, aggs, policy, ctx, &m.op)?;
-        match &mut state {
-            Some(s) => s.merge(partial),
-            None => state = Some(partial),
-        }
-        Ok(())
+        aggregate_partial(&batch, group, aggs, policy, ctx, &m.op, nested)
     };
-    if mergeable(aggs) {
-        input.for_each_chunk(ctx, &m.children[0], &mut fold)?;
-    } else {
-        fold(input.execute_metered(ctx, &m.children[0])?)?;
-    }
+    let partials = match input {
+        PhysicalPlan::Scan { .. } if mergeable(aggs) => {
+            input.map_chunks(ctx, &m.children[0].op, partial)?
+        }
+        _ => vec![partial(input.execute_metered(ctx, &m.children[0])?, false)?],
+    };
+    let mut partials = partials.into_iter();
+    let state = partials.next().map(|mut state| {
+        partials.for_each(|later| state.merge(later));
+        state
+    });
     finish_aggregate(state, group, aggs, schema)
 }
 
-/// One input chunk's partial aggregate: two-phase over morsels when the
-/// policy fans out (thread-local partials merged at the barrier in morsel
-/// order, so the result matches any other thread count), else one serial
-/// pass.
+/// One input chunk's partial aggregate: two-phase over fixed morsels when
+/// the policy fans out (per-morsel partials merged in morsel order, so the
+/// result matches any other thread count), else one pass. `nested`: the
+/// chunk is one task of a scan's chunk map, so the morsels are walked on
+/// this thread.
 fn aggregate_partial(
     batch: &RecordBatch,
     group: &[PhysExpr],
@@ -750,13 +752,22 @@ fn aggregate_partial(
     policy: &ParallelPolicy,
     ctx: &EvalContext,
     op: &OpMetrics,
+    nested: bool,
 ) -> Result<Partial> {
     let accumulate = |b: &RecordBatch| accumulate(b, group, aggs, ctx);
-    if !(mergeable(aggs) && op.fan_out(policy, batch.num_rows())) {
+    let rows = batch.num_rows();
+    let split = mergeable(aggs)
+        && match nested {
+            true => policy.fan_out(rows),
+            false => op.fan_out(policy, rows),
+        };
+    if !split {
         return accumulate(batch);
     }
+    let degree = if nested { 1 } else { policy.degree };
     let mut merged = Partial::new(group, aggs);
-    for partial in parallel::map_morsels(batch, policy, accumulate)? {
+    let morsels = batch.chunks(policy.morsel_rows);
+    for partial in parallel::parallel_map(&morsels, degree, accumulate)? {
         merged.merge(partial);
     }
     Ok(merged)

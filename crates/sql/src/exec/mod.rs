@@ -1,15 +1,20 @@
 //! Physical planning and execution.
 //!
 //! Execution is batch-materialized: every operator consumes and produces a
-//! whole [`RecordBatch`], except that an aggregate folds a table scan's
-//! chunks as they stream in. Operators over large inputs run *morsel-driven
-//! parallel*: the batch splits into fixed-size morsels that a worker pool
-//! drains — filters and projections evaluate per morsel, aggregates run
-//! two-phase (thread-local partials merged at the barrier), hash joins
-//! partition the build side and probe morsels concurrently, and sorts
-//! merge per-run sorted indices. This is the engine-supplied parallelism
-//! the paper credits for SONNX's speedup over standalone ONNX Runtime,
-//! generalized from PREDICT projections to the whole relational algebra.
+//! whole [`RecordBatch`], except that an aggregate builds one partial per
+//! chunk of a table scan and never sees the scan's concatenated output.
+//! Operators over large inputs run *morsel-driven parallel*: the batch
+//! splits into fixed-size morsels that a worker pool drains — filters and
+//! projections evaluate per morsel, aggregates run two-phase (per-morsel
+//! partials merged in morsel order), hash joins probe morsels
+//! concurrently against typed build tables, and sorts merge per-run sorted
+//! indices. A scan of disk parts makes its chunks the morsels
+//! ([`PhysicalPlan::map_chunks`]): the pool reads, decodes and filters one
+//! part per task and hands its survivors to the consumer in the same task,
+//! and nothing fans out again inside it. This is the engine-supplied
+//! parallelism the paper credits for SONNX's speedup over standalone ONNX
+//! Runtime, generalized from PREDICT projections to the whole relational
+//! algebra.
 
 pub mod agg;
 pub mod cancel;
@@ -35,8 +40,9 @@ use crate::table::{concat_chunks, ColBounds, TableScan};
 use crate::types::{DataType, Value};
 use crate::udf::InferenceProvider;
 use std::ops::Range;
-use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Default fixed morsel size. Morsel boundaries are independent of the
 /// worker count so that results (including floating-point partial-sum
@@ -119,10 +125,11 @@ impl ExecOptions {
 /// A physical operator tree.
 #[derive(Debug, Clone)]
 pub enum PhysicalPlan {
-    /// A table read through its chunk source — disk parts decoded one at
-    /// a time, then the resident tail — with the filter directly above
-    /// fused in and run per chunk, so only survivors materialize. Planning
-    /// drops whole parts the filter cannot match by their zone maps.
+    /// A table read through its chunk source — disk parts, then the
+    /// resident tail, each chunk one task of [`PhysicalPlan::map_chunks`]
+    /// — with the filter directly above fused in and run per chunk, so
+    /// only survivors materialize. Planning drops whole parts the filter
+    /// cannot match by their zone maps.
     Scan {
         source: TableScan,
         /// Filter fused into the scan, compiled against the scan schema.
@@ -533,7 +540,18 @@ impl PhysicalPlan {
         // Wall time already spent is recorded by the enclosing operators'
         // timers, leaving a partial-but-consistent metrics tree behind.
         ctx.cancel.check()?;
-        let started = std::time::Instant::now();
+        if let PhysicalPlan::Scan { source, .. } = self {
+            // A scan meters its output chunk by chunk (`map_chunks`); its
+            // time is its share of the chunk map, plus the concatenation.
+            let chunks = self.map_chunks(ctx, &m.op, |chunk, _| Ok(chunk))?;
+            let concat = Instant::now();
+            let out = concat_chunks(source.schema(), chunks)?;
+            m.op
+                .wall_ns
+                .fetch_add(concat.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
+            return Ok(out);
+        }
+        let started = Instant::now();
         let out = self.execute_inner(ctx, m)?;
         m.op
             .wall_ns
@@ -554,14 +572,9 @@ impl PhysicalPlan {
 
     fn execute_inner(&self, ctx: &EvalContext, m: &PlanMetrics) -> Result<RecordBatch> {
         match self {
-            PhysicalPlan::Scan { source, .. } => {
-                let mut survivors: Vec<RecordBatch> = Vec::new();
-                self.scan_chunks(ctx, &m.op, &mut |chunk| {
-                    survivors.push(chunk);
-                    Ok(())
-                })?;
-                concat_chunks(source.schema(), survivors)
-            }
+            PhysicalPlan::Scan { .. } => Err(SqlError::Execution(
+                "a scan runs through its chunk map".into(),
+            )),
             PhysicalPlan::Values { schema, rows } => {
                 m.op
                     .rows_in
@@ -683,73 +696,87 @@ impl PhysicalPlan {
         }
     }
 
-    /// Read a [`PhysicalPlan::Scan`]'s chunks, run the fused filter over
-    /// each, and hand the non-empty survivors to `f`. Records the rows read
-    /// (`rows_in`: after pruning, before the filter) and charges the query
-    /// budget for each chunk materialized beyond the scan's output — a
-    /// decoded part, or the input of the filter.
-    fn scan_chunks(
+    /// Run a [`PhysicalPlan::Scan`] as a map over its chunks: one task per
+    /// chunk reads it (decoding a part), runs the fused filter, and hands
+    /// the non-empty survivors to `consume` in the same task; the outputs
+    /// come back in chunk order. A scan of at least two parts that reads at
+    /// least the fan-out threshold spreads its chunks over the policy's
+    /// workers ([`chunk_degree`]), the calling thread among them, holding
+    /// the decoded parts in flight within the table memory budget
+    /// ([`TableScan::decode_gate`]). Inside such a task nothing fans out
+    /// again: `consume` is told so, and walks serially the morsels it
+    /// would have fanned out over. Otherwise the chunks go by in order on
+    /// this thread, and operators fan out within each as over a resident
+    /// batch.
+    ///
+    /// Meters the scan as a streaming operator: rows read (`rows_in`:
+    /// after pruning, before the filter), one output batch per chunk of
+    /// survivors, the query budget charged for each chunk materialized
+    /// beyond them (a decoded part, or the filter's input), and wall time
+    /// that never overlaps the consumer's: the map's wall time, split by
+    /// the time tasks spent reading against consuming.
+    pub(super) fn map_chunks<T: Send>(
         &self,
         ctx: &EvalContext,
         op: &OpMetrics,
-        f: &mut dyn FnMut(RecordBatch) -> Result<()>,
-    ) -> Result<()> {
+        consume: impl Fn(RecordBatch, bool) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
         let PhysicalPlan::Scan {
             source,
             predicate,
             policy,
         } = self
         else {
-            return Err(SqlError::Execution("scan_chunks on a non-scan operator".into()));
+            return Err(SqlError::Execution("map_chunks on a non-scan operator".into()));
         };
-        let decoded = source.parts().len();
-        for (i, chunk) in source.chunks().enumerate() {
+        ctx.cancel.check()?;
+        let chunks: Vec<usize> = (0..source.chunk_count()).collect();
+        let degree = chunk_degree(source, policy);
+        let nested = degree > 1;
+        if nested {
+            op.record_fan_out(chunks.len(), degree);
+        }
+        let gate = source.decode_gate();
+        let (read_ns, consume_ns) = (AtomicU64::new(0), AtomicU64::new(0));
+        let started = Instant::now();
+        let outputs = parallel::parallel_map(&chunks, degree, |&i| {
             ctx.cancel.check()?;
-            let chunk = chunk?;
+            let read = Instant::now();
+            let _held = gate.reserve(source.chunk_bytes(i));
+            let chunk = source.chunk(i)?;
             let n = chunk.num_rows();
             op.rows_in.fetch_add(n as u64, AtomicOrdering::Relaxed);
-            if i < decoded || predicate.is_some() {
+            if i < source.parts().len() || predicate.is_some() {
                 ctx.budget.charge(n as u64, (n * chunk.num_columns() * 8) as u64)?;
             }
             let survivors = match predicate {
+                Some(p) if nested => chunk.filter(&p.eval_mask(&chunk, ctx)?)?,
                 Some(p) => chunk.filter(&filter_mask(p, &chunk, policy, ctx, op)?)?,
                 None => chunk,
             };
-            if survivors.num_rows() > 0 {
-                f(survivors)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute, handing the output to `f` chunk by chunk: a scan streams
-    /// its chunks, metered per chunk, without materializing their
-    /// concatenation; any other operator hands over its one output batch.
-    fn for_each_chunk(
-        &self,
-        ctx: &EvalContext,
-        m: &PlanMetrics,
-        f: &mut dyn FnMut(RecordBatch) -> Result<()>,
-    ) -> Result<()> {
-        if !matches!(self, PhysicalPlan::Scan { .. }) {
-            return f(self.execute_metered(ctx, m)?);
-        }
-        ctx.cancel.check()?;
-        let started = std::time::Instant::now();
-        let mut consumer_ns = 0u64;
-        self.scan_chunks(ctx, &m.op, &mut |chunk| {
-            let n = chunk.num_rows();
-            m.op.batches.fetch_add(1, AtomicOrdering::Relaxed);
-            m.op.rows_out.fetch_add(n as u64, AtomicOrdering::Relaxed);
-            ctx.budget.charge(n as u64, (n * chunk.num_columns() * 8) as u64)?;
-            let consumer = std::time::Instant::now();
-            let r = f(chunk);
-            consumer_ns += consumer.elapsed().as_nanos() as u64;
-            r
+            let n = survivors.num_rows();
+            let out = if n == 0 {
+                None
+            } else {
+                op.batches.fetch_add(1, AtomicOrdering::Relaxed);
+                op.rows_out.fetch_add(n as u64, AtomicOrdering::Relaxed);
+                ctx.budget.charge(n as u64, (n * survivors.num_columns() * 8) as u64)?;
+                Some(survivors)
+            };
+            let handed = Instant::now();
+            read_ns.fetch_add((handed - read).as_nanos() as u64, AtomicOrdering::Relaxed);
+            let out = out.map(|chunk| consume(chunk, nested)).transpose();
+            consume_ns.fetch_add(handed.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
+            out
         })?;
-        let own_ns = (started.elapsed().as_nanos() as u64).saturating_sub(consumer_ns);
-        m.op.wall_ns.fetch_add(own_ns, AtomicOrdering::Relaxed);
-        Ok(())
+        let wall = started.elapsed().as_nanos() as u64;
+        let (read, consumed) = (read_ns.into_inner(), consume_ns.into_inner());
+        let own = match read + consumed {
+            0 => wall,
+            busy => (wall as u128 * read as u128 / busy as u128) as u64,
+        };
+        op.wall_ns.fetch_add(own, AtomicOrdering::Relaxed);
+        Ok(outputs.into_iter().flatten().collect())
     }
 
     /// Child operators, in the order `execute` runs them (and in which
@@ -781,11 +808,18 @@ impl PhysicalPlan {
                 if let (pruned, total @ 1..) = source.pruned() {
                     detail.push_str(&format!(", parts pruned {pruned}/{total}"));
                 }
+                let degree = chunk_degree(source, policy);
                 if predicate.is_some() {
                     detail.push_str(", fused filter");
-                    if let Some(p) = policy_detail_opt(policy) {
+                    if let Some(p) = policy_detail_opt(policy).filter(|_| degree == 1) {
                         detail.push_str(&format!(", {p}"));
                     }
+                }
+                if degree > 1 {
+                    detail.push_str(&format!(
+                        ", chunks {}, degree {degree}",
+                        source.chunk_count()
+                    ));
                 }
                 ("Scan".to_string(), detail)
             }
@@ -936,6 +970,17 @@ fn run_input(
         .rows_in
         .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
     Ok(batch)
+}
+
+/// Workers a scan spreads its chunks over: the policy's degree (at most
+/// one per chunk) when at least two parts remain after pruning and the
+/// scan reads at least the fan-out threshold, else 1.
+fn chunk_degree(source: &TableScan, policy: &ParallelPolicy) -> usize {
+    if policy.degree > 1 && source.parts().len() >= 2 && source.rows() >= policy.row_threshold {
+        policy.degree.min(source.chunk_count())
+    } else {
+        1
+    }
 }
 
 /// A predicate's selection mask over `batch`: per morsel when the policy

@@ -8,12 +8,13 @@
 //! morsel order, which makes every operator bit-for-bit deterministic with
 //! respect to the serial path (modulo floating-point re-association in
 //! partial aggregates, which fixed morsel boundaries keep stable across
-//! thread counts).
+//! thread counts). A scan of disk parts uses the same pool with its chunks
+//! as the items (`PhysicalPlan::map_chunks`).
 
 use crate::batch::RecordBatch;
 use crate::error::Result;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// How a physical operator fans out, decided at plan time from row-count
 /// estimates and [`super::ExecOptions`].
@@ -70,8 +71,11 @@ pub fn morsel_ranges(n: usize, morsel_rows: usize) -> Vec<Range<usize>> {
 }
 
 /// Run `f` over every item on a pool of `degree` workers pulling from a
-/// shared cursor, returning results in item order. Falls back to a plain
-/// serial loop when one worker (or one item) makes a pool pointless.
+/// shared cursor, returning results in item order. The calling thread is
+/// one of the workers, so a pool of `degree` spawns `degree - 1` threads;
+/// one worker (or one item) is a plain serial loop. Once an item fails,
+/// no worker claims another, and the error of the earliest failed item is
+/// returned.
 pub fn parallel_map<T, I, F>(items: &[I], degree: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
@@ -83,37 +87,32 @@ where
         return items.iter().map(&f).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let tagged: Vec<(usize, Result<T>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let f = &f;
-                s.spawn(move || {
-                    let mut out: Vec<(usize, Result<T>)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(&items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("morsel worker panicked"))
-            .collect()
+    let failed = AtomicBool::new(false);
+    let work = || {
+        let mut out: Vec<(usize, Result<T>)> = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            let r = f(&items[i]);
+            if r.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            out.push((i, r));
+        }
+        out
+    };
+    let mut tagged: Vec<(usize, Result<T>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut tagged = work();
+        for h in handles {
+            tagged.extend(h.join().expect("morsel worker panicked"));
+        }
+        tagged
     });
-    let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
-    for (i, r) in tagged {
-        slots[i] = Some(r?);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("every morsel produces a result"))
-        .collect())
+    tagged.sort_unstable_by_key(|(i, _)| *i);
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Morsel-map over a batch: split into fixed-size morsels and apply `f`
@@ -177,5 +176,22 @@ mod tests {
             }
         });
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn parallel_map_stops_claiming_after_a_failure() {
+        let items: Vec<usize> = (0..10_000).collect();
+        let calls = AtomicUsize::new(0);
+        let r: Result<Vec<usize>> = parallel_map(&items, 2, |&i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            if i == 5 {
+                Err(crate::error::SqlError::Execution("boom".into()))
+            } else {
+                Ok(i)
+            }
+        });
+        assert!(r.is_err());
+        let calls = calls.load(Ordering::Relaxed);
+        assert!(calls < 64, "{calls} calls after item 5 failed");
     }
 }

@@ -20,6 +20,7 @@ mod store;
 
 pub use codec::{decode_part, encode_part, validate_part_image};
 pub(crate) use codec::{get_part_meta, put_part_meta};
+pub(crate) use store::DecodeGate;
 pub use store::{parse_part_name, part_file_name, Part, PartHandle, PartStore};
 
 /// Per-column min/max + null-count summary, the unit of scan pruning.

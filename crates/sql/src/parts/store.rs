@@ -19,7 +19,7 @@ use crate::sync;
 use crate::wal::DurableFs;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 
 use super::codec::{decode_part, encode_part, validate_part_image};
 use super::PartMeta;
@@ -97,10 +97,13 @@ pub struct PartStore {
     pub zonemap_parts_pruned: Arc<AtomicU64>,
     /// Parts actually fed to the scan (post-pruning).
     pub zonemap_parts_scanned: Arc<AtomicU64>,
-    /// High-water mark of bytes decoded at once by any read of a table
-    /// version (one part at a time) — the observable form of the
-    /// memory-budget guarantee.
+    /// High-water mark of the decoded bytes one read of a table version
+    /// held at once (the parts its workers had in flight) — the
+    /// observable form of the memory-budget guarantee.
     pub part_scan_peak_bytes: Arc<AtomicU64>,
+    /// Cap on the decoded bytes one read holds at once: the table memory
+    /// budget (0 = no cap).
+    scan_budget: AtomicU64,
 }
 
 impl PartStore {
@@ -131,6 +134,7 @@ impl PartStore {
             zonemap_parts_pruned: Arc::new(AtomicU64::new(0)),
             zonemap_parts_scanned: Arc::new(AtomicU64::new(0)),
             part_scan_peak_bytes: Arc::new(AtomicU64::new(0)),
+            scan_budget: AtomicU64::new(0),
         })
     }
 
@@ -315,9 +319,88 @@ impl PartStore {
         self.parts_merged.fetch_add(retired, Ordering::Relaxed);
     }
 
-    /// Raise the streaming-scan peak-bytes high-water mark.
-    pub fn record_scan_peak(&self, bytes: u64) {
-        self.part_scan_peak_bytes.fetch_max(bytes, Ordering::Relaxed);
+    /// Cap the decoded bytes one read holds at once (the table memory
+    /// budget; 0 = no cap).
+    pub(crate) fn set_scan_budget(&self, bytes: u64) {
+        self.scan_budget.store(bytes, Ordering::Relaxed);
+    }
+
+    /// A gate for one read's decoded parts, capped by the table memory
+    /// budget and raising `part_scan_peak_bytes`.
+    pub(crate) fn decode_gate(&self) -> DecodeGate {
+        DecodeGate::new(
+            self.scan_budget.load(Ordering::Relaxed),
+            Some(self.part_scan_peak_bytes.clone()),
+        )
+    }
+}
+
+/// The decoded parts one read of a table version holds at once. A worker
+/// reserves a part's decoded bytes before it reads the part and holds
+/// them until it has handed the part's rows on; a reservation waits while
+/// it would take the bytes in flight over the cap. A part alone is never
+/// held back, however large, so a read always progresses. Every
+/// reservation raises the peak counter to the bytes then in flight.
+#[derive(Debug)]
+pub(crate) struct DecodeGate {
+    /// 0 = no cap.
+    cap: u64,
+    in_flight: Mutex<InFlight>,
+    freed: Condvar,
+    peak: Option<Arc<AtomicU64>>,
+}
+
+#[derive(Debug, Default)]
+struct InFlight {
+    bytes: u64,
+    /// Reservations blocked on the cap: a release wakes them only if any
+    /// (a wake-up is a syscall even when nobody waits).
+    waiting: usize,
+}
+
+impl DecodeGate {
+    pub(crate) fn new(cap: u64, peak: Option<Arc<AtomicU64>>) -> DecodeGate {
+        DecodeGate {
+            cap,
+            in_flight: Mutex::new(InFlight::default()),
+            freed: Condvar::new(),
+            peak,
+        }
+    }
+
+    /// Hold `bytes` of decoded data until the returned guard drops.
+    pub(crate) fn reserve(&self, bytes: u64) -> Reservation<'_> {
+        let mut held = sync::lock(&self.in_flight);
+        while self.cap > 0 && held.bytes > 0 && held.bytes + bytes > self.cap {
+            held.waiting += 1;
+            held = self
+                .freed
+                .wait(held)
+                .unwrap_or_else(PoisonError::into_inner);
+            held.waiting -= 1;
+        }
+        held.bytes += bytes;
+        if let Some(peak) = &self.peak {
+            peak.fetch_max(held.bytes, Ordering::Relaxed);
+        }
+        Reservation { gate: self, bytes }
+    }
+}
+
+/// Decoded bytes held through a [`DecodeGate`]; released on drop.
+#[derive(Debug)]
+pub(crate) struct Reservation<'a> {
+    gate: &'a DecodeGate,
+    bytes: u64,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        let mut held = sync::lock(&self.gate.in_flight);
+        held.bytes -= self.bytes;
+        if held.waiting > 0 {
+            self.gate.freed.notify_all();
+        }
     }
 }
 
@@ -397,6 +480,27 @@ mod tests {
         assert!(store.validate_part(1), "dropping a handle does no I/O");
         let part = store.write_part(&sample_batch(10), 0).unwrap();
         assert!(part.id >= 2, "ids must not be reused after reopen");
+    }
+
+    #[test]
+    fn a_decode_gate_holds_the_bytes_in_flight_under_its_cap() {
+        let peak = Arc::new(AtomicU64::new(0));
+        let gate = DecodeGate::new(100, Some(peak.clone()));
+        let done = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let first = gate.reserve(60);
+            s.spawn(|| {
+                let _second = gate.reserve(60);
+                assert_eq!(done.load(Ordering::Relaxed), 1, "reserved over the cap");
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            done.store(1, Ordering::Relaxed);
+            drop(first);
+        });
+        assert_eq!(peak.load(Ordering::Relaxed), 60);
+        // one part over the cap alone still goes through
+        drop(gate.reserve(500));
+        assert_eq!(peak.load(Ordering::Relaxed), 500);
     }
 
     #[test]

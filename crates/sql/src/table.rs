@@ -8,7 +8,7 @@
 
 use crate::batch::RecordBatch;
 use crate::error::{Result, SqlError};
-use crate::parts::{Part, PartStore};
+use crate::parts::{DecodeGate, Part, PartStore};
 use crate::schema::Schema;
 use crate::stats::TableStats;
 use std::collections::HashMap;
@@ -165,13 +165,15 @@ pub(crate) fn edit_chunk(
 pub type ColBounds = HashMap<usize, (Option<f64>, Option<f64>)>;
 
 /// The rows of one table version as a sequence of chunks: its disk parts,
-/// oldest first, each decoded only when reached and only for the wanted
+/// oldest first, each decoded only when read and only for the wanted
 /// columns, then its resident tail. Every reader of a version's rows —
 /// the executor's `Scan`, ALTER, the continuous-query tick and the state
 /// digest — goes through this one source, so none of them knows where the
 /// rows live; only UPDATE and DELETE, which rewrite parts in place, walk
-/// a version's parts themselves. At most one decoded part is alive per
-/// step; peak decoded bytes go to the part store's high-water counter.
+/// a version's parts themselves. Chunks are read by index, in any order
+/// and from several threads; a reader holds each decoded part through a
+/// `DecodeGate`, which keeps the parts it has in flight within the
+/// table memory budget and records their peak.
 #[derive(Debug, Clone)]
 pub struct TableScan {
     /// Schema of every chunk (the projected columns).
@@ -276,22 +278,52 @@ impl TableScan {
             + self.tail.num_rows()
     }
 
-    /// The chunks in order: each remaining part decoded, then the tail.
+    /// Chunks to read: the remaining parts, then the tail unless empty.
+    pub fn chunk_count(&self) -> usize {
+        self.parts.len() + usize::from(self.tail.num_rows() > 0)
+    }
+
+    /// Chunk `i` of [`chunk_count`](Self::chunk_count): part `i` decoded,
+    /// or the resident tail after the last part.
+    pub fn chunk(&self, i: usize) -> Result<RecordBatch> {
+        let Some(p) = self.parts.get(i) else {
+            return Ok(self.tail.clone());
+        };
+        let store = self.store.as_ref().ok_or_else(|| {
+            SqlError::Io("table has disk parts but no part store is attached".into())
+        })?;
+        let raw = store.read_part_projected(p.id, self.projection.as_deref())?;
+        // decoded under the part's stored schema; present as ours
+        let chunk = RecordBatch::new(self.schema.clone(), raw.columns().to_vec())?;
+        Ok(match i {
+            0 if self.skip > 0 => chunk.slice(self.skip, usize::MAX),
+            _ => chunk,
+        })
+    }
+
+    /// Decoded bytes of chunk `i` as the memory budget counts them (8 per
+    /// cell); the resident tail decodes nothing.
+    pub(crate) fn chunk_bytes(&self, i: usize) -> u64 {
+        self.parts
+            .get(i)
+            .map_or(0, |p| p.rows * self.schema.len() as u64 * 8)
+    }
+
+    /// The gate one read of this scan holds its decoded parts through.
+    pub(crate) fn decode_gate(&self) -> DecodeGate {
+        match &self.store {
+            Some(store) => store.decode_gate(),
+            None => DecodeGate::new(0, None),
+        }
+    }
+
+    /// The chunks in order, one decoded part alive at a time.
     pub fn chunks(&self) -> impl Iterator<Item = Result<RecordBatch>> + '_ {
-        let parts = self.parts.iter().enumerate().map(|(i, p)| {
-            let store = self.store.as_ref().ok_or_else(|| {
-                SqlError::Io("table has disk parts but no part store is attached".into())
-            })?;
-            let raw = store.read_part_projected(p.id, self.projection.as_deref())?;
-            // decoded under the part's stored schema; present as ours
-            let chunk = RecordBatch::new(self.schema.clone(), raw.columns().to_vec())?;
-            store.record_scan_peak((chunk.num_rows() * chunk.num_columns() * 8) as u64);
-            Ok(match i {
-                0 if self.skip > 0 => chunk.slice(self.skip, usize::MAX),
-                _ => chunk,
-            })
-        });
-        parts.chain(std::iter::once(Ok(self.tail.clone())))
+        let gate = self.decode_gate();
+        (0..self.chunk_count()).map(move |i| {
+            let _held = gate.reserve(self.chunk_bytes(i));
+            self.chunk(i)
+        })
     }
 
     /// Drain every chunk into one batch.

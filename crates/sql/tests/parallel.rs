@@ -9,7 +9,7 @@ use flock_sql::column::ColumnVector;
 use flock_sql::exec::ExecOptions;
 use flock_sql::types::DataType;
 use flock_sql::udf::InferenceProvider;
-use flock_sql::{Database, RecordBatch, Result, SqlError, Value};
+use flock_sql::{Database, DurabilityOptions, MemFs, RecordBatch, Result, SqlError, Value};
 use std::sync::Arc;
 
 /// Rows in the generated fact table — enough for dozens of 64-row morsels.
@@ -30,7 +30,11 @@ impl Lcg {
 }
 
 fn fixture() -> Database {
-    let db = Database::new();
+    fixture_in(Database::new())
+}
+
+/// The fixture's tables created and filled in `db`.
+fn fixture_in(db: Database) -> Database {
     db.execute("CREATE TABLE customers (cust INT, name VARCHAR, segment VARCHAR)")
         .unwrap();
     db.execute("CREATE TABLE orders (o_id INT, cust INT, amount DOUBLE, region VARCHAR, qty INT)")
@@ -385,4 +389,38 @@ fn a_predict_shared_by_where_and_select_is_scored_once() {
     db.set_exec_options(ExecOptions::serial());
     let (_, rows) = scored(&format!("SELECT o_id FROM orders WHERE {p} >= 0.5 AND {p} < 0.9"));
     assert_eq!(rows, 2 * N_ORDERS);
+}
+
+#[test]
+fn a_scan_of_disk_parts_fans_out_across_its_chunks() {
+    // Offload cuts the 500-row order inserts into 100-row parts (half the
+    // budget at 5 columns x 8 bytes); the customers stay resident.
+    let db = Database::open_with_fs(MemFs::new(), DurabilityOptions::default()).unwrap();
+    db.set_table_memory_budget(2 * 100 * 5 * 8);
+    let db = fixture_in(db);
+    let parts = db.catalog().table("orders").unwrap().current().parts.len();
+    assert_eq!(parts, N_ORDERS / 100);
+    let q = "SELECT region, COUNT(*), SUM(amount), MAX(qty) FROM orders GROUP BY region";
+    db.set_exec_options(ExecOptions::serial());
+    let serial = db.query(q).unwrap();
+    db.set_exec_options(parallel_options(2));
+    let counters = |db: &Database| -> std::collections::HashMap<&str, u64> {
+        db.engine_metrics().rows().into_iter().collect()
+    };
+    let before = counters(&db);
+    assert_batches_match(&serial, &db.query(q).unwrap(), "chunk-parallel GROUP BY");
+    let after = counters(&db);
+    assert!(after["parallel_ops"] > before["parallel_ops"]);
+    assert!(after["morsels"] - before["morsels"] >= parts as u64);
+
+    let tree = explain_analyze(&db, q);
+    let scan = tree.lines().find(|l| l.contains("Scan [")).unwrap();
+    assert!(scan.contains(&format!("chunks {parts}, degree 2")), "{tree}");
+    assert!(scan.contains(&format!("morsels={parts}, degree=2")), "{tree}");
+    // Inside a chunk's task nothing fans out again.
+    let agg = tree.lines().find(|l| l.contains("HashAggregate")).unwrap();
+    assert!(!agg.contains("morsels="), "{tree}");
+    // Too few rows for the threshold: the chunks go by on one thread.
+    db.set_exec_options(ExecOptions::with_threads(2, N_ORDERS + 1));
+    assert!(!explain_analyze(&db, q).contains("chunks"));
 }
