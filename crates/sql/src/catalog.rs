@@ -289,7 +289,10 @@ impl AccessControl {
 /// statement clones the catalog, few write an extension object.
 #[derive(Debug, Clone)]
 pub struct Catalog {
-    tables: BTreeMap<String, Table>,
+    /// Shared by `Arc`, so cloning a catalog (every transaction and
+    /// snapshot read starts with one) copies no table's version list; a
+    /// write copies the one table it changes ([`Catalog::table_mut`]).
+    tables: BTreeMap<String, Arc<Table>>,
     views: BTreeMap<String, ViewDef>,
     extensions: Arc<BTreeMap<(String, String), ExtensionObject>>,
     pub access: AccessControl,
@@ -389,7 +392,7 @@ impl Catalog {
                 table.name()
             )));
         }
-        self.tables.insert(key, table);
+        self.tables.insert(key, Arc::new(table));
         Ok(())
     }
 
@@ -403,13 +406,26 @@ impl Catalog {
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
             .get(&name.to_ascii_lowercase())
+            .map(|t| &**t)
             .ok_or_else(|| SqlError::Catalog(format!("table '{name}' does not exist")))
     }
 
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())
+            .map(Arc::make_mut)
             .ok_or_else(|| SqlError::Catalog(format!("table '{name}' does not exist")))
+    }
+
+    /// Install `src`'s table `name` in place of this catalog's, sharing
+    /// it (or drop this one's when `src` has none): how a commit publishes
+    /// a table it wrote.
+    pub(crate) fn share_table(&mut self, src: &Catalog, name: &str) {
+        let key = name.to_ascii_lowercase();
+        match src.tables.get(&key) {
+            Some(t) => self.tables.insert(key, t.clone()),
+            None => self.tables.remove(&key),
+        };
     }
 
     pub fn has_table(&self, name: &str) -> bool {

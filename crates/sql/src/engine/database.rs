@@ -14,6 +14,7 @@ use crate::optimizer::OptimizerConfig;
 use crate::plan::PlanRewriter;
 use crate::plancache::PlanCache;
 use crate::sync;
+use crate::table::Tail;
 use crate::trainer::{NoTrainer, TrainerRef};
 use crate::udf::{NoInference, ProviderRef};
 use crate::wal::{DurabilityOptions, DurableFs, StdFs, WalManager};
@@ -58,7 +59,7 @@ fn logicalize_snapshot(snap: &mut crate::wal::Snapshot, catalog: &Catalog) {
                 continue;
             }
             if let Ok(full) = tv.scan(catalog.part_store()).collect() {
-                v.data = full;
+                v.data = Tail::from_batch(full);
                 v.parts.clear();
             }
         }

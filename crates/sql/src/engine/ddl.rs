@@ -425,13 +425,14 @@ pub(super) fn show_tables(txn: &Txn) -> Result<QueryResult> {
     Ok(QueryResult::rows(RecordBatch::from_rows(schema, &rows)?, "SHOW TABLES"))
 }
 
-/// `DESCRIBE <table>` — per-column data profile straight from the
-/// table's statistics: type, nullability, null count, distinct count,
-/// and numeric min/max.
+/// `DESCRIBE <table>` — per-column data profile of the current version,
+/// computed when asked ([`crate::stats::profile`]): type, nullability,
+/// null count, distinct count, and numeric min/max.
 pub(super) fn describe(txn: &mut Txn, name: &str) -> Result<QueryResult> {
     txn.check_access(&ObjectRef::table(name), Privilege::Select)?;
     let table = txn.catalog().table(name)?;
-    let stats = &table.current().stats;
+    let cur = table.current();
+    let stats = crate::stats::profile(&cur.parts, &cur.data);
     let schema = Arc::new(Schema::from_pairs(&[
         ("column", DataType::Text),
         ("type", DataType::Text),
@@ -443,7 +444,7 @@ pub(super) fn describe(txn: &mut Txn, name: &str) -> Result<QueryResult> {
     ]));
     let mut rows: Vec<Vec<Value>> = Vec::new();
     for (i, col) in table.schema().columns().iter().enumerate() {
-        let cs = &stats.columns[i];
+        let cs = &stats[i];
         rows.push(vec![
             Value::Text(col.name.clone()),
             Value::Text(col.data_type.to_string()),

@@ -1,6 +1,15 @@
 //! DML handlers: INSERT / UPDATE / DELETE, the single append primitive,
-//! and version-history maintenance. UPDATE and DELETE rewrite only the
-//! parts holding a row they change and log a row delta.
+//! and version-history maintenance.
+//!
+//! An INSERT costs the rows it adds. A literal `VALUES` cell is pushed
+//! into the delta's typed column as it is (with the column cast); any
+//! other expression is folded, compiled and evaluated. The append shares
+//! the table's parts and resident chunks and merges its stats with the
+//! delta's ([`Table::push_append`]), and the WAL logs only the delta.
+//! UPDATE and DELETE rewrite only the parts and chunks holding a row they
+//! change and log a row delta.
+//!
+//! [`Table::push_append`]: crate::table::Table::push_append
 
 use super::models::lineage_pinned_versions;
 use super::session::StmtCtx;
@@ -15,7 +24,7 @@ use crate::exec::{zone_constraints, EvalContext, PhysExpr};
 use crate::parts::{Part, PartMeta};
 use crate::schema::Schema;
 use crate::stream::STREAM_KIND;
-use crate::table::{concat_chunks, edit_chunk, ColBounds};
+use crate::table::{concat_chunks, edit_chunk, ColBounds, Tail};
 use crate::types::Value;
 use crate::udf::InferenceProvider;
 use crate::wal::{RedoOp, RowRuns};
@@ -76,10 +85,20 @@ pub(super) fn insert(
                 }
                 let mut vals = Vec::with_capacity(row.len());
                 for e in row {
-                    let folded = crate::optimizer::fold_expr(e)?;
-                    let compiled =
-                        PhysExpr::compile(&folded, &Schema::default(), ctx.provider.as_ref())?;
-                    vals.push(compiled.eval_row(&empty, 0, &eval_ctx)?);
+                    // A literal (the parser folds a sign into its number)
+                    // goes to the typed column as it is.
+                    vals.push(match e {
+                        Expr::Literal(v) => v,
+                        e => {
+                            let folded = crate::optimizer::fold_expr(e)?;
+                            let compiled = PhysExpr::compile(
+                                &folded,
+                                &Schema::default(),
+                                ctx.provider.as_ref(),
+                            )?;
+                            compiled.eval_row(&empty, 0, &eval_ctx)?
+                        }
+                    });
                 }
                 out.push(vals);
             }
@@ -108,14 +127,12 @@ pub(super) fn insert(
         .iter()
         .map(|c| ColumnVector::with_capacity(c.data_type, n_inserted))
         .collect();
-    for row in &incoming {
-        for (ci, col) in delta_cols.iter_mut().enumerate() {
-            let val = positions
-                .iter()
-                .position(|&p| p == ci)
-                .map(|slot| row[slot].clone())
-                .unwrap_or(Value::Null);
-            col.push(val)?;
+    let slots: Vec<Option<usize>> = (0..schema.len())
+        .map(|ci| positions.iter().position(|&p| p == ci))
+        .collect();
+    for mut row in incoming {
+        for (col, slot) in delta_cols.iter_mut().zip(&slots) {
+            col.push(slot.map_or(Value::Null, |s| std::mem::replace(&mut row[s], Value::Null)))?;
         }
     }
     let delta = RecordBatch::new(schema, delta_cols)?;
@@ -164,23 +181,20 @@ pub(super) fn append_rows(
             )));
         }
     }
-    let mut cols = table.current().data.columns().to_vec();
-    for (dst, src) in cols.iter_mut().zip(delta.columns()) {
-        dst.append(src)?;
-    }
     let rows = delta.num_rows();
-    let delta = RecordBatch::new(schema.clone(), delta.columns().to_vec())?;
-    let grown = RecordBatch::new(schema, cols)?;
-    // The disk-part prefix carries forward; only the resident tail grows,
-    // and the WAL logs just the appended rows.
-    let parts = table.current().parts.clone();
-    let version = install_version(txn, table_name, parts, grown, |table, version, txn_id| {
-        RedoOp::AppendRows {
-            table,
+    let delta = RecordBatch::new(schema, delta.columns().to_vec())?;
+    // Every part and chunk carries forward and the delta becomes one more
+    // chunk; the WAL logs just the appended rows.
+    let version = txn.write_table(table_name, false, |catalog, txn_id| {
+        let table = catalog.table_mut(table_name)?;
+        let version = table.push_append(delta.clone(), txn_id)?;
+        let op = RedoOp::AppendRows {
+            table: table.name().to_string(),
             version,
             txn_id,
             rows: delta,
-        }
+        };
+        Ok((version, Some(op)))
     })?;
     let (sql, action) = match statement {
         Some(sql) => (sql.to_string(), "INSERT"),
@@ -364,7 +378,7 @@ type Assign<'a> = &'a mut dyn FnMut(&RecordBatch) -> Result<RecordBatch>;
 /// What an UPDATE or DELETE makes of the version it read.
 struct Rewrite {
     parts: Vec<Part>,
-    tail: RecordBatch,
+    tail: Tail,
     /// Logical positions of the selected rows in the version read.
     at: Vec<u64>,
     /// The new rows at those positions, chunk by chunk (UPDATE only).
@@ -373,10 +387,11 @@ struct Rewrite {
 
 /// Read the current version of `table_name` a chunk at a time and edit
 /// the rows `selection` picks: `assign` maps them to their new rows
-/// (UPDATE), or, when `None`, they go (DELETE). A part without a selected
-/// row is carried into the new version by reference; a part with one is
-/// written as one new part in its place, or dropped unread when a DELETE
-/// takes all of it; the resident tail is edited in memory. The new parts
+/// (UPDATE), or, when `None`, they go (DELETE). A part or resident chunk
+/// without a selected row is carried into the new version by reference; a
+/// part with one is written as one new part in its place, or dropped
+/// unread when a DELETE takes all of it; a chunk with one is edited in
+/// memory. The new parts
 /// live in the transaction's working catalog: its commit installs them,
 /// its end otherwise drops them for the next checkpoint to delete.
 fn rewrite(
@@ -443,9 +458,14 @@ fn rewrite(
         parts.push(store.write_part(&edited, p.level)?);
         store.note_rewritten(1);
     }
-    let tail_hits = select(cur.data.num_rows(), &|columns| cur.data.project(columns))?;
-    at.extend(tail_hits.iter().map(|&i| start + i as u64));
-    let tail = edit(&cur.data, &tail_hits, &mut rows)?;
+    let tail = cur.data.edit_chunks(|chunk, first| {
+        let hits = select(chunk.num_rows(), &|columns| chunk.project(columns))?;
+        if hits.is_empty() {
+            return Ok(None);
+        }
+        at.extend(hits.iter().map(|&i| start + (first + i) as u64));
+        edit(chunk, &hits, &mut rows).map(Some)
+    })?;
     Ok(Rewrite {
         parts,
         tail,
@@ -461,7 +481,7 @@ fn install_version(
     txn: &mut Txn,
     name: &str,
     parts: Vec<Part>,
-    tail: RecordBatch,
+    tail: Tail,
     op: impl FnOnce(String, u64, u64) -> RedoOp,
 ) -> Result<u64> {
     txn.write_table(name, false, |catalog, txn_id| {

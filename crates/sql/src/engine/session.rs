@@ -164,23 +164,22 @@ impl Session {
     /// raw token stream keys the plan cache, so repeating the same query
     /// text skips parse/plan/optimize. Literals stay inline on this path —
     /// value-dependent optimizations (e.g. threshold-based model pruning)
-    /// still see them.
+    /// still see them. Any other statement is parsed from the same tokens:
+    /// the text is lexed once.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        if self.txn.is_none() {
-            if let Ok(tokens) = crate::lexer::tokenize(sql) {
-                if matches!(tokens.first(),
-                    Some(Token::Ident(w)) if w.eq_ignore_ascii_case("SELECT"))
-                {
-                    let key = CacheKey {
-                        tokens,
-                        param_types: Vec::new(),
-                        predict: self.vars.predict_strategy,
-                    };
-                    return self.cached_select(key, Arc::default(), sql);
-                }
-            }
+        let tokens = crate::lexer::tokenize(sql)?;
+        if self.txn.is_none()
+            && matches!(tokens.first(),
+                Some(Token::Ident(w)) if w.eq_ignore_ascii_case("SELECT"))
+        {
+            let key = CacheKey {
+                tokens,
+                param_types: Vec::new(),
+                predict: self.vars.predict_strategy,
+            };
+            return self.cached_select(key, Arc::default(), sql);
         }
-        let stmt = crate::parser::parse_statement(sql)?;
+        let (stmt, _) = crate::parser::parse_token_stream(tokens)?;
         self.execute_statement(stmt, sql)
     }
 

@@ -7,10 +7,10 @@
 use super::database::{snapshot_of, Database, DbState};
 use super::models::lineage_pinned_versions;
 use super::{now_ms, AuditRecord, QueryLogEntry, QueryRuntime, StatementKind};
-use crate::batch::RecordBatch;
 use crate::catalog::{AccessControl, Catalog, ObjectRef, Privilege};
 use crate::error::{Result, SqlError};
 use crate::sync;
+use crate::table::Tail;
 use crate::wal::{RedoOp, WalRecord};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -21,7 +21,7 @@ const MAX_PART_ROWS: usize = 65_536;
 
 /// Resident footprint estimate for a batch — the same coarse
 /// 8-bytes-per-cell model the executor's memory accounting uses.
-fn resident_bytes(b: &RecordBatch) -> u64 {
+fn resident_bytes(b: &Tail) -> u64 {
     (b.num_rows() as u64) * (b.num_columns() as u64) * 8
 }
 
@@ -417,10 +417,10 @@ impl Txn {
             let ncols = cur.data.num_columns().max(1);
             let chunk_rows = ((budget as usize / (8 * ncols)) / 2).clamp(1, MAX_PART_ROWS);
             let mut parts = cur.parts.clone();
-            for chunk in cur.data.chunks(chunk_rows) {
+            for chunk in cur.data.collect()?.chunks(chunk_rows) {
                 parts.push(store.write_part(&chunk, 0)?);
             }
-            let tail = RecordBatch::empty(cur.data.schema().clone());
+            let tail = Tail::empty(cur.data.schema().clone());
             let pinned = lineage_pinned_versions(&self.catalog, &name);
             let table = self.catalog.table_mut(&name)?;
             let redo_table = table.name().to_string();
@@ -497,12 +497,7 @@ fn object_state(catalog: &Catalog, key: &ObjectKey) -> BaseState {
 /// Copy the final state of `key` from `src` into `dst` (or remove it).
 fn apply_object(dst: &mut Catalog, src: &Catalog, key: &ObjectKey) {
     match key {
-        ObjectKey::Table(name) => {
-            let _ = dst.drop_table(name);
-            if let Ok(t) = src.table(name) {
-                let _ = dst.create_table(t.clone());
-            }
-        }
+        ObjectKey::Table(name) => dst.share_table(src, name),
         ObjectKey::View(name) => {
             let _ = dst.drop_view(name);
             if let Some(v) = src.view(name) {

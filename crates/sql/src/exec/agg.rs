@@ -707,10 +707,10 @@ fn fresh_accs(aggs: &[(AggCall, Option<PhysExpr>)]) -> Vec<Accumulator> {
 }
 
 /// Run a [`PhysicalPlan::HashAggregate`]: one partial per input chunk,
-/// folded in chunk order. A resident input is one chunk; over a
-/// part-backed scan each chunk's partial is built inside the chunk's own
-/// task ([`PhysicalPlan::map_chunks`]), and the scan's concatenated output
-/// never materializes. Aggregates that cannot merge partials need the
+/// folded in chunk order. An input other than a scan is one chunk; over a
+/// scan — its parts, then its resident tail's runs — each chunk's partial
+/// is built inside the chunk's own task ([`PhysicalPlan::map_chunks`]),
+/// and the scan's concatenated output never materializes. Aggregates that cannot merge partials need the
 /// whole input as one chunk.
 pub(super) fn execute_hash_aggregate(
     input: &PhysicalPlan,

@@ -12,8 +12,9 @@
 
 use super::{ParallelPolicy, PhysicalPlan};
 use crate::sync;
+use crate::table::TableScan;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Lock-free counters for one physical operator.
 #[derive(Debug, Default)]
@@ -34,6 +35,9 @@ pub struct OpMetrics {
     /// Maximum effective parallel degree observed: `min(policy degree,
     /// morsels available)`, 1 while the operator stays serial.
     pub par_degree: AtomicU64,
+    /// A scan whose zone-map pruning waited for `?` parameters: its source
+    /// as pruned once they were bound, which its label then reports.
+    pub bound_scan: OnceLock<TableScan>,
 }
 
 impl OpMetrics {
@@ -93,7 +97,7 @@ impl PlanMetrics {
     /// Freeze the counters into a plain snapshot annotated with the plan's
     /// operator labels.
     pub fn snapshot(&self, plan: &PhysicalPlan) -> OpSnapshot {
-        let (name, detail) = plan.op_label();
+        let (name, detail) = plan.label(self.op.bound_scan.get());
         let children: Vec<OpSnapshot> = self
             .children
             .iter()

@@ -398,34 +398,53 @@ fn column_index(e: &Expr, schema: &Schema) -> Option<usize> {
     }
 }
 
-fn literal_f64(e: &Expr) -> Option<f64> {
+/// One side of a zone bound: a literal's value, or a `?` parameter's —
+/// known only when the plan executes, and cast as the plan casts it (a
+/// typed parameter is planned under an identity `CAST`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ZoneBound {
+    Value(f64),
+    Param(usize, Option<DataType>),
+}
+
+/// Column `.0` (of the scan) lies in `[.1, .2]`; a side is open when
+/// `None`.
+pub(crate) type ZoneTerm = (usize, Option<ZoneBound>, Option<ZoneBound>);
+
+fn zone_bound(e: &Expr) -> Option<ZoneBound> {
     match e {
-        Expr::Literal(v) => v.as_f64(),
+        Expr::Literal(v) => v.as_f64().map(ZoneBound::Value),
+        Expr::Parameter(i) => Some(ZoneBound::Param(*i, None)),
+        Expr::Cast { expr, to } => match **expr {
+            Expr::Parameter(i) => Some(ZoneBound::Param(i, Some(*to))),
+            _ => None,
+        },
         _ => None,
     }
 }
 
-/// Extract conservative zone-prunable bounds from a predicate: AND-split
-/// into conjuncts, then keep `col <op> literal` (either orientation) and
-/// `col BETWEEN lo AND hi`. Everything else (OR, NOT, expressions over the
-/// column) contributes no bounds — parts it might match are never pruned.
-pub(crate) fn zone_constraints(pred: &Expr, schema: &Schema) -> ColBounds {
-    let mut bounds = ColBounds::new();
+/// The zone-prunable terms of a predicate: AND-split into conjuncts, then
+/// keep `col <op> bound` (either orientation) and `col BETWEEN lo AND hi`,
+/// a bound being a numeric literal or a `?` parameter. Everything else
+/// (OR, NOT, expressions over the column) contributes no term — parts it
+/// might match are never pruned.
+pub(crate) fn zone_terms(pred: &Expr, schema: &Schema) -> Vec<ZoneTerm> {
+    let mut terms = Vec::new();
     for conj in pred.split_conjunction() {
         match conj {
             Expr::Binary { left, op, right } => {
-                let (idx, lit, op) = match (column_index(left, schema), literal_f64(right)) {
-                    (Some(i), Some(v)) => (i, v, *op),
-                    _ => match (column_index(right, schema), literal_f64(left)) {
+                let (idx, b, op) = match (column_index(left, schema), zone_bound(right)) {
+                    (Some(i), Some(b)) => (i, b, *op),
+                    _ => match (column_index(right, schema), zone_bound(left)) {
                         // flip so the column is on the left: 5 < x ⇒ x > 5
-                        (Some(i), Some(v)) => (i, v, op.flip()),
+                        (Some(i), Some(b)) => (i, b, op.flip()),
                         _ => continue,
                     },
                 };
                 match op {
-                    BinOp::Eq => tighten(&mut bounds, idx, Some(lit), Some(lit)),
-                    BinOp::Lt | BinOp::LtEq => tighten(&mut bounds, idx, None, Some(lit)),
-                    BinOp::Gt | BinOp::GtEq => tighten(&mut bounds, idx, Some(lit), None),
+                    BinOp::Eq => terms.push((idx, Some(b), Some(b))),
+                    BinOp::Lt | BinOp::LtEq => terms.push((idx, None, Some(b))),
+                    BinOp::Gt | BinOp::GtEq => terms.push((idx, Some(b), None)),
                     _ => {}
                 }
             }
@@ -435,23 +454,58 @@ pub(crate) fn zone_constraints(pred: &Expr, schema: &Schema) -> ColBounds {
                 high,
                 negated: false,
             } => {
-                if let (Some(idx), lo, hi) =
-                    (column_index(expr, schema), literal_f64(low), literal_f64(high))
-                {
+                if let (Some(idx), lo, hi) = (
+                    column_index(expr, schema),
+                    zone_bound(low),
+                    zone_bound(high),
+                ) {
                     if lo.is_some() || hi.is_some() {
-                        tighten(&mut bounds, idx, lo, hi);
+                        terms.push((idx, lo, hi));
                     }
                 }
             }
             _ => {}
         }
     }
+    terms
+}
+
+/// Bounds from zone terms, each parameter read from `params`, or left open
+/// when `params` is `None` (at plan time). A parameter that is NULL or not
+/// numeric leaves its side open, as such a literal does; a term with both
+/// sides open bounds nothing.
+pub(crate) fn resolve_zones(terms: &[ZoneTerm], params: Option<&[Value]>) -> ColBounds {
+    let value = |b: Option<ZoneBound>| match b? {
+        ZoneBound::Value(v) => Some(v),
+        ZoneBound::Param(i, None) => params?.get(i)?.as_f64(),
+        ZoneBound::Param(i, Some(to)) => params?.get(i)?.cast(to).ok()?.as_f64(),
+    };
+    let mut bounds = ColBounds::new();
+    for &(idx, lo, hi) in terms {
+        let (lo, hi) = (value(lo), value(hi));
+        if lo.is_some() || hi.is_some() {
+            tighten(&mut bounds, idx, lo, hi);
+        }
+    }
     bounds
+}
+
+/// Conservative zone-prunable bounds of a predicate whose every bound is
+/// a literal ([`zone_terms`]; a parameter bounds nothing).
+pub(crate) fn zone_constraints(pred: &Expr, schema: &Schema) -> ColBounds {
+    resolve_zones(&zone_terms(pred, schema), None)
+}
+
+fn has_param(b: Option<ZoneBound>) -> bool {
+    matches!(b, Some(ZoneBound::Param(..)))
 }
 
 /// Plan a [`LogicalPlan::Scan`] with the filter directly above it (if any)
 /// fused in. The filter's bounds prune parts by their zone maps here, at
-/// plan time; the filter itself runs per chunk at execution time.
+/// plan time — or, when a bound is a `?` parameter, each time the plan
+/// executes, once the parameters are bound ([`TableScan::bind`]), so a
+/// cached plan stays shared; the filter itself runs per chunk at
+/// execution time.
 fn plan_scan(
     scan: &LogicalPlan,
     predicate: Option<&Expr>,
@@ -471,7 +525,15 @@ fn plan_scan(
     let mut source = catalog
         .scan_table(table, *version)?
         .project(projection.as_deref(), schema.clone())?;
-    source.prune(&predicate.map(|p| zone_constraints(p, schema)).unwrap_or_default());
+    let terms = predicate.map(|p| zone_terms(p, schema)).unwrap_or_default();
+    if terms
+        .iter()
+        .any(|&(_, lo, hi)| has_param(lo) || has_param(hi))
+    {
+        source.prune_when_bound(terms);
+    } else {
+        source.prune(&resolve_zones(&terms, None));
+    }
     let policy = ParallelPolicy::from_options(options, source.rows());
     let predicate = predicate
         .map(|p| PhysExpr::compile(p, schema, provider))
@@ -699,8 +761,9 @@ impl PhysicalPlan {
     /// Run a [`PhysicalPlan::Scan`] as a map over its chunks: one task per
     /// chunk reads it (decoding a part), runs the fused filter, and hands
     /// the non-empty survivors to `consume` in the same task; the outputs
-    /// come back in chunk order. A scan of at least two parts that reads at
-    /// least the fan-out threshold spreads its chunks over the policy's
+    /// come back in chunk order. A scan of at least two parts (or two runs
+    /// of resident chunks) that reads at least the fan-out threshold
+    /// spreads its chunks over the policy's
     /// workers ([`chunk_degree`]), the calling thread among them, holding
     /// the decoded parts in flight within the table memory budget
     /// ([`TableScan::decode_gate`]). Inside such a task nothing fans out
@@ -730,6 +793,16 @@ impl PhysicalPlan {
             return Err(SqlError::Execution("map_chunks on a non-scan operator".into()));
         };
         ctx.cancel.check()?;
+        // Pruning that waited for the parameters runs now, on this
+        // execution's copy of the source; the plan stays shared.
+        let (source, policy) = match source.bind(&ctx.params) {
+            Some(bound) => {
+                let policy = policy.for_rows(bound.rows());
+                (op.bound_scan.get_or_init(|| bound), policy)
+            }
+            None => (source, *policy),
+        };
+        let policy = &policy;
         let chunks: Vec<usize> = (0..source.chunk_count()).collect();
         let degree = chunk_degree(source, policy);
         let nested = degree > 1;
@@ -798,12 +871,23 @@ impl PhysicalPlan {
 
     /// Operator name and shape detail for plan rendering.
     pub fn op_label(&self) -> (String, String) {
+        self.label(None)
+    }
+
+    /// [`op_label`](Self::op_label), with a scan whose pruning waited for
+    /// its parameters shown as it ran: over `bound`, its source once they
+    /// were bound.
+    pub(crate) fn label(&self, bound: Option<&TableScan>) -> (String, String) {
         match self {
             PhysicalPlan::Scan {
                 source,
                 predicate,
                 policy,
             } => {
+                let (source, policy) = match bound {
+                    Some(b) => (b, &policy.for_rows(b.rows())),
+                    None => (source, policy),
+                };
                 let mut detail = format!("rows={}", source.rows());
                 if let (pruned, total @ 1..) = source.pruned() {
                     detail.push_str(&format!(", parts pruned {pruned}/{total}"));
@@ -973,10 +1057,12 @@ fn run_input(
 }
 
 /// Workers a scan spreads its chunks over: the policy's degree (at most
-/// one per chunk) when at least two parts remain after pruning and the
-/// scan reads at least the fan-out threshold, else 1.
+/// one per chunk) when at least two parts remain after pruning, or the
+/// resident tail is read as at least two runs, and the scan reads at least
+/// the fan-out threshold, else 1.
 fn chunk_degree(source: &TableScan, policy: &ParallelPolicy) -> usize {
-    if policy.degree > 1 && source.parts().len() >= 2 && source.rows() >= policy.row_threshold {
+    let chunked = source.parts().len() >= 2 || source.chunk_count() - source.parts().len() >= 2;
+    if policy.degree > 1 && chunked && source.rows() >= policy.row_threshold {
         policy.degree.min(source.chunk_count())
     } else {
         1

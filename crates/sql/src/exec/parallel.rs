@@ -54,6 +54,18 @@ impl ParallelPolicy {
         }
     }
 
+    /// The policy [`from_options`](Self::from_options) would have chosen
+    /// had it estimated `rows` rows, no more than this one: how a scan
+    /// pruned only at execution fans out.
+    pub fn for_rows(&self, rows: usize) -> Self {
+        let degree = if rows >= self.row_threshold {
+            self.degree
+        } else {
+            1
+        };
+        ParallelPolicy { degree, ..*self }
+    }
+
     /// Whether to actually fan out for a batch of `rows` rows.
     pub fn fan_out(&self, rows: usize) -> bool {
         self.degree > 1 && rows >= self.row_threshold && rows > self.morsel_rows

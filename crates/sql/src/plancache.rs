@@ -459,7 +459,7 @@ mod tests {
 
     fn version(v: u64) -> Arc<TableVersion> {
         let schema = Arc::new(crate::schema::Schema::default());
-        TableVersion::new(v, 1, Vec::new(), crate::batch::RecordBatch::empty(schema))
+        TableVersion::new(v, 1, Vec::new(), crate::table::Tail::empty(schema))
     }
 
     fn plan() -> CachedPlan {

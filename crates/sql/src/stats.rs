@@ -1,164 +1,200 @@
 //! Column and table statistics.
 //!
-//! Statistics drive two things in Flock: classical cost-based decisions
-//! (physical operator selection for inference) and the cross-optimizer's
-//! *model compression* rule, which prunes decision-tree branches that can
-//! never be reached given the observed min/max of the input columns.
+//! A table version's [`TableStats`] hold only what merges: the row count
+//! and, per column, the null count and the numeric min/max. The
+//! cross-optimizer's *model compression* rule reads the min/max (it prunes
+//! decision-tree branches no input can reach). Because they merge, an
+//! append builds its version's stats from the previous version's and the
+//! delta's ([`TableStats::merge`]) in O(delta); a write that rewrites rows
+//! (UPDATE, DELETE, offload, merge, recovery) computes them afresh from
+//! the part zone maps and the resident chunks
+//! ([`TableStats::compute_with_parts`]).
+//!
+//! What does not merge — distinct counts — is a [`ColumnProfile`],
+//! computed only when `DESCRIBE` asks ([`profile`]).
 
 use crate::batch::RecordBatch;
 use crate::column::{ColumnVector, RawColumn};
+use crate::parts::Part;
+use crate::table::Tail;
 use std::collections::HashSet;
 
-/// Statistics for a single column.
-#[derive(Debug, Clone, Default)]
+/// Mergeable statistics for a single column.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnStats {
     pub null_count: usize,
     /// Minimum numeric value, when the column is numeric and non-empty.
     pub min: Option<f64>,
     /// Maximum numeric value, when the column is numeric and non-empty.
     pub max: Option<f64>,
-    /// Number of distinct values (exact; tables here are memory-resident).
-    pub distinct_count: usize,
-    /// Distinct string values for low-cardinality text columns (capped),
-    /// used to fold one-hot featurizers at optimization time.
-    pub categories: Option<Vec<String>>,
 }
 
-/// Cap on how many distinct strings we retain per text column.
-const MAX_TRACKED_CATEGORIES: usize = 64;
+impl ColumnStats {
+    /// Widen the range to cover `x`. `f64::min`/`max` skip a NaN, so NaN
+    /// is the bound only of a column holding nothing else.
+    fn fold(&mut self, x: f64) {
+        self.fold_range(Some(x), Some(x));
+    }
 
-/// Statistics for a table version.
-#[derive(Debug, Clone, Default)]
+    fn fold_range(&mut self, lo: Option<f64>, hi: Option<f64>) {
+        if let Some(lo) = lo {
+            self.min = Some(self.min.map_or(lo, |m| m.min(lo)));
+        }
+        if let Some(hi) = hi {
+            self.max = Some(self.max.map_or(hi, |m| m.max(hi)));
+        }
+    }
+
+    /// Exact statistics of one column, read from its typed buffer under
+    /// the numeric view (`get_f64`); every non-NULL row is folded in order.
+    fn of(c: &ColumnVector) -> ColumnStats {
+        let mut stats = ColumnStats {
+            null_count: c.null_count(),
+            ..ColumnStats::default()
+        };
+        let validity = c.validity();
+        let valid = |i: &usize| validity.is_none_or(|v| v[*i]);
+        let rows = (0..c.len()).filter(valid);
+        match c.raw() {
+            RawColumn::Bool(v) => rows.for_each(|i| stats.fold(v[i] as i64 as f64)),
+            RawColumn::Int(v) => rows.for_each(|i| stats.fold(v[i] as f64)),
+            RawColumn::Float(v) => rows.for_each(|i| stats.fold(v[i])),
+            RawColumn::Date(v) => rows.for_each(|i| stats.fold(v[i] as f64)),
+            RawColumn::Text(_) | RawColumn::Dict { .. } => {}
+        }
+        stats
+    }
+}
+
+/// Mergeable statistics for a table version.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableStats {
     pub row_count: usize,
     pub columns: Vec<ColumnStats>,
 }
 
 impl TableStats {
-    /// Compute exact statistics over a batch.
+    /// Exact statistics over a batch.
     pub fn compute(batch: &RecordBatch) -> TableStats {
         TableStats {
             row_count: batch.num_rows(),
-            columns: batch.columns().iter().map(column_stats).collect(),
+            columns: batch.columns().iter().map(ColumnStats::of).collect(),
         }
     }
 
-    /// Statistics for a part-backed snapshot: exact stats for the resident
-    /// tail, zone-map-derived stats for the disk parts, merged. This is
-    /// the *only* way part-backed stats are built — offload, append, and
-    /// checkpoint recovery all call it — so stats are a deterministic
-    /// function of (part manifests, tail) and never require decoding part
-    /// data. Distinct counts become upper bounds (each part contributes
-    /// its non-null row count) and text category tracking is dropped once
-    /// any rows live on disk; both degrade planning estimates, never
-    /// correctness.
-    pub fn compute_with_parts(parts: &[crate::parts::Part], tail: &RecordBatch) -> TableStats {
-        let mut stats = TableStats::compute(tail);
-        if parts.is_empty() {
-            return stats;
+    /// The statistics of these rows followed by `other`'s: counts add,
+    /// ranges widen. Column by column, so both sides must share a schema.
+    pub fn merge(&self, other: &TableStats) -> TableStats {
+        let mut out = self.clone();
+        out.row_count += other.row_count;
+        for (c, o) in out.columns.iter_mut().zip(&other.columns) {
+            c.null_count += o.null_count;
+            c.fold_range(o.min, o.max);
         }
+        out
+    }
+
+    /// Statistics of a snapshot: exact over the resident `tail` chunks,
+    /// merged with the disk `parts`' zone maps — a pure function of both,
+    /// so building them never reads part data. A part whose zone carries
+    /// no bound (text, or a column holding a NaN) adds only its nulls.
+    pub fn compute_with_parts(parts: &[Part], tail: &Tail) -> TableStats {
+        let empty = TableStats {
+            row_count: 0,
+            columns: vec![ColumnStats::default(); tail.num_columns()],
+        };
+        let resident = (tail.chunks().iter()).fold(empty, |s, c| s.merge(&TableStats::compute(c)));
+        resident.with_parts(parts)
+    }
+
+    fn with_parts(mut self, parts: &[Part]) -> TableStats {
         for p in parts {
-            stats.row_count += p.rows as usize;
-            for (i, zone) in p.zones.iter().enumerate() {
-                let Some(c) = stats.columns.get_mut(i) else {
+            self.row_count += p.rows as usize;
+            for (c, zone) in self.columns.iter_mut().zip(&p.zones) {
+                c.null_count += zone.null_count as usize;
+                c.fold_range(zone.min, zone.max);
+            }
+        }
+        self
+    }
+}
+
+/// A column's full profile, as `DESCRIBE` shows it (§4.2 data discovery):
+/// the version statistics plus what does not merge.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnProfile {
+    pub null_count: usize,
+    pub min: Option<f64>,
+    pub max: Option<f64>,
+    /// Distinct non-NULL values: exact over the resident rows; each part
+    /// adds its non-NULL row count, an upper bound.
+    pub distinct_count: usize,
+}
+
+/// Profile every column of a snapshot — disk `parts`, then the resident
+/// `tail` chunks — computed on demand. Over the tail it is exact: distinct
+/// values by typed identity (float bit patterns, so `-0.0` and each NaN
+/// payload count apart). A part contributes its zone map: nulls, bounds,
+/// and its non-NULL rows as distinct values.
+pub fn profile(parts: &[Part], tail: &Tail) -> Vec<ColumnProfile> {
+    (0..tail.num_columns())
+        .map(|i| {
+            let chunks: Vec<&ColumnVector> = tail.chunks().iter().map(|c| c.column(i)).collect();
+            let mut p = column_profile(&chunks);
+            let mut range = ColumnStats {
+                min: p.min,
+                max: p.max,
+                ..ColumnStats::default()
+            };
+            for part in parts {
+                let Some(zone) = part.zones.get(i) else {
                     continue;
                 };
-                c.null_count += zone.null_count as usize;
-                if let Some(zmin) = zone.min {
-                    c.min = Some(c.min.map_or(zmin, |m| m.min(zmin)));
-                }
-                if let Some(zmax) = zone.max {
-                    c.max = Some(c.max.map_or(zmax, |m| m.max(zmax)));
-                }
-                c.distinct_count += (p.rows - zone.null_count) as usize;
-                c.categories = None;
+                p.null_count += zone.null_count as usize;
+                range.fold_range(zone.min, zone.max);
+                p.distinct_count += (part.rows - zone.null_count) as usize;
             }
-        }
-        stats
-    }
-
-    /// The selectivity estimate for an equality predicate on column `idx`:
-    /// `1 / distinct_count` with a floor to avoid zero.
-    pub fn eq_selectivity(&self, idx: usize) -> f64 {
-        let d = self.columns.get(idx).map_or(1, |c| c.distinct_count.max(1));
-        1.0 / d as f64
-    }
-}
-
-/// Exact statistics of one column, read from its typed buffer: min/max
-/// under the numeric view (`get_f64`), and distinct values by typed
-/// identity — float bit patterns, so `-0.0` and each NaN payload count
-/// apart. Every non-NULL row is seen in order, so the min/max fold and
-/// the category cap behave exactly as a per-value scan would.
-fn column_stats(c: &ColumnVector) -> ColumnStats {
-    let mut stats = ColumnStats {
-        null_count: c.null_count(),
-        ..ColumnStats::default()
-    };
-    let validity = c.validity();
-    let valid = |i: usize| validity.is_none_or(|v| v[i]);
-    let mut fold = |x: f64| {
-        stats.min = Some(stats.min.map_or(x, |m| m.min(x)));
-        stats.max = Some(stats.max.map_or(x, |m| m.max(x)));
-    };
-    fn distinct<T: Eq + std::hash::Hash>(keys: impl Iterator<Item = T>) -> usize {
-        keys.collect::<HashSet<T>>().len()
-    }
-    let rows = (0..c.len()).filter(|&i| valid(i));
-    let distinct_count = match c.raw() {
-        RawColumn::Bool(v) => distinct(rows.map(|i| {
-            fold(if v[i] { 1.0 } else { 0.0 });
-            v[i]
-        })),
-        RawColumn::Int(v) => distinct(rows.map(|i| {
-            fold(v[i] as f64);
-            v[i]
-        })),
-        RawColumn::Float(v) => distinct(rows.map(|i| {
-            fold(v[i]);
-            v[i].to_bits()
-        })),
-        RawColumn::Date(v) => distinct(rows.map(|i| {
-            fold(v[i] as f64);
-            v[i]
-        })),
-        RawColumn::Text(v) => text_distinct(rows.map(|i| v[i].as_str()), &mut stats.categories),
-        RawColumn::Dict { codes, values } => text_distinct(
-            rows.map(|i| values[codes[i] as usize].as_str()),
-            &mut stats.categories,
-        ),
-    };
-    stats.distinct_count = distinct_count;
-    stats
-}
-
-/// Distinct strings among a text column's non-NULL rows, and its
-/// categories: the distinct strings, unless a row arrives once
-/// MAX_TRACKED_CATEGORIES of them are already tracked.
-fn text_distinct<'a>(
-    texts: impl Iterator<Item = &'a str>,
-    categories: &mut Option<Vec<String>>,
-) -> usize {
-    let (mut cats, mut track) = (HashSet::new(), true);
-    let n = texts
-        .inspect(|&s| {
-            if track {
-                if cats.len() < MAX_TRACKED_CATEGORIES {
-                    cats.insert(s);
-                } else {
-                    track = false;
-                    cats.clear();
-                }
-            }
+            (p.min, p.max) = (range.min, range.max);
+            p
         })
-        .collect::<HashSet<&str>>()
-        .len();
-    if track && !cats.is_empty() {
-        let mut cats: Vec<String> = cats.into_iter().map(str::to_string).collect();
-        cats.sort();
-        *categories = Some(cats);
+        .collect()
+}
+
+/// Exact profile of one column held as `chunks`, read in order as one
+/// column: min/max under the numeric view, distinct values by typed
+/// identity.
+fn column_profile(chunks: &[&ColumnVector]) -> ColumnProfile {
+    let mut range = ColumnStats::default();
+    let mut numeric: HashSet<u64> = HashSet::new();
+    let mut texts: HashSet<&str> = HashSet::new();
+    for c in chunks {
+        range.null_count += c.null_count();
+        let validity = c.validity();
+        let valid = |i: &usize| validity.is_none_or(|v| v[*i]);
+        let rows = (0..c.len()).filter(valid);
+        let mut num = |x: f64, key: u64| {
+            range.fold(x);
+            numeric.insert(key);
+        };
+        match c.raw() {
+            RawColumn::Bool(v) => rows.for_each(|i| num(v[i] as i64 as f64, v[i] as u64)),
+            RawColumn::Int(v) => rows.for_each(|i| num(v[i] as f64, v[i] as u64)),
+            RawColumn::Float(v) => rows.for_each(|i| num(v[i], v[i].to_bits())),
+            RawColumn::Date(v) => rows.for_each(|i| num(v[i] as f64, v[i] as u64)),
+            RawColumn::Text(v) => rows.for_each(|i| {
+                texts.insert(v[i].as_str());
+            }),
+            RawColumn::Dict { codes, values } => rows.for_each(|i| {
+                texts.insert(values[codes[i] as usize].as_str());
+            }),
+        }
     }
-    n
+    ColumnProfile {
+        null_count: range.null_count,
+        min: range.min,
+        max: range.max,
+        distinct_count: numeric.len() + texts.len(),
+    }
 }
 
 #[cfg(test)]
@@ -188,23 +224,18 @@ mod tests {
         assert_eq!(st.columns[0].null_count, 1);
         assert_eq!(st.columns[0].min, Some(-2.0));
         assert_eq!(st.columns[0].max, Some(1.5));
-        assert_eq!(st.columns[0].distinct_count, 2);
-        assert_eq!(st.columns[1].distinct_count, 2);
-        assert_eq!(
-            st.columns[1].categories.as_deref(),
-            Some(&["a".to_string(), "b".to_string()][..])
-        );
+        let prof = profile(&[], &Tail::from_batch(batch));
+        assert_eq!(prof[0].distinct_count, 2);
+        assert_eq!(prof[1].distinct_count, 2);
     }
 
-    /// The per-value scan `compute` replaced: every cell as a `Value`,
-    /// distinct keys as strings.
+    /// The per-value scan the typed profile replaced: every cell as a
+    /// `Value`, distinct keys as strings.
     fn reference(batch: &RecordBatch) -> Vec<String> {
         let mut out = Vec::new();
         for c in batch.columns() {
-            let mut stats = ColumnStats::default();
+            let mut stats = ColumnProfile::default();
             let mut distinct: HashSet<String> = HashSet::new();
-            let mut text_cats: HashSet<String> = HashSet::new();
-            let mut track_cats = c.data_type() == DataType::Text;
             for i in 0..c.len() {
                 let v = c.get(i);
                 if v.is_null() {
@@ -219,29 +250,16 @@ mod tests {
                     Value::Float(f) => format!("f{}", f.to_bits()),
                     other => other.to_string(),
                 };
-                if track_cats {
-                    if text_cats.len() < MAX_TRACKED_CATEGORIES {
-                        text_cats.insert(key.clone());
-                    } else {
-                        track_cats = false;
-                        text_cats.clear();
-                    }
-                }
                 distinct.insert(key);
             }
             stats.distinct_count = distinct.len();
-            if track_cats && !text_cats.is_empty() {
-                let mut cats: Vec<String> = text_cats.into_iter().collect();
-                cats.sort();
-                stats.categories = Some(cats);
-            }
             out.push(format!("{stats:?}"));
         }
         out
     }
 
     #[test]
-    fn typed_stats_equal_the_per_value_scan() {
+    fn typed_profile_equals_the_per_value_scan_over_any_chunking() {
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move |n: u64| {
             x ^= x << 13;
@@ -249,7 +267,6 @@ mod tests {
             x ^= x << 17;
             x % n
         };
-        let (mut tracked, mut capped) = (0, 0);
         for case in 0..200u64 {
             let rows = next(300) as usize;
             let (spread, nulls) = (1 + next(200), next(4));
@@ -289,24 +306,26 @@ mod tests {
                 ["b", "i", "f", "t", "d"].into_iter().zip(types).collect();
             let schema = Arc::new(Schema::from_pairs(&pairs));
             let batch = RecordBatch::from_rows(schema, &data).unwrap();
-            let got: Vec<String> = TableStats::compute(&batch)
-                .columns
+            let tail =
+                Tail::from_chunks(batch.schema().clone(), batch.chunks(1 + next(100) as usize));
+            let got: Vec<String> = profile(&[], &tail)
                 .iter()
                 .map(|c| format!("{c:?}"))
                 .collect();
             assert_eq!(got, reference(&batch), "case {case}");
-            tracked += got[3].contains("categories: Some") as usize;
-            capped += (rows > 0 && got[3].contains("categories: None")) as usize;
+            // merged chunk by chunk, the mergeable stats equal the whole's
+            // (`==` on the bounds: which zero wins a tie is unspecified)
+            let merged = TableStats::compute_with_parts(&[], &tail);
+            let whole = TableStats::compute(&batch);
+            assert_eq!(merged.row_count, whole.row_count, "case {case}");
+            let same = |a: Option<f64>, b: Option<f64>| match (a, b) {
+                (Some(x), Some(y)) => x == y || (x.is_nan() && y.is_nan()),
+                (a, b) => a.is_none() && b.is_none(),
+            };
+            for (m, w) in merged.columns.iter().zip(&whole.columns) {
+                assert_eq!(m.null_count, w.null_count, "case {case}");
+                assert!(same(m.min, w.min) && same(m.max, w.max), "case {case}");
+            }
         }
-        assert!(tracked > 20 && capped > 20, "{tracked} tracked, {capped} capped");
-    }
-
-    #[test]
-    fn selectivity_uses_distinct_count() {
-        let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
-        let rows: Vec<Vec<Value>> = (0..10).map(|i| vec![Value::Int(i % 5)]).collect();
-        let batch = RecordBatch::from_rows(schema, &rows).unwrap();
-        let st = TableStats::compute(&batch);
-        assert!((st.eq_selectivity(0) - 0.2).abs() < 1e-12);
     }
 }

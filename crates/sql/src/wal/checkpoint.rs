@@ -11,10 +11,10 @@
 
 use super::codec::{self, Corrupt, Dec, DecodeResult, Enc};
 use super::record::{get_access_dump, put_access_dump};
-use crate::batch::RecordBatch;
 use crate::catalog::{AccessDump, ViewDef};
 use crate::engine::{AuditRecord, QueryLogEntry};
 use crate::parts::PartMeta;
+use crate::table::Tail;
 
 /// Bump when the checkpoint or WAL record layout changes incompatibly.
 /// v2: table versions carry a part manifest (disk-resident prefix) ahead
@@ -31,7 +31,8 @@ pub struct VersionSnapshot {
     /// part files instead of rewriting their rows, which is what makes
     /// checkpoints O(resident tail) rather than O(table).
     pub parts: Vec<PartMeta>,
-    pub data: RecordBatch,
+    /// The resident tail, encoded as one batch of its chunks' rows.
+    pub data: Tail,
 }
 
 #[derive(Debug, Clone)]
@@ -88,7 +89,7 @@ pub fn encode_snapshot(s: &Snapshot) -> Vec<u8> {
             for p in &v.parts {
                 crate::parts::put_part_meta(&mut e, p);
             }
-            codec::put_batch(&mut e, &v.data);
+            codec::put_tail(&mut e, &v.data);
         }
     }
     e.u32(s.views.len() as u32);
@@ -146,7 +147,7 @@ pub fn decode_snapshot(payload: &[u8]) -> DecodeResult<Snapshot> {
                 version,
                 txn_id,
                 parts,
-                data: codec::get_batch(&mut d)?,
+                data: Tail::from_batch(codec::get_batch(&mut d)?),
             });
         }
         if versions.is_empty() {

@@ -18,6 +18,7 @@ use crate::batch::RecordBatch;
 use crate::column::ColumnVector;
 use crate::engine::{AuditRecord, QueryLogEntry, StatementKind};
 use crate::schema::{ColumnDef, Schema};
+use crate::table::Tail;
 use crate::types::{DataType, Value};
 use std::sync::Arc;
 
@@ -347,18 +348,25 @@ pub fn get_schema(d: &mut Dec) -> DecodeResult<Schema> {
 
 /// Columns are encoded as type tag + row count + packed validity bitmap +
 /// the raw values of non-null slots in row order.
-fn put_column(e: &mut Enc, col: &ColumnVector) {
-    let n = col.len();
-    e.u8(data_type_tag(col.data_type()));
+/// One column of `data_type` held as `chunks`, encoded as the single
+/// column of their rows in order would be.
+fn put_column(e: &mut Enc, data_type: DataType, chunks: &[&ColumnVector]) {
+    let n: usize = chunks.iter().map(|c| c.len()).sum();
+    e.u8(data_type_tag(data_type));
     e.u32(n as u32);
     let mut bits = vec![0u8; n.div_ceil(8)];
-    for i in 0..n {
+    let rows = || {
+        chunks
+            .iter()
+            .flat_map(|c| (0..c.len()).map(move |i| (*c, i)))
+    };
+    for (row, (col, i)) in rows().enumerate() {
         if !col.is_null(i) {
-            bits[i / 8] |= 1 << (i % 8);
+            bits[row / 8] |= 1 << (row % 8);
         }
     }
     e.buf.extend_from_slice(&bits);
-    for i in 0..n {
+    for (col, i) in rows() {
         match col.get(i) {
             Value::Null => {}
             Value::Bool(b) => e.bool(b),
@@ -397,10 +405,23 @@ fn get_column(d: &mut Dec) -> DecodeResult<ColumnVector> {
 }
 
 pub fn put_batch(e: &mut Enc, batch: &RecordBatch) {
-    put_schema(e, batch.schema());
-    e.u32(batch.num_columns() as u32);
-    for col in batch.columns() {
-        put_column(e, col);
+    put_chunks(e, batch.schema(), &[batch]);
+}
+
+/// A resident tail, encoded byte for byte as [`put_batch`] encodes the one
+/// batch of its rows — without building that batch.
+pub fn put_tail(e: &mut Enc, tail: &Tail) {
+    let chunks: Vec<&RecordBatch> = tail.chunks().iter().map(|c| &**c).collect();
+    put_chunks(e, tail.schema(), &chunks);
+}
+
+fn put_chunks(e: &mut Enc, schema: &Schema, chunks: &[&RecordBatch]) {
+    put_schema(e, schema);
+    e.u32(schema.len() as u32);
+    for (i, col) in schema.columns().iter().enumerate() {
+        let parts: Vec<&ColumnVector> = chunks.iter().map(|c| c.column(i)).collect();
+        let data_type = parts.first().map_or(col.data_type, |c| c.data_type());
+        put_column(e, data_type, &parts);
     }
 }
 

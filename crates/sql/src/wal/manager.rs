@@ -39,7 +39,7 @@ use crate::catalog::{AccessControl, Catalog, ExtensionObject, ExtensionVersion, 
 use crate::engine::{AuditRecord, QueryLogEntry};
 use crate::error::{Result, SqlError};
 use crate::parts::{parse_part_name, part_file_name, Part, PartMeta, PartStore};
-use crate::table::Table;
+use crate::table::{Table, Tail};
 use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::sync::Arc;
@@ -445,21 +445,15 @@ fn apply_op(catalog: &mut Catalog, op: &RedoOp) -> Result<()> {
             rows,
         } => {
             let t = catalog.table_mut(table)?;
-            let current = t.current().data.clone();
-            if current.num_columns() != rows.num_columns() {
+            if t.current().data.num_columns() != rows.num_columns() {
                 return Err(SqlError::Io(format!(
                     "append-rows arity mismatch replaying '{table}'"
                 )));
             }
-            // An append only grows the resident tail; a part-backed
-            // base keeps its disk prefix.
-            let parts: Vec<Part> = t.current().parts.clone();
-            let mut cols = current.columns().to_vec();
-            for (dst, src) in cols.iter_mut().zip(rows.columns()) {
-                dst.append(src)?;
-            }
-            let batch = RecordBatch::new(t.schema().clone(), cols)?;
-            t.restore_version_with_parts(*version, *txn_id, parts, batch)
+            // As the append did: parts and chunks shared, the rows pushed
+            // as a chunk of the table's schema.
+            let rows = RecordBatch::new(t.schema().clone(), rows.columns().to_vec())?;
+            t.restore_append(*version, *txn_id, rows)
         }
         RedoOp::UpdateRows {
             table,
@@ -617,7 +611,7 @@ pub(crate) fn build_snapshot(
 fn restore_catalog(snap: &Snapshot, handles: &HashMap<u64, Part>) -> Result<Catalog> {
     let mut catalog = Catalog::new();
     for t in &snap.tables {
-        let history: Vec<(u64, u64, Vec<Part>, RecordBatch)> = t
+        let history: Vec<(u64, u64, Vec<Part>, Tail)> = t
             .versions
             .iter()
             .map(|v| {
