@@ -242,7 +242,7 @@ impl FlockDb {
     pub fn model_metadata(&self, name: &str) -> Result<Arc<ModelMetadata>> {
         self.registry
             .get(name)
-            .map(|m| m.metadata)
+            .map(|m| Arc::clone(&m.metadata))
             .ok_or_else(|| SqlError::Catalog(format!("model '{name}' is not deployed")))
     }
 }
@@ -337,7 +337,7 @@ impl FlockSession {
     ) -> Result<()> {
         let payload =
             fonnx::to_bytes(pipeline).map_err(|e| SqlError::Execution(e.to_string()))?;
-        let metadata = metadata_for(name, pipeline, lineage);
+        let metadata = ModelMetadata::of(name, pipeline, lineage);
         self.inner.create_extension_object(
             MODEL_KIND,
             name,
@@ -357,7 +357,7 @@ impl FlockSession {
     ) -> Result<u64> {
         let payload =
             fonnx::to_bytes(pipeline).map_err(|e| SqlError::Execution(e.to_string()))?;
-        let metadata = metadata_for(name, pipeline, lineage);
+        let metadata = ModelMetadata::of(name, pipeline, lineage);
         self.inner.update_extension_object(
             MODEL_KIND,
             name,
@@ -726,48 +726,17 @@ fn sync_registry_from(catalog: &flock_sql::Catalog, registry: &ModelRegistry) {
         let Ok(pipeline) = fonnx::from_bytes(&current.payload) else {
             continue; // undecodable payloads stay unscorable
         };
-        let metadata = ModelMetadata::from_json(&current.metadata).unwrap_or_else(|| {
-            ModelMetadata {
-                name: obj.name.clone(),
-                inputs: pipeline
-                    .columns
-                    .iter()
-                    .map(|c| (c.input.clone(), c.encoder.takes_strings()))
-                    .collect(),
-                output: pipeline.output.clone(),
-                kind: pipeline.model.kind_name().to_string(),
-                complexity: pipeline.complexity(),
-                lineage: Lineage::default(),
-            }
-        });
+        let metadata = ModelMetadata::from_json(&current.metadata)
+            .unwrap_or_else(|| ModelMetadata::of(&obj.name, &pipeline, Lineage::default()));
         registry.insert(
             &obj.name,
-            RegisteredModel {
-                pipeline: Arc::new(pipeline),
-                metadata: Arc::new(metadata),
-                version: current.version,
-            },
+            RegisteredModel::new(pipeline, metadata, current.version),
         );
     }
     for name in registry.names() {
         if !live.contains(&name) {
             registry.remove(&name);
         }
-    }
-}
-
-fn metadata_for(name: &str, pipeline: &Pipeline, lineage: Lineage) -> ModelMetadata {
-    ModelMetadata {
-        name: name.to_ascii_lowercase(),
-        inputs: pipeline
-            .columns
-            .iter()
-            .map(|c| (c.input.clone(), c.encoder.takes_strings()))
-            .collect(),
-        output: pipeline.output.clone(),
-        kind: pipeline.model.kind_name().to_string(),
-        complexity: pipeline.complexity(),
-        lineage,
     }
 }
 
@@ -1029,7 +998,7 @@ impl ModelTrainer for FlockTrainer {
             metrics,
             ..Lineage::default()
         };
-        let metadata = metadata_for(&spec.name, &pipeline, lineage).to_json();
+        let metadata = ModelMetadata::of(&spec.name, &pipeline, lineage).to_json();
         let payload =
             fonnx::to_bytes(&pipeline).map_err(|e| SqlError::Execution(e.to_string()))?;
         Ok(TrainedArtifact {

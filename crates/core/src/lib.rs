@@ -43,5 +43,5 @@ pub mod xopt;
 pub use flockdb::{FlockDb, FlockSession, ModelPackage, MODEL_KIND};
 pub use meta::{Lineage, ModelMetadata};
 pub use provider::FlockInferenceProvider;
-pub use registry::{DerivedPipeline, ModelRegistry, RegisteredModel};
+pub use registry::{ModelRegistry, RegisteredModel};
 pub use xopt::{CrossOptimizer, XOptConfig};

@@ -44,6 +44,22 @@ pub struct ModelMetadata {
 }
 
 impl ModelMetadata {
+    /// The metadata `pipeline` implies when deployed as `name`.
+    pub fn of(name: &str, pipeline: &flock_ml::Pipeline, lineage: Lineage) -> ModelMetadata {
+        ModelMetadata {
+            name: name.to_ascii_lowercase(),
+            inputs: pipeline
+                .columns
+                .iter()
+                .map(|c| (c.input.clone(), c.encoder.takes_strings()))
+                .collect(),
+            output: pipeline.output.clone(),
+            kind: pipeline.model.kind_name().to_string(),
+            complexity: pipeline.complexity(),
+            lineage,
+        }
+    }
+
     /// Serialize for storage in the catalog extension object, hand-written
     /// over the JSON document model.
     pub fn to_json(&self) -> flock_json::Value {

@@ -1,10 +1,8 @@
 //! The inference provider: scores registered models inside query
 //! execution, implementing the engine's PREDICT extension point.
 
-use crate::registry::ModelRegistry;
-use flock_ml::{
-    interpreted_score_with_metrics, CompiledPipeline, Frame, FrameCol, Pipeline, ScoringMetrics,
-};
+use crate::registry::{ModelRegistry, RegisteredModel};
+use flock_ml::{interpreted_score_with_metrics, Frame, FrameCol, Pipeline, ScoringMetrics};
 use flock_sql::ast::PredictStrategy;
 use flock_sql::exec::CancelToken;
 use flock_sql::udf::InferenceProvider;
@@ -52,22 +50,16 @@ impl FlockInferenceProvider {
         }
     }
 
-    fn pipeline(&self, model: &str) -> Result<Arc<Pipeline>, SqlError> {
+    fn model(&self, model: &str) -> Result<Arc<RegisteredModel>, SqlError> {
         self.registry
             .get(model)
-            .map(|m| m.pipeline)
-            .ok_or_else(|| SqlError::Catalog(format!("model '{model}' is not deployed")))
-    }
-
-    /// The compiled (flattened, cacheable) form of a registered pipeline.
-    fn compiled(&self, model: &str) -> Result<Arc<CompiledPipeline>, SqlError> {
-        self.registry
-            .compiled(model)
             .ok_or_else(|| SqlError::Catalog(format!("model '{model}' is not deployed")))
     }
 
     /// Shared scoring path; `cancel` is polled before scoring, so a
-    /// `statement_timeout` stops the next morsel's PREDICT.
+    /// `statement_timeout` stops the next morsel's PREDICT. One lookup
+    /// yields both the pipeline the frame is laid out by and the kernel
+    /// that scores it, so a concurrent redeploy cannot pair two versions.
     fn predict_inner(
         &self,
         model: &str,
@@ -77,8 +69,8 @@ impl FlockInferenceProvider {
     ) -> Result<ColumnVector, SqlError> {
         use std::sync::atomic::Ordering;
         cancel.check()?;
-        let pipeline = self.pipeline(model)?;
-        let frame = columns_to_frame(&pipeline, inputs)?;
+        let model = self.model(model)?;
+        let frame = columns_to_frame(&model.pipeline, inputs)?;
         self.stats
             .rows_scored
             .fetch_add(frame.num_rows() as u64, Ordering::Relaxed);
@@ -86,12 +78,13 @@ impl FlockInferenceProvider {
         let scores: Vec<f64> = match strategy {
             PredictStrategy::Row => {
                 self.stats.row_calls.fetch_add(1, Ordering::Relaxed);
-                interpreted_score_with_metrics(&pipeline, &frame, &self.scoring)
+                interpreted_score_with_metrics(&model.pipeline, &frame, &self.scoring)
                     .map_err(|e| SqlError::Execution(e.to_string()))?
             }
             PredictStrategy::Auto | PredictStrategy::Vectorized => {
                 self.stats.vectorized_calls.fetch_add(1, Ordering::Relaxed);
-                self.compiled(model)?
+                self.registry
+                    .kernel(&model)
                     .score_with_metrics(&frame, &self.scoring)
                     .map_err(|e| SqlError::Execution(e.to_string()))?
             }
@@ -154,13 +147,13 @@ pub fn columns_to_frame<'a>(
 
 impl InferenceProvider for FlockInferenceProvider {
     fn output_type(&self, model: &str) -> Result<DataType, SqlError> {
-        self.pipeline(model)?;
+        self.model(model)?;
         // all pipelines emit a single float score
         Ok(DataType::Float)
     }
 
     fn input_arity(&self, model: &str) -> Result<usize, SqlError> {
-        Ok(self.pipeline(model)?.bound_columns().len())
+        Ok(self.model(model)?.pipeline.bound_columns().len())
     }
 
     fn describe(&self, model: &str) -> Option<String> {
@@ -200,7 +193,6 @@ impl InferenceProvider for FlockInferenceProvider {
 mod tests {
     use super::*;
     use crate::meta::{Lineage, ModelMetadata};
-    use crate::registry::RegisteredModel;
     use flock_ml::{ColumnPipeline, LinearModel, Model};
     use flock_sql::Value;
 
@@ -214,21 +206,8 @@ mod tests {
             Model::Linear(LinearModel::new(vec![2.0, 10.0, 20.0], 1.0)),
             "score",
         );
-        registry.insert(
-            "m",
-            RegisteredModel {
-                metadata: Arc::new(ModelMetadata {
-                    name: "m".into(),
-                    inputs: vec![("a".into(), false), ("c".into(), true)],
-                    output: "score".into(),
-                    kind: "linear".into(),
-                    complexity: 3,
-                    lineage: Lineage::default(),
-                }),
-                pipeline: Arc::new(pipeline),
-                version: 1,
-            },
-        );
+        let metadata = ModelMetadata::of("m", &pipeline, Lineage::default());
+        registry.insert("m", RegisteredModel::new(pipeline, metadata, 1));
         registry
     }
 
@@ -299,7 +278,7 @@ mod tests {
     #[test]
     fn all_valid_engine_columns_are_borrowed_not_copied() {
         let provider = FlockInferenceProvider::new(registry_with_model());
-        let pipeline = provider.pipeline("m").unwrap();
+        let model = provider.model("m").unwrap();
         let a = ColumnVector::from_f64([1.0, 2.0]);
         let c = ColumnVector::from_values(
             DataType::Text,
@@ -307,7 +286,7 @@ mod tests {
         )
         .unwrap();
         let inputs = [a, c];
-        let frame = columns_to_frame(&pipeline, &inputs).unwrap();
+        let frame = columns_to_frame(&model.pipeline, &inputs).unwrap();
         let nums = frame.column("a").unwrap().as_f64().unwrap();
         assert_eq!(
             nums.as_ptr(),

@@ -22,12 +22,13 @@ pub mod inline;
 pub mod predicates;
 pub mod stats;
 
-use crate::registry::{DerivedPipeline, ModelRegistry};
+use crate::registry::ModelRegistry;
 use flock_ml::{specialize_mask, Encoder, InputConstraint, Pipeline};
-use flock_sql::ast::Expr;
+use flock_sql::ast::{Expr, ModelPin};
 use flock_sql::plan::{rewrite_expr, LogicalPlan, PlanRewriter};
 use flock_sql::{sync, Catalog, Result, Value};
 use inline::{inline_linear_raw, inline_pipeline, logit_threshold, LogitRewrite};
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -76,6 +77,13 @@ impl XOptConfig {
     }
 }
 
+/// One rewrite of a plan: the catalog it reads, and whether a model was
+/// compressed to its tables' column ranges.
+struct Pass<'a> {
+    catalog: &'a Catalog,
+    compressed: Cell<bool>,
+}
+
 /// The rewriter registered with the SQL engine.
 pub struct CrossOptimizer {
     registry: Arc<ModelRegistry>,
@@ -98,11 +106,11 @@ impl CrossOptimizer {
         *sync::write(&self.config) = config;
     }
 
-    fn rewrite_node(&self, plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
+    fn rewrite_node(&self, plan: LogicalPlan, pass: &Pass<'_>) -> Result<LogicalPlan> {
         let cfg = self.config();
         Ok(match plan {
             LogicalPlan::Filter { input, predicate } => {
-                let input = Box::new(self.rewrite_node(*input, catalog)?);
+                let input = Box::new(self.rewrite_node(*input, pass)?);
                 let predicate = if cfg.predicate_pushup {
                     self.push_up_predicate(predicate)?
                 } else {
@@ -111,7 +119,7 @@ impl CrossOptimizer {
                 // Sibling conjuncts constrain PREDICTs inside the
                 // predicate itself, on top of anything below the filter.
                 let constraints = self.constraints_for(&cfg, &input, Some(&predicate));
-                let predicate = self.rewrite_exprs(predicate, &input, catalog, &cfg, &constraints)?;
+                let predicate = self.rewrite_exprs(predicate, &input, pass, &cfg, &constraints)?;
                 LogicalPlan::Filter { input, predicate }
             }
             LogicalPlan::Project {
@@ -119,11 +127,11 @@ impl CrossOptimizer {
                 exprs,
                 schema,
             } => {
-                let input = Box::new(self.rewrite_node(*input, catalog)?);
+                let input = Box::new(self.rewrite_node(*input, pass)?);
                 let constraints = self.constraints_for(&cfg, &input, None);
                 let exprs = exprs
                     .into_iter()
-                    .map(|e| self.rewrite_exprs(e, &input, catalog, &cfg, &constraints))
+                    .map(|e| self.rewrite_exprs(e, &input, pass, &cfg, &constraints))
                     .collect::<Result<_>>()?;
                 LogicalPlan::Project {
                     input,
@@ -137,18 +145,18 @@ impl CrossOptimizer {
                 aggs,
                 schema,
             } => {
-                let input = Box::new(self.rewrite_node(*input, catalog)?);
+                let input = Box::new(self.rewrite_node(*input, pass)?);
                 let constraints = self.constraints_for(&cfg, &input, None);
                 let group = group
                     .into_iter()
-                    .map(|e| self.rewrite_exprs(e, &input, catalog, &cfg, &constraints))
+                    .map(|e| self.rewrite_exprs(e, &input, pass, &cfg, &constraints))
                     .collect::<Result<_>>()?;
                 let aggs = aggs
                     .into_iter()
                     .map(|mut a| {
                         a.arg = a
                             .arg
-                            .map(|e| self.rewrite_exprs(e, &input, catalog, &cfg, &constraints))
+                            .map(|e| self.rewrite_exprs(e, &input, pass, &cfg, &constraints))
                             .transpose()?;
                         Ok(a)
                     })
@@ -168,20 +176,20 @@ impl CrossOptimizer {
                 filter,
                 schema,
             } => LogicalPlan::Join {
-                left: Box::new(self.rewrite_node(*left, catalog)?),
-                right: Box::new(self.rewrite_node(*right, catalog)?),
+                left: Box::new(self.rewrite_node(*left, pass)?),
+                right: Box::new(self.rewrite_node(*right, pass)?),
                 join_type,
                 on,
                 filter,
                 schema,
             },
             LogicalPlan::Sort { input, keys } => {
-                let input = Box::new(self.rewrite_node(*input, catalog)?);
+                let input = Box::new(self.rewrite_node(*input, pass)?);
                 let constraints = self.constraints_for(&cfg, &input, None);
                 let keys = keys
                     .into_iter()
                     .map(|(e, asc)| {
-                        Ok((self.rewrite_exprs(e, &input, catalog, &cfg, &constraints)?, asc))
+                        Ok((self.rewrite_exprs(e, &input, pass, &cfg, &constraints)?, asc))
                     })
                     .collect::<Result<_>>()?;
                 LogicalPlan::Sort { input, keys }
@@ -191,17 +199,17 @@ impl CrossOptimizer {
                 limit,
                 offset,
             } => LogicalPlan::Limit {
-                input: Box::new(self.rewrite_node(*input, catalog)?),
+                input: Box::new(self.rewrite_node(*input, pass)?),
                 limit,
                 offset,
             },
             LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-                input: Box::new(self.rewrite_node(*input, catalog)?),
+                input: Box::new(self.rewrite_node(*input, pass)?),
             },
             LogicalPlan::Union { inputs, schema } => LogicalPlan::Union {
                 inputs: inputs
                     .into_iter()
-                    .map(|i| self.rewrite_node(i, catalog))
+                    .map(|i| self.rewrite_node(i, pass))
                     .collect::<Result<_>>()?,
                 schema,
             },
@@ -233,92 +241,63 @@ impl CrossOptimizer {
         &self,
         expr: Expr,
         input: &LogicalPlan,
-        catalog: &Catalog,
+        pass: &Pass<'_>,
         cfg: &XOptConfig,
         constraints: &HashMap<String, InputConstraint>,
     ) -> Result<Expr> {
         // Lazily computed context shared across PREDICTs in this expr.
         let ranges = if cfg.model_compression {
-            Some(stats::column_ranges(input, catalog))
+            Some(stats::column_ranges(input, pass.catalog))
         } else {
             None
         };
         rewrite_expr(expr, &mut |e| {
+            // A pinned PREDICT was rewritten already.
             let Expr::Predict {
                 model,
                 mut args,
                 strategy,
+                pin: None,
             } = e
             else {
                 return Ok(e);
             };
-            let mut model = model.to_ascii_lowercase();
-            // Derived names never appear in user queries; if one shows up
-            // (idempotent re-run), leave it alone.
-            if model.contains('#') {
-                return Ok(Expr::Predict {
-                    model,
-                    args,
-                    strategy,
-                });
-            }
-            let Some(entry) = self.registry.get(&model) else {
-                return Ok(Expr::Predict {
-                    model,
-                    args,
-                    strategy,
-                });
+            let model = model.to_ascii_lowercase();
+            let base = match self.registry.get(&model) {
+                // an arity error surfaces at execution; don't transform
+                Some(base) if args.len() == base.pipeline.columns.len() => base,
+                _ => {
+                    return Ok(Expr::Predict {
+                        model,
+                        args,
+                        strategy,
+                        pin: None,
+                    })
+                }
             };
-            if args.len() != entry.pipeline.columns.len() {
-                // arity error surfaces at execution; don't transform
-                return Ok(Expr::Predict {
-                    model,
-                    args,
-                    strategy,
-                });
-            }
-            // A concurrent redeploy can purge a derived model between its
-            // registration and the next rule's lookup. Then the PREDICT is
-            // left as the user wrote it; the redeploy's plan-epoch bump
-            // re-plans it anyway. Only pruning replaces the arguments before
-            // a lookup, so they are kept aside only when it does.
-            let written_model = model.clone();
-            let mut written_args = None;
-            let as_written = |args: Vec<Expr>, written_args: Option<Vec<Expr>>| Expr::Predict {
-                model: written_model,
-                args: written_args.unwrap_or(args),
-                strategy,
-            };
+            // Each rule derives from the model the previous one left, held
+            // here rather than looked up again by name.
+            let mut current = Arc::clone(&base);
 
             // 1. feature pruning via model sparsity
             if cfg.feature_pruning {
-                let usage = entry.pipeline.input_usage();
+                let usage = current.pipeline.input_usage();
                 if usage.iter().any(|u| !u) {
-                    if let Some(derived) =
-                        self.registry.register_derived(&model, "pruned", |base| {
-                            Some(DerivedPipeline {
-                                pipeline: base.pipeline.prune_unused_inputs().0,
-                                annotation: None,
-                            })
-                        })
-                    {
-                        let kept = args
-                            .iter()
+                    if let Some(pruned) = self.registry.derive(&current, "pruned", |p| {
+                        Some((p.prune_unused_inputs().0, None))
+                    }) {
+                        args = args
+                            .into_iter()
                             .zip(&usage)
-                            .filter(|(_, keep)| **keep)
-                            .map(|(a, _)| a.clone())
+                            .filter_map(|(a, keep)| keep.then_some(a))
                             .collect();
-                        written_args = Some(std::mem::replace(&mut args, kept));
-                        model = derived;
+                        current = pruned;
                     }
                 }
             }
 
             // 2. model compression via column statistics
             if let Some(ranges) = &ranges {
-                let Some(current) = self.registry.get(&model) else {
-                    return Ok(as_written(args, written_args));
-                };
                 let input_ranges: Vec<Option<(f64, f64)>> = column_args(&current.pipeline, &args)
                     .into_iter()
                     .map(|a| match a {
@@ -330,27 +309,17 @@ impl CrossOptimizer {
                     .collect();
                 if input_ranges.iter().any(Option::is_some) {
                     let tag = format!("cmp{:x}", hash_ranges(&input_ranges));
-                    let base_for_build = current.clone();
-                    if let Some(derived) =
-                        self.registry.register_derived(&model, &tag, move |_| {
-                            Some(DerivedPipeline {
-                                pipeline: base_for_build
-                                    .pipeline
-                                    .compress_with_ranges(&input_ranges),
-                                annotation: None,
-                            })
-                        })
-                    {
-                        model = derived;
+                    if let Some(compressed) = self.registry.derive(&current, &tag, |p| {
+                        Some((p.compress_with_ranges(&input_ranges), None))
+                    }) {
+                        current = compressed;
+                        pass.compressed.set(true);
                     }
                 }
             }
 
             // 3. inline small models into pure SQL
             if cfg.inline_models {
-                let Some(current) = self.registry.get(&model) else {
-                    return Ok(as_written(args, written_args));
-                };
                 if let Some(inlined) =
                     inline_pipeline(&current.pipeline, &args, cfg.inline_max_tree_nodes)
                 {
@@ -363,12 +332,9 @@ impl CrossOptimizer {
             // pipeline and the model is pruned against them. Runs after
             // inlining so tiny models still become pure SQL. The bound
             // mask is a pure function of (pipeline, constraints), so a
-            // cache hit re-derives which arguments to drop without
+            // memo hit re-derives which arguments to drop without
             // consulting the specialized artifact.
             if cfg.predicate_specialization {
-                let Some(current) = self.registry.get(&model) else {
-                    return Ok(as_written(args, written_args));
-                };
                 let column_args = column_args(&current.pipeline, &args);
                 let cs: Vec<Option<InputConstraint>> = column_args
                     .iter()
@@ -382,30 +348,26 @@ impl CrossOptimizer {
                     .collect();
                 if let Some(mask) = specialize_mask(&current.pipeline, &cs) {
                     let tag = format!("spec{:x}", hash_constraints(&cs));
-                    let cs_for_build = cs.clone();
-                    if let Some(derived) =
-                        self.registry.register_derived(&model, &tag, move |base| {
-                            let (pipeline, report) = base.pipeline.specialize(&cs_for_build)?;
-                            Some(DerivedPipeline {
-                                pipeline,
-                                annotation: Some(report.annotation()),
-                            })
-                        })
-                    {
+                    if let Some(specialized) = self.registry.derive(&current, &tag, |p| {
+                        let (pipeline, report) = p.specialize(&cs)?;
+                        Some((pipeline, Some(report.annotation())))
+                    }) {
                         args = column_args
                             .into_iter()
                             .zip(&mask)
                             .filter_map(|(a, keep)| a.filter(|_| *keep).cloned())
                             .collect();
-                        model = derived;
+                        current = specialized;
                     }
                 }
             }
 
+            let derived = !Arc::ptr_eq(&current, &base);
             Ok(Expr::Predict {
-                model,
+                model: if derived { current.metadata.name.clone() } else { model },
                 args,
                 strategy,
+                pin: derived.then(|| ModelPin(current)),
             })
         })
     }
@@ -506,65 +468,20 @@ fn hash_ranges(ranges: &[Option<(f64, f64)>]) -> u64 {
 
 impl PlanRewriter for CrossOptimizer {
     fn rewrite(&self, plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
-        self.rewrite_node(plan, catalog)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::meta::{Lineage, ModelMetadata};
-    use crate::registry::RegisteredModel;
-    use flock_ml::{ColumnPipeline, LinearModel, Model};
-    use flock_sql::ast::PredictStrategy;
-    use flock_sql::{DataType, Schema};
-
-    /// `y = a`: input `b` carries no weight, so feature pruning fires.
-    fn sparse_linear(version: u64) -> RegisteredModel {
-        let pipeline = Pipeline::new(
-            vec![ColumnPipeline::numeric("a"), ColumnPipeline::numeric("b")],
-            Model::Linear(LinearModel::new(vec![1.0, 0.0], 0.0)),
-            "y",
-        );
-        RegisteredModel {
-            metadata: Arc::new(ModelMetadata {
-                name: "m".into(),
-                inputs: vec![("a".into(), false), ("b".into(), false)],
-                output: "y".into(),
-                kind: "linear".into(),
-                complexity: 2,
-                lineage: Lineage::default(),
-            }),
-            pipeline: Arc::new(pipeline),
-            version,
-        }
+        Ok(self.rewrite_data_bound(plan, catalog)?.0)
     }
 
-    #[test]
-    fn predict_is_left_as_written_when_a_redeploy_purges_its_derived_model() {
-        let registry = Arc::new(ModelRegistry::new());
-        registry.insert("m", sparse_linear(1));
-        // The redeploy lands right after pruning registers `m`'s variant,
-        // before the next rule looks that variant up.
-        registry.after_next_derived(|r| r.insert("m", sparse_linear(2)));
-        let xopt = CrossOptimizer::new(Arc::clone(&registry), XOptConfig::default());
-        let written = Expr::Predict {
-            model: "m".into(),
-            args: vec![Expr::col("a"), Expr::col("b")],
-            strategy: PredictStrategy::Auto,
+    /// Compression is the one rule that reads the tables' contents.
+    fn rewrite_data_bound(
+        &self,
+        plan: LogicalPlan,
+        catalog: &Catalog,
+    ) -> Result<(LogicalPlan, bool)> {
+        let pass = Pass {
+            catalog,
+            compressed: Cell::new(false),
         };
-        let input = LogicalPlan::Values {
-            schema: Arc::new(Schema::from_pairs(&[
-                ("a", DataType::Float),
-                ("b", DataType::Float),
-            ])),
-            rows: vec![],
-        };
-        let cfg = xopt.config();
-        let rewritten = xopt
-            .rewrite_exprs(written.clone(), &input, &Catalog::new(), &cfg, &HashMap::new())
-            .unwrap();
-        assert_eq!(registry.get("m").unwrap().version, 2, "the redeploy ran");
-        assert_eq!(format!("{rewritten:?}"), format!("{written:?}"));
+        let plan = self.rewrite_node(plan, &pass)?;
+        Ok((plan, pass.compressed.get()))
     }
 }

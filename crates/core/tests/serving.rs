@@ -1,7 +1,10 @@
 //! The high-throughput serving path end-to-end: prepared PREDICT through
 //! the plan cache, strategy ablations (row / vectorized, serial or
-//! morsel-parallel) staying bit-exact, model redeploy & revocation invalidating cached plans, and
-//! cancellation inside the compiled kernel releasing admission slots.
+//! morsel-parallel) staying bit-exact, model redeploy & revocation invalidating cached plans,
+//! cancellation inside the compiled kernel releasing admission slots, and
+//! derived model variants living only as long as the plans that use them
+//! (a cached plan replans when its table drifts past the ranges its model
+//! was compressed to).
 
 use flock_core::{FlockDb, Lineage, XOptConfig};
 use flock_ml::{ColumnPipeline, DecisionTree, GbtModel, Model, Pipeline, TreeNode};
@@ -261,4 +264,178 @@ fn kernel_cancellation_releases_admission_slot() {
     // is lifted.
     s.execute("SET statement_timeout = DEFAULT").unwrap();
     assert_eq!(s.query(PREDICT_QUERY).unwrap().num_rows(), ROWS);
+}
+
+/// `debt_flag` splits at `income <= 1000` over rows whose income is at
+/// most 120, so compression to the table's ranges drops the right branch.
+/// `shift` moves every leaf.
+fn debt_flag(shift: f64) -> Pipeline {
+    let tree = DecisionTree {
+        nodes: vec![
+            TreeNode::Split {
+                feature: 0,
+                threshold: 1000.0,
+                left: 1,
+                right: 2,
+            },
+            TreeNode::Split {
+                feature: 1,
+                threshold: 40.0,
+                left: 3,
+                right: 4,
+            },
+            TreeNode::Leaf { value: shift - 1.0 },
+            TreeNode::Leaf { value: shift },
+            TreeNode::Leaf { value: shift + 1.0 },
+        ],
+    };
+    Pipeline::new(
+        vec![
+            ColumnPipeline::numeric("income"),
+            ColumnPipeline::numeric("debt"),
+        ],
+        Model::Tree(tree),
+        "hi_debt",
+    )
+}
+
+fn debt_db(config: XOptConfig) -> FlockDb {
+    let db = FlockDb::with_config(config);
+    db.execute("CREATE TABLE customers (id INT, income DOUBLE, debt DOUBLE)")
+        .unwrap();
+    db.execute("INSERT INTO customers VALUES (1, 90.0, 10.0), (2, 40.0, 45.0), (3, 120.0, 5.0)")
+        .unwrap();
+    let mut s = db.session("admin");
+    s.deploy_model("debt_flag", &debt_flag(0.0), Lineage::default())
+        .unwrap();
+    db
+}
+
+const DEBT_QUERY: &str =
+    "SELECT id, PREDICT(debt_flag, income, debt) AS f FROM customers ORDER BY id";
+
+#[test]
+fn cached_plan_scores_rows_outside_the_ranges_it_was_compressed_to() {
+    let db = debt_db(XOptConfig::default());
+    let mut s = db.session("admin");
+    let sql = DEBT_QUERY;
+    let prepared = s.prepare(sql).unwrap();
+    let last_score = |b: flock_sql::RecordBatch| b.column(1).get(b.num_rows() - 1);
+    assert_eq!(last_score(s.query(sql).unwrap()), Value::Float(0.0));
+    s.execute_prepared(&prepared, &[]).unwrap();
+
+    // Row 4 takes the branch the cached plans' compressed model dropped.
+    s.execute("INSERT INTO customers VALUES (4, 5000.0, 50.0)")
+        .unwrap();
+    assert_eq!(last_score(s.query(sql).unwrap()), Value::Float(-1.0), "ad-hoc");
+    let b = s.execute_prepared(&prepared, &[]).unwrap().batch.unwrap();
+    assert_eq!(last_score(b), Value::Float(-1.0), "prepared");
+}
+
+#[test]
+fn a_model_redeployed_under_a_dropped_name_scores_as_itself() {
+    let db = debt_db(XOptConfig::default());
+    let plain = debt_db(XOptConfig::disabled());
+    let mut s = db.session("admin");
+    let mut plain_s = plain.session("admin");
+    s.query(DEBT_QUERY).unwrap();
+    // Re-created, the model is at catalog version 1 again, over the same
+    // column ranges: only its leaves tell it from the dropped one.
+    for s in [&mut s, &mut plain_s] {
+        s.execute("DROP MODEL debt_flag").unwrap();
+        s.deploy_model("debt_flag", &debt_flag(10.0), Lineage::default())
+            .unwrap();
+    }
+    let (b, want) = (
+        s.query(DEBT_QUERY).unwrap(),
+        plain_s.query(DEBT_QUERY).unwrap(),
+    );
+    assert_eq!(want.column(1).get(0), Value::Float(10.0));
+    assert_eq!(
+        format!("{:?}", b.column(1)),
+        format!("{:?}", want.column(1))
+    );
+}
+
+fn predict_variants(db: &FlockDb) -> usize {
+    db.database()
+        .engine_metrics()
+        .rows()
+        .into_iter()
+        .find(|(name, _)| *name == "predict_variants")
+        .map(|(_, v)| v as usize)
+        .expect("the gauge is registered")
+}
+
+/// Runs `queries` ad-hoc PREDICTs, each over its own `BETWEEN` window on
+/// a model input, and returns the most live variants seen. With `grow`,
+/// a row goes in before each query, so each compresses the model to
+/// ranges of its own and holds a chain of two variants.
+fn ad_hoc_windows(queries: usize, grow: bool) -> usize {
+    // Specialisation on: each window folds into its own variant.
+    let open = |config: XOptConfig| {
+        let db = FlockDb::with_config(config);
+        db.execute("CREATE TABLE loans (id INT, amount DOUBLE, rate DOUBLE)")
+            .unwrap();
+        let rows: Vec<String> = (0..2_000)
+            .map(|i| format!("({i}, {}.0, {})", 1_000 + 24 * i, 0.01 + 0.0001 * i as f64))
+            .collect();
+        db.execute(&format!("INSERT INTO loans VALUES {}", rows.join(", ")))
+            .unwrap();
+        let mut s = db.session("admin");
+        s.deploy_model("default_risk", &gbt_pipeline(0.0), Lineage::default())
+            .unwrap();
+        db
+    };
+    let db = open(XOptConfig::default());
+    let plain = open(XOptConfig::disabled());
+    // A plan pins a chain of at most three: pruned, compressed, specialised.
+    let bound = 3 * flock_sql::plancache::CACHE_CAPACITY + flock_core::registry::VARIANT_MEMO;
+    let mut s = db.session("admin");
+    let mut plain_s = plain.session("admin");
+    let mut most = 0;
+    for i in 0..queries {
+        if grow {
+            let row = format!("INSERT INTO loans VALUES ({i}, {}.0, 0.5)", 49_000 + i);
+            s.execute(&row).unwrap();
+            plain_s.execute(&row).unwrap();
+        }
+        let lo = 1_000 + 23 * i;
+        let sql = format!(
+            "SELECT id, PREDICT(default_risk, amount, rate) FROM loans \
+             WHERE amount BETWEEN {lo}.0 AND {}.0 ORDER BY id",
+            lo + 100
+        );
+        let b = s.query(&sql).unwrap();
+        let live = predict_variants(&db);
+        assert!(
+            live <= bound,
+            "{live} live variants after {} queries",
+            i + 1
+        );
+        most = most.max(live);
+        if i % 97 == 0 {
+            let want = plain_s.query(&sql).unwrap();
+            assert!(b.num_rows() > 0);
+            assert_eq!(format!("{:?}", b.column(1)), format!("{:?}", want.column(1)));
+        }
+    }
+    assert!(predict_variants(&db) > 0, "the windows were specialised");
+    assert_eq!(db.registry().names(), ["default_risk"]);
+    most
+}
+
+#[test]
+fn ad_hoc_windows_leave_derived_variants_bounded() {
+    ad_hoc_windows(2_000, false);
+}
+
+#[test]
+fn ad_hoc_windows_over_a_growing_table_leave_derived_variants_bounded() {
+    let most = ad_hoc_windows(400, true);
+    let one_per_plan = flock_sql::plancache::CACHE_CAPACITY + flock_core::registry::VARIANT_MEMO;
+    assert!(
+        most > one_per_plan,
+        "{most} live: every plan held its own chain"
+    );
 }

@@ -2,7 +2,26 @@
 
 use crate::catalog::Privilege;
 use crate::types::{DataType, Value};
+use std::any::Any;
 use std::fmt;
+use std::sync::Arc;
+
+/// An opaque keep-alive handle on a model artifact. Two pins are equal
+/// when they hold the same artifact.
+#[derive(Clone)]
+pub struct ModelPin(pub Arc<dyn Any + Send + Sync>);
+
+impl PartialEq for ModelPin {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl fmt::Debug for ModelPin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ModelPin")
+    }
+}
 
 /// A top-level SQL statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -570,6 +589,9 @@ pub enum Expr {
         model: String,
         args: Vec<Expr>,
         strategy: PredictStrategy,
+        /// The model a plan rewriter derived for this call, kept alive as
+        /// long as the plan is; `None` as written.
+        pin: Option<ModelPin>,
     },
     /// Scalar subquery.
     Subquery(Box<Query>),

@@ -80,6 +80,8 @@ pub(super) struct Planned {
     pub models: Vec<String>,
     /// The scans over catalog tables (virtual tables have none).
     pub scans: Vec<ScanRef>,
+    /// A rewriter's result rests on the scanned tables' contents.
+    pub data_bound: bool,
 }
 
 impl Planned {
@@ -153,8 +155,11 @@ impl Planner<'_> {
             Some(s) => override_auto_predict(plan, s)?,
             None => plan,
         };
+        let mut data_bound = false;
         for r in sync::read(&db.shared.rewriters).iter() {
-            plan = r.rewrite(plan, catalog)?;
+            let bound;
+            (plan, bound) = r.rewrite_data_bound(plan, catalog)?;
+            data_bound |= bound;
         }
         let logical = optimize(plan, &db.optimizer_config())?;
         let physical =
@@ -165,6 +170,7 @@ impl Planner<'_> {
             tables,
             models,
             scans,
+            data_bound,
         })
     }
 }
@@ -290,10 +296,12 @@ fn override_auto_predict(plan: LogicalPlan, strategy: PredictStrategy) -> Result
                     model,
                     args,
                     strategy: PredictStrategy::Auto,
+                    pin,
                 } => Expr::Predict {
                     model,
                     args,
                     strategy,
+                    pin,
                 },
                 other => other,
             })

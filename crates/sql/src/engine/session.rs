@@ -313,6 +313,7 @@ impl Session {
                         physical,
                         tables: e.tables.clone(),
                         models: e.models.clone(),
+                        data_bound: e.data_bound,
                         bound,
                         ddl_epoch: e.ddl_epoch,
                         options_epoch: e.options_epoch,
@@ -362,6 +363,7 @@ impl Session {
                         physical: planned.physical,
                         tables: planned.tables,
                         models: planned.models,
+                        data_bound: planned.data_bound,
                         bound,
                         ddl_epoch: epochs.0,
                         options_epoch: epochs.1,

@@ -1,7 +1,7 @@
 //! Compiled physical expressions and their vectorized evaluation.
 
 use super::functions::{eval_function, like_match};
-use crate::ast::{BinOp, Expr, PredictStrategy, UnOp};
+use crate::ast::{BinOp, Expr, ModelPin, PredictStrategy, UnOp};
 use crate::batch::RecordBatch;
 use crate::column::{per_code, ColumnVector, RawColumn, RawColumnOwned};
 use crate::error::{Result, SqlError};
@@ -64,6 +64,8 @@ pub enum PhysNode {
         /// Provider-supplied description (model kind plus cross-optimizer
         /// transformations), captured at compile time for plan rendering.
         label: Option<String>,
+        /// Keeps a derived `model` alive while this plan can score it.
+        pin: Option<ModelPin>,
     },
     /// `?` placeholder resolved at execute time from `EvalContext::params`.
     /// Kept unbound through planning so a prepared plan can be cached once
@@ -261,6 +263,7 @@ impl PhysExpr {
                 model,
                 args,
                 strategy,
+                pin,
             } => PhysNode::Predict {
                 model: model.clone(),
                 args: args
@@ -269,6 +272,7 @@ impl PhysExpr {
                     .collect::<Result<_>>()?,
                 strategy: *strategy,
                 label: provider.describe(model),
+                pin: pin.clone(),
             },
             Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } => {
                 return Err(SqlError::Plan(

@@ -1261,6 +1261,7 @@ impl Parser {
                         model,
                         args,
                         strategy: PredictStrategy::Auto,
+                        pin: None,
                     });
                 }
             _ => {}
@@ -1411,7 +1412,7 @@ mod tests {
     #[test]
     fn parses_predict_expression() {
         let e = parse_expr("PREDICT(churn_model, age, income * 2)").unwrap();
-        let Expr::Predict { model, args, strategy } = e else {
+        let Expr::Predict { model, args, strategy, .. } = e else {
             panic!()
         };
         assert_eq!(model, "churn_model");

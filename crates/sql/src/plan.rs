@@ -394,6 +394,7 @@ pub fn rewrite_expr(expr: Expr, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Res
             model,
             args,
             strategy,
+            pin,
         } => Expr::Predict {
             model,
             args: args
@@ -401,6 +402,7 @@ pub fn rewrite_expr(expr: Expr, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Res
                 .map(|e| rewrite_expr(e, f))
                 .collect::<Result<_>>()?,
             strategy,
+            pin,
         },
         Expr::InSubquery {
             expr,
@@ -431,6 +433,19 @@ pub trait SubqueryRunner {
 /// registered through this hook.
 pub trait PlanRewriter: Send + Sync {
     fn rewrite(&self, plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan>;
+
+    /// [`rewrite`](Self::rewrite), also telling whether the result rests
+    /// on the current contents of the tables it reads (a model compressed
+    /// to their column ranges, say) and not on their schemas alone. A
+    /// cached plan built on such a result is replanned, not rebound, when
+    /// one of those tables changes.
+    fn rewrite_data_bound(
+        &self,
+        plan: LogicalPlan,
+        catalog: &Catalog,
+    ) -> Result<(LogicalPlan, bool)> {
+        Ok((self.rewrite(plan, catalog)?, false))
+    }
 }
 
 /// Everything the planner needs from its environment.
@@ -1457,10 +1472,12 @@ fn map_children(e: Expr, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Exp
             model,
             args,
             strategy,
+            pin,
         } => Expr::Predict {
             model,
             args: args.into_iter().map(&mut *f).collect::<Result<_>>()?,
             strategy,
+            pin,
         },
         leaf => leaf,
     })

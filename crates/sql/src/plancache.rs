@@ -25,7 +25,9 @@
 //! epochs it was planned under, and a lookup whose epochs moved discards
 //! the entry. Table drift is cheaper: the optimized logical plan is kept
 //! alongside the physical one, so the entry is **rebound** (physical
-//! re-derivation only) instead of replanned. Drift is a table whose current
+//! re-derivation only) instead of replanned — unless a plan rewriter built
+//! it on the tables' contents (a model compressed to the old column
+//! ranges): that one is replanned. Drift is a table whose current
 //! version is another `Arc` than the one the plan was bound to — DML,
 //! offload and merge each install a new one. The bound versions hold their
 //! part handles, so a plan not yet rebound still reads existing files.
@@ -44,7 +46,7 @@ use std::sync::{Arc, Mutex};
 /// Upper bound on cached plans; a full cache evicts the least recently
 /// used entry (serving workloads have a small, hot statement set that
 /// one-off ad-hoc texts must not push out).
-const CACHE_CAPACITY: usize = 128;
+pub const CACHE_CAPACITY: usize = 128;
 
 /// How one `?` slot of a normalized statement is filled at execute time.
 #[derive(Debug, Clone)]
@@ -199,6 +201,11 @@ pub struct CachedPlan {
     pub tables: Vec<String>,
     /// Models referenced (pre-rewrite), ACL-checked on every execute.
     pub models: Vec<String>,
+    /// A plan rewriter built the plan on the scanned tables' contents
+    /// ([`PlanRewriter::rewrite_data_bound`]): drift replans, not rebinds.
+    ///
+    /// [`PlanRewriter::rewrite_data_bound`]: crate::plan::PlanRewriter::rewrite_data_bound
+    pub data_bound: bool,
     /// The current version of each non-pinned scanned table at bind time.
     /// Another current version means the physical plan reads stale rows
     /// or a retired part layout: rebind.
@@ -224,8 +231,9 @@ pub enum CacheMiss {
 pub enum CacheHit {
     /// Entry valid as-is: execute its physical plan directly.
     Ready(Arc<CachedPlan>),
-    /// Epochs match but a bound table version is no longer current:
-    /// re-derive the physical plan from `logical` and re-insert.
+    /// Epochs match but a bound table version of a plan that rests on no
+    /// table's contents is no longer current: re-derive the physical plan
+    /// from `logical` and re-insert.
     Rebind(Arc<CachedPlan>),
 }
 
@@ -296,20 +304,24 @@ impl PlanCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Err(CacheMiss::Invalidated);
         }
-        let mut stale = false;
+        let (mut stale, mut gone) = (false, false);
         for (table, bound) in &entry.bound {
             match current(table) {
                 Some(v) if Arc::ptr_eq(v, bound) => {}
                 Some(_) => stale = true,
-                None => {
-                    // Table vanished without a DDL epoch tick (should not
-                    // happen, but never serve a plan over a dropped table).
-                    entries.plans.remove(key);
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return Err(CacheMiss::Invalidated);
-                }
+                // Table vanished without a DDL epoch tick (should not
+                // happen, but never serve a plan over a dropped table).
+                None => gone = true,
             }
+        }
+        // A data-bound plan is replanned, not rebound: the cross-optimizer
+        // may have compressed (and then inlined) a model to the old column
+        // ranges, which the drift may have widened.
+        if gone || (stale && entry.data_bound) {
+            entries.plans.remove(key);
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Err(CacheMiss::Invalidated);
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
         *used = now;
@@ -474,6 +486,7 @@ mod tests {
             },
             tables: vec![],
             models: vec![],
+            data_bound: false,
             bound: vec![],
             ddl_epoch: 1,
             options_epoch: 1,
@@ -536,5 +549,34 @@ mod tests {
         assert_eq!(cache.invalidations.load(Ordering::Relaxed), 1);
         assert_eq!(cache.hits.load(Ordering::Relaxed), 3);
         assert_eq!(cache.misses.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn only_a_data_bound_plan_is_replanned_on_drift() {
+        let cache = PlanCache::default();
+        let (v, drifted) = (version(1), version(2));
+        for data_bound in [false, true] {
+            let key = key("SELECT PREDICT(m, x) FROM t");
+            let bound = vec![("t".into(), v.clone())];
+            let models = vec!["m".into()];
+            let entry = CachedPlan {
+                bound,
+                models,
+                data_bound,
+                ..plan()
+            };
+            cache.insert(key.clone(), entry);
+            assert!(matches!(
+                cache.lookup(&key, (1, 1, 1), |_| Some(&v)),
+                Ok(CacheHit::Ready(_))
+            ));
+            let hit = cache.lookup(&key, (1, 1, 1), |_| Some(&drifted));
+            if data_bound {
+                assert!(matches!(hit, Err(CacheMiss::Invalidated)));
+                assert!(cache.is_empty());
+            } else {
+                assert!(matches!(hit, Ok(CacheHit::Rebind(_))));
+            }
+        }
     }
 }

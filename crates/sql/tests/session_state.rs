@@ -113,8 +113,11 @@ fn statement_after_sticky_cancel_succeeds() {
 
     // And a real mid-flight cancellation doesn't poison the session
     // either: cancel in a loop until the statement aborts, stop, then the
-    // session keeps working.
+    // session keeps working. The worker waits for the cancelling to stop
+    // before its next statement, so no late cancel can land on that one.
     let (tx, rx) = std::sync::mpsc::channel();
+    let (aborted_tx, aborted_rx) = std::sync::mpsc::channel();
+    let (stopped_tx, stopped_rx) = std::sync::mpsc::channel();
     let worker = {
         let db = db.clone();
         std::thread::spawn(move || {
@@ -122,17 +125,21 @@ fn statement_after_sticky_cancel_succeeds() {
             tx.send(s.cancel_handle()).unwrap();
             let err = s.query("SELECT PREDICT(m, x) FROM t").unwrap_err();
             assert!(matches!(err, SqlError::Cancelled(_)), "got {err:?}");
+            aborted_tx.send(()).unwrap();
+            stopped_rx.recv().unwrap();
             let batch = s.query("SELECT x FROM t WHERE x < 2.5").unwrap();
             assert_eq!(batch.num_rows(), 2);
         })
     };
     let handle = rx.recv().unwrap();
     let started = std::time::Instant::now();
-    while !worker.is_finished() {
+    // A worker that ends early panicked: the join below reports why.
+    while aborted_rx.try_recv().is_err() && !worker.is_finished() {
         assert!(started.elapsed() < Duration::from_secs(30), "cancel never landed");
         handle.cancel();
         std::thread::sleep(Duration::from_millis(1));
     }
+    let _ = stopped_tx.send(());
     worker.join().unwrap();
     assert_eq!(db.admission().active(), 0);
     assert!(metric(&db, "queries_cancelled") >= 1);
