@@ -724,7 +724,10 @@ fn sync_registry_from(catalog: &flock_sql::Catalog, registry: &ModelRegistry) {
             continue;
         }
         let Ok(pipeline) = fonnx::from_bytes(&current.payload) else {
-            continue; // undecodable payloads stay unscorable
+            // An undecodable current version is unscorable: an older
+            // version must not go on scoring in its place.
+            registry.remove(&obj.name);
+            continue;
         };
         let metadata = ModelMetadata::from_json(&current.metadata)
             .unwrap_or_else(|| ModelMetadata::of(&obj.name, &pipeline, Lineage::default()));

@@ -6,13 +6,20 @@
 //! and under every `predict_strategy`. The oracle is the serial engine
 //! with the cross-optimizer off.
 //!
-//! The model's leaves are multiples of 1/4 and its output is not squashed,
-//! so every score is a small multiple of 1/8 and sums of them are exact in
-//! f64: `AVG` cannot differ by association between the serial and the
-//! per-morsel path, and "equal" can mean bit-equal.
+//! Two models are deployed, one for each compiled tree kernel: `m` fits
+//! the leaf-mask kernel and `wide`, with 300 distinct thresholds on
+//! `income`, keeps the flattened-node walk. Every query runs against both.
+//!
+//! The models' leaves are multiples of 1/4 and their output is not
+//! squashed, so every score is a small multiple of 1/8 and sums of them
+//! are exact in f64: `AVG` cannot differ by association between the serial
+//! and the per-morsel path, and "equal" can mean bit-equal.
 
 use flock_core::{FlockDb, Lineage, XOptConfig};
-use flock_ml::{ColumnPipeline, DecisionTree, GbtModel, Model, Pipeline, TreeNode};
+use flock_corpus::tabular::TabularDataset;
+use flock_ml::{
+    ColumnPipeline, CompiledPipeline, DecisionTree, GbtModel, Model, Pipeline, TreeNode,
+};
 use flock_rng::rngs::StdRng;
 use flock_rng::{Rng, SeedableRng};
 use flock_sql::exec::ExecOptions;
@@ -37,20 +44,40 @@ fn stump(feature: usize, threshold: f64, lo: f64, hi: f64) -> DecisionTree {
     }
 }
 
+fn quarter(k: i64) -> f64 {
+    k as f64 * 0.25
+}
+
 /// 60 stumps (180 nodes: too large for the cross-optimizer to inline, so
 /// PREDICT stays a provider call) over age, income and the one-hot city.
 fn pipeline() -> Pipeline {
     let trees = (0..60)
-        .map(|i| {
-            let quarter = |k: i64| k as f64 * 0.25;
-            match i % 4 {
-                0 => stump(0, 20.0 + i as f64, quarter(-1), quarter(2)),
-                1 => stump(1, 30_000.0 + 1_000.0 * i as f64, quarter(1), quarter(-1)),
-                2 => stump(2, 0.5, quarter(0), quarter(1)), // city = nyc
-                _ => stump(3, 0.5, quarter(1), quarter(-2)), // city = sf
-            }
+        .map(|i| match i % 4 {
+            0 => stump(0, 20.0 + i as f64, quarter(-1), quarter(2)),
+            1 => stump(1, 30_000.0 + 1_000.0 * i as f64, quarter(1), quarter(-1)),
+            2 => stump(2, 0.5, quarter(0), quarter(1)), // city = nyc
+            _ => stump(3, 0.5, quarter(1), quarter(-2)), // city = sf
         })
         .collect();
+    gbt(trees)
+}
+
+/// `pipeline()`'s stumps plus 300 on `income` with distinct thresholds,
+/// all inside the column's range and each between two different leaves
+/// (so no compression or specialisation can drop below 256 of them): too
+/// many bins for the leaf-mask kernel.
+fn wide_pipeline() -> Pipeline {
+    let Model::Gbt(mut g) = pipeline().model else {
+        unreachable!()
+    };
+    g.trees.extend((0..300).map(|i| {
+        let threshold = 20_150.0 + 300.0 * i as f64;
+        stump(1, threshold, quarter(i % 3 - 1), quarter(2 + i % 2))
+    }));
+    gbt(g.trees)
+}
+
+fn gbt(trees: Vec<DecisionTree>) -> Pipeline {
     Pipeline::new(
         vec![
             ColumnPipeline::numeric("age"),
@@ -111,11 +138,16 @@ fn database() -> FlockDb {
     admin
         .deploy_model("m", &pipeline(), Lineage::default())
         .unwrap();
+    admin
+        .deploy_model("wide", &wide_pipeline(), Lineage::default())
+        .unwrap();
     db
 }
 
-fn queries() -> Vec<String> {
-    let p = format!("PREDICT(m, {ARGS})");
+const MODELS: [&str; 2] = ["m", "wide"];
+
+fn queries(model: &str) -> Vec<String> {
+    let p = format!("PREDICT({model}, {ARGS})");
     vec![
         // Q1, Q2: aggregates over a filtered and an unfiltered scan
         format!("SELECT AVG({p}), COUNT(*) FROM customers WHERE city = 'nyc' AND age >= 30.0"),
@@ -166,31 +198,35 @@ fn configure(db: &FlockDb, parallel: bool, xopt: bool) {
 #[test]
 fn predict_queries_agree_across_every_execution_path() {
     let db = database();
-    let qs = queries();
+    let qs: Vec<String> = MODELS.iter().flat_map(|m| queries(m)).collect();
     configure(&db, false, false);
     let oracle: Vec<Vec<String>> = qs
         .iter()
         .map(|q| digest(&db.query(q).unwrap_or_else(|e| panic!("{q}: {e}"))))
         .collect();
-    assert_eq!(
-        oracle[2].len(),
-        100,
-        "the threshold must leave more than k rows"
-    );
-    // The tie-break only matters if the k-th score also occurs past k.
-    let score_of = |row: &String| row.split('|').nth(1).unwrap().to_string();
-    let boundary = score_of(oracle[2].last().unwrap());
-    let tied_inside = oracle[2].iter().filter(|r| score_of(r) == boundary).count();
-    let all = digest(
-        &db.query(&format!("SELECT id, PREDICT(m, {ARGS}) FROM customers"))
+    for (model, oracle) in MODELS.iter().zip(oracle.chunks(qs.len() / MODELS.len())) {
+        assert_eq!(
+            oracle[2].len(),
+            100,
+            "{model}: the threshold must leave more than k rows"
+        );
+        // The tie-break only matters if the k-th score also occurs past k.
+        let score_of = |row: &String| row.split('|').nth(1).unwrap().to_string();
+        let boundary = score_of(oracle[2].last().unwrap());
+        let tied_inside = oracle[2].iter().filter(|r| score_of(r) == boundary).count();
+        let all = digest(
+            &db.query(&format!(
+                "SELECT id, PREDICT({model}, {ARGS}) FROM customers"
+            ))
             .unwrap(),
-    );
-    let tied = all.iter().filter(|r| score_of(r) == boundary).count();
-    assert!(
-        tied > tied_inside,
-        "{tied} rows tie at the boundary, {tied_inside} inside"
-    );
-    assert!(oracle[7].is_empty());
+        );
+        let tied = all.iter().filter(|r| score_of(r) == boundary).count();
+        assert!(
+            tied > tied_inside,
+            "{model}: {tied} rows tie at the boundary, {tied_inside} inside"
+        );
+        assert!(oracle[7].is_empty());
+    }
 
     for parallel in [false, true] {
         for xopt in [false, true] {
@@ -209,6 +245,98 @@ fn predict_queries_agree_across_every_execution_path() {
             }
         }
     }
+    // Each model scored through its own kernel, base and variants alike:
+    // the variants the cross-optimizer rewrites each query to keep their
+    // base model's kernel.
+    let registry = db.registry();
+    let leaf_mask = |name: &str| {
+        let model = registry
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} is not live"));
+        registry.kernel(&model).leaf_masks()
+    };
+    assert!(leaf_mask("m") && !leaf_mask("wide"));
+    configure(&db, false, true);
+    let mut variants = 0;
+    for q in &qs {
+        let b = db.query(&format!("EXPLAIN {q}")).unwrap();
+        let plan: String = (0..b.num_rows())
+            .map(|r| b.column(0).get(r).to_string())
+            .collect();
+        // Output names keep the query's text; the plan's calls name the
+        // variant they score.
+        for call in plan.split("PREDICT(").skip(1) {
+            let name = call.split(',').next().unwrap();
+            if let Some((base, _)) = name.split_once('#') {
+                assert_eq!(leaf_mask(name), base == "m", "{name}");
+                variants += 1;
+            }
+        }
+    }
+    // Every query but the last (which scores nothing) takes a variant.
+    assert!(variants >= qs.len() - 2, "{variants} rewritten PREDICTs");
+}
+
+/// The benchmark's two model shapes keep their kernels: predict_scan's
+/// trained 40×6 GBT takes the leaf-mask kernel, serve_point's 64 full
+/// depth-6 trees with random thresholds on two features the flattened
+/// walk. A model change that silently drops the fast path fails here.
+#[test]
+fn benchmark_model_shapes_pin_their_kernels() {
+    let scan = TabularDataset::generate(8_000, 42).train_pipeline(40, 6);
+    assert!(
+        CompiledPipeline::compile(&scan).leaf_masks(),
+        "predict_scan's model left the leaf-mask kernel"
+    );
+
+    let mut rng = StdRng::seed_from_u64(1);
+    fn grow(rng: &mut StdRng, depth: usize, nodes: &mut Vec<TreeNode>) -> usize {
+        let at = nodes.len();
+        nodes.push(TreeNode::Leaf {
+            value: rng.gen_range(-1.0..1.0),
+        });
+        if depth > 0 {
+            let feature = rng.gen_range(0usize..2);
+            let threshold = if feature == 0 {
+                rng.gen_range(1_000.0f64..50_000.0)
+            } else {
+                rng.gen_range(0.01f64..0.25)
+            };
+            let left = grow(rng, depth - 1, nodes);
+            let right = grow(rng, depth - 1, nodes);
+            nodes[at] = TreeNode::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            };
+        }
+        at
+    }
+    let trees = (0..64)
+        .map(|_| {
+            let mut nodes = Vec::new();
+            grow(&mut rng, 6, &mut nodes);
+            DecisionTree { nodes }
+        })
+        .collect();
+    let point = Pipeline::new(
+        vec![
+            ColumnPipeline::numeric("amount"),
+            ColumnPipeline::numeric("rate"),
+        ],
+        Model::Gbt(GbtModel {
+            trees,
+            learning_rate: 0.1,
+            base_score: 0.2,
+            sigmoid_output: true,
+        }),
+        "risk",
+    );
+    assert!(
+        !CompiledPipeline::compile(&point).leaf_masks(),
+        "serve_point's model must keep the flattened walk"
+    );
 }
 
 fn explain_analyze(db: &FlockDb, q: &str) -> String {
@@ -222,7 +350,7 @@ fn explain_analyze(db: &FlockDb, q: &str) -> String {
 #[test]
 fn explain_analyze_shows_the_shared_score_and_the_top_k() {
     let db = database();
-    let qs = queries();
+    let qs = queries("m");
     for xopt in [false, true] {
         configure(&db, true, xopt);
         let plan = explain_analyze(&db, &qs[2]);

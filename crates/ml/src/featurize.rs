@@ -147,64 +147,49 @@ impl ColumnPipeline {
         offset: usize,
         total: usize,
     ) -> Result<()> {
+        self.encode_rows_into(frame, 0..frame.num_rows(), out, offset, total)
+    }
+
+    /// [`encode_into`](Self::encode_into) for the frame's rows `rows` only:
+    /// row `rows.start + r` lands in `out[r * total + offset..]`. `out` must
+    /// be zeroed, as encoders write only their non-zero slots.
+    pub(crate) fn encode_rows_into(
+        &self,
+        frame: &Frame,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+        offset: usize,
+        total: usize,
+    ) -> Result<()> {
         // Fixed features never touch the frame: the input column is not
         // even bound after specialization.
         if let Encoder::Fixed { values } = &self.encoder {
             let w = values.len();
-            for r in 0..frame.num_rows() {
+            for r in 0..rows.len() {
                 out[r * total + offset..r * total + offset + w].copy_from_slice(values);
             }
             return Ok(());
         }
-        let col = frame.column(&self.input)?;
-        let n = col.len();
         match &self.encoder {
             Encoder::Numeric => {
-                let vals = col.as_f64().ok_or_else(|| {
-                    MlError::Shape(format!("column '{}' must be numeric", self.input))
-                })?;
-                for (r, &raw) in vals.iter().enumerate() {
-                    let mut x = raw;
-                    for s in &self.steps {
-                        x = s.apply(x);
-                    }
-                    // NaN surviving preprocessing becomes 0 so models
-                    // without NaN handling stay well-defined.
-                    out[r * total + offset] = if x.is_nan() { 0.0 } else { x };
+                for (r, &raw) in self.numeric_input(frame)?[rows].iter().enumerate() {
+                    out[r * total + offset] = self.numeric_value(raw);
                 }
             }
             Encoder::Binned { edges } => {
-                let vals = col.as_f64().ok_or_else(|| {
-                    MlError::Shape(format!("column '{}' must be numeric", self.input))
-                })?;
-                for (r, &raw) in vals.iter().enumerate() {
-                    let mut x = raw;
-                    for s in &self.steps {
-                        x = s.apply(x);
-                    }
-                    let bin = if x.is_nan() {
-                        0
-                    } else {
-                        edges.iter().take_while(|e| x > **e).count()
-                    };
-                    out[r * total + offset + bin] = 1.0;
+                for (r, &raw) in self.numeric_input(frame)?[rows].iter().enumerate() {
+                    out[r * total + offset + bin_of(edges, self.preprocess(raw))] = 1.0;
                 }
             }
             Encoder::OneHot { categories } => {
-                let vals = col.as_str().ok_or_else(|| {
-                    MlError::Shape(format!("column '{}' must be text", self.input))
-                })?;
-                for (r, v) in vals.iter().enumerate() {
+                for (r, v) in self.text_input(frame)?[rows].iter().enumerate() {
                     if let Some(i) = categories.iter().position(|c| c == v) {
                         out[r * total + offset + i] = 1.0;
                     }
                 }
             }
             Encoder::Hashing { buckets } => {
-                let vals = col.as_str().ok_or_else(|| {
-                    MlError::Shape(format!("column '{}' must be text", self.input))
-                })?;
-                for (r, text) in vals.iter().enumerate() {
+                for (r, text) in self.text_input(frame)?[rows].iter().enumerate() {
                     for tok in text.split_whitespace() {
                         let b = (fnv1a(&tok.to_lowercase()) % *buckets as u64) as usize;
                         out[r * total + offset + b] += 1.0;
@@ -213,8 +198,51 @@ impl ColumnPipeline {
             }
             Encoder::Fixed { .. } => unreachable!("handled above"),
         }
-        debug_assert_eq!(n, frame.num_rows());
         Ok(())
+    }
+
+    /// The column's numeric input, or the error featurization raises.
+    pub(crate) fn numeric_input<'f>(&self, frame: &'f Frame) -> Result<&'f [f64]> {
+        frame
+            .column(&self.input)?
+            .as_f64()
+            .ok_or_else(|| MlError::Shape(format!("column '{}' must be numeric", self.input)))
+    }
+
+    /// The column's text input, or the error featurization raises.
+    pub(crate) fn text_input<'f>(&self, frame: &'f Frame) -> Result<&'f [String]> {
+        frame
+            .column(&self.input)?
+            .as_str()
+            .ok_or_else(|| MlError::Shape(format!("column '{}' must be text", self.input)))
+    }
+
+    /// Fail as featurization would if `frame` lacks this column's input or
+    /// holds it with the wrong type.
+    pub(crate) fn check_input(&self, frame: &Frame) -> Result<()> {
+        match &self.encoder {
+            Encoder::Fixed { .. } => Ok(()),
+            e if e.takes_strings() => self.text_input(frame).map(drop),
+            _ => self.numeric_input(frame).map(drop),
+        }
+    }
+
+    /// `raw` after the numeric steps.
+    #[inline]
+    pub(crate) fn preprocess(&self, raw: f64) -> f64 {
+        self.steps.iter().fold(raw, |x, s| s.apply(x))
+    }
+
+    /// The [`Encoder::Numeric`] feature of `raw`: the steps, then NaN
+    /// becomes 0 so models without NaN handling stay well-defined.
+    #[inline]
+    pub(crate) fn numeric_value(&self, raw: f64) -> f64 {
+        let x = self.preprocess(raw);
+        if x.is_nan() {
+            0.0
+        } else {
+            x
+        }
     }
 
     /// Encode a single raw value (already fetched from a row). Used by the
@@ -223,24 +251,9 @@ impl ColumnPipeline {
         match (&self.encoder, value) {
             // Fixed ignores the input value entirely.
             (Encoder::Fixed { values }, _) => out.copy_from_slice(values),
-            (Encoder::Numeric, RawValue::Num(raw)) => {
-                let mut x = *raw;
-                for s in &self.steps {
-                    x = s.apply(x);
-                }
-                out[0] = if x.is_nan() { 0.0 } else { x };
-            }
+            (Encoder::Numeric, RawValue::Num(raw)) => out[0] = self.numeric_value(*raw),
             (Encoder::Binned { edges }, RawValue::Num(raw)) => {
-                let mut x = *raw;
-                for s in &self.steps {
-                    x = s.apply(x);
-                }
-                let bin = if x.is_nan() {
-                    0
-                } else {
-                    edges.iter().take_while(|e| x > **e).count()
-                };
-                out[bin] = 1.0;
+                out[bin_of(edges, self.preprocess(*raw))] = 1.0;
             }
             (Encoder::OneHot { categories }, RawValue::Text(v)) => {
                 if let Some(i) = categories.iter().position(|c| c == v) {
@@ -257,6 +270,12 @@ impl ColumnPipeline {
             _ => {}
         }
     }
+}
+
+/// The [`Encoder::Binned`] slot of a preprocessed value: the edges it
+/// exceeds. NaN exceeds none, so it falls in bin 0.
+fn bin_of(edges: &[f64], x: f64) -> usize {
+    edges.iter().take_while(|e| x > **e).count()
 }
 
 /// A scalar input value for row-wise encoding.

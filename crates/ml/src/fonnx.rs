@@ -22,13 +22,40 @@ use flock_json::{Map, Value};
 /// Current format version. Readers reject newer majors.
 pub const FONNX_VERSION: u32 = 1;
 
-/// Serialize a pipeline to FONNX bytes.
+/// Serialize a pipeline to FONNX bytes. Whatever [`from_bytes`] would
+/// refuse is an error here, so bytes that do not decode never reach the
+/// catalog: a NaN or infinite number anywhere (JSON cannot spell one; the
+/// codec would write `null`), and a tree that is not a tree over the
+/// pipeline's features.
 pub fn to_bytes(pipeline: &Pipeline) -> Result<Vec<u8>> {
+    check_trees(pipeline)?;
+    let body = pipeline_to_value(pipeline);
+    // The encoder writes no `null` of its own: each one is such a number.
+    if let Some(path) = null_path(&body) {
+        return Err(MlError::Format(format!(
+            "pipeline{path} is NaN or infinite, which FONNX cannot store"
+        )));
+    }
     let mut doc = Map::new();
     doc.insert("format".to_string(), Value::from("fonnx"));
     doc.insert("version".to_string(), Value::from(FONNX_VERSION));
-    doc.insert("pipeline".to_string(), pipeline_to_value(pipeline));
+    doc.insert("pipeline".to_string(), body);
     Ok(Value::Object(doc).to_string().into_bytes())
+}
+
+/// Where the first `null` in `v` sits, as `.key[index]…` steps.
+fn null_path(v: &Value) -> Option<String> {
+    match v {
+        Value::Null => Some(String::new()),
+        Value::Array(xs) => xs
+            .iter()
+            .enumerate()
+            .find_map(|(i, x)| null_path(x).map(|p| format!("[{i}]{p}"))),
+        Value::Object(m) => m
+            .iter()
+            .find_map(|(k, x)| null_path(x).map(|p| format!(".{k}{p}"))),
+        _ => None,
+    }
 }
 
 /// Deserialize FONNX bytes back into a pipeline.
@@ -56,7 +83,27 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Pipeline> {
     let pipeline = doc
         .get("pipeline")
         .ok_or_else(|| MlError::Format("missing 'pipeline' field".into()))?;
-    pipeline_from_value(pipeline)
+    let pipeline = pipeline_from_value(pipeline)?;
+    check_trees(&pipeline)?;
+    Ok(pipeline)
+}
+
+/// Every tree of a tree-family model must be a tree over the pipeline's
+/// features ([`DecisionTree::check`]): the scorers index by split feature
+/// and child without a bounds check of their own.
+fn check_trees(pipeline: &Pipeline) -> Result<()> {
+    let trees = match &pipeline.model {
+        Model::Tree(t) => std::slice::from_ref(t),
+        Model::Forest(f) => &f.trees,
+        Model::Gbt(g) => &g.trees,
+        _ => return Ok(()),
+    };
+    let width = pipeline.feature_width();
+    for (i, tree) in trees.iter().enumerate() {
+        tree.check(width)
+            .map_err(|e| bad(&format!("tree {i}: {e}")))?;
+    }
+    Ok(())
 }
 
 // ------------------------------------------------------------- encoding
@@ -546,6 +593,72 @@ mod tests {
             "pipeline": {"columns": [], "model": {"Linear": {"weights": [], "bias": 0.0}}, "output": "y"}
         });
         assert!(from_bytes(wrong.to_string().as_bytes()).is_err());
+    }
+
+    fn stump_pipeline(feature: usize, threshold: f64, right: usize) -> Pipeline {
+        use crate::model::{DecisionTree, TreeNode};
+        let nodes = vec![
+            TreeNode::Split {
+                feature,
+                threshold,
+                left: 1,
+                right,
+            },
+            TreeNode::Leaf { value: 1.0 },
+            TreeNode::Leaf { value: 2.0 },
+        ];
+        Pipeline::new(
+            vec![ColumnPipeline::numeric("a")],
+            Model::Tree(DecisionTree { nodes }),
+            "out",
+        )
+    }
+
+    #[test]
+    fn numbers_json_cannot_spell_are_an_encode_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = to_bytes(&stump_pipeline(0, bad, 2)).unwrap_err();
+            assert_eq!(
+                err,
+                MlError::Format(
+                    "pipeline.model.Tree.nodes[0].Split.threshold is NaN or infinite, \
+                     which FONNX cannot store"
+                        .into()
+                )
+            );
+        }
+        let mut p = sample();
+        p.columns[0].steps.push(NumericStep::Clip {
+            lo: f64::NEG_INFINITY,
+            hi: 1.0,
+        });
+        let err = to_bytes(&p).unwrap_err().to_string();
+        assert!(err.contains("pipeline.columns[0].steps[0].Clip.lo"), "{err}");
+        // -0.0 and the extremes are finite and round-trip bit for bit.
+        for ok in [-0.0, f64::MAX, f64::MIN_POSITIVE] {
+            let p = stump_pipeline(0, ok, 2);
+            assert_eq!(from_bytes(&to_bytes(&p).unwrap()).unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn malformed_trees_neither_encode_nor_decode() {
+        for (p, why) in [
+            (stump_pipeline(5, 0.5, 2), "feature 5 of 1"),
+            (stump_pipeline(0, 0.5, 9), "child 9 of 3"),
+            (stump_pipeline(0, 0.5, 0), "node 0 is reached twice"),
+        ] {
+            let err = to_bytes(&p).unwrap_err().to_string();
+            assert!(err.contains(why), "{err}");
+            // The same document written past the encoder's check.
+            let mut doc = Map::new();
+            doc.insert("format".to_string(), Value::from("fonnx"));
+            doc.insert("version".to_string(), Value::from(FONNX_VERSION));
+            doc.insert("pipeline".to_string(), pipeline_to_value(&p));
+            let bytes = Value::Object(doc).to_string().into_bytes();
+            let err = from_bytes(&bytes).unwrap_err().to_string();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

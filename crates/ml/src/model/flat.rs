@@ -14,8 +14,8 @@
 //! Scores are bit-identical to the arena walker
 //! ([`DecisionTree::score_row`], the reference the tests compare against):
 //! the same NaN-goes-left split rule, and per-row tree contributions
-//! accumulated in tree order (matching the `iter().map(score_row).sum()`
-//! left fold).
+//! accumulated in tree order from `-0.0` (matching the
+//! `iter().map(score_row).sum()` left fold).
 
 use super::tree::{DecisionTree, TreeNode};
 use crate::matrix::Matrix;
@@ -151,7 +151,7 @@ impl FlatTrees {
             let sum = self
                 .roots
                 .iter()
-                .fold(0.0, |sum, &root| sum + nodes[root as usize].threshold);
+                .fold(-0.0, |sum, &root| sum + nodes[root as usize].threshold);
             for out in acc.iter_mut() {
                 *out += sum;
             }
@@ -167,7 +167,9 @@ impl FlatTrees {
             let n = out_block.len();
             let cursors = &mut scratch.cursors[..n];
             let sums = &mut scratch.sums[..n];
-            sums.fill(0.0);
+            // -0.0 starts the fold, as it starts the arena's `sum()`: a
+            // row whose leaves are all -0.0 sums to -0.0.
+            sums.fill(-0.0);
             for (t, &root) in self.roots.iter().enumerate() {
                 let depth = self.depths[t];
                 if depth == 0 {
@@ -340,7 +342,7 @@ mod tests {
         let flat = FlatTrees::from_trees(&[DecisionTree::leaf(0.1), DecisionTree::leaf(0.2)]);
         let mut acc = vec![1.0; 2];
         flat.accumulate(&Matrix::zeros(2, 0), &mut acc);
-        assert_eq!(acc, vec![1.0 + (0.0 + 0.1 + 0.2); 2]);
+        assert_eq!(acc, vec![1.0 + (-0.0 + 0.1 + 0.2); 2]);
     }
 
     #[test]

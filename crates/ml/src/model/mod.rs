@@ -3,6 +3,7 @@
 pub mod bayes;
 pub mod ensemble;
 pub mod flat;
+pub mod leafmask;
 pub mod knn;
 pub mod linear;
 pub mod tree;

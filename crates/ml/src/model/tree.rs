@@ -51,6 +51,49 @@ impl DecisionTree {
         }
     }
 
+    /// Check the arena is a tree over `width` features: every split reads
+    /// a feature below `width`, every child index is in range, and every
+    /// node is reached exactly once from root 0 (so no cycle, no shared
+    /// subtree, no orphan). The scorers index by these fields unchecked.
+    pub fn check(&self, width: usize) -> Result<(), String> {
+        if self.nodes.is_empty() {
+            return Err("tree has no nodes".into());
+        }
+        let mut seen = vec![false; self.nodes.len()];
+        let mut stack = vec![0usize];
+        while let Some(i) = stack.pop() {
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(format!("node {i} is reached twice"));
+            }
+            if let TreeNode::Split {
+                feature,
+                left,
+                right,
+                ..
+            } = &self.nodes[i]
+            {
+                if *feature >= width {
+                    return Err(format!(
+                        "node {i} splits on feature {feature} of {width}"
+                    ));
+                }
+                for child in [*left, *right] {
+                    if child >= self.nodes.len() {
+                        return Err(format!(
+                            "node {i} has child {child} of {} nodes",
+                            self.nodes.len()
+                        ));
+                    }
+                    stack.push(child);
+                }
+            }
+        }
+        match seen.iter().position(|s| !s) {
+            Some(i) => Err(format!("node {i} is unreachable from the root")),
+            None => Ok(()),
+        }
+    }
+
     #[inline]
     pub fn score_row(&self, x: &[f64]) -> f64 {
         let mut i = 0usize;
@@ -310,6 +353,31 @@ mod tests {
         };
         let c = t.compress(&[(0.0, 2.0)]);
         assert_eq!(c.num_nodes(), 1);
+    }
+
+    #[test]
+    fn check_rejects_what_is_not_a_tree() {
+        assert_eq!(sample().check(2), Ok(()));
+        assert_eq!(DecisionTree::leaf(1.0).check(0), Ok(()));
+        assert!(sample().check(1).unwrap_err().contains("feature 1 of 1"));
+        assert!(DecisionTree { nodes: vec![] }.check(1).is_err());
+        let split = |left, right| TreeNode::Split {
+            feature: 0,
+            threshold: 0.0,
+            left,
+            right,
+        };
+        let leaf = TreeNode::Leaf { value: 0.0 };
+        let bad = [
+            (vec![split(1, 9), leaf.clone()], "child 9"),
+            (vec![split(1, 2), split(0, 2), leaf.clone()], "reached twice"),
+            (vec![split(1, 1), leaf.clone()], "reached twice"),
+            (vec![split(1, 2), leaf.clone(), leaf.clone(), leaf], "unreachable"),
+        ];
+        for (nodes, why) in bad {
+            let err = DecisionTree { nodes }.check(1).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]
