@@ -20,55 +20,33 @@ fn main() {
     );
     println!();
     let rows = fig4::run_sizes(&sizes, trees, depth, repeats);
-    let modeled = rows.iter().any(|r| r.sonnx_parallel_modeled_ms.is_some());
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            let mut row = vec![
+            vec![
                 r.size.to_string(),
                 format!("{:.1}", r.sklearn_ms),
                 format!("{:.1}", r.ort_ms),
                 format!("{:.1}", r.sonnx_ms),
                 format!("{:.1}", r.sonnx_ext_ms),
-            ];
-            if modeled {
-                row.push(
-                    r.sonnx_parallel_modeled_ms
-                        .map(|v| format!("{v:.1}"))
-                        .unwrap_or_default(),
-                );
-            }
-            row
+            ]
         })
         .collect();
-    let mut headers = vec!["rows", "sklearn (ms)", "ORT (ms)", "SONNX (ms)", "SONNX-ext (ms)"];
-    if modeled {
-        headers.push("SONNX-8p* (ms)");
-    }
+    let headers = ["rows", "sklearn (ms)", "ORT (ms)", "SONNX (ms)", "SONNX-ext (ms)"];
     println!("{}", render_table(&headers, &table));
-    if modeled {
-        println!(
-            "* single-core host: parallel SONNX modeled as in-DB overhead + slowest of {} \
-             chunks (all chunks executed); on multi-core hardware SONNX runs chunks concurrently",
-            fig4::MODELED_THREADS
-        );
-    }
     if let Some(last) = rows.last() {
         println!(
-            "\nat {} rows: SONNX is {:.1}x over ORT; SONNX-ext is {:.1}x over ORT{} \
+            "\nat {} rows: SONNX is {:.1}x over ORT; SONNX-ext is {:.1}x over ORT \
              (paper: up to 5.5x from parallelization alone)",
             last.size,
             last.ort_ms / last.sonnx_ms,
             last.ort_ms / last.sonnx_ext_ms,
-            last.sonnx_parallel_modeled_ms
-                .map(|v| format!("; modeled 8-way SONNX {:.1}x over ORT", last.ort_ms / v))
-                .unwrap_or_default()
         );
     }
 
     println!("\nFigure 4 (right) — speedup over the Inline-SQL anchor at {anchor_size} rows");
     let a = fig4::run_anchor(anchor_size, trees, depth, repeats);
-    let mut table = vec![
+    let table = vec![
         vec!["Inline SQL".into(), format!("{:.1}", a.inline_sql_ms), "1.0x".into()],
         vec![
             "ORT".into(),
@@ -81,16 +59,6 @@ fn main() {
             format!("{:.1}x", a.optimized_speedup()),
         ],
     ];
-    if let (Some(ms), Some(speedup)) = (
-        a.optimized_parallel_modeled_ms,
-        a.optimized_modeled_speedup(),
-    ) {
-        table.push(vec![
-            "Optimized-8p*".into(),
-            format!("{ms:.1}"),
-            format!("{speedup:.1}x"),
-        ]);
-    }
     println!(
         "{}",
         render_table(&["configuration", "time (ms)", "speedup"], &table)

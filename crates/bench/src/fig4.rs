@@ -36,12 +36,6 @@ pub struct Fig4Row {
     pub ort_ms: f64,
     pub sonnx_ms: f64,
     pub sonnx_ext_ms: f64,
-    /// On single-core hosts the engine's automatic parallelization cannot
-    /// show up in wall-clock time; this models the N-way parallel SONNX
-    /// time as (measured in-DB overhead) + (critical-path chunk time),
-    /// with every chunk actually executed. `None` on multi-core hosts,
-    /// where `sonnx_ms` already includes real parallelism.
-    pub sonnx_parallel_modeled_ms: Option<f64>,
 }
 
 /// Threads the host actually offers.
@@ -50,9 +44,6 @@ pub fn host_threads() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
 }
-
-/// Simulated parallel degree used for the modeled column.
-pub const MODELED_THREADS: usize = 8;
 
 /// One operator of the executed in-DB plan with its *measured* self time,
 /// read from the engine's plan metrics (the same numbers `EXPLAIN
@@ -95,9 +86,6 @@ pub struct SpeedupAnchor {
     pub inline_sql_ms: f64,
     pub ort_ms: f64,
     pub optimized_ms: f64,
-    /// Modeled fully-optimized time with 8-way parallelism on single-core
-    /// hosts (see [`Fig4Row::sonnx_parallel_modeled_ms`]).
-    pub optimized_parallel_modeled_ms: Option<f64>,
     /// Measured per-operator times of the final optimized run.
     pub optimized_breakdown: Vec<OperatorTime>,
 }
@@ -109,11 +97,6 @@ impl SpeedupAnchor {
 
     pub fn optimized_speedup(&self) -> f64 {
         self.inline_sql_ms / self.optimized_ms
-    }
-
-    pub fn optimized_modeled_speedup(&self) -> Option<f64> {
-        self.optimized_parallel_modeled_ms
-            .map(|v| self.inline_sql_ms / v)
     }
 }
 
@@ -162,31 +145,12 @@ pub fn run_sizes(sizes: &[usize], trees: usize, depth: usize, repeats: usize) ->
                 let _ = db.query(SCORING_QUERY).expect("sonnx-ext");
             });
 
-            // modeled parallel SONNX on single-core hosts: run all chunks
-            // and take the slowest as the parallel critical path
-            let sonnx_parallel_modeled_ms = if host_threads() > 1 {
-                None
-            } else {
-                let chunk_rows = size.div_ceil(MODELED_THREADS).max(1);
-                let critical = frame
-                    .chunks(chunk_rows)
-                    .map(|c| {
-                        time_best_ms(repeats, || {
-                            let _ = StandaloneRuntime::new().score(&pipeline, &c).expect("chunk");
-                        })
-                    })
-                    .fold(0.0f64, f64::max);
-                let overhead = (sonnx_ms - ort_ms).max(0.0);
-                Some(overhead + critical)
-            };
-
             Fig4Row {
                 size,
                 sklearn_ms,
                 ort_ms,
                 sonnx_ms,
                 sonnx_ext_ms,
-                sonnx_parallel_modeled_ms,
             }
         })
         .collect()
@@ -224,35 +188,11 @@ pub fn run_anchor(size: usize, trees: usize, depth: usize, repeats: usize) -> Sp
     // measured per-operator times of the run that just finished
     let optimized_breakdown = last_query_operator_times(&db);
 
-    // modeled 8-way parallel optimized time on single-core hosts: the
-    // pruned pipeline's critical-path chunk plus the measured in-DB
-    // overhead of the optimized configuration
-    let optimized_parallel_modeled_ms = if host_threads() > 1 {
-        None
-    } else {
-        let (pruned, _) = pipeline.prune_unused_inputs();
-        let pruned_serial_ms = time_best_ms(repeats, || {
-            let _ = StandaloneRuntime::new().score(&pruned, &frame).expect("pruned");
-        });
-        let overhead = (optimized_ms - pruned_serial_ms).max(0.0);
-        let chunk_rows = size.div_ceil(MODELED_THREADS).max(1);
-        let critical = frame
-            .chunks(chunk_rows)
-            .map(|c| {
-                time_best_ms(repeats, || {
-                    let _ = StandaloneRuntime::new().score(&pruned, &c).expect("chunk");
-                })
-            })
-            .fold(0.0f64, f64::max);
-        Some(overhead + critical)
-    };
-
     SpeedupAnchor {
         size,
         inline_sql_ms,
         ort_ms,
         optimized_ms,
-        optimized_parallel_modeled_ms,
         optimized_breakdown,
     }
 }
@@ -270,13 +210,6 @@ mod tests {
         let r = &rows[0];
         assert!(r.sklearn_ms > 0.0 && r.ort_ms > 0.0);
         assert!(r.sonnx_ms > 0.0 && r.sonnx_ext_ms > 0.0);
-        // interpreted scoring must be the slowest path by far
-        assert!(
-            r.sklearn_ms > r.ort_ms,
-            "interpreted {} vs vectorized {}",
-            r.sklearn_ms,
-            r.ort_ms
-        );
     }
 
     #[test]

@@ -418,7 +418,7 @@ impl FlockSession {
         let out = self.flock.provider.predict(
             model,
             &columns,
-            flock_sql::ast::PredictStrategy::Vectorized,
+            flock_sql::ast::PredictStrategy::Auto,
             self.user(),
         )?;
         out.get(0)
@@ -711,9 +711,11 @@ impl FlockSession {
 /// Reconcile a scoring registry with the committed catalog: load
 /// new/updated model versions, drop models that no longer exist. Run once
 /// when the layers are assembled, then by the commit hook after every
-/// commit that wrote a model.
+/// commit that wrote a model. Models whose current payload does not decode
+/// are counted in `flock_metrics` as `registry_undecodable_models`.
 fn sync_registry_from(catalog: &flock_sql::Catalog, registry: &ModelRegistry) {
     let mut live: Vec<String> = Vec::new();
+    let mut undecodable = 0;
     for obj in catalog.extensions_of_kind(MODEL_KIND) {
         live.push(obj.name.clone());
         let current = obj.current();
@@ -727,6 +729,7 @@ fn sync_registry_from(catalog: &flock_sql::Catalog, registry: &ModelRegistry) {
             // An undecodable current version is unscorable: an older
             // version must not go on scoring in its place.
             registry.remove(&obj.name);
+            undecodable += 1;
             continue;
         };
         let metadata = ModelMetadata::from_json(&current.metadata)
@@ -741,6 +744,7 @@ fn sync_registry_from(catalog: &flock_sql::Catalog, registry: &ModelRegistry) {
             registry.remove(&name);
         }
     }
+    registry.set_undecodable(undecodable);
 }
 
 // --------------------------------------------------- in-engine training

@@ -81,7 +81,7 @@ impl FlockInferenceProvider {
                 interpreted_score_with_metrics(&model.pipeline, &frame, &self.scoring)
                     .map_err(|e| SqlError::Execution(e.to_string()))?
             }
-            PredictStrategy::Auto | PredictStrategy::Vectorized => {
+            PredictStrategy::Auto => {
                 self.stats.vectorized_calls.fetch_add(1, Ordering::Relaxed);
                 self.registry
                     .kernel(&model)
@@ -226,23 +226,19 @@ mod tests {
         .unwrap();
         let inputs = [a, c];
         let expected = [13.0, 25.0, 7.0];
-        for strategy in [
-            PredictStrategy::Row,
-            PredictStrategy::Vectorized,
-            PredictStrategy::Auto,
-        ] {
+        for strategy in [PredictStrategy::Row, PredictStrategy::Auto] {
             let out = provider.predict("m", &inputs, strategy, "admin").unwrap();
             for (i, e) in expected.iter().enumerate() {
                 assert_eq!(out.get(i), Value::Float(*e), "{strategy:?}");
             }
         }
         use std::sync::atomic::Ordering;
-        assert_eq!(provider.stats.rows_scored.load(Ordering::Relaxed), 9);
+        assert_eq!(provider.stats.rows_scored.load(Ordering::Relaxed), 6);
         assert_eq!(provider.stats.row_calls.load(Ordering::Relaxed), 1);
-        // stage metrics: Vectorized and Auto both take the compiled path
-        // (featurize + score); Row lands in interpret
-        assert_eq!(provider.scoring.featurize.rows.load(Ordering::Relaxed), 6);
-        assert_eq!(provider.scoring.score.rows.load(Ordering::Relaxed), 6);
+        // stage metrics: Auto takes the compiled path (featurize + score);
+        // Row lands in interpret
+        assert_eq!(provider.scoring.featurize.rows.load(Ordering::Relaxed), 3);
+        assert_eq!(provider.scoring.score.rows.load(Ordering::Relaxed), 3);
         assert_eq!(provider.scoring.interpret.rows.load(Ordering::Relaxed), 3);
     }
 
@@ -253,7 +249,7 @@ mod tests {
         assert_eq!(provider.input_arity("m").unwrap(), 2);
         let one = [ColumnVector::from_f64([1.0])];
         assert!(provider
-            .predict("m", &one, PredictStrategy::Vectorized, "admin")
+            .predict("m", &one, PredictStrategy::Auto, "admin")
             .is_err());
     }
 
@@ -268,7 +264,7 @@ mod tests {
         )
         .unwrap();
         let out = provider
-            .predict("m", &[a, c], PredictStrategy::Vectorized, "admin")
+            .predict("m", &[a, c], PredictStrategy::Auto, "admin")
             .unwrap();
         // NaN numeric becomes 0 after featurization; null text matches no category
         assert_eq!(out.get(0), Value::Float(13.0));

@@ -75,6 +75,9 @@ pub struct ModelRegistry {
     cache_invalidations: Arc<AtomicU64>,
     /// Live derived variants: the memo's size.
     variant_count: Arc<AtomicU64>,
+    /// Catalog models whose current payload this build refused to
+    /// decode at the last reconcile; they do not score.
+    undecodable: Arc<AtomicU64>,
     /// Models deployed so far; numbers each deployed entry.
     deployments: AtomicU64,
     /// Bumped whenever a deployed model is registered or removed. The SQL
@@ -197,7 +200,7 @@ impl ModelRegistry {
     }
 
     /// Shared counter handles, for registration into engine-wide metrics.
-    pub fn cache_counters(&self) -> [(&'static str, Arc<AtomicU64>); 4] {
+    pub fn cache_counters(&self) -> [(&'static str, Arc<AtomicU64>); 5] {
         [
             ("predict_compile_hits", Arc::clone(&self.cache_hits)),
             ("predict_compile_misses", Arc::clone(&self.cache_misses)),
@@ -206,7 +209,13 @@ impl ModelRegistry {
                 Arc::clone(&self.cache_invalidations),
             ),
             ("predict_variants", Arc::clone(&self.variant_count)),
+            ("registry_undecodable_models", Arc::clone(&self.undecodable)),
         ]
+    }
+
+    /// Record how many catalog models the last reconcile refused.
+    pub fn set_undecodable(&self, models: u64) {
+        self.undecodable.store(models, Ordering::Relaxed);
     }
 
     /// The deployed models' names, sorted.

@@ -9,7 +9,7 @@
 //! `Union`, whose outputs may rename or merge columns.
 
 use flock_ml::InputConstraint;
-use flock_sql::ast::{BinOp, Expr};
+use flock_sql::ast::{ColumnBound, Expr};
 use flock_sql::plan::LogicalPlan;
 use flock_sql::Value;
 use std::collections::HashMap;
@@ -41,35 +41,16 @@ fn collect_plan(plan: &LogicalPlan, out: &mut HashMap<String, InputConstraint>) 
 /// ever scores rows with `c = 'x'`).
 pub fn predicate_constraints(predicate: &Expr, out: &mut HashMap<String, InputConstraint>) {
     for conjunct in predicate.split_conjunction() {
-        match conjunct {
-            Expr::Binary { left, op, right } => {
-                let (name, op, lit) = match (&**left, &**right) {
-                    (Expr::Column { name, .. }, Expr::Literal(v)) => (name, *op, v),
-                    (Expr::Literal(v), Expr::Column { name, .. }) => (name, op.flip(), v),
-                    _ => continue,
-                };
-                let Some(c) = comparison_constraint(op, lit) else {
-                    continue;
-                };
-                merge(out, name, c);
-            }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated: false,
-            } => {
-                let (Expr::Column { name, .. }, Expr::Literal(lo), Expr::Literal(hi)) =
-                    (&**expr, &**low, &**high)
-                else {
-                    continue;
-                };
-                let (Some(lo), Some(hi)) = (lo.as_f64(), hi.as_f64()) else {
-                    continue;
-                };
-                merge(out, name, InputConstraint::Range { lo, hi });
-            }
-            _ => {}
+        let Some((name, bound)) = conjunct.column_bound() else {
+            continue;
+        };
+        let c = match bound {
+            ColumnBound::Eq(Expr::Literal(v)) => literal_constraint(v),
+            ColumnBound::Eq(_) => None,
+            ColumnBound::Range { low, high } => range_constraint(low, high),
+        };
+        if let Some(c) = c {
+            merge(out, name, c);
         }
     }
 }
@@ -83,24 +64,18 @@ pub fn literal_constraint(value: &Value) -> Option<InputConstraint> {
     }
 }
 
-fn comparison_constraint(op: BinOp, lit: &Value) -> Option<InputConstraint> {
-    if let BinOp::Eq = op {
-        return literal_constraint(lit);
-    }
-    // Strict and non-strict bounds both become closed ranges — a superset
-    // of the true range is always safe for pruning.
-    let v = lit.as_f64()?;
-    match op {
-        BinOp::Lt | BinOp::LtEq => Some(InputConstraint::Range {
-            lo: f64::NEG_INFINITY,
-            hi: v,
-        }),
-        BinOp::Gt | BinOp::GtEq => Some(InputConstraint::Range {
-            lo: v,
-            hi: f64::INFINITY,
-        }),
-        _ => None,
-    }
+/// A range whose every closed side is a numeric literal; an open side is
+/// unbounded.
+fn range_constraint(low: Option<&Expr>, high: Option<&Expr>) -> Option<InputConstraint> {
+    let side = |bound: Option<&Expr>, open: f64| match bound {
+        None => Some(open),
+        Some(Expr::Literal(v)) => v.as_f64(),
+        Some(_) => None,
+    };
+    Some(InputConstraint::Range {
+        lo: side(low, f64::NEG_INFINITY)?,
+        hi: side(high, f64::INFINITY)?,
+    })
 }
 
 fn merge(out: &mut HashMap<String, InputConstraint>, name: &str, c: InputConstraint) {

@@ -880,8 +880,8 @@ fn specialized_queries_agree_across_predict_strategies() {
         };
         for (strategy, options) in [
             ("row", ExecOptions::default()),
-            ("vectorized", ExecOptions::default()),
-            ("vectorized", fanned_out),
+            ("auto", ExecOptions::default()),
+            ("auto", fanned_out),
         ] {
             let on = customer_db();
             on.database().set_exec_options(options.clone());

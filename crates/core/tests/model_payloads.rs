@@ -8,7 +8,7 @@
 
 use flock_core::{FlockDb, Lineage, ModelPackage, MODEL_KIND};
 use flock_ml::{fonnx, ColumnPipeline, DecisionTree, Model, Pipeline, TreeNode};
-use flock_sql::Value;
+use flock_sql::{DurabilityOptions, MemFs, Value};
 
 /// One split on `x` at `threshold`: 1.0 on the left, 2.0 on the right.
 fn split_on_x(threshold: f64) -> Pipeline {
@@ -233,4 +233,46 @@ fn import_refuses_a_child_that_points_back_to_an_ancestor() {
         edited_payload(&p, "\"right\":4", "\"right\":0"),
         "node 0 is reached twice",
     );
+}
+
+fn undecodable_models(db: &FlockDb) -> Value {
+    let b = db
+        .query("SELECT value FROM flock_metrics WHERE metric = 'registry_undecodable_models'")
+        .unwrap();
+    assert_eq!(b.num_rows(), 1);
+    b.column(0).get(0)
+}
+
+#[test]
+fn an_undecodable_payload_is_counted_not_lost_on_reopen() {
+    let mem = MemFs::new();
+    let db = FlockDb::open_with_fs(mem.clone(), DurabilityOptions::default()).unwrap();
+    db.execute("CREATE TABLE t (x DOUBLE)").unwrap();
+    db.execute("INSERT INTO t VALUES (0.0)").unwrap();
+    db.session("admin")
+        .deploy_model("good", &split_on_x(1.0), Lineage::default())
+        .unwrap();
+    // A plain engine session commits bytes no FONNX reader accepts.
+    db.database()
+        .session("admin")
+        .create_extension_object(
+            MODEL_KIND,
+            "bad",
+            b"not fonnx".to_vec(),
+            flock_json::Value::Null,
+        )
+        .unwrap();
+    drop(db);
+
+    let db = FlockDb::open_with_fs(mem.crash_image(), DurabilityOptions::default()).unwrap();
+    assert_eq!(undecodable_models(&db), Value::Int(1));
+    let err = score(&db, "bad").unwrap_err();
+    assert!(err.to_string().contains("not deployed"), "{err}");
+    assert_eq!(score(&db, "good").unwrap(), Value::Float(1.0));
+    // A decodable version brings the model back and the count down.
+    db.session("admin")
+        .update_model("bad", &split_on_x(-1.0), Lineage::default())
+        .unwrap();
+    assert_eq!(undecodable_models(&db), Value::Int(0));
+    assert_eq!(score(&db, "bad").unwrap(), Value::Float(2.0));
 }

@@ -135,7 +135,7 @@ fn predict_over_offloaded_text_scores_the_resident_bits() {
     let q = |t: &str| format!("SELECT id, PREDICT(m, age, city) AS s FROM {t} ORDER BY id");
     for xopt in [XOptConfig::disabled(), XOptConfig::default()] {
         db.set_xopt_config(xopt);
-        for strategy in ["auto", "row", "vectorized"] {
+        for strategy in ["auto", "row"] {
             let mut s = db.session("admin");
             s.execute(&format!("SET predict_strategy = '{strategy}'"))
                 .unwrap();

@@ -231,7 +231,7 @@ fn predict_queries_agree_across_every_execution_path() {
     for parallel in [false, true] {
         for xopt in [false, true] {
             configure(&db, parallel, xopt);
-            for strategy in ["auto", "row", "vectorized"] {
+            for strategy in ["auto", "row"] {
                 let mut s = db.session("admin");
                 s.execute(&format!("SET predict_strategy = '{strategy}'"))
                     .unwrap();
@@ -392,7 +392,7 @@ fn flock_metrics_counts_calls_per_scorer() {
     // One call per statement here (a serial aggregate over one batch),
     // except the row strategy, which calls the interpreter once per row.
     for (strategy, counter, calls) in [
-        ("vectorized", "predict_vectorized_calls", 1),
+        ("auto", "predict_vectorized_calls", 1),
         ("row", "predict_row_calls", ROWS as i64),
     ] {
         let before = metric(counter).unwrap_or_else(|| panic!("{counter} is not exported"));

@@ -1,5 +1,5 @@
 //! The high-throughput serving path end-to-end: prepared PREDICT through
-//! the plan cache, strategy ablations (row / vectorized, serial or
+//! the plan cache, strategy ablations (row / auto, serial or
 //! morsel-parallel) staying bit-exact, model redeploy & revocation invalidating cached plans,
 //! cancellation inside the compiled kernel releasing admission slots, and
 //! derived model variants living only as long as the plans that use them
@@ -104,7 +104,7 @@ fn strategy_ablation_is_bit_exact() {
     let mut s = db.session("admin");
     let baseline = score_bits(&db, &mut s);
     assert_eq!(baseline.len(), ROWS);
-    for strategy in ["row", "vectorized"] {
+    for strategy in ["row", "auto"] {
         s.execute(&format!("SET predict_strategy = '{strategy}'"))
             .unwrap();
         assert_eq!(
@@ -121,7 +121,7 @@ fn strategy_ablation_is_bit_exact() {
         "morsel-parallel scoring diverged from the default path"
     );
     // Both scorers really ran (no silent fallback): the compiled kernel
-    // for the default and 'vectorized', the interpreter for 'row'.
+    // for the default and 'auto', the interpreter for 'row'.
     let stats = &db.provider().stats;
     assert!(stats.vectorized_calls.load(Ordering::Relaxed) >= 2);
     assert!(stats.row_calls.load(Ordering::Relaxed) >= 1);

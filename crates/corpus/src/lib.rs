@@ -11,13 +11,9 @@
 //! * [`scripts`] — Python script corpora with ground truth for the
 //!   provenance-coverage table (49 "Kaggle" / 37 "enterprise" scripts);
 //! * [`tabular`] — the tabular datasets and trained pipelines scored in
-//!   the in-DB inference experiment (Figure 4);
-//! * [`nexmark`] — the NEXMark-style three-stream auction workload
-//!   (persons/auctions/bids) with q3/q6/q13-shaped continuous queries
-//!   for the streaming-ingestion experiments.
+//!   the in-DB inference experiment (Figure 4).
 
 pub mod landscape;
-pub mod nexmark;
 pub mod notebooks;
 pub mod scripts;
 pub mod tabular;

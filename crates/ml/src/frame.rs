@@ -126,10 +126,6 @@ impl<'a> Frame<'a> {
             .ok_or_else(|| MlError::UnknownColumn(name.to_string()))
     }
 
-    pub fn column_at(&self, idx: usize) -> &FrameCol<'a> {
-        &self.columns[idx].1
-    }
-
     /// A one-row copy of this frame (allocates; used by the row-at-a-time
     /// interpreted scorer).
     pub fn slice_row(&self, row: usize) -> Frame<'static> {

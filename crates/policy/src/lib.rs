@@ -5,7 +5,7 @@
 //! before any action reaches the application domain.
 //!
 //! * conditions in SQL expression syntax (`"risk > 0.8 AND amount >
-//!   50000"`), parsed by the engine's own parser;
+//!   50000"`), parsed and evaluated by the engine itself;
 //! * actions: override / cap / floor the prediction, deny, escalate;
 //! * a **continuous monitor** with per-policy hit counts and override
 //!   rates;

@@ -7,9 +7,13 @@
 //! override the model" (paper §4.1).
 
 use crate::context::DecisionContext;
-use flock_sql::ast::{BinOp, Expr, UnOp};
+use flock_sql::ast::Expr;
+use flock_sql::exec::{EvalContext, PhysExpr};
 use flock_sql::parser::parse_expr;
-use flock_sql::{Result, SqlError, Value};
+use flock_sql::plan::rewrite_expr;
+use flock_sql::udf::NoInference;
+use flock_sql::{ColumnDef, DataType, RecordBatch, Result, Schema, Value};
+use std::sync::Arc;
 
 /// What a matched policy does.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,11 +62,6 @@ impl Policy {
         self
     }
 
-    pub fn non_terminal(mut self) -> Self {
-        self.terminal = false;
-        self
-    }
-
     /// Does this policy match the context?
     pub fn matches(&self, ctx: &DecisionContext) -> Result<bool> {
         Ok(eval_condition(&self.condition, ctx)?.as_bool() == Some(true))
@@ -73,83 +72,47 @@ fn action_terminality(action: &PolicyAction) -> bool {
     matches!(action, PolicyAction::Deny { .. } | PolicyAction::Escalate { .. })
 }
 
-/// Evaluate a SQL expression against a decision context. Unknown fields
-/// evaluate to NULL (so policies can be written defensively).
+/// Evaluate a SQL expression against a decision context with the
+/// engine's own evaluator: the fields it names become a one-row batch
+/// (numbers as DOUBLE, texts as VARCHAR), and a field the context lacks
+/// becomes an untyped NULL literal, so policies can be written
+/// defensively (`COALESCE(channel, 'web')`). A condition thus means here
+/// what it means in the continuous-query `WHEN` clause a
+/// [`crate::StreamingMonitor`] renders it into.
 pub fn eval_condition(e: &Expr, ctx: &DecisionContext) -> Result<Value> {
-    Ok(match e {
-        Expr::Column { name, .. } => match ctx.number(name) {
-            Some(v) => Value::Float(v),
-            None => match ctx.text(name) {
-                Some(s) => Value::Text(s.to_string()),
-                None => Value::Null,
-            },
-        },
-        Expr::Literal(v) => v.clone(),
-        Expr::Binary { left, op, right } => {
-            let l = eval_condition(left, ctx)?;
-            let r = eval_condition(right, ctx)?;
-            flock_sql::exec::expr::eval_binary(&l, *op, &r)?
+    let absent = |name: &str| ctx.number(name).is_none() && ctx.text(name).is_none();
+    let mut columns: Vec<ColumnDef> = Vec::new();
+    let mut row: Vec<Value> = Vec::new();
+    let mut any_absent = false;
+    e.walk(&mut |x| {
+        let Expr::Column { name, .. } = x else {
+            return;
+        };
+        if columns.iter().any(|c| c.name.eq_ignore_ascii_case(name)) {
+            return;
         }
-        Expr::Unary { op, expr } => {
-            let v = eval_condition(expr, ctx)?;
-            match op {
-                UnOp::Not => match v.as_bool() {
-                    Some(b) => Value::Bool(!b),
-                    None => Value::Null,
-                },
-                UnOp::Neg => match v {
-                    Value::Int(i) => Value::Int(-i),
-                    Value::Float(f) => Value::Float(-f),
-                    _ => Value::Null,
-                },
-            }
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_condition(expr, ctx)?;
-            Value::Bool(v.is_null() != *negated)
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_condition(expr, ctx)?;
-            let lo = eval_condition(low, ctx)?;
-            let hi = eval_condition(high, ctx)?;
-            let ge = flock_sql::exec::expr::eval_binary(&v, BinOp::GtEq, &lo)?;
-            let le = flock_sql::exec::expr::eval_binary(&v, BinOp::LtEq, &hi)?;
-            let both = flock_sql::exec::expr::eval_binary(&ge, BinOp::And, &le)?;
-            match (both.as_bool(), negated) {
-                (Some(b), n) => Value::Bool(b != *n),
-                (None, _) => Value::Null,
-            }
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_condition(expr, ctx)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut found = false;
-            for item in list {
-                let iv = eval_condition(item, ctx)?;
-                if v == iv {
-                    found = true;
-                    break;
-                }
-            }
-            Value::Bool(found != *negated)
-        }
-        other => {
-            return Err(SqlError::Plan(format!(
-                "unsupported construct in policy condition: {other}"
-            )))
-        }
-    })
+        let (ty, v) = match (ctx.number(name), ctx.text(name)) {
+            (Some(v), _) => (DataType::Float, Value::Float(v)),
+            (None, Some(s)) => (DataType::Text, Value::Text(s.to_string())),
+            (None, None) => return any_absent = true,
+        };
+        columns.push(ColumnDef::new(name, ty));
+        row.push(v);
+    });
+    let rewritten;
+    let condition = if any_absent {
+        rewritten = rewrite_expr(e.clone(), &mut |x| match &x {
+            Expr::Column { name, .. } if absent(name) => Ok(Expr::Literal(Value::Null)),
+            _ => Ok(x),
+        })?;
+        &rewritten
+    } else {
+        e
+    };
+    let schema = Arc::new(Schema::new(columns));
+    let batch = RecordBatch::from_rows(schema.clone(), &[row])?;
+    let condition = PhysExpr::compile(condition, &schema, &NoInference)?;
+    condition.eval_row(&batch, 0, &EvalContext::new(Arc::new(NoInference), "", 1))
 }
 
 #[cfg(test)]

@@ -29,10 +29,6 @@ impl ProvCatalog {
         &mut self.graph
     }
 
-    pub fn into_graph(self) -> ProvenanceGraph {
-        self.graph
-    }
-
     // ---- entity helpers shared by capture modules ----
 
     pub fn table(&mut self, name: &str) -> NodeId {

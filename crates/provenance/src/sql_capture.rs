@@ -11,7 +11,7 @@
 
 use crate::catalog::ProvCatalog;
 use crate::graph::{EdgeKind, NodeId};
-use flock_sql::ast::{Expr, InsertSource, Query, Statement, TableRef};
+use flock_sql::ast::{Expr, InsertSource, Query, QueryPart, Statement};
 use flock_sql::engine::QueryLogEntry;
 use flock_sql::parser::parse_statement;
 use flock_sql::Result;
@@ -218,113 +218,25 @@ fn extract_statement(stmt: &Statement, out: &mut Extraction) {
     }
 }
 
+/// Base tables and column references of a query, descending into every
+/// subquery (derived tables and those held by expressions).
 fn extract_query(q: &Query, out: &mut Extraction) {
-    extract_select(&q.select, out);
-    for arm in &q.unions {
-        extract_select(&arm.select, out);
-    }
-    for item in &q.order_by {
-        extract_expr(&item.expr, out);
-    }
+    q.for_each_part(&mut |part| match part {
+        QueryPart::Table { name, alias } => out
+            .tables
+            .push((name.to_string(), alias.map(str::to_string))),
+        QueryPart::Expr(e) => extract_expr(e, out),
+    });
 }
 
-fn extract_select(select: &flock_sql::ast::Select, out: &mut Extraction) {
-    for tr in &select.from {
-        extract_table_ref(tr, out);
-    }
-    for item in &select.projection {
-        if let flock_sql::ast::SelectItem::Expr { expr, .. } = item {
-            extract_expr(expr, out);
-        }
-    }
-    if let Some(e) = &select.selection {
-        extract_expr(e, out);
-    }
-    for e in &select.group_by {
-        extract_expr(e, out);
-    }
-    if let Some(e) = &select.having {
-        extract_expr(e, out);
-    }
-}
-
-fn extract_table_ref(tr: &TableRef, out: &mut Extraction) {
-    match tr {
-        TableRef::Table { name, alias, .. } => {
-            out.tables.push((name.clone(), alias.clone()));
-        }
-        TableRef::Subquery { query, .. } => extract_query(query, out),
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            extract_table_ref(left, out);
-            extract_table_ref(right, out);
-            if let Some(e) = on {
-                extract_expr(e, out);
-            }
-        }
-    }
-}
-
-/// Like `Expr::referenced_columns`, but also descends into subqueries.
 fn extract_expr(e: &Expr, out: &mut Extraction) {
-    match e {
-        Expr::Column { qualifier, name } => {
-            out.columns.push((qualifier.clone(), name.clone()));
+    e.walk(&mut |x| match x {
+        Expr::Column { qualifier, name } => out.columns.push((qualifier.clone(), name.clone())),
+        Expr::Subquery(q) | Expr::Exists { query: q, .. } | Expr::InSubquery { query: q, .. } => {
+            extract_query(q, out)
         }
-        Expr::Subquery(q) => extract_query(q, out),
-        Expr::Exists { query, .. } => extract_query(query, out),
-        Expr::InSubquery { expr, query, .. } => {
-            extract_expr(expr, out);
-            extract_query(query, out);
-        }
-        Expr::Binary { left, right, .. } => {
-            extract_expr(left, out);
-            extract_expr(right, out);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            extract_expr(expr, out)
-        }
-        Expr::InList { expr, list, .. } => {
-            extract_expr(expr, out);
-            for i in list {
-                extract_expr(i, out);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            extract_expr(expr, out);
-            extract_expr(low, out);
-            extract_expr(high, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            extract_expr(expr, out);
-            extract_expr(pattern, out);
-        }
-        Expr::Case {
-            operand,
-            when_then,
-            else_expr,
-        } => {
-            if let Some(o) = operand {
-                extract_expr(o, out);
-            }
-            for (w, t) in when_then {
-                extract_expr(w, out);
-                extract_expr(t, out);
-            }
-            if let Some(x) = else_expr {
-                extract_expr(x, out);
-            }
-        }
-        Expr::Function { args, .. } | Expr::Predict { args, .. } => {
-            for a in args {
-                extract_expr(a, out);
-            }
-        }
-        Expr::Literal(_) | Expr::Wildcard | Expr::Parameter(_) => {}
-    }
+        _ => {}
+    });
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ CREATE TABLE readings_copy (id INT, reading DOUBLE);
 INSERT INTO readings_copy SELECT id, reading FROM sensors;
 SELECT id FROM readings_copy WHERE reading >= 0.5;
 SET statement_timeout = 5000;
-SET predict_strategy = 'vectorized';
+SET predict_strategy = 'row';
 SELECT metric, value FROM flock_metrics WHERE metric = 'server_connections_accepted';
 SET statement_timeout = DEFAULT;
 SHOW STREAMS;

@@ -32,7 +32,7 @@
 use flock_sql::wal::{checksum64, frame_header};
 use flock_sql::{Value as SqlValue, WireError};
 use flock_json::Value as Json;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Bytes before the payload: `u32` length + `u64` checksum.
 pub use flock_sql::wal::FRAME_HEADER;
@@ -106,13 +106,6 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Write one message as a frame and flush it.
-pub fn write_msg<W: Write>(w: &mut W, doc: &Json) -> io::Result<()> {
-    let payload = doc.to_string().into_bytes();
-    w.write_all(&frame(&payload))?;
-    w.flush()
-}
-
 /// Incremental frame reader over a non-blocking-ish stream (a socket with
 /// a short read timeout). Bytes received before a timeout are buffered, so
 /// a frame that arrives in dribbles across many poll ticks is reassembled
@@ -184,20 +177,6 @@ impl FrameReader {
     /// Bytes buffered but not yet consumed (tests use this).
     pub fn buffered(&self) -> usize {
         self.buf.len()
-    }
-}
-
-/// Blocking convenience for clients: poll until a frame (or error). The
-/// stream should either have no read timeout or the caller tolerates
-/// spinning on ticks.
-pub fn read_msg<R: Read>(
-    reader: &mut FrameReader,
-    r: &mut R,
-) -> Result<ServerMsg, FrameError> {
-    loop {
-        if let Some(payload) = reader.poll(r)? {
-            return ServerMsg::decode(&payload);
-        }
     }
 }
 

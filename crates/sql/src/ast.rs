@@ -1,6 +1,7 @@
 //! Abstract syntax tree for the supported SQL dialect.
 
 use crate::catalog::Privilege;
+use crate::error::Result;
 use crate::types::{DataType, Value};
 use std::any::Any;
 use std::fmt;
@@ -312,6 +313,169 @@ pub enum JoinType {
     Cross,
 }
 
+/// What [`Query::for_each_part`] hands its visitor: a base table the query
+/// reads, or one of its expressions.
+#[derive(Debug, Clone, Copy)]
+pub enum QueryPart<'a> {
+    Table {
+        name: &'a str,
+        alias: Option<&'a str>,
+    },
+    Expr(&'a Expr),
+}
+
+/// The two traversals of a query's expressions, owned
+/// ([`Query::map_exprs`]) and borrowed ([`Query::for_each_part`]). Both
+/// go in source order: each SELECT arm's FROM (base tables, join
+/// conditions, derived tables in full), projection, WHERE, GROUP BY and
+/// HAVING, then ORDER BY. Subqueries held by expressions are not entered;
+/// they are scopes of their own.
+impl Query {
+    /// Rebuild the query with `f` applied to each of its expressions.
+    pub fn map_exprs(mut self, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Query> {
+        self.select = self.select.map_exprs(f)?;
+        self.unions = self
+            .unions
+            .into_iter()
+            .map(|arm| {
+                Ok(UnionArm {
+                    select: arm.select.map_exprs(f)?,
+                    all: arm.all,
+                })
+            })
+            .collect::<Result<_>>()?;
+        self.order_by = self
+            .order_by
+            .into_iter()
+            .map(|o| {
+                Ok(OrderItem {
+                    expr: f(o.expr)?,
+                    asc: o.asc,
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(self)
+    }
+
+    /// Visit each base table and each expression of the query.
+    pub fn for_each_part<'a>(&'a self, f: &mut impl FnMut(QueryPart<'a>)) {
+        for select in std::iter::once(&self.select).chain(self.unions.iter().map(|a| &a.select)) {
+            select.for_each_part(f);
+        }
+        for o in &self.order_by {
+            f(QueryPart::Expr(&o.expr));
+        }
+    }
+
+    /// Whether a scalar, IN or EXISTS subquery appears anywhere, derived
+    /// tables included. Those run during planning, so such a query can
+    /// neither stay parameter-generic nor be cached.
+    pub fn has_subqueries(&self) -> bool {
+        let mut found = false;
+        self.for_each_part(&mut |part| {
+            if let QueryPart::Expr(e) = part {
+                e.walk(&mut |x| {
+                    found |= matches!(
+                        x,
+                        Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. }
+                    );
+                })
+            }
+        });
+        found
+    }
+}
+
+impl Select {
+    fn map_exprs(mut self, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Select> {
+        self.from = self
+            .from
+            .into_iter()
+            .map(|t| t.map_exprs(f))
+            .collect::<Result<_>>()?;
+        self.projection = self
+            .projection
+            .into_iter()
+            .map(|item| {
+                Ok(match item {
+                    SelectItem::Expr { expr, alias } => SelectItem::Expr {
+                        expr: f(expr)?,
+                        alias,
+                    },
+                    other => other,
+                })
+            })
+            .collect::<Result<_>>()?;
+        self.selection = self.selection.map(&mut *f).transpose()?;
+        self.group_by = self
+            .group_by
+            .into_iter()
+            .map(&mut *f)
+            .collect::<Result<_>>()?;
+        self.having = self.having.map(&mut *f).transpose()?;
+        Ok(self)
+    }
+
+    fn for_each_part<'a>(&'a self, f: &mut impl FnMut(QueryPart<'a>)) {
+        for t in &self.from {
+            t.for_each_part(f);
+        }
+        let items = self.projection.iter().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            _ => None,
+        });
+        for e in items
+            .chain(&self.selection)
+            .chain(&self.group_by)
+            .chain(&self.having)
+        {
+            f(QueryPart::Expr(e));
+        }
+    }
+}
+
+impl TableRef {
+    fn map_exprs(self, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<TableRef> {
+        Ok(match self {
+            TableRef::Subquery { query, alias } => TableRef::Subquery {
+                query: Box::new(query.map_exprs(f)?),
+                alias,
+            },
+            TableRef::Join {
+                left,
+                right,
+                join_type,
+                on,
+            } => TableRef::Join {
+                left: Box::new(left.map_exprs(f)?),
+                right: Box::new(right.map_exprs(f)?),
+                join_type,
+                on: on.map(&mut *f).transpose()?,
+            },
+            t @ TableRef::Table { .. } => t,
+        })
+    }
+
+    fn for_each_part<'a>(&'a self, f: &mut impl FnMut(QueryPart<'a>)) {
+        match self {
+            TableRef::Table { name, alias, .. } => f(QueryPart::Table {
+                name,
+                alias: alias.as_deref(),
+            }),
+            TableRef::Subquery { query, .. } => query.for_each_part(f),
+            TableRef::Join {
+                left, right, on, ..
+            } => {
+                left.for_each_part(f);
+                right.for_each_part(f);
+                if let Some(e) = on {
+                    f(QueryPart::Expr(e));
+                }
+            }
+        }
+    }
+}
+
 impl fmt::Display for Query {
     /// Render back to parseable SQL. Subquery-bearing table refs and
     /// expressions render as `(<subquery>)` placeholders — callers that
@@ -518,9 +682,20 @@ pub enum PredictStrategy {
     Auto,
     /// Interpret the pipeline row-at-a-time (the "inline SQL UDF" anchor).
     Row,
-    /// Score the whole batch in one call to the compiled kernel (for tree
-    /// ensembles, the level-synchronous walk over flattened nodes).
-    Vectorized,
+}
+
+/// What a conjunct says about one column ([`Expr::column_bound`]).
+#[derive(Debug, Clone, Copy)]
+pub enum ColumnBound<'a> {
+    /// `col = e`.
+    Eq(&'a Expr),
+    /// `col < e`, `col <= e`, `col > e`, `col >= e` or `col BETWEEN low AND
+    /// high`, read as a closed range (a superset of a strict bound's, so
+    /// safe for pruning); an open side is `None`.
+    Range {
+        low: Option<&'a Expr>,
+        high: Option<&'a Expr>,
+    },
 }
 
 /// Scalar expression.
@@ -651,6 +826,51 @@ impl Expr {
         }
     }
 
+    /// Read a conjunct as a bound on one column: `col op e` or `e op col`
+    /// (flipped so the column is on the left) for `=`, `<`, `<=`, `>` and
+    /// `>=`, and `col BETWEEN low AND high`. The bounding expressions come
+    /// back as written; each caller keeps the kinds it can use.
+    pub fn column_bound(&self) -> Option<(&str, ColumnBound<'_>)> {
+        match self {
+            Expr::Binary { left, op, right } => {
+                let (name, op, e) = match (&**left, &**right) {
+                    (Expr::Column { name, .. }, e) => (name, *op, e),
+                    (e, Expr::Column { name, .. }) => (name, op.flip(), e),
+                    _ => return None,
+                };
+                let bound = match op {
+                    BinOp::Eq => ColumnBound::Eq(e),
+                    BinOp::Lt | BinOp::LtEq => ColumnBound::Range {
+                        low: None,
+                        high: Some(e),
+                    },
+                    BinOp::Gt | BinOp::GtEq => ColumnBound::Range {
+                        low: Some(e),
+                        high: None,
+                    },
+                    _ => return None,
+                };
+                Some((name, bound))
+            }
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated: false,
+            } => match &**expr {
+                Expr::Column { name, .. } => Some((
+                    name,
+                    ColumnBound::Range {
+                        low: Some(low),
+                        high: Some(high),
+                    },
+                )),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// Collect the (qualifier, name) pairs of all column references.
     pub fn referenced_columns(&self, out: &mut Vec<(Option<String>, String)>) {
         self.walk(&mut |e| {
@@ -664,53 +884,50 @@ impl Expr {
     /// subqueries — those have their own scopes).
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
+        self.for_each_child(&mut |c| c.walk(f));
+    }
+
+    /// Call `f` on each direct child, in the order [`Expr::map_children`]
+    /// rebuilds them. The operand of `IN (subquery)` is a child; a
+    /// subquery is not (it is a scope of its own).
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         match self {
             Expr::Binary { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
+                f(left);
+                f(right);
             }
             Expr::Unary { expr, .. }
             | Expr::IsNull { expr, .. }
-            | Expr::Cast { expr, .. } => expr.walk(f),
+            | Expr::Cast { expr, .. }
+            | Expr::InSubquery { expr, .. } => f(expr),
             Expr::InList { expr, list, .. } => {
-                expr.walk(f);
-                for e in list {
-                    e.walk(f);
-                }
+                f(expr);
+                list.iter().for_each(f);
             }
-            Expr::InSubquery { expr, .. } => expr.walk(f),
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
+                f(expr);
+                f(low);
+                f(high);
             }
             Expr::Like { expr, pattern, .. } => {
-                expr.walk(f);
-                pattern.walk(f);
+                f(expr);
+                f(pattern);
             }
             Expr::Case {
                 operand,
                 when_then,
                 else_expr,
             } => {
-                if let Some(o) = operand {
-                    o.walk(f);
-                }
+                operand.iter().for_each(|o| f(o));
                 for (w, t) in when_then {
-                    w.walk(f);
-                    t.walk(f);
+                    f(w);
+                    f(t);
                 }
-                if let Some(e) = else_expr {
-                    e.walk(f);
-                }
+                else_expr.iter().for_each(|e| f(e));
             }
-            Expr::Function { args, .. } | Expr::Predict { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
+            Expr::Function { args, .. } | Expr::Predict { args, .. } => args.iter().for_each(f),
             Expr::Column { .. }
             | Expr::Literal(_)
             | Expr::Exists { .. }
@@ -718,6 +935,106 @@ impl Expr {
             | Expr::Wildcard
             | Expr::Parameter(_) => {}
         }
+    }
+
+    /// Rebuild this expression with `f` applied to each direct child (the
+    /// children of [`Expr::for_each_child`], in its order).
+    pub fn map_children(self, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Expr> {
+        Ok(match self {
+            Expr::Binary { left, op, right } => Expr::Binary {
+                left: Box::new(f(*left)?),
+                op,
+                right: Box::new(f(*right)?),
+            },
+            Expr::Unary { op, expr } => Expr::Unary {
+                op,
+                expr: Box::new(f(*expr)?),
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: Box::new(f(*expr)?),
+                negated,
+            },
+            Expr::Cast { expr, to } => Expr::Cast {
+                expr: Box::new(f(*expr)?),
+                to,
+            },
+            Expr::InSubquery {
+                expr,
+                query,
+                negated,
+            } => Expr::InSubquery {
+                expr: Box::new(f(*expr)?),
+                query,
+                negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: Box::new(f(*expr)?),
+                list: list.into_iter().map(&mut *f).collect::<Result<_>>()?,
+                negated,
+            },
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => Expr::Between {
+                expr: Box::new(f(*expr)?),
+                low: Box::new(f(*low)?),
+                high: Box::new(f(*high)?),
+                negated,
+            },
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Expr::Like {
+                expr: Box::new(f(*expr)?),
+                pattern: Box::new(f(*pattern)?),
+                negated,
+            },
+            Expr::Case {
+                operand,
+                when_then,
+                else_expr,
+            } => Expr::Case {
+                operand: operand.map(|o| f(*o).map(Box::new)).transpose()?,
+                when_then: when_then
+                    .into_iter()
+                    .map(|(w, t)| Ok((f(w)?, f(t)?)))
+                    .collect::<Result<_>>()?,
+                else_expr: else_expr.map(|e| f(*e).map(Box::new)).transpose()?,
+            },
+            Expr::Function {
+                name,
+                args,
+                distinct,
+            } => Expr::Function {
+                name,
+                args: args.into_iter().map(&mut *f).collect::<Result<_>>()?,
+                distinct,
+            },
+            Expr::Predict {
+                model,
+                args,
+                strategy,
+                pin,
+            } => Expr::Predict {
+                model,
+                args: args.into_iter().map(&mut *f).collect::<Result<_>>()?,
+                strategy,
+                pin,
+            },
+            leaf @ (Expr::Column { .. }
+            | Expr::Literal(_)
+            | Expr::Exists { .. }
+            | Expr::Subquery(_)
+            | Expr::Wildcard
+            | Expr::Parameter(_)) => leaf,
+        })
     }
 }
 
@@ -865,6 +1182,94 @@ mod tests {
         assert_eq!(BinOp::Eq.flip(), BinOp::Eq);
         assert_eq!(BinOp::GtEq.negate(), Some(BinOp::Lt));
         assert_eq!(BinOp::Plus.negate(), None);
+    }
+
+    /// One expression holding every `Expr` variant (subqueries are leaves
+    /// of the traversals: their insides are other scopes).
+    fn every_variant() -> Expr {
+        let e = crate::parser::parse_expr(
+            "CASE k WHEN 1 THEN -a ELSE NULL END IS NOT NULL AND b IN (1, ?) \
+             AND c IN (SELECT x FROM t) AND EXISTS (SELECT 1) AND d BETWEEN 1 AND 2 \
+             AND e LIKE 'x%' AND ABS(CAST(f AS DOUBLE)) > (SELECT 2) \
+             AND PREDICT(m, g) > 0 AND COUNT(*) > 0",
+        )
+        .unwrap();
+        let mut seen = [false; 17];
+        e.walk(&mut |x| {
+            let i = match x {
+                Expr::Column { .. } => 0,
+                Expr::Literal(_) => 1,
+                Expr::Binary { .. } => 2,
+                Expr::Unary { .. } => 3,
+                Expr::IsNull { .. } => 4,
+                Expr::InList { .. } => 5,
+                Expr::InSubquery { .. } => 6,
+                Expr::Exists { .. } => 7,
+                Expr::Between { .. } => 8,
+                Expr::Like { .. } => 9,
+                Expr::Case { .. } => 10,
+                Expr::Function { .. } => 11,
+                Expr::Cast { .. } => 12,
+                Expr::Predict { .. } => 13,
+                Expr::Subquery(_) => 14,
+                Expr::Wildcard => 15,
+                Expr::Parameter(_) => 16,
+            };
+            seen[i] = true;
+        });
+        assert_eq!(seen, [true; 17], "{e}");
+        e
+    }
+
+    #[test]
+    fn the_owned_and_borrowed_child_enumerations_agree() {
+        let e = every_variant();
+        let mut walked = 0;
+        e.walk(&mut |_| walked += 1);
+        let mut rewritten = 0;
+        let same = crate::plan::rewrite_expr(e.clone(), &mut |x| {
+            rewritten += 1;
+            Ok(x)
+        })
+        .unwrap();
+        // `Value`'s `PartialEq` is SQL's (NULL equals nothing): compare text
+        assert_eq!(format!("{same:?}"), format!("{e:?}"));
+        assert_eq!(walked, rewritten);
+    }
+
+    #[test]
+    fn column_bounds_read_either_orientation_and_between() {
+        let side = |b: Option<&Expr>| b.map_or("open".to_string(), |e| e.to_string());
+        let read = |sql: &str| -> Vec<String> {
+            let e = crate::parser::parse_expr(sql).unwrap();
+            let conjuncts = e.split_conjunction();
+            conjuncts
+                .iter()
+                .map(|c| match c.column_bound() {
+                    Some((n, ColumnBound::Eq(e))) => format!("{n} = {e}"),
+                    Some((n, ColumnBound::Range { low, high })) => {
+                        format!("{n} in [{}, {}]", side(low), side(high))
+                    }
+                    None => "-".to_string(),
+                })
+                .collect()
+        };
+        assert_eq!(
+            read("a = 1 AND 2 < b AND c <= ? AND d BETWEEN 1 AND 'z' AND 'x' = e"),
+            [
+                "a = 1",
+                "b in [2, open]",
+                "c in [open, ?0]",
+                "d in [1, 'z']",
+                "e = 'x'"
+            ]
+        );
+        assert_eq!(
+            read("a <> 1 AND a + 1 > 2 AND NOT a > 1 AND a NOT BETWEEN 1 AND 2 AND 1 < 2"),
+            ["-"; 5]
+        );
+        // between two columns the left one is bounded by the right one
+        assert_eq!(read("a < b"), ["a in [open, b]"]);
     }
 
     #[test]

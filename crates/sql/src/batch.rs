@@ -90,10 +90,6 @@ impl RecordBatch {
         &self.columns
     }
 
-    pub fn column_by_name(&self, name: &str) -> Option<&ColumnVector> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
-    }
-
     /// Read a full row as scalars.
     pub fn row(&self, idx: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.get(idx)).collect()

@@ -295,12 +295,6 @@ impl Database {
         self.invalidate_plans();
     }
 
-    /// Remove all registered plan rewriters.
-    pub fn clear_plan_rewriters(&self) {
-        sync::write(&self.shared.rewriters).clear();
-        self.invalidate_plans();
-    }
-
     /// The prepared-statement / plain-SQL plan cache.
     pub fn plan_cache(&self) -> Arc<PlanCache> {
         self.shared.plan_cache.clone()

@@ -8,7 +8,7 @@
 use super::session::StmtCtx;
 use super::txn::Txn;
 use super::{QueryResult, QueryRuntime, StatementKind};
-use crate::ast::{Expr, PredictStrategy, Query, SelectItem, TableRef};
+use crate::ast::{Expr, PredictStrategy, Query};
 use crate::batch::RecordBatch;
 use crate::catalog::VirtualTable;
 use crate::error::{Result, SqlError};
@@ -309,25 +309,6 @@ fn override_auto_predict(plan: LogicalPlan, strategy: PredictStrategy) -> Result
     })
 }
 
-/// Whether a query contains scalar / IN / EXISTS subqueries anywhere,
-/// including inside derived tables. Those execute during planning, so such
-/// a query can neither stay parameter-generic nor be cached safely.
-pub(super) fn query_has_subqueries(q: &Query) -> bool {
-    let mut found = false;
-    // `bind_query` is the one traversal that knows where a query keeps
-    // its expressions; run it over a copy with a visitor that maps nothing.
-    let _ = bind_query(q.clone(), &mut |e| {
-        e.walk(&mut |x| {
-            found |= matches!(
-                x,
-                Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. }
-            );
-        });
-        Ok(e)
-    });
-    found
-}
-
 /// Wrap every `?i` whose bound value has a known type in an identity
 /// `CAST`, so expression type derivation sees the parameter's runtime
 /// type instead of a default. Used on the plan-cache miss path.
@@ -344,96 +325,5 @@ fn annotate_param_types(q: Query, types: &[Option<DataType>]) -> Result<Query> {
             other => Ok(other),
         })
     };
-    bind_query(q, &mut bind)
-}
-
-/// Apply `bind` to every expression of a query, descending into derived
-/// tables, join conditions and UNION arms.
-pub(super) fn bind_query(
-    mut q: Query,
-    bind: &mut impl FnMut(Expr) -> Result<Expr>,
-) -> Result<Query> {
-    q.select.from = q
-        .select
-        .from
-        .into_iter()
-        .map(|tr| bind_table_ref(tr, bind))
-        .collect::<Result<_>>()?;
-    q.select.selection = q.select.selection.map(&mut *bind).transpose()?;
-    q.select.having = q.select.having.map(&mut *bind).transpose()?;
-    q.select.projection = q
-        .select
-        .projection
-        .into_iter()
-        .map(|item| {
-            Ok(match item {
-                SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                    expr: bind(expr)?,
-                    alias,
-                },
-                other => other,
-            })
-        })
-        .collect::<Result<_>>()?;
-    q.select.group_by = q
-        .select
-        .group_by
-        .into_iter()
-        .map(&mut *bind)
-        .collect::<Result<_>>()?;
-    q.unions = q
-        .unions
-        .into_iter()
-        .map(|arm| {
-            let mut sub = Query {
-                select: arm.select,
-                unions: vec![],
-                order_by: vec![],
-                limit: None,
-                offset: None,
-            };
-            sub = bind_query(sub, bind)?;
-            Ok(crate::ast::UnionArm {
-                select: sub.select,
-                all: arm.all,
-            })
-        })
-        .collect::<Result<_>>()?;
-    q.order_by = q
-        .order_by
-        .into_iter()
-        .map(|o| {
-            Ok(crate::ast::OrderItem {
-                expr: bind(o.expr)?,
-                asc: o.asc,
-            })
-        })
-        .collect::<Result<_>>()?;
-    Ok(q)
-}
-
-/// Descend into FROM-clause table references (derived tables and join
-/// conditions carry expressions too) applying `bind` to every expression.
-fn bind_table_ref(
-    tr: TableRef,
-    bind: &mut impl FnMut(Expr) -> Result<Expr>,
-) -> Result<TableRef> {
-    Ok(match tr {
-        TableRef::Subquery { query, alias } => TableRef::Subquery {
-            query: Box::new(bind_query(*query, bind)?),
-            alias,
-        },
-        TableRef::Join {
-            left,
-            right,
-            join_type,
-            on,
-        } => TableRef::Join {
-            left: Box::new(bind_table_ref(*left, bind)?),
-            right: Box::new(bind_table_ref(*right, bind)?),
-            join_type,
-            on: on.map(&mut *bind).transpose()?,
-        },
-        t @ TableRef::Table { .. } => t,
-    })
+    q.map_exprs(&mut bind)
 }

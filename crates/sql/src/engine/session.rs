@@ -2,7 +2,6 @@
 //! the transaction wrapper every statement handler runs under.
 
 use super::database::Database;
-use super::query::{bind_query, query_has_subqueries};
 use super::txn::Txn;
 use super::{ddl, dml, models, query, QueryResult, StatementKind};
 use crate::ast::{Expr, InsertSource, PredictStrategy, Statement};
@@ -206,7 +205,7 @@ impl Session {
             // Scalar/IN/EXISTS subqueries execute during planning, so such
             // a query cannot be planned parameter-generically; it falls
             // back to binding literals into the AST on every execute.
-            Statement::Query(q) if !query_has_subqueries(&q) => PreparedKind::Query {
+            Statement::Query(q) if !q.has_subqueries() => PreparedKind::Query {
                 tokens: norm.tokens,
                 slots: norm.slots,
             },
@@ -344,7 +343,7 @@ impl Session {
             // the plan itself is valid and the next execution should still
             // hit. Subqueries ran at plan time, so their results are baked
             // into the plan: never cached.
-            if !planned.reads_metrics_table() && !query_has_subqueries(&q) {
+            if !planned.reads_metrics_table() && !q.has_subqueries() {
                 // Time-travel scans pin an immutable version and never
                 // need rebinding.
                 let bound = planned
@@ -453,11 +452,10 @@ impl Session {
                         match s.to_ascii_lowercase().as_str() {
                             "auto" | "default" => None,
                             "row" => Some(PredictStrategy::Row),
-                            "vectorized" => Some(PredictStrategy::Vectorized),
                             other => {
                                 return Err(SqlError::Plan(format!(
-                                    "predict_strategy expects one of 'row' | 'vectorized' \
-                                     | 'auto', got '{other}'"
+                                    "predict_strategy expects one of 'row' | 'auto', \
+                                     got '{other}'"
                                 )))
                             }
                         }
@@ -779,7 +777,7 @@ pub fn bind_parameters(stmt: Statement, params: &[Value]) -> Result<Statement> {
         })
     };
     Ok(match stmt {
-        Statement::Query(q) => Statement::Query(bind_query(q, &mut bind)?),
+        Statement::Query(q) => Statement::Query(q.map_exprs(&mut bind)?),
         Statement::Insert {
             table,
             columns,
@@ -793,7 +791,7 @@ pub fn bind_parameters(stmt: Statement, params: &[Value]) -> Result<Statement> {
                         .map(|r| r.into_iter().map(&mut bind).collect::<Result<_>>())
                         .collect::<Result<_>>()?,
                 ),
-                InsertSource::Query(q) => InsertSource::Query(Box::new(bind_query(*q, &mut bind)?)),
+                InsertSource::Query(q) => InsertSource::Query(Box::new(q.map_exprs(&mut bind)?)),
             },
         },
         Statement::Update {

@@ -178,11 +178,6 @@ impl QueryBudget {
         }
         Ok(())
     }
-
-    /// Rows charged so far (for tests/diagnostics).
-    pub fn rows_used(&self) -> u64 {
-        self.rows.load(Ordering::Relaxed)
-    }
 }
 
 /// Per-database admission controller: a counting semaphore over

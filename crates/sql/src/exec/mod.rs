@@ -29,7 +29,7 @@ pub use expr::{EvalContext, PhysExpr, PhysNode};
 pub use metrics::{EngineMetrics, OpMetrics, OpSnapshot, PlanMetrics};
 pub use parallel::ParallelPolicy;
 
-use crate::ast::{BinOp, Expr, JoinType};
+use crate::ast::{ColumnBound, Expr, JoinType};
 use crate::batch::RecordBatch;
 use crate::catalog::Catalog;
 use crate::column::ColumnVector;
@@ -391,13 +391,6 @@ fn tighten(bounds: &mut ColBounds, idx: usize, lo: Option<f64>, hi: Option<f64>)
     }
 }
 
-fn column_index(e: &Expr, schema: &Schema) -> Option<usize> {
-    match e {
-        Expr::Column { name, .. } => schema.index_of(name),
-        _ => None,
-    }
-}
-
 /// One side of a zone bound: a literal's value, or a `?` parameter's —
 /// known only when the plan executes, and cast as the plan casts it (a
 /// typed parameter is planned under an identity `CAST`).
@@ -424,50 +417,26 @@ fn zone_bound(e: &Expr) -> Option<ZoneBound> {
 }
 
 /// The zone-prunable terms of a predicate: AND-split into conjuncts, then
-/// keep `col <op> bound` (either orientation) and `col BETWEEN lo AND hi`,
-/// a bound being a numeric literal or a `?` parameter. Everything else
+/// keep the column bounds ([`Expr::column_bound`]) whose bound is a
+/// numeric literal or a `?` parameter. Everything else
 /// (OR, NOT, expressions over the column) contributes no term — parts it
 /// might match are never pruned.
 pub(crate) fn zone_terms(pred: &Expr, schema: &Schema) -> Vec<ZoneTerm> {
-    let mut terms = Vec::new();
-    for conj in pred.split_conjunction() {
-        match conj {
-            Expr::Binary { left, op, right } => {
-                let (idx, b, op) = match (column_index(left, schema), zone_bound(right)) {
-                    (Some(i), Some(b)) => (i, b, *op),
-                    _ => match (column_index(right, schema), zone_bound(left)) {
-                        // flip so the column is on the left: 5 < x ⇒ x > 5
-                        (Some(i), Some(b)) => (i, b, op.flip()),
-                        _ => continue,
-                    },
-                };
-                match op {
-                    BinOp::Eq => terms.push((idx, Some(b), Some(b))),
-                    BinOp::Lt | BinOp::LtEq => terms.push((idx, None, Some(b))),
-                    BinOp::Gt | BinOp::GtEq => terms.push((idx, Some(b), None)),
-                    _ => {}
-                }
+    let term = |conj: &Expr| {
+        let (name, bound) = conj.column_bound()?;
+        let (lo, hi) = match bound {
+            ColumnBound::Eq(e) => {
+                let b = zone_bound(e)?;
+                (Some(b), Some(b))
             }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated: false,
-            } => {
-                if let (Some(idx), lo, hi) = (
-                    column_index(expr, schema),
-                    zone_bound(low),
-                    zone_bound(high),
-                ) {
-                    if lo.is_some() || hi.is_some() {
-                        terms.push((idx, lo, hi));
-                    }
-                }
+            ColumnBound::Range { low, high } => {
+                (low.and_then(zone_bound), high.and_then(zone_bound))
             }
-            _ => {}
-        }
-    }
-    terms
+        };
+        let idx = schema.index_of(name)?;
+        (lo.is_some() || hi.is_some()).then_some((idx, lo, hi))
+    };
+    pred.split_conjunction().into_iter().filter_map(term).collect()
 }
 
 /// Bounds from zone terms, each parameter read from `params`, or left open

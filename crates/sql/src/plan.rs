@@ -310,117 +310,8 @@ impl LogicalPlan {
 
 /// Bottom-up expression rewrite.
 pub fn rewrite_expr(expr: Expr, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Expr> {
-    let rewritten = match expr {
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rewrite_expr(*left, f)?),
-            op,
-            right: Box::new(rewrite_expr(*right, f)?),
-        },
-        Expr::Unary { op, expr } => Expr::Unary {
-            op,
-            expr: Box::new(rewrite_expr(*expr, f)?),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_expr(*expr, f)?),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(rewrite_expr(*expr, f)?),
-            list: list
-                .into_iter()
-                .map(|e| rewrite_expr(e, f))
-                .collect::<Result<_>>()?,
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(rewrite_expr(*expr, f)?),
-            low: Box::new(rewrite_expr(*low, f)?),
-            high: Box::new(rewrite_expr(*high, f)?),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(rewrite_expr(*expr, f)?),
-            pattern: Box::new(rewrite_expr(*pattern, f)?),
-            negated,
-        },
-        Expr::Case {
-            operand,
-            when_then,
-            else_expr,
-        } => Expr::Case {
-            operand: match operand {
-                Some(o) => Some(Box::new(rewrite_expr(*o, f)?)),
-                None => None,
-            },
-            when_then: when_then
-                .into_iter()
-                .map(|(w, t)| Ok((rewrite_expr(w, f)?, rewrite_expr(t, f)?)))
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(rewrite_expr(*e, f)?)),
-                None => None,
-            },
-        },
-        Expr::Function {
-            name,
-            args,
-            distinct,
-        } => Expr::Function {
-            name,
-            args: args
-                .into_iter()
-                .map(|e| rewrite_expr(e, f))
-                .collect::<Result<_>>()?,
-            distinct,
-        },
-        Expr::Cast { expr, to } => Expr::Cast {
-            expr: Box::new(rewrite_expr(*expr, f)?),
-            to,
-        },
-        Expr::Predict {
-            model,
-            args,
-            strategy,
-            pin,
-        } => Expr::Predict {
-            model,
-            args: args
-                .into_iter()
-                .map(|e| rewrite_expr(e, f))
-                .collect::<Result<_>>()?,
-            strategy,
-            pin,
-        },
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(rewrite_expr(*expr, f)?),
-            query,
-            negated,
-        },
-        leaf @ (Expr::Column { .. }
-        | Expr::Literal(_)
-        | Expr::Exists { .. }
-        | Expr::Subquery(_)
-        | Expr::Wildcard
-        | Expr::Parameter(_)) => leaf,
-    };
-    f(rewritten)
+    let rebuilt = expr.map_children(&mut |c| rewrite_expr(c, f))?;
+    f(rebuilt)
 }
 
 /// Runs nested (uncorrelated) subqueries for the planner.
@@ -1395,92 +1286,7 @@ fn substitute_agg_refs(e: Expr, group: &[Expr], aggs: &[AggCall]) -> Result<Expr
         }
     }
     // recurse into direct children only
-    map_children(e, &mut |child| substitute_agg_refs(child, group, aggs))
-}
-
-/// Rebuild an expression with `f` applied to each direct child.
-fn map_children(e: Expr, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Expr> {
-    Ok(match e {
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(f(*left)?),
-            op,
-            right: Box::new(f(*right)?),
-        },
-        Expr::Unary { op, expr } => Expr::Unary {
-            op,
-            expr: Box::new(f(*expr)?),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(f(*expr)?),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(f(*expr)?),
-            list: list.into_iter().map(&mut *f).collect::<Result<_>>()?,
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(f(*expr)?),
-            low: Box::new(f(*low)?),
-            high: Box::new(f(*high)?),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(f(*expr)?),
-            pattern: Box::new(f(*pattern)?),
-            negated,
-        },
-        Expr::Case {
-            operand,
-            when_then,
-            else_expr,
-        } => Expr::Case {
-            operand: operand.map(|o| f(*o).map(Box::new)).transpose()?,
-            when_then: when_then
-                .into_iter()
-                .map(|(w, t)| Ok((f(w)?, f(t)?)))
-                .collect::<Result<_>>()?,
-            else_expr: else_expr.map(|x| f(*x).map(Box::new)).transpose()?,
-        },
-        Expr::Function {
-            name,
-            args,
-            distinct,
-        } => Expr::Function {
-            name,
-            args: args.into_iter().map(&mut *f).collect::<Result<_>>()?,
-            distinct,
-        },
-        Expr::Cast { expr, to } => Expr::Cast {
-            expr: Box::new(f(*expr)?),
-            to,
-        },
-        Expr::Predict {
-            model,
-            args,
-            strategy,
-            pin,
-        } => Expr::Predict {
-            model,
-            args: args.into_iter().map(&mut *f).collect::<Result<_>>()?,
-            strategy,
-            pin,
-        },
-        leaf => leaf,
-    })
+    e.map_children(&mut |child| substitute_agg_refs(child, group, aggs))
 }
 
 /// After substitution, every remaining column reference must target the

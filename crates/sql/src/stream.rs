@@ -233,36 +233,13 @@ pub fn validate_cq_query(q: &Query, stream: &str) -> Result<()> {
         // A global aggregate (no GROUP BY) is fine; but a bare projection
         // with no aggregate at all is not a windowed aggregate.
     }
-    let mut has_subquery = false;
-    let mut check_expr = |e: &Expr| {
-        e.walk(&mut |x| {
-            if matches!(
-                x,
-                Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. }
-            ) {
-                has_subquery = true;
-            }
-        });
-    };
-    for item in &q.select.projection {
-        if let SelectItem::Expr { expr, .. } = item {
-            check_expr(expr);
-        } else {
-            return Err(SqlError::Plan(
-                "continuous query projection cannot use '*'".into(),
-            ));
-        }
+    let wildcard = |item: &SelectItem| !matches!(item, SelectItem::Expr { .. });
+    if q.select.projection.iter().any(wildcard) {
+        return Err(SqlError::Plan(
+            "continuous query projection cannot use '*'".into(),
+        ));
     }
-    if let Some(e) = &q.select.selection {
-        check_expr(e);
-    }
-    if let Some(e) = &q.select.having {
-        check_expr(e);
-    }
-    for e in &q.select.group_by {
-        check_expr(e);
-    }
-    if has_subquery {
+    if q.has_subqueries() {
         return Err(SqlError::Plan(
             "continuous query cannot contain subqueries".into(),
         ));

@@ -281,10 +281,6 @@ impl FailpointFs {
         self.ops.load(Ordering::SeqCst)
     }
 
-    pub fn set_kill_after(&self, kill_after: u64) {
-        self.kill_after.store(kill_after, Ordering::SeqCst);
-    }
-
     /// Whether the kill point has been reached.
     pub fn killed(&self) -> bool {
         self.ops.load(Ordering::SeqCst) > self.kill_after.load(Ordering::SeqCst)

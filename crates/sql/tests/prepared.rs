@@ -201,7 +201,8 @@ fn set_predict_strategy_rejects_garbage() {
     let mut s = db.session("admin");
     for sql in [
         "SET predict_strategy = 'warp-speed'",
-        "SET predict_strategy = 'batched'", // folded into 'vectorized'
+        "SET predict_strategy = 'batched'",
+        "SET predict_strategy = 'vectorized'", // the compiled kernel is 'auto'
         "SET predict_strategy = 'parallel'", // the operator owns fan-out
         "SET predict_strategy = 42",
     ] {
@@ -210,7 +211,6 @@ fn set_predict_strategy_rejects_garbage() {
     }
     for sql in [
         "SET predict_strategy = 'row'",
-        "SET predict_strategy = 'vectorized'",
         "SET predict_strategy = 'auto'",
     ] {
         s.execute(sql).unwrap();

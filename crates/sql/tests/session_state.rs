@@ -204,7 +204,7 @@ fn malformed_set_values_fail_typed_and_preserve_prior_value() {
 
     // A valid baseline both variables must keep through the failures.
     s.execute("SET statement_timeout = 30").unwrap();
-    s.execute("SET predict_strategy = 'vectorized'").unwrap();
+    s.execute("SET predict_strategy = 'row'").unwrap();
 
     struct Case {
         sql: &'static str,
@@ -228,6 +228,7 @@ fn malformed_set_values_fail_typed_and_preserve_prior_value() {
         Case { sql: "SET predict_strategy = DEFAULT", ok: true },
         Case { sql: "SET predict_strategy = 'row'", ok: true },
         Case { sql: "SET predict_strategy = 'batched'", ok: false }, // no such strategy
+        Case { sql: "SET predict_strategy = 'vectorized'", ok: false }, // it was 'auto'
         Case { sql: "SET predict_strategy = 'ROW'", ok: true }, // case-folded
         // Fan-out belongs to the operator, not to a strategy.
         Case { sql: "SET predict_strategy = 'PARALLEL'", ok: false },
@@ -243,7 +244,7 @@ fn malformed_set_values_fail_typed_and_preserve_prior_value() {
         // Re-arm the baseline before every case so a failure case can be
         // checked for "prior value preserved" behaviorally below.
         s.execute("SET statement_timeout = 30").unwrap();
-        s.execute("SET predict_strategy = 'vectorized'").unwrap();
+        s.execute("SET predict_strategy = 'row'").unwrap();
         let result = s.execute(case.sql);
         match (case.ok, &result) {
             (true, Ok(_)) => {}
@@ -259,6 +260,9 @@ fn malformed_set_values_fail_typed_and_preserve_prior_value() {
         // Whatever happened, the session is not poisoned.
         s.query("SELECT x FROM t WHERE x = 1.0").unwrap();
     }
+    // The refusal names what is accepted.
+    let err = s.execute("SET predict_strategy = 'vectorized'").unwrap_err();
+    assert!(err.to_string().contains("one of 'row' | 'auto'"), "{err}");
 
     // Behavioral proof that a failed SET preserved the previous timeout:
     // the 30ms deadline set before the garbage SET still fires.
