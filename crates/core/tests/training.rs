@@ -127,6 +127,33 @@ fn target_listed_as_feature_is_rejected_as_leakage() {
     assert!(db.model_metadata("leak").is_err());
 }
 
+/// A model re-runs its training statement on `RETRAIN`, when no value is
+/// bound: a `?` in it is refused up front, and nothing trains.
+#[test]
+fn a_training_query_refuses_a_parameter() {
+    let db = FlockDb::new();
+    db.execute("CREATE TABLE t (x DOUBLE, y INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1.0, 0), (2.0, 1), (3.0, 0), (4.0, 1)")
+        .unwrap();
+    let sql = "CREATE MODEL m KIND gbt WITH (seed = 1) TARGET y AS SELECT x, y FROM t WHERE x > ?";
+    let mut s = db.session("admin");
+    for err in [
+        s.execute(sql).unwrap_err(),
+        s.execute_with_params(sql, &[flock_sql::Value::Float(0.0)])
+            .unwrap_err(),
+        s.prepare(sql).err().unwrap(),
+    ] {
+        assert!(
+            matches!(&err, flock_sql::SqlError::Plan(m) if m.contains("cannot hold a `?` parameter")),
+            "{err:?}"
+        );
+        assert!(db.model_metadata("m").is_err(), "nothing was deployed");
+    }
+    s.execute(&sql.replace('?', "0.0")).unwrap();
+    s.execute("RETRAIN MODEL m").unwrap();
+    assert_eq!(db.registry().get("m").unwrap().version, 2);
+}
+
 #[test]
 fn unknown_hyperparameter_is_rejected() {
     let db = FlockDb::new();

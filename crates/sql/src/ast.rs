@@ -324,39 +324,12 @@ pub enum QueryPart<'a> {
     Expr(&'a Expr),
 }
 
-/// The two traversals of a query's expressions, owned
-/// ([`Query::map_exprs`]) and borrowed ([`Query::for_each_part`]). Both
-/// go in source order: each SELECT arm's FROM (base tables, join
-/// conditions, derived tables in full), projection, WHERE, GROUP BY and
-/// HAVING, then ORDER BY. Subqueries held by expressions are not entered;
-/// they are scopes of their own.
+/// The traversal of a query's expressions ([`Query::for_each_part`]), in
+/// source order: each SELECT arm's FROM (base tables, join conditions,
+/// derived tables in full), projection, WHERE, GROUP BY and HAVING, then
+/// ORDER BY. Subqueries held by expressions are not entered; they are
+/// scopes of their own.
 impl Query {
-    /// Rebuild the query with `f` applied to each of its expressions.
-    pub fn map_exprs(mut self, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Query> {
-        self.select = self.select.map_exprs(f)?;
-        self.unions = self
-            .unions
-            .into_iter()
-            .map(|arm| {
-                Ok(UnionArm {
-                    select: arm.select.map_exprs(f)?,
-                    all: arm.all,
-                })
-            })
-            .collect::<Result<_>>()?;
-        self.order_by = self
-            .order_by
-            .into_iter()
-            .map(|o| {
-                Ok(OrderItem {
-                    expr: f(o.expr)?,
-                    asc: o.asc,
-                })
-            })
-            .collect::<Result<_>>()?;
-        Ok(self)
-    }
-
     /// Visit each base table and each expression of the query.
     pub fn for_each_part<'a>(&'a self, f: &mut impl FnMut(QueryPart<'a>)) {
         for select in std::iter::once(&self.select).chain(self.unions.iter().map(|a| &a.select)) {
@@ -368,8 +341,8 @@ impl Query {
     }
 
     /// Whether a scalar, IN or EXISTS subquery appears anywhere, derived
-    /// tables included. Those run during planning, so such a query can
-    /// neither stay parameter-generic nor be cached.
+    /// tables included. Those run during planning, so the plan of such a
+    /// query holds their results and is not cached.
     pub fn has_subqueries(&self) -> bool {
         let mut found = false;
         self.for_each_part(&mut |part| {
@@ -387,35 +360,6 @@ impl Query {
 }
 
 impl Select {
-    fn map_exprs(mut self, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Select> {
-        self.from = self
-            .from
-            .into_iter()
-            .map(|t| t.map_exprs(f))
-            .collect::<Result<_>>()?;
-        self.projection = self
-            .projection
-            .into_iter()
-            .map(|item| {
-                Ok(match item {
-                    SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                        expr: f(expr)?,
-                        alias,
-                    },
-                    other => other,
-                })
-            })
-            .collect::<Result<_>>()?;
-        self.selection = self.selection.map(&mut *f).transpose()?;
-        self.group_by = self
-            .group_by
-            .into_iter()
-            .map(&mut *f)
-            .collect::<Result<_>>()?;
-        self.having = self.having.map(&mut *f).transpose()?;
-        Ok(self)
-    }
-
     fn for_each_part<'a>(&'a self, f: &mut impl FnMut(QueryPart<'a>)) {
         for t in &self.from {
             t.for_each_part(f);
@@ -435,27 +379,6 @@ impl Select {
 }
 
 impl TableRef {
-    fn map_exprs(self, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<TableRef> {
-        Ok(match self {
-            TableRef::Subquery { query, alias } => TableRef::Subquery {
-                query: Box::new(query.map_exprs(f)?),
-                alias,
-            },
-            TableRef::Join {
-                left,
-                right,
-                join_type,
-                on,
-            } => TableRef::Join {
-                left: Box::new(left.map_exprs(f)?),
-                right: Box::new(right.map_exprs(f)?),
-                join_type,
-                on: on.map(&mut *f).transpose()?,
-            },
-            t @ TableRef::Table { .. } => t,
-        })
-    }
-
     fn for_each_part<'a>(&'a self, f: &mut impl FnMut(QueryPart<'a>)) {
         match self {
             TableRef::Table { name, alias, .. } => f(QueryPart::Table {
@@ -1235,6 +1158,84 @@ mod tests {
         // `Value`'s `PartialEq` is SQL's (NULL equals nothing): compare text
         assert_eq!(format!("{same:?}"), format!("{e:?}"));
         assert_eq!(walked, rewritten);
+    }
+
+    /// Scores every model as a float; never asked to score here.
+    struct FloatScores;
+
+    impl crate::udf::InferenceProvider for FloatScores {
+        fn output_type(&self, _model: &str) -> Result<DataType> {
+            Ok(DataType::Float)
+        }
+
+        fn input_arity(&self, _model: &str) -> Result<usize> {
+            Ok(1)
+        }
+
+        fn predict(
+            &self,
+            _model: &str,
+            _inputs: &[crate::column::ColumnVector],
+            _strategy: PredictStrategy,
+            _user: &str,
+        ) -> Result<crate::column::ColumnVector> {
+            unreachable!("typing scores nothing")
+        }
+    }
+
+    #[test]
+    fn compiled_types_are_the_typed_types_at_every_node() {
+        // What planning leaves of the variants a compiled expression cannot
+        // hold: subqueries run to values, an aggregate read as a column.
+        let planned = |e: Expr| {
+            crate::plan::rewrite_expr(e, &mut |x| {
+                Ok(match x {
+                    Expr::Subquery(_) => Expr::lit(2i64),
+                    Expr::Exists { .. } => Expr::lit(true),
+                    Expr::InSubquery { expr, negated, .. } => Expr::InList {
+                        expr,
+                        list: vec![Expr::lit("x")],
+                        negated,
+                    },
+                    Expr::Function { name, .. } if name == "COUNT" => Expr::col("n"),
+                    x => x,
+                })
+            })
+            .unwrap()
+        };
+        let schema = crate::schema::Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("a", DataType::Float),
+            ("b", DataType::Int),
+            ("c", DataType::Text),
+            ("d", DataType::Int),
+            ("e", DataType::Text),
+            ("f", DataType::Int),
+            ("g", DataType::Float),
+            ("n", DataType::Int),
+        ]);
+        let extra = crate::parser::parse_expr(
+            "k + NULL > ? * b OR COALESCE(NULL, ?, a) < CASE WHEN b > 1 THEN NULL END",
+        )
+        .unwrap();
+        for e in [planned(every_variant()), extra] {
+            let mut nodes = 0;
+            e.walk(&mut |x| {
+                nodes += 1;
+                let typed = crate::plan::expr_type(x, &schema, &FloatScores).unwrap();
+                let compiled = crate::exec::PhysExpr::compile(x, &schema, &FloatScores).unwrap();
+                assert_eq!(
+                    compiled.data_type,
+                    typed.unwrap_or(DataType::Text),
+                    "at {x}"
+                );
+            });
+            assert!(nodes > 15, "{e}");
+        }
+        // NULL and `?` stay unknown to their parents
+        let plus_null = crate::parser::parse_expr("k + NULL").unwrap();
+        let compiled = crate::exec::PhysExpr::compile(&plus_null, &schema, &FloatScores);
+        assert_eq!(compiled.unwrap().data_type, DataType::Int);
     }
 
     #[test]

@@ -524,7 +524,7 @@ impl Database {
         let rows_emitted = sink_batch.num_rows();
         let mut new_spec = spec.clone();
         new_spec.next_emit_ms = Some(last_start + spec.window.slide_ms);
-        self.session(owner).autocommit("", |txn, ctx| {
+        self.session(owner).autocommit("", Default::default(), |txn, ctx| {
             if sink_batch.num_rows() > 0 {
                 append_rows(txn, &spec.sink, sink_batch, None)?;
             }

@@ -1,9 +1,9 @@
 //! DML handlers: INSERT / UPDATE / DELETE, the single append primitive,
 //! and version-history maintenance.
 //!
-//! An INSERT costs the rows it adds. A literal `VALUES` cell is pushed
-//! into the delta's typed column as it is (with the column cast); any
-//! other expression is folded, compiled and evaluated. The append shares
+//! An INSERT costs the rows it adds. A literal or `?` `VALUES` cell is
+//! pushed into the delta's typed column as it is (with the column cast);
+//! any other expression is folded, compiled and evaluated. The append shares
 //! the table's parts and resident chunks and merges its stats with the
 //! delta's ([`Table::push_append`]), and the WAL logs only the delta.
 //! UPDATE and DELETE rewrite only the parts and chunks holding a row they
@@ -20,13 +20,13 @@ use crate::batch::RecordBatch;
 use crate::catalog::{Catalog, ObjectRef, Privilege};
 use crate::column::ColumnVector;
 use crate::error::{Result, SqlError};
-use crate::exec::{zone_constraints, EvalContext, PhysExpr};
+use crate::exec::{resolve_zones, zone_terms, EvalContext, PhysExpr};
 use crate::parts::{Part, PartMeta};
+use crate::plan::{rewrite_expr, typed_parameter};
 use crate::schema::Schema;
 use crate::stream::STREAM_KIND;
 use crate::table::{concat_chunks, edit_chunk, ColBounds, Tail};
 use crate::types::Value;
-use crate::udf::InferenceProvider;
 use crate::wal::{RedoOp, RowRuns};
 use std::sync::Arc;
 
@@ -42,7 +42,19 @@ pub(super) fn reject_stream_write(catalog: &Catalog, name: &str, op: &str) -> Re
 
 /// Row-at-a-time evaluation context for DML expressions.
 fn row_ctx(txn: &Txn, ctx: &StmtCtx) -> EvalContext {
-    EvalContext::new(ctx.provider.clone(), txn.user.clone(), 1).with_cancel(ctx.cancel.clone())
+    EvalContext::new(ctx.provider.clone(), txn.user.clone(), 1)
+        .with_cancel(ctx.cancel.clone())
+        .with_params(ctx.params.clone())
+}
+
+/// `e` compiled over `schema`, each `?` typed by its bound value as the
+/// planner types a query's.
+fn compile(e: &Expr, schema: &Schema, ctx: &StmtCtx) -> Result<PhysExpr> {
+    let typed = rewrite_expr(e.clone(), &mut |x| match x {
+        Expr::Parameter(i) => Ok(typed_parameter(i, &ctx.params)),
+        x => Ok(x),
+    })?;
+    PhysExpr::compile(&typed, schema, ctx.provider.as_ref())
 }
 
 pub(super) fn insert(
@@ -86,9 +98,10 @@ pub(super) fn insert(
                 let mut vals = Vec::with_capacity(row.len());
                 for e in row {
                     // A literal (the parser folds a sign into its number)
-                    // goes to the typed column as it is.
+                    // or a bound value goes to the typed column as it is.
                     vals.push(match e {
                         Expr::Literal(v) => v,
+                        Expr::Parameter(i) => eval_ctx.param(i)?.clone(),
                         e => {
                             let folded = crate::optimizer::fold_expr(e)?;
                             let compiled = PhysExpr::compile(
@@ -235,7 +248,7 @@ pub(super) fn update(
             let idx = schema
                 .index_of(col)
                 .ok_or_else(|| SqlError::Plan(format!("unknown column '{col}'")))?;
-            Ok((idx, PhysExpr::compile(e, &schema, ctx.provider.as_ref())?))
+            Ok((idx, compile(e, &schema, ctx)?))
         })
         .collect::<Result<_>>()?;
 
@@ -342,7 +355,9 @@ struct Matcher {
 }
 
 impl Matcher {
-    fn compile(pred: &Expr, schema: &Schema, provider: &dyn InferenceProvider) -> Result<Matcher> {
+    /// Parts are pruned by the bounds of the predicate's literals and of
+    /// the values bound to its `?`s.
+    fn compile(pred: &Expr, schema: &Schema, ctx: &StmtCtx) -> Result<Matcher> {
         let mut refs = Vec::new();
         pred.referenced_columns(&mut refs);
         let mut columns: Vec<usize> = refs
@@ -355,9 +370,9 @@ impl Matcher {
             columns.push(0);
         }
         Ok(Matcher {
-            pred: PhysExpr::compile(pred, &schema.project(&columns), provider)?,
+            pred: compile(pred, &schema.project(&columns), ctx)?,
             columns,
-            bounds: zone_constraints(pred, schema),
+            bounds: resolve_zones(&zone_terms(pred, schema), Some(&ctx.params)),
         })
     }
 
@@ -405,7 +420,7 @@ fn rewrite(
     let (schema, cur) = (table.schema().clone(), table.current().clone());
     let store = txn.catalog().part_store().cloned();
     let matcher = selection
-        .map(|p| Matcher::compile(p, &schema, ctx.provider.as_ref()))
+        .map(|p| Matcher::compile(p, &schema, ctx))
         .transpose()?;
     let eval_ctx = row_ctx(txn, ctx);
     let deleting = assign.is_none();

@@ -27,7 +27,7 @@ mod session;
 mod txn;
 
 pub use database::{CommitHook, Database};
-pub use session::{bind_parameters, PreparedStatement, Session};
+pub use session::{PreparedStatement, Session};
 pub use txn::ObjectKey;
 
 use crate::batch::RecordBatch;

@@ -10,7 +10,6 @@ use crate::catalog::{Catalog, ObjectRef, Privilege};
 use crate::error::{Result, SqlError};
 use crate::trainer::TrainSpec;
 use crate::wal::RedoOp;
-use std::sync::Arc;
 
 /// The score column a model produces when its statement names none.
 pub(super) fn default_output(model: &str) -> String {
@@ -128,7 +127,7 @@ fn run_training_query(
     ctx: &StmtCtx,
     q: &Query,
 ) -> Result<(RecordBatch, Vec<(String, u64)>)> {
-    let planned = query::plan_select(txn, ctx, q, &[], true)?;
+    let planned = query::plan_select(txn, ctx, q, true)?;
     let mut pins: Vec<(String, u64)> = planned
         .scans
         .iter()
@@ -136,7 +135,7 @@ fn run_training_query(
         .collect();
     pins.sort();
     pins.dedup();
-    let (batch, _) = query::execute(ctx, &txn.user, &planned.physical, Arc::default())?;
+    let (batch, _) = query::execute(ctx, &txn.user, &planned.physical)?;
     Ok((batch, pins))
 }
 

@@ -100,29 +100,19 @@ struct Planner<'a> {
 }
 
 /// Plan → access control → session strategy → rewriters → optimize →
-/// compile. `param_types` are the bound types of `?` placeholders left in
-/// the query (the plan-cache miss path); `check_acl: false` is plain
-/// `EXPLAIN`, which shows a plan without the right to run it — its
-/// subqueries *do* run, so they are always checked.
-pub(super) fn plan_select(
-    txn: &Txn,
-    ctx: &StmtCtx,
-    q: &Query,
-    param_types: &[Option<DataType>],
-    check_acl: bool,
-) -> Result<Planned> {
-    let planner = Planner { ctx, txn };
-    if param_types.is_empty() {
-        planner.plan(q, check_acl)
-    } else {
-        planner.plan(&annotate_param_types(q.clone(), param_types)?, check_acl)
-    }
+/// compile, with each `?` typed by the value the statement binds to it.
+/// `check_acl: false` is plain `EXPLAIN`, which shows a plan without the
+/// right to run it — its subqueries *do* run, so they are always checked.
+pub(super) fn plan_select(txn: &Txn, ctx: &StmtCtx, q: &Query, check_acl: bool) -> Result<Planned> {
+    Planner { ctx, txn }.plan(q, check_acl)
 }
 
 impl Planner<'_> {
     fn plan(&self, q: &Query, check_acl: bool) -> Result<Planned> {
         let (ctx, db, catalog) = (self.ctx, self.ctx.db, self.txn.catalog());
-        let pctx = PlanContext::new(catalog, ctx.provider.as_ref()).with_subqueries(self);
+        let pctx = PlanContext::new(catalog, ctx.provider.as_ref())
+            .with_subqueries(self)
+            .with_params(&ctx.params);
         let plan = plan_query(q, &pctx)?;
 
         let (mut tables, mut scans, mut models) = (Vec::new(), Vec::new(), Vec::new());
@@ -177,24 +167,22 @@ impl Planner<'_> {
 
 impl SubqueryRunner for Planner<'_> {
     /// A subquery is a query: same pipeline, same access control, same
-    /// execution tail, under the outer statement's user, cancel token and
-    /// budget.
+    /// execution tail, under the outer statement's user, parameters,
+    /// cancel token and budget.
     fn run(&self, query: &Query) -> Result<RecordBatch> {
         let planned = self.plan(query, true)?;
-        execute(self.ctx, &self.txn.user, &planned.physical, Arc::default())
-            .map(|(batch, _)| batch)
+        execute(self.ctx, &self.txn.user, &planned.physical).map(|(batch, _)| batch)
     }
 }
 
 /// The execution tail: admission slot, budgeted and cancellable metered
-/// run, snapshot publication (session, database and `flock_metrics`), and
-/// failure accounting. A cancelled / timed-out / over-budget run still
+/// run over the statement's parameters, snapshot publication (session,
+/// database and `flock_metrics`), and failure accounting. A cancelled / timed-out / over-budget run still
 /// publishes the partial counters it accumulated.
 pub(super) fn execute(
     ctx: &StmtCtx,
     user: &str,
     physical: &PhysicalPlan,
-    params: Arc<Vec<Value>>,
 ) -> Result<(RecordBatch, QueryRuntime)> {
     let shared = &ctx.db.shared;
     let _slot = shared
@@ -210,7 +198,7 @@ pub(super) fn execute(
     let eval_ctx = EvalContext::new(ctx.provider.clone(), user.to_string(), ctx.options.threads)
         .with_cancel(ctx.cancel.clone())
         .with_budget(ctx.budget.clone())
-        .with_params(params);
+        .with_params(ctx.params.clone());
     let plan_metrics = PlanMetrics::for_plan(physical);
     let started = std::time::Instant::now();
     let result = physical.execute_metered(&eval_ctx, &plan_metrics);
@@ -248,10 +236,9 @@ pub(super) fn run_and_log(
     txn: &mut Txn,
     ctx: &StmtCtx,
     physical: &PhysicalPlan,
-    params: Arc<Vec<Value>>,
     tables: Vec<String>,
 ) -> Result<QueryResult> {
-    let (batch, runtime) = execute(ctx, &txn.user, physical, params)?;
+    let (batch, runtime) = execute(ctx, &txn.user, physical)?;
     txn.log_runtime(ctx.sql, StatementKind::Query, tables, vec![], vec![], runtime);
     let message = format!("{} row(s)", batch.num_rows());
     Ok(QueryResult::rows(batch, message))
@@ -259,16 +246,16 @@ pub(super) fn run_and_log(
 
 /// A top-level SELECT: plan + run.
 pub(super) fn run_query(txn: &mut Txn, ctx: &StmtCtx, q: &Query) -> Result<QueryResult> {
-    let planned = plan_select(txn, ctx, q, &[], true)?;
-    run_and_log(txn, ctx, &planned.physical, Arc::default(), planned.tables)
+    let planned = plan_select(txn, ctx, q, true)?;
+    run_and_log(txn, ctx, &planned.physical, planned.tables)
 }
 
 /// `EXPLAIN [ANALYZE]`: plan + (render | run + render). `ANALYZE` actually
 /// executes, so it is subject to the same access control as a plain query.
 pub(super) fn explain(txn: &mut Txn, ctx: &StmtCtx, q: &Query, analyze: bool) -> Result<QueryResult> {
-    let planned = plan_select(txn, ctx, q, &[], analyze)?;
+    let planned = plan_select(txn, ctx, q, analyze)?;
     let text = if analyze {
-        execute(ctx, &txn.user, &planned.physical, Arc::default())?;
+        execute(ctx, &txn.user, &planned.physical)?;
         sync::lock(ctx.last_query).as_ref().map(|s| s.render()).unwrap_or_default()
     } else {
         planned.logical.explain()
@@ -307,23 +294,4 @@ fn override_auto_predict(plan: LogicalPlan, strategy: PredictStrategy) -> Result
             })
         })
     })
-}
-
-/// Wrap every `?i` whose bound value has a known type in an identity
-/// `CAST`, so expression type derivation sees the parameter's runtime
-/// type instead of a default. Used on the plan-cache miss path.
-fn annotate_param_types(q: Query, types: &[Option<DataType>]) -> Result<Query> {
-    let mut bind = |e: Expr| -> Result<Expr> {
-        rewrite_expr(e, &mut |x| match x {
-            Expr::Parameter(i) => Ok(match types.get(i).copied().flatten() {
-                Some(t) => Expr::Cast {
-                    expr: Box::new(Expr::Parameter(i)),
-                    to: t,
-                },
-                None => Expr::Parameter(i),
-            }),
-            other => Ok(other),
-        })
-    };
-    q.map_exprs(&mut bind)
 }

@@ -4,14 +4,13 @@
 use super::database::Database;
 use super::txn::Txn;
 use super::{ddl, dml, models, query, QueryResult, StatementKind};
-use crate::ast::{Expr, InsertSource, PredictStrategy, Statement};
+use crate::ast::{Expr, PredictStrategy, Statement};
 use crate::batch::RecordBatch;
 use crate::error::{Result, SqlError};
 use crate::exec::{
     create_physical_plan, CancelHandle, CancelToken, ExecOptions, OpSnapshot, QueryBudget,
 };
 use crate::lexer::Token;
-use crate::plan::rewrite_expr;
 use crate::plancache::{bind_slots, normalize, CacheHit, CacheKey, CachedPlan, ParamSlot};
 use crate::sync;
 use crate::trainer::TrainSpec;
@@ -41,9 +40,10 @@ struct SessionVars {
 }
 
 /// What one statement executes under: the database, the statement text,
-/// and the session's effective options, cancellation token and budget —
-/// fixed when the statement starts and shared by everything it runs
-/// (its query, its subqueries, its row expressions).
+/// the values bound to its `?`s, and the session's effective options,
+/// cancellation token and budget — fixed when the statement starts and
+/// shared by everything it runs (its query, its subqueries, its row
+/// expressions).
 pub(super) struct StmtCtx<'a> {
     pub db: &'a Database,
     pub sql: &'a str,
@@ -57,10 +57,12 @@ pub(super) struct StmtCtx<'a> {
     pub budget: Arc<QueryBudget>,
     pub predict: Option<PredictStrategy>,
     pub last_query: &'a Mutex<Option<OpSnapshot>>,
+    /// The values bound to the statement's `?` placeholders, in order.
+    pub params: Arc<Vec<Value>>,
 }
 
 impl<'a> StmtCtx<'a> {
-    fn new(db: &'a Database, vars: &'a SessionVars, sql: &'a str) -> Self {
+    fn new(db: &'a Database, vars: &'a SessionVars, sql: &'a str, params: Arc<Vec<Value>>) -> Self {
         // Every statement starts fresh: a cancel aimed at the previous
         // statement must not kill this one.
         vars.cancel_flag.store(false, Ordering::Relaxed);
@@ -84,6 +86,7 @@ impl<'a> StmtCtx<'a> {
             cancel,
             predict: vars.predict_strategy,
             last_query: &vars.last_query,
+            params,
         }
     }
 }
@@ -167,26 +170,14 @@ impl Session {
     /// the text is lexed once.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
         let tokens = crate::lexer::tokenize(sql)?;
-        if self.txn.is_none()
-            && matches!(tokens.first(),
-                Some(Token::Ident(w)) if w.eq_ignore_ascii_case("SELECT"))
-        {
-            let key = CacheKey {
-                tokens,
-                param_types: Vec::new(),
-                predict: self.vars.predict_strategy,
-            };
-            return self.cached_select(key, Arc::default(), sql);
-        }
-        let (stmt, _) = crate::parser::parse_token_stream(tokens)?;
-        self.execute_statement(stmt, sql)
+        self.run_tokens(tokens, Vec::new(), sql)
     }
 
-    /// Execute with `?` placeholders bound to `params`.
+    /// Execute with `?` placeholders bound to `params`: prepare, then
+    /// execute the prepared statement once.
     pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> Result<QueryResult> {
-        let stmt = crate::parser::parse_statement(sql)?;
-        let stmt = bind_parameters(stmt, params)?;
-        self.execute_statement(stmt, sql)
+        let prepared = self.prepare(sql)?;
+        self.execute_prepared(&prepared, params)
     }
 
     /// Prepare a statement for repeated execution. `?` placeholders bind
@@ -196,32 +187,25 @@ impl Session {
     /// GROUP BY ordinals) are documented on [`crate::plancache::normalize`].
     pub fn prepare(&mut self, sql: &str) -> Result<PreparedStatement> {
         let tokens = crate::lexer::tokenize(sql)?;
-        let norm = normalize(&tokens);
-        // Parse the normalized stream once: syntax errors surface at
-        // prepare time, and the statement class picks the execute path.
-        let (stmt, nparams) = crate::parser::parse_token_stream(norm.tokens.clone())?;
-        debug_assert_eq!(nparams, norm.slots.len());
-        let kind = match stmt {
-            // Scalar/IN/EXISTS subqueries execute during planning, so such
-            // a query cannot be planned parameter-generically; it falls
-            // back to binding literals into the AST on every execute.
-            Statement::Query(q) if !q.has_subqueries() => PreparedKind::Query {
+        // Syntax errors surface at prepare time: each form is parsed once.
+        let (kind, user_params) = if is_select(&tokens) {
+            let norm = normalize(&tokens);
+            crate::parser::parse_token_stream(norm.tokens.clone())?;
+            let kind = PreparedKind::Query {
                 tokens: norm.tokens,
                 slots: norm.slots,
-            },
-            _ => {
-                let (stmt, _) = crate::parser::parse_statement_with_params(sql)?;
-                PreparedKind::Other {
-                    stmt: Box::new(stmt),
-                }
-            }
+            };
+            (kind, norm.user_params)
+        } else {
+            let (stmt, params) = parse(tokens)?;
+            (PreparedKind::Other(Box::new(stmt)), params)
         };
         let gauge = self.db.shared.plan_cache.prepared_active.clone();
         gauge.fetch_add(1, Ordering::Relaxed);
         Ok(PreparedStatement {
             sql: sql.to_string(),
             kind,
-            user_params: norm.user_params,
+            user_params,
             gauge,
         })
     }
@@ -244,26 +228,36 @@ impl Session {
         match &prepared.kind {
             PreparedKind::Query { tokens, slots } => {
                 let bound = bind_slots(slots, params)?;
-                // An open user transaction bypasses the shared cache
-                // entirely: a plan bound against uncommitted state must
-                // not leak into (or out of) it.
-                if self.txn.is_some() {
-                    let (stmt, _) = crate::parser::parse_token_stream(tokens.clone())?;
-                    let stmt = bind_parameters(stmt, &bound)?;
-                    return self.execute_statement(stmt, &prepared.sql);
-                }
-                let key = CacheKey {
-                    tokens: tokens.clone(),
-                    param_types: bound.iter().map(Value::data_type).collect(),
-                    predict: self.vars.predict_strategy,
-                };
-                self.cached_select(key, Arc::new(bound), &prepared.sql)
+                self.run_tokens(tokens.clone(), bound, &prepared.sql)
             }
-            PreparedKind::Other { stmt } => {
-                let stmt = bind_parameters((**stmt).clone(), params)?;
-                self.execute_statement(stmt, &prepared.sql)
+            PreparedKind::Other(stmt) => {
+                self.execute_statement((**stmt).clone(), &prepared.sql, Arc::new(params.to_vec()))
             }
         }
+    }
+
+    /// Run one statement's tokens with `params` bound to their `?`s. A
+    /// SELECT outside any transaction goes through the plan cache; an open
+    /// user transaction bypasses the shared cache entirely (a plan built
+    /// against uncommitted state must not leak into or out of it), and
+    /// every other statement is parsed from the same tokens.
+    fn run_tokens(
+        &mut self,
+        tokens: Vec<Token>,
+        params: Vec<Value>,
+        sql: &str,
+    ) -> Result<QueryResult> {
+        let params = Arc::new(params);
+        if self.txn.is_none() && is_select(&tokens) {
+            let key = CacheKey {
+                tokens,
+                param_types: params.iter().map(Value::data_type).collect(),
+                predict: self.vars.predict_strategy,
+            };
+            return self.cached_select(key, params, sql);
+        }
+        let (stmt, _) = parse(tokens)?;
+        self.execute_statement(stmt, sql, params)
     }
 
     /// A SELECT outside any transaction, through the plan cache: a hit
@@ -277,7 +271,7 @@ impl Session {
         params: Arc<Vec<Value>>,
         sql: &str,
     ) -> Result<QueryResult> {
-        self.read_only(sql, |txn, ctx| {
+        self.read_only(sql, params, |txn, ctx| {
             let shared = &ctx.db.shared;
             // Epochs are sampled BEFORE planning: if DDL commits
             // concurrently, an inserted entry is already stale and dies on
@@ -329,16 +323,18 @@ impl Session {
                 // bookkeeping.)
                 txn.check_query_access(&entry.tables, &entry.models)?;
                 let tables = entry.tables.clone();
-                return query::run_and_log(txn, ctx, &entry.physical, params, tables);
+                return query::run_and_log(txn, ctx, &entry.physical, tables);
             }
 
             let (stmt, _) = crate::parser::parse_token_stream(key.tokens.clone())?;
             let Statement::Query(q) = stmt else {
-                return Err(SqlError::Plan("plan cache keyed a non-query statement".into()));
+                return Err(SqlError::Plan(
+                    "plan cache keyed a non-query statement".into(),
+                ));
             };
-            let planned = query::plan_select(txn, ctx, &q, &key.param_types, true)?;
+            let planned = query::plan_select(txn, ctx, &q, true)?;
             let tables = planned.tables.clone();
-            let result = query::run_and_log(txn, ctx, &planned.physical, params, tables);
+            let result = query::run_and_log(txn, ctx, &planned.physical, tables);
             // Insert even when execution failed (cancel/timeout/budget):
             // the plan itself is valid and the next execution should still
             // hit. Subqueries ran at plan time, so their results are baked
@@ -390,7 +386,12 @@ impl Session {
             .ok_or_else(|| SqlError::Execution("statement returned no rows".into()))
     }
 
-    fn execute_statement(&mut self, stmt: Statement, sql: &str) -> Result<QueryResult> {
+    fn execute_statement(
+        &mut self,
+        stmt: Statement,
+        sql: &str,
+        params: Arc<Vec<Value>>,
+    ) -> Result<QueryResult> {
         match stmt {
             Statement::Begin => self.begin(),
             Statement::Commit => self.commit(),
@@ -400,9 +401,11 @@ impl Session {
                 let Statement::Query(q) = *statement else {
                     return Err(SqlError::Plan("EXPLAIN supports only queries".into()));
                 };
-                self.read_only(sql, |txn, ctx| query::explain(txn, ctx, &q, analyze))
+                self.read_only(sql, params, |txn, ctx| {
+                    query::explain(txn, ctx, &q, analyze)
+                })
             }
-            other => self.autocommit(sql, |txn, ctx| dispatch(txn, ctx, other)),
+            other => self.autocommit(sql, params, |txn, ctx| dispatch(txn, ctx, other)),
         }
     }
 
@@ -514,10 +517,11 @@ impl Session {
     pub(super) fn autocommit<T>(
         &mut self,
         sql: &str,
+        params: Arc<Vec<Value>>,
         f: impl FnOnce(&mut Txn, &StmtCtx) -> Result<T>,
     ) -> Result<T> {
         let implicit = self.txn.is_none();
-        let ctx = StmtCtx::new(&self.db, &self.vars, sql);
+        let ctx = StmtCtx::new(&self.db, &self.vars, sql, params);
         let txn = self
             .txn
             .get_or_insert_with(|| Txn::begin(&self.db, &self.user));
@@ -543,9 +547,10 @@ impl Session {
     fn read_only<T>(
         &mut self,
         sql: &str,
+        params: Arc<Vec<Value>>,
         f: impl FnOnce(&mut Txn, &StmtCtx) -> Result<T>,
     ) -> Result<T> {
-        let ctx = StmtCtx::new(&self.db, &self.vars, sql);
+        let ctx = StmtCtx::new(&self.db, &self.vars, sql, params);
         match self.txn.as_mut() {
             Some(txn) => f(txn, &ctx),
             None => {
@@ -563,7 +568,9 @@ impl Session {
     /// benchmarks and ETL). Columns are matched by position and must have
     /// the table's types; constraint checks still apply.
     pub fn append_batch(&mut self, table_name: &str, batch: RecordBatch) -> Result<u64> {
-        self.autocommit("", |txn, _| dml::append_rows(txn, table_name, batch, None))
+        self.autocommit("", Arc::default(), |txn, _| {
+            dml::append_rows(txn, table_name, batch, None)
+        })
     }
 
     /// Create a versioned extension object (e.g. a model). Used by
@@ -575,7 +582,9 @@ impl Session {
         payload: Vec<u8>,
         metadata: flock_json::Value,
     ) -> Result<()> {
-        self.autocommit("", |txn, _| models::create_extension(txn, kind, name, payload, metadata))
+        self.autocommit("", Arc::default(), |txn, _| {
+            models::create_extension(txn, kind, name, payload, metadata)
+        })
     }
 
     /// Append a new version to an extension object.
@@ -586,14 +595,16 @@ impl Session {
         payload: Vec<u8>,
         metadata: flock_json::Value,
     ) -> Result<u64> {
-        self.autocommit("", |txn, _| {
+        self.autocommit("", Arc::default(), |txn, _| {
             models::update_extension(txn, kind, name, payload, metadata, true)
         })
     }
 
     /// Drop an extension object.
     pub fn drop_extension_object(&mut self, kind: &str, name: &str) -> Result<()> {
-        self.autocommit("", |txn, _| models::drop_extension(txn, kind, name))
+        self.autocommit("", Arc::default(), |txn, _| {
+            models::drop_extension(txn, kind, name)
+        })
     }
 
     /// Truncate a table's version history to the newest `keep` versions.
@@ -601,7 +612,9 @@ impl Session {
     /// its training data — reproducibility ("which data trained this
     /// model?") outranks space reclamation. Returns the dropped versions.
     pub fn truncate_table_history(&mut self, name: &str, keep: usize) -> Result<Vec<u64>> {
-        self.autocommit("", |txn, _| dml::truncate_table_history(txn, name, keep))
+        self.autocommit("", Arc::default(), |txn, _| {
+            dml::truncate_table_history(txn, name, keep)
+        })
     }
 }
 
@@ -752,64 +765,36 @@ impl Drop for PreparedStatement {
 }
 
 enum PreparedKind {
-    /// A subquery-free query: executes through the plan cache.
+    /// A query: executes through the plan cache.
     Query {
         /// Normalized token stream (literals parameterized out).
         tokens: Vec<Token>,
         /// How each `?` in `tokens` is filled at execute time.
         slots: Vec<ParamSlot>,
     },
-    /// Everything else (DML, DDL, subquery-bearing queries): parameters
-    /// are bound into the AST on every execute.
-    Other { stmt: Box<Statement> },
+    /// Any other statement, parsed from its own text.
+    Other(Box<Statement>),
 }
 
-/// Bind `?` placeholders in a statement.
-pub fn bind_parameters(stmt: Statement, params: &[Value]) -> Result<Statement> {
-    let mut bind = |e: Expr| -> Result<Expr> {
-        rewrite_expr(e, &mut |x| match x {
-            Expr::Parameter(i) => params
-                .get(i)
-                .cloned()
-                .map(Expr::Literal)
-                .ok_or_else(|| SqlError::Plan(format!("missing parameter ?{i}"))),
-            other => Ok(other),
-        })
+fn is_select(tokens: &[Token]) -> bool {
+    matches!(tokens.first(), Some(Token::Ident(w)) if w.eq_ignore_ascii_case("SELECT"))
+}
+
+/// Parse one statement, returning it with its number of `?` placeholders.
+/// A view, a continuous query and a model store their query and run it
+/// again later, when no value is bound: a `?` in one is refused here.
+fn parse(tokens: Vec<Token>) -> Result<(Statement, usize)> {
+    let (stmt, params) = crate::parser::parse_token_stream(tokens)?;
+    let stored = match &stmt {
+        Statement::CreateView { .. } => "a view",
+        Statement::CreateContinuousQuery { .. } => "a continuous query",
+        Statement::CreateModel { .. } => "a model's training query",
+        _ => return Ok((stmt, params)),
     };
-    Ok(match stmt {
-        Statement::Query(q) => Statement::Query(q.map_exprs(&mut bind)?),
-        Statement::Insert {
-            table,
-            columns,
-            source,
-        } => Statement::Insert {
-            table,
-            columns,
-            source: match source {
-                InsertSource::Values(rows) => InsertSource::Values(
-                    rows.into_iter()
-                        .map(|r| r.into_iter().map(&mut bind).collect::<Result<_>>())
-                        .collect::<Result<_>>()?,
-                ),
-                InsertSource::Query(q) => InsertSource::Query(Box::new(q.map_exprs(&mut bind)?)),
-            },
-        },
-        Statement::Update {
-            table,
-            assignments,
-            selection,
-        } => Statement::Update {
-            table,
-            assignments: assignments
-                .into_iter()
-                .map(|(c, e)| Ok((c, bind(e)?)))
-                .collect::<Result<_>>()?,
-            selection: selection.map(&mut bind).transpose()?,
-        },
-        Statement::Delete { table, selection } => Statement::Delete {
-            table,
-            selection: selection.map(&mut bind).transpose()?,
-        },
-        other => other,
-    })
+    if params > 0 {
+        return Err(SqlError::Plan(format!(
+            "{stored} cannot hold a `?` parameter: it is stored and run again unbound"
+        )));
+    }
+    Ok((stmt, params))
 }

@@ -113,7 +113,7 @@ impl EvalContext {
         self
     }
 
-    /// Attach bound parameter values (prepared-statement execution).
+    /// Attach the values bound to the statement's `?` placeholders.
     pub fn with_params(mut self, params: std::sync::Arc<Vec<Value>>) -> EvalContext {
         self.params = params;
         self
@@ -121,7 +121,7 @@ impl EvalContext {
 
     /// Look up a bound parameter; out-of-range is a typed execution error
     /// (never a panic) so arity mismatches surface cleanly at execute time.
-    fn param(&self, i: usize) -> Result<&Value> {
+    pub(crate) fn param(&self, i: usize) -> Result<&Value> {
         self.params.get(i).ok_or_else(|| {
             SqlError::Execution(format!(
                 "no value bound for parameter ?{i} ({} provided)",
@@ -138,8 +138,39 @@ impl PhysExpr {
         schema: &Schema,
         provider: &dyn crate::udf::InferenceProvider,
     ) -> Result<PhysExpr> {
-        let data_type =
-            crate::plan::expr_type(expr, schema, provider)?.unwrap_or(DataType::Text);
+        Ok(Self::compile_typed(expr, schema, provider)?.0)
+    }
+
+    /// Compile bottom-up, once per node: each node is typed from its
+    /// compiled children by [`crate::plan::node_type`], the rule
+    /// [`crate::plan::expr_type`] applies. The type comes back as an
+    /// `Option` so that a NULL or untyped `?` child stays unknown to its
+    /// parent (`a + NULL` is typed as `a`); a node of unknown type is
+    /// compiled as TEXT.
+    fn compile_typed(
+        expr: &Expr,
+        schema: &Schema,
+        provider: &dyn crate::udf::InferenceProvider,
+    ) -> Result<(PhysExpr, Option<DataType>)> {
+        if matches!(
+            expr,
+            Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. }
+        ) {
+            return Err(SqlError::Plan(
+                "subquery should have been flattened before compilation".into(),
+            ));
+        }
+        let mut kids = Vec::new();
+        expr.for_each_child(&mut |c| kids.push(Self::compile_typed(c, schema, provider)));
+        let (kids, types): (Vec<PhysExpr>, Vec<Option<DataType>>) = kids
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        let ty = crate::plan::node_type(expr, &types, schema, provider)?;
+        // The compiled children, taken in `for_each_child` order.
+        let mut kids = kids.into_iter();
+        let mut next = || kids.next().expect("one compiled child per child");
         let node = match expr {
             Expr::Column { name, .. } => {
                 let idx = schema
@@ -148,57 +179,41 @@ impl PhysExpr {
                 PhysNode::Column(idx)
             }
             Expr::Literal(v) => PhysNode::Literal(v.clone()),
-            Expr::Binary { left, op, right } => PhysNode::Binary {
-                left: Box::new(Self::compile(left, schema, provider)?),
+            Expr::Binary { op, .. } => PhysNode::Binary {
+                left: Box::new(next()),
                 op: *op,
-                right: Box::new(Self::compile(right, schema, provider)?),
+                right: Box::new(next()),
             },
-            Expr::Unary { op, expr } => PhysNode::Unary {
+            Expr::Unary { op, .. } => PhysNode::Unary {
                 op: *op,
-                expr: Box::new(Self::compile(expr, schema, provider)?),
+                expr: Box::new(next()),
             },
-            Expr::IsNull { expr, negated } => PhysNode::IsNull {
-                expr: Box::new(Self::compile(expr, schema, provider)?),
+            Expr::IsNull { negated, .. } => PhysNode::IsNull {
+                expr: Box::new(next()),
                 negated: *negated,
             },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => PhysNode::InList {
-                expr: Box::new(Self::compile(expr, schema, provider)?),
-                list: list
-                    .iter()
-                    .map(|e| Self::compile(e, schema, provider))
-                    .collect::<Result<_>>()?,
+            Expr::InList { list, negated, .. } => PhysNode::InList {
+                expr: Box::new(next()),
+                list: list.iter().map(|_| next()).collect(),
                 negated: *negated,
             },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
+            Expr::Between { negated, .. } => {
                 // desugar to (e >= low AND e <= high), possibly negated
-                let e = Self::compile(expr, schema, provider)?;
-                let lo = Self::compile(low, schema, provider)?;
-                let hi = Self::compile(high, schema, provider)?;
-                let ge = PhysExpr {
-                    node: PhysNode::Binary {
-                        left: Box::new(e.clone()),
-                        op: BinOp::GtEq,
-                        right: Box::new(lo),
-                    },
+                let (e, lo, hi) = (next(), next(), next());
+                let bool_node = |node| PhysExpr {
+                    node,
                     data_type: DataType::Bool,
                 };
-                let le = PhysExpr {
-                    node: PhysNode::Binary {
-                        left: Box::new(e),
-                        op: BinOp::LtEq,
-                        right: Box::new(hi),
-                    },
-                    data_type: DataType::Bool,
-                };
+                let ge = bool_node(PhysNode::Binary {
+                    left: Box::new(e.clone()),
+                    op: BinOp::GtEq,
+                    right: Box::new(lo),
+                });
+                let le = bool_node(PhysNode::Binary {
+                    left: Box::new(e),
+                    op: BinOp::LtEq,
+                    right: Box::new(hi),
+                });
                 let both = PhysNode::Binary {
                     left: Box::new(ge),
                     op: BinOp::And,
@@ -207,22 +222,15 @@ impl PhysExpr {
                 if *negated {
                     PhysNode::Unary {
                         op: UnOp::Not,
-                        expr: Box::new(PhysExpr {
-                            node: both,
-                            data_type: DataType::Bool,
-                        }),
+                        expr: Box::new(bool_node(both)),
                     }
                 } else {
                     both
                 }
             }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => PhysNode::Like {
-                expr: Box::new(Self::compile(expr, schema, provider)?),
-                pattern: Box::new(Self::compile(pattern, schema, provider)?),
+            Expr::Like { negated, .. } => PhysNode::Like {
+                expr: Box::new(next()),
+                pattern: Box::new(next()),
                 negated: *negated,
             },
             Expr::Case {
@@ -230,33 +238,16 @@ impl PhysExpr {
                 when_then,
                 else_expr,
             } => PhysNode::Case {
-                operand: match operand {
-                    Some(o) => Some(Box::new(Self::compile(o, schema, provider)?)),
-                    None => None,
-                },
-                when_then: when_then
-                    .iter()
-                    .map(|(w, t)| {
-                        Ok((
-                            Self::compile(w, schema, provider)?,
-                            Self::compile(t, schema, provider)?,
-                        ))
-                    })
-                    .collect::<Result<_>>()?,
-                else_expr: match else_expr {
-                    Some(e) => Some(Box::new(Self::compile(e, schema, provider)?)),
-                    None => None,
-                },
+                operand: operand.as_ref().map(|_| Box::new(next())),
+                when_then: when_then.iter().map(|_| (next(), next())).collect(),
+                else_expr: else_expr.as_ref().map(|_| Box::new(next())),
             },
             Expr::Function { name, args, .. } => PhysNode::Function {
                 name: name.clone(),
-                args: args
-                    .iter()
-                    .map(|e| Self::compile(e, schema, provider))
-                    .collect::<Result<_>>()?,
+                args: args.iter().map(|_| next()).collect(),
             },
-            Expr::Cast { expr, to } => PhysNode::Cast {
-                expr: Box::new(Self::compile(expr, schema, provider)?),
+            Expr::Cast { to, .. } => PhysNode::Cast {
+                expr: Box::new(next()),
                 to: *to,
             },
             Expr::Predict {
@@ -266,25 +257,18 @@ impl PhysExpr {
                 pin,
             } => PhysNode::Predict {
                 model: model.clone(),
-                args: args
-                    .iter()
-                    .map(|e| Self::compile(e, schema, provider))
-                    .collect::<Result<_>>()?,
+                args: args.iter().map(|_| next()).collect(),
                 strategy: *strategy,
                 label: provider.describe(model),
                 pin: pin.clone(),
             },
-            Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } => {
-                return Err(SqlError::Plan(
-                    "subquery should have been flattened before compilation".into(),
-                ))
-            }
-            Expr::Wildcard => {
-                return Err(SqlError::Plan("'*' is not a value expression".into()))
-            }
             Expr::Parameter(i) => PhysNode::Parameter(*i),
+            Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::Wildcard => {
+                unreachable!("refused above or typed as an error")
+            }
         };
-        Ok(PhysExpr { node, data_type })
+        let data_type = ty.unwrap_or(DataType::Text);
+        Ok((PhysExpr { node, data_type }, ty))
     }
 
     /// Whether any PREDICT call appears in this tree.

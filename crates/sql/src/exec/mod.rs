@@ -459,12 +459,6 @@ pub(crate) fn resolve_zones(terms: &[ZoneTerm], params: Option<&[Value]>) -> Col
     bounds
 }
 
-/// Conservative zone-prunable bounds of a predicate whose every bound is
-/// a literal ([`zone_terms`]; a parameter bounds nothing).
-pub(crate) fn zone_constraints(pred: &Expr, schema: &Schema) -> ColBounds {
-    resolve_zones(&zone_terms(pred, schema), None)
-}
-
 fn has_param(b: Option<ZoneBound>) -> bool {
     matches!(b, Some(ZoneBound::Param(..)))
 }

@@ -124,7 +124,11 @@ pub fn fold_expr(e: Expr) -> Result<Expr> {
                 op: crate::ast::UnOp::Neg,
                 expr,
             } => match &**expr {
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
+                // `-i64::MIN` overflows: left to the executor's typed error
+                Expr::Literal(Value::Int(i)) => match i.checked_neg() {
+                    Some(n) => Expr::Literal(Value::Int(n)),
+                    None => x,
+                },
                 Expr::Literal(Value::Float(f)) => Expr::Literal(Value::Float(-f)),
                 _ => x,
             },

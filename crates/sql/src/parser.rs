@@ -8,11 +8,7 @@ use crate::types::{parse_date, DataType, Value};
 
 /// Parse one SQL statement (a trailing semicolon is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    let mut p = Parser::new(sql)?;
-    let stmt = p.statement()?;
-    p.eat(&Token::Semicolon);
-    p.expect_eof()?;
-    Ok(stmt)
+    Ok(parse_token_stream(tokenize(sql)?)?.0)
 }
 
 /// Parse a semicolon-separated script into statements.
@@ -39,16 +35,6 @@ pub fn parse_expr(sql: &str) -> Result<Expr> {
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
-}
-
-/// Parse one statement and report how many `?` placeholders it contains.
-/// Used by the prepared-statement path to validate bind arity up front.
-pub fn parse_statement_with_params(sql: &str) -> Result<(Statement, usize)> {
-    let mut p = Parser::new(sql)?;
-    let stmt = p.statement()?;
-    p.eat(&Token::Semicolon);
-    p.expect_eof()?;
-    Ok((stmt, p.params))
 }
 
 /// Parse a pre-tokenized statement (the plan cache normalizes token streams

@@ -344,6 +344,9 @@ pub struct PlanContext<'a> {
     pub catalog: &'a Catalog,
     pub provider: &'a dyn InferenceProvider,
     pub subqueries: Option<&'a dyn SubqueryRunner>,
+    /// The values bound to the statement's `?` placeholders: each `?` is
+    /// typed by its value ([`typed_parameter`]).
+    pub params: &'a [Value],
     /// View-expansion recursion guard.
     pub view_depth: usize,
 }
@@ -354,6 +357,7 @@ impl<'a> PlanContext<'a> {
             catalog,
             provider,
             subqueries: None,
+            params: &[],
             view_depth: 0,
         }
     }
@@ -361,6 +365,26 @@ impl<'a> PlanContext<'a> {
     pub fn with_subqueries(mut self, runner: &'a dyn SubqueryRunner) -> Self {
         self.subqueries = Some(runner);
         self
+    }
+
+    pub fn with_params(mut self, params: &'a [Value]) -> Self {
+        self.params = params;
+        self
+    }
+}
+
+/// `?i` typed by the value bound to it: an identity `CAST` to the value's
+/// type, which expression typing sees and the executor applies at no cost
+/// to a value of that type. A NULL or unbound value leaves it untyped. The
+/// `?` itself stays: a plan reads its value when it executes, so a cached
+/// plan serves every binding of the same types.
+pub fn typed_parameter(i: usize, params: &[Value]) -> Expr {
+    match params.get(i).and_then(Value::data_type) {
+        Some(to) => Expr::Cast {
+            expr: Box::new(Expr::Parameter(i)),
+            to,
+        },
+        None => Expr::Parameter(i),
     }
 }
 
@@ -862,10 +886,8 @@ impl<'a, 'b> Planner<'a, 'b> {
                         return Err(SqlError::Plan(format!("view '{name}' is not a query")));
                     };
                     let nested_ctx = PlanContext {
-                        catalog: self.ctx.catalog,
-                        provider: self.ctx.provider,
-                        subqueries: self.ctx.subqueries,
                         view_depth: self.ctx.view_depth + 1,
+                        ..*self.ctx
                     };
                     let plan = Planner { ctx: &nested_ctx }.plan_query(&q)?;
                     let qual = alias.clone().unwrap_or_else(|| name.clone());
@@ -1049,10 +1071,7 @@ impl<'a, 'b> Planner<'a, 'b> {
                 let exists = batch.num_rows() > 0;
                 Ok(Expr::Literal(Value::Bool(exists != negated)))
             }
-            // Parameters survive planning so a prepared plan can be cached
-            // and re-executed with fresh bindings; missing values surface as
-            // typed execution errors at execute time.
-            p @ Expr::Parameter(_) => Ok(p),
+            Expr::Parameter(i) => Ok(typed_parameter(i, self.ctx.params)),
             other => Ok(other),
         })
     }
@@ -1344,40 +1363,49 @@ fn agg_output_type(
 }
 
 /// Infer the type of a resolved expression over `schema`. `Ok(None)` means
-/// "unknown" (a bare NULL), which unifies with anything.
+/// "unknown" (a bare NULL or an untyped `?`), which unifies with anything.
 pub fn expr_type(
     e: &Expr,
     schema: &Schema,
     provider: &dyn InferenceProvider,
 ) -> Result<Option<DataType>> {
-    use crate::ast::BinOp;
+    let mut kids = Vec::new();
+    e.for_each_child(&mut |c| kids.push(expr_type(c, schema, provider)));
+    let kids = kids.into_iter().collect::<Result<Vec<_>>>()?;
+    node_type(e, &kids, schema, provider)
+}
+
+/// The type rule of one node, given the types of its children in
+/// [`Expr::for_each_child`] order: [`expr_type`] applies it at every node,
+/// and [`crate::exec::PhysExpr::compile`] to the children it compiled.
+pub fn node_type(
+    e: &Expr,
+    kids: &[Option<DataType>],
+    schema: &Schema,
+    provider: &dyn InferenceProvider,
+) -> Result<Option<DataType>> {
+    use crate::ast::{BinOp, UnOp};
     Ok(match e {
         Expr::Column { name, .. } => Some(schema.field(name)?.data_type),
         Expr::Literal(v) => v.data_type(),
-        Expr::Binary { left, op, right } => {
-            let lt = expr_type(left, schema, provider)?;
-            let rt = expr_type(right, schema, provider)?;
-            match op {
-                BinOp::And | BinOp::Or => Some(DataType::Bool),
-                op if op.is_comparison() => Some(DataType::Bool),
-                BinOp::Concat => Some(DataType::Text),
-                BinOp::Div => Some(DataType::Float),
-                _ => match (lt, rt) {
-                    (Some(a), Some(b)) => {
-                        let unified = a.unify(b).filter(|t| t.is_numeric());
-                        Some(unified.ok_or_else(|| {
-                            SqlError::Plan(format!("cannot apply {op} to {a} and {b}"))
-                        })?)
-                    }
-                    (Some(a), None) | (None, Some(a)) => Some(a),
-                    (None, None) => None,
-                },
-            }
-        }
-        Expr::Unary { op, expr } => match op {
-            crate::ast::UnOp::Not => Some(DataType::Bool),
-            crate::ast::UnOp::Neg => expr_type(expr, schema, provider)?,
+        Expr::Binary { op, .. } => match op {
+            BinOp::And | BinOp::Or => Some(DataType::Bool),
+            op if op.is_comparison() => Some(DataType::Bool),
+            BinOp::Concat => Some(DataType::Text),
+            BinOp::Div => Some(DataType::Float),
+            _ => match (kids[0], kids[1]) {
+                (Some(a), Some(b)) => {
+                    let unified = a.unify(b).filter(|t| t.is_numeric());
+                    Some(unified.ok_or_else(|| {
+                        SqlError::Plan(format!("cannot apply {op} to {a} and {b}"))
+                    })?)
+                }
+                (Some(a), None) | (None, Some(a)) => Some(a),
+                (None, None) => None,
+            },
         },
+        Expr::Unary { op: UnOp::Not, .. } => Some(DataType::Bool),
+        Expr::Unary { op: UnOp::Neg, .. } => kids[0],
         Expr::IsNull { .. }
         | Expr::InList { .. }
         | Expr::Between { .. }
@@ -1385,48 +1413,47 @@ pub fn expr_type(
         | Expr::Exists { .. }
         | Expr::InSubquery { .. } => Some(DataType::Bool),
         Expr::Case {
+            operand,
             when_then,
             else_expr,
-            ..
         } => {
-            let mut ty: Option<DataType> = None;
-            let mut branches: Vec<&Expr> = when_then.iter().map(|(_, t)| t).collect();
-            if let Some(e) = else_expr {
-                branches.push(e);
-            }
-            for b in branches {
-                if let Some(bt) = expr_type(b, schema, provider)? {
-                    ty = Some(match ty {
-                        None => bt,
-                        Some(t) => t.unify(bt).ok_or_else(|| {
-                            SqlError::Plan(format!(
-                                "CASE branches have incompatible types {t} and {bt}"
-                            ))
-                        })?,
-                    });
-                }
-            }
-            ty
+            // children: [operand], (when, then)*, [else]
+            let first = usize::from(operand.is_some());
+            let thens = (0..when_then.len()).map(|i| kids[first + 2 * i + 1]);
+            let otherwise = else_expr.as_ref().and_then(|_| *kids.last()?);
+            unify_known(thens.chain([otherwise]), |t, bt| {
+                format!("CASE branches have incompatible types {t} and {bt}")
+            })?
         }
-        Expr::Function { name, args, .. } => {
-            Some(function_type(name, args, schema, provider)?)
-        }
+        Expr::Function { name, .. } => Some(function_type(name, kids)?),
         Expr::Cast { to, .. } => Some(*to),
         Expr::Predict { model, .. } => Some(provider.output_type(model)?),
-        Expr::Subquery(_) => None,
+        Expr::Subquery(_) | Expr::Parameter(_) => None,
         Expr::Wildcard => {
             return Err(SqlError::Plan("'*' is only valid inside COUNT(*)".into()))
         }
-        Expr::Parameter(_) => None,
     })
 }
 
-fn function_type(
-    name: &str,
-    args: &[Expr],
-    schema: &Schema,
-    provider: &dyn InferenceProvider,
-) -> Result<DataType> {
+/// The one type the known types of `types` unify to (`None` when none is
+/// known); `incompatible` words the error for two that do not unify.
+fn unify_known(
+    types: impl IntoIterator<Item = Option<DataType>>,
+    incompatible: impl Fn(DataType, DataType) -> String,
+) -> Result<Option<DataType>> {
+    let mut ty: Option<DataType> = None;
+    for t in types.into_iter().flatten() {
+        ty = Some(match ty {
+            None => t,
+            Some(prev) => prev
+                .unify(t)
+                .ok_or_else(|| SqlError::Plan(incompatible(prev, t)))?,
+        });
+    }
+    Ok(ty)
+}
+
+fn function_type(name: &str, args: &[Option<DataType>]) -> Result<DataType> {
     if let Some(f) = AggFunc::parse(name) {
         // reaching here means an aggregate leaked outside Aggregate planning
         return Err(SqlError::Plan(format!(
@@ -1434,14 +1461,7 @@ fn function_type(
         )));
     }
     Ok(match name {
-        "ABS" => {
-            let t = args
-                .first()
-                .and_then(|a| expr_type(a, schema, provider).transpose())
-                .transpose()?
-                .unwrap_or(DataType::Float);
-            t
-        }
+        "ABS" => args.first().copied().flatten().unwrap_or(DataType::Float),
         "ROUND" | "FLOOR" | "CEIL" | "CEILING" | "SQRT" | "EXP" | "LN" | "LOG" | "POWER"
         | "POW" | "SIGMOID" => DataType::Float,
         "UPPER" | "LOWER" | "SUBSTR" | "SUBSTRING" | "CONCAT" | "TRIM" | "REPLACE" => {
@@ -1449,20 +1469,10 @@ fn function_type(
         }
         "LENGTH" | "YEAR" | "MONTH" | "DAY" => DataType::Int,
         "COALESCE" | "NULLIF" | "GREATEST" | "LEAST" | "IFNULL" => {
-            let mut ty = None;
-            for a in args {
-                if let Some(t) = expr_type(a, schema, provider)? {
-                    ty = Some(match ty {
-                        None => t,
-                        Some(prev) => DataType::unify(prev, t).ok_or_else(|| {
-                            SqlError::Plan(format!(
-                                "{name} arguments have incompatible types"
-                            ))
-                        })?,
-                    });
-                }
-            }
-            ty.unwrap_or(DataType::Text)
+            unify_known(args.iter().copied(), |_, _| {
+                format!("{name} arguments have incompatible types")
+            })?
+            .unwrap_or(DataType::Text)
         }
         other => {
             return Err(SqlError::Plan(format!("unknown function '{other}'")));

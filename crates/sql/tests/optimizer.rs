@@ -190,3 +190,23 @@ fn pushdown_through_projection_substitutes_exprs() {
         .unwrap();
     assert_eq!(b.num_rows(), 3); // 150, 190, 120
 }
+
+#[test]
+fn negating_i64_min_is_a_typed_error_folded_or_not() {
+    let db = setup();
+    for cfg in [OptimizerConfig::default(), OptimizerConfig::disabled()] {
+        db.set_optimizer_config(cfg);
+        let err = db
+            .query("SELECT -CAST('-9223372036854775808' AS INT) AS v FROM orders")
+            .unwrap_err();
+        assert!(
+            matches!(&err, flock_sql::SqlError::Execution(m) if m.contains("integer overflow")),
+            "{cfg:?}: {err:?}"
+        );
+        // the fold still negates every other integer
+        let b = db
+            .query("SELECT -CAST('-9223372036854775807' AS INT) AS v FROM orders")
+            .unwrap();
+        assert_eq!(b.column(0).get(0), Value::Int(i64::MAX), "{cfg:?}");
+    }
+}

@@ -2,7 +2,7 @@
 //! every invalidation path (DDL, options, ACL, session strategy), DML
 //! rebinding, transaction bypass, and typed bind errors.
 
-use flock_sql::{Database, SqlError, Value};
+use flock_sql::{Database, RecordBatch, SqlError, Value};
 
 fn db_with_items() -> Database {
     let db = Database::new();
@@ -283,4 +283,134 @@ fn prepared_gauge_tracks_live_handles() {
     assert_eq!(gauge.load(Ordering::Relaxed), base + 1);
     drop(p2);
     assert_eq!(gauge.load(Ordering::Relaxed), base);
+}
+
+/// Runs `sql` with `params` by `execute_with_params`, by `execute_prepared`
+/// and by `execute_prepared` inside `BEGIN`, and returns the three batches.
+fn every_binding(s: &mut flock_sql::Session, sql: &str, params: &[Value]) -> Vec<RecordBatch> {
+    let with_params = s.execute_with_params(sql, params).unwrap();
+    let p = s.prepare(sql).unwrap();
+    let prepared = s.execute_prepared(&p, params).unwrap();
+    s.execute("BEGIN").unwrap();
+    let in_txn = s.execute_prepared(&p, params).unwrap();
+    s.execute("COMMIT").unwrap();
+    [with_params, prepared, in_txn]
+        .into_iter()
+        .map(|r| r.batch.unwrap())
+        .collect()
+}
+
+fn rows(b: &RecordBatch) -> Vec<String> {
+    (0..b.num_rows()).map(|r| format!("{:?}", b.row(r))).collect()
+}
+
+#[test]
+fn a_subquery_takes_parameters_on_every_path() {
+    let db = db_with_items();
+    let mut s = db.session("admin");
+    let literal = db
+        .query("SELECT id FROM items WHERE id IN (SELECT id FROM items WHERE price > 15.0) ORDER BY id")
+        .unwrap();
+    assert_eq!(literal.num_rows(), 3);
+    let sql = "SELECT id FROM items WHERE id IN (SELECT id FROM items WHERE price > ?) ORDER BY id";
+    for got in every_binding(&mut s, sql, &[Value::Float(15.0)]) {
+        assert_eq!(rows(&got), rows(&literal));
+    }
+}
+
+#[test]
+fn explain_analyze_takes_parameters() {
+    let db = db_with_items();
+    let mut s = db.session("admin");
+    let sql = "EXPLAIN ANALYZE SELECT id FROM items WHERE price > ?";
+    for got in every_binding(&mut s, sql, &[Value::Float(15.0)]) {
+        let plan = rows(&got).join("\n");
+        assert!(plan.contains("Scan") && plan.contains("(rows=3,"), "{plan}");
+    }
+}
+
+#[test]
+fn execute_with_params_checks_arity_as_a_prepared_statement_does() {
+    let db = db_with_items();
+    let mut s = db.session("admin");
+    let sql = "SELECT id FROM items WHERE price > ? AND tag = ?";
+    for params in [
+        vec![Value::Float(1.0)],
+        vec![Value::Float(1.0), Value::Text("a".into()), Value::Int(3)],
+    ] {
+        let err = s.execute_with_params(sql, &params).unwrap_err();
+        assert!(
+            matches!(&err, SqlError::Plan(m) if m.contains("expects 2 parameter(s)")),
+            "{err:?}"
+        );
+    }
+}
+
+/// `sql` with a `?` is refused with a typed error on every entry point
+/// and commits nothing; the same text with `value` in place of the `?`
+/// commits.
+fn refuses_a_parameter(db: &Database, sql: &str, value: &str, committed: impl Fn() -> bool) {
+    let mut s = db.session("admin");
+    for err in [
+        s.execute(sql).unwrap_err(),
+        s.execute_with_params(sql, &[Value::Float(1.0)]).unwrap_err(),
+        s.prepare(sql).err().unwrap(),
+    ] {
+        assert!(
+            matches!(&err, SqlError::Plan(m) if m.contains("cannot hold a `?` parameter")),
+            "{err:?}"
+        );
+        assert!(!committed(), "{sql}");
+    }
+    s.execute(&sql.replace('?', value)).unwrap();
+    assert!(committed(), "{sql}");
+}
+
+#[test]
+fn a_view_refuses_a_parameter() {
+    let db = db_with_items();
+    let sql = "CREATE VIEW pricey AS SELECT id FROM items WHERE price > ?";
+    refuses_a_parameter(&db, sql, "15.0", || db.catalog().view("pricey").is_some());
+    assert_eq!(db.query("SELECT * FROM pricey").unwrap().num_rows(), 3);
+}
+
+#[test]
+fn a_continuous_query_refuses_a_parameter() {
+    let db = Database::new();
+    db.execute("CREATE STREAM s (et INT, k INT) WATERMARK (et, 0)")
+        .unwrap();
+    let sql = "CREATE CONTINUOUS QUERY counts ON s WINDOW TUMBLING (100) \
+               EMIT INTO s_counts AS SELECT k, COUNT(*) AS n FROM s WHERE k > ? GROUP BY k";
+    refuses_a_parameter(&db, sql, "0", || db.catalog().has_table("s_counts"));
+}
+
+#[test]
+fn values_cells_take_bound_values() {
+    let db = db_with_items();
+    let mut s = db.session("admin");
+    let sql = "INSERT INTO items VALUES (?, ?, ?), (? + 1, -?, 'z')";
+    let params = [
+        Value::Int(5),
+        Value::Int(50),
+        Value::Null,
+        Value::Int(5),
+        Value::Float(60.5),
+    ];
+    assert_eq!(s.execute_with_params(sql, &params).unwrap().rows_affected, 2);
+    let p = s.prepare(sql).unwrap();
+    s.execute("BEGIN").unwrap();
+    s.execute_prepared(&p, &params).unwrap();
+    s.execute("COMMIT").unwrap();
+    let b = db
+        .query("SELECT id, price, tag FROM items WHERE id > 4 ORDER BY id, price")
+        .unwrap();
+    assert_eq!(
+        rows(&b),
+        [
+            "[Int(5), Float(50.0), Null]",
+            "[Int(5), Float(50.0), Null]",
+            "[Int(6), Float(-60.5), Text(\"z\")]",
+            "[Int(6), Float(-60.5), Text(\"z\")]",
+        ]
+    );
 }
