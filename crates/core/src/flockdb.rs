@@ -584,7 +584,7 @@ impl FlockSession {
     fn describe_model(&mut self, sql: &str) -> Result<QueryResult> {
         let tokens = tokenize(sql)?;
         let name = match tokens.get(2) {
-            Some(Token::Ident(s)) | Some(Token::QuotedIdent(s)) => s.clone(),
+            Some(Token::Ident(s)) | Some(Token::QuotedIdent(s)) => s.to_string(),
             _ => return Err(SqlError::Parse("expected DESCRIBE MODEL <name>".into())),
         };
         let catalog = self.flock.db.catalog();

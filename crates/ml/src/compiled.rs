@@ -315,7 +315,7 @@ impl Masks {
                         bins[col(slot)].fill(b);
                     }
                     for (r, v) in vals.iter().enumerate() {
-                        let hit = categories.iter().position(|c| c == v);
+                        let hit = categories.position(v);
                         if let Some((slot, b)) = hit.and_then(|i| ones[i]) {
                             bins[slot * n + r] = b;
                         }

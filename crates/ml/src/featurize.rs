@@ -57,7 +57,7 @@ pub enum Encoder {
     Numeric,
     /// One-hot over a fixed category list; unseen categories encode to
     /// all-zeros. Produces `categories.len()` features.
-    OneHot { categories: Vec<String> },
+    OneHot { categories: Categories },
     /// Feature hashing of whitespace-tokenized text into `buckets`
     /// counting features.
     Hashing { buckets: usize },
@@ -88,6 +88,82 @@ impl Encoder {
     /// Does this encoder consume string input?
     pub fn takes_strings(&self) -> bool {
         matches!(self, Encoder::OneHot { .. } | Encoder::Hashing { .. })
+    }
+}
+
+/// A one-hot encoder's category list, indexed by text: a value finds its
+/// slot with one hash and (almost always) one string compare, however
+/// long the list. A category listed twice keeps its first slot.
+#[derive(Clone)]
+pub struct Categories {
+    names: Vec<String>,
+    /// Open addressing over [`fnv1a`], probed linearly: each entry is 0
+    /// (empty) or 1 + the slot of the first category with that text. Its
+    /// length is a power of two above `names.len()`, so a probe ends.
+    index: Vec<u32>,
+}
+
+impl Categories {
+    /// The slot `v` one-hot encodes to: its first position in the list.
+    #[inline]
+    pub fn position(&self, v: &str) -> Option<usize> {
+        let mask = self.index.len() - 1;
+        let mut at = fnv1a(v) as usize & mask;
+        loop {
+            let slot = (self.index[at] as usize).checked_sub(1)?;
+            if self.names[slot] == v {
+                return Some(slot);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+}
+
+impl From<Vec<String>> for Categories {
+    fn from(names: Vec<String>) -> Self {
+        let mut categories = Categories {
+            index: vec![0; (2 * names.len() + 1).next_power_of_two()],
+            names,
+        };
+        let mask = categories.index.len() - 1;
+        for slot in 0..categories.names.len() {
+            let name = &categories.names[slot];
+            if categories.position(name).is_some() {
+                continue; // listed before: the first slot stands
+            }
+            let mut at = fnv1a(name) as usize & mask;
+            while categories.index[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            categories.index[at] = slot as u32 + 1;
+        }
+        categories
+    }
+}
+
+impl FromIterator<String> for Categories {
+    fn from_iter<I: IntoIterator<Item = String>>(names: I) -> Self {
+        Categories::from(names.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl std::ops::Deref for Categories {
+    type Target = [String];
+
+    fn deref(&self) -> &[String] {
+        &self.names
+    }
+}
+
+impl PartialEq for Categories {
+    fn eq(&self, other: &Self) -> bool {
+        self.names == other.names
+    }
+}
+
+impl std::fmt::Debug for Categories {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.names.fmt(f)
     }
 }
 
@@ -124,7 +200,9 @@ impl ColumnPipeline {
         ColumnPipeline {
             input: input.into(),
             steps: vec![],
-            encoder: Encoder::OneHot { categories },
+            encoder: Encoder::OneHot {
+                categories: categories.into(),
+            },
         }
     }
 
@@ -183,7 +261,7 @@ impl ColumnPipeline {
             }
             Encoder::OneHot { categories } => {
                 for (r, v) in self.text_input(frame)?[rows].iter().enumerate() {
-                    if let Some(i) = categories.iter().position(|c| c == v) {
+                    if let Some(i) = categories.position(v) {
                         out[r * total + offset + i] = 1.0;
                     }
                 }
@@ -256,7 +334,7 @@ impl ColumnPipeline {
                 out[bin_of(edges, self.preprocess(*raw))] = 1.0;
             }
             (Encoder::OneHot { categories }, RawValue::Text(v)) => {
-                if let Some(i) = categories.iter().position(|c| c == v) {
+                if let Some(i) = categories.position(v) {
                     out[i] = 1.0;
                 }
             }
@@ -328,6 +406,26 @@ mod tests {
         let mut out = vec![0.0; 6];
         cp.encode_into(&f, &mut out, 0, 2).unwrap();
         assert_eq!(out, vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn category_lookup_is_the_first_match_of_a_scan() {
+        let long = |tail: &str| format!("a category name longer than eight bytes {tail}");
+        let mut names: Vec<String> = ["", "x", "xy", "yx", "abcd", "abcde", "é", "x", "abcd"]
+            .map(String::from)
+            .to_vec();
+        names.extend((0..40).map(|i| long(&i.to_string())));
+        names.push(long("7"));
+        let categories = Categories::from(names.clone());
+        assert_eq!(format!("{categories:?}"), format!("{names:?}"));
+        let mut probes = names.clone();
+        probes.extend(["y", "abc", "xx", "ab", "e\u{301}"].map(String::from));
+        probes.push(long("40"));
+        for v in &probes {
+            let scan = names.iter().position(|c| c == v);
+            assert_eq!(categories.position(v), scan, "{v:?}");
+        }
+        assert_eq!(Categories::from(Vec::new()).position("x"), None);
     }
 
     #[test]

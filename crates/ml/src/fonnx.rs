@@ -401,7 +401,8 @@ fn encoder_from_value(v: &Value) -> Result<Encoder> {
             categories: strings_from(
                 get(p, "categories", "OneHot")?,
                 "OneHot.categories",
-            )?,
+            )?
+            .into(),
         }),
         "Hashing" => Ok(Encoder::Hashing {
             buckets: as_usize(get(p, "buckets", "Hashing")?, "Hashing.buckets")?,

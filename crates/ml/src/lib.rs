@@ -36,7 +36,7 @@ pub mod train;
 pub use compiled::{CompiledModel, CompiledPipeline};
 pub use drift::{DriftReport, DriftVerdict, ScoreProfile};
 pub use error::{MlError, Result};
-pub use featurize::{ColumnPipeline, Encoder, NumericStep, RawValue};
+pub use featurize::{Categories, ColumnPipeline, Encoder, NumericStep, RawValue};
 pub use frame::{Frame, FrameCol};
 pub use matrix::Matrix;
 pub use model::{

@@ -192,7 +192,7 @@ impl Session {
             let norm = normalize(&tokens);
             crate::parser::parse_token_stream(norm.tokens.clone())?;
             let kind = PreparedKind::Query {
-                tokens: norm.tokens,
+                tokens: norm.tokens.into_iter().map(Token::into_owned).collect(),
                 slots: norm.slots,
             };
             (kind, norm.user_params)
@@ -243,14 +243,14 @@ impl Session {
     /// every other statement is parsed from the same tokens.
     fn run_tokens(
         &mut self,
-        tokens: Vec<Token>,
+        tokens: Vec<Token<'_>>,
         params: Vec<Value>,
         sql: &str,
     ) -> Result<QueryResult> {
         let params = Arc::new(params);
         if self.txn.is_none() && is_select(&tokens) {
             let key = CacheKey {
-                tokens,
+                tokens: tokens.into_iter().map(Token::into_owned).collect(),
                 param_types: params.iter().map(Value::data_type).collect(),
                 predict: self.vars.predict_strategy,
             };
@@ -768,7 +768,7 @@ enum PreparedKind {
     /// A query: executes through the plan cache.
     Query {
         /// Normalized token stream (literals parameterized out).
-        tokens: Vec<Token>,
+        tokens: Vec<Token<'static>>,
         /// How each `?` in `tokens` is filled at execute time.
         slots: Vec<ParamSlot>,
     },
@@ -783,7 +783,7 @@ fn is_select(tokens: &[Token]) -> bool {
 /// Parse one statement, returning it with its number of `?` placeholders.
 /// A view, a continuous query and a model store their query and run it
 /// again later, when no value is bound: a `?` in one is refused here.
-fn parse(tokens: Vec<Token>) -> Result<(Statement, usize)> {
+fn parse(tokens: Vec<Token<'_>>) -> Result<(Statement, usize)> {
     let (stmt, params) = crate::parser::parse_token_stream(tokens)?;
     let stored = match &stmt {
         Statement::CreateView { .. } => "a view",

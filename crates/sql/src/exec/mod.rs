@@ -1230,19 +1230,19 @@ fn execute_sort(
         std::cmp::Ordering::Equal
     };
 
-    // Top-K: select the first `k` rows of the order without sorting the
+    // Top-K: keep the first `k` rows of the order without sorting the
     // rest. Breaking key ties by row position makes the order total and
     // equal to the stable sort's (earliest row first), so the selection
     // is exactly the stable sort's prefix — serially, whatever the
-    // degree: one pass over typed keys is cheaper than merging runs.
+    // degree: one pass over typed keys is cheaper than merging runs. A
+    // lone FLOAT or INT key is compared as one integer per row.
     if let Some(k) = fetch.filter(|k| *k < n) {
-        let mut indices: Vec<usize> = (0..n).collect();
-        let total = |a: &usize, b: &usize| cmp_rows(*a, *b).then(a.cmp(b));
-        if k > 0 {
-            indices.select_nth_unstable_by(k - 1, total);
-        }
-        indices.truncate(k);
-        indices.sort_unstable_by(total);
+        let directed = |asc: bool, key: u64| if asc { key } else { !key };
+        let indices = match sort_keys.as_slice() {
+            [(SortKey::Float(v), asc)] => top_k(n, k, |r| directed(*asc, float_order(v[r]))),
+            [(SortKey::Int(v), asc)] => top_k(n, k, |r| directed(*asc, v[r] as u64 ^ 1 << 63)),
+            _ => top_k(n, k, |r| RowOrder(r, &cmp_rows)),
+        };
         return batch.take(&indices);
     }
 
@@ -1295,6 +1295,62 @@ fn execute_sort(
         }
     }
     batch.take(&indices)
+}
+
+/// The `k` first of rows `0..n` ordered by `(key(r), r)`, in that order: a
+/// bounded max-heap whose top is the current k-th row, so a row that does
+/// not make the cut costs one comparison.
+fn top_k<K: Ord>(n: usize, k: usize, key: impl Fn(usize) -> K) -> Vec<usize> {
+    let mut heap = std::collections::BinaryHeap::with_capacity(k);
+    for r in 0..n {
+        if heap.len() < k {
+            heap.push((key(r), r));
+            continue;
+        }
+        let Some(mut kth) = heap.peek_mut() else {
+            break; // k == 0
+        };
+        let row = (key(r), r);
+        if row < *kth {
+            *kth = row;
+        }
+    }
+    heap.into_sorted_vec().into_iter().map(|(_, r)| r).collect()
+}
+
+/// A row ordered by a row comparator, for [`top_k`] over keys with no
+/// integer form.
+struct RowOrder<'c, F>(usize, &'c F);
+
+impl<F: Fn(usize, usize) -> std::cmp::Ordering> Ord for RowOrder<'_, F> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.1)(self.0, other.0)
+    }
+}
+
+impl<F: Fn(usize, usize) -> std::cmp::Ordering> PartialOrd for RowOrder<'_, F> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<F: Fn(usize, usize) -> std::cmp::Ordering> PartialEq for RowOrder<'_, F> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<F: Fn(usize, usize) -> std::cmp::Ordering> Eq for RowOrder<'_, F> {}
+
+/// `x` as an unsigned integer in [`SortKey::Float`]'s order: -0.0 just
+/// below +0.0, and every NaN one value, above +inf.
+fn float_order(x: f64) -> u64 {
+    let bits = if x.is_nan() { f64::NAN } else { x }.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 /// A sort key column read in place: the two hot types compare on their

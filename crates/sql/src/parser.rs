@@ -5,6 +5,7 @@ use crate::catalog::Privilege;
 use crate::error::{Result, SqlError};
 use crate::lexer::{tokenize, Token};
 use crate::types::{parse_date, DataType, Value};
+use std::borrow::Cow;
 
 /// Parse one SQL statement (a trailing semicolon is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
@@ -40,47 +41,60 @@ pub fn parse_expr(sql: &str) -> Result<Expr> {
 /// Parse a pre-tokenized statement (the plan cache normalizes token streams
 /// before parsing, so re-rendering to text would be lossy). Returns the
 /// statement plus the number of `?` placeholders encountered.
-pub fn parse_token_stream(tokens: Vec<Token>) -> Result<(Statement, usize)> {
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        params: 0,
-    };
+pub fn parse_token_stream(tokens: Vec<Token<'_>>) -> Result<(Statement, usize)> {
+    let mut p = Parser::from_tokens(tokens);
     let stmt = p.statement()?;
     p.eat(&Token::Semicolon);
     p.expect_eof()?;
     Ok((stmt, p.params))
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The parser moves each token out of the stream as it consumes it (it
+/// never backs up), so a word or literal reaches the AST with no copy
+/// beyond the one the AST's own `String` needs.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     params: usize,
 }
 
-impl Parser {
-    fn new(sql: &str) -> Result<Self> {
-        Ok(Parser {
-            tokens: tokenize(sql)?,
+impl<'a> Parser<'a> {
+    fn new(sql: &'a str) -> Result<Self> {
+        Ok(Parser::from_tokens(tokenize(sql)?))
+    }
+
+    fn from_tokens(mut tokens: Vec<Token<'a>>) -> Self {
+        if tokens.last() != Some(&Token::Eof) {
+            tokens.push(Token::Eof);
+        }
+        Parser {
+            tokens,
             pos: 0,
             params: 0,
-        })
-    }
-
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
-    fn peek2(&self) -> &Token {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
-    }
-
-    fn next(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
         }
-        t
+    }
+
+    fn peek(&self) -> &Token<'a> {
+        self.peek_at(0)
+    }
+
+    /// The token `n` places ahead (the final `Eof` past the end).
+    fn peek_at(&self, n: usize) -> &Token<'a> {
+        &self.tokens[(self.pos + n).min(self.tokens.len() - 1)]
+    }
+
+    fn next(&mut self) -> Token<'a> {
+        if self.pos + 1 < self.tokens.len() {
+            self.pos += 1;
+            std::mem::take(&mut self.tokens[self.pos - 1])
+        } else {
+            Token::Eof
+        }
+    }
+
+    /// Consume the next token if `want` accepts it.
+    fn next_if(&mut self, want: impl FnOnce(&Token<'a>) -> bool) -> Option<Token<'a>> {
+        want(self.peek()).then(|| self.next())
     }
 
     fn eat(&mut self, t: &Token) -> bool {
@@ -142,8 +156,7 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String> {
         match self.next() {
-            Token::Ident(s) => Ok(s),
-            Token::QuotedIdent(s) => Ok(s),
+            Token::Ident(s) | Token::QuotedIdent(s) => Ok(s.into_owned()),
             other => Err(SqlError::Parse(format!(
                 "expected identifier, found '{other}'"
             ))),
@@ -194,15 +207,7 @@ impl Parser {
             if self.eat_kw("ADD") {
                 self.eat_kw("COLUMN");
                 let col_name = self.ident()?;
-                let ty_name = self.ident()?.to_ascii_uppercase();
-                let data_type = DataType::parse(&ty_name)
-                    .ok_or_else(|| SqlError::Parse(format!("unknown type '{ty_name}'")))?;
-                if self.eat(&Token::LParen) {
-                    while self.peek() != &Token::RParen {
-                        self.next();
-                    }
-                    self.expect(&Token::RParen)?;
-                }
+                let data_type = self.data_type()?;
                 return Ok(Statement::AlterTable {
                     name,
                     action: AlterAction::AddColumn(ColumnDecl {
@@ -279,12 +284,13 @@ impl Parser {
             None
         };
         let source = if self.eat_kw("VALUES") {
-            let mut rows = Vec::new();
+            let mut rows: Vec<Vec<Expr>> = Vec::new();
             loop {
                 self.expect(&Token::LParen)?;
-                let mut row = vec![self.expr()?];
+                let mut row = Vec::with_capacity(rows.first().map_or(4, Vec::len));
+                row.push(self.cell()?);
                 while self.eat(&Token::Comma) {
-                    row.push(self.expr()?);
+                    row.push(self.cell()?);
                 }
                 self.expect(&Token::RParen)?;
                 rows.push(row);
@@ -303,10 +309,35 @@ impl Parser {
         })
     }
 
+    /// One `VALUES` cell. A lone literal — a number, a string or `NULL`,
+    /// optionally after `-` — followed by `,` or `)` is read without the
+    /// expression grammar, into the `Expr` that grammar builds for it; any
+    /// other cell goes through [`Parser::expr`].
+    fn cell(&mut self) -> Result<Expr> {
+        let neg = usize::from(self.peek() == &Token::Minus);
+        let literal = match self.peek_at(neg) {
+            Token::Number(_) | Token::StringLit(_) => true,
+            Token::Ident(w) => w.eq_ignore_ascii_case("NULL"),
+            _ => false,
+        };
+        if !literal || !matches!(self.peek_at(neg + 1), Token::Comma | Token::RParen) {
+            return self.expr();
+        }
+        if neg == 1 {
+            self.next();
+        }
+        let cell = Expr::Literal(match self.next() {
+            Token::Number(n) => number(&n)?,
+            Token::StringLit(s) => Value::Text(s.into_owned()),
+            _ => Value::Null,
+        });
+        Ok(if neg == 1 { negated(cell) } else { cell })
+    }
+
     /// Does the upcoming `(` open a subquery (`(SELECT ...`)?
     fn lparen_starts_query(&self) -> bool {
         self.peek() == &Token::LParen
-            && matches!(self.peek2(), Token::Ident(s) if s.eq_ignore_ascii_case("SELECT"))
+            && matches!(self.peek_at(1), Token::Ident(s) if s.eq_ignore_ascii_case("SELECT"))
     }
 
     fn update(&mut self) -> Result<Statement> {
@@ -504,22 +535,28 @@ impl Parser {
         })
     }
 
+    /// A type name; its parenthesized arguments (`VARCHAR(20)`,
+    /// `DECIMAL(10, 2)`), if any, are read and dropped.
+    fn data_type(&mut self) -> Result<DataType> {
+        let ty_name = self.ident()?.to_ascii_uppercase();
+        let data_type = DataType::parse(&ty_name)
+            .ok_or_else(|| SqlError::Parse(format!("unknown type '{ty_name}'")))?;
+        if self.eat(&Token::LParen) {
+            while !matches!(self.peek(), Token::RParen | Token::Eof) {
+                self.next();
+            }
+            self.expect(&Token::RParen)?;
+        }
+        Ok(data_type)
+    }
+
     /// The parenthesized column list of CREATE TABLE / CREATE STREAM.
     fn column_decls(&mut self) -> Result<Vec<ColumnDecl>> {
         self.expect(&Token::LParen)?;
         let mut columns = Vec::new();
         loop {
             let col_name = self.ident()?;
-            let ty_name = self.ident()?.to_ascii_uppercase();
-            let data_type = DataType::parse(&ty_name)
-                .ok_or_else(|| SqlError::Parse(format!("unknown type '{ty_name}'")))?;
-            // swallow optional (n) or (p, s) length args
-            if self.eat(&Token::LParen) {
-                while self.peek() != &Token::RParen {
-                    self.next();
-                }
-                self.expect(&Token::RParen)?;
-            }
+            let data_type = self.data_type()?;
             let mut nullable = true;
             loop {
                 if self.eat_kw("NOT") {
@@ -834,16 +871,14 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // alias.* ?
-        if let Token::Ident(q) = self.peek().clone() {
-            if self.peek2() == &Token::Dot {
-                let save = self.pos;
-                self.next();
-                self.next();
-                if self.eat(&Token::Star) {
-                    return Ok(SelectItem::QualifiedWildcard(q));
-                }
-                self.pos = save;
-            }
+        if matches!(
+            (self.peek(), self.peek_at(1), self.peek_at(2)),
+            (Token::Ident(_), Token::Dot, Token::Star)
+        ) {
+            let q = self.ident()?;
+            self.next();
+            self.next();
+            return Ok(SelectItem::QualifiedWildcard(q));
         }
         let expr = self.expr()?;
         let alias = if self.eat_kw("AS") {
@@ -851,16 +886,8 @@ impl Parser {
         } else {
             // bare alias: an identifier not a clause keyword
             match self.peek() {
-                Token::Ident(s) if !is_clause_keyword(s) => {
-                    let s = s.clone();
-                    self.next();
-                    Some(s)
-                }
-                Token::QuotedIdent(s) => {
-                    let s = s.clone();
-                    self.next();
-                    Some(s)
-                }
+                Token::Ident(s) if !is_clause_keyword(s) => Some(self.ident()?),
+                Token::QuotedIdent(_) => Some(self.ident()?),
                 _ => None,
             }
         };
@@ -928,9 +955,7 @@ impl Parser {
                         && !is_join_keyword(s)
                         && !s.eq_ignore_ascii_case("VERSION") =>
                 {
-                    let s = s.clone();
-                    self.next();
-                    Some(s)
+                    Some(self.ident()?)
                 }
                 _ => None,
             }
@@ -994,7 +1019,7 @@ impl Parser {
             });
         }
         let negated = if self.peek_kw("NOT")
-            && matches!(self.peek2(), Token::Ident(s)
+            && matches!(self.peek_at(1), Token::Ident(s)
                 if s.eq_ignore_ascii_case("IN")
                     || s.eq_ignore_ascii_case("BETWEEN")
                     || s.eq_ignore_ascii_case("LIKE"))
@@ -1098,16 +1123,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat(&Token::Minus) {
-            let inner = self.unary()?;
-            // fold negative literals immediately
-            return Ok(match inner {
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
-                Expr::Literal(Value::Float(f)) => Expr::Literal(Value::Float(-f)),
-                other => Expr::Unary {
-                    op: UnOp::Neg,
-                    expr: Box::new(other),
-                },
-            });
+            return Ok(negated(self.unary()?));
         }
         if self.eat(&Token::Plus) {
             return self.unary();
@@ -1116,155 +1132,99 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            Token::Number(n) => {
-                self.next();
-                if n.contains('.') || n.contains('e') || n.contains('E') {
-                    let f: f64 = n
-                        .parse()
-                        .map_err(|_| SqlError::Parse(format!("bad number '{n}'")))?;
-                    Ok(Expr::Literal(Value::Float(f)))
-                } else {
-                    match n.parse::<i64>() {
-                        Ok(i) => Ok(Expr::Literal(Value::Int(i))),
-                        Err(_) => {
-                            let f: f64 = n
-                                .parse()
-                                .map_err(|_| SqlError::Parse(format!("bad number '{n}'")))?;
-                            Ok(Expr::Literal(Value::Float(f)))
-                        }
-                    }
-                }
-            }
-            Token::StringLit(s) => {
-                self.next();
-                Ok(Expr::Literal(Value::Text(s)))
-            }
+        match self.next() {
+            Token::Number(n) => Ok(Expr::Literal(number(&n)?)),
+            Token::StringLit(s) => Ok(Expr::Literal(Value::Text(s.into_owned()))),
             Token::Question => {
-                self.next();
                 let idx = self.params;
                 self.params += 1;
                 Ok(Expr::Parameter(idx))
             }
             Token::LParen => {
-                if self.lparen_starts_query() {
-                    self.next();
-                    let q = self.query()?;
-                    self.expect(&Token::RParen)?;
-                    return Ok(Expr::Subquery(Box::new(q)));
-                }
-                self.next();
-                let e = self.expr()?;
+                let e = if self.peek_kw("SELECT") {
+                    Expr::Subquery(Box::new(self.query()?))
+                } else {
+                    self.expr()?
+                };
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
             Token::Ident(word) => self.ident_led_expr(word),
-            Token::QuotedIdent(name) => {
-                self.next();
-                Ok(Expr::Column {
-                    qualifier: None,
-                    name,
-                })
-            }
+            Token::QuotedIdent(name) => Ok(Expr::Column {
+                qualifier: None,
+                name: name.into_owned(),
+            }),
             other => Err(SqlError::Parse(format!(
                 "unexpected token '{other}' in expression"
             ))),
         }
     }
 
-    fn ident_led_expr(&mut self, word: String) -> Result<Expr> {
-        let upper = word.to_ascii_uppercase();
-        match upper.as_str() {
-            "NULL" => {
-                self.next();
-                return Ok(Expr::Literal(Value::Null));
+    /// The expression led by `word`, already consumed.
+    fn ident_led_expr(&mut self, word: Cow<'a, str>) -> Result<Expr> {
+        let kw = |k: &str| word.eq_ignore_ascii_case(k);
+        if kw("NULL") {
+            return Ok(Expr::Literal(Value::Null));
+        }
+        if kw("TRUE") || kw("FALSE") {
+            return Ok(Expr::Literal(Value::Bool(kw("TRUE"))));
+        }
+        if kw("DATE") {
+            if let Some(Token::StringLit(s)) = self.next_if(|t| matches!(t, Token::StringLit(_))) {
+                let d = parse_date(&s)
+                    .ok_or_else(|| SqlError::Parse(format!("invalid date literal '{s}'")))?;
+                return Ok(Expr::Literal(Value::Date(d)));
             }
-            "TRUE" => {
-                self.next();
-                return Ok(Expr::Literal(Value::Bool(true)));
+        }
+        if kw("CASE") {
+            return self.case_expr();
+        }
+        if kw("CAST") {
+            self.expect(&Token::LParen)?;
+            let e = self.expr()?;
+            self.expect_kw("AS")?;
+            let to = self.data_type()?;
+            self.expect(&Token::RParen)?;
+            return Ok(Expr::Cast {
+                expr: Box::new(e),
+                to,
+            });
+        }
+        if kw("EXISTS") {
+            self.expect(&Token::LParen)?;
+            let q = self.query()?;
+            self.expect(&Token::RParen)?;
+            return Ok(Expr::Exists {
+                query: Box::new(q),
+                negated: false,
+            });
+        }
+        if kw("PREDICT") && self.eat(&Token::LParen) {
+            let model = self.ident()?;
+            let mut args = Vec::new();
+            while self.eat(&Token::Comma) {
+                args.push(self.expr()?);
             }
-            "FALSE" => {
-                self.next();
-                return Ok(Expr::Literal(Value::Bool(false)));
-            }
-            "DATE" => {
-                if let Token::StringLit(_) = self.peek2() {
-                    self.next();
-                    if let Token::StringLit(s) = self.next() {
-                        let d = parse_date(&s).ok_or_else(|| {
-                            SqlError::Parse(format!("invalid date literal '{s}'"))
-                        })?;
-                        return Ok(Expr::Literal(Value::Date(d)));
-                    }
-                    unreachable!();
-                }
-            }
-            "CASE" => {
-                self.next();
-                return self.case_expr();
-            }
-            "CAST" => {
-                self.next();
-                self.expect(&Token::LParen)?;
-                let e = self.expr()?;
-                self.expect_kw("AS")?;
-                let ty_name = self.ident()?.to_ascii_uppercase();
-                let to = DataType::parse(&ty_name)
-                    .ok_or_else(|| SqlError::Parse(format!("unknown type '{ty_name}'")))?;
-                if self.eat(&Token::LParen) {
-                    while self.peek() != &Token::RParen {
-                        self.next();
-                    }
-                    self.expect(&Token::RParen)?;
-                }
-                self.expect(&Token::RParen)?;
-                return Ok(Expr::Cast {
-                    expr: Box::new(e),
-                    to,
-                });
-            }
-            "EXISTS" => {
-                self.next();
-                self.expect(&Token::LParen)?;
-                let q = self.query()?;
-                self.expect(&Token::RParen)?;
-                return Ok(Expr::Exists {
-                    query: Box::new(q),
-                    negated: false,
-                });
-            }
-            "PREDICT"
-                if self.peek2() == &Token::LParen => {
-                    self.next();
-                    self.next();
-                    let model = self.ident()?;
-                    let mut args = Vec::new();
-                    while self.eat(&Token::Comma) {
-                        args.push(self.expr()?);
-                    }
-                    self.expect(&Token::RParen)?;
-                    return Ok(Expr::Predict {
-                        model,
-                        args,
-                        strategy: PredictStrategy::Auto,
-                        pin: None,
-                    });
-                }
-            _ => {}
+            self.expect(&Token::RParen)?;
+            return Ok(Expr::Predict {
+                model,
+                args,
+                strategy: PredictStrategy::Auto,
+                pin: None,
+            });
         }
         if is_clause_keyword(&word) || is_join_keyword(&word) {
             return Err(SqlError::Parse(format!(
                 "unexpected keyword '{word}' in expression"
             )));
         }
-        self.next();
         // function call?
-        if self.peek() == &Token::LParen {
-            self.next();
+        if self.eat(&Token::LParen) {
+            let name = word.to_ascii_uppercase();
             if self.eat(&Token::Star) {
                 self.expect(&Token::RParen)?;
                 return Ok(Expr::Function {
-                    name: upper,
+                    name,
                     args: vec![Expr::Wildcard],
                     distinct: false,
                 });
@@ -1279,7 +1239,7 @@ impl Parser {
             }
             self.expect(&Token::RParen)?;
             return Ok(Expr::Function {
-                name: upper,
+                name,
                 args,
                 distinct,
             });
@@ -1288,13 +1248,13 @@ impl Parser {
         if self.eat(&Token::Dot) {
             let name = self.ident()?;
             return Ok(Expr::Column {
-                qualifier: Some(word),
+                qualifier: Some(word.into_owned()),
                 name,
             });
         }
         Ok(Expr::Column {
             qualifier: None,
-            name: word,
+            name: word.into_owned(),
         })
     }
 
@@ -1325,6 +1285,32 @@ impl Parser {
             when_then,
             else_expr,
         })
+    }
+}
+
+/// The value of a number literal: a decimal point or an exponent makes a
+/// FLOAT, anything else an INT, or a FLOAT past the INT range.
+pub(crate) fn number(n: &str) -> Result<Value> {
+    let float = || {
+        n.parse()
+            .map(Value::Float)
+            .map_err(|_| SqlError::Parse(format!("bad number '{n}'")))
+    };
+    if n.bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        return float();
+    }
+    n.parse().map(Value::Int).or_else(|_| float())
+}
+
+/// `-e`, with a number literal folded into its negation.
+fn negated(e: Expr) -> Expr {
+    match e {
+        Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
+        Expr::Literal(Value::Float(f)) => Expr::Literal(Value::Float(-f)),
+        other => Expr::Unary {
+            op: UnOp::Neg,
+            expr: Box::new(other),
+        },
     }
 }
 

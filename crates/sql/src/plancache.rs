@@ -35,6 +35,7 @@
 use crate::error::Result;
 use crate::exec::PhysicalPlan;
 use crate::lexer::Token;
+use crate::parser;
 use crate::plan::LogicalPlan;
 use crate::sync;
 use crate::table::TableVersion;
@@ -59,12 +60,13 @@ pub enum ParamSlot {
     Inline(Value),
 }
 
-/// Result of normalizing a token stream.
+/// Result of normalizing a token stream; its tokens borrow what the
+/// input's borrowed.
 #[derive(Debug, Clone)]
-pub struct NormalizedStatement {
+pub struct NormalizedStatement<'a> {
     /// The normalized stream (literals replaced by `Token::Question`),
     /// ending in `Token::Eof`. This is the cache-key token part.
-    pub tokens: Vec<Token>,
+    pub tokens: Vec<Token<'a>>,
     /// One entry per `?` in `tokens`, in appearance order.
     pub slots: Vec<ParamSlot>,
     /// Number of `?` placeholders the user wrote (bind arity).
@@ -73,7 +75,7 @@ pub struct NormalizedStatement {
 
 /// Replace literal tokens with `?` placeholders, recording how each slot
 /// is filled at execute time. See the module docs for what stays inline.
-pub fn normalize(tokens: &[Token]) -> NormalizedStatement {
+pub fn normalize<'a>(tokens: &[Token<'a>]) -> NormalizedStatement<'a> {
     let mut out = Vec::with_capacity(tokens.len());
     let mut slots = Vec::new();
     let mut user_params = 0usize;
@@ -145,12 +147,13 @@ pub fn normalize(tokens: &[Token]) -> NormalizedStatement {
                 if ordinal_clause.is_some_and(|d| depth == d) {
                     out.push(t.clone());
                 } else {
-                    slots.push(ParamSlot::Inline(number_value(n)));
+                    let value = parser::number(n).unwrap_or(Value::Float(f64::INFINITY));
+                    slots.push(ParamSlot::Inline(value));
                     out.push(Token::Question);
                 }
             }
             Token::StringLit(s) => {
-                slots.push(ParamSlot::Inline(Value::Text(s.clone())));
+                slots.push(ParamSlot::Inline(Value::Text(s.to_string())));
                 out.push(Token::Question);
             }
             other => out.push(other.clone()),
@@ -164,28 +167,15 @@ pub fn normalize(tokens: &[Token]) -> NormalizedStatement {
     }
 }
 
-/// Mirror of the parser's number-literal typing: decimal point or exponent
-/// makes a Float, everything else an Int (falling back to Float on i64
-/// overflow).
-fn number_value(n: &str) -> Value {
-    if n.contains('.') || n.contains('e') || n.contains('E') {
-        Value::Float(n.parse().unwrap_or(f64::INFINITY))
-    } else {
-        match n.parse::<i64>() {
-            Ok(i) => Value::Int(i),
-            Err(_) => Value::Float(n.parse().unwrap_or(f64::INFINITY)),
-        }
-    }
-}
-
 /// Cache key: normalized (or raw, for unprepared exact-match entries)
 /// token stream plus the parameter type signature, plus any session-local
 /// PREDICT strategy override (`SET predict_strategy`) — plans bake the
 /// resolved strategy in, so sessions with different overrides must not
-/// share entries.
+/// share entries. Its tokens own their text ([`Token::into_owned`]): a
+/// key outlives the statement text it was lexed from.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    pub tokens: Vec<Token>,
+    pub tokens: Vec<Token<'static>>,
     pub param_types: Vec<Option<DataType>>,
     pub predict: Option<crate::ast::PredictStrategy>,
 }
@@ -406,7 +396,7 @@ mod tests {
     use super::*;
     use crate::lexer::tokenize;
 
-    fn norm(sql: &str) -> NormalizedStatement {
+    fn norm(sql: &str) -> NormalizedStatement<'_> {
         normalize(&tokenize(sql).unwrap())
     }
 
@@ -463,7 +453,11 @@ mod tests {
 
     fn key(sql: &str) -> CacheKey {
         CacheKey {
-            tokens: tokenize(sql).unwrap(),
+            tokens: tokenize(sql)
+                .unwrap()
+                .into_iter()
+                .map(Token::into_owned)
+                .collect(),
             param_types: vec![],
             predict: None,
         }

@@ -33,27 +33,99 @@ fn parser_never_panics() {
         let _ = flock_sql::parser::parse_statement(input);
         let _ = flock_sql::parser::parse_expr(input);
         let _ = flock_sql::lexer::tokenize(input);
+        let _ = flock_sql::lexer::split_statements(input);
     };
     // A four-byte char once sliced mid-code-point by the lexer.
     check("\u{11d3f}");
+    // Tokens borrow the text by byte offsets: multi-byte characters
+    // against quotes, escapes, comments and numbers, closed or not.
+    for input in [
+        r#"'é"#, r#"'é''"#, r#"''é'"#, r#""é"""#, r#"é'"#, "1é", "1.é", "1eé", "1e+é", "--é",
+        "/*é", "/*é*", "é/*", "é--", r#"'😀'''"#, r#""😀""""#, r#"INSERT INTO t VALUES ('é'''"#,
+        "VALUES (-é)", r#"VALUES (-'é', 1é)"#, r#"""#, "'", "''", r#""""#, "''''", "-", "- 1e",
+        r#"x."é"#,
+    ] {
+        check(input);
+    }
+    // Type arguments cut off by the end of the text once never ended.
+    for input in [
+        "SELECT CAST(1 AS VARCHAR(",
+        "SELECT CAST(1 AS VARCHAR(20",
+        "CREATE TABLE t (a VARCHAR(",
+        "ALTER TABLE t ADD COLUMN c DOUBLE(1, ",
+    ] {
+        assert!(flock_sql::parser::parse_statement(input).is_err(), "{input}");
+    }
     for seed in test_seeds(256) {
         check(&StdRng::seed_from_u64(seed).gen_text(200));
     }
 }
 
-/// SQL-ish inputs exercise deeper parser paths; still no panics.
+/// SQL-ish inputs exercise deeper parser paths; still no panics. Words
+/// are joined with or without a space, so multi-byte characters land
+/// right next to quotes, comments and numbers.
 #[test]
 fn parser_survives_sql_shaped_garbage() {
-    const WORDS: [&str; 23] = [
+    const WORDS: [&str; 43] = [
         "SELECT", "FROM", "WHERE", "GROUP", "BY", "JOIN", "ON", "(", ")", ",", "x", "t", "1",
-        "'s'", "AND", "=", "*", "CASE", "END", "IN", "NOT", "NULL", "AS",
+        "'s'", "AND", "=", "*", "CASE", "END", "IN", "NOT", "NULL", "AS", "INSERT", "INTO",
+        "VALUES", "-", "1.", "1e3", "'it''s'", r#""a""b""#, "'", r#"""#, "--", "/*", "*/", "é",
+        "世", "😀'", "-9223372036854775808", "CAST", "''", r#""""#,
     ];
     for seed in test_seeds(256) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let sql: Vec<&str> = (0..rng.gen_range(0..30usize))
-            .map(|_| WORDS[rng.gen_range(0..WORDS.len())])
+        let mut sql = String::new();
+        for _ in 0..rng.gen_range(0..30usize) {
+            if rng.gen_bool(0.7) {
+                sql.push(' ');
+            }
+            sql.push_str(WORDS[rng.gen_range(0..WORDS.len())]);
+        }
+        let _ = flock_sql::parser::parse_statement(&sql);
+        let _ = flock_sql::parser::parse_script(&sql);
+    }
+}
+
+/// Lexing what a token stream renders to gives the stream back: quotes
+/// inside strings and quoted identifiers are doubled on the way out and
+/// unescaped on the way in, whatever characters surround them.
+#[test]
+fn lexer_round_trips_rendered_tokens() {
+    use flock_sql::lexer::{tokenize, Token};
+    const TEXT: &str = r#"ab'" é世😀_1"#;
+    const PUNCT: [&str; 19] = [
+        ",", "(", ")", ";", "*", "+", "-", "/", "%", ".", "=", "<>", "<", "<=", ">", ">=", "||",
+        "?", "!=",
+    ];
+    const NUMBERS: [&str; 8] = [
+        "0", "42", "1.", "1.5", "1e3", "2.5E-3", "7e+1", "9223372036854775808",
+    ];
+    // How a token is written back: its text, with quotes doubled.
+    let render = |t: &Token| match t {
+        Token::StringLit(s) => format!("'{}'", s.replace('\'', "''")),
+        Token::QuotedIdent(s) => format!("\"{}\"", s.replace('"', "\"\"")),
+        other => other.to_string(),
+    };
+    for seed in test_seeds(256) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let words: Vec<String> = (0..rng.gen_range(0..24usize))
+            .map(|_| match rng.gen_range(0..5u32) {
+                0 => format!("'{}'", rng.gen_word(TEXT, 0, 6).replace('\'', "''")),
+                1 => format!("\"{}\"", rng.gen_word(TEXT, 0, 6).replace('"', "\"\"")),
+                2 => NUMBERS[rng.gen_range(0..NUMBERS.len())].to_string(),
+                3 => format!("w{}", rng.gen_word("abé世_9", 0, 4)),
+                _ => PUNCT[rng.gen_range(0..PUNCT.len())].to_string(),
+            })
             .collect();
-        let _ = flock_sql::parser::parse_statement(&sql.join(" "));
+        let text = words.join(" ");
+        let tokens = tokenize(&text).unwrap_or_else(|e| panic!("seed {seed}: {text}: {e}"));
+        assert_eq!(tokens.len(), words.len() + 1, "seed {seed}: {text}");
+        let rendered: Vec<String> = tokens[..words.len()].iter().map(render).collect();
+        assert_eq!(
+            tokenize(&rendered.join(" ")).unwrap(),
+            tokens,
+            "seed {seed}: {text}"
+        );
     }
 }
 
@@ -182,6 +254,100 @@ fn order_by_sorts_and_permutes() {
         let mut expected = xs;
         expected.sort_unstable();
         assert_eq!(got, expected, "seed {seed}");
+    }
+}
+
+/// `ORDER BY … LIMIT k` is the stable sort's first k rows, for k in
+/// {0, 1, n-1, n, n+1} and both directions, over keys full of ties, NaN,
+/// ±0.0, the i64 extremes and NULL: NULL-free FLOAT and INT keys take
+/// the integer-key selection, the rest the row comparator.
+#[test]
+fn top_k_is_the_stable_sorts_prefix() {
+    let float = |rng: &mut StdRng| match rng.gen_range(0..6u32) {
+        0 => "CAST('NaN' AS DOUBLE)".to_string(),
+        1 => "-0.0".to_string(),
+        2 => "0.0".to_string(),
+        3 => "CAST('-inf' AS DOUBLE)".to_string(),
+        _ => format!("{:?}", rng.gen_range(-3i64..3) as f64 / 2.0),
+    };
+    let int = |rng: &mut StdRng| match rng.gen_range(0..5u32) {
+        0 => i64::MAX.to_string(),
+        1 => format!("{}", i64::MIN + 1),
+        _ => rng.gen_range(-3i64..3).to_string(),
+    };
+    for seed in test_seeds(64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..40usize);
+        let null_or = |rng: &mut StdRng, v: String| {
+            if rng.gen_bool(0.2) {
+                "NULL".to_string()
+            } else {
+                v
+            }
+        };
+        let rows: Vec<String> = (0..n)
+            .map(|id| {
+                let (f, i) = (float(&mut rng), int(&mut rng));
+                let (g, j) = (float(&mut rng), int(&mut rng));
+                let (g, j) = (null_or(&mut rng, g), null_or(&mut rng, j));
+                let s = format!("'{}'", rng.gen_word("ab", 0, 2));
+                let s = null_or(&mut rng, s);
+                format!("({id}, {f}, {g}, {i}, {j}, {s})")
+            })
+            .collect();
+        let db = Database::new();
+        table_of(
+            &db,
+            "CREATE TABLE t (id INT, f DOUBLE, g DOUBLE, i INT, j INT, s VARCHAR)",
+            &rows,
+        );
+        let ids = |sql: &str| {
+            let b = db
+                .query(sql)
+                .unwrap_or_else(|e| panic!("seed {seed}: {sql}: {e}"));
+            (0..b.num_rows())
+                .map(|r| b.column(0).get(r).as_i64().unwrap())
+                .collect::<Vec<_>>()
+        };
+        let keys: [&[&str]; 9] = [
+            &["f"],
+            &["f + 0.0"],
+            &["g"],
+            &["i"],
+            &["i + 0"],
+            &["j"],
+            &["s"],
+            &["f", "i"],
+            &["s", "g"],
+        ];
+        for key in keys {
+            for dir in ["", " DESC"] {
+                // The keys are projected, so the LIMIT sits right on the sort.
+                let select: Vec<String> = key
+                    .iter()
+                    .enumerate()
+                    .map(|(c, e)| format!("{e} AS k{c}"))
+                    .collect();
+                let order: Vec<String> = (0..key.len()).map(|c| format!("k{c}{dir}")).collect();
+                let full = format!(
+                    "SELECT id, {} FROM t ORDER BY {}",
+                    select.join(", "),
+                    order.join(", ")
+                );
+                let sorted = ids(&full);
+                for k in [0, 1, n - 1, n, n + 1] {
+                    let top = format!("{full} LIMIT {k}");
+                    assert_eq!(ids(&top), sorted[..k.min(n)], "seed {seed}: {top}");
+                    if k < n {
+                        let plan = db
+                            .query(&format!("EXPLAIN ANALYZE {top}"))
+                            .unwrap()
+                            .pretty();
+                        assert!(plan.contains(&format!("TopK(k={k})")), "{top}: {plan}");
+                    }
+                }
+            }
+        }
     }
 }
 
