@@ -258,7 +258,8 @@ pub(super) fn explain(txn: &mut Txn, ctx: &StmtCtx, q: &Query, analyze: bool) ->
         execute(ctx, &txn.user, &planned.physical)?;
         sync::lock(ctx.last_query).as_ref().map(|s| s.render()).unwrap_or_default()
     } else {
-        planned.logical.explain()
+        let logical = planned.logical.explain();
+        planned.physical.annotate_slices(&logical, &ctx.params)
     };
     let schema = Arc::new(Schema::from_pairs(&[("plan", DataType::Text)]));
     let rows: Vec<Vec<Value>> = text

@@ -228,7 +228,7 @@ impl Session {
         match &prepared.kind {
             PreparedKind::Query { tokens, slots } => {
                 let bound = bind_slots(slots, params)?;
-                self.run_tokens(tokens.clone(), bound, &prepared.sql)
+                self.run_query(tokens.clone(), bound, &prepared.sql)
             }
             PreparedKind::Other(stmt) => {
                 self.execute_statement((**stmt).clone(), &prepared.sql, Arc::new(params.to_vec()))
@@ -247,16 +247,33 @@ impl Session {
         params: Vec<Value>,
         sql: &str,
     ) -> Result<QueryResult> {
-        let params = Arc::new(params);
         if self.txn.is_none() && is_select(&tokens) {
+            let tokens = tokens.into_iter().map(Token::into_owned).collect();
+            return self.run_query(tokens, params, sql);
+        }
+        let (stmt, _) = parse(tokens)?;
+        self.execute_statement(stmt, sql, Arc::new(params))
+    }
+
+    /// Run a SELECT's owned tokens, shared with the plan cache key (a
+    /// prepared query's execution clones a pointer, not its tokens): through
+    /// the cache outside any transaction, parsed from a copy inside one.
+    fn run_query(
+        &mut self,
+        tokens: Arc<[Token<'static>]>,
+        params: Vec<Value>,
+        sql: &str,
+    ) -> Result<QueryResult> {
+        let params = Arc::new(params);
+        if self.txn.is_none() {
             let key = CacheKey {
-                tokens: tokens.into_iter().map(Token::into_owned).collect(),
+                tokens,
                 param_types: params.iter().map(Value::data_type).collect(),
                 predict: self.vars.predict_strategy,
             };
             return self.cached_select(key, params, sql);
         }
-        let (stmt, _) = parse(tokens)?;
+        let (stmt, _) = parse(tokens.to_vec())?;
         self.execute_statement(stmt, sql, params)
     }
 
@@ -326,7 +343,7 @@ impl Session {
                 return query::run_and_log(txn, ctx, &entry.physical, tables);
             }
 
-            let (stmt, _) = crate::parser::parse_token_stream(key.tokens.clone())?;
+            let (stmt, _) = crate::parser::parse_token_stream(key.tokens.to_vec())?;
             let Statement::Query(q) = stmt else {
                 return Err(SqlError::Plan(
                     "plan cache keyed a non-query statement".into(),
@@ -767,8 +784,9 @@ impl Drop for PreparedStatement {
 enum PreparedKind {
     /// A query: executes through the plan cache.
     Query {
-        /// Normalized token stream (literals parameterized out).
-        tokens: Vec<Token<'static>>,
+        /// Normalized token stream (literals parameterized out), shared
+        /// with the plan cache keys of its executions.
+        tokens: Arc<[Token<'static>]>,
         /// How each `?` in `tokens` is filled at execute time.
         slots: Vec<ParamSlot>,
     },

@@ -38,6 +38,9 @@ pub struct OpMetrics {
     /// A scan whose zone-map pruning waited for `?` parameters: its source
     /// as pruned once they were bound, which its label then reports.
     pub bound_scan: OnceLock<TableScan>,
+    /// Runs of a scan that a range on a sorted column narrowed to a row
+    /// slice.
+    pub sorted_ranges: AtomicU64,
 }
 
 impl OpMetrics {
@@ -116,6 +119,7 @@ impl PlanMetrics {
             self_ns: total_ns.saturating_sub(child_ns),
             morsels: self.op.morsels.load(Ordering::Relaxed),
             degree: self.op.par_degree.load(Ordering::Relaxed).max(1),
+            sorted_ranges: self.op.sorted_ranges.load(Ordering::Relaxed),
             children,
         }
     }
@@ -138,6 +142,8 @@ pub struct OpSnapshot {
     pub morsels: u64,
     /// Effective parallel degree (1 = ran serially).
     pub degree: u64,
+    /// Runs of this scan narrowed to a sorted range's row slice.
+    pub sorted_ranges: u64,
     pub children: Vec<OpSnapshot>,
 }
 
@@ -228,6 +234,8 @@ pub struct EngineMetrics {
     pub parallel_ops: AtomicU64,
     /// Morsels executed by parallel operator sections.
     pub morsels: AtomicU64,
+    /// Scans that read a range on a sorted column as a row slice.
+    pub sorted_range_scans: AtomicU64,
     /// Queries rejected up front by the admission controller.
     pub admission_rejected: AtomicU64,
     /// Queries aborted by an explicit `Session::cancel()`.
@@ -278,8 +286,11 @@ impl EngineMetrics {
         self.exec_ns.fetch_add(snapshot.total_ns, Ordering::Relaxed);
         self.parallel_ops
             .fetch_add(snapshot.parallel_ops(), Ordering::Relaxed);
-        let morsels: u64 = snapshot.walk().iter().map(|(_, n)| n.morsels).sum();
+        let nodes = snapshot.walk();
+        let morsels: u64 = nodes.iter().map(|(_, n)| n.morsels).sum();
         self.morsels.fetch_add(morsels, Ordering::Relaxed);
+        let sorted: u64 = nodes.iter().map(|(_, n)| n.sorted_ranges).sum();
+        self.sorted_range_scans.fetch_add(sorted, Ordering::Relaxed);
     }
 
     /// Name/value pairs in a stable order (the `flock_metrics` rows):
@@ -293,6 +304,10 @@ impl EngineMetrics {
             ("exec_ns", self.exec_ns.load(Ordering::Relaxed)),
             ("parallel_ops", self.parallel_ops.load(Ordering::Relaxed)),
             ("morsels", self.morsels.load(Ordering::Relaxed)),
+            (
+                "sorted_range_scans",
+                self.sorted_range_scans.load(Ordering::Relaxed),
+            ),
             (
                 "admission_rejected",
                 self.admission_rejected.load(Ordering::Relaxed),
@@ -362,6 +377,7 @@ mod tests {
             self_ns: ns,
             morsels: 0,
             degree: 1,
+            sorted_ranges: 0,
             children: vec![],
         }
     }
@@ -409,7 +425,7 @@ mod tests {
         m.register("predict_compile_hits", Arc::new(AtomicU64::new(0)));
         let rows: std::collections::HashMap<_, _> = m.rows().into_iter().collect();
         assert_eq!(rows["predict_compile_hits"], 0);
-        assert_eq!(m.rows().len(), 18);
+        assert_eq!(m.rows().len(), 19);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub use expr::{EvalContext, PhysExpr, PhysNode};
 pub use metrics::{EngineMetrics, OpMetrics, OpSnapshot, PlanMetrics};
 pub use parallel::ParallelPolicy;
 
-use crate::ast::{ColumnBound, Expr, JoinType};
+use crate::ast::{ColumnBound, Expr, JoinType, UnOp};
 use crate::batch::RecordBatch;
 use crate::catalog::Catalog;
 use crate::column::ColumnVector;
@@ -179,8 +179,9 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         keys: Vec<(PhysExpr, bool)>,
         policy: ParallelPolicy,
-        /// Top-K: a `LIMIT` directly above reads only the first `fetch`
-        /// rows of the order, so only those are selected and gathered.
+        /// Top-K: a `LIMIT` above (directly, or over a projection) reads
+        /// only the first `fetch` rows of the order, so only those are
+        /// selected and gathered.
         fetch: Option<usize>,
     },
     Limit {
@@ -356,7 +357,13 @@ pub fn create_physical_plan(
             offset,
         } => {
             let mut child = create_physical_plan(input, catalog, provider, options)?;
-            if let (PhysicalPlan::Sort { fetch, .. }, Some(limit)) = (&mut child, limit) {
+            // A projection keeps its input's rows in order, so a sort under
+            // one (an ORDER BY key outside the select list) is a top-K too.
+            let sort = match &mut child {
+                PhysicalPlan::Project { input, .. } => input.as_mut(),
+                other => other,
+            };
+            if let (PhysicalPlan::Sort { fetch, .. }, Some(limit)) = (sort, limit) {
                 *fetch = Some(usize::try_from(limit.saturating_add(*offset)).unwrap_or(usize::MAX));
             }
             PhysicalPlan::Limit {
@@ -392,12 +399,13 @@ fn tighten(bounds: &mut ColBounds, idx: usize, lo: Option<f64>, hi: Option<f64>)
 }
 
 /// One side of a zone bound: a literal's value, or a `?` parameter's —
-/// known only when the plan executes, and cast as the plan casts it (a
-/// typed parameter is planned under an identity `CAST`).
+/// known only when the plan executes, cast as the plan casts it (a typed
+/// parameter is planned under an identity `CAST`), and negated when the
+/// plan negates it (`-?`, how a prepared statement reads `-5`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ZoneBound {
     Value(f64),
-    Param(usize, Option<DataType>),
+    Param(usize, Option<DataType>, bool),
 }
 
 /// Column `.0` (of the scan) lies in `[.1, .2]`; a side is open when
@@ -407,10 +415,17 @@ pub(crate) type ZoneTerm = (usize, Option<ZoneBound>, Option<ZoneBound>);
 fn zone_bound(e: &Expr) -> Option<ZoneBound> {
     match e {
         Expr::Literal(v) => v.as_f64().map(ZoneBound::Value),
-        Expr::Parameter(i) => Some(ZoneBound::Param(*i, None)),
+        Expr::Parameter(i) => Some(ZoneBound::Param(*i, None, false)),
         Expr::Cast { expr, to } => match **expr {
-            Expr::Parameter(i) => Some(ZoneBound::Param(i, Some(*to))),
+            Expr::Parameter(i) => Some(ZoneBound::Param(i, Some(*to), false)),
             _ => None,
+        },
+        Expr::Unary {
+            op: UnOp::Neg,
+            expr,
+        } => match zone_bound(expr)? {
+            ZoneBound::Param(i, to, negated) => Some(ZoneBound::Param(i, to, !negated)),
+            ZoneBound::Value(_) => None,
         },
         _ => None,
     }
@@ -446,8 +461,14 @@ pub(crate) fn zone_terms(pred: &Expr, schema: &Schema) -> Vec<ZoneTerm> {
 pub(crate) fn resolve_zones(terms: &[ZoneTerm], params: Option<&[Value]>) -> ColBounds {
     let value = |b: Option<ZoneBound>| match b? {
         ZoneBound::Value(v) => Some(v),
-        ZoneBound::Param(i, None) => params?.get(i)?.as_f64(),
-        ZoneBound::Param(i, Some(to)) => params?.get(i)?.cast(to).ok()?.as_f64(),
+        ZoneBound::Param(i, to, negated) => {
+            let p = params?.get(i)?;
+            let x = match to {
+                Some(to) => p.cast(to).ok()?.as_f64()?,
+                None => p.as_f64()?,
+            };
+            Some(if negated { -x } else { x })
+        }
     };
     let mut bounds = ColBounds::new();
     for &(idx, lo, hi) in terms {
@@ -464,11 +485,12 @@ fn has_param(b: Option<ZoneBound>) -> bool {
 }
 
 /// Plan a [`LogicalPlan::Scan`] with the filter directly above it (if any)
-/// fused in. The filter's bounds prune parts by their zone maps here, at
-/// plan time — or, when a bound is a `?` parameter, each time the plan
-/// executes, once the parameters are bound ([`TableScan::bind`]), so a
-/// cached plan stays shared; the filter itself runs per chunk at
-/// execution time.
+/// fused in. The filter's bounds prune parts by their zone maps and narrow
+/// the resident chunks by ranges on sorted columns here, at plan time —
+/// or, when a bound is a `?` parameter, each time the plan executes, once
+/// the parameters are bound ([`TableScan::bind`]), so a cached plan stays
+/// shared; the filter itself runs per chunk at execution time, on what
+/// is left.
 fn plan_scan(
     scan: &LogicalPlan,
     predicate: Option<&Expr>,
@@ -765,6 +787,9 @@ impl PhysicalPlan {
             }
             None => (source, *policy),
         };
+        if source.narrowed().is_some() {
+            op.sorted_ranges.fetch_add(1, AtomicOrdering::Relaxed);
+        }
         let policy = &policy;
         let chunks: Vec<usize> = (0..source.chunk_count()).collect();
         let degree = chunk_degree(source, policy);
@@ -852,6 +877,9 @@ impl PhysicalPlan {
                     None => (source, policy),
                 };
                 let mut detail = format!("rows={}", source.rows());
+                if let Some(slice) = sorted_range_label(source) {
+                    detail.push_str(&format!(", {slice}"));
+                }
                 if let (pruned, total @ 1..) = source.pruned() {
                     detail.push_str(&format!(", parts pruned {pruned}/{total}"));
                 }
@@ -965,6 +993,40 @@ impl PhysicalPlan {
         }
     }
 
+    /// `logical`, the text of the plan this one was built from, with each
+    /// scan line that a range on a sorted column narrows followed by its
+    /// slice and the rows it reads, `?`s bound to `params` (the plain
+    /// `EXPLAIN` body). Scans pair with `Scan:` lines in tree order; when
+    /// their counts differ the text comes back as it is.
+    pub(crate) fn annotate_slices(&self, logical: &str, params: &[Value]) -> String {
+        fn scans<'a>(plan: &'a PhysicalPlan, out: &mut Vec<&'a TableScan>) {
+            match plan {
+                PhysicalPlan::Scan { source, .. } => out.push(source),
+                other => other.children().into_iter().for_each(|c| scans(c, out)),
+            }
+        }
+        let mut sources = Vec::new();
+        scans(self, &mut sources);
+        let is_scan = |line: &str| line.trim_start().starts_with("Scan: ");
+        if logical.lines().filter(|l| is_scan(l)).count() != sources.len() {
+            return logical.to_string();
+        }
+        let mut sources = sources.into_iter();
+        let mut out = String::new();
+        for line in logical.lines() {
+            out.push_str(line);
+            if let Some(source) = is_scan(line).then(|| sources.next()).flatten() {
+                let bound = source.bind(params);
+                let source = bound.as_ref().unwrap_or(source);
+                if let Some(slice) = sorted_range_label(source) {
+                    out.push_str(&format!(" [{slice}, rows={}]", source.rows()));
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
     /// Static plan-tree rendering (the `EXPLAIN` body): operator names and
     /// shape details, no runtime numbers.
     pub fn explain(&self) -> String {
@@ -1002,6 +1064,22 @@ impl PhysicalPlan {
             | PhysicalPlan::Distinct { input } => input.schema(),
         }
     }
+}
+
+/// The slice a range on a sorted column narrowed `source` to, as its scan
+/// line shows it: `sorted range k [lo, hi)`, rows of the scan.
+fn sorted_range_label(source: &TableScan) -> Option<String> {
+    let (columns, rows) = source.narrowed()?;
+    let schema = source.schema();
+    let names: Vec<&str> = (columns.iter())
+        .map(|&c| schema.column(c).name.as_str())
+        .collect();
+    Some(format!(
+        "sorted range {} [{}, {})",
+        names.join(", "),
+        rows.start,
+        rows.end
+    ))
 }
 
 /// Execute child `i` of the operator metered by `m`, counting its output

@@ -172,10 +172,11 @@ pub fn normalize<'a>(tokens: &[Token<'a>]) -> NormalizedStatement<'a> {
 /// PREDICT strategy override (`SET predict_strategy`) — plans bake the
 /// resolved strategy in, so sessions with different overrides must not
 /// share entries. Its tokens own their text ([`Token::into_owned`]): a
-/// key outlives the statement text it was lexed from.
+/// key outlives the statement text it was lexed from. They sit behind an
+/// `Arc`, so every execution of a prepared query keys on its one stream.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    pub tokens: Vec<Token<'static>>,
+    pub tokens: Arc<[Token<'static>]>,
     pub param_types: Vec<Option<DataType>>,
     pub predict: Option<crate::ast::PredictStrategy>,
 }

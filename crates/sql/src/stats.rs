@@ -1,9 +1,11 @@
 //! Column and table statistics.
 //!
 //! A table version's [`TableStats`] hold only what merges: the row count
-//! and, per column, the null count and the numeric min/max. The
-//! cross-optimizer's *model compression* rule reads the min/max (it prunes
-//! decision-tree branches no input can reach). Because they merge, an
+//! and, per column, the null count, the numeric min/max and whether the
+//! rows are sorted on it. The cross-optimizer's *model compression* rule
+//! reads the min/max (it prunes decision-tree branches no input can
+//! reach); a scan reads a range on a sorted column as a row slice
+//! ([`ColumnStats::sorted`]). Because they merge, an
 //! append builds its version's stats from the previous version's and the
 //! delta's ([`TableStats::merge`]) in O(delta); a write that rewrites rows
 //! (UPDATE, DELETE, offload, merge, recovery) computes them afresh from
@@ -27,6 +29,43 @@ pub struct ColumnStats {
     pub min: Option<f64>,
     /// Maximum numeric value, when the column is numeric and non-empty.
     pub max: Option<f64>,
+    /// The rows, in scan order, are non-decreasing on this column, with no
+    /// NULL and no NaN (`-0.0` and `0.0` tie). Only numeric, date and bool
+    /// columns carry it; it holds over no rows, and never over disk parts,
+    /// whose zone maps do not record it.
+    pub sorted: bool,
+    /// A sorted column's first and last values in its own type, so a merge
+    /// compares the rows that meet exactly: two INTs past 2^53 can round
+    /// to one `f64`. `None` over no rows, or when not sorted.
+    ends: Option<(Exact, Exact)>,
+}
+
+/// A value compared in its column's type: INT, DATE and BOOL as `i64`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Exact {
+    Int(i64),
+    Float(f64),
+}
+
+impl Exact {
+    fn le(self, other: Exact) -> bool {
+        match (self, other) {
+            (Exact::Int(a), Exact::Int(b)) => a <= b,
+            (Exact::Float(a), Exact::Float(b)) => a <= b,
+            _ => false,
+        }
+    }
+}
+
+/// Whether `v` is non-decreasing, and its first and last values as
+/// [`Exact`]s when it is and is not empty.
+fn order<T: Copy + PartialOrd>(
+    v: &[T],
+    exact: impl Fn(T) -> Exact,
+) -> (bool, Option<(Exact, Exact)>) {
+    let sorted = v.windows(2).all(|w| w[0] <= w[1]);
+    let ends = v.first().zip(v.last()).filter(|_| sorted);
+    (sorted, ends.map(|(&a, &b)| (exact(a), exact(b))))
 }
 
 impl ColumnStats {
@@ -55,14 +94,45 @@ impl ColumnStats {
         let validity = c.validity();
         let valid = |i: &usize| validity.is_none_or(|v| v[*i]);
         let rows = (0..c.len()).filter(valid);
-        match c.raw() {
-            RawColumn::Bool(v) => rows.for_each(|i| stats.fold(v[i] as i64 as f64)),
-            RawColumn::Int(v) => rows.for_each(|i| stats.fold(v[i] as f64)),
-            RawColumn::Float(v) => rows.for_each(|i| stats.fold(v[i])),
-            RawColumn::Date(v) => rows.for_each(|i| stats.fold(v[i] as f64)),
-            RawColumn::Text(_) | RawColumn::Dict { .. } => {}
-        }
+        let (sorted, ends) = match c.raw() {
+            RawColumn::Bool(v) => {
+                rows.for_each(|i| stats.fold(v[i] as i64 as f64));
+                order(v, |x| Exact::Int(x as i64))
+            }
+            RawColumn::Int(v) => {
+                rows.for_each(|i| stats.fold(v[i] as f64));
+                order(v, Exact::Int)
+            }
+            RawColumn::Float(v) => {
+                rows.for_each(|i| stats.fold(v[i]));
+                // `<=` is false beside a NaN; a lone NaN is caught apart
+                let (sorted, ends) = order(v, Exact::Float);
+                (sorted && !v.first().is_some_and(|x| x.is_nan()), ends)
+            }
+            RawColumn::Date(v) => {
+                rows.for_each(|i| stats.fold(v[i] as f64));
+                order(v, |x| Exact::Int(x as i64))
+            }
+            RawColumn::Text(_) | RawColumn::Dict { .. } => (false, None),
+        };
+        stats.sorted = sorted && stats.null_count == 0;
+        stats.ends = ends.filter(|_| stats.sorted);
         stats
+    }
+
+    /// Fold in the order of `next`, whose rows follow these: sorted when
+    /// both are and the rows where they meet are in order.
+    fn follow(&mut self, next: &ColumnStats) {
+        let meet = match (self.ends, next.ends) {
+            (Some((_, last)), Some((first, _))) => last.le(first),
+            _ => true,
+        };
+        self.sorted = self.sorted && next.sorted && meet;
+        self.ends = match (self.ends, next.ends) {
+            _ if !self.sorted => None,
+            (Some((first, _)), Some((_, last))) => Some((first, last)),
+            (ends, None) | (None, ends) => ends,
+        };
     }
 }
 
@@ -83,13 +153,16 @@ impl TableStats {
     }
 
     /// The statistics of these rows followed by `other`'s: counts add,
-    /// ranges widen. Column by column, so both sides must share a schema.
+    /// ranges widen, and a column stays sorted when both sides are and
+    /// this side's last value is at most `other`'s first, compared in the
+    /// column's type. Column by column, so both sides must share a schema.
     pub fn merge(&self, other: &TableStats) -> TableStats {
         let mut out = self.clone();
         out.row_count += other.row_count;
         for (c, o) in out.columns.iter_mut().zip(&other.columns) {
             c.null_count += o.null_count;
             c.fold_range(o.min, o.max);
+            c.follow(o);
         }
         out
     }
@@ -97,12 +170,10 @@ impl TableStats {
     /// Statistics of a snapshot: exact over the resident `tail` chunks,
     /// merged with the disk `parts`' zone maps — a pure function of both,
     /// so building them never reads part data. A part whose zone carries
-    /// no bound (text, or a column holding a NaN) adds only its nulls.
+    /// no bound (text, or a column holding a NaN) adds only its nulls; any
+    /// part leaves every column not known sorted.
     pub fn compute_with_parts(parts: &[Part], tail: &Tail) -> TableStats {
-        let empty = TableStats {
-            row_count: 0,
-            columns: vec![ColumnStats::default(); tail.num_columns()],
-        };
+        let empty = TableStats::compute(&RecordBatch::empty(tail.schema().clone()));
         let resident = (tail.chunks().iter()).fold(empty, |s, c| s.merge(&TableStats::compute(c)));
         resident.with_parts(parts)
     }
@@ -113,6 +184,7 @@ impl TableStats {
             for (c, zone) in self.columns.iter_mut().zip(&p.zones) {
                 c.null_count += zone.null_count as usize;
                 c.fold_range(zone.min, zone.max);
+                (c.sorted, c.ends) = (false, None);
             }
         }
         self
@@ -325,7 +397,28 @@ mod tests {
             for (m, w) in merged.columns.iter().zip(&whole.columns) {
                 assert_eq!(m.null_count, w.null_count, "case {case}");
                 assert!(same(m.min, w.min) && same(m.max, w.max), "case {case}");
+                assert_eq!(m.sorted, w.sorted, "case {case}");
             }
         }
+    }
+
+    #[test]
+    fn sorted_merges_on_exact_values() {
+        let schema = Arc::new(Schema::from_pairs(&[("k", DataType::Int)]));
+        let stats = |keys: &[i64]| {
+            let rows: Vec<Vec<Value>> = keys.iter().map(|&k| vec![Value::Int(k)]).collect();
+            TableStats::compute(&RecordBatch::from_rows(schema.clone(), &rows).unwrap())
+        };
+        let big = 1i64 << 53;
+        // 2^53 + 1 and 2^53 are one `f64`, but not in order
+        let (a, b) = (stats(&[big - 1, big + 1]), stats(&[big, big + 2]));
+        assert!(a.columns[0].sorted && b.columns[0].sorted);
+        assert!(!a.merge(&b).columns[0].sorted);
+        assert!(b.merge(&stats(&[big + 2, i64::MAX])).columns[0].sorted);
+        // no rows is sorted and merges as nothing
+        let none = stats(&[]);
+        assert!(none.columns[0].sorted);
+        assert_eq!(none.merge(&a).merge(&none), a);
+        assert!(!stats(&[3, 2]).columns[0].sorted);
     }
 }

@@ -26,6 +26,7 @@
 //! but that last run, which it concatenates.
 
 use crate::batch::RecordBatch;
+use crate::column::{ColumnVector, RawColumn};
 use crate::error::{Result, SqlError};
 use crate::exec::{resolve_zones, ZoneTerm};
 use crate::parts::{DecodeGate, Part, PartStore};
@@ -266,9 +267,13 @@ impl TableVersion {
     }
 
     /// This version's rows as a chunk source; `store` holds its parts.
+    /// The columns its stats mark sorted are read by range as row slices.
     pub fn scan(&self, store: Option<&Arc<PartStore>>) -> TableScan {
         let tail = self.data.chunks().iter().map(|c| RecordBatch::clone(c));
-        TableScan::with_tail(&self.parts, self.data.schema(), tail.collect(), store)
+        let mut scan =
+            TableScan::with_tail(&self.parts, self.data.schema(), tail.collect(), store);
+        scan.sorted = self.stats.columns.iter().map(|c| c.sorted).collect();
+        scan
     }
 
     /// The parts and tail of this version with a row delta applied — how
@@ -376,6 +381,29 @@ pub(crate) fn edit_chunk(
 /// column: what a predicate implies, in the form zone maps prune with.
 pub type ColBounds = HashMap<usize, (Option<f64>, Option<f64>)>;
 
+/// The rows of `c`, sorted with no NULL, that may lie in `[lo, hi]` under
+/// the numeric view: two `partition_point`s. Rounding to `f64` keeps the
+/// order, so the slice holds every row the bounds admit.
+fn sorted_slice(c: &ColumnVector, lo: Option<f64>, hi: Option<f64>) -> Range<usize> {
+    fn slice<T: Copy>(
+        v: &[T],
+        f: impl Fn(T) -> f64,
+        lo: Option<f64>,
+        hi: Option<f64>,
+    ) -> Range<usize> {
+        let start = lo.map_or(0, |lo| v.partition_point(|&x| f(x) < lo));
+        let end = hi.map_or(v.len(), |hi| v.partition_point(|&x| f(x) <= hi));
+        start..end.max(start)
+    }
+    match c.raw() {
+        RawColumn::Bool(v) => slice(v, |x| x as i64 as f64, lo, hi),
+        RawColumn::Int(v) => slice(v, |x| x as f64, lo, hi),
+        RawColumn::Float(v) => slice(v, |x| x, lo, hi),
+        RawColumn::Date(v) => slice(v, |x| x as f64, lo, hi),
+        RawColumn::Text(_) | RawColumn::Dict { .. } => 0..c.len(),
+    }
+}
+
 /// The rows of one table version as a sequence of chunks: its disk parts,
 /// oldest first, each decoded only when read and only for the wanted
 /// columns, then its resident tail chunks. Every reader of a version's
@@ -406,6 +434,13 @@ pub struct TableScan {
     /// Zone terms naming `?` parameters: pruning waits for
     /// [`bind`](Self::bind).
     deferred: Vec<ZoneTerm>,
+    /// Per scan column: the version's rows are sorted on it
+    /// ([`ColumnStats::sorted`](crate::stats::ColumnStats::sorted)), so
+    /// a range on it is a row slice ([`narrow`](Self::narrow)).
+    sorted: Vec<bool>,
+    /// The sorted columns a range narrowed the resident rows by, and the
+    /// rows of the scan it kept.
+    narrowed: Option<(Vec<usize>, Range<usize>)>,
 }
 
 impl TableScan {
@@ -430,6 +465,8 @@ impl TableScan {
             projection: None,
             skip: 0,
             deferred: Vec::new(),
+            sorted: vec![false; schema.len()],
+            narrowed: None,
         }
     }
 
@@ -443,15 +480,20 @@ impl TableScan {
             };
             *chunk = RecordBatch::new(schema.clone(), columns)?;
         }
+        if let Some(indices) = projection {
+            self.sorted = indices.iter().map(|&i| self.sorted[i]).collect();
+        }
         self.schema = schema;
         self.projection = projection.map(<[usize]>::to_vec);
         Ok(self)
     }
 
     /// Zone-map pruning: drop every part whose zone maps show no row can
-    /// fall inside `bounds`. Counted on the part store as parts pruned and
-    /// parts scanned.
+    /// fall inside `bounds`, and narrow the resident chunks by the bounds
+    /// on sorted columns ([`narrow`](Self::narrow)). Counted on the part
+    /// store as parts pruned and parts scanned.
     pub fn prune(&mut self, bounds: &ColBounds) {
+        self.narrow(bounds);
         let Some(store) = self.store.as_ref().filter(|_| !self.parts.is_empty()) else {
             return;
         };
@@ -478,10 +520,56 @@ impl TableScan {
         self.deferred = terms;
     }
 
-    /// This scan pruned by its deferred zone terms with the parameters
-    /// bound to `params`: `None` when it has none, or no part to prune.
+    /// Narrow every resident chunk to the rows that `bounds` on sorted
+    /// columns admit, before any run of them is concatenated, so a range
+    /// read copies only rows in range. The rows of a sorted version that
+    /// lie in a range are contiguous: what is kept is one slice of the
+    /// scan, a superset of the rows the filter then keeps. A NaN bound is
+    /// left open.
+    fn narrow(&mut self, bounds: &ColBounds) {
+        let bound = |b: Option<f64>| b.filter(|x| !x.is_nan());
+        let mut ranges: Vec<(usize, Option<f64>, Option<f64>)> = (bounds.iter())
+            .filter(|(&c, _)| self.sorted.get(c) == Some(&true))
+            .map(|(&c, &(lo, hi))| (c, bound(lo), bound(hi)))
+            .filter(|&(_, lo, hi)| lo.is_some() || hi.is_some())
+            .collect();
+        if ranges.is_empty() {
+            return;
+        }
+        ranges.sort_by_key(|r| r.0);
+        let (mut before, mut kept) = (0, 0);
+        for run in &mut self.tail {
+            for chunk in run.iter_mut() {
+                let (mut start, mut end) = (0, chunk.num_rows());
+                for &(c, lo, hi) in &ranges {
+                    let rows = sorted_slice(chunk.column(c), lo, hi);
+                    (start, end) = (start.max(rows.start), end.min(rows.end));
+                }
+                let len = end.saturating_sub(start);
+                before += start;
+                kept += len;
+                *chunk = chunk.slice(start, len);
+            }
+            run.retain(|c| c.num_rows() > 0);
+        }
+        self.tail.retain(|run| !run.is_empty());
+        let columns = ranges.iter().map(|r| r.0).collect();
+        self.narrowed = Some((columns, before..before + kept));
+    }
+
+    /// The sorted columns a range narrowed this scan by, and the rows of
+    /// the scan it kept ([`narrow`](Self::narrow)).
+    pub fn narrowed(&self) -> Option<(&[usize], Range<usize>)> {
+        (self.narrowed.as_ref()).map(|(columns, rows)| (columns.as_slice(), rows.clone()))
+    }
+
+    /// This scan pruned and narrowed by its deferred zone terms with the
+    /// parameters bound to `params`: `None` when it has none, or neither a
+    /// part to prune nor a sorted column they bound.
     pub(crate) fn bind(&self, params: &[Value]) -> Option<TableScan> {
-        if self.deferred.is_empty() || self.parts.is_empty() {
+        let sorted = |&(c, ..): &ZoneTerm| self.sorted.get(c) == Some(&true);
+        let narrows = self.deferred.iter().any(sorted);
+        if self.deferred.is_empty() || (self.parts.is_empty() && !narrows) {
             return None;
         }
         let mut bound = TableScan {

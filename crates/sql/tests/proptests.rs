@@ -322,7 +322,7 @@ fn top_k_is_the_stable_sorts_prefix() {
         ];
         for key in keys {
             for dir in ["", " DESC"] {
-                // The keys are projected, so the LIMIT sits right on the sort.
+                // The keys projected, so the LIMIT sits right on the sort.
                 let select: Vec<String> = key
                     .iter()
                     .enumerate()
@@ -335,15 +335,22 @@ fn top_k_is_the_stable_sorts_prefix() {
                     order.join(", ")
                 );
                 let sorted = ids(&full);
+                // The keys left out of the select list: the LIMIT sits on a
+                // projection over the sort.
+                let order: Vec<String> = key.iter().map(|e| format!("{e}{dir}")).collect();
+                let hidden = format!("SELECT id FROM t ORDER BY {}", order.join(", "));
+                assert_eq!(ids(&hidden), sorted, "seed {seed}: {hidden}");
                 for k in [0, 1, n - 1, n, n + 1] {
-                    let top = format!("{full} LIMIT {k}");
-                    assert_eq!(ids(&top), sorted[..k.min(n)], "seed {seed}: {top}");
-                    if k < n {
-                        let plan = db
-                            .query(&format!("EXPLAIN ANALYZE {top}"))
-                            .unwrap()
-                            .pretty();
-                        assert!(plan.contains(&format!("TopK(k={k})")), "{top}: {plan}");
+                    for query in [&full, &hidden] {
+                        let top = format!("{query} LIMIT {k}");
+                        assert_eq!(ids(&top), sorted[..k.min(n)], "seed {seed}: {top}");
+                        if k < n {
+                            let plan = db
+                                .query(&format!("EXPLAIN ANALYZE {top}"))
+                                .unwrap()
+                                .pretty();
+                            assert!(plan.contains(&format!("TopK(k={k})")), "{top}: {plan}");
+                        }
                     }
                 }
             }

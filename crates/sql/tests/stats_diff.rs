@@ -11,7 +11,10 @@
 //! memory), and runs a random sequence of literal INSERTs, INSERTs through
 //! expressions, programmatic appends, UPDATEs, DELETEs, merges, and
 //! checkpoint + clean or crash reopens over NULL, NaN, ±0.0 and the i64
-//! extremes, checking every version after each step.
+//! extremes, checking every version after each step. In a third of the
+//! seeds the INT and DATE columns climb instead, from just below 2^53,
+//! with now and then a step back that `f64` may not see, so the `sorted`
+//! flag is kept, merged and broken across many chunks.
 //!
 //! Deterministic via flock-rng; seed count defaults to 32 and is
 //! overridable with `FLOCK_DIFF_SEEDS` (CI sweeps wider).
@@ -19,7 +22,7 @@
 use flock_rng::{rngs::StdRng, test_seeds, Rng, SeedableRng};
 use flock_sql::stats::{ColumnStats, TableStats};
 use flock_sql::{
-    ColumnVector, Database, DurabilityOptions, MemFs, RecordBatch, TableVersion, Value,
+    ColumnVector, DataType, Database, DurabilityOptions, MemFs, RecordBatch, TableVersion, Value,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -49,11 +52,33 @@ fn open(mem: Arc<MemFs>, budget: u64) -> Database {
     db
 }
 
+/// Where an ascending seed's keys start: INTs past 2^53 round to `f64`
+/// in pairs.
+const BASE: i64 = (1 << 53) - 64;
+
 struct Gen {
     rng: StdRng,
+    /// An ascending seed's last key.
+    ascending: Option<i64>,
 }
 
 impl Gen {
+    /// An ascending seed's next key: a tie or a step up.
+    fn next_key(&mut self) -> Option<i64> {
+        let step = self.rng.gen_range(0..3i64);
+        let k = self.ascending.as_mut()?;
+        *k += step;
+        Some(*k)
+    }
+
+    /// Before an ascending seed's INSERT or append: now and then a step
+    /// back, which breaks the order where the rows meet.
+    fn maybe_step_back(&mut self) {
+        if self.ascending.is_some() && self.rng.gen_range(0..6u32) == 0 {
+            self.ascending = self.ascending.map(|k| k - 1);
+        }
+    }
+
     fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
         from[self.rng.gen_range(0..from.len())]
     }
@@ -74,10 +99,15 @@ impl Gen {
             0 => "NULL".to_string(),
             n => format!("DATE '202{n}-0{n}-1{n}'"),
         };
+        let (i, d) = match self.next_key() {
+            Some(k) => (k.to_string(), format!("DATE '{}'", Value::Date((k - BASE) as i32))),
+            None => (i, d),
+        };
         format!("({i}, {f}, {}, {b}, {d})", self.pick(&TEXTS))
     }
 
     fn insert(&mut self, exprs: bool) -> String {
+        self.maybe_step_back();
         let n = self.rng.gen_range(1..40usize);
         let rows: Vec<String> = (0..n).map(|_| self.row(exprs)).collect();
         format!("INSERT INTO t VALUES {}", rows.join(", "))
@@ -86,6 +116,7 @@ impl Gen {
     /// A batch appended programmatically, NaN payloads included.
     fn batch(&mut self, db: &Database) -> RecordBatch {
         let schema = db.catalog().table("t").unwrap().schema().clone();
+        self.maybe_step_back();
         let n = self.rng.gen_range(1..300usize);
         let mut cols: Vec<ColumnVector> = schema
             .columns()
@@ -112,8 +143,15 @@ impl Gen {
                 Value::Bool(r % 2 == 0),
                 Value::Date(r as i32 - 500),
             ];
-            for (c, v) in cols.iter_mut().zip(vals) {
-                c.push(if null { Value::Null } else { v }).unwrap();
+            let key = self.next_key();
+            for (j, (c, v)) in cols.iter_mut().zip(vals).enumerate() {
+                let v = match (key, j) {
+                    (Some(k), 0) => Value::Int(k),
+                    (Some(k), 4) => Value::Date((k - BASE) as i32),
+                    _ if null => Value::Null,
+                    _ => v,
+                };
+                c.push(v).unwrap();
             }
         }
         RecordBatch::new(schema, cols).unwrap()
@@ -153,18 +191,37 @@ fn same_bound(a: Option<f64>, b: Option<f64>) -> bool {
 
 fn same_stats(a: &TableStats, b: &TableStats) -> bool {
     let col = |x: &ColumnStats, y: &ColumnStats| {
-        x.null_count == y.null_count && same_bound(x.min, y.min) && same_bound(x.max, y.max)
+        x.null_count == y.null_count
+            && same_bound(x.min, y.min)
+            && same_bound(x.max, y.max)
+            && x.sorted == y.sorted
     };
     a.row_count == b.row_count
         && a.columns.len() == b.columns.len()
         && a.columns.iter().zip(&b.columns).all(|(x, y)| col(x, y))
 }
 
+/// Whether `values`, in order, are non-decreasing in their own type with
+/// no NULL and no NaN — over no rows, for a column of a type that sorts.
+fn sorted(values: &[Value], ty: DataType) -> bool {
+    let le = |a: &Value, b: &Value| match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x <= y,
+        (Value::Float(x), Value::Float(y)) => x <= y,
+        (Value::Bool(x), Value::Bool(y)) => x <= y,
+        (Value::Date(x), Value::Date(y)) => x <= y,
+        _ => false,
+    };
+    let valid = |v: &Value| !v.is_null() && !matches!(v, Value::Float(f) if f.is_nan());
+    ty != DataType::Text && values.iter().all(valid) && values.windows(2).all(|w| le(&w[0], &w[1]))
+}
+
 /// A version's statistics recomputed from scratch, per value, with none
 /// of the engine's stats code: over the resident tail as one batch
-/// (min/max folded in row order, distinct values by typed identity), then
-/// each part's zone map (nulls, bounds, non-NULL rows as distinct values).
-/// Also the distinct counts `DESCRIBE` shows.
+/// (min/max folded in row order, distinct values by typed identity,
+/// sorted read pair by pair in the column's own type), then each part's
+/// zone map (nulls, bounds, non-NULL rows as distinct values; a part
+/// leaves no column known sorted). Also the distinct counts `DESCRIBE`
+/// shows.
 fn reference(v: &TableVersion) -> (TableStats, Vec<usize>) {
     let tail = v.data.collect().unwrap();
     let mut stats = TableStats {
@@ -195,6 +252,8 @@ fn reference(v: &TableVersion) -> (TableStats, Vec<usize>) {
                 other => other.to_string(),
             });
         }
+        let values: Vec<Value> = (0..c.len()).map(|r| c.get(r)).collect();
+        col.sorted = v.parts.is_empty() && sorted(&values, c.data_type());
         let mut distinct = distinct.len();
         for p in &v.parts {
             let zone = &p.zones[i];
@@ -258,7 +317,7 @@ fn check(db: &Database, ctx: &str) {
     assert_eq!(describe(db), describe_reference(db), "{ctx}: DESCRIBE");
 }
 
-fn run_seed(seed: u64) -> (usize, usize) {
+fn run_seed(seed: u64) -> (usize, usize, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     // 5 columns x 8 bytes a cell: parts of 3 to 51 rows, or no offload
     let budget = [0u64, 256, 1024, 4096][rng.gen_range(0..4usize)];
@@ -267,8 +326,9 @@ fn run_seed(seed: u64) -> (usize, usize) {
     db.execute(DDL).unwrap();
     let mut g = Gen {
         rng: StdRng::seed_from_u64(seed ^ 0x57a7),
+        ascending: (seed % 3 == 1).then_some(BASE),
     };
-    let (mut parted, mut chunked) = (0, 0);
+    let (mut parted, mut chunked, mut sorted_chunked) = (0, 0, 0);
     for step in 0..rng.gen_range(15..35usize) {
         let ctx = format!("seed {seed} step {step}");
         match rng.gen_range(0..20u32) {
@@ -312,21 +372,24 @@ fn run_seed(seed: u64) -> (usize, usize) {
         let cur = catalog.table("t").unwrap().current().clone();
         parted += cur.has_parts() as usize;
         chunked += (cur.data.chunks().len() > 1) as usize;
+        sorted_chunked += (cur.data.chunks().len() > 1 && cur.stats.columns[0].sorted) as usize;
     }
-    (parted, chunked)
+    (parted, chunked, sorted_chunked)
 }
 
 #[test]
 fn merged_stats_equal_recomputed_stats_and_describe_is_unchanged() {
-    let (mut parted, mut chunked) = (0, 0);
+    let (mut parted, mut chunked, mut sorted) = (0, 0, 0);
     for seed in test_seeds(32) {
-        let (p, c) = run_seed(seed);
+        let (p, c, s) = run_seed(seed);
         parted += p;
         chunked += c;
+        sorted += s;
     }
-    // not vacuous: versions with parts and with several resident chunks
+    // not vacuous: versions with parts, with several resident chunks, and
+    // sorted over several
     assert!(
-        parted > 0 && chunked > 0,
-        "{parted} parted, {chunked} chunked"
+        parted > 0 && chunked > 0 && sorted > 0,
+        "{parted} parted, {chunked} chunked, {sorted} sorted over several chunks"
     );
 }
