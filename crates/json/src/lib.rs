@@ -1,9 +1,12 @@
-//! The JSON document model Flock writes its wire protocol, FONNX model
-//! codec, WAL and checkpoint metadata, catalog objects and provenance
-//! exports in: build a [`Value`] (by hand or with [`json!`]), index it,
-//! print it with `Display` (`{}` compact, `{:#}` two-space pretty), parse
-//! it back with [`from_str`] / [`from_slice`]. Types that persist as JSON
-//! write their own `to_json` / `from_json` over this model; there is no
+//! The JSON Flock writes its wire protocol, FONNX model codec, WAL and
+//! checkpoint metadata, catalog objects and provenance exports in. There
+//! is one grammar, the pull [`Reader`], and one printer, the push
+//! [`Writer`]. On top of them sits the document model: build a [`Value`]
+//! (by hand or with [`json!`]), index it, print it with `Display` (`{}`
+//! compact, `{:#}` two-space pretty), parse it back with [`from_str`] /
+//! [`from_slice`]. Types that persist as JSON write their own `to_json` /
+//! `from_json` over this model, or drive the reader and writer directly
+//! where a tree would cost too much (the wire protocol); there is no
 //! derive.
 //!
 //! What the stored bytes depend on:
@@ -22,9 +25,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-mod parse;
+mod read;
+mod write;
 
-pub use parse::{from_slice, from_str};
+pub use read::{from_slice, from_str, Kind, Reader};
+pub use write::Writer;
 
 // ---------------------------------------------------------------------------
 // Error
@@ -97,6 +102,10 @@ impl Number {
         f.is_finite().then_some(Number(N::Float(f)))
     }
 
+    pub(crate) fn from_u64(u: u64) -> Number {
+        Number(N::PosInt(u))
+    }
+
     pub(crate) fn from_i64(i: i64) -> Number {
         match u64::try_from(i) {
             Ok(u) => Number(N::PosInt(u)),
@@ -107,12 +116,7 @@ impl Number {
 
 impl fmt::Display for Number {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            N::PosInt(u) => write!(f, "{u}"),
-            N::NegInt(i) => write!(f, "{i}"),
-            // `{:?}` is Rust's shortest round-trip form and keeps ".0".
-            N::Float(x) => write!(f, "{x:?}"),
-        }
+        print(f, false, |w| w.number(*self))
     }
 }
 
@@ -291,7 +295,7 @@ macro_rules! from_unsigned {
     ($($t:ty)*) => {$(
         impl From<$t> for Value {
             fn from(u: $t) -> Value {
-                Value::Number(Number(N::PosInt(u as u64)))
+                Value::Number(Number::from_u64(u as u64))
             }
         }
     )*};
@@ -367,89 +371,23 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 // Printing
 // ---------------------------------------------------------------------------
 
-fn write_str<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
-    out.write_char('"')?;
-    let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let esc: &str = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0x08 => "\\b",
-            0x0c => "\\f",
-            0x00..=0x1f => {
-                out.write_str(&s[start..i])?;
-                write!(out, "\\u{b:04x}")?;
-                start = i + 1;
-                continue;
-            }
-            _ => continue,
-        };
-        out.write_str(&s[start..i])?;
-        out.write_str(esc)?;
-        start = i + 1;
-    }
-    out.write_str(&s[start..])?;
-    out.write_char('"')
-}
-
-/// `indent = None` prints compact; `Some(depth)` prints two-space pretty.
-fn write_value<W: fmt::Write>(out: &mut W, v: &Value, indent: Option<usize>) -> fmt::Result {
-    let newline = |out: &mut W, depth: usize| -> fmt::Result {
-        out.write_char('\n')?;
-        (0..depth).try_for_each(|_| out.write_str("  "))
+/// Runs `write` on a fresh buffer and hands `f` the text.
+fn print(f: &mut fmt::Formatter<'_>, pretty: bool, write: impl FnOnce(&mut Writer)) -> fmt::Result {
+    let mut out = Vec::new();
+    let mut w = if pretty {
+        Writer::pretty(&mut out)
+    } else {
+        Writer::new(&mut out)
     };
-    match v {
-        Value::Null => out.write_str("null"),
-        Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => write!(out, "{n}"),
-        Value::String(s) => write_str(out, s),
-        Value::Array(a) if a.is_empty() => out.write_str("[]"),
-        Value::Object(m) if m.is_empty() => out.write_str("{}"),
-        Value::Array(a) => {
-            out.write_char('[')?;
-            for (i, item) in a.iter().enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
-                }
-                if let Some(d) = indent {
-                    newline(out, d + 1)?;
-                }
-                write_value(out, item, indent.map(|d| d + 1))?;
-            }
-            if let Some(d) = indent {
-                newline(out, d)?;
-            }
-            out.write_char(']')
-        }
-        Value::Object(m) => {
-            out.write_char('{')?;
-            for (i, (k, item)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
-                }
-                if let Some(d) = indent {
-                    newline(out, d + 1)?;
-                }
-                write_str(out, k)?;
-                out.write_str(if indent.is_some() { ": " } else { ":" })?;
-                write_value(out, item, indent.map(|d| d + 1))?;
-            }
-            if let Some(d) = indent {
-                newline(out, d)?;
-            }
-            out.write_char('}')
-        }
-    }
+    write(&mut w);
+    // The writer copies whole `&str`s and ASCII, so this never fails.
+    f.write_str(std::str::from_utf8(&out).map_err(|_| fmt::Error)?)
 }
 
 /// Compact with `{}` (`to_string`), two-space pretty with `{:#}`.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let indent = f.alternate().then_some(0);
-        write_value(f, self, indent)
+        print(f, f.alternate(), |w| w.value(self))
     }
 }
 
@@ -705,6 +643,99 @@ mod tests {
         }
         assert!(from_slice(&[0xff, 0xfe]).is_err());
         assert!(from_slice(b"\"\xc3\x28\"").is_err());
+    }
+
+    #[test]
+    fn the_writer_prints_what_the_tree_prints() {
+        let doc = json!({
+            "a": [i64::MIN, u64::MAX, -0.0, f64::NAN, 5e-324, "q\"\u{1}\u{1f}é"],
+            "b": {},
+            "c": [[], {"k": null}],
+        });
+        for pretty in [false, true] {
+            let mut out = Vec::new();
+            let mut w = if pretty {
+                Writer::pretty(&mut out)
+            } else {
+                Writer::new(&mut out)
+            };
+            w.begin_object();
+            w.key("a");
+            w.begin_array();
+            w.i64(i64::MIN);
+            w.u64(u64::MAX);
+            w.f64(-0.0);
+            w.f64(f64::NAN);
+            w.f64(5e-324);
+            w.str("q\"\u{1}\u{1f}é");
+            w.end_array();
+            w.key("b");
+            w.begin_object();
+            w.end_object();
+            w.key("c");
+            w.begin_array();
+            w.begin_array();
+            w.end_array();
+            w.value(&json!({"k": null}));
+            w.end_array();
+            w.end_object();
+            let want = if pretty { format!("{doc:#}") } else { doc.to_string() };
+            assert_eq!(String::from_utf8(out).unwrap(), want);
+        }
+        assert_eq!(
+            doc.to_string(),
+            r#"{"a":[-9223372036854775808,18446744073709551615,-0.0,null,5e-324,"q\"\u0001\u001fé"],"b":{},"c":[[],{"k":null}]}"#
+        );
+    }
+
+    #[test]
+    fn the_reader_walks_a_document_in_its_own_order() {
+        let text = r#" {"b": [1, -2, 2.5, "x\n"], "a": {"skip": [null, {"deep": true}]}, "c": "plain"} "#;
+        let mut r = Reader::new(text.as_bytes());
+        r.begin_object().unwrap();
+        let mut keys = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            match &*key {
+                "b" => {
+                    r.begin_array().unwrap();
+                    let mut kinds = Vec::new();
+                    while r.next_item().unwrap() {
+                        kinds.push(r.peek().unwrap());
+                        r.skip().unwrap();
+                    }
+                    assert_eq!(kinds, [Kind::Number, Kind::Number, Kind::Number, Kind::String]);
+                }
+                "c" => assert!(matches!(r.str().unwrap(), std::borrow::Cow::Borrowed("plain"))),
+                _ => r.skip().unwrap(),
+            }
+            keys.push(key.into_owned());
+        }
+        r.finish().unwrap();
+        assert_eq!(keys, ["b", "a", "c"]);
+        let mut r = Reader::new(b"-7");
+        assert_eq!(r.number().unwrap().as_i64(), Some(-7));
+        // Asking for another kind than the one there is an error.
+        assert!(Reader::new(b"\"s\"").number().is_err());
+        assert!(Reader::new(b"1").str().is_err());
+    }
+
+    #[test]
+    fn a_skipped_value_is_checked_like_a_read_one() {
+        let deep = format!("{{\"x\":{}{}}}", "[".repeat(200), "]".repeat(200));
+        for bad in [
+            r#"{"x":[1,]}"#,
+            r#"{"x":"\ud800"}"#,
+            r#"{"x":{"y":nul}}"#,
+            r#"{"x":01}"#,
+            r#"{"x":1e400}"#,
+            r#"{"x":{"y" 1}}"#,
+            &deep,
+        ] {
+            let mut r = Reader::new(bad.as_bytes());
+            let skipped = r.skip().and_then(|()| r.finish());
+            assert!(skipped.is_err(), "{bad}");
+            assert_eq!(skipped, from_str(bad).map(drop), "{bad}");
+        }
     }
 
     #[test]

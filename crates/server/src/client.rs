@@ -8,7 +8,8 @@
 //! [`ClientError::Io`].
 
 use crate::protocol::{
-    frame, ClientMsg, FrameError, FrameReader, ServerMsg, WireRows, DEFAULT_MAX_FRAME,
+    encode_execute_into, ClientMsg, FrameError, FrameReader, ServerMsg, WireRows,
+    DEFAULT_MAX_FRAME,
 };
 use flock_sql::{Value, WireError};
 use std::io::Write;
@@ -63,6 +64,9 @@ pub struct StmtHandle {
 pub struct Client {
     stream: TcpStream,
     reader: FrameReader,
+    /// The request being sent, framed in place; reused from request to
+    /// request.
+    out: Vec<u8>,
     session: u64,
     cancel_key: u64,
     server: String,
@@ -81,6 +85,7 @@ impl Client {
         let mut client = Client {
             stream,
             reader: FrameReader::new(DEFAULT_MAX_FRAME),
+            out: Vec::new(),
             session: 0,
             cancel_key: 0,
             server: String::new(),
@@ -112,20 +117,20 @@ impl Client {
         &self.server
     }
 
-    fn send(&mut self, msg: &ClientMsg) -> Result<(), ClientError> {
-        let payload = msg.encode().to_string().into_bytes();
-        self.stream.write_all(&frame(&payload))?;
+    /// Sends the request `encode` frames, and reads the reply.
+    fn roundtrip_with(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<ServerMsg, ClientError> {
+        self.out.clear();
+        encode(&mut self.out);
+        self.stream.write_all(&self.out)?;
         self.stream.flush()?;
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<ServerMsg, ClientError> {
         recv_frame(&mut self.reader, &mut self.stream)
     }
 
     fn roundtrip(&mut self, msg: &ClientMsg) -> Result<ServerMsg, ClientError> {
-        self.send(msg)?;
-        self.recv()
+        self.roundtrip_with(|out| msg.encode_into(out))
     }
 
     /// Execute one SQL statement.
@@ -148,8 +153,7 @@ impl Client {
 
     /// Execute a prepared statement with bound parameters.
     pub fn execute(&mut self, stmt: StmtHandle, params: &[Value]) -> Result<WireRows, ClientError> {
-        let msg = ClientMsg::Execute { stmt: stmt.id, params: params.to_vec() };
-        match self.roundtrip(&msg)? {
+        match self.roundtrip_with(|out| encode_execute_into(stmt.id, params, out))? {
             ServerMsg::Rows(r) => Ok(r),
             ServerMsg::Error(e) => Err(ClientError::Sql(e)),
             other => Err(ClientError::Protocol(format!("unexpected reply to execute: {other:?}"))),
@@ -181,8 +185,9 @@ impl Client {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let payload = ClientMsg::Cancel { session, key }.encode().to_string().into_bytes();
-        stream.write_all(&frame(&payload))?;
+        let mut out = Vec::new();
+        ClientMsg::Cancel { session, key }.encode_into(&mut out);
+        stream.write_all(&out)?;
         stream.flush()?;
         match recv_frame(&mut FrameReader::new(DEFAULT_MAX_FRAME), &mut stream)? {
             ServerMsg::CancelAck { ok } => Ok(ok),
@@ -220,6 +225,7 @@ mod tests {
         let mut client = Client {
             stream,
             reader: FrameReader::new(DEFAULT_MAX_FRAME),
+            out: Vec::new(),
             session: 0,
             cancel_key: 0,
             server: String::new(),

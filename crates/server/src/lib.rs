@@ -39,8 +39,7 @@ use flock_core::FlockDb;
 use flock_sql::exec::CancelHandle;
 use flock_sql::{sync, PreparedStatement, SqlError, WireError};
 use protocol::{
-    frame, ClientMsg, FrameError, FrameReader, ServerMsg, WireColumn, WireRows,
-    DEFAULT_MAX_FRAME,
+    encode_result_into, ClientMsg, FrameError, FrameReader, ServerMsg, DEFAULT_MAX_FRAME,
 };
 use std::collections::HashMap;
 use std::collections::hash_map::RandomState;
@@ -230,16 +229,43 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Send a message, ignoring socket errors (the peer may already be gone).
-fn send(stream: &mut TcpStream, msg: &ServerMsg) {
-    let payload = msg.encode().to_string().into_bytes();
-    let _ = stream.write_all(&frame(&payload));
-    let _ = stream.flush();
+/// A send buffer grown past this by one large reply is released after
+/// it, so an idle connection holds no more than this for replies.
+const KEEP_SEND_BUFFER: usize = 64 << 10;
+
+/// A connection's socket and the buffer its replies are framed in, reused
+/// from reply to reply.
+struct Conn {
+    stream: TcpStream,
+    out: Vec<u8>,
 }
 
-fn send_protocol_reject(stream: &mut TcpStream, shared: &Shared, err: &FrameError) {
-    shared.frames_rejected.fetch_add(1, Ordering::Relaxed);
-    send(stream, &ServerMsg::Error(err.to_wire()));
+impl Conn {
+    /// Send a message, ignoring socket errors (the peer may already be
+    /// gone).
+    fn send(&mut self, msg: &ServerMsg) {
+        self.send_with(|out| msg.encode_into(out));
+    }
+
+    /// Send a statement's rows, written straight from its batch.
+    fn send_result(&mut self, result: &flock_sql::QueryResult) {
+        self.send_with(|out| encode_result_into(result, out));
+    }
+
+    fn send_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        self.out.clear();
+        encode(&mut self.out);
+        let _ = self.stream.write_all(&self.out);
+        let _ = self.stream.flush();
+        if self.out.capacity() > KEEP_SEND_BUFFER {
+            self.out = Vec::new();
+        }
+    }
+
+    fn send_protocol_reject(&mut self, shared: &Shared, err: &FrameError) {
+        shared.frames_rejected.fetch_add(1, Ordering::Relaxed);
+        self.send(&ServerMsg::Error(err.to_wire()));
+    }
 }
 
 /// Outcome of waiting for one frame.
@@ -275,13 +301,14 @@ fn wait_for_msg(
     }
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
     let _ = stream.set_nodelay(true);
     let mut reader = FrameReader::new(shared.config.max_frame);
+    let mut conn = Conn { stream, out: Vec::new() };
 
     // First frame: Hello (open a session) or Cancel (out-of-band).
-    let user = match wait_for_msg(&mut stream, &mut reader, shared) {
+    let user = match wait_for_msg(&mut conn.stream, &mut reader, shared) {
         Ok(Waited::Msg(ClientMsg::Hello { user })) => user,
         Ok(Waited::Msg(ClientMsg::Cancel { session, key })) => {
             let ok = {
@@ -297,22 +324,22 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             if !ok {
                 shared.auth_failures.fetch_add(1, Ordering::Relaxed);
             }
-            send(&mut stream, &ServerMsg::CancelAck { ok });
+            conn.send(&ServerMsg::CancelAck { ok });
             return;
         }
         Ok(Waited::Msg(_)) => {
             // Query-before-Hello and friends: typed reject, close.
             let e = FrameError::BadMessage("expected \"hello\" before any other message".into());
-            send_protocol_reject(&mut stream, shared, &e);
+            conn.send_protocol_reject(shared, &e);
             return;
         }
         Ok(Waited::Hangup) => return,
         Ok(Waited::Stop) => {
-            send(&mut stream, &ServerMsg::Goodbye);
+            conn.send(&ServerMsg::Goodbye);
             return;
         }
         Err(e) => {
-            send_protocol_reject(&mut stream, shared, &e);
+            conn.send_protocol_reject(shared, &e);
             return;
         }
     };
@@ -321,12 +348,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     // bootstrap superuser; others are CREATE USER objects.)
     if !shared.db.user_exists(&user) {
         shared.auth_failures.fetch_add(1, Ordering::Relaxed);
-        send(
-            &mut stream,
-            &ServerMsg::Error(
-                SqlError::AccessDenied(format!("unknown user '{user}'")).to_wire(),
-            ),
-        );
+        let denied = SqlError::AccessDenied(format!("unknown user '{user}'"));
+        conn.send(&ServerMsg::Error(denied.to_wire()));
         return;
     }
 
@@ -337,24 +360,18 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         session_id,
         SessionEntry { key: cancel_key, handle: session.cancel_handle() },
     );
-    send(
-        &mut stream,
-        &ServerMsg::Welcome { session: session_id, cancel_key, server: SERVER_NAME.into() },
-    );
+    conn.send(&ServerMsg::Welcome { session: session_id, cancel_key, server: SERVER_NAME.into() });
 
     let mut prepared: HashMap<u64, PreparedStatement> = HashMap::new();
     let mut next_stmt: u64 = 1;
 
     loop {
-        match wait_for_msg(&mut stream, &mut reader, shared) {
+        match wait_for_msg(&mut conn.stream, &mut reader, shared) {
             Ok(Waited::Msg(msg)) => match msg {
-                ClientMsg::Query { sql } => {
-                    let reply = match session.execute(&sql) {
-                        Ok(r) => ServerMsg::Rows(result_to_wire(&r)),
-                        Err(e) => ServerMsg::Error(e.to_wire()),
-                    };
-                    send(&mut stream, &reply);
-                }
+                ClientMsg::Query { sql } => match session.execute(&sql) {
+                    Ok(r) => conn.send_result(&r),
+                    Err(e) => conn.send(&ServerMsg::Error(e.to_wire())),
+                },
                 ClientMsg::Prepare { sql } => {
                     let prepared_stmt = if prepared.len() >= MAX_PREPARED_PER_CONNECTION {
                         Err(SqlError::Budget(format!(
@@ -374,67 +391,45 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                         }
                         Err(e) => ServerMsg::Error(e.to_wire()),
                     };
-                    send(&mut stream, &reply);
+                    conn.send(&reply);
                 }
-                ClientMsg::Execute { stmt, params } => {
-                    let reply = match prepared.get(&stmt) {
-                        Some(p) => match session.execute_prepared(p, &params) {
-                            Ok(r) => ServerMsg::Rows(result_to_wire(&r)),
-                            Err(e) => ServerMsg::Error(e.to_wire()),
-                        },
-                        None => ServerMsg::Error(WireError {
-                            code: "protocol".into(),
-                            message: format!("unknown prepared statement {stmt}"),
-                            retryable: false,
-                        }),
-                    };
-                    send(&mut stream, &reply);
-                }
+                ClientMsg::Execute { stmt, params } => match prepared.get(&stmt) {
+                    Some(p) => match session.execute_prepared(p, &params) {
+                        Ok(r) => conn.send_result(&r),
+                        Err(e) => conn.send(&ServerMsg::Error(e.to_wire())),
+                    },
+                    None => conn.send(&ServerMsg::Error(WireError {
+                        code: "protocol".into(),
+                        message: format!("unknown prepared statement {stmt}"),
+                        retryable: false,
+                    })),
+                },
                 ClientMsg::CloseStmt { stmt } => {
                     prepared.remove(&stmt);
-                    send(&mut stream, &ServerMsg::StmtClosed);
+                    conn.send(&ServerMsg::StmtClosed);
                 }
                 ClientMsg::Goodbye => {
-                    send(&mut stream, &ServerMsg::Goodbye);
+                    conn.send(&ServerMsg::Goodbye);
                     break;
                 }
                 ClientMsg::Hello { .. } | ClientMsg::Cancel { .. } => {
                     let e = FrameError::BadMessage(
                         "hello/cancel not valid on an open session".into(),
                     );
-                    send_protocol_reject(&mut stream, shared, &e);
+                    conn.send_protocol_reject(shared, &e);
                     break;
                 }
             },
             Ok(Waited::Hangup) => break,
             Ok(Waited::Stop) => {
-                send(&mut stream, &ServerMsg::Goodbye);
+                conn.send(&ServerMsg::Goodbye);
                 break;
             }
             Err(e) => {
-                send_protocol_reject(&mut stream, shared, &e);
+                conn.send_protocol_reject(shared, &e);
                 break;
             }
         }
     }
     sync::lock(&shared.sessions).remove(&session_id);
-}
-
-fn result_to_wire(r: &flock_sql::QueryResult) -> WireRows {
-    let mut out = WireRows {
-        columns: Vec::new(),
-        rows: Vec::new(),
-        rows_affected: r.rows_affected as u64,
-        message: r.message.clone(),
-    };
-    if let Some(batch) = &r.batch {
-        out.columns = batch
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| WireColumn { name: c.name.clone(), dtype: c.data_type.to_string() })
-            .collect();
-        out.rows = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
-    }
-    out
 }

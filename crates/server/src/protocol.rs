@@ -17,21 +17,29 @@
 //! protocol 2 uses the word-at-a-time [`checksum64`], so a frame from a
 //! protocol-1 peer fails the checksum and is rejected as corrupt.
 //!
-//! # JSON, by hand
+//! # JSON, straight from and into the messages
 //!
-//! Documents are built and picked apart at the [`flock_json::Value`] level
-//! rather than via derived `Serialize` impls. That pins the byte layout to
-//! this module (the wire contract) instead of to derive internals, and it
-//! keeps every decoder total: malformed input of any shape surfaces as
-//! [`FrameError`], never a panic. SQL `Value`s travel with just enough
-//! tagging to round-trip the engine's types: `Null`/`Bool`/`Int`/`Text`
-//! map to their JSON natives, `Float` to a JSON float (non-finite floats
-//! degrade to `null`, as JSON has no spelling for them), and `Date` to
-//! `{"date": days}`.
+//! A message is printed with [`flock_json::Writer`] and read with
+//! [`flock_json::Reader`], the JSON crate's one printer and one grammar,
+//! with no `flock_json::Value` tree in between. The byte layout is pinned
+//! here (the wire contract): every object prints its keys sorted, as a
+//! tree would. Every decoder is total: keys may come in any order with
+//! any whitespace, unknown keys are skipped, a repeated key keeps its
+//! last value, and malformed input of any shape is a
+//! [`FrameError::BadMessage`], never a panic. SQL `Value`s travel with
+//! just enough tagging to round-trip the engine's types:
+//! `Null`/`Bool`/`Int`/`Text` map to their JSON natives, `Float` to a
+//! JSON float (non-finite floats degrade to `null`, as JSON has no
+//! spelling for them), and `Date` to `{"date": days}`. A statement's
+//! result is written straight from its batch's columns
+//! ([`encode_result_into`]) through the same layout and the same
+//! per-value writer as [`ServerMsg::Rows`], so both print the same bytes.
 
-use flock_sql::wal::{checksum64, frame_header};
-use flock_sql::{Value as SqlValue, WireError};
-use flock_json::Value as Json;
+use flock_json::{Kind, Reader, Writer};
+use flock_sql::types::ValueRef;
+use flock_sql::wal::{checksum64, frame_header, frame_with};
+use flock_sql::{QueryResult, Value as SqlValue, WireError};
+use std::borrow::Cow;
 use std::io::{self, Read};
 
 /// Bytes before the payload: `u32` length + `u64` checksum.
@@ -106,19 +114,32 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Bytes a read asks for while the next frame's length is unknown:
+/// enough for a typical request or reply in one `read`.
+const READ_AHEAD: usize = 4096;
+
 /// Incremental frame reader over a non-blocking-ish stream (a socket with
 /// a short read timeout). Bytes received before a timeout are buffered, so
 /// a frame that arrives in dribbles across many poll ticks is reassembled
 /// losslessly; the caller regains control on every tick to check shutdown
 /// flags and idle deadlines.
+///
+/// The socket reads straight into the reader's own buffer, grown to what
+/// the pending frame's header declares, and a frame is consumed by moving
+/// an offset: each payload byte is copied once, into the `Vec` that
+/// [`poll`](Self::poll) returns.
 pub struct FrameReader {
+    /// Received, unconsumed bytes are `buf[start..end]`; the rest of
+    /// `buf` is room for the next read.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
     max_frame: usize,
 }
 
 impl FrameReader {
     pub fn new(max_frame: usize) -> FrameReader {
-        FrameReader { buf: Vec::new(), max_frame }
+        FrameReader { buf: Vec::new(), start: 0, end: 0, max_frame }
     }
 
     /// Try to complete one frame. Returns:
@@ -128,19 +149,20 @@ impl FrameReader {
     pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
         // First drain anything already buffered, then read more.
         loop {
-            if let Some(payload) = self.try_extract()? {
-                return Ok(Some(payload));
+            let pending = self.pending_frame()?;
+            if let Some((len, want)) = pending.filter(|&(len, _)| self.buffered() >= len) {
+                return self.take(len, want).map(Some);
             }
-            let mut chunk = [0u8; 4096];
-            match r.read(&mut chunk) {
+            self.make_room(pending.map_or(READ_AHEAD, |(len, _)| len.max(READ_AHEAD)));
+            match r.read(&mut self.buf[self.end..]) {
                 Ok(0) => {
-                    return Err(if self.buf.is_empty() {
+                    return Err(if self.start == self.end {
                         FrameError::Closed
                     } else {
                         FrameError::Truncated
                     });
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.end += n,
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -155,77 +177,216 @@ impl FrameReader {
         }
     }
 
-    fn try_extract(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let Some(header) = self.buf.first_chunk() else {
+    /// The frame at `start`, once its header is in: its length, header
+    /// included, and the payload checksum it declares. A declared length
+    /// over the cap is rejected from the header alone, before any room is
+    /// made for it.
+    fn pending_frame(&self) -> Result<Option<(usize, u64)>, FrameError> {
+        let Some(header) = self.buf[self.start..self.end].first_chunk() else {
             return Ok(None);
         };
         let (len, want) = frame_header(header);
         if len > self.max_frame {
             return Err(FrameError::TooLarge { declared: len, max: self.max_frame });
         }
-        if self.buf.len() < FRAME_HEADER + len {
-            return Ok(None);
-        }
-        let payload = self.buf[FRAME_HEADER..FRAME_HEADER + len].to_vec();
-        if checksum64(&payload) != want {
+        Ok(Some((FRAME_HEADER + len, want)))
+    }
+
+    /// Consumes the whole frame of `len` bytes at `start`.
+    fn take(&mut self, len: usize, want: u64) -> Result<Vec<u8>, FrameError> {
+        let payload = &self.buf[self.start + FRAME_HEADER..self.start + len];
+        if checksum64(payload) != want {
             return Err(FrameError::BadChecksum);
         }
-        self.buf.drain(..FRAME_HEADER + len);
-        Ok(Some(payload))
+        let payload = payload.to_vec();
+        self.start += len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(payload)
+    }
+
+    /// Makes `buf` hold at least `bytes` bytes from `start`: the
+    /// unconsumed bytes slide to the front, then `buf` grows if that is
+    /// not room enough.
+    fn make_room(&mut self, bytes: usize) {
+        if self.start + bytes > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            if bytes > self.buf.len() {
+                self.buf.resize(bytes, 0);
+            }
+        }
     }
 
     /// Bytes buffered but not yet consumed (tests use this).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.end - self.start
     }
 }
 
 // ---------------------------------------------------------------------------
-// SQL value <-> JSON
+// SQL values on the wire
 // ---------------------------------------------------------------------------
 
-/// Encode one engine value for the wire.
-pub fn value_to_json(v: &SqlValue) -> Json {
+/// Writes one engine value (`None` is NULL).
+fn write_value(w: &mut Writer<'_>, v: Option<ValueRef<'_>>) {
     match v {
-        SqlValue::Null => Json::Null,
-        SqlValue::Bool(b) => Json::Bool(*b),
-        SqlValue::Int(i) => Json::from(*i),
-        SqlValue::Float(f) => Json::from(*f),
-        SqlValue::Text(s) => Json::String(s.clone()),
-        SqlValue::Date(d) => {
-            let mut m = flock_json::Map::new();
-            m.insert("date".to_string(), Json::from(i64::from(*d)));
-            Json::Object(m)
+        None => w.null(),
+        Some(ValueRef::Bool(b)) => w.bool(b),
+        Some(ValueRef::Int(i)) => w.i64(i),
+        Some(ValueRef::Float(f)) => w.f64(f),
+        Some(ValueRef::Text(s)) => w.str(s),
+        Some(ValueRef::Date(d)) => {
+            w.begin_object();
+            w.key("date");
+            w.i64(i64::from(d));
+            w.end_object();
         }
     }
 }
 
-/// Decode one wire value; `None` on shapes the protocol never emits.
-pub fn value_from_json(v: &Json) -> Option<SqlValue> {
-    match v {
-        Json::Null => Some(SqlValue::Null),
-        Json::Bool(b) => Some(SqlValue::Bool(*b)),
-        Json::String(s) => Some(SqlValue::Text(s.clone())),
-        Json::Object(_) => {
-            let days = v.get("date")?.as_i64()?;
-            Some(SqlValue::Date(i32::try_from(days).ok()?))
+fn write_values(w: &mut Writer<'_>, vs: &[SqlValue]) {
+    w.begin_array();
+    vs.iter().for_each(|v| write_value(w, v.as_value_ref()));
+    w.end_array();
+}
+
+/// A value read from a message: `Ok(None)` when it is well-formed JSON of
+/// a shape the protocol never puts there (the value is consumed whole),
+/// so a message is refused only if its type needs the field.
+type Field<T> = flock_json::Result<Option<T>>;
+
+/// `read` the next value when it is of `kind`; skip it otherwise.
+fn read_if<'a, T>(
+    r: &mut Reader<'a>,
+    kind: Kind,
+    read: impl FnOnce(&mut Reader<'a>) -> Field<T>,
+) -> Field<T> {
+    match r.peek()? == kind {
+        true => read(r),
+        false => r.skip().map(|()| None),
+    }
+}
+
+fn read_u64(r: &mut Reader<'_>) -> Field<u64> {
+    read_if(r, Kind::Number, |r| Ok(r.number()?.as_u64()))
+}
+
+fn read_i64(r: &mut Reader<'_>) -> Field<i64> {
+    read_if(r, Kind::Number, |r| Ok(r.number()?.as_i64()))
+}
+
+fn read_bool(r: &mut Reader<'_>) -> Field<bool> {
+    read_if(r, Kind::Bool, |r| r.bool().map(Some))
+}
+
+fn read_str<'a>(r: &mut Reader<'a>) -> Field<Cow<'a, str>> {
+    read_if(r, Kind::String, |r| r.str().map(Some))
+}
+
+fn read_string(r: &mut Reader<'_>) -> Field<String> {
+    Ok(read_str(r)?.map(Cow::into_owned))
+}
+
+/// Walks an object, handing each key to `member`, which must read or
+/// skip its value; `None` (the value skipped) when it is not an object.
+fn read_object<'a>(
+    r: &mut Reader<'a>,
+    mut member: impl FnMut(&str, &mut Reader<'a>) -> flock_json::Result<()>,
+) -> Field<()> {
+    read_if(r, Kind::Object, |r| {
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            member(&key, r)?;
         }
-        _ => {
-            if let Some(i) = v.as_i64() {
-                Some(SqlValue::Int(i))
-            } else {
-                v.as_f64().map(SqlValue::Float)
+        Ok(Some(()))
+    })
+}
+
+/// An array whose every item `item` reads; `None` when it is not an
+/// array or an item has another shape (the rest is still consumed).
+fn read_array<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Field<T>,
+) -> Field<Vec<T>> {
+    read_if(r, Kind::Array, |r| {
+        r.begin_array()?;
+        let mut items = Some(Vec::new());
+        while r.next_item()? {
+            match &mut items {
+                Some(done) => match item(r)? {
+                    Some(v) => done.push(v),
+                    None => items = None,
+                },
+                None => r.skip()?,
             }
         }
-    }
+        Ok(items)
+    })
 }
 
-fn values_to_json(vs: &[SqlValue]) -> Json {
-    Json::Array(vs.iter().map(value_to_json).collect())
+/// One engine value: JSON natives, a float for a number past `i64`, and
+/// `{"date": days}` (other keys ignored) for a date.
+fn read_value(r: &mut Reader<'_>) -> Field<SqlValue> {
+    Ok(match r.peek()? {
+        Kind::Null => r.null().map(|()| Some(SqlValue::Null))?,
+        Kind::Bool => Some(SqlValue::Bool(r.bool()?)),
+        Kind::String => Some(SqlValue::Text(r.str()?.into_owned())),
+        Kind::Number => {
+            let n = r.number()?;
+            n.as_i64().map(SqlValue::Int).or(n.as_f64().map(SqlValue::Float))
+        }
+        Kind::Object => {
+            let mut days = None;
+            let object = read_object(r, |key, r| {
+                match key {
+                    "date" => days = Some(read_i64(r)?),
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+            let days = object.and(days.flatten()).and_then(|d| i32::try_from(d).ok());
+            days.map(SqlValue::Date)
+        }
+        Kind::Array => r.skip().map(|()| None)?,
+    })
 }
 
-fn values_from_json(v: &Json) -> Option<Vec<SqlValue>> {
-    v.as_array()?.iter().map(value_from_json).collect()
+fn read_values(r: &mut Reader<'_>) -> Field<Vec<SqlValue>> {
+    read_array(r, read_value)
+}
+
+/// Reads a whole message object with `member` (as [`read_object`]);
+/// malformed JSON, trailing bytes or a non-object are refused.
+fn read_message<'a>(
+    payload: &'a [u8],
+    member: impl FnMut(&str, &mut Reader<'a>) -> flock_json::Result<()>,
+) -> Result<(), FrameError> {
+    let invalid = |e: flock_json::Error| FrameError::BadMessage(format!("invalid JSON: {e}"));
+    let mut r = Reader::new(payload);
+    let object = read_object(&mut r, member).map_err(invalid)?;
+    r.finish().map_err(invalid)?;
+    object.ok_or_else(missing_type)
+}
+
+fn missing_type() -> FrameError {
+    FrameError::BadMessage("missing \"type\" tag".into())
+}
+
+/// A field `typ` needs: present and of the protocol's shape.
+fn required<T>(field: Option<Option<T>>, typ: &str, name: &str) -> Result<T, FrameError> {
+    field
+        .flatten()
+        .ok_or_else(|| FrameError::BadMessage(format!("{typ}: bad \"{name}\"")))
+}
+
+/// The payload text of a message `write` prints.
+fn to_text(write: impl FnOnce(&mut Writer<'_>)) -> String {
+    let mut out = Vec::new();
+    write(&mut Writer::new(&mut out));
+    // The writer copies whole `&str`s and ASCII, so this is never lossy.
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 // ---------------------------------------------------------------------------
@@ -254,85 +415,118 @@ pub enum ClientMsg {
 }
 
 impl ClientMsg {
-    pub fn encode(&self) -> Json {
-        let mut m = flock_json::Map::new();
+    /// The payload text (keys sorted).
+    pub fn encode(&self) -> String {
+        to_text(|w| self.write(w))
+    }
+
+    /// Appends this message as one whole frame to `out`, printed in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        frame_with(out, |out| self.write(&mut Writer::new(out)));
+    }
+
+    fn write(&self, w: &mut Writer<'_>) {
+        w.begin_object();
         match self {
             ClientMsg::Hello { user } => {
-                m.insert("type".into(), Json::String("hello".into()));
-                m.insert("user".into(), Json::String(user.clone()));
-                m.insert("protocol".into(), Json::from(u64::from(PROTOCOL_VERSION)));
+                w.key("protocol");
+                w.u64(u64::from(PROTOCOL_VERSION));
+                w.key("type");
+                w.str("hello");
+                w.key("user");
+                w.str(user);
             }
             ClientMsg::Query { sql } => {
-                m.insert("type".into(), Json::String("query".into()));
-                m.insert("sql".into(), Json::String(sql.clone()));
+                w.key("sql");
+                w.str(sql);
+                w.key("type");
+                w.str("query");
             }
             ClientMsg::Prepare { sql } => {
-                m.insert("type".into(), Json::String("prepare".into()));
-                m.insert("sql".into(), Json::String(sql.clone()));
+                w.key("sql");
+                w.str(sql);
+                w.key("type");
+                w.str("prepare");
             }
-            ClientMsg::Execute { stmt, params } => {
-                m.insert("type".into(), Json::String("execute".into()));
-                m.insert("stmt".into(), Json::from(*stmt));
-                m.insert("params".into(), values_to_json(params));
-            }
+            ClientMsg::Execute { stmt, params } => write_execute_fields(w, *stmt, params),
             ClientMsg::CloseStmt { stmt } => {
-                m.insert("type".into(), Json::String("close_stmt".into()));
-                m.insert("stmt".into(), Json::from(*stmt));
+                w.key("stmt");
+                w.u64(*stmt);
+                w.key("type");
+                w.str("close_stmt");
             }
             ClientMsg::Cancel { session, key } => {
-                m.insert("type".into(), Json::String("cancel".into()));
-                m.insert("session".into(), Json::from(*session));
-                m.insert("key".into(), Json::from(*key));
+                w.key("key");
+                w.u64(*key);
+                w.key("session");
+                w.u64(*session);
+                w.key("type");
+                w.str("cancel");
             }
             ClientMsg::Goodbye => {
-                m.insert("type".into(), Json::String("goodbye".into()));
+                w.key("type");
+                w.str("goodbye");
             }
         }
-        Json::Object(m)
+        w.end_object();
     }
 
     pub fn decode(payload: &[u8]) -> Result<ClientMsg, FrameError> {
-        let doc: Json = flock_json::from_slice(payload)
-            .map_err(|e| FrameError::BadMessage(format!("invalid JSON: {e}")))?;
-        let typ = doc
-            .get("type")
-            .and_then(|t| t.as_str())
-            .ok_or_else(|| FrameError::BadMessage("missing \"type\" tag".into()))?;
-        let field = |name: &str| {
-            doc.get(name)
-                .cloned()
-                .ok_or_else(|| FrameError::BadMessage(format!("{typ}: missing \"{name}\"")))
-        };
-        let str_field = |name: &str| -> Result<String, FrameError> {
-            field(name)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| FrameError::BadMessage(format!("{typ}: \"{name}\" not a string")))
-        };
-        let u64_field = |name: &str| -> Result<u64, FrameError> {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| FrameError::BadMessage(format!("{typ}: \"{name}\" not a u64")))
-        };
+        let (mut typ, mut user, mut sql, mut stmt, mut params, mut session, mut key) =
+            (None, None, None, None, None, None, None);
+        read_message(payload, |name, r| {
+            match name {
+                "type" => typ = Some(read_str(r)?),
+                "user" => user = Some(read_string(r)?),
+                "sql" => sql = Some(read_string(r)?),
+                "stmt" => stmt = Some(read_u64(r)?),
+                "params" => params = Some(read_values(r)?),
+                "session" => session = Some(read_u64(r)?),
+                "key" => key = Some(read_u64(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let typ = typ.flatten().ok_or_else(missing_type)?;
+        let typ = &*typ;
         match typ {
-            "hello" => Ok(ClientMsg::Hello { user: str_field("user")? }),
-            "query" => Ok(ClientMsg::Query { sql: str_field("sql")? }),
-            "prepare" => Ok(ClientMsg::Prepare { sql: str_field("sql")? }),
+            "hello" => Ok(ClientMsg::Hello { user: required(user, typ, "user")? }),
+            "query" => Ok(ClientMsg::Query { sql: required(sql, typ, "sql")? }),
+            "prepare" => Ok(ClientMsg::Prepare { sql: required(sql, typ, "sql")? }),
             "execute" => Ok(ClientMsg::Execute {
-                stmt: u64_field("stmt")?,
-                params: values_from_json(&field("params")?).ok_or_else(|| {
-                    FrameError::BadMessage("execute: bad \"params\" array".into())
-                })?,
+                stmt: required(stmt, typ, "stmt")?,
+                params: required(params, typ, "params")?,
             }),
-            "close_stmt" => Ok(ClientMsg::CloseStmt { stmt: u64_field("stmt")? }),
+            "close_stmt" => Ok(ClientMsg::CloseStmt { stmt: required(stmt, typ, "stmt")? }),
             "cancel" => Ok(ClientMsg::Cancel {
-                session: u64_field("session")?,
-                key: u64_field("key")?,
+                session: required(session, typ, "session")?,
+                key: required(key, typ, "key")?,
             }),
             "goodbye" => Ok(ClientMsg::Goodbye),
             other => Err(FrameError::BadMessage(format!("unknown type \"{other}\""))),
         }
     }
+}
+
+/// The members of an `execute` request.
+fn write_execute_fields(w: &mut Writer<'_>, stmt: u64, params: &[SqlValue]) {
+    w.key("params");
+    write_values(w, params);
+    w.key("stmt");
+    w.u64(stmt);
+    w.key("type");
+    w.str("execute");
+}
+
+/// Appends the frame of `ClientMsg::Execute { stmt, params }` to `out`
+/// without the message's own copy of `params`.
+pub(crate) fn encode_execute_into(stmt: u64, params: &[SqlValue], out: &mut Vec<u8>) {
+    frame_with(out, |out| {
+        let w = &mut Writer::new(out);
+        w.begin_object();
+        write_execute_fields(w, stmt, params);
+        w.end_object();
+    });
 }
 
 /// One column of a result set: name + declared type.
@@ -373,138 +567,213 @@ pub enum ServerMsg {
 }
 
 impl ServerMsg {
-    pub fn encode(&self) -> Json {
-        let mut m = flock_json::Map::new();
+    /// The payload text (keys sorted).
+    pub fn encode(&self) -> String {
+        to_text(|w| self.write(w))
+    }
+
+    /// Appends this message as one whole frame to `out`, printed in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        frame_with(out, |out| self.write(&mut Writer::new(out)));
+    }
+
+    fn write(&self, w: &mut Writer<'_>) {
+        w.begin_object();
         match self {
             ServerMsg::Welcome { session, cancel_key, server } => {
-                m.insert("type".into(), Json::String("welcome".into()));
-                m.insert("session".into(), Json::from(*session));
-                m.insert("cancel_key".into(), Json::from(*cancel_key));
-                m.insert("server".into(), Json::String(server.clone()));
-                m.insert("protocol".into(), Json::from(u64::from(PROTOCOL_VERSION)));
+                w.key("cancel_key");
+                w.u64(*cancel_key);
+                w.key("protocol");
+                w.u64(u64::from(PROTOCOL_VERSION));
+                w.key("server");
+                w.str(server);
+                w.key("session");
+                w.u64(*session);
+                w.key("type");
+                w.str("welcome");
             }
             ServerMsg::Rows(r) => {
-                m.insert("type".into(), Json::String("rows".into()));
-                m.insert(
-                    "columns".into(),
-                    Json::Array(
-                        r.columns
-                            .iter()
-                            .map(|c| {
-                                let mut cm = flock_json::Map::new();
-                                cm.insert("name".into(), Json::String(c.name.clone()));
-                                cm.insert("dtype".into(), Json::String(c.dtype.clone()));
-                                Json::Object(cm)
-                            })
-                            .collect(),
-                    ),
-                );
-                m.insert(
-                    "rows".into(),
-                    Json::Array(r.rows.iter().map(|row| values_to_json(row)).collect()),
-                );
-                m.insert("rows_affected".into(), Json::from(r.rows_affected));
-                m.insert("message".into(), Json::String(r.message.clone()));
+                let columns = r.columns.iter().map(|c| (c.name.as_str(), c.dtype.as_str()));
+                let row = |w: &mut Writer<'_>, i: usize| {
+                    r.rows[i].iter().for_each(|v| write_value(w, v.as_value_ref()))
+                };
+                write_rows_fields(w, columns, r.rows.len(), row, r.rows_affected, &r.message);
             }
             ServerMsg::Prepared { stmt, params } => {
-                m.insert("type".into(), Json::String("prepared".into()));
-                m.insert("stmt".into(), Json::from(*stmt));
-                m.insert("params".into(), Json::from(*params));
+                w.key("params");
+                w.u64(*params);
+                w.key("stmt");
+                w.u64(*stmt);
+                w.key("type");
+                w.str("prepared");
             }
             ServerMsg::StmtClosed => {
-                m.insert("type".into(), Json::String("stmt_closed".into()));
+                w.key("type");
+                w.str("stmt_closed");
             }
             ServerMsg::CancelAck { ok } => {
-                m.insert("type".into(), Json::String("cancel_ack".into()));
-                m.insert("ok".into(), Json::Bool(*ok));
+                w.key("ok");
+                w.bool(*ok);
+                w.key("type");
+                w.str("cancel_ack");
             }
             ServerMsg::Error(e) => {
-                m.insert("type".into(), Json::String("error".into()));
-                m.insert("error".into(), e.to_json());
+                w.key("error");
+                w.begin_object();
+                w.key("code");
+                w.str(&e.code);
+                w.key("message");
+                w.str(&e.message);
+                w.key("retryable");
+                w.bool(e.retryable);
+                w.end_object();
+                w.key("type");
+                w.str("error");
             }
             ServerMsg::Goodbye => {
-                m.insert("type".into(), Json::String("goodbye".into()));
+                w.key("type");
+                w.str("goodbye");
             }
         }
-        Json::Object(m)
+        w.end_object();
     }
 
     pub fn decode(payload: &[u8]) -> Result<ServerMsg, FrameError> {
-        let doc: Json = flock_json::from_slice(payload)
-            .map_err(|e| FrameError::BadMessage(format!("invalid JSON: {e}")))?;
-        let typ = doc
-            .get("type")
-            .and_then(|t| t.as_str())
-            .ok_or_else(|| FrameError::BadMessage("missing \"type\" tag".into()))?;
-        let bad = |what: &str| FrameError::BadMessage(format!("{typ}: bad \"{what}\""));
+        let (mut typ, mut session, mut cancel_key, mut server) = (None, None, None, None);
+        let (mut columns, mut rows, mut rows_affected, mut message) = (None, None, None, None);
+        let (mut stmt, mut params, mut ok, mut error) = (None, None, None, None);
+        read_message(payload, |name, r| {
+            match name {
+                "type" => typ = Some(read_str(r)?),
+                "session" => session = Some(read_u64(r)?),
+                "cancel_key" => cancel_key = Some(read_u64(r)?),
+                "server" => server = Some(read_string(r)?),
+                "columns" => columns = Some(read_array(r, read_column)?),
+                "rows" => rows = Some(read_array(r, read_values)?),
+                "rows_affected" => rows_affected = Some(read_u64(r)?),
+                "message" => message = Some(read_string(r)?),
+                "stmt" => stmt = Some(read_u64(r)?),
+                "params" => params = Some(read_u64(r)?),
+                "ok" => ok = Some(read_bool(r)?),
+                "error" => error = Some(read_error(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let typ = typ.flatten().ok_or_else(missing_type)?;
+        let typ = &*typ;
         match typ {
             "welcome" => Ok(ServerMsg::Welcome {
-                session: doc.get("session").and_then(|v| v.as_u64()).ok_or_else(|| bad("session"))?,
-                cancel_key: doc
-                    .get("cancel_key")
-                    .and_then(|v| v.as_u64())
-                    .ok_or_else(|| bad("cancel_key"))?,
-                server: doc
-                    .get("server")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| bad("server"))?
-                    .to_string(),
+                session: required(session, typ, "session")?,
+                cancel_key: required(cancel_key, typ, "cancel_key")?,
+                server: required(server, typ, "server")?,
             }),
-            "rows" => {
-                let columns = doc
-                    .get("columns")
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| bad("columns"))?
-                    .iter()
-                    .map(|c| {
-                        Some(WireColumn {
-                            name: c.get("name")?.as_str()?.to_string(),
-                            dtype: c.get("dtype")?.as_str()?.to_string(),
-                        })
-                    })
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| bad("columns"))?;
-                let rows = doc
-                    .get("rows")
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| bad("rows"))?
-                    .iter()
-                    .map(values_from_json)
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| bad("rows"))?;
-                Ok(ServerMsg::Rows(WireRows {
-                    columns,
-                    rows,
-                    rows_affected: doc
-                        .get("rows_affected")
-                        .and_then(|v| v.as_u64())
-                        .ok_or_else(|| bad("rows_affected"))?,
-                    message: doc
-                        .get("message")
-                        .and_then(|v| v.as_str())
-                        .ok_or_else(|| bad("message"))?
-                        .to_string(),
-                }))
-            }
+            "rows" => Ok(ServerMsg::Rows(WireRows {
+                columns: required(columns, typ, "columns")?,
+                rows: required(rows, typ, "rows")?,
+                rows_affected: required(rows_affected, typ, "rows_affected")?,
+                message: required(message, typ, "message")?,
+            })),
             "prepared" => Ok(ServerMsg::Prepared {
-                stmt: doc.get("stmt").and_then(|v| v.as_u64()).ok_or_else(|| bad("stmt"))?,
-                params: doc.get("params").and_then(|v| v.as_u64()).ok_or_else(|| bad("params"))?,
+                stmt: required(stmt, typ, "stmt")?,
+                params: required(params, typ, "params")?,
             }),
             "stmt_closed" => Ok(ServerMsg::StmtClosed),
-            "cancel_ack" => Ok(ServerMsg::CancelAck {
-                ok: doc.get("ok").and_then(|v| v.as_bool()).ok_or_else(|| bad("ok"))?,
-            }),
-            "error" => {
-                let e = doc
-                    .get("error")
-                    .and_then(WireError::from_json)
-                    .ok_or_else(|| bad("error"))?;
-                Ok(ServerMsg::Error(e))
-            }
+            "cancel_ack" => Ok(ServerMsg::CancelAck { ok: required(ok, typ, "ok")? }),
+            "error" => Ok(ServerMsg::Error(required(error, typ, "error")?)),
             "goodbye" => Ok(ServerMsg::Goodbye),
             other => Err(FrameError::BadMessage(format!("unknown type \"{other}\""))),
         }
     }
+}
+
+/// The members of a `rows` message, its one layout: the columns as
+/// `(name, dtype)`, then `rows` rows whose values `row(w, i)` writes.
+fn write_rows_fields<'c>(
+    w: &mut Writer<'_>,
+    columns: impl Iterator<Item = (&'c str, &'c str)>,
+    rows: usize,
+    mut row: impl FnMut(&mut Writer<'_>, usize),
+    rows_affected: u64,
+    message: &str,
+) {
+    w.key("columns");
+    w.begin_array();
+    for (name, dtype) in columns {
+        w.begin_object();
+        w.key("dtype");
+        w.str(dtype);
+        w.key("name");
+        w.str(name);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("message");
+    w.str(message);
+    w.key("rows");
+    w.begin_array();
+    for i in 0..rows {
+        w.begin_array();
+        row(w, i);
+        w.end_array();
+    }
+    w.end_array();
+    w.key("rows_affected");
+    w.u64(rows_affected);
+    w.key("type");
+    w.str("rows");
+}
+
+/// Appends the frame of a statement's `rows` reply to `out`, written
+/// straight from its batch's columns: the bytes of
+/// `ServerMsg::Rows(..).encode()` for the same rows, with no row ever
+/// gathered into values and no text copied.
+pub fn encode_result_into(result: &QueryResult, out: &mut Vec<u8>) {
+    let batch = result.batch.as_ref();
+    let schema = batch.map_or(&[][..], |b| b.schema().columns());
+    let columns = schema.iter().map(|c| (c.name.as_str(), c.data_type.name()));
+    let rows = batch.map_or(0, |b| b.num_rows());
+    let row = |w: &mut Writer<'_>, i: usize| {
+        for col in batch.map_or(&[][..], |b| b.columns()) {
+            write_value(w, col.value_ref(i));
+        }
+    };
+    let (affected, message) = (result.rows_affected as u64, result.message.as_str());
+    frame_with(out, |out| {
+        let w = &mut Writer::new(out);
+        w.begin_object();
+        write_rows_fields(w, columns, rows, row, affected, message);
+        w.end_object();
+    });
+}
+
+fn read_column(r: &mut Reader<'_>) -> Field<WireColumn> {
+    let (mut name, mut dtype) = (None, None);
+    let object = read_object(r, |key, r| {
+        match key {
+            "name" => name = Some(read_string(r)?),
+            "dtype" => dtype = Some(read_string(r)?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(object.and_then(|()| Some(WireColumn { name: name??, dtype: dtype?? })))
+}
+
+fn read_error(r: &mut Reader<'_>) -> Field<WireError> {
+    let (mut code, mut message, mut retryable) = (None, None, None);
+    let object = read_object(r, |key, r| {
+        match key {
+            "code" => code = Some(read_string(r)?),
+            "message" => message = Some(read_string(r)?),
+            "retryable" => retryable = Some(read_bool(r)?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(object.and_then(|()| {
+        Some(WireError { code: code??, message: message??, retryable: retryable?? })
+    }))
 }
 
 #[cfg(test)]
@@ -576,21 +845,24 @@ mod tests {
         roundtrip_server(ServerMsg::Goodbye);
     }
 
+    /// `v` sent as an `execute` parameter and read back.
+    fn value_roundtrip(v: SqlValue) -> SqlValue {
+        let text = ClientMsg::Execute { stmt: 1, params: vec![v] }.encode();
+        match ClientMsg::decode(text.as_bytes()).unwrap() {
+            ClientMsg::Execute { mut params, .. } => params.remove(0),
+            other => panic!("decoded as {other:?}"),
+        }
+    }
+
     #[test]
     fn whole_float_survives_as_float() {
         // 2.0 must not come back as Int(2): the JSON text keeps a ".0".
-        let v = value_to_json(&SqlValue::Float(2.0));
-        let text = v.to_string();
-        let back: Json = flock_json::from_str(&text).unwrap();
-        assert_eq!(value_from_json(&back), Some(SqlValue::Float(2.0)));
+        assert_eq!(value_roundtrip(SqlValue::Float(2.0)), SqlValue::Float(2.0));
     }
 
     #[test]
     fn nonfinite_float_degrades_to_null() {
-        let v = value_to_json(&SqlValue::Float(f64::NAN));
-        let text = v.to_string();
-        let back: Json = flock_json::from_str(&text).unwrap();
-        assert!(matches!(value_from_json(&back), Some(SqlValue::Null)));
+        assert!(matches!(value_roundtrip(SqlValue::Float(f64::NAN)), SqlValue::Null));
     }
 
     #[test]

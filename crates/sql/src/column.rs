@@ -15,7 +15,7 @@
 //! bounded by the rows it reads, never by the size of the dictionary.
 
 use crate::error::{Result, SqlError};
-use crate::types::{DataType, Value};
+use crate::types::{DataType, Value, ValueRef};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -226,18 +226,24 @@ impl ColumnVector {
 
     /// Read the value at `idx` as a scalar.
     pub fn get(&self, idx: usize) -> Value {
+        self.value_ref(idx).map_or(Value::Null, ValueRef::to_value)
+    }
+
+    /// Row `idx` borrowed from the buffer: [`get`](Self::get) without the
+    /// text copy, `None` when the row is NULL.
+    pub fn value_ref(&self, idx: usize) -> Option<ValueRef<'_>> {
         if self.is_null(idx) {
-            return Value::Null;
+            return None;
         }
         let i = self.offset + idx;
-        match &self.data {
-            ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Int(v) => Value::Int(v[i]),
-            ColumnData::Float(v) => Value::Float(v[i]),
-            ColumnData::Text(v) => Value::Text(v[i].clone()),
-            ColumnData::Dict(codes, values) => Value::Text(values[codes[i] as usize].clone()),
-            ColumnData::Date(v) => Value::Date(v[i]),
-        }
+        Some(match &self.data {
+            ColumnData::Bool(v) => ValueRef::Bool(v[i]),
+            ColumnData::Int(v) => ValueRef::Int(v[i]),
+            ColumnData::Float(v) => ValueRef::Float(v[i]),
+            ColumnData::Text(v) => ValueRef::Text(&v[i]),
+            ColumnData::Dict(codes, values) => ValueRef::Text(&values[codes[i] as usize]),
+            ColumnData::Date(v) => ValueRef::Date(v[i]),
+        })
     }
 
     /// Row `idx`'s text borrowed from the buffer: `None` when the row is

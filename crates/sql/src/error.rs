@@ -165,29 +165,6 @@ impl WireError {
     pub fn to_sql_error(&self) -> SqlError {
         SqlError::from_code(&self.code, &self.message)
     }
-
-    /// Explicit JSON form, `{"code","message","retryable"}`. The wire
-    /// protocol builds documents by hand at the `flock_json::Value` level
-    /// so the byte layout is pinned by this code, not by derive internals.
-    pub fn to_json(&self) -> flock_json::Value {
-        let mut m = flock_json::Map::new();
-        m.insert("code".to_string(), flock_json::Value::String(self.code.clone()));
-        m.insert(
-            "message".to_string(),
-            flock_json::Value::String(self.message.clone()),
-        );
-        m.insert("retryable".to_string(), flock_json::Value::Bool(self.retryable));
-        flock_json::Value::Object(m)
-    }
-
-    /// Parse the JSON form; `None` if any field is missing or mistyped.
-    pub fn from_json(v: &flock_json::Value) -> Option<WireError> {
-        Some(WireError {
-            code: v.get("code")?.as_str()?.to_string(),
-            message: v.get("message")?.as_str()?.to_string(),
-            retryable: v.get("retryable")?.as_bool()?,
-        })
-    }
 }
 
 impl fmt::Display for WireError {
@@ -258,12 +235,6 @@ mod tests {
             assert_eq!(back, e, "round-trip must reproduce the variant");
             assert_eq!(back.to_string(), e.to_string());
             assert_eq!(wire.to_string(), e.to_string());
-            // And through JSON text, as the server actually ships it.
-            let json = wire.to_json().to_string();
-            let doc: flock_json::Value = flock_json::from_str(&json).unwrap();
-            let parsed = WireError::from_json(&doc).unwrap();
-            assert_eq!(parsed, wire);
-            assert_eq!(parsed.to_sql_error(), e);
         }
     }
 
@@ -275,20 +246,6 @@ mod tests {
                 matches!(e, SqlError::Admission(_)),
                 "{e:?}"
             );
-        }
-    }
-
-    #[test]
-    fn malformed_wire_json_is_rejected_not_panicked() {
-        for bad in [
-            "null",
-            "{}",
-            r#"{"code":"plan"}"#,
-            r#"{"code":1,"message":"m","retryable":false}"#,
-            r#"{"code":"plan","message":"m","retryable":"yes"}"#,
-        ] {
-            let doc: flock_json::Value = flock_json::from_str(bad).unwrap();
-            assert!(WireError::from_json(&doc).is_none(), "{bad}");
         }
     }
 

@@ -327,6 +327,7 @@ impl<'a> Parser<'a> {
             self.next();
         }
         let cell = Expr::Literal(match self.next() {
+            Token::Number(n) if neg == 1 => return Ok(Expr::Literal(negative_number(&n)?)),
             Token::Number(n) => number(&n)?,
             Token::StringLit(s) => Value::Text(s.into_owned()),
             _ => Value::Null,
@@ -1123,6 +1124,11 @@ impl<'a> Parser<'a> {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat(&Token::Minus) {
+            if let Token::Number(n) = self.peek() {
+                let v = negative_number(n)?;
+                self.next();
+                return Ok(Expr::Literal(v));
+            }
             return Ok(negated(self.unary()?));
         }
         if self.eat(&Token::Plus) {
@@ -1302,16 +1308,49 @@ pub(crate) fn number(n: &str) -> Result<Value> {
     n.parse().map(Value::Int).or_else(|_| float())
 }
 
+/// The value of the number literal `n` written directly after a unary
+/// `-`: the sign folds into the literal, so `-9223372036854775808` is
+/// INT's minimum, where its digits alone are past INT's range (a FLOAT).
+/// The one sign-fold rule for number literals, on every path that reads
+/// one: the expression grammar, the `VALUES` cell rule and the plan
+/// cache's normalizer, which leaves these digits inline.
+pub(crate) fn negative_number(n: &str) -> Result<Value> {
+    if is_int_min_magnitude(n) {
+        return Ok(Value::Int(i64::MIN));
+    }
+    let v = number(n)?;
+    Ok(negated_literal(&v).unwrap_or(v))
+}
+
+/// Whether the number text `n` is `9223372036854775808` (2^63), the
+/// magnitude only a negative INT has.
+pub(crate) fn is_int_min_magnitude(n: &str) -> bool {
+    n.parse::<u64>() == Ok(1 << 63)
+}
+
+/// `-v` for a number literal, when it folds (not for `i64::MIN`, whose
+/// negation is past INT's range).
+fn negated_literal(v: &Value) -> Option<Value> {
+    match v {
+        Value::Int(i) => i.checked_neg().map(Value::Int),
+        Value::Float(f) => Some(Value::Float(-f)),
+        _ => None,
+    }
+}
+
 /// `-e`, with a number literal folded into its negation.
 fn negated(e: Expr) -> Expr {
-    match e {
-        Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
-        Expr::Literal(Value::Float(f)) => Expr::Literal(Value::Float(-f)),
-        other => Expr::Unary {
+    let folded = match &e {
+        Expr::Literal(v) => negated_literal(v),
+        _ => None,
+    };
+    folded.map_or_else(
+        || Expr::Unary {
             op: UnOp::Neg,
-            expr: Box::new(other),
+            expr: Box::new(e),
         },
-    }
+        Expr::Literal,
+    )
 }
 
 fn is_clause_keyword(s: &str) -> bool {

@@ -19,7 +19,10 @@
 //!   single literal production in the parser;
 //! * bare numbers at the top nesting level of `ORDER BY` / `GROUP BY` —
 //!   those are output ordinals, and `ORDER BY ?` (a constant) would
-//!   silently stop sorting.
+//!   silently stop sorting;
+//! * the number `9223372036854775808` (2^63) — after a unary `-` the
+//!   parser folds it into INT's minimum, which `-?` over a parameter
+//!   cannot spell (2^63 itself is only a FLOAT).
 //!
 //! Invalidation is lazy: each entry records the DDL / options / model
 //! epochs it was planned under, and a lookup whose epochs moved discards
@@ -144,7 +147,7 @@ pub fn normalize<'a>(tokens: &[Token<'a>]) -> NormalizedStatement<'a> {
                 out.push(Token::Question);
             }
             t @ Token::Number(n) => {
-                if ordinal_clause.is_some_and(|d| depth == d) {
+                if ordinal_clause.is_some_and(|d| depth == d) || parser::is_int_min_magnitude(n) {
                     out.push(t.clone());
                 } else {
                     let value = parser::number(n).unwrap_or(Value::Float(f64::INFINITY));

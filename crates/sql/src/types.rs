@@ -17,18 +17,22 @@ pub enum DataType {
 
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+        f.write_str(self.name())
+    }
+}
+
+impl DataType {
+    /// The SQL name the type prints as.
+    pub fn name(self) -> &'static str {
+        match self {
             DataType::Bool => "BOOLEAN",
             DataType::Int => "BIGINT",
             DataType::Float => "DOUBLE",
             DataType::Text => "VARCHAR",
             DataType::Date => "DATE",
-        };
-        f.write_str(s)
+        }
     }
-}
 
-impl DataType {
     /// Parse a SQL type name (as produced by the lexer, uppercased).
     pub fn parse(name: &str) -> Option<DataType> {
         match name {

@@ -108,9 +108,20 @@ const MAX_FRAME: usize = 1 << 30;
 
 /// Append one framed, checksummed payload to `out`.
 pub fn frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Append one frame whose payload `write` appends to `out` in place: the
+/// header is reserved first and patched once the payload's length and
+/// checksum are known, so the payload is never copied.
+pub fn frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    write(out);
+    let len = (out.len() - start - FRAME_HEADER) as u32;
+    let crc = checksum64(&out[start + FRAME_HEADER..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Split a frame header into the payload length and the payload checksum

@@ -414,3 +414,42 @@ fn values_cells_take_bound_values() {
         ]
     );
 }
+
+/// `-9223372036854775808` is INT's minimum on every path that reads it:
+/// the expression grammar, a `VALUES` cell, and a prepared statement's
+/// normalized text. Read as a negated DOUBLE it would equal `i64::MIN + 1`
+/// too (both round to -2^63), so the count tells the two apart.
+#[test]
+fn int_min_literal_is_an_int_on_every_path() {
+    let db = Database::new();
+    db.execute("CREATE TABLE k (id INT, k INT)").unwrap();
+    db.execute(
+        "INSERT INTO k VALUES (1, -9223372036854775808), (2, -9223372036854775807), (3, 0)",
+    )
+    .unwrap();
+    let mut s = db.session("admin");
+    let count = |b: RecordBatch| format!("{:?}", b.row(0));
+
+    let typed = s.execute("SELECT -9223372036854775808").unwrap().batch.unwrap();
+    assert_eq!(format!("{:?}", typed.row(0)), format!("{:?}", [Value::Int(i64::MIN)]));
+    let stored = s.execute("SELECT k FROM k WHERE id = 1").unwrap().batch.unwrap();
+    assert_eq!(format!("{:?}", stored.row(0)), format!("{:?}", [Value::Int(i64::MIN)]));
+
+    let one = format!("{:?}", [Value::Int(1)]);
+    let literal = "SELECT COUNT(*) FROM k WHERE k <= -9223372036854775808";
+    assert_eq!(count(s.execute(literal).unwrap().batch.unwrap()), one, "literal");
+    let prepared = s.prepare(literal).unwrap();
+    let got = s.execute_prepared(&prepared, &[]).unwrap().batch.unwrap();
+    assert_eq!(count(got), one, "prepared literal");
+    let bound = s.prepare("SELECT COUNT(*) FROM k WHERE k <= ?").unwrap();
+    let got = s.execute_prepared(&bound, &[Value::Int(i64::MIN)]).unwrap();
+    assert_eq!(count(got.batch.unwrap()), one, "bound parameter");
+
+    // The digits alone, and after a binary minus, stay a DOUBLE.
+    let wide = s.execute("SELECT 9223372036854775808, 0 - 9223372036854775808").unwrap();
+    let wide = format!("{:?}", wide.batch.unwrap().row(0));
+    let two_63 = 9.223372036854776e18;
+    assert_eq!(wide, format!("{:?}", [Value::Float(two_63), Value::Float(-two_63)]));
+    // Negating INT's minimum again is an overflow error, not a panic.
+    assert!(s.execute("SELECT -(-9223372036854775808)").is_err());
+}

@@ -203,7 +203,7 @@ fn every_literal_spelling_matches_parse_expr() {
             assert_eq!(format!("{:?}", rows[0][0]), alone, "{sql}");
         }
     }
-    // The negated i64 overflow stays a FLOAT, as the grammar folds it.
+    // `-` directly before 2^63 is INT's minimum, as the grammar folds it.
     let Statement::Insert {
         source: InsertSource::Values(rows),
         ..
@@ -214,6 +214,6 @@ fn every_literal_spelling_matches_parse_expr() {
     };
     assert_eq!(
         format!("{:?}", rows[0]),
-        "[Literal(Float(-9.223372036854776e18)), Literal(Int(-9223372036854775807))]"
+        "[Literal(Int(-9223372036854775808)), Literal(Int(-9223372036854775807))]"
     );
 }
