@@ -1,11 +1,12 @@
 //! Blocking client for the Flock wire protocol.
 //!
 //! Used by `flock-cli`, the connection-storm bench, and the protocol test
-//! suite. Errors split three ways so callers can react without string
-//! matching: [`ClientError::Sql`] (typed server-side failure — the
-//! connection stays usable), [`ClientError::Protocol`] (this peer or the
-//! server violated the framing contract — drop the connection), and
-//! [`ClientError::Io`].
+//! suite. Errors split so callers can react without string matching:
+//! [`ClientError::Sql`] (typed server-side failure — the connection stays
+//! usable), [`ClientError::Protocol`] (a reply that does not decode or
+//! comes out of sequence), [`ClientError::Frame`] (a reply frame that
+//! could not be read — the client closes its socket, and every later call
+//! returns [`ClientError::Closed`]), and [`ClientError::Io`].
 
 use crate::protocol::{
     encode_execute_into, ClientMsg, FrameError, FrameReader, ServerMsg, WireRows,
@@ -21,8 +22,13 @@ use std::time::Duration;
 pub enum ClientError {
     /// The server answered with a typed SQL error; session still open.
     Sql(WireError),
-    /// Framing/sequencing violation on either side; connection is dead.
+    /// A reply that does not decode, or a reply of the wrong kind.
     Protocol(String),
+    /// A reply frame could not be read (too large, corrupt, cut short, or
+    /// the server hung up); the client has closed the connection.
+    Frame(FrameError),
+    /// The connection was closed by an earlier frame error; reconnect.
+    Closed,
     Io(std::io::Error),
 }
 
@@ -31,6 +37,8 @@ impl std::fmt::Display for ClientError {
         match self {
             ClientError::Sql(e) => write!(f, "{e}"),
             ClientError::Protocol(m) => write!(f, "protocol error: {m}"),
+            ClientError::Frame(e) => write!(f, "protocol error: {e}"),
+            ClientError::Closed => write!(f, "connection closed after a protocol error"),
             ClientError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -42,7 +50,7 @@ impl From<FrameError> for ClientError {
     fn from(e: FrameError) -> Self {
         match e {
             FrameError::Io(io) => ClientError::Io(io),
-            other => ClientError::Protocol(other.to_string()),
+            other => ClientError::Frame(other),
         }
     }
 }
@@ -70,6 +78,8 @@ pub struct Client {
     session: u64,
     cancel_key: u64,
     server: String,
+    /// Set once a reply frame fails to read: the socket is shut down.
+    closed: bool,
 }
 
 impl Client {
@@ -89,6 +99,7 @@ impl Client {
             session: 0,
             cancel_key: 0,
             server: String::new(),
+            closed: false,
         };
         match client.roundtrip(&ClientMsg::Hello { user: user.to_string() })? {
             ServerMsg::Welcome { session, cancel_key, server } => {
@@ -117,16 +128,29 @@ impl Client {
         &self.server
     }
 
-    /// Sends the request `encode` frames, and reads the reply.
+    /// Sends the request `encode` frames, and reads the reply. A request
+    /// that fails to send, or a reply frame that fails to read or never
+    /// comes, leaves the stream at no known frame boundary, so the socket
+    /// is shut down and every later call fails with [`ClientError::Closed`].
     fn roundtrip_with(
         &mut self,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> Result<ServerMsg, ClientError> {
+        if self.closed {
+            return Err(ClientError::Closed);
+        }
         self.out.clear();
         encode(&mut self.out);
-        self.stream.write_all(&self.out)?;
-        self.stream.flush()?;
-        recv_frame(&mut self.reader, &mut self.stream)
+        let sent = self.stream.write_all(&self.out).and_then(|()| self.stream.flush());
+        let reply = match sent {
+            Ok(()) => recv_frame(&mut self.reader, &mut self.stream),
+            Err(e) => Err(ClientError::Io(e)),
+        };
+        if let Err(ClientError::Frame(_) | ClientError::Io(_)) = &reply {
+            self.closed = true;
+            let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        }
+        reply
     }
 
     fn roundtrip(&mut self, msg: &ClientMsg) -> Result<ServerMsg, ClientError> {
@@ -201,7 +225,9 @@ impl Client {
 /// cannot hang the client.
 fn recv_frame(reader: &mut FrameReader, stream: &mut TcpStream) -> Result<ServerMsg, ClientError> {
     match reader.poll(stream)? {
-        Some(payload) => Ok(ServerMsg::decode(&payload)?),
+        Some(payload) => {
+            ServerMsg::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
+        }
         None => Err(ClientError::Io(std::io::Error::new(
             std::io::ErrorKind::TimedOut,
             "no reply from the server within the read timeout",
@@ -229,6 +255,7 @@ mod tests {
             session: 0,
             cancel_key: 0,
             server: String::new(),
+            closed: false,
         };
         let (done, outcome) = mpsc::channel();
         std::thread::spawn(move || {

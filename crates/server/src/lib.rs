@@ -40,6 +40,7 @@ use flock_sql::exec::CancelHandle;
 use flock_sql::{sync, PreparedStatement, SqlError, WireError};
 use protocol::{
     encode_result_into, ClientMsg, FrameError, FrameReader, ServerMsg, DEFAULT_MAX_FRAME,
+    FRAME_HEADER,
 };
 use std::collections::HashMap;
 use std::collections::hash_map::RandomState;
@@ -247,9 +248,23 @@ impl Conn {
         self.send_with(|out| msg.encode_into(out));
     }
 
-    /// Send a statement's rows, written straight from its batch.
+    /// Send a statement's rows, written straight from its batch; a reply
+    /// whose payload would pass a client's frame cap
+    /// ([`DEFAULT_MAX_FRAME`]) is sent as a typed `budget` error instead,
+    /// so the connection stays usable.
     fn send_result(&mut self, result: &flock_sql::QueryResult) {
-        self.send_with(|out| encode_result_into(result, out));
+        self.send_with(|out| {
+            encode_result_into(result, out);
+            let payload = out.len() - FRAME_HEADER;
+            if payload > DEFAULT_MAX_FRAME {
+                out.clear();
+                let e = SqlError::Budget(format!(
+                    "a reply of {payload} bytes exceeds the {DEFAULT_MAX_FRAME}-byte frame \
+                     cap; select fewer rows or columns"
+                ));
+                ServerMsg::Error(e.to_wire()).encode_into(out);
+            }
+        });
     }
 
     fn send_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {

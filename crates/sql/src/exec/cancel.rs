@@ -129,9 +129,9 @@ impl CancelHandle {
 
 /// Per-query resource budget: cumulative rows and approximate bytes
 /// materialized across all operators of one statement. Zero limits mean
-/// unlimited. Charged from `execute_metered` after each operator produces
-/// its output batch, so a runaway join or cross product aborts with a
-/// typed error instead of exhausting memory.
+/// unlimited. Charged as each operator hands on an output chunk, so a
+/// runaway join or cross product aborts with a typed error instead of
+/// exhausting memory.
 #[derive(Debug, Default)]
 pub struct QueryBudget {
     max_rows: u64,

@@ -82,7 +82,7 @@ pub struct EvalContext {
     /// Cooperative cancellation token, checked at operator entries, morsel
     /// boundaries, and row strides. `CancelToken::none()` never fires.
     pub cancel: super::cancel::CancelToken,
-    /// Per-query row/memory budget charged by `execute_metered`.
+    /// Per-query row/memory budget, charged per output chunk.
     pub budget: std::sync::Arc<super::cancel::QueryBudget>,
     /// Bound parameter values for `PhysNode::Parameter` slots, in `?` order.
     pub params: std::sync::Arc<Vec<Value>>,

@@ -1,17 +1,33 @@
 //! Physical planning and execution.
 //!
-//! Execution is batch-materialized: every operator consumes and produces a
-//! whole [`RecordBatch`], except that an aggregate builds one partial per
-//! chunk of a table scan and never sees the scan's concatenated output.
-//! Operators over large inputs run *morsel-driven parallel*: the batch
-//! splits into fixed-size morsels that a worker pool drains — filters and
+//! Every operator hands its rows on the same way, through its chunk map
+//! ([`PhysicalPlan::map_chunks`]): a consumer is called once per output
+//! chunk, in the task that made the chunk.
+//!
+//! - A table scan ([`scan`]) reads its chunks — disk parts, then the runs
+//!   of its resident tail — and a scan of several fans them out over the
+//!   worker pool, one task per chunk, reading, decoding and filtering it.
+//! - Filter and Project, and the PREDICTs they evaluate, compose: they run
+//!   on each chunk of their input inside the task that made it and hand
+//!   their output on in the same task.
+//! - An aggregate whose aggregates merge folds one partial per input
+//!   chunk ([`agg`]), then hands on its one batch.
+//! - Every other operator gathers its input into one batch and hands on
+//!   one output: aggregates that cannot merge, sort and top-K ([`sort`]),
+//!   both sides of a join ([`join`]), DISTINCT, LIMIT, UNION and VALUES.
+//!
+//! [`PhysicalPlan::execute`] is the edge: it maps the plan with the
+//! identity and concatenates the chunks once. An operator's chunks are
+//! concatenated in exactly two places, the gather and the edge.
+//!
+//! Operators over large inputs run *morsel-driven parallel*: a batch splits
+//! into fixed-size morsels that a worker pool drains — filters and
 //! projections evaluate per morsel, aggregates run two-phase (per-morsel
-//! partials merged in morsel order), hash joins probe morsels
-//! concurrently against typed build tables, and sorts merge per-run sorted
-//! indices. A scan of disk parts makes its chunks the morsels
-//! ([`PhysicalPlan::map_chunks`]): the pool reads, decodes and filters one
-//! part per task and hands its survivors to the consumer in the same task,
-//! and nothing fans out again inside it. This is the engine-supplied
+//! partials merged in morsel order), hash joins probe morsels concurrently
+//! against typed build tables, and sorts merge per-run sorted indices.
+//! Inside a task of a fanned-out scan nothing fans out again: filters and
+//! projections evaluate the whole chunk, and an aggregate walks the same
+//! morsels on that thread. This is the engine-supplied
 //! parallelism the paper credits for SONNX's speedup over standalone ONNX
 //! Runtime, generalized from PREDICT projections to the whole relational
 //! algebra.
@@ -20,26 +36,28 @@ pub mod agg;
 pub mod cancel;
 pub mod expr;
 pub mod functions;
+mod join;
 pub mod metrics;
 pub mod parallel;
+mod scan;
+mod sort;
 pub mod window;
 
 pub use cancel::{AdmissionController, AdmissionSlot, CancelHandle, CancelToken, QueryBudget};
 pub use expr::{EvalContext, PhysExpr, PhysNode};
 pub use metrics::{EngineMetrics, OpMetrics, OpSnapshot, PlanMetrics};
 pub use parallel::ParallelPolicy;
+pub(crate) use scan::{resolve_zones, zone_terms, ZoneTerm};
 
-use crate::ast::{ColumnBound, Expr, JoinType, UnOp};
+use crate::ast::JoinType;
 use crate::batch::RecordBatch;
 use crate::catalog::Catalog;
-use crate::column::ColumnVector;
-use crate::error::{Result, SqlError};
+use crate::error::Result;
 use crate::plan::{AggCall, LogicalPlan};
 use crate::schema::Schema;
-use crate::table::{concat_chunks, ColBounds, TableScan};
-use crate::types::{DataType, Value};
+use crate::table::{concat_chunks, TableScan};
+use crate::types::Value;
 use crate::udf::InferenceProvider;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -198,6 +216,12 @@ pub enum PhysicalPlan {
     },
 }
 
+/// What a chunk map hands each chunk to, in the task that made it: the
+/// chunk, and whether that task is one of several running at once (so
+/// nothing inside it may fan out again). It returns what to keep of the
+/// chunk, if anything; the map returns the kept values in chunk order.
+pub(super) type Consume<'a, T> = dyn Fn(RecordBatch, bool) -> Result<Option<T>> + Sync + 'a;
+
 /// Translate an (optimized) logical plan into a physical plan, snapshotting
 /// table data from `catalog`. Each parallel-capable operator gets a
 /// [`ParallelPolicy`] chosen from its input's row-count estimate — the
@@ -211,7 +235,7 @@ pub fn create_physical_plan(
 ) -> Result<PhysicalPlan> {
     let options = &options.clone().validated();
     Ok(match logical {
-        LogicalPlan::Scan { .. } => plan_scan(logical, None, catalog, provider, options)?,
+        LogicalPlan::Scan { .. } => scan::plan_scan(logical, None, catalog, provider, options)?,
         LogicalPlan::Values { schema, rows } => {
             let empty = RecordBatch::empty(Arc::new(Schema::default()));
             let compiled: Vec<Vec<PhysExpr>> = rows
@@ -229,7 +253,7 @@ pub fn create_physical_plan(
         }
         LogicalPlan::Filter { input, predicate } => {
             if let LogicalPlan::Scan { .. } = input.as_ref() {
-                return plan_scan(input, Some(predicate), catalog, provider, options);
+                return scan::plan_scan(input, Some(predicate), catalog, provider, options);
             }
             let child = create_physical_plan(input, catalog, provider, options)?;
             let policy = ParallelPolicy::from_options(options, child.estimated_rows());
@@ -317,7 +341,7 @@ pub fn create_physical_plan(
                 let mut right_keys = Vec::with_capacity(on.len());
                 for (le, re) in on {
                     let (le, re) =
-                        join_key_pair(le, re, left.schema(), right.schema(), provider)?;
+                        join::join_key_pair(le, re, left.schema(), right.schema(), provider)?;
                     left_keys.push(PhysExpr::compile(&le, left.schema(), provider)?);
                     right_keys.push(PhysExpr::compile(&re, right.schema(), provider)?);
                 }
@@ -385,151 +409,6 @@ pub fn create_physical_plan(
     })
 }
 
-/// Narrow column `idx` to `[lo, hi]`: `col = 5` → `[5, 5]`, `col > 5` →
-/// `[5, ∞)` (inclusive — pruning stays conservative for both strict and
-/// non-strict forms).
-fn tighten(bounds: &mut ColBounds, idx: usize, lo: Option<f64>, hi: Option<f64>) {
-    let e = bounds.entry(idx).or_insert((None, None));
-    if let Some(l) = lo {
-        e.0 = Some(e.0.map_or(l, |x: f64| x.max(l)));
-    }
-    if let Some(h) = hi {
-        e.1 = Some(e.1.map_or(h, |x: f64| x.min(h)));
-    }
-}
-
-/// One side of a zone bound: a literal's value, or a `?` parameter's —
-/// known only when the plan executes, cast as the plan casts it (a typed
-/// parameter is planned under an identity `CAST`), and negated when the
-/// plan negates it (`-?`, how a prepared statement reads `-5`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ZoneBound {
-    Value(f64),
-    Param(usize, Option<DataType>, bool),
-}
-
-/// Column `.0` (of the scan) lies in `[.1, .2]`; a side is open when
-/// `None`.
-pub(crate) type ZoneTerm = (usize, Option<ZoneBound>, Option<ZoneBound>);
-
-fn zone_bound(e: &Expr) -> Option<ZoneBound> {
-    match e {
-        Expr::Literal(v) => v.as_f64().map(ZoneBound::Value),
-        Expr::Parameter(i) => Some(ZoneBound::Param(*i, None, false)),
-        Expr::Cast { expr, to } => match **expr {
-            Expr::Parameter(i) => Some(ZoneBound::Param(i, Some(*to), false)),
-            _ => None,
-        },
-        Expr::Unary {
-            op: UnOp::Neg,
-            expr,
-        } => match zone_bound(expr)? {
-            ZoneBound::Param(i, to, negated) => Some(ZoneBound::Param(i, to, !negated)),
-            ZoneBound::Value(_) => None,
-        },
-        _ => None,
-    }
-}
-
-/// The zone-prunable terms of a predicate: AND-split into conjuncts, then
-/// keep the column bounds ([`Expr::column_bound`]) whose bound is a
-/// numeric literal or a `?` parameter. Everything else
-/// (OR, NOT, expressions over the column) contributes no term — parts it
-/// might match are never pruned.
-pub(crate) fn zone_terms(pred: &Expr, schema: &Schema) -> Vec<ZoneTerm> {
-    let term = |conj: &Expr| {
-        let (name, bound) = conj.column_bound()?;
-        let (lo, hi) = match bound {
-            ColumnBound::Eq(e) => {
-                let b = zone_bound(e)?;
-                (Some(b), Some(b))
-            }
-            ColumnBound::Range { low, high } => {
-                (low.and_then(zone_bound), high.and_then(zone_bound))
-            }
-        };
-        let idx = schema.index_of(name)?;
-        (lo.is_some() || hi.is_some()).then_some((idx, lo, hi))
-    };
-    pred.split_conjunction().into_iter().filter_map(term).collect()
-}
-
-/// Bounds from zone terms, each parameter read from `params`, or left open
-/// when `params` is `None` (at plan time). A parameter that is NULL or not
-/// numeric leaves its side open, as such a literal does; a term with both
-/// sides open bounds nothing.
-pub(crate) fn resolve_zones(terms: &[ZoneTerm], params: Option<&[Value]>) -> ColBounds {
-    let value = |b: Option<ZoneBound>| match b? {
-        ZoneBound::Value(v) => Some(v),
-        ZoneBound::Param(i, to, negated) => {
-            let p = params?.get(i)?;
-            let x = match to {
-                Some(to) => p.cast(to).ok()?.as_f64()?,
-                None => p.as_f64()?,
-            };
-            Some(if negated { -x } else { x })
-        }
-    };
-    let mut bounds = ColBounds::new();
-    for &(idx, lo, hi) in terms {
-        let (lo, hi) = (value(lo), value(hi));
-        if lo.is_some() || hi.is_some() {
-            tighten(&mut bounds, idx, lo, hi);
-        }
-    }
-    bounds
-}
-
-fn has_param(b: Option<ZoneBound>) -> bool {
-    matches!(b, Some(ZoneBound::Param(..)))
-}
-
-/// Plan a [`LogicalPlan::Scan`] with the filter directly above it (if any)
-/// fused in. The filter's bounds prune parts by their zone maps and narrow
-/// the resident chunks by ranges on sorted columns here, at plan time —
-/// or, when a bound is a `?` parameter, each time the plan executes, once
-/// the parameters are bound ([`TableScan::bind`]), so a cached plan stays
-/// shared; the filter itself runs per chunk at execution time, on what
-/// is left.
-fn plan_scan(
-    scan: &LogicalPlan,
-    predicate: Option<&Expr>,
-    catalog: &Catalog,
-    provider: &dyn InferenceProvider,
-    options: &ExecOptions,
-) -> Result<PhysicalPlan> {
-    let LogicalPlan::Scan {
-        table,
-        version,
-        projection,
-        schema,
-    } = scan
-    else {
-        return Err(SqlError::Plan("plan_scan on a non-scan node".into()));
-    };
-    let mut source = catalog
-        .scan_table(table, *version)?
-        .project(projection.as_deref(), schema.clone())?;
-    let terms = predicate.map(|p| zone_terms(p, schema)).unwrap_or_default();
-    if terms
-        .iter()
-        .any(|&(_, lo, hi)| has_param(lo) || has_param(hi))
-    {
-        source.prune_when_bound(terms);
-    } else {
-        source.prune(&resolve_zones(&terms, None));
-    }
-    let policy = ParallelPolicy::from_options(options, source.rows());
-    let predicate = predicate
-        .map(|p| PhysExpr::compile(p, schema, provider))
-        .transpose()?;
-    Ok(PhysicalPlan::Scan {
-        source,
-        predicate,
-        policy,
-    })
-}
-
 impl PhysicalPlan {
     /// Output-cardinality estimate. Exact for scans (the physical plan
     /// snapshots table data), heuristic above them — the same shape as the
@@ -579,71 +458,60 @@ impl PhysicalPlan {
 
     /// Execute while recording per-operator runtime metrics into a
     /// [`PlanMetrics`] tree built with [`PlanMetrics::for_plan`] (the tree
-    /// must mirror this plan).
+    /// must mirror this plan). This is the edge of the chunk maps: the
+    /// plan's output chunks are kept whole and concatenated here, once, in
+    /// the root operator's time.
     pub fn execute_metered(&self, ctx: &EvalContext, m: &PlanMetrics) -> Result<RecordBatch> {
-        // Cooperative cancellation point: every operator checks the token
-        // before running, so a cancelled/timed-out query unwinds at the
-        // next operator boundary even when its expressions are trivial.
-        // Wall time already spent is recorded by the enclosing operators'
-        // timers, leaving a partial-but-consistent metrics tree behind.
-        ctx.cancel.check()?;
-        if let PhysicalPlan::Scan { source, .. } = self {
-            // A scan meters its output chunk by chunk (`map_chunks`); its
-            // time is its share of the chunk map, plus the concatenation.
-            let chunks = self.map_chunks(ctx, &m.op, |chunk, _| Ok(chunk))?;
-            let concat = Instant::now();
-            let out = concat_chunks(source.schema(), chunks)?;
-            m.op
-                .wall_ns
-                .fetch_add(concat.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
-            return Ok(out);
-        }
+        let chunks = self.map_chunks(ctx, m, &|chunk, _| Ok(Some(chunk)))?;
         let started = Instant::now();
-        let out = self.execute_inner(ctx, m)?;
+        let out = concat_chunks(&self.schema(), chunks)?;
         m.op
             .wall_ns
             .fetch_add(started.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
-        m.op.batches.fetch_add(1, AtomicOrdering::Relaxed);
-        m.op
-            .rows_out
-            .fetch_add(out.num_rows() as u64, AtomicOrdering::Relaxed);
-        // Charge this operator's materialized output against the query's
-        // row/memory budget (bytes are approximated column-major at 8
-        // bytes per cell, the width of the numeric fast paths).
-        ctx.budget.charge(
-            out.num_rows() as u64,
-            (out.num_rows() * out.num_columns() * 8) as u64,
-        )?;
         Ok(out)
     }
 
-    fn execute_inner(&self, ctx: &EvalContext, m: &PlanMetrics) -> Result<RecordBatch> {
-        match self {
-            PhysicalPlan::Scan { .. } => Err(SqlError::Execution(
-                "a scan runs through its chunk map".into(),
-            )),
-            PhysicalPlan::Values { schema, rows } => {
-                m.op
-                    .rows_in
-                    .fetch_add(rows.len() as u64, AtomicOrdering::Relaxed);
-                let empty = RecordBatch::empty(Arc::new(Schema::default()));
-                let mut out_rows: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let vals: Vec<Value> = row
-                        .iter()
-                        .map(|e| e.eval_row(&empty, 0, ctx))
-                        .collect::<Result<_>>()?;
-                    out_rows.push(vals);
-                }
-                RecordBatch::from_rows(schema.clone(), &out_rows)
-            }
+    /// Hand this operator's output to `consume` chunk by chunk, metered
+    /// into `m` (which mirrors this plan):
+    ///
+    /// - a scan maps its chunks ([`scan::map_scan`]);
+    /// - a filter or a projection composes onto its input's map
+    ///   ([`compose`]): over the whole chunk when the task is nested, else
+    ///   fanned out over the chunk's morsels;
+    /// - every other operator runs once over its gathered input
+    ///   ([`gather`]; a mergeable aggregate folds the input's chunks
+    ///   instead) and hands its one output on from this thread, charged
+    ///   to the query budget.
+    ///
+    /// Every operator checks the cancel token before it runs, so a
+    /// cancelled or timed-out query unwinds at the next operator even when
+    /// its expressions are trivial; the wall time already spent stays in
+    /// the enclosing operators' timers.
+    pub(super) fn map_chunks<T: Send>(
+        &self,
+        ctx: &EvalContext,
+        m: &PlanMetrics,
+        consume: &Consume<T>,
+    ) -> Result<Vec<T>> {
+        ctx.cancel.check()?;
+        let gather_one = |input: &PhysicalPlan, i: usize| {
+            gather(&[input], &m.children[i..], &input.schema(), ctx, &m.op)
+        };
+        let started = Instant::now();
+        let out = match self {
+            PhysicalPlan::Scan {
+                source,
+                predicate,
+                policy,
+            } => return scan::map_scan(source, predicate.as_ref(), policy, ctx, &m.op, consume),
             PhysicalPlan::Filter {
                 input,
                 predicate,
                 policy,
             } => {
-                let batch = run_input(input, ctx, m, 0)?;
-                batch.filter(&filter_mask(predicate, &batch, policy, ctx, &m.op)?)
+                return compose(input, ctx, m, consume, |chunk, nested| {
+                    chunk.filter(&filter_mask(predicate, &chunk, policy, ctx, &m.op, nested)?)
+                })
             }
             PhysicalPlan::Project {
                 input,
@@ -651,16 +519,27 @@ impl PhysicalPlan {
                 schema,
                 policy,
             } => {
-                let batch = run_input(input, ctx, m, 0)?;
                 let project = |b: &RecordBatch| {
                     let cols = exprs.iter().map(|e| e.eval(b, ctx));
                     RecordBatch::new(schema.clone(), cols.collect::<Result<_>>()?)
                 };
-                if m.op.fan_out(policy, batch.num_rows()) {
-                    let parts = parallel::map_morsels(&batch, policy, project)?;
-                    return RecordBatch::concat(schema.clone(), &parts);
-                }
-                project(&batch)
+                let concat = |parts: Vec<RecordBatch>| RecordBatch::concat(schema.clone(), &parts);
+                return compose(input, ctx, m, consume, |chunk, nested| match nested {
+                    true => project(&chunk),
+                    false => parallel::over_morsels(&chunk, policy, &m.op, false, project, concat),
+                });
+            }
+            PhysicalPlan::Values { schema, rows } => {
+                m.op
+                    .rows_in
+                    .fetch_add(rows.len() as u64, AtomicOrdering::Relaxed);
+                let empty = RecordBatch::empty(Arc::new(Schema::default()));
+                let out_rows = rows.iter().map(|row| {
+                    row.iter()
+                        .map(|e| e.eval_row(&empty, 0, ctx))
+                        .collect::<Result<Vec<Value>>>()
+                });
+                RecordBatch::from_rows(schema.clone(), &out_rows.collect::<Result<Vec<_>>>()?)
             }
             PhysicalPlan::HashAggregate {
                 input,
@@ -678,48 +557,44 @@ impl PhysicalPlan {
                 filter,
                 schema,
                 policy,
-            } => {
-                let lb = run_input(left, ctx, m, 0)?;
-                let rb = run_input(right, ctx, m, 1)?;
-                execute_hash_join(
-                    &lb, &rb, left_keys, right_keys, *join_type, filter, schema, policy, ctx,
-                    &m.op,
-                )
-            }
+            } => join::execute_hash_join(
+                &gather_one(left, 0)?,
+                &gather_one(right, 1)?,
+                left_keys,
+                right_keys,
+                *join_type,
+                filter,
+                schema,
+                policy,
+                ctx,
+                &m.op,
+            ),
             PhysicalPlan::NestedLoopJoin {
                 left,
                 right,
                 join_type,
                 filter,
                 schema,
-            } => {
-                let lb = run_input(left, ctx, m, 0)?;
-                let rb = run_input(right, ctx, m, 1)?;
-                let mut pairs: Vec<(usize, usize)> =
-                    Vec::with_capacity(lb.num_rows() * rb.num_rows());
-                for li in 0..lb.num_rows() {
-                    ctx.cancel.check_every(li)?;
-                    for ri in 0..rb.num_rows() {
-                        pairs.push((li, ri));
-                    }
-                }
-                finish_join(&lb, &rb, pairs, *join_type, filter, schema, ctx)
-            }
+            } => join::execute_nested_loop_join(
+                &gather_one(left, 0)?,
+                &gather_one(right, 1)?,
+                *join_type,
+                filter,
+                schema,
+                ctx,
+            ),
             PhysicalPlan::Sort {
                 input,
                 keys,
                 policy,
                 fetch,
-            } => {
-                let batch = run_input(input, ctx, m, 0)?;
-                execute_sort(&batch, keys, policy, *fetch, ctx, &m.op)
-            }
+            } => sort::execute_sort(&gather_one(input, 0)?, keys, policy, *fetch, ctx, &m.op),
             PhysicalPlan::Limit {
                 input,
                 limit,
                 offset,
             } => {
-                let batch = run_input(input, ctx, m, 0)?;
+                let batch = gather_one(input, 0)?;
                 let start = (*offset as usize).min(batch.num_rows());
                 let len = limit
                     .map(|l| l as usize)
@@ -727,117 +602,21 @@ impl PhysicalPlan {
                 Ok(batch.slice(start, len))
             }
             PhysicalPlan::Union { inputs, schema } => {
-                let batches: Vec<RecordBatch> = inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, input)| run_input(input, ctx, m, i))
-                    .collect::<Result<_>>()?;
-                RecordBatch::concat(schema.clone(), &batches)
+                let inputs: Vec<&PhysicalPlan> = inputs.iter().collect();
+                gather(&inputs, &m.children, schema, ctx, &m.op)
             }
             PhysicalPlan::Distinct { input } => {
                 // The first row of each group of whole rows, in row order.
-                let batch = run_input(input, ctx, m, 0)?;
+                let batch = gather_one(input, 0)?;
                 let groups = agg::group_ids(batch.columns(), batch.num_rows(), &ctx.cancel)?;
                 batch.take(&groups.firsts)
             }
-        }
-    }
-
-    /// Run a [`PhysicalPlan::Scan`] as a map over its chunks: one task per
-    /// chunk reads it (decoding a part), runs the fused filter, and hands
-    /// the non-empty survivors to `consume` in the same task; the outputs
-    /// come back in chunk order. A scan of at least two parts (or two runs
-    /// of resident chunks) that reads at least the fan-out threshold
-    /// spreads its chunks over the policy's
-    /// workers ([`chunk_degree`]), the calling thread among them, holding
-    /// the decoded parts in flight within the table memory budget
-    /// ([`TableScan::decode_gate`]). Inside such a task nothing fans out
-    /// again: `consume` is told so, and walks serially the morsels it
-    /// would have fanned out over. Otherwise the chunks go by in order on
-    /// this thread, and operators fan out within each as over a resident
-    /// batch.
-    ///
-    /// Meters the scan as a streaming operator: rows read (`rows_in`:
-    /// after pruning, before the filter), one output batch per chunk of
-    /// survivors, the query budget charged for each chunk materialized
-    /// beyond them (a decoded part, or the filter's input), and wall time
-    /// that never overlaps the consumer's: the map's wall time, split by
-    /// the time tasks spent reading against consuming.
-    pub(super) fn map_chunks<T: Send>(
-        &self,
-        ctx: &EvalContext,
-        op: &OpMetrics,
-        consume: impl Fn(RecordBatch, bool) -> Result<T> + Sync,
-    ) -> Result<Vec<T>> {
-        let PhysicalPlan::Scan {
-            source,
-            predicate,
-            policy,
-        } = self
-        else {
-            return Err(SqlError::Execution("map_chunks on a non-scan operator".into()));
-        };
-        ctx.cancel.check()?;
-        // Pruning that waited for the parameters runs now, on this
-        // execution's copy of the source; the plan stays shared.
-        let (source, policy) = match source.bind(&ctx.params) {
-            Some(bound) => {
-                let policy = policy.for_rows(bound.rows());
-                (op.bound_scan.get_or_init(|| bound), policy)
-            }
-            None => (source, *policy),
-        };
-        if source.narrowed().is_some() {
-            op.sorted_ranges.fetch_add(1, AtomicOrdering::Relaxed);
-        }
-        let policy = &policy;
-        let chunks: Vec<usize> = (0..source.chunk_count()).collect();
-        let degree = chunk_degree(source, policy);
-        let nested = degree > 1;
-        if nested {
-            op.record_fan_out(chunks.len(), degree);
-        }
-        let gate = source.decode_gate();
-        let (read_ns, consume_ns) = (AtomicU64::new(0), AtomicU64::new(0));
-        let started = Instant::now();
-        let outputs = parallel::parallel_map(&chunks, degree, |&i| {
-            ctx.cancel.check()?;
-            let read = Instant::now();
-            let _held = gate.reserve(source.chunk_bytes(i));
-            let chunk = source.chunk(i)?;
-            let n = chunk.num_rows();
-            op.rows_in.fetch_add(n as u64, AtomicOrdering::Relaxed);
-            if i < source.parts().len() || predicate.is_some() {
-                ctx.budget.charge(n as u64, (n * chunk.num_columns() * 8) as u64)?;
-            }
-            let survivors = match predicate {
-                Some(p) if nested => chunk.filter(&p.eval_mask(&chunk, ctx)?)?,
-                Some(p) => chunk.filter(&filter_mask(p, &chunk, policy, ctx, op)?)?,
-                None => chunk,
-            };
-            let n = survivors.num_rows();
-            let out = if n == 0 {
-                None
-            } else {
-                op.batches.fetch_add(1, AtomicOrdering::Relaxed);
-                op.rows_out.fetch_add(n as u64, AtomicOrdering::Relaxed);
-                ctx.budget.charge(n as u64, (n * survivors.num_columns() * 8) as u64)?;
-                Some(survivors)
-            };
-            let handed = Instant::now();
-            read_ns.fetch_add((handed - read).as_nanos() as u64, AtomicOrdering::Relaxed);
-            let out = out.map(|chunk| consume(chunk, nested)).transpose();
-            consume_ns.fetch_add(handed.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
-            out
-        })?;
-        let wall = started.elapsed().as_nanos() as u64;
-        let (read, consumed) = (read_ns.into_inner(), consume_ns.into_inner());
-        let own = match read + consumed {
-            0 => wall,
-            busy => (wall as u128 * read as u128 / busy as u128) as u64,
-        };
-        op.wall_ns.fetch_add(own, AtomicOrdering::Relaxed);
-        Ok(outputs.into_iter().flatten().collect())
+        }?;
+        m.op
+            .wall_ns
+            .fetch_add(started.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
+        emit(&out, &m.op, ctx)?;
+        Ok(consume(out, false)?.into_iter().collect())
     }
 
     /// Child operators, in the order `execute` runs them (and in which
@@ -872,38 +651,19 @@ impl PhysicalPlan {
                 predicate,
                 policy,
             } => {
-                let (source, policy) = match bound {
-                    Some(b) => (b, &policy.for_rows(b.rows())),
-                    None => (source, policy),
+                let detail = match bound {
+                    Some(b) => scan::scan_detail(b, predicate.as_ref(), &policy.for_rows(b.rows())),
+                    None => scan::scan_detail(source, predicate.as_ref(), policy),
                 };
-                let mut detail = format!("rows={}", source.rows());
-                if let Some(slice) = sorted_range_label(source) {
-                    detail.push_str(&format!(", {slice}"));
-                }
-                if let (pruned, total @ 1..) = source.pruned() {
-                    detail.push_str(&format!(", parts pruned {pruned}/{total}"));
-                }
-                let degree = chunk_degree(source, policy);
-                if predicate.is_some() {
-                    detail.push_str(", fused filter");
-                    if let Some(p) = policy_detail_opt(policy).filter(|_| degree == 1) {
-                        detail.push_str(&format!(", {p}"));
-                    }
-                }
-                if degree > 1 {
-                    detail.push_str(&format!(
-                        ", chunks {}, degree {degree}",
-                        source.chunk_count()
-                    ));
-                }
                 ("Scan".to_string(), detail)
             }
             PhysicalPlan::Values { rows, .. } => {
                 ("Values".to_string(), format!("rows={}", rows.len()))
             }
-            PhysicalPlan::Filter { policy, .. } => {
-                ("Filter".to_string(), policy_detail(policy))
-            }
+            PhysicalPlan::Filter { policy, .. } => (
+                "Filter".to_string(),
+                policy_detail_opt(policy).unwrap_or_default(),
+            ),
             PhysicalPlan::Project {
                 exprs,
                 schema,
@@ -993,40 +753,6 @@ impl PhysicalPlan {
         }
     }
 
-    /// `logical`, the text of the plan this one was built from, with each
-    /// scan line that a range on a sorted column narrows followed by its
-    /// slice and the rows it reads, `?`s bound to `params` (the plain
-    /// `EXPLAIN` body). Scans pair with `Scan:` lines in tree order; when
-    /// their counts differ the text comes back as it is.
-    pub(crate) fn annotate_slices(&self, logical: &str, params: &[Value]) -> String {
-        fn scans<'a>(plan: &'a PhysicalPlan, out: &mut Vec<&'a TableScan>) {
-            match plan {
-                PhysicalPlan::Scan { source, .. } => out.push(source),
-                other => other.children().into_iter().for_each(|c| scans(c, out)),
-            }
-        }
-        let mut sources = Vec::new();
-        scans(self, &mut sources);
-        let is_scan = |line: &str| line.trim_start().starts_with("Scan: ");
-        if logical.lines().filter(|l| is_scan(l)).count() != sources.len() {
-            return logical.to_string();
-        }
-        let mut sources = sources.into_iter();
-        let mut out = String::new();
-        for line in logical.lines() {
-            out.push_str(line);
-            if let Some(source) = is_scan(line).then(|| sources.next()).flatten() {
-                let bound = source.bind(params);
-                let source = bound.as_ref().unwrap_or(source);
-                if let Some(slice) = sorted_range_label(source) {
-                    out.push_str(&format!(" [{slice}, rows={}]", source.rows()));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Static plan-tree rendering (the `EXPLAIN` body): operator names and
     /// shape details, no runtime numbers.
     pub fn explain(&self) -> String {
@@ -1066,399 +792,107 @@ impl PhysicalPlan {
     }
 }
 
-/// The slice a range on a sorted column narrowed `source` to, as its scan
-/// line shows it: `sorted range k [lo, hi)`, rows of the scan.
-fn sorted_range_label(source: &TableScan) -> Option<String> {
-    let (columns, rows) = source.narrowed()?;
-    let schema = source.schema();
-    let names: Vec<&str> = (columns.iter())
-        .map(|&c| schema.column(c).name.as_str())
-        .collect();
-    Some(format!(
-        "sorted range {} [{}, {})",
-        names.join(", "),
-        rows.start,
-        rows.end
-    ))
+/// The one gather: the chunks of `inputs` (metered by `metrics`, in
+/// order) kept whole and concatenated once into one batch of `schema`,
+/// their rows counted as the input of the operator metered by `op`.
+pub(super) fn gather(
+    inputs: &[&PhysicalPlan],
+    metrics: &[PlanMetrics],
+    schema: &Arc<Schema>,
+    ctx: &EvalContext,
+    op: &OpMetrics,
+) -> Result<RecordBatch> {
+    let mut chunks = Vec::new();
+    for (input, m) in inputs.iter().zip(metrics) {
+        chunks.extend(input.map_chunks(ctx, m, &|chunk, _| Ok(Some(chunk)))?);
+    }
+    let rows: usize = chunks.iter().map(RecordBatch::num_rows).sum();
+    op.rows_in.fetch_add(rows as u64, AtomicOrdering::Relaxed);
+    concat_chunks(schema, chunks)
 }
 
-/// Execute child `i` of the operator metered by `m`, counting its output
-/// as the operator's input.
-fn run_input(
-    child: &PhysicalPlan,
+/// Run a filter or a projection over each chunk of `input`'s map, in the
+/// task that made the chunk: `step` turns the chunk into this operator's
+/// output, and a non-empty output goes on to `consume` in the same task.
+/// Metered by the scan's rule: of the map's wall time, the input keeps
+/// what its own map recorded, and the rest splits between this operator
+/// and its consumer by the time each spent in the tasks.
+fn compose<T: Send>(
+    input: &PhysicalPlan,
     ctx: &EvalContext,
     m: &PlanMetrics,
-    i: usize,
-) -> Result<RecordBatch> {
-    let batch = child.execute_metered(ctx, &m.children[i])?;
-    m.op
-        .rows_in
-        .fetch_add(batch.num_rows() as u64, AtomicOrdering::Relaxed);
-    Ok(batch)
+    consume: &Consume<T>,
+    step: impl Fn(RecordBatch, bool) -> Result<RecordBatch> + Sync,
+) -> Result<Vec<T>> {
+    let (op, below) = (&m.op, &m.children[0]);
+    let (own_ns, handed_ns) = (AtomicU64::new(0), AtomicU64::new(0));
+    let before = below.op.wall_ns.load(AtomicOrdering::Relaxed);
+    let started = Instant::now();
+    let outputs = input.map_chunks(ctx, below, &|chunk, nested| {
+        let begun = Instant::now();
+        op.rows_in
+            .fetch_add(chunk.num_rows() as u64, AtomicOrdering::Relaxed);
+        let out = step(chunk, nested)?;
+        let empty = out.num_rows() == 0;
+        if !empty {
+            emit(&out, op, ctx)?;
+        }
+        let handed = Instant::now();
+        own_ns.fetch_add((handed - begun).as_nanos() as u64, AtomicOrdering::Relaxed);
+        if empty {
+            return Ok(None);
+        }
+        let kept = consume(out, nested);
+        handed_ns.fetch_add(handed.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
+        kept
+    })?;
+    let wall = started.elapsed().as_nanos() as u64;
+    let input_ns = (below.op.wall_ns.load(AtomicOrdering::Relaxed)).saturating_sub(before);
+    let rest = wall.saturating_sub(input_ns);
+    let own = share(rest, own_ns.into_inner(), handed_ns.into_inner());
+    op.wall_ns.fetch_add(input_ns + own, AtomicOrdering::Relaxed);
+    Ok(outputs)
 }
 
-/// Workers a scan spreads its chunks over: the policy's degree (at most
-/// one per chunk) when at least two parts remain after pruning, or the
-/// resident tail is read as at least two runs, and the scan reads at least
-/// the fan-out threshold, else 1.
-fn chunk_degree(source: &TableScan, policy: &ParallelPolicy) -> usize {
-    let chunked = source.parts().len() >= 2 || source.chunk_count() - source.parts().len() >= 2;
-    if policy.degree > 1 && chunked && source.rows() >= policy.row_threshold {
-        policy.degree.min(source.chunk_count())
-    } else {
-        1
+/// `own`'s part of `wall` where `own` and `other` nanoseconds of work
+/// shared it: all of it when neither worked.
+fn share(wall: u64, own: u64, other: u64) -> u64 {
+    match own + other {
+        0 => wall,
+        busy => (wall as u128 * own as u128 / busy as u128) as u64,
     }
 }
 
-/// A predicate's selection mask over `batch`: per morsel when the policy
-/// fans out, else in one pass.
+/// Count `out` as one output batch of the operator metered by `op`, and
+/// charge it against the query's row/memory budget (bytes approximated
+/// column-major at 8 per cell, the width of the numeric fast paths).
+fn emit(out: &RecordBatch, op: &OpMetrics, ctx: &EvalContext) -> Result<()> {
+    let n = out.num_rows();
+    op.batches.fetch_add(1, AtomicOrdering::Relaxed);
+    op.rows_out.fetch_add(n as u64, AtomicOrdering::Relaxed);
+    ctx.budget.charge(n as u64, (n * out.num_columns() * 8) as u64)
+}
+
+/// A predicate's selection mask over `batch`: in one pass when `nested`
+/// (the batch is one task of a fanned-out chunk map, and masks are
+/// row-local), else per morsel when the policy fans out over it
+/// ([`parallel::over_morsels`]).
 fn filter_mask(
     predicate: &PhysExpr,
     batch: &RecordBatch,
     policy: &ParallelPolicy,
     ctx: &EvalContext,
     op: &OpMetrics,
+    nested: bool,
 ) -> Result<Vec<bool>> {
-    if !op.fan_out(policy, batch.num_rows()) {
-        return predicate.eval_mask(batch, ctx);
+    let mask = |m: &RecordBatch| predicate.eval_mask(m, ctx);
+    match nested {
+        true => mask(batch),
+        false => parallel::over_morsels(batch, policy, op, false, mask, |masks| Ok(masks.concat())),
     }
-    Ok(parallel::map_morsels(batch, policy, |m| predicate.eval_mask(m, ctx))?.concat())
 }
 
 /// `degree=N` when the operator may fan out, empty when planned serial.
 fn policy_detail_opt(policy: &ParallelPolicy) -> Option<String> {
     (policy.degree > 1).then(|| format!("degree={}", policy.degree))
-}
-
-fn policy_detail(policy: &ParallelPolicy) -> String {
-    policy_detail_opt(policy).unwrap_or_default()
-}
-
-// ------------------------------------------------------------- hash join
-
-/// An equi-join key pair as the hash join compares it: an INT key against
-/// a DOUBLE key is cast to DOUBLE, so both sides read typed float keys and
-/// `1 = 1.0` holds, as under [`Value::sql_cmp`].
-fn join_key_pair(
-    le: &Expr,
-    re: &Expr,
-    left: &Schema,
-    right: &Schema,
-    provider: &dyn InferenceProvider,
-) -> Result<(Expr, Expr)> {
-    let to_double = |e: &Expr| Expr::Cast {
-        expr: Box::new(e.clone()),
-        to: DataType::Float,
-    };
-    let types = (
-        crate::plan::expr_type(le, left, provider)?,
-        crate::plan::expr_type(re, right, provider)?,
-    );
-    Ok(match types {
-        (Some(DataType::Int), Some(DataType::Float)) => (to_double(le), re.clone()),
-        (Some(DataType::Float), Some(DataType::Int)) => (le.clone(), to_double(re)),
-        _ => (le.clone(), re.clone()),
-    })
-}
-
-/// Join `lb` (probe side) to `rb` (build side) on equal keys. The build
-/// side's keys are numbered through typed tables ([`agg::JoinTable`]);
-/// the probe side looks its keys up a morsel at a time, in parallel when
-/// the policy fans out. Pairs come out in probe-row order and, within a
-/// probe row, in build-row order, whatever the degree.
-#[allow(clippy::too_many_arguments)]
-fn execute_hash_join(
-    lb: &RecordBatch,
-    rb: &RecordBatch,
-    left_keys: &[PhysExpr],
-    right_keys: &[PhysExpr],
-    join_type: JoinType,
-    filter: &Option<PhysExpr>,
-    schema: &Arc<Schema>,
-    policy: &ParallelPolicy,
-    ctx: &EvalContext,
-    op: &OpMetrics,
-) -> Result<RecordBatch> {
-    let eval = |keys: &[PhysExpr], b: &RecordBatch| -> Result<Vec<ColumnVector>> {
-        keys.iter().map(|e| e.eval(b, ctx)).collect()
-    };
-    let (lk, rk) = agg::comparable_keys(eval(left_keys, lb)?, eval(right_keys, rb)?);
-    let table = agg::JoinTable::build(&rk, &ctx.cancel)?;
-    let probe = |range: &Range<usize>| -> Result<Vec<(usize, usize)>> {
-        ctx.cancel.check()?;
-        let keys = table.probe(&lk, range.clone());
-        Ok(range
-            .clone()
-            .zip(keys)
-            .flat_map(|(li, k)| table.matches(k).iter().map(move |&ri| (li, ri)))
-            .collect())
-    };
-    let ranges = parallel::morsel_ranges(lb.num_rows(), policy.morsel_rows);
-    let pairs = if policy.fan_out(lb.num_rows().max(rb.num_rows())) {
-        op.record_fan_out(ranges.len(), policy.degree);
-        parallel::parallel_map(&ranges, policy.degree, probe)?
-    } else {
-        ranges.iter().map(probe).collect::<Result<_>>()?
-    };
-    finish_join(lb, rb, pairs.concat(), join_type, filter, schema, ctx)
-}
-
-/// Materialize candidate pairs, apply the residual filter, and null-extend
-/// unmatched left rows for LEFT joins.
-fn finish_join(
-    lb: &RecordBatch,
-    rb: &RecordBatch,
-    pairs: Vec<(usize, usize)>,
-    join_type: JoinType,
-    filter: &Option<PhysExpr>,
-    schema: &Arc<Schema>,
-    ctx: &EvalContext,
-) -> Result<RecordBatch> {
-    let li: Vec<usize> = pairs.iter().map(|(l, _)| *l).collect();
-    let ri: Vec<usize> = pairs.iter().map(|(_, r)| *r).collect();
-    let left_part = lb.take(&li)?;
-    let right_part = rb.take(&ri)?;
-    let mut cols = left_part.columns().to_vec();
-    cols.extend(right_part.columns().iter().cloned());
-    let mut joined = RecordBatch::new(schema.clone(), cols)?;
-
-    let mut matched_left: Vec<bool> = vec![false; lb.num_rows()];
-    if let Some(f) = filter {
-        let mask = f.eval_mask(&joined, ctx)?;
-        for (i, &keep) in mask.iter().enumerate() {
-            if keep {
-                matched_left[li[i]] = true;
-            }
-        }
-        joined = joined.filter(&mask)?;
-    } else {
-        for &l in &li {
-            matched_left[l] = true;
-        }
-    }
-
-    if join_type == JoinType::Left {
-        let unmatched: Vec<usize> = (0..lb.num_rows())
-            .filter(|&l| !matched_left[l])
-            .collect();
-        if !unmatched.is_empty() {
-            let left_rows = lb.take(&unmatched)?;
-            let mut cols = left_rows.columns().to_vec();
-            for c in rb.columns() {
-                cols.push(ColumnVector::repeat(
-                    c.data_type(),
-                    &Value::Null,
-                    unmatched.len(),
-                )?);
-            }
-            let null_ext = RecordBatch::new(schema.clone(), cols)?;
-            joined = RecordBatch::concat(schema.clone(), &[joined, null_ext])?;
-        }
-    }
-    Ok(joined)
-}
-
-// ------------------------------------------------------------- sort
-
-fn execute_sort(
-    batch: &RecordBatch,
-    keys: &[(PhysExpr, bool)],
-    policy: &ParallelPolicy,
-    fetch: Option<usize>,
-    ctx: &EvalContext,
-    op: &OpMetrics,
-) -> Result<RecordBatch> {
-    let n = batch.num_rows();
-    let fan_out = op.fan_out(policy, n);
-
-    // Key columns for the whole batch; evaluated morsel-parallel when the
-    // sort itself fans out (expression purity makes this equal to a single
-    // whole-batch evaluation).
-    let key_cols: Vec<ColumnVector> = if fan_out {
-        let parts = parallel::map_morsels(batch, policy, |m| {
-            keys.iter()
-                .map(|(e, _)| e.eval(m, ctx))
-                .collect::<Result<Vec<_>>>()
-        })?;
-        let mut cols: Vec<ColumnVector> = parts[0].clone();
-        for (i, dst) in cols.iter_mut().enumerate() {
-            let srcs: Vec<&ColumnVector> = parts[1..].iter().map(|p| &p[i]).collect();
-            dst.append_all(&srcs)?;
-        }
-        cols
-    } else {
-        keys.iter()
-            .map(|(e, _)| e.eval(batch, ctx))
-            .collect::<Result<_>>()?
-    };
-    let sort_keys: Vec<(SortKey, bool)> = key_cols
-        .iter()
-        .zip(keys)
-        .map(|(col, (_, asc))| (SortKey::of(col), *asc))
-        .collect();
-
-    let cmp_rows = |a: usize, b: usize| -> std::cmp::Ordering {
-        for (key, asc) in &sort_keys {
-            let ord = key.cmp_rows(a, b);
-            let ord = if *asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    };
-
-    // Top-K: keep the first `k` rows of the order without sorting the
-    // rest. Breaking key ties by row position makes the order total and
-    // equal to the stable sort's (earliest row first), so the selection
-    // is exactly the stable sort's prefix — serially, whatever the
-    // degree: one pass over typed keys is cheaper than merging runs. A
-    // lone FLOAT or INT key is compared as one integer per row.
-    if let Some(k) = fetch.filter(|k| *k < n) {
-        let directed = |asc: bool, key: u64| if asc { key } else { !key };
-        let indices = match sort_keys.as_slice() {
-            [(SortKey::Float(v), asc)] => top_k(n, k, |r| directed(*asc, float_order(v[r]))),
-            [(SortKey::Int(v), asc)] => top_k(n, k, |r| directed(*asc, v[r] as u64 ^ 1 << 63)),
-            _ => top_k(n, k, |r| RowOrder(r, &cmp_rows)),
-        };
-        return batch.take(&indices);
-    }
-
-    if !fan_out {
-        let mut indices: Vec<usize> = (0..n).collect();
-        indices.sort_by(|&a, &b| cmp_rows(a, b));
-        return batch.take(&indices);
-    }
-
-    // Parallel sort: stable-sort contiguous runs concurrently, then k-way
-    // merge. Ties resolve to the earliest run (and stably within a run),
-    // which reproduces the serial stable sort exactly, independent of the
-    // run boundaries.
-    let run_rows = n.div_ceil(policy.degree).max(policy.morsel_rows);
-    let ranges = parallel::morsel_ranges(n, run_rows);
-    op.record_fan_out(ranges.len(), policy.degree);
-    let runs: Vec<Vec<usize>> = parallel::parallel_map(&ranges, policy.degree, |range| {
-        ctx.cancel.check()?;
-        let mut idx: Vec<usize> = range.clone().collect();
-        idx.sort_by(|&a, &b| cmp_rows(a, b));
-        Ok(idx)
-    })?;
-
-    let mut heads = vec![0usize; runs.len()];
-    let mut indices: Vec<usize> = Vec::with_capacity(n);
-    loop {
-        ctx.cancel.check_every(indices.len())?;
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if heads[r] >= run.len() {
-                continue;
-            }
-            best = Some(match best {
-                None => r,
-                Some(b)
-                    if cmp_rows(run[heads[r]], runs[b][heads[b]])
-                        == std::cmp::Ordering::Less =>
-                {
-                    r
-                }
-                Some(b) => b,
-            });
-        }
-        match best {
-            Some(r) => {
-                indices.push(runs[r][heads[r]]);
-                heads[r] += 1;
-            }
-            None => break,
-        }
-    }
-    batch.take(&indices)
-}
-
-/// The `k` first of rows `0..n` ordered by `(key(r), r)`, in that order: a
-/// bounded max-heap whose top is the current k-th row, so a row that does
-/// not make the cut costs one comparison.
-fn top_k<K: Ord>(n: usize, k: usize, key: impl Fn(usize) -> K) -> Vec<usize> {
-    let mut heap = std::collections::BinaryHeap::with_capacity(k);
-    for r in 0..n {
-        if heap.len() < k {
-            heap.push((key(r), r));
-            continue;
-        }
-        let Some(mut kth) = heap.peek_mut() else {
-            break; // k == 0
-        };
-        let row = (key(r), r);
-        if row < *kth {
-            *kth = row;
-        }
-    }
-    heap.into_sorted_vec().into_iter().map(|(_, r)| r).collect()
-}
-
-/// A row ordered by a row comparator, for [`top_k`] over keys with no
-/// integer form.
-struct RowOrder<'c, F>(usize, &'c F);
-
-impl<F: Fn(usize, usize) -> std::cmp::Ordering> Ord for RowOrder<'_, F> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.1)(self.0, other.0)
-    }
-}
-
-impl<F: Fn(usize, usize) -> std::cmp::Ordering> PartialOrd for RowOrder<'_, F> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<F: Fn(usize, usize) -> std::cmp::Ordering> PartialEq for RowOrder<'_, F> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl<F: Fn(usize, usize) -> std::cmp::Ordering> Eq for RowOrder<'_, F> {}
-
-/// `x` as an unsigned integer in [`SortKey::Float`]'s order: -0.0 just
-/// below +0.0, and every NaN one value, above +inf.
-fn float_order(x: f64) -> u64 {
-    let bits = if x.is_nan() { f64::NAN } else { x }.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// A sort key column read in place: the two hot types compare on their
-/// raw buffers, everything else through [`Value::total_cmp`] — whose order
-/// (numbers, then NaN of either sign, then NULL) the typed arms reproduce.
-enum SortKey<'a> {
-    Float(&'a [f64]),
-    Int(&'a [i64]),
-    Other(&'a ColumnVector),
-}
-
-impl<'a> SortKey<'a> {
-    fn of(col: &'a ColumnVector) -> SortKey<'a> {
-        if let Some(v) = col.as_f64_slice() {
-            SortKey::Float(v)
-        } else if let Some(v) = col.as_i64_slice() {
-            SortKey::Int(v)
-        } else {
-            SortKey::Other(col)
-        }
-    }
-
-    fn cmp_rows(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        match self {
-            SortKey::Float(v) => {
-                let norm = |x: f64| if x.is_nan() { f64::NAN } else { x };
-                norm(v[a]).total_cmp(&norm(v[b]))
-            }
-            SortKey::Int(v) => v[a].cmp(&v[b]),
-            SortKey::Other(col) => col.get(a).total_cmp(&col.get(b)),
-        }
-    }
 }

@@ -8,9 +8,10 @@
 //! morsel order, which makes every operator bit-for-bit deterministic with
 //! respect to the serial path (modulo floating-point re-association in
 //! partial aggregates, which fixed morsel boundaries keep stable across
-//! thread counts). A scan of disk parts uses the same pool with its chunks
-//! as the items (`PhysicalPlan::map_chunks`).
+//! thread counts). A scan of several chunks uses the same pool with its
+//! chunks as the items (`PhysicalPlan::map_chunks`).
 
+use super::OpMetrics;
 use crate::batch::RecordBatch;
 use crate::error::Result;
 use std::ops::Range;
@@ -127,19 +128,27 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Morsel-map over a batch: split into fixed-size morsels and apply `f`
-/// to each on the worker pool, results in morsel order.
-pub fn map_morsels<T, F>(
+/// `f` over `batch`, or over its fixed morsels when `policy` fans out over
+/// it: on the worker pool, or — when `nested`, the batch being one task of
+/// a fanned-out chunk map — walked on this thread. `merge` folds the
+/// per-morsel outputs, in morsel order. A fan-out is recorded in `op`.
+pub fn over_morsels<T: Send>(
     batch: &RecordBatch,
     policy: &ParallelPolicy,
-    f: F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(&RecordBatch) -> Result<T> + Sync,
-{
-    let morsels = batch.chunks(policy.morsel_rows);
-    parallel_map(&morsels, policy.degree, f)
+    op: &OpMetrics,
+    nested: bool,
+    f: impl Fn(&RecordBatch) -> Result<T> + Sync,
+    merge: impl FnOnce(Vec<T>) -> Result<T>,
+) -> Result<T> {
+    let rows = batch.num_rows();
+    let (split, degree) = match nested {
+        true => (policy.fan_out(rows), 1),
+        false => (op.fan_out(policy, rows), policy.degree),
+    };
+    if !split {
+        return f(batch);
+    }
+    merge(parallel_map(&batch.chunks(policy.morsel_rows), degree, f)?)
 }
 
 #[cfg(test)]
@@ -156,12 +165,12 @@ mod tests {
     #[test]
     fn zero_rows_means_zero_morsels() {
         assert!(morsel_ranges(0, 4).is_empty());
-        // map_morsels must not invoke the closure on a phantom empty morsel
+        // a morsel map must not invoke the closure on a phantom empty morsel
         let batch = RecordBatch::empty(std::sync::Arc::new(crate::schema::Schema::new(
             vec![crate::schema::ColumnDef::new("x", crate::types::DataType::Int)],
         )));
         let calls = AtomicUsize::new(0);
-        let parts = map_morsels(&batch, &ParallelPolicy::serial(), |m| {
+        let parts = parallel_map(&batch.chunks(4), 1, |m: &RecordBatch| {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok(m.num_rows())
         })

@@ -11,7 +11,7 @@ use crate::ast::{BinOp, Expr, JoinType};
 use crate::error::Result;
 use crate::exec::expr::eval_binary;
 use crate::exec::functions::eval_function;
-use crate::plan::{rewrite_expr, LogicalPlan};
+use crate::plan::{rewrite_expr, split_join_condition, LogicalPlan};
 use crate::schema::Schema;
 use crate::types::Value;
 use std::collections::HashSet;
@@ -663,81 +663,25 @@ pub fn extract_join_keys(plan: LogicalPlan) -> Result<LogicalPlan> {
         } => {
             let left = Box::new(extract_join_keys(*left)?);
             let right = Box::new(extract_join_keys(*right)?);
-            let mut residual = Vec::new();
-            if let Some(f) = filter {
-                let left_cols: HashSet<String> = left
-                    .schema()
-                    .names()
-                    .iter()
-                    .map(|s| s.to_ascii_lowercase())
-                    .collect();
-                for part in f.split_conjunction() {
-                    if join_type == JoinType::Inner {
-                        if let Expr::Binary {
-                            left: a,
-                            op: BinOp::Eq,
-                            right: b,
-                        } = part
-                        {
-                            let sa = expr_side(a, &left_cols);
-                            let sb = expr_side(b, &left_cols);
-                            match (sa, sb) {
-                                (ExprSide::Left, ExprSide::Right) => {
-                                    on.push(((**a).clone(), (**b).clone()));
-                                    continue;
-                                }
-                                (ExprSide::Right, ExprSide::Left) => {
-                                    on.push(((**b).clone(), (**a).clone()));
-                                    continue;
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    residual.push(part.clone());
+            let filter = match filter {
+                Some(f) if join_type == JoinType::Inner => {
+                    let (pairs, residual) = split_join_condition(&f, left.schema());
+                    on.extend(pairs);
+                    residual
                 }
-            }
+                other => other,
+            };
             LogicalPlan::Join {
                 left,
                 right,
                 join_type,
                 on,
-                filter: Expr::conjunction(residual),
+                filter,
                 schema,
             }
         }
         other => map_inputs(other, &mut extract_join_keys)?,
     })
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum ExprSide {
-    Left,
-    Right,
-    Mixed,
-    None,
-}
-
-fn expr_side(e: &Expr, left_cols: &HashSet<String>) -> ExprSide {
-    let mut cols = vec![];
-    e.referenced_columns(&mut cols);
-    if cols.is_empty() {
-        return ExprSide::None;
-    }
-    let mut l = false;
-    let mut r = false;
-    for (_, n) in cols {
-        if left_cols.contains(&n.to_ascii_lowercase()) {
-            l = true;
-        } else {
-            r = true;
-        }
-    }
-    match (l, r) {
-        (true, false) => ExprSide::Left,
-        (false, true) => ExprSide::Right,
-        _ => ExprSide::Mixed,
-    }
 }
 
 // ------------------------------------------------------ projection pruning

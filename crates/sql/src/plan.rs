@@ -995,19 +995,9 @@ impl<'a, 'b> Planner<'a, 'b> {
         let schema = Arc::new(Schema::new(cols));
 
         let scope = Scope { fields };
-        let left_cols: std::collections::HashSet<String> = lr
-            .schema()
-            .names()
-            .iter()
-            .map(|s| s.to_ascii_lowercase())
-            .collect();
-
         let (on_pairs, residual) = match on {
             None => (vec![], None),
-            Some(cond) => {
-                let resolved = self.resolve(cond.clone(), &scope)?;
-                split_join_condition(resolved, &left_cols)
-            }
+            Some(cond) => split_join_condition(&self.resolve(cond.clone(), &scope)?, lr.schema()),
         };
 
         let plan = LogicalPlan::Join {
@@ -1160,12 +1150,28 @@ fn rename_if_needed(plan: LogicalPlan, names: &[String]) -> LogicalPlan {
     }
 }
 
-/// Split a resolved join condition into equi pairs (left expr, right expr)
-/// and a residual filter.
-fn split_join_condition(
-    cond: Expr,
-    left_cols: &std::collections::HashSet<String>,
+/// Split a resolved join condition into equi pairs (left expr, right
+/// expr) and a residual filter. A conjunct `a = b` is a pair when one side
+/// reads only columns of `left` and the other only columns that are not;
+/// every other conjunct stays in the residual, in order.
+pub(crate) fn split_join_condition(
+    cond: &Expr,
+    left: &Schema,
 ) -> (Vec<(Expr, Expr)>, Option<Expr>) {
+    let left_cols: std::collections::HashSet<String> =
+        left.names().iter().map(|s| s.to_ascii_lowercase()).collect();
+    // whether `e` reads columns of the left side only (`Some(true)`), of
+    // the right only (`Some(false)`), or of both or neither (`None`)
+    let side = |e: &Expr| {
+        let mut cols = vec![];
+        e.referenced_columns(&mut cols);
+        let left = cols.iter().filter(|(_, name)| left_cols.contains(&name.to_ascii_lowercase()));
+        match (left.count(), cols.len()) {
+            (_, 0) => None,
+            (0, _) => Some(false),
+            (l, n) => (l == n).then_some(true),
+        }
+    };
     let mut pairs = Vec::new();
     let mut residual = Vec::new();
     for part in cond.split_conjunction() {
@@ -1175,14 +1181,12 @@ fn split_join_condition(
             right,
         } = part
         {
-            let l_side = side_of(left, left_cols);
-            let r_side = side_of(right, left_cols);
-            match (l_side, r_side) {
-                (Side::Left, Side::Right) => {
+            match (side(left), side(right)) {
+                (Some(true), Some(false)) => {
                     pairs.push(((**left).clone(), (**right).clone()));
                     continue;
                 }
-                (Side::Right, Side::Left) => {
+                (Some(false), Some(true)) => {
                     pairs.push(((**right).clone(), (**left).clone()));
                     continue;
                 }
@@ -1192,36 +1196,6 @@ fn split_join_condition(
         residual.push(part.clone());
     }
     (pairs, Expr::conjunction(residual))
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Side {
-    Left,
-    Right,
-    Mixed,
-    None,
-}
-
-fn side_of(e: &Expr, left_cols: &std::collections::HashSet<String>) -> Side {
-    let mut cols = vec![];
-    e.referenced_columns(&mut cols);
-    if cols.is_empty() {
-        return Side::None;
-    }
-    let mut l = false;
-    let mut r = false;
-    for (_, name) in cols {
-        if left_cols.contains(&name.to_ascii_lowercase()) {
-            l = true;
-        } else {
-            r = true;
-        }
-    }
-    match (l, r) {
-        (true, false) => Side::Left,
-        (false, true) => Side::Right,
-        _ => Side::Mixed,
-    }
 }
 
 /// Is this expression (or any child) an aggregate function call?

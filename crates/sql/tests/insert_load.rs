@@ -216,3 +216,64 @@ fn resident_aggregates_across_a_reopen() {
     let db = Database::open_with_fs(mem.clean_image(), opts).unwrap();
     assert_eq!(bits(&aggregates(&db).1), bits(&reopened.1));
 }
+
+/// Shapes whose operators above the scan compose onto its chunk map
+/// (projections, filters, an aggregate over a projection) or gather its
+/// chunks (LIMIT, DISTINCT, UNION ALL, a join, a top-K), over `{t}`.
+const COMPOSED: [&str; 9] = [
+    "SELECT k, v FROM {t}",
+    "SELECT k, v * 2.0 + ts AS w FROM {t}",
+    "SELECT * FROM (SELECT k, v * 3.0 AS w, cat FROM {t}) s WHERE w > 20.0 AND k % 3 = 1",
+    "SELECT cat, COUNT(*), SUM(w), MIN(w), MAX(w), AVG(w) \
+     FROM (SELECT cat, v * 2.0 + 0.125 AS w FROM {t}) s GROUP BY cat ORDER BY cat",
+    "SELECT k, v FROM {t} LIMIT 50 OFFSET 4000",
+    "SELECT DISTINCT cat, k % 7 FROM {t}",
+    "SELECT k, v FROM {t} WHERE k < 300 UNION ALL SELECT k, v FROM {t} WHERE k >= 14700",
+    "SELECT a.k, b.v, b.cat FROM {t} a JOIN {t} b ON a.k = b.ts WHERE a.k % 5 = 0",
+    "SELECT k, v FROM {t} ORDER BY v DESC, k LIMIT 20",
+];
+
+/// Each operator of the plan the session ran last: depth, name, rows in
+/// and rows out.
+fn row_counts(session: &flock_sql::Session) -> Vec<(usize, String, u64, u64)> {
+    let snapshot = session.last_query_metrics().unwrap();
+    (snapshot.walk().into_iter())
+        .map(|(depth, op)| (depth, op.name.clone(), op.rows_in, op.rows_out))
+        .collect()
+}
+
+#[test]
+fn composed_operators_read_a_grown_tail_as_its_one_chunk_copy() {
+    let db = Database::new();
+    load(&db, 150, eighths);
+    db.execute("CREATE TABLE flat (k INT, ts INT, v DOUBLE, cat VARCHAR)")
+        .unwrap();
+    db.execute("INSERT INTO flat SELECT * FROM events").unwrap();
+    let chunks = |t: &str| {
+        let catalog = db.catalog();
+        let version = catalog.table(t).unwrap().current().clone();
+        version.scan(None).chunk_count()
+    };
+    assert!(chunks("events") >= 4, "sealed runs and an open one");
+    assert_eq!(chunks("flat"), 1);
+    for threads in [1, 2] {
+        db.set_exec_options(ExecOptions::with_threads(threads, 64));
+        let mut session = db.session("admin");
+        for shape in COMPOSED {
+            let [grown, flat] = ["events", "flat"].map(|t| shape.replace("{t}", t));
+            let rows = |sql: &str| {
+                let b = db.query(sql).unwrap();
+                (0..b.num_rows())
+                    .map(|r| format!("{:?}", b.row(r)))
+                    .collect::<Vec<_>>()
+            };
+            let want = rows(&flat);
+            assert!(!want.is_empty(), "{flat}");
+            assert_eq!(rows(&grown), want, "{threads} threads: {grown}");
+            session.execute(&format!("EXPLAIN ANALYZE {flat}")).unwrap();
+            let want = row_counts(&session);
+            session.execute(&format!("EXPLAIN ANALYZE {grown}")).unwrap();
+            assert_eq!(row_counts(&session), want, "{threads} threads: {grown}");
+        }
+    }
+}
